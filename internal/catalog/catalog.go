@@ -46,31 +46,16 @@ func (p *Population) MarginalList() []*marginal.Marginal {
 // Sample is a sample relation: tuples that do exist in the global population
 // and that Mosaic stores, with per-tuple weights and an optional mechanism.
 type Sample struct {
-	Name  string
+	Name string
+	// Table holds the tuples and their weights. The weight vector is the
+	// user's (UPDATE SAMPLE writes it); CLOSED answers, IPF seeds and dumps
+	// read it from here, and no other copy exists.
 	Table *table.Table
 	// From is the population the sample was declared over (the GP).
 	From  string
 	Where expr.Expr
 	// Mechanism is non-nil when the sampling mechanism is known.
 	Mechanism mechanism.Mechanism
-	// InitialWeights preserves the user-set weights for CLOSED queries and
-	// for reseeding IPF. nil means all ones.
-	InitialWeights []float64
-}
-
-// SeedWeights returns a fresh copy of the user-initialized weights
-// (all ones when never set).
-func (s *Sample) SeedWeights() []float64 {
-	n := s.Table.Len()
-	w := make([]float64, n)
-	if s.InitialWeights == nil {
-		for i := range w {
-			w[i] = 1
-		}
-		return w
-	}
-	copy(w, s.InitialWeights)
-	return w
 }
 
 // Catalog stores all relations. Methods are safe for concurrent use.

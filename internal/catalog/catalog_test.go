@@ -125,31 +125,6 @@ func TestSamplesOf(t *testing.T) {
 	}
 }
 
-func TestSeedWeights(t *testing.T) {
-	c := freshWithGP(t)
-	s, err := c.CreateSample("S", "GP", nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Table.Append([]value.Value{value.Text("UK"), value.Text("Yahoo"), value.Int(30)}); err != nil {
-		t.Fatal(err)
-	}
-	w := s.SeedWeights()
-	if len(w) != 1 || w[0] != 1 {
-		t.Errorf("default seed weights = %v", w)
-	}
-	s.InitialWeights = []float64{2.5}
-	w = s.SeedWeights()
-	if w[0] != 2.5 {
-		t.Errorf("custom seed weights = %v", w)
-	}
-	// Must be a copy.
-	w[0] = 9
-	if s.InitialWeights[0] != 2.5 {
-		t.Error("SeedWeights must copy")
-	}
-}
-
 func TestMarginalRegistration(t *testing.T) {
 	c := freshWithGP(t)
 	m, _ := marginal.New("GP_M1", []string{"country"})

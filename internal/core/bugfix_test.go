@@ -270,6 +270,67 @@ func TestOpenLimitMatchesUnlimitedPrefix(t *testing.T) {
 	}
 }
 
+// TestInsertKeepsUserWeights: a sample's weights are stored once, in its
+// table, so an INSERT adds a tuple at weight 1 and leaves the weights an
+// earlier UPDATE SAMPLE set alone (a second copy in the catalog used to be
+// reset to all-ones) — on every executor, through dump and restore, and on a
+// follower that replays the statement log.
+func TestInsertKeepsUserWeights(t *testing.T) {
+	const setup = `
+		CREATE GLOBAL POPULATION P (g TEXT, v INT);
+		CREATE SAMPLE S AS (SELECT * FROM P);
+		INSERT INTO S VALUES ('a', 1), ('a', 2), ('b', 3)`
+	const writes = `
+		UPDATE SAMPLE S SET WEIGHT = 2.5 WHERE g = 'a';
+		INSERT INTO S VALUES ('b', 4)`
+	engines := map[string]*Engine{
+		"row":      NewEngine(Options{RowExec: true}),
+		"vector":   NewEngine(Options{}),
+		"shards=2": NewEngine(Options{Shards: 2}),
+	}
+	for _, e := range engines {
+		exec1(t, e, setup)
+	}
+	primary := engines["vector"]
+	boot, g0, err := primary.DumpWithGeneration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := restore(t, boot)
+	for _, e := range engines {
+		exec1(t, e, writes)
+	}
+	stmts, _, err := primary.DeltaScript(g0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stmts {
+		exec1(t, follower, st.Src)
+	}
+	engines["follower"] = follower
+	dump, err := primary.DumpScript()
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines["restored"] = restore(t, dump)
+
+	for name, e := range engines {
+		if got := scalar(t, e, "SELECT CLOSED COUNT(*) FROM P"); got != 7 {
+			t.Errorf("%s: CLOSED COUNT(*) = %g, want 7 (2.5 + 2.5 + 1 + 1)", name, got)
+		}
+		rows := query(t, e, "SELECT CLOSED v, WEIGHT FROM P ORDER BY v")
+		want := []float64{2.5, 2.5, 1, 1}
+		if len(rows) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", name, len(rows), len(want))
+		}
+		for i, row := range rows {
+			if row[1].AsFloat() != want[i] {
+				t.Errorf("%s: tuple v=%s has weight %s, want %g", name, row[0], row[1], want[i])
+			}
+		}
+	}
+}
+
 func itoa(n int) string {
 	return value.Int(int64(n)).String()
 }

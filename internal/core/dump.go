@@ -47,7 +47,7 @@ func (e *Engine) dumpScriptLocked() (string, error) {
 	for _, n := range names {
 		t, _ := e.cat.Table(n)
 		fmt.Fprintf(&b, "CREATE TABLE %s %s;\n", n, schemaDDL(t.Schema()))
-		dumpRows(&b, n, t, nil)
+		dumpRows(&b, n, t, false)
 	}
 
 	// Populations: the GP first, then derived ones.
@@ -129,7 +129,7 @@ func (e *Engine) dumpScriptLocked() (string, error) {
 		} else {
 			b.WriteString(");\n")
 		}
-		dumpRows(&b, s.Name, s.Table, s.InitialWeights)
+		dumpRows(&b, s.Name, s.Table, true)
 	}
 	return b.String(), nil
 }
@@ -172,10 +172,10 @@ func schemaDDL(s *schema.Schema) string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// dumpRows emits INSERT statements in batches, followed by per-weight
-// UPDATE SAMPLE statements for non-unit initial weights (grouped by weight
-// value and matched by full-tuple predicates).
-func dumpRows(b *strings.Builder, name string, t *table.Table, seedWeights []float64) {
+// dumpRows emits INSERT statements in batches, followed (for a sample) by
+// per-weight UPDATE SAMPLE statements for its non-unit stored weights
+// (grouped by weight value and matched by full-tuple predicates).
+func dumpRows(b *strings.Builder, name string, t *table.Table, sample bool) {
 	const batch = 500
 	var lines []string
 	flush := func() {
@@ -185,7 +185,14 @@ func dumpRows(b *strings.Builder, name string, t *table.Table, seedWeights []flo
 		fmt.Fprintf(b, "INSERT INTO %s VALUES %s;\n", name, strings.Join(lines, ", "))
 		lines = lines[:0]
 	}
-	t.Scan(func(row []value.Value, _ float64) bool {
+	// Group rows by weight; emit one UPDATE per distinct non-unit weight
+	// with a disjunction of full-tuple matches. Rows with identical tuples
+	// share a weight under this scheme — acceptable for dump fidelity since
+	// identical tuples are statistically exchangeable.
+	byWeight := map[float64][]string{}
+	var order []float64
+	sc := t.Schema()
+	t.Scan(func(row []value.Value, w float64) bool {
 		vals := make([]string, len(row))
 		for i, v := range row {
 			vals[i] = v.String()
@@ -194,41 +201,24 @@ func dumpRows(b *strings.Builder, name string, t *table.Table, seedWeights []flo
 		if len(lines) >= batch {
 			flush()
 		}
-		return true
-	})
-	flush()
-	if seedWeights == nil {
-		return
-	}
-	// Group rows by weight; emit one UPDATE per distinct non-unit weight
-	// with a disjunction of full-tuple matches. Rows with identical tuples
-	// share a weight under this scheme — acceptable for dump fidelity since
-	// identical tuples are statistically exchangeable.
-	byWeight := map[float64][]string{}
-	var order []float64
-	i := 0
-	sc := t.Schema()
-	t.Scan(func(row []value.Value, _ float64) bool {
-		w := seedWeights[i]
-		i++
-		if w == 1 {
+		if !sample || w == 1 {
 			return true
 		}
-		var conj []string
+		conj := make([]string, len(row))
 		for ci, v := range row {
 			if v.IsNull() {
-				conj = append(conj, fmt.Sprintf("%s IS NULL", sc.At(ci).Name))
+				conj[ci] = fmt.Sprintf("%s IS NULL", sc.At(ci).Name)
 			} else {
-				conj = append(conj, fmt.Sprintf("%s = %s", sc.At(ci).Name, v))
+				conj[ci] = fmt.Sprintf("%s = %s", sc.At(ci).Name, vals[ci])
 			}
 		}
-		pred := "(" + strings.Join(conj, " AND ") + ")"
 		if _, ok := byWeight[w]; !ok {
 			order = append(order, w)
 		}
-		byWeight[w] = append(byWeight[w], pred)
+		byWeight[w] = append(byWeight[w], "("+strings.Join(conj, " AND ")+")")
 		return true
 	})
+	flush()
 	for _, w := range order {
 		preds := dedupStrings(byWeight[w])
 		fmt.Fprintf(b, "UPDATE SAMPLE %s SET WEIGHT = %g WHERE %s;\n",

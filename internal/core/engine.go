@@ -442,6 +442,15 @@ func (e *Engine) invalidateModels() {
 	e.cacheMu.Unlock()
 }
 
+// invalidateIfSample is the trailer of every ingest path: new tuples in a
+// sample (at weight 1; the stored weights of the old ones are untouched)
+// make every model trained or fitted on it stale.
+func (e *Engine) invalidateIfSample(relation string) {
+	if _, ok := e.cat.Sample(relation); ok {
+		e.invalidateModels()
+	}
+}
+
 // sourceTable resolves a FROM name to a physical table (auxiliary table or
 // sample backing store); populations have no physical table.
 func (e *Engine) sourceTable(name string) (*table.Table, error) {
@@ -575,45 +584,40 @@ func (e *Engine) execCreateMetadata(s *sql.CreateMetadata) error {
 		}
 		idxs[i] = j
 	}
-	env := src.Schema()
-	var scanErr error
-	src.Scan(func(row []value.Value, w float64) bool {
+	// Only a WHERE or a count expression reads whole tuples; the cells of a
+	// marginal are one or two attributes, read straight from their columns.
+	snap := src.Snapshot()
+	b := &expr.Binding{Schema: src.Schema()}
+	for r := 0; r < snap.Len(); r++ {
+		if s.Where != nil || s.CountExpr != nil {
+			b.Row = snap.AppendRow(b.Row[:0], r)
+		}
 		if s.Where != nil {
-			ok, err := expr.Truthy(s.Where, &expr.Binding{Schema: env, Row: row})
+			ok, err := expr.Truthy(s.Where, b)
 			if err != nil {
-				scanErr = err
-				return false
+				return err
 			}
 			if !ok {
-				return true
+				continue
 			}
 		}
-		count := w
+		count := snap.Weight(r)
 		if s.CountExpr != nil {
-			v, err := s.CountExpr.Eval(&expr.Binding{Schema: env, Row: row})
+			v, err := s.CountExpr.Eval(b)
 			if err != nil {
-				scanErr = err
-				return false
+				return err
 			}
-			f, err := v.Float64()
-			if err != nil {
-				scanErr = fmt.Errorf("core: CREATE METADATA %s: count column: %v", s.Name, err)
-				return false
+			if count, err = v.Float64(); err != nil {
+				return fmt.Errorf("core: CREATE METADATA %s: count column: %v", s.Name, err)
 			}
-			count = f
 		}
 		vals := make([]value.Value, len(idxs))
 		for i, j := range idxs {
-			vals[i] = row[j]
+			vals[i] = snap.Value(r, j)
 		}
 		if err := m.Add(vals, count); err != nil {
-			scanErr = err
-			return false
+			return err
 		}
-		return true
-	})
-	if scanErr != nil {
-		return scanErr
 	}
 	e.invalidateModels()
 	return e.cat.AddMarginal(s.TargetPopulation(), m)
@@ -673,12 +677,7 @@ func (e *Engine) execInsert(s *sql.Insert) error {
 			return err
 		}
 	}
-	// Ingesting into a sample invalidates trained models and recorded
-	// initial weights (new rows default to weight 1).
-	if smp, ok := e.cat.Sample(s.Table); ok {
-		smp.InitialWeights = nil
-		e.invalidateModels()
-	}
+	e.invalidateIfSample(s.Table)
 	return nil
 }
 
@@ -688,48 +687,38 @@ func (e *Engine) execUpdateWeights(s *sql.UpdateWeights) error {
 		return fmt.Errorf("core: no sample %q", s.Sample)
 	}
 	t := smp.Table
-	sc := t.Schema()
+	snap := t.Snapshot()
 	w := t.Weights()
-	i := 0
-	var scanErr error
-	t.Scan(func(row []value.Value, cur float64) bool {
-		b := &expr.Binding{Schema: sc, Row: row}
+	// One binding serves every tuple: nothing keeps the row past its
+	// evaluation, so each is materialized over the last.
+	b := &expr.Binding{Schema: t.Schema()}
+	for i := range w {
+		b.Row = snap.AppendRow(b.Row[:0], i)
 		if s.Where != nil {
 			ok, err := expr.Truthy(s.Where, b)
 			if err != nil {
-				scanErr = err
-				return false
+				return err
 			}
 			if !ok {
-				i++
-				return true
+				continue
 			}
 		}
 		v, err := s.Weight.Eval(b)
 		if err != nil {
-			scanErr = err
-			return false
+			return err
 		}
 		f, err := v.Float64()
 		if err != nil {
-			scanErr = fmt.Errorf("core: UPDATE SAMPLE %s: weight: %v", s.Sample, err)
-			return false
+			return fmt.Errorf("core: UPDATE SAMPLE %s: weight: %v", s.Sample, err)
 		}
 		if f < 0 {
-			scanErr = fmt.Errorf("core: UPDATE SAMPLE %s: negative weight %g", s.Sample, f)
-			return false
+			return fmt.Errorf("core: UPDATE SAMPLE %s: negative weight %g", s.Sample, f)
 		}
 		w[i] = f
-		i++
-		return true
-	})
-	if scanErr != nil {
-		return scanErr
 	}
 	if err := t.SetWeights(w); err != nil {
 		return err
 	}
-	smp.InitialWeights = append([]float64(nil), w...)
 	e.invalidateModels()
 	return nil
 }
@@ -757,10 +746,7 @@ func (e *Engine) Ingest(relation string, rows [][]any) error {
 			return err
 		}
 	}
-	if smp, ok := e.cat.Sample(relation); ok {
-		smp.InitialWeights = nil
-		e.invalidateModels()
-	}
+	e.invalidateIfSample(relation)
 	return nil
 }
 
@@ -784,10 +770,7 @@ func (e *Engine) IngestTable(relation string, src *table.Table) error {
 	if cpErr != nil {
 		return cpErr
 	}
-	if smp, ok := e.cat.Sample(relation); ok {
-		smp.InitialWeights = nil
-		e.invalidateModels()
-	}
+	e.invalidateIfSample(relation)
 	return nil
 }
 

@@ -186,10 +186,7 @@ func (e *Engine) execCopy(c *sql.Copy) error {
 			return fmt.Errorf("core: COPY %s row %d: %v", c.Table, ri+1, err)
 		}
 	}
-	if smp, ok := e.cat.Sample(c.Table); ok {
-		smp.InitialWeights = nil
-		e.invalidateModels()
-	}
+	e.invalidateIfSample(c.Table)
 	return nil
 }
 
@@ -225,7 +222,7 @@ func parseCSVField(s string, k value.Kind) (value.Value, error) {
 // rather than picking one optimal sample, union every schema-covering sample
 // of the population and let IPF or the M-SWG reweight the combined tuples.
 // The union's mechanism is unknown (the members may have different designs),
-// and seed weights concatenate the members' seed weights.
+// and the union's weights concatenate the members' stored weights.
 func (e *Engine) unionCoveringSamples(gp *catalog.Population, need map[string]bool) (*catalog.Sample, error) {
 	var members []*catalog.Sample
 	for _, s := range e.cat.SamplesOf(gp.Name) {
@@ -272,30 +269,22 @@ func (e *Engine) unionCoveringSamples(gp *catalog.Population, need map[string]bo
 		if err != nil {
 			return nil, err
 		}
-		seed := m.SeedWeights()
 		var appErr error
-		j := 0
-		m.Table.Scan(func(row []value.Value, _ float64) bool {
+		m.Table.Scan(func(row []value.Value, w float64) bool {
 			proj := make([]value.Value, len(idxs))
 			for pi, src := range idxs {
 				proj[pi] = row[src]
 			}
-			if err := union.AppendWeighted(proj, seed[j]); err != nil {
-				appErr = err
-				return false
-			}
-			j++
-			return true
+			appErr = union.AppendWeighted(proj, w)
+			return appErr == nil
 		})
 		if appErr != nil {
 			return nil, appErr
 		}
 	}
-	su := &catalog.Sample{
+	return &catalog.Sample{
 		Name:  "union(" + strings.Join(names, "+") + ")",
 		Table: union,
 		From:  gp.Name,
-	}
-	su.InitialWeights = union.Weights()
-	return su, nil
+	}, nil
 }

@@ -12,7 +12,7 @@ import (
 // partial aggregate plan for shard `shard` of `shards`, over this engine's
 // full copy of the data (every fleet member holds the whole dataset; the
 // shard index selects which contiguous slice this process scans). The weight
-// resolution mirrors query() exactly — seed weights for CLOSED, mechanism /
+// resolution mirrors query() exactly — stored weights for CLOSED, mechanism /
 // IPF weights for SEMI-OPEN — and every weight source is deterministic in
 // the engine options and data, so identical fleet members produce
 // bit-identical partials.
@@ -79,7 +79,7 @@ func (e *Engine) partial(ctx context.Context, sel *sql.Select, shard, shards int
 		case sql.VisibilityClosed:
 			q := *sel
 			q.Where = andExpr(sel.Where, pc.viewPred)
-			return exec.PartialAggregate(ctx, pc.sample.Table.Snapshot(), &q, partialOpts(true, pc.sample.SeedWeights()), shard, shards)
+			return exec.PartialAggregate(ctx, pc.sample.Table.Snapshot(), &q, partialOpts(true, nil), shard, shards)
 		case sql.VisibilitySemiOpen:
 			if w, ok, err := e.knownMechanismWeights(pc.sample); err != nil {
 				return nil, true, err

@@ -278,11 +278,11 @@ func (e *Engine) plan(pop *catalog.Population, sel *sql.Select) (*planContext, e
 }
 
 // runClosed answers with the sample as-is (standard LAV-style view
-// answering): user-initialized weights, no debiasing.
+// answering): the sample table's own weights, no debiasing.
 func (e *Engine) runClosed(ctx context.Context, pc *planContext, sel *sql.Select) (*exec.Result, error) {
 	q := *sel
 	q.Where = andExpr(sel.Where, pc.viewPred)
-	return exec.RunContext(ctx, pc.sample.Table, &q, e.execOpts(true, pc.sample.SeedWeights()))
+	return exec.RunContext(ctx, pc.sample.Table, &q, e.execOpts(true, nil))
 }
 
 // runSemiOpen reweights the sample: inverse inclusion probability when the
@@ -328,7 +328,7 @@ func (e *Engine) runSemiOpen(ctx context.Context, pc *planContext, sel *sql.Sele
 func (e *Engine) ipfViewFit(ctx context.Context, pc *planContext) (*table.Table, error) {
 	key := "view|" + modelKey(pc.sample.Name, pc.pop.Name)
 	fit, err := sfDo(ctx, &e.cacheMu, e.ipfSlot(key), func() (ipfFit, error) {
-		sub, err := filterTable(ctx, pc.sample.Table, pc.viewPred, pc.sample.SeedWeights())
+		sub, err := filterTable(ctx, pc.sample.Table, pc.viewPred)
 		if err != nil {
 			return ipfFit{}, err
 		}
@@ -704,13 +704,15 @@ func combineOpenResults(results []*exec.Result, sel *sql.Select) (*exec.Result, 
 	return out, nil
 }
 
-// filterTable copies rows satisfying pred into a new table, carrying the
-// supplied per-row weights. It scans a snapshot (one lock acquisition)
-// instead of locking per row.
-func filterTable(ctx context.Context, t *table.Table, pred expr.Expr, weights []float64) (*table.Table, error) {
+// filterTable copies rows satisfying pred, with their weights, into a new
+// table. It scans a snapshot (one lock acquisition) instead of locking per
+// row.
+func filterTable(ctx context.Context, t *table.Table, pred expr.Expr) (*table.Table, error) {
 	snap := t.Snapshot()
 	out := table.New(t.Name()+"_view", t.Schema())
-	sc := snap.Schema()
+	// Neither the predicate nor the append keeps the row, so one binding
+	// row is materialized over for every tuple.
+	b := &expr.Binding{Schema: snap.Schema()}
 	n := snap.Len()
 	for i := 0; i < n; i++ {
 		if i%8192 == 0 {
@@ -718,9 +720,9 @@ func filterTable(ctx context.Context, t *table.Table, pred expr.Expr, weights []
 				return nil, err
 			}
 		}
-		row := snap.Row(i)
+		b.Row = snap.AppendRow(b.Row[:0], i)
 		if pred != nil {
-			ok, err := expr.Truthy(pred, &expr.Binding{Schema: sc, Row: row})
+			ok, err := expr.Truthy(pred, b)
 			if err != nil {
 				return nil, err
 			}
@@ -728,7 +730,7 @@ func filterTable(ctx context.Context, t *table.Table, pred expr.Expr, weights []
 				continue
 			}
 		}
-		if err := out.AppendWeighted(row, weights[i]); err != nil {
+		if err := out.AppendWeighted(b.Row, snap.Weight(i)); err != nil {
 			return nil, err
 		}
 	}

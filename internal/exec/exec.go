@@ -270,14 +270,16 @@ func makeEnv(sc *schema.Schema) (*rowEnv, *schema.Schema) {
 	return &rowEnv{sc: ext, wIdx: sc.Len()}, ext
 }
 
-func (e *rowEnv) bind(row []value.Value, w float64) *expr.Binding {
-	if e.wIdx < 0 {
-		return &expr.Binding{Schema: e.sc, Row: row}
+// bind materializes row i of snap straight into a fresh binding row, with w
+// as the trailing WEIGHT pseudo-column unless the schema has its own. It
+// returns the stored attributes (without WEIGHT) beside the binding.
+func (e *rowEnv) bind(snap *table.Snapshot, i int, w float64) ([]value.Value, *expr.Binding) {
+	nc := snap.Schema().Len()
+	row := snap.AppendRow(make([]value.Value, 0, nc+1), i)
+	if e.wIdx >= 0 {
+		row = append(row, value.Float(w))
 	}
-	ext := make([]value.Value, len(row)+1)
-	copy(ext, row)
-	ext[e.wIdx] = value.Float(w)
-	return &expr.Binding{Schema: e.sc, Row: ext}
+	return row[:nc], &expr.Binding{Schema: e.sc, Row: row}
 }
 
 // projectionColumns resolves the output column names of a projection.
@@ -320,12 +322,11 @@ func runProjection(ctx context.Context, snap *table.Snapshot, sel *sql.Select, o
 				return nil, err
 			}
 		}
-		row := snap.Row(i)
 		w := snap.Weight(i)
 		if opts.WeightOverride != nil {
 			w = opts.WeightOverride[i]
 		}
-		b := env.bind(row, w)
+		row, b := env.bind(snap, i, w)
 		if sel.Where != nil {
 			ok, err := expr.Truthy(sel.Where, b)
 			if err != nil {
@@ -501,12 +502,11 @@ func runAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, op
 				return nil, err
 			}
 		}
-		row := snap.Row(i)
 		w := snap.Weight(i)
 		if opts.WeightOverride != nil {
 			w = opts.WeightOverride[i]
 		}
-		b := env.bind(row, w)
+		row, b := env.bind(snap, i, w)
 		if sel.Where != nil {
 			ok, err := expr.Truthy(sel.Where, b)
 			if err != nil {
@@ -771,7 +771,8 @@ func SumWeights(t *table.Table, where expr.Expr) (float64, error) {
 		env, _ := makeEnv(snap.Schema())
 		for i := 0; i < n; i++ {
 			w := wts[i]
-			ok, err := expr.Truthy(where, env.bind(snap.Row(i), w))
+			_, b := env.bind(snap, i, w)
+			ok, err := expr.Truthy(where, b)
 			if err != nil {
 				return 0, err
 			}

@@ -361,10 +361,9 @@ func shardPartialAggregate(ctx context.Context, sub *table.Snapshot, sel *sql.Se
 		States:  states,
 	}
 	for g := 0; g < ngroups; g++ {
-		row := sub.Row(int(firstRow[g]))
 		kv := make([]value.Value, len(keyIdx))
 		for ki, j := range keyIdx {
-			kv[ki] = row[j]
+			kv[ki] = sub.Value(int(firstRow[g]), j)
 		}
 		p.Keys[g] = GroupKey(kv)
 		p.KeyVals[g] = kv

@@ -1267,7 +1267,8 @@ func selectRows(ctx context.Context, snap *table.Snapshot, where expr.Expr, rawW
 				return nil, err
 			}
 		}
-		ok, err := expr.Truthy(where, env.bind(snap.Row(i), rawW[i]))
+		_, b := env.bind(snap, i, rawW[i])
+		ok, err := expr.Truthy(where, b)
 		if err != nil {
 			return nil, err
 		}
@@ -1687,7 +1688,7 @@ func accumulate(a vecAgg, st *PartialStates, snap *table.Snapshot, selRows, gids
 			case a.col == -1:
 				v = value.Float(rawW[ri])
 			default:
-				v = snap.Row(int(ri))[a.col]
+				v = snap.Value(int(ri), a.col)
 			}
 			if v.IsNull() {
 				continue
@@ -1814,7 +1815,7 @@ func runAggregateVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sele
 		ai := 0
 		for ii, it := range sel.Items {
 			if it.Agg == sql.AggNone {
-				row = append(row, snap.Row(int(firstRow[g]))[keyIdx[keyPos[ii]]])
+				row = append(row, snap.Value(int(firstRow[g]), keyIdx[keyPos[ii]]))
 			} else {
 				row = append(row, states[ai].Finalize(g))
 				ai++
@@ -1963,19 +1964,8 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 		postDone = true
 	}
 
-	// Bindings only need the WEIGHT extension when a select item actually
-	// references it; otherwise rows bind in place with zero copying.
-	needW := false
-	for _, it := range sel.Items {
-		if it.Star {
-			continue
-		}
-		for _, cn := range it.Expr.Columns(nil) {
-			if strings.EqualFold(cn, "WEIGHT") {
-				needW = true
-			}
-		}
-	}
+	// Plain items (stars, columns, WEIGHT) copy one cell each; only a
+	// computed item needs the whole row materialized and bound.
 	env, _ := makeEnv(snap.Schema())
 	res = &Result{Columns: outCols}
 	for ci, ri := range cand {
@@ -1984,16 +1974,21 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 				return nil, true, err
 			}
 		}
-		row := snap.Row(int(ri))
-		var b *expr.Binding
-		if needW {
-			b = env.bind(row, rawW[ri])
+		var out []value.Value
+		if errFree {
+			out = make([]value.Value, len(sources))
+			for oi, src := range sources {
+				if src == srcWeight {
+					out[oi] = value.Float(rawW[ri])
+				} else {
+					out[oi] = snap.Value(int(ri), src)
+				}
+			}
 		} else {
-			b = &expr.Binding{Schema: snap.Schema(), Row: row}
-		}
-		out, err := projectRow(sel, row, b)
-		if err != nil {
-			return nil, true, err
+			row, b := env.bind(snap, int(ri), rawW[ri])
+			if out, err = projectRow(sel, row, b); err != nil {
+				return nil, true, err
+			}
 		}
 		res.Rows = append(res.Rows, out)
 	}

@@ -302,9 +302,8 @@ func FromTableBinned(name string, t *table.Table, attrs []string, widths map[str
 		}
 		ci, ok := byCode[key]
 		if !ok {
-			row := snap.Row(i)
 			for ai, j := range idxs {
-				rawVals[ai] = row[j]
+				rawVals[ai] = snap.Value(i, j)
 			}
 			snapped, err := m.SnapVals(rawVals)
 			if err != nil {

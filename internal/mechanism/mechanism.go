@@ -104,25 +104,26 @@ func (b Biased) InclusionProb(row []value.Value, sc *schema.Schema) (float64, er
 }
 
 // InverseWeights computes Horvitz–Thompson weights 1/Pr_S(t) for every tuple
-// of the sample table.
+// of the sample table. SEMI-OPEN queries call it per query, so it scans a
+// snapshot and materializes each tuple over the last (a mechanism must not
+// keep the row it is shown) — and not at all for Uniform, which never looks.
 func InverseWeights(t *table.Table, m Mechanism) ([]float64, error) {
-	out := make([]float64, 0, t.Len())
-	var scanErr error
-	t.Scan(func(row []value.Value, _ float64) bool {
-		p, err := m.InclusionProb(row, t.Schema())
+	snap := t.Snapshot()
+	out := make([]float64, snap.Len())
+	_, rowFree := m.(Uniform)
+	var row []value.Value
+	for i := range out {
+		if !rowFree {
+			row = snap.AppendRow(row[:0], i)
+		}
+		p, err := m.InclusionProb(row, snap.Schema())
 		if err != nil {
-			scanErr = err
-			return false
+			return nil, err
 		}
 		if p <= 0 || p > 1 {
-			scanErr = fmt.Errorf("mechanism %s: inclusion probability %g out of (0,1]", m.Name(), p)
-			return false
+			return nil, fmt.Errorf("mechanism %s: inclusion probability %g out of (0,1]", m.Name(), p)
 		}
-		out = append(out, 1/p)
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
+		out[i] = 1 / p
 	}
 	return out, nil
 }

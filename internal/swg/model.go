@@ -513,9 +513,8 @@ func (m *Model) DecodeTableRowAppend(name string, enc [][]float64) (*table.Table
 // attributes) so replicate tables are born columnar: no per-row validation,
 // no per-row locking, no per-row dictionary map lookups. Each categorical
 // level coerces and interns exactly once, on first use — preserving the
-// row-append path's lazy coercion-error behavior — and the row view is
-// assembled from those shared level values, so the resulting table is
-// value-identical to DecodeTableRowAppend (rows, kinds, weights, typed
+// row-append path's lazy coercion-error behavior — so the resulting table
+// is value-identical to DecodeTableRowAppend (values, kinds, weights, typed
 // columns). Dictionary code NUMBERING may differ when the schema has two or
 // more TEXT attributes (this path interns per attribute, row-append interns
 // row-major); codes are snapshot-internal, so no query output can observe
@@ -531,34 +530,28 @@ func (m *Model) DecodeTable(name string, enc [][]float64, w float64) (*table.Tab
 		}
 	}
 	sc := m.Enc.Schema
-	n := len(enc)
-	rows := make([][]value.Value, n)
-	flat := make([]value.Value, n*sc.Len())
-	for i := range rows {
-		rows[i] = flat[i*sc.Len() : (i+1)*sc.Len() : (i+1)*sc.Len()]
-	}
 	cols := make([]table.Column, sc.Len())
 	dict := table.NewDict()
 	for ai := range m.Enc.Attrs {
 		sp := &m.Enc.Attrs[ai]
 		kind := sc.At(ai).Kind
 		cols[ai].Kind = kind
-		if err := decodeColumn(sp, ai, kind, enc, rows, &cols[ai], dict, name); err != nil {
+		if err := decodeColumn(sp, kind, enc, &cols[ai], dict, name); err != nil {
 			return nil, err
 		}
 	}
-	wts := make([]float64, n)
+	wts := make([]float64, len(enc))
 	for i := range wts {
 		wts[i] = w
 	}
-	return table.FromColumns(name, sc, cols, rows, wts, dict)
+	return table.FromColumns(name, sc, cols, wts, dict)
 }
 
-// decodeColumn fills one attribute's typed column and row-view slot for
-// every generated row, mirroring Encoder.DecodeRow exactly: categorical
+// decodeColumn fills one attribute's typed column for every generated row,
+// mirroring Encoder.DecodeRow exactly: categorical
 // blocks force to their argmax level, continuous values clamp to [0,1] and
 // unscale, INT attributes round to the nearest whole number.
-func decodeColumn(sp *AttrSpec, pos int, kind value.Kind, enc [][]float64, rows [][]value.Value, col *table.Column, dict *table.Dict, name string) error {
+func decodeColumn(sp *AttrSpec, kind value.Kind, enc [][]float64, col *table.Column, dict *table.Dict, name string) error {
 	n := len(enc)
 	if sp.Categorical {
 		// Per-level caches, filled on first argmax hit: the coerced value
@@ -600,7 +593,6 @@ func decodeColumn(sp *AttrSpec, pos int, kind value.Kind, enc [][]float64, rows 
 				haveLevel[best] = true
 			}
 			cv := levels[best]
-			rows[i][pos] = cv
 			switch kind {
 			case value.KindText:
 				col.Codes[i] = codes[best]
@@ -626,9 +618,7 @@ func decodeColumn(sp *AttrSpec, pos int, kind value.Kind, enc [][]float64, rows 
 			if f > 1 {
 				f = 1
 			}
-			x := int64(math.Round(sp.Min + f*(sp.Max-sp.Min)))
-			col.Ints[i] = x
-			rows[i][pos] = value.Int(x)
+			col.Ints[i] = int64(math.Round(sp.Min + f*(sp.Max-sp.Min)))
 		}
 		return nil
 	}
@@ -641,9 +631,7 @@ func decodeColumn(sp *AttrSpec, pos int, kind value.Kind, enc [][]float64, rows 
 		if f > 1 {
 			f = 1
 		}
-		x := sp.Min + f*(sp.Max-sp.Min)
-		col.Floats[i] = x
-		rows[i][pos] = value.Float(x)
+		col.Floats[i] = sp.Min + f*(sp.Max-sp.Min)
 	}
 	return nil
 }

@@ -1,9 +1,9 @@
-// Columnar storage: typed column vectors maintained alongside the row view,
-// a per-table dictionary for TEXT attributes, and the immutable Snapshot the
-// executor scans without per-row locking.
+// Columnar storage: the typed column vectors that are the table, a per-table
+// dictionary for TEXT attributes, and the immutable Snapshot the executor
+// scans without per-row locking.
 //
 // Locking contract (see also the Table doc): a Snapshot captures slice
-// headers under one RLock. Because the table is append-only (rows are never
+// headers under one RLock. Because the table is append-only (tuples are never
 // mutated in place and appends past the captured length are invisible to the
 // snapshot), a snapshot stays valid while writers append — but weight
 // mutation (SetWeight/SetWeights/ResetWeights) and Truncate write in place,
@@ -109,6 +109,32 @@ func (c *Column) setNull(i int) {
 	c.Nulls[w] |= 1 << (uint(i) & 63)
 }
 
+// Value materializes row i as a value.Value; strs is the code→string table
+// that resolves TEXT codes (Dict.Strings or a snapshot's frozen copy).
+func (c *Column) Value(i int, strs []string) value.Value {
+	if c.Null(i) {
+		return value.Null()
+	}
+	switch c.Kind {
+	case value.KindInt:
+		return value.Int(c.Ints[i])
+	case value.KindFloat:
+		return value.Float(c.Floats[i])
+	case value.KindBool:
+		return value.Bool(c.Bools[i])
+	default:
+		return value.Text(strs[c.Codes[i]])
+	}
+}
+
+// appendRow appends row i of cols to dst, one materialized value per column.
+func appendRow(dst []value.Value, cols []Column, strs []string, i int) []value.Value {
+	for ci := range cols {
+		dst = append(dst, cols[ci].Value(i, strs))
+	}
+	return dst
+}
+
 // appendValue extends the column with row value v (already schema-coerced).
 func (c *Column) appendValue(i int, v value.Value, dict *Dict) {
 	if v.IsNull() {
@@ -151,17 +177,12 @@ func newColumns(sc *schema.Schema) []Column {
 // (e.g. swg's decoded samples), skipping the per-row Append pipeline
 // (per-row validation, locking, and dictionary map lookups).
 //
-// The caller owns the invariants a per-row Append would have enforced: rows
-// must be the row view of cols (same values in the same order, already
-// schema-coerced), every TEXT code must be interned in dict, and weights
-// must be non-negative. Shape mismatches (column count, kind, payload
-// length, weight count) are rejected; value-level consistency between rows
-// and cols is trusted. The returned table owns the given slices.
-func FromColumns(name string, sc *schema.Schema, cols []Column, rows [][]value.Value, wts []float64, dict *Dict) (*Table, error) {
-	n := len(rows)
-	if len(wts) != n {
-		return nil, fmt.Errorf("table %s: %d weights for %d rows", name, len(wts), n)
-	}
+// The table has len(wts) tuples. Shape mismatches (column count, kind,
+// payload length) and negative weights are rejected; the caller guarantees
+// that every TEXT code is interned in dict. The returned table owns the
+// given slices.
+func FromColumns(name string, sc *schema.Schema, cols []Column, wts []float64, dict *Dict) (*Table, error) {
+	n := len(wts)
 	if len(cols) != sc.Len() {
 		return nil, fmt.Errorf("table %s: %d columns for %d attributes", name, len(cols), sc.Len())
 	}
@@ -196,17 +217,17 @@ func FromColumns(name string, sc *schema.Schema, cols []Column, rows [][]value.V
 	if dict == nil {
 		dict = NewDict()
 	}
-	return &Table{name: name, schema: sc, rows: rows, wts: wts, cols: cols, dict: dict}, nil
+	return &Table{name: name, schema: sc, wts: wts, cols: cols, dict: dict}, nil
 }
 
-// Snapshot is an immutable view of a table at one instant: the row view, the
-// weight vector, and the typed columns, captured under a single lock
-// acquisition. Scans over a snapshot touch no locks at all.
+// Snapshot is an immutable view of a table at one instant: the weight vector
+// and the typed columns, captured under a single lock acquisition. Scans over
+// a snapshot touch no locks at all. Kernels read the typed vectors through
+// Col; Value and Row materialize value.Values from them on demand.
 type Snapshot struct {
 	name     string
 	sc       *schema.Schema
-	rows     [][]value.Value
-	wts      []float64
+	wts      []float64 // its length is the snapshot's row count
 	cols     []Column
 	dict     *Dict
 	dictStrs []string // code→string table frozen at snapshot time
@@ -221,12 +242,11 @@ func (t *Table) Snapshot() *Snapshot {
 	s := &Snapshot{
 		name: t.name,
 		sc:   t.schema,
-		rows: t.rows,
 		wts:  t.wts,
 		dict: t.dict,
 		tbl:  t,
 	}
-	n := len(t.rows)
+	n := len(t.wts)
 	s.cols = make([]Column, len(t.cols))
 	for i := range t.cols {
 		c := t.cols[i]
@@ -270,8 +290,8 @@ func clip[T any](v []T, n int) []T {
 // of the table, which is false for any lo > 0, so sliced views always
 // compute code vectors directly.
 func (s *Snapshot) SliceRange(lo, hi int) *Snapshot {
-	if hi > len(s.rows) {
-		hi = len(s.rows)
+	if hi > len(s.wts) {
+		hi = len(s.wts)
 	}
 	if lo >= hi {
 		// Empty shard (bounds past the table): no payload, no bitmaps, and
@@ -285,7 +305,6 @@ func (s *Snapshot) SliceRange(lo, hi int) *Snapshot {
 	out := &Snapshot{
 		name:     s.name,
 		sc:       s.sc,
-		rows:     s.rows[lo:hi],
 		wts:      s.wts[lo:hi],
 		dict:     s.dict,
 		dictStrs: s.dictStrs,
@@ -323,10 +342,21 @@ func (s *Snapshot) Name() string { return s.name }
 func (s *Snapshot) Schema() *schema.Schema { return s.sc }
 
 // Len returns the number of rows in the snapshot.
-func (s *Snapshot) Len() int { return len(s.rows) }
+func (s *Snapshot) Len() int { return len(s.wts) }
 
-// Row returns the i-th row. The returned slice must not be modified.
-func (s *Snapshot) Row(i int) []value.Value { return s.rows[i] }
+// Value materializes the cell at row i of column col.
+func (s *Snapshot) Value(i, col int) value.Value { return s.cols[col].Value(i, s.dictStrs) }
+
+// AppendRow appends the materialized i-th row to dst and returns it, for
+// callers that build rows into storage of their own.
+func (s *Snapshot) AppendRow(dst []value.Value, i int) []value.Value {
+	return appendRow(dst, s.cols, s.dictStrs, i)
+}
+
+// Row materializes the i-th row into a fresh slice.
+func (s *Snapshot) Row(i int) []value.Value {
+	return s.AppendRow(make([]value.Value, 0, len(s.cols)), i)
+}
 
 // Weight returns the i-th tuple weight.
 func (s *Snapshot) Weight(i int) float64 { return s.wts[i] }

@@ -58,51 +58,180 @@ func TestSnapshotIsStableAcrossAppends(t *testing.T) {
 	}
 }
 
-// TestSnapshotColumnsMirrorRows: typed columns, null bitmaps, and the
-// dictionary must agree with the row view element-for-element.
-func TestSnapshotColumnsMirrorRows(t *testing.T) {
-	tbl := snapFixture(t)
-	s := tbl.Snapshot()
-	for i := 0; i < s.Len(); i++ {
-		row := s.Row(i)
-		for ci := 0; ci < snapSchema.Len(); ci++ {
-			col := s.Col(ci)
-			if row[ci].IsNull() != col.Null(i) {
-				t.Fatalf("row %d col %d: null flag mismatch", i, ci)
-			}
-			if row[ci].IsNull() {
-				continue
-			}
-			switch col.Kind {
-			case value.KindText:
-				if s.DictStr(col.Codes[i]) != row[ci].AsText() {
-					t.Errorf("row %d: text %q decodes %q", i, row[ci].AsText(), s.DictStr(col.Codes[i]))
-				}
-			case value.KindInt:
-				if col.Ints[i] != row[ci].AsInt() {
-					t.Errorf("row %d: int %d vs %d", i, col.Ints[i], row[ci].AsInt())
-				}
-			case value.KindFloat:
-				if col.Floats[i] != row[ci].AsFloat() {
-					t.Errorf("row %d: float %g vs %g", i, col.Floats[i], row[ci].AsFloat())
-				}
-			case value.KindBool:
-				if col.Bools[i] != row[ci].AsBool() {
-					t.Errorf("row %d: bool mismatch", i)
-				}
-			}
+// sameValue is the storage layer's notion of "what came back is what went
+// in": same kind, equal under value.Compare, and the same HashKey (which
+// also separates -0 from +0 and folds every NaN together).
+func sameValue(a, b value.Value) bool {
+	return a.Kind() == b.Kind() && value.Compare(a, b) == 0 && a.HashKey() == b.HashKey()
+}
+
+// TestStorageRoundTrip: the typed columns are the only stored form, so every
+// way of reading a table back — Row, Scan, Column, FloatColumn, Clone, a
+// snapshot slice, a table reassembled by FromColumns — must return the
+// values that were appended: all four kinds, NULLs, NaN / -0 / ±Inf,
+// repeated and first-seen TEXT, and INT↔FLOAT coercion on the way in.
+func TestStorageRoundTrip(t *testing.T) {
+	cases := [][]value.Value{
+		{value.Text("red"), value.Int(1), value.Float(0.5), value.Bool(true)},
+		{value.Text("blue"), value.Int(math.MinInt64), value.Null(), value.Bool(false)},
+		{value.Null(), value.Null(), value.Float(-1.25), value.Null()},
+		{value.Text("red"), value.Int(math.MaxInt64), value.Float(math.NaN()), value.Bool(true)},
+		{value.Text(""), value.Int(0), value.Float(math.Copysign(0, -1)), value.Bool(false)},
+		{value.Text("it''s"), value.Float(7), value.Float(math.Inf(1)), value.Null()},
+		{value.Text("blue"), value.Int(-3), value.Int(4), value.Bool(true)},
+		{value.Null(), value.Float(2.9), value.Float(math.Inf(-1)), value.Bool(false)},
+	}
+	// 200 rows: enough for a 64-aligned interior slice, with a never-seen
+	// TEXT value every few rows between the repeated ones.
+	const n = 200
+	tbl := New("t", snapSchema)
+	var want [][]value.Value
+	for i := 0; i < n; i++ {
+		row := append([]value.Value(nil), cases[i%len(cases)]...)
+		if i%5 == 0 {
+			row[0] = value.Text("fresh" + string(rune('A'+i/5)))
 		}
-		if s.Weight(i) != float64(i)+0.5 {
-			t.Errorf("weight %d = %g", i, s.Weight(i))
+		if err := tbl.AppendWeighted(row, float64(i)+0.5); err != nil {
+			t.Fatal(err)
+		}
+		coerced, err := snapSchema.Validate(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, coerced)
+	}
+	check := func(what string, i int, got []value.Value) {
+		t.Helper()
+		if len(got) != len(want[i]) {
+			t.Fatalf("%s row %d: %d values, want %d", what, i, len(got), len(want[i]))
+		}
+		for ci := range got {
+			if !sameValue(got[ci], want[i][ci]) {
+				t.Errorf("%s row %d col %d: got %s (%s), want %s (%s)", what, i, ci,
+					got[ci], got[ci].Kind(), want[i][ci], want[i][ci].Kind())
+			}
 		}
 	}
-	// Dictionary interning: equal strings share one code.
-	c0 := s.Col(0)
-	if c0.Codes[0] != c0.Codes[3] {
+
+	// A reassembled table shares nothing with tbl but the values.
+	full := tbl.Snapshot()
+	cols := make([]Column, snapSchema.Len())
+	for ci := range cols {
+		c := full.Col(ci)
+		cols[ci] = Column{
+			Kind:   c.Kind,
+			Ints:   append([]int64(nil), c.Ints...),
+			Floats: append([]float64(nil), c.Floats...),
+			Bools:  append([]bool(nil), c.Bools...),
+			Codes:  append([]uint32(nil), c.Codes...),
+			Nulls:  append([]uint64(nil), c.Nulls...),
+		}
+	}
+	dict := NewDict()
+	for _, str := range full.DictStrings() {
+		dict.Code(str)
+	}
+	rebuilt, err := FromColumns("r", snapSchema, cols, tbl.Weights(), dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, src := range map[string]*Table{"table": tbl, "clone": tbl.Clone("c"), "FromColumns": rebuilt} {
+		if src.Len() != n {
+			t.Fatalf("%s: Len = %d, want %d", name, src.Len(), n)
+		}
+		snap := src.Snapshot()
+		for i := 0; i < n; i++ {
+			check(name+".Row", i, src.Row(i))
+			check(name+".Snapshot.Row", i, snap.Row(i))
+			if snap.Weight(i) != float64(i)+0.5 {
+				t.Errorf("%s: weight %d = %g", name, i, snap.Weight(i))
+			}
+		}
+		i := 0
+		src.Scan(func(row []value.Value, w float64) bool {
+			check(name+".Scan", i, row)
+			if w != float64(i)+0.5 {
+				t.Errorf("%s.Scan: weight %d = %g", name, i, w)
+			}
+			i++
+			return true
+		})
+		if i != n {
+			t.Errorf("%s.Scan visited %d rows", name, i)
+		}
+		for ci, attr := range snapSchema.Names() {
+			col, err := src.Column(attr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fc, ferr := src.FloatColumn(attr)
+			if (ferr != nil) != (attr == "c") {
+				t.Fatalf("%s.FloatColumn(%s): err = %v", name, attr, ferr)
+			}
+			for i := range col {
+				if !sameValue(col[i], want[i][ci]) {
+					t.Errorf("%s.Column(%s)[%d] = %s, want %s", name, attr, i, col[i], want[i][ci])
+				}
+				if ferr != nil {
+					continue
+				}
+				// FloatColumn agrees with Float64 of the stored value, bit
+				// for bit apart from NaN payloads.
+				wf, _ := want[i][ci].Float64()
+				if value.NumBits(fc[i]) != value.NumBits(wf) {
+					t.Errorf("%s.FloatColumn(%s)[%d] = %g, want %g", name, attr, i, fc[i], wf)
+				}
+			}
+		}
+		for _, r := range [][2]int{{0, 64}, {64, 130}, {128, n}, {192, n + 50}, {256, 300}} {
+			sub := snap.SliceRange(r[0], r[1])
+			if wantLen := max(0, min(r[1], n)-r[0]); sub.Len() != wantLen {
+				t.Fatalf("%s: SliceRange(%d, %d).Len = %d, want %d", name, r[0], r[1], sub.Len(), wantLen)
+			}
+			for i := 0; i < sub.Len(); i++ {
+				check(name+".SliceRange.Row", r[0]+i, sub.Row(i))
+				for ci := range want[0] {
+					if got := sub.Value(i, ci); !sameValue(got, want[r[0]+i][ci]) {
+						t.Errorf("%s: SliceRange(%d, %d).Value(%d, %d) = %s", name, r[0], r[1], i, ci, got)
+					}
+				}
+			}
+		}
+	}
+
+	// Returned rows are the caller's: writing to one changes neither the
+	// table nor the next read.
+	r0 := tbl.Row(0)
+	r0[1] = value.Int(99)
+	check("Row after caller write", 0, tbl.Row(0))
+
+	// Dictionary interning: equal strings share one code, distinct ones don't.
+	c0 := full.Col(0)
+	if c0.Codes[1] != c0.Codes[6] {
 		t.Error("equal strings got different dictionary codes")
 	}
-	if c0.Codes[0] == c0.Codes[1] {
+	if c0.Codes[1] == c0.Codes[3] {
 		t.Error("distinct strings share a dictionary code")
+	}
+}
+
+// TestFromColumnsRejectsBadShapes: the shape checks a per-row Append would
+// have made.
+func TestFromColumnsRejectsBadShapes(t *testing.T) {
+	sc := schema.MustNew(schema.Attribute{Name: "x", Kind: value.KindInt})
+	for name, tc := range map[string]struct {
+		cols []Column
+		wts  []float64
+	}{
+		"column count":    {nil, []float64{1}},
+		"kind":            {[]Column{{Kind: value.KindFloat, Floats: []float64{1}}}, []float64{1}},
+		"payload length":  {[]Column{{Kind: value.KindInt, Ints: []int64{1, 2}}}, []float64{1}},
+		"negative weight": {[]Column{{Kind: value.KindInt, Ints: []int64{1}}}, []float64{-1}},
+	} {
+		if _, err := FromColumns("t", sc, tc.cols, tc.wts, nil); err == nil {
+			t.Errorf("%s mismatch accepted", name)
+		}
 	}
 }
 

@@ -1,23 +1,27 @@
-// Package table implements Mosaic's in-memory weighted row store.
+// Package table implements Mosaic's in-memory weighted relation store.
 //
 // Every tuple carries a float64 weight (Sec 3.2 of the paper: sample
 // metadata is tuple weights initialized to one). The executor answers
 // SEMI-OPEN and OPEN queries by aggregating over these weights, so the store
-// keeps them adjacent to the rows and supports bulk reweighting.
+// keeps one weight vector beside the typed columns and supports bulk
+// reweighting. For a sample that vector IS the user's weights: nothing else
+// in the system keeps a copy.
 package table
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"mosaic/internal/schema"
 	"mosaic/internal/value"
 )
 
-// Table is an append-only in-memory relation with per-tuple weights. Rows
-// are stored twice: as the row view ([]value.Value per tuple, the mutation
-// and compatibility surface) and as typed column vectors (the scan surface,
-// see columns.go), both maintained on every append.
+// Table is an append-only in-memory relation with per-tuple weights. Tuples
+// are stored once, as typed column vectors with null bitmaps and a TEXT
+// dictionary (see columns.go). Row, Scan and Column materialize value.Values
+// from the columns on demand: every returned row is a fresh slice the caller
+// owns, and two calls never alias each other.
 //
 // Locking contract: the table is safe for concurrent readers; writers must
 // be externally serialized against readers (the engine holds its write lock
@@ -31,8 +35,7 @@ type Table struct {
 	mu     sync.RWMutex
 	name   string
 	schema *schema.Schema
-	rows   [][]value.Value
-	wts    []float64
+	wts    []float64 // one weight per tuple; its length is the tuple count
 	cols   []Column
 	dict   *Dict
 
@@ -60,7 +63,7 @@ func (t *Table) Schema() *schema.Schema { return t.schema }
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return len(t.wts)
 }
 
 // Append validates and stores a row with weight 1.
@@ -68,7 +71,10 @@ func (t *Table) Append(row []value.Value) error {
 	return t.AppendWeighted(row, 1)
 }
 
-// AppendWeighted validates and stores a row with the given weight.
+// AppendWeighted validates and stores a row with the given weight. The
+// append is all-or-nothing: the whole row is coerced before any column
+// grows, so a value that fails coercion leaves every column, the null
+// bitmaps, the dictionary and the weights untouched.
 func (t *Table) AppendWeighted(row []value.Value, w float64) error {
 	vr, err := t.schema.Validate(row)
 	if err != nil {
@@ -78,17 +84,17 @@ func (t *Table) AppendWeighted(row []value.Value, w float64) error {
 		return fmt.Errorf("table %s: negative weight %g", t.name, w)
 	}
 	t.mu.Lock()
-	i := len(t.rows)
-	t.rows = append(t.rows, vr)
-	t.wts = append(t.wts, w)
+	i := len(t.wts)
 	for ci := range t.cols {
 		t.cols[ci].appendValue(i, vr[ci], t.dict)
 	}
+	t.wts = append(t.wts, w)
 	t.mu.Unlock()
 	return nil
 }
 
-// BulkAppend stores many rows with weight 1, validating each.
+// BulkAppend stores many rows with weight 1, validating each. It stops at
+// the first bad row, keeping the rows before it.
 func (t *Table) BulkAppend(rows [][]value.Value) error {
 	for _, r := range rows {
 		if err := t.Append(r); err != nil {
@@ -98,11 +104,11 @@ func (t *Table) BulkAppend(rows [][]value.Value) error {
 	return nil
 }
 
-// Row returns the i-th row. The returned slice must not be modified.
+// Row materializes the i-th row from the columns into a fresh slice.
 func (t *Table) Row(i int) []value.Value {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.rows[i]
+	return appendRow(make([]value.Value, 0, len(t.cols)), t.cols, t.dict.Strings(), i)
 }
 
 // Weight returns the i-th tuple weight.
@@ -127,8 +133,8 @@ func (t *Table) SetWeight(i int, w float64) error {
 func (t *Table) SetWeights(w []float64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(w) != len(t.rows) {
-		return fmt.Errorf("table %s: %d weights for %d rows", t.name, len(w), len(t.rows))
+	if len(w) != len(t.wts) {
+		return fmt.Errorf("table %s: %d weights for %d rows", t.name, len(w), len(t.wts))
 	}
 	for i, x := range w {
 		if x < 0 {
@@ -174,12 +180,15 @@ func (t *Table) TotalWeight() float64 {
 }
 
 // Scan calls fn for every (row, weight) pair, stopping early if fn returns
-// false. The row slice must not be modified.
+// false. Each row is materialized into a fresh slice, one allocation per
+// tuple; hot loops over one or two attributes should read a Snapshot's
+// typed columns instead.
 func (t *Table) Scan(fn func(row []value.Value, w float64) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for i, r := range t.rows {
-		if !fn(r, t.wts[i]) {
+	strs := t.dict.Strings()
+	for i, w := range t.wts {
+		if !fn(appendRow(make([]value.Value, 0, len(t.cols)), t.cols, strs, i), w) {
 			return
 		}
 	}
@@ -193,26 +202,47 @@ func (t *Table) Column(name string) ([]value.Value, error) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]value.Value, len(t.rows))
-	for j, r := range t.rows {
-		out[j] = r[i]
+	c, strs := &t.cols[i], t.dict.Strings()
+	out := make([]value.Value, len(t.wts))
+	for j := range out {
+		out[j] = c.Value(j, strs)
 	}
 	return out, nil
 }
 
-// FloatColumn extracts a numeric attribute as float64s, in row order.
+// FloatColumn extracts a numeric attribute as float64s, in row order,
+// straight from its typed vector; NULL reads as NaN.
 func (t *Table) FloatColumn(name string) ([]float64, error) {
-	col, err := t.Column(name)
-	if err != nil {
-		return nil, err
+	i, ok := t.schema.Index(name)
+	if !ok {
+		return nil, fmt.Errorf("table %s: no attribute %q", t.name, name)
 	}
-	out := make([]float64, len(col))
-	for j, v := range col {
-		f, err := v.Float64()
-		if err != nil {
-			return nil, fmt.Errorf("table %s: attribute %q row %d: %v", t.name, name, j, err)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	c, strs := &t.cols[i], t.dict.Strings()
+	out := make([]float64, len(t.wts))
+	switch c.Kind {
+	case value.KindInt:
+		for j, x := range c.Ints {
+			out[j] = float64(x)
 		}
-		out[j] = f
+	case value.KindFloat:
+		copy(out, c.Floats)
+	default:
+		// BOOL reads as 0/1; the first stored TEXT is the error.
+		for j := range out {
+			f, err := c.Value(j, strs).Float64()
+			if err != nil {
+				return nil, fmt.Errorf("table %s: attribute %q row %d: %v", t.name, name, j, err)
+			}
+			out[j] = f
+		}
+		return out, nil
+	}
+	for j := range out {
+		if c.Null(j) {
+			out[j] = math.NaN()
+		}
 	}
 	return out, nil
 }
@@ -225,14 +255,7 @@ func (t *Table) Clone(name string) *Table {
 	defer t.mu.RUnlock()
 	nt := New(name, t.schema)
 	nt.dict = t.dict
-	nt.rows = make([][]value.Value, len(t.rows))
-	nt.wts = make([]float64, len(t.wts))
-	for i, r := range t.rows {
-		rr := make([]value.Value, len(r))
-		copy(rr, r)
-		nt.rows[i] = rr
-	}
-	copy(nt.wts, t.wts)
+	nt.wts = append([]float64(nil), t.wts...)
 	for ci := range t.cols {
 		c := &t.cols[ci]
 		nc := &nt.cols[ci]
@@ -248,7 +271,6 @@ func (t *Table) Clone(name string) *Table {
 // Truncate removes all rows.
 func (t *Table) Truncate() {
 	t.mu.Lock()
-	t.rows = nil
 	t.wts = nil
 	t.cols = newColumns(t.schema)
 	t.mu.Unlock()

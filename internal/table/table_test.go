@@ -61,6 +61,60 @@ func TestAppendValidates(t *testing.T) {
 	}
 }
 
+// TestAppendIsAllOrNothing: a row that fails coercion at attribute k must
+// leave columns 0…k−1, the null bitmaps, the dictionary and the weights as
+// they were — alone, and in the middle of a BulkAppend.
+func TestAppendIsAllOrNothing(t *testing.T) {
+	tbl := New("t", snapSchema)
+	good := []value.Value{value.Text("red"), value.Int(1), value.Float(0.5), value.Bool(true)}
+	if err := tbl.Append(good); err != nil {
+		t.Fatal(err)
+	}
+	aligned := func(want int) {
+		t.Helper()
+		s := tbl.Snapshot()
+		if s.Len() != want || tbl.Len() != want {
+			t.Fatalf("Len = %d / %d, want %d", tbl.Len(), s.Len(), want)
+		}
+		got := []int{len(s.Col(0).Codes), len(s.Col(1).Ints), len(s.Col(2).Floats), len(s.Col(3).Bools), len(s.Weights())}
+		for ci, l := range got {
+			if l != want {
+				t.Errorf("column %d holds %d values for %d rows (%v)", ci, l, want, got)
+			}
+		}
+		for ci := 0; ci < 2; ci++ {
+			if s.Col(ci).HasNulls() {
+				t.Errorf("column %d gained a NULL from a rejected row", ci)
+			}
+		}
+		if _, ok := s.DictLookup("never"); ok {
+			t.Error("a rejected row interned its TEXT value")
+		}
+	}
+	// Fails at attribute 2 (TEXT into FLOAT) and at attribute 3, after a
+	// fresh string and a NULL that must not land.
+	for _, bad := range [][]value.Value{
+		{value.Text("never"), value.Null(), value.Text("x"), value.Bool(true)},
+		{value.Null(), value.Int(2), value.Float(1), value.Int(1)},
+	} {
+		if err := tbl.Append(bad); err == nil {
+			t.Fatalf("row %v should fail", bad)
+		}
+		aligned(1)
+	}
+	err := tbl.BulkAppend([][]value.Value{good, good, {value.Text("never"), value.Int(3), value.Bool(false), value.Null()}, good})
+	if err == nil {
+		t.Fatal("bulk append with a bad row should fail")
+	}
+	aligned(3) // the rows before the bad one stay, nothing of it or after it
+	if err := tbl.Append([]value.Value{value.Text("blue"), value.Null(), value.Int(4), value.Bool(false)}); err != nil {
+		t.Fatal(err)
+	}
+	if row := tbl.Row(3); row[0].AsText() != "blue" || !row[1].IsNull() || row[2].AsFloat() != 4 || row[3].AsBool() {
+		t.Errorf("row after the rejected ones reads %v", row)
+	}
+}
+
 func TestWeightsLifecycle(t *testing.T) {
 	tbl := New("t", testSchema)
 	fill(t, tbl, [][2]float64{{1, 1}, {2, 2}})

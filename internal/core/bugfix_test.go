@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -328,6 +329,85 @@ func TestInsertKeepsUserWeights(t *testing.T) {
 				t.Errorf("%s: tuple v=%s has weight %s, want %g", name, row[0], row[1], want[i])
 			}
 		}
+	}
+}
+
+// openWorldWith is closeWorld's catalog under a caller-chosen generator
+// configuration.
+func openWorldWith(t *testing.T, cfg swg.Config) *Engine {
+	t.Helper()
+	e := NewEngine(Options{Seed: 31, OpenSamples: 2, GeneratedRows: 64, SWG: cfg})
+	exec1(t, e, `
+		CREATE GLOBAL POPULATION World (grp TEXT, v INT);
+		CREATE SAMPLE S AS (SELECT * FROM World);
+		CREATE TABLE Truth (grp TEXT, v INT, n INT);
+		INSERT INTO Truth VALUES ('a', 1, 50), ('b', 2, 50);
+		CREATE METADATA World_M1 AS (SELECT grp, n FROM Truth);
+		CREATE METADATA World_M2 AS (SELECT v, n FROM Truth);
+		INSERT INTO S VALUES ('a', 1), ('b', 2), ('a', 1), ('b', 2), ('a', 1), ('b', 2)`)
+	return e
+}
+
+// TestDivergedTrainingIsTheQueryError: a learning rate that drives the loss
+// to NaN used to leave a "trained" model in the cache whose NaN outputs
+// decoded into NaN floats and garbage ints in the answer. The OPEN read must
+// fail with the typed divergence error instead — the same error for every
+// later read (divergence is deterministic, so the cached refusal is right),
+// until a write invalidates the slot.
+func TestDivergedTrainingIsTheQueryError(t *testing.T) {
+	e := openWorldWith(t, swg.Config{
+		Hidden: []int{8}, Latent: 2, Epochs: 3, BatchSize: 16, Projections: 4,
+		StepsPerEpoch: 4, LR: 1e200,
+	})
+	const q = "SELECT OPEN grp, COUNT(*), AVG(v) FROM World GROUP BY grp"
+	sel, err := sql.ParseQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i := 0; i < 2; i++ {
+		_, err := e.Query(sel)
+		if !errors.Is(err, swg.ErrDiverged) {
+			t.Fatalf("read %d: err = %v, want swg.ErrDiverged", i, err)
+		}
+		if i == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Errorf("cached refusal changed: %q then %q", first, err)
+		}
+	}
+	if !strings.HasPrefix(first, "swg: training diverged (non-finite loss at epoch ") {
+		t.Errorf("error %q does not say where training diverged", first)
+	}
+	if out := explainText(t, e, q); !strings.Contains(out, "model=failed: "+first) {
+		t.Errorf("EXPLAIN does not show the cached refusal:\n%s", out)
+	}
+	// CLOSED and SEMI-OPEN never needed the generator.
+	if got := scalar(t, e, "SELECT CLOSED COUNT(*) FROM World"); got != 6 {
+		t.Errorf("CLOSED COUNT(*) = %g, want 6", got)
+	}
+	// A write drops the cached refusal with everything else; the retrain
+	// diverges again, from scratch.
+	exec1(t, e, "INSERT INTO S VALUES ('a', 1)")
+	if out := explainText(t, e, q); !strings.Contains(out, "model=untrained") {
+		t.Errorf("EXPLAIN after a write:\n%s", out)
+	}
+	if _, err := e.Query(sel); !errors.Is(err, swg.ErrDiverged) {
+		t.Fatalf("after invalidation: err = %v, want swg.ErrDiverged", err)
+	}
+}
+
+// TestBatchSizeOneIsAnErrorNotAPanic: SWG.BatchSize 1 used to panic inside
+// the query path (BatchNorm.Backward without a training Forward); it is now
+// refused when the model is built.
+func TestBatchSizeOneIsAnErrorNotAPanic(t *testing.T) {
+	e := openWorldWith(t, swg.Config{Hidden: []int{8}, Epochs: 1, BatchSize: 1})
+	sel, err := sql.ParseQuery("SELECT OPEN COUNT(*) FROM World")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Query(sel); err == nil || !strings.Contains(err.Error(), "BatchSize 1") {
+		t.Fatalf("err = %v, want a BatchSize 1 refusal", err)
 	}
 }
 

@@ -110,6 +110,7 @@ func (e *Engine) Explain(sel *sql.Select) (*exec.Result, error) {
 				add("technique", fmt.Sprintf("M-SWG generation: %d replicates × %d tuples across %d workers, group-intersect + average",
 					e.opts.OpenSamples, n, workers))
 			}
+			add("model", e.openModelState(ctx.sample, ctx.modelPop()))
 		}
 	}
 	add("execution", e.execPlan())

@@ -51,6 +51,36 @@ func TestExplainPopulationPlan(t *testing.T) {
 	}
 }
 
+// TestExplainOpenModelRow: EXPLAIN on an OPEN query says what the generator
+// is — what the next read will have to train, or what the cached model's
+// training ended at — in text that is a pure function of the statements and
+// options (no wall time), so equal engines explain equally.
+func TestExplainOpenModelRow(t *testing.T) {
+	const q = "SELECT OPEN grp, COUNT(*) FROM World GROUP BY grp"
+	e := smallWorld(t) // Epochs 8, StepsPerEpoch 4
+	if out := explainText(t, e, q); !strings.Contains(out, "model=untrained (next OPEN read trains 8 epochs × 4 steps)\n") {
+		t.Errorf("before the first OPEN read:\n%s", out)
+	}
+	if out := explainText(t, e, "SELECT SEMI-OPEN COUNT(*) FROM World"); strings.Contains(out, "model=") {
+		t.Errorf("only OPEN queries have a model row:\n%s", out)
+	}
+	query(t, e, q)
+	trained := explainText(t, e, q)
+	if !strings.Contains(trained, "model=cached: 32 steps, final loss ") {
+		t.Errorf("after the first OPEN read:\n%s", trained)
+	}
+	// A second engine fed the same statements and reads agrees byte for byte.
+	twin := smallWorld(t)
+	query(t, twin, q)
+	if got := explainText(t, twin, q); got != trained {
+		t.Errorf("EXPLAIN differs between equal engines:\n%s\nvs\n%s", got, trained)
+	}
+	exec1(t, e, "INSERT INTO S VALUES ('a', 1)")
+	if out := explainText(t, e, q); !strings.Contains(out, "model=untrained") {
+		t.Errorf("after a write dropped the model:\n%s", out)
+	}
+}
+
 func TestExplainTableAndSample(t *testing.T) {
 	e := smallWorld(t)
 	out := explainText(t, e, "SELECT grp FROM Truth")

@@ -401,13 +401,11 @@ func (e *Engine) runOpen(ctx context.Context, pc *planContext, sel *sql.Select) 
 	if len(pc.margs) == 0 {
 		return nil, fmt.Errorf("core: OPEN query on %q needs population marginals to train a generator", pc.pop.Name)
 	}
-	scopePop := pc.pop
 	viewPred := expr.Expr(nil)
 	if pc.scope == "global" {
-		scopePop = pc.gp
 		viewPred = pc.viewPred
 	}
-	model, err := e.openModel(ctx, pc.sample, scopePop, pc.margs)
+	model, err := e.openModel(ctx, pc.sample, pc.modelPop(), pc.margs)
 	if err != nil {
 		return nil, err
 	}
@@ -527,6 +525,40 @@ func replicateSeed(base int64, r int) int64 {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return int64(x)
+}
+
+// modelPop is the population whose marginals the OPEN generator trains
+// against — the global population on the global-scope path — and so the
+// population half of its model-cache key.
+func (pc *planContext) modelPop() *catalog.Population {
+	if pc.scope == "global" {
+		return pc.gp
+	}
+	return pc.pop
+}
+
+// openModelState describes the model-cache slot an OPEN read of this pair
+// would use, for EXPLAIN. The text depends only on the statement stream and
+// the options (steps and losses are deterministic; no wall time), so two
+// engines that saw the same statements and reads print the same row.
+func (e *Engine) openModelState(s *catalog.Sample, pop *catalog.Population) string {
+	e.cacheMu.Lock()
+	ent := e.models[modelKey(s.Name, pop.Name)]
+	var model *swg.Model
+	var err error
+	if ent != nil && ent.done {
+		model, err = ent.val, ent.err
+	}
+	e.cacheMu.Unlock()
+	switch {
+	case err != nil:
+		return "failed: " + err.Error()
+	case model != nil:
+		return fmt.Sprintf("cached: %d steps, final loss %.6g",
+			len(model.History)*model.Config().StepsPerEpoch, model.History[len(model.History)-1])
+	}
+	cfg := e.opts.SWG.Resolved(s.Table.Len())
+	return fmt.Sprintf("untrained (next OPEN read trains %d epochs × %d steps)", cfg.Epochs, cfg.StepsPerEpoch)
 }
 
 // openModel returns a cached or freshly trained M-SWG for the pair, training

@@ -3,11 +3,30 @@
 // and the Adam optimizer, all with hand-written backpropagation. It replaces
 // the PyTorch stack the paper's prototype used (Sec 5.3 footnote 3) — the
 // M-SWG's losses have closed-form subgradients, so a generic autodiff engine
-// is unnecessary; each layer implements Forward/Backward explicitly.
+// is unnecessary; each layer implements its forward and backward explicitly.
 //
-// Data layout: batches are [][]float64 with shape batch×dim. Layers cache
-// forward activations and consume them during Backward; a layer must see
-// Backward exactly once per Forward in training mode.
+// Data layout: a batch is one flat row-major []float64 (Batch). A Network
+// never allocates while it runs: every activation, cache and gradient buffer
+// lives in a Workspace the network sizes once (NewWorkspace) and the caller
+// passes to Forward/Backward (training) or Eval (inference). Eval reads the
+// network and writes only the workspace, so any number of goroutines may
+// evaluate one trained network at once, each with its own workspace.
+//
+// Accumulation order is part of the contract. Trained weights are pinned bit
+// for bit (internal/swg TestTrainedBitsPinned, and the [][]float64 reference
+// layers in oracle_test.go), so a kernel may be restructured only if every
+// output element still sees the same floating-point operations in the same
+// order:
+//
+//   - Dense forward starts from the bias and adds x[i]·W[i][j] over i
+//     ascending, skipping inputs that are exactly zero.
+//   - W.Grad, B.Grad, Gamma.Grad and Beta.Grad accumulate over batch rows
+//     ascending; W.Grad may skip an input that is exactly zero (it would add
+//     a signed zero to an accumulator that is never −0), nothing else may.
+//   - BatchNorm sums its mean, variance and backward reductions over rows
+//     ascending and divides by the standard deviation (never multiplies by a
+//     reciprocal); hoisting a per-feature subexpression out of the row loop
+//     is fine, re-associating one is not.
 package nn
 
 import (
@@ -15,6 +34,27 @@ import (
 	"math"
 	"math/rand"
 )
+
+// Batch is a dense row-major Rows×Dim matrix held in one slice.
+type Batch struct {
+	Rows, Dim int
+	Data      []float64
+}
+
+// NewBatch allocates a zeroed rows×dim batch.
+func NewBatch(rows, dim int) Batch {
+	return Batch{Rows: rows, Dim: dim, Data: make([]float64, rows*dim)}
+}
+
+// Row returns row i as a slice aliasing the batch.
+func (b Batch) Row(i int) []float64 {
+	return b.Data[i*b.Dim : (i+1)*b.Dim : (i+1)*b.Dim]
+}
+
+// Head returns the first rows rows as a batch aliasing b.
+func (b Batch) Head(rows int) Batch {
+	return Batch{Rows: rows, Dim: b.Dim, Data: b.Data[:rows*b.Dim]}
+}
 
 // Param is one trainable tensor with its gradient accumulator and Adam
 // moment buffers.
@@ -41,32 +81,35 @@ func (p *Param) ZeroGrad() {
 	}
 }
 
-// Layer is one differentiable stage of a network.
+// Layer is one differentiable stage of a network. Only this package
+// implements it: the kernels below work on flat buffers the Network hands
+// them out of a Workspace. x is the layer input (rows×in), y its output
+// (rows×out), g is ∂L/∂y and gx receives ∂L/∂x; aux is the layer's private
+// slice of the workspace (auxLen values). x and y never alias, nor g and gx.
 type Layer interface {
-	// Forward maps a batch through the layer. train selects training
-	// behaviour (batch statistics, activation caching).
-	Forward(x [][]float64, train bool) [][]float64
-	// Backward consumes ∂L/∂output and returns ∂L/∂input, accumulating
-	// parameter gradients.
-	Backward(grad [][]float64) [][]float64
 	// Params returns the layer's trainable parameters.
 	Params() []*Param
-}
 
-func alloc(batch, dim int) [][]float64 {
-	flat := make([]float64, batch*dim)
-	out := make([][]float64, batch)
-	for i := range out {
-		out[i] = flat[i*dim : (i+1)*dim]
-	}
-	return out
+	// outDim returns the output width for input width in; it panics when the
+	// layer cannot take that width (a construction bug, never a data error).
+	outDim(in int) int
+	// auxLen is how many float64s of workspace the layer wants for itself.
+	auxLen(maxRows int, train bool) int
+	// eval is the inference forward: running statistics, no caching, and no
+	// write to the layer itself.
+	eval(x, y []float64, rows int, aux []float64)
+	// forward is the training forward: batch statistics, and whatever
+	// backward needs is left in y and aux.
+	forward(x, y []float64, rows int, aux []float64)
+	// backward accumulates parameter gradients and fills gx; a nil gx means
+	// the caller does not need ∂L/∂x (the network's first layer).
+	backward(x, y, g, gx []float64, rows int, aux []float64)
 }
 
 // Dense is a fully connected layer y = xW + b.
 type Dense struct {
 	In, Out int
 	W, B    *Param
-	lastX   [][]float64
 }
 
 // NewDense creates a Dense layer with Xavier/Glorot-uniform weights.
@@ -79,109 +122,140 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x [][]float64, train bool) [][]float64 {
-	if train {
-		d.lastX = x
-	}
-	y := alloc(len(x), d.Out)
-	for r, row := range x {
-		yr := y[r]
-		copy(yr, d.B.Data)
-		for i, xi := range row {
-			if xi == 0 {
-				continue
-			}
-			wRow := d.W.Data[i*d.Out : (i+1)*d.Out]
-			for j, w := range wRow {
-				yr[j] += xi * w
-			}
-		}
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (d *Dense) Backward(grad [][]float64) [][]float64 {
-	if d.lastX == nil {
-		panic("nn: Dense.Backward without training Forward")
-	}
-	gx := alloc(len(grad), d.In)
-	for r, g := range grad {
-		xr := d.lastX[r]
-		gxr := gx[r]
-		for j, gj := range g {
-			d.B.Grad[j] += gj
-		}
-		for i, xi := range xr {
-			wRow := d.W.Data[i*d.Out : (i+1)*d.Out]
-			gRow := d.W.Grad[i*d.Out : (i+1)*d.Out]
-			var s float64
-			for j, gj := range g {
-				gRow[j] += xi * gj
-				s += wRow[j] * gj
-			}
-			gxr[i] = s
-		}
-	}
-	d.lastX = nil
-	return gx
-}
-
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// ReLU is the rectifier activation.
-type ReLU struct {
-	mask [][]bool
+func (d *Dense) outDim(in int) int {
+	if in != d.In {
+		panic(fmt.Sprintf("nn: Dense(%d→%d) fed %d columns", d.In, d.Out, in))
+	}
+	return d.Out
 }
+
+// auxLen: training keeps Wᵀ so that backward can form ∂L/∂x with the same
+// row-times-scalar kernel as everything else.
+func (d *Dense) auxLen(_ int, train bool) int {
+	if !train {
+		return 0
+	}
+	return d.In * d.Out
+}
+
+func (d *Dense) eval(x, y []float64, rows int, _ []float64) {
+	in, out := d.In, d.Out
+	w, b := d.W.Data, d.B.Data
+	for r := 0; r < rows; r++ {
+		yr := y[r*out : (r+1)*out]
+		copy(yr, b)
+		for i, xi := range x[r*in : (r+1)*in] {
+			if xi == 0 {
+				continue
+			}
+			axpy(xi, w[i*out:(i+1)*out], yr)
+		}
+	}
+}
+
+func (d *Dense) forward(x, y []float64, rows int, aux []float64) { d.eval(x, y, rows, aux) }
+
+func (d *Dense) backward(x, _, g, gx []float64, rows int, aux []float64) {
+	in, out := d.In, d.Out
+	w, wg, bg := d.W.Data, d.W.Grad, d.B.Grad
+	var wt []float64
+	if gx != nil {
+		// ∂L/∂x[i] = Σ_j W[i][j]·g[j], summed over j ascending from zero.
+		// Walking Wᵀ row j adds term j to every i at once: the same sums in
+		// the same order, without one serial dependency chain per i.
+		wt = aux[:in*out]
+		for i := 0; i < in; i++ {
+			for j, v := range w[i*out : (i+1)*out] {
+				wt[j*in+i] = v
+			}
+		}
+	}
+	for r := 0; r < rows; r++ {
+		gr := g[r*out : (r+1)*out]
+		for j, gj := range gr {
+			bg[j] += gj
+		}
+		for i, xi := range x[r*in : (r+1)*in] {
+			if xi != 0 {
+				axpy(xi, gr, wg[i*out:(i+1)*out])
+			}
+		}
+		if gx == nil {
+			continue
+		}
+		gxr := gx[r*in : (r+1)*in]
+		clear(gxr)
+		for j, gj := range gr {
+			axpy(gj, wt[j*in:(j+1)*in], gxr)
+		}
+	}
+}
+
+// axpy adds a·x[j] to y[j] for every j (len(y) ≥ len(x)). Each y[j] sees one
+// multiply and one add, so unrolling changes no result.
+func axpy(a float64, x, y []float64) {
+	y = y[:len(x)]
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		x4, y4 := x[j:j+4:j+4], y[j:j+4:j+4]
+		y4[0] += a * x4[0]
+		y4[1] += a * x4[1]
+		y4[2] += a * x4[2]
+		y4[3] += a * x4[3]
+	}
+	for ; j < len(x); j++ {
+		y[j] += a * x[j]
+	}
+}
+
+// ReLU is the rectifier activation. Its backward mask is its own output:
+// y > 0 exactly where the input was.
+type ReLU struct{}
 
 // NewReLU creates a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward implements Layer.
-func (r *ReLU) Forward(x [][]float64, train bool) [][]float64 {
-	y := alloc(len(x), dimOf(x))
-	if train {
-		r.mask = make([][]bool, len(x))
-	}
-	for i, row := range x {
-		var m []bool
-		if train {
-			m = make([]bool, len(row))
-			r.mask[i] = m
-		}
-		for j, v := range row {
-			if v > 0 {
-				y[i][j] = v
-				if train {
-					m[j] = true
-				}
-			}
-		}
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(grad [][]float64) [][]float64 {
-	if r.mask == nil {
-		panic("nn: ReLU.Backward without training Forward")
-	}
-	gx := alloc(len(grad), dimOf(grad))
-	for i, g := range grad {
-		for j, v := range g {
-			if r.mask[i][j] {
-				gx[i][j] = v
-			}
-		}
-	}
-	r.mask = nil
-	return gx
-}
-
 // Params implements Layer.
-func (r *ReLU) Params() []*Param { return nil }
+func (*ReLU) Params() []*Param { return nil }
+
+func (*ReLU) outDim(in int) int    { return in }
+func (*ReLU) auxLen(int, bool) int { return 0 }
+
+func (*ReLU) eval(x, y []float64, _ int, _ []float64) {
+	y = y[:len(x)]
+	for k, v := range x {
+		b := math.Float64bits(v)
+		if !positive(b) {
+			b = 0
+		}
+		y[k] = math.Float64frombits(b)
+	}
+}
+
+func (r *ReLU) forward(x, y []float64, rows int, aux []float64) { r.eval(x, y, rows, aux) }
+
+func (*ReLU) backward(_, y, g, gx []float64, _ int, _ []float64) {
+	if gx == nil {
+		return
+	}
+	g, gx = g[:len(y)], gx[:len(y)]
+	for k, v := range y {
+		b := math.Float64bits(g[k])
+		if !positive(math.Float64bits(v)) {
+			b = 0
+		}
+		gx[k] = math.Float64frombits(b)
+	}
+}
+
+// positive reports v > 0 for the float64 with bit pattern b: sign clear, not
+// zero, not NaN. About half of all activations are positive, in no pattern a
+// branch predictor can learn; on the bit pattern the test compiles to a
+// conditional move.
+func positive(b uint64) bool { return b-1 < 0x7ff0000000000000 }
 
 // BatchNorm normalizes each feature over the batch, then applies a learned
 // affine transform (the paper applies batch normalization after each layer).
@@ -192,10 +266,6 @@ type BatchNorm struct {
 	Eps         float64
 
 	runMean, runVar []float64
-	// training caches
-	xhat   [][]float64
-	std    []float64
-	center [][]float64
 }
 
 // NewBatchNorm creates a BatchNorm over dim features.
@@ -216,87 +286,128 @@ func NewBatchNorm(dim int) *BatchNorm {
 	return bn
 }
 
-// Forward implements Layer.
-func (b *BatchNorm) Forward(x [][]float64, train bool) [][]float64 {
-	n := len(x)
-	y := alloc(n, b.Dim)
-	if !train || n == 1 {
-		for i, row := range x {
-			for j, v := range row {
-				xh := (v - b.runMean[j]) / math.Sqrt(b.runVar[j]+b.Eps)
-				y[i][j] = b.Gamma.Data[j]*xh + b.Beta.Data[j]
-			}
-		}
-		return y
+// Params implements Layer.
+func (b *BatchNorm) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
+
+func (b *BatchNorm) outDim(in int) int {
+	if in != b.Dim {
+		panic(fmt.Sprintf("nn: BatchNorm(%d) fed %d columns", b.Dim, in))
 	}
-	mean := make([]float64, b.Dim)
-	for _, row := range x {
-		for j, v := range row {
+	return in
+}
+
+// auxLen: eval keeps one standard deviation per feature; training keeps
+// xhat (maxRows×Dim), the batch standard deviation, and two per-feature
+// reduction rows.
+func (b *BatchNorm) auxLen(maxRows int, train bool) int {
+	if !train {
+		return b.Dim
+	}
+	return maxRows*b.Dim + 3*b.Dim
+}
+
+func (b *BatchNorm) eval(x, y []float64, rows int, aux []float64) {
+	dim := b.Dim
+	sd := aux[:dim]
+	for j := range sd {
+		sd[j] = math.Sqrt(b.runVar[j] + b.Eps)
+	}
+	mean, gamma, beta := b.runMean[:dim], b.Gamma.Data[:dim], b.Beta.Data[:dim]
+	for r := 0; r < rows; r++ {
+		xr, yr := x[r*dim:(r+1)*dim], y[r*dim:(r+1)*dim]
+		for j, v := range xr {
+			yr[j] = gamma[j]*((v-mean[j])/sd[j]) + beta[j]
+		}
+	}
+}
+
+func (b *BatchNorm) forward(x, y []float64, rows int, aux []float64) {
+	if rows < 2 {
+		// One row has no batch statistics: the variance is zero and the
+		// gradient vanishes. swg.New refuses the batch size that leads here.
+		panic("nn: BatchNorm training forward needs at least two rows")
+	}
+	dim := b.Dim
+	n := float64(rows)
+	xhat := aux[:rows*dim]
+	std := aux[len(aux)-3*dim : len(aux)-2*dim]
+	mean := aux[len(aux)-2*dim : len(aux)-dim]
+	variance := aux[len(aux)-dim:]
+	for j := range mean {
+		mean[j], variance[j] = 0, 0
+	}
+	for r := 0; r < rows; r++ {
+		for j, v := range x[r*dim : (r+1)*dim] {
 			mean[j] += v
 		}
 	}
 	for j := range mean {
-		mean[j] /= float64(n)
+		mean[j] /= n
 	}
-	variance := make([]float64, b.Dim)
-	center := alloc(n, b.Dim)
-	for i, row := range x {
-		for j, v := range row {
+	// xhat holds the centred value until the variance is known.
+	for r := 0; r < rows; r++ {
+		xr, cr := x[r*dim:(r+1)*dim], xhat[r*dim:(r+1)*dim]
+		for j, v := range xr {
 			c := v - mean[j]
-			center[i][j] = c
+			cr[j] = c
 			variance[j] += c * c
 		}
 	}
-	std := make([]float64, b.Dim)
 	for j := range variance {
-		variance[j] /= float64(n)
+		variance[j] /= n
 		std[j] = math.Sqrt(variance[j] + b.Eps)
 		b.runMean[j] = b.Momentum*b.runMean[j] + (1-b.Momentum)*mean[j]
 		b.runVar[j] = b.Momentum*b.runVar[j] + (1-b.Momentum)*variance[j]
 	}
-	xhat := alloc(n, b.Dim)
-	for i := range x {
-		for j := 0; j < b.Dim; j++ {
-			xh := center[i][j] / std[j]
-			xhat[i][j] = xh
-			y[i][j] = b.Gamma.Data[j]*xh + b.Beta.Data[j]
+	gamma, beta := b.Gamma.Data[:dim], b.Beta.Data[:dim]
+	for r := 0; r < rows; r++ {
+		cr, yr := xhat[r*dim:(r+1)*dim], y[r*dim:(r+1)*dim]
+		for j, c := range cr {
+			xh := c / std[j]
+			cr[j] = xh
+			yr[j] = gamma[j]*xh + beta[j]
 		}
 	}
-	b.xhat, b.std, b.center = xhat, std, center
-	return y
 }
 
-// Backward implements Layer.
-func (b *BatchNorm) Backward(grad [][]float64) [][]float64 {
-	if b.xhat == nil {
-		panic("nn: BatchNorm.Backward without training Forward")
+func (b *BatchNorm) backward(_, _, g, gx []float64, rows int, aux []float64) {
+	dim := b.Dim
+	n := float64(rows)
+	xhat := aux[:rows*dim]
+	std := aux[len(aux)-3*dim : len(aux)-2*dim]
+	sumG := aux[len(aux)-2*dim : len(aux)-dim]
+	sumGX := aux[len(aux)-dim:]
+	for j := range sumG {
+		sumG[j], sumGX[j] = 0, 0
 	}
-	n := len(grad)
-	fn := float64(n)
-	gx := alloc(n, b.Dim)
-	sumG := make([]float64, b.Dim)
-	sumGX := make([]float64, b.Dim)
-	for i, g := range grad {
-		for j, gj := range g {
-			b.Beta.Grad[j] += gj
-			b.Gamma.Grad[j] += gj * b.xhat[i][j]
+	betaG, gammaG := b.Beta.Grad[:dim], b.Gamma.Grad[:dim]
+	for r := 0; r < rows; r++ {
+		gr, xr := g[r*dim:(r+1)*dim], xhat[r*dim:(r+1)*dim]
+		for j, gj := range gr {
+			gxh := gj * xr[j]
+			betaG[j] += gj
+			gammaG[j] += gxh
 			sumG[j] += gj
-			sumGX[j] += gj * b.xhat[i][j]
+			sumGX[j] += gxh
 		}
 	}
-	for i, g := range grad {
-		for j, gj := range g {
-			// dL/dx = gamma/std * (g - mean(g) - xhat*mean(g*xhat))
-			gx[i][j] = b.Gamma.Data[j] / b.std[j] *
-				(gj - sumG[j]/fn - b.xhat[i][j]*sumGX[j]/fn)
+	if gx == nil {
+		return
+	}
+	// dL/dx = gamma/std · (g − mean(g) − xhat·mean(g·xhat)); the two
+	// per-feature factors are hoisted, xhat·sumGX/n keeps its evaluation order.
+	scale, meanG := std, sumG
+	for j := range scale {
+		scale[j] = b.Gamma.Data[j] / std[j]
+		meanG[j] = sumG[j] / n
+	}
+	for r := 0; r < rows; r++ {
+		gr, xr, gxr := g[r*dim:(r+1)*dim], xhat[r*dim:(r+1)*dim], gx[r*dim:(r+1)*dim]
+		for j, gj := range gr {
+			gxr[j] = scale[j] * (gj - meanG[j] - xr[j]*sumGX[j]/n)
 		}
 	}
-	b.xhat, b.std, b.center = nil, nil, nil
-	return gx
 }
-
-// Params implements Layer.
-func (b *BatchNorm) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 
 // SoftmaxBlocks applies softmax independently over designated column ranges
 // and passes the remaining columns through unchanged. The M-SWG uses one
@@ -304,7 +415,6 @@ func (b *BatchNorm) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 // categorical variable", Sec 5.3).
 type SoftmaxBlocks struct {
 	Blocks [][2]int // [start,end) column ranges
-	lastY  [][]float64
 }
 
 // NewSoftmaxBlocks creates the head; blocks must be disjoint and in range.
@@ -312,52 +422,54 @@ func NewSoftmaxBlocks(blocks [][2]int) *SoftmaxBlocks {
 	return &SoftmaxBlocks{Blocks: blocks}
 }
 
-// Forward implements Layer.
-func (s *SoftmaxBlocks) Forward(x [][]float64, train bool) [][]float64 {
-	y := alloc(len(x), dimOf(x))
-	for i, row := range x {
-		copy(y[i], row)
-	}
-	for _, blk := range s.Blocks {
-		for i := range y {
-			softmaxInPlace(y[i][blk[0]:blk[1]])
-		}
-	}
-	if train {
-		s.lastY = y
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (s *SoftmaxBlocks) Backward(grad [][]float64) [][]float64 {
-	if s.lastY == nil {
-		panic("nn: SoftmaxBlocks.Backward without training Forward")
-	}
-	gx := alloc(len(grad), dimOf(grad))
-	for i, g := range grad {
-		copy(gx[i], g)
-	}
-	for _, blk := range s.Blocks {
-		for i := range grad {
-			y := s.lastY[i][blk[0]:blk[1]]
-			g := grad[i][blk[0]:blk[1]]
-			var dot float64
-			for j := range y {
-				dot += y[j] * g[j]
-			}
-			out := gx[i][blk[0]:blk[1]]
-			for j := range y {
-				out[j] = y[j] * (g[j] - dot)
-			}
-		}
-	}
-	s.lastY = nil
-	return gx
-}
-
 // Params implements Layer.
 func (s *SoftmaxBlocks) Params() []*Param { return nil }
+
+func (s *SoftmaxBlocks) outDim(in int) int {
+	for _, blk := range s.Blocks {
+		if blk[0] < 0 || blk[1] < blk[0] || blk[1] > in {
+			panic(fmt.Sprintf("nn: softmax block [%d,%d) outside %d columns", blk[0], blk[1], in))
+		}
+	}
+	return in
+}
+
+func (s *SoftmaxBlocks) auxLen(int, bool) int { return 0 }
+
+func (s *SoftmaxBlocks) eval(x, y []float64, rows int, _ []float64) {
+	copy(y, x)
+	dim := len(x) / rows
+	for r := 0; r < rows; r++ {
+		yr := y[r*dim : (r+1)*dim]
+		for _, blk := range s.Blocks {
+			softmaxInPlace(yr[blk[0]:blk[1]])
+		}
+	}
+}
+
+func (s *SoftmaxBlocks) forward(x, y []float64, rows int, aux []float64) { s.eval(x, y, rows, aux) }
+
+func (s *SoftmaxBlocks) backward(_, y, g, gx []float64, rows int, _ []float64) {
+	if gx == nil {
+		return
+	}
+	copy(gx, g)
+	dim := len(y) / rows
+	for r := 0; r < rows; r++ {
+		for _, blk := range s.Blocks {
+			yb := y[r*dim+blk[0] : r*dim+blk[1]]
+			gb := g[r*dim+blk[0] : r*dim+blk[1]]
+			var dot float64
+			for j, yj := range yb {
+				dot += yj * gb[j]
+			}
+			out := gx[r*dim+blk[0] : r*dim+blk[1]]
+			for j, yj := range yb {
+				out[j] = yj * (gb[j] - dot)
+			}
+		}
+	}
+}
 
 func softmaxInPlace(v []float64) {
 	if len(v) == 0 {
@@ -380,41 +492,25 @@ func softmaxInPlace(v []float64) {
 	}
 }
 
-// Network is a sequential stack of layers.
+// Network is a sequential stack of layers over a fixed input width.
 type Network struct {
-	Layers []Layer
+	in     int
+	layers []Layer
+	widths []int // widths[l] is the output width of layer l
+	params []*Param
 }
 
-// Forward implements Layer for the whole stack.
-func (n *Network) Forward(x [][]float64, train bool) [][]float64 {
-	for _, l := range n.Layers {
-		x = l.Forward(x, train)
+// NewNetwork stacks layers over inputs of width in. It panics when adjacent
+// layer widths do not fit, which only a construction bug can cause.
+func NewNetwork(in int, layers ...Layer) *Network {
+	n := &Network{in: in, layers: layers, widths: make([]int, len(layers))}
+	w := in
+	for l, layer := range layers {
+		w = layer.outDim(w)
+		n.widths[l] = w
+		n.params = append(n.params, layer.Params()...)
 	}
-	return x
-}
-
-// Backward implements Layer for the whole stack.
-func (n *Network) Backward(grad [][]float64) [][]float64 {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// Params implements Layer.
-func (n *Network) Params() []*Param {
-	var out []*Param
-	for _, l := range n.Layers {
-		out = append(out, l.Params()...)
-	}
-	return out
-}
-
-// ZeroGrad clears all parameter gradients.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.ZeroGrad()
-	}
+	return n
 }
 
 // NewMLP builds the paper's generator topology: hidden Dense→BatchNorm→ReLU
@@ -432,7 +528,137 @@ func NewMLP(in int, hidden []int, out int, softmaxBlocks [][2]int, rng *rand.Ran
 	if len(softmaxBlocks) > 0 {
 		layers = append(layers, NewSoftmaxBlocks(softmaxBlocks))
 	}
-	return &Network{Layers: layers}
+	return NewNetwork(in, layers...)
+}
+
+// In returns the input width.
+func (n *Network) In() int { return n.in }
+
+// Out returns the output width.
+func (n *Network) Out() int {
+	if len(n.widths) == 0 {
+		return n.in
+	}
+	return n.widths[len(n.widths)-1]
+}
+
+// Params returns every trainable parameter in layer order. The slice is the
+// network's own; callers must not modify it.
+func (n *Network) Params() []*Param { return n.params }
+
+// ZeroGrad clears all parameter gradients.
+func (n *Network) ZeroGrad() {
+	for _, p := range n.params {
+		p.ZeroGrad()
+	}
+}
+
+// Workspace holds every buffer a Network needs to push one batch of up to
+// MaxRows rows forward and — when built for training — backward. A workspace
+// belongs to one goroutine at a time; the batches Forward and Eval return
+// alias it and are overwritten by the next call.
+type Workspace struct {
+	maxRows int
+	train   bool
+	slots   []slot
+	// The training forward in flight: its input and row count, consumed by
+	// Backward.
+	x    []float64
+	rows int
+}
+
+type slot struct {
+	y   []float64 // layer output
+	gx  []float64 // ∂L/∂(layer input); training only, nil for the first layer
+	aux []float64 // layer-private scratch
+}
+
+// NewWorkspace sizes a workspace for batches of up to maxRows rows. An eval
+// workspace (train false) serves Eval only; a training workspace also serves
+// Forward and Backward.
+func (n *Network) NewWorkspace(maxRows int, train bool) *Workspace {
+	ws := &Workspace{maxRows: maxRows, train: train, slots: make([]slot, len(n.layers))}
+	in := n.in
+	for l, layer := range n.layers {
+		s := &ws.slots[l]
+		s.y = make([]float64, maxRows*n.widths[l])
+		s.aux = make([]float64, layer.auxLen(maxRows, train))
+		if train && l > 0 {
+			s.gx = make([]float64, maxRows*in)
+		}
+		in = n.widths[l]
+	}
+	return ws
+}
+
+func (n *Network) check(ws *Workspace, x Batch) {
+	if x.Dim != n.in || len(x.Data) != x.Rows*x.Dim {
+		panic(fmt.Sprintf("nn: %d×%d batch (%d values) fed to a network over %d columns", x.Rows, x.Dim, len(x.Data), n.in))
+	}
+	if x.Rows > ws.maxRows || len(ws.slots) != len(n.layers) {
+		panic(fmt.Sprintf("nn: workspace sized for %d rows and %d layers, got %d rows and %d layers", ws.maxRows, len(ws.slots), x.Rows, len(n.layers)))
+	}
+}
+
+// Eval maps x through the network in inference mode (BatchNorm uses its
+// running statistics). It writes only ws, never the network.
+func (n *Network) Eval(ws *Workspace, x Batch) Batch {
+	n.check(ws, x)
+	cur := x.Data
+	for l, layer := range n.layers {
+		s := &ws.slots[l]
+		y := s.y[:x.Rows*n.widths[l]]
+		layer.eval(cur, y, x.Rows, s.aux)
+		cur = y
+	}
+	return Batch{Rows: x.Rows, Dim: n.Out(), Data: cur}
+}
+
+// Forward maps x through the network in training mode (batch statistics,
+// running-statistics update) and leaves in ws what Backward needs; x must
+// stay untouched until then.
+func (n *Network) Forward(ws *Workspace, x Batch) Batch {
+	n.check(ws, x)
+	if !ws.train {
+		panic("nn: Forward on an eval workspace")
+	}
+	cur := x.Data
+	for l, layer := range n.layers {
+		s := &ws.slots[l]
+		y := s.y[:x.Rows*n.widths[l]]
+		layer.forward(cur, y, x.Rows, s.aux)
+		cur = y
+	}
+	ws.x, ws.rows = x.Data, x.Rows
+	return Batch{Rows: x.Rows, Dim: n.Out(), Data: cur}
+}
+
+// Backward propagates grad = ∂L/∂output of the last Forward on ws back
+// through the network, accumulating parameter gradients. Each Forward takes
+// exactly one Backward.
+func (n *Network) Backward(ws *Workspace, grad Batch) {
+	if ws.rows == 0 {
+		panic("nn: Backward without a training Forward")
+	}
+	rows := ws.rows
+	if grad.Rows != rows || grad.Dim != n.Out() {
+		panic(fmt.Sprintf("nn: %d×%d gradient for a %d×%d output", grad.Rows, grad.Dim, rows, n.Out()))
+	}
+	g := grad.Data
+	for l := len(n.layers) - 1; l >= 0; l-- {
+		s := &ws.slots[l]
+		x, in := ws.x, n.in
+		if l > 0 {
+			x, in = ws.slots[l-1].y, n.widths[l-1]
+		}
+		var gx []float64
+		if s.gx != nil {
+			gx = s.gx[:rows*in]
+		}
+		n.layers[l].backward(x[:rows*in], s.y[:rows*n.widths[l]], g, gx, rows, s.aux)
+		g = gx
+	}
+	ws.x, ws.rows = nil, 0
 }
 
 // Adam is the Adam optimizer with PyTorch-default hyperparameters
@@ -456,30 +682,14 @@ func (a *Adam) Step(params []*Param) {
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for _, p := range params {
-		for i, g := range p.Grad {
-			p.m[i] = a.Beta1*p.m[i] + (1-a.Beta1)*g
-			p.v[i] = a.Beta2*p.v[i] + (1-a.Beta2)*g*g
-			mhat := p.m[i] / bc1
-			vhat := p.v[i] / bc2
-			p.Data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-			p.Grad[i] = 0
+		data, grad, m, v := p.Data, p.Grad[:len(p.Data)], p.m[:len(p.Data)], p.v[:len(p.Data)]
+		for i, g := range grad {
+			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
+			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			mhat := m[i] / bc1
+			vhat := v[i] / bc2
+			data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
+			grad[i] = 0
 		}
 	}
-}
-
-func dimOf(x [][]float64) int {
-	if len(x) == 0 {
-		return 0
-	}
-	return len(x[0])
-}
-
-// CheckShapes validates that a batch is rectangular with the expected width.
-func CheckShapes(x [][]float64, dim int) error {
-	for i, row := range x {
-		if len(row) != dim {
-			return fmt.Errorf("nn: row %d has %d columns, want %d", i, len(row), dim)
-		}
-	}
-	return nil
 }

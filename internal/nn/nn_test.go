@@ -8,44 +8,42 @@ import (
 
 // quadLoss is L = Σ (y - target)² / batch, with gradient 2(y-target)/batch,
 // used to drive gradient checks end-to-end.
-func quadLoss(y [][]float64, target [][]float64) (float64, [][]float64) {
+func quadLoss(y, target Batch) (float64, Batch) {
 	var loss float64
-	grad := make([][]float64, len(y))
-	inv := 1 / float64(len(y))
-	for i := range y {
-		grad[i] = make([]float64, len(y[i]))
-		for j := range y[i] {
-			d := y[i][j] - target[i][j]
-			loss += d * d * inv
-			grad[i][j] = 2 * d * inv
-		}
+	grad := NewBatch(y.Rows, y.Dim)
+	inv := 1 / float64(y.Rows)
+	for k, v := range y.Data {
+		d := v - target.Data[k]
+		loss += d * d * inv
+		grad.Data[k] = 2 * d * inv
 	}
 	return loss, grad
 }
 
-func randBatch(rng *rand.Rand, n, d int) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, d)
-		for j := range out[i] {
-			out[i][j] = rng.NormFloat64()
-		}
+func randBatch(rng *rand.Rand, n, d int) Batch {
+	out := NewBatch(n, d)
+	for k := range out.Data {
+		out.Data[k] = rng.NormFloat64()
 	}
 	return out
 }
 
+// batchOf builds a batch from literal rows.
+func batchOf(rows ...[]float64) Batch {
+	b := NewBatch(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(b.Row(i), r)
+	}
+	return b
+}
+
 // gradCheck verifies parameter gradients of a network against central finite
 // differences for a fixed input and quadratic loss.
-func gradCheck(t *testing.T, net *Network, in, target [][]float64, tol float64) {
+func gradCheck(t *testing.T, net *Network, in, target Batch, tol float64) {
 	t.Helper()
-	run := func() float64 {
-		y := net.Forward(in, true)
-		loss, grad := quadLoss(y, target)
-		net.Backward(grad)
-		return loss
-	}
+	ws := net.NewWorkspace(in.Rows, true)
 	net.ZeroGrad()
-	_ = run()
+	_ = lossAndBackward(net, ws, in, target)
 	// Snapshot analytic gradients.
 	var analytic []float64
 	for _, p := range net.Params() {
@@ -58,10 +56,9 @@ func gradCheck(t *testing.T, net *Network, in, target [][]float64, tol float64) 
 		for i := range p.Data {
 			old := p.Data[i]
 			p.Data[i] = old + h
-			net.ZeroGrad()
-			lp := lossOnly(net, in, target)
+			lp := lossAndBackward(net, ws, in, target)
 			p.Data[i] = old - h
-			lm := lossOnly(net, in, target)
+			lm := lossAndBackward(net, ws, in, target)
 			p.Data[i] = old
 			num := (lp - lm) / (2 * h)
 			if math.Abs(num-analytic[k]) > tol*math.Max(1, math.Abs(num)) {
@@ -72,31 +69,30 @@ func gradCheck(t *testing.T, net *Network, in, target [][]float64, tol float64) 
 	}
 }
 
-func lossOnly(net *Network, in, target [][]float64) float64 {
-	y := net.Forward(in, true)
+func lossAndBackward(net *Network, ws *Workspace, in, target Batch) float64 {
+	y := net.Forward(ws, in)
 	loss, grad := quadLoss(y, target)
-	net.Backward(grad) // consume caches; grads ignored
-	net.ZeroGrad()
+	net.Backward(ws, grad)
 	return loss
 }
 
 func TestDenseForwardShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	d := NewDense(3, 2, rng)
-	y := d.Forward(randBatch(rng, 5, 3), false)
-	if len(y) != 5 || len(y[0]) != 2 {
-		t.Fatalf("shape = %dx%d", len(y), len(y[0]))
+	net := NewNetwork(3, NewDense(3, 2, rng))
+	y := net.Eval(net.NewWorkspace(5, false), randBatch(rng, 5, 3))
+	if y.Rows != 5 || y.Dim != 2 || len(y.Data) != 10 {
+		t.Fatalf("shape = %dx%d (%d values)", y.Rows, y.Dim, len(y.Data))
 	}
 }
 
 func TestDenseIsAffine(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := NewDense(2, 2, rng)
-	x0 := [][]float64{{0, 0}}
-	b := d.Forward(x0, false)[0]
+	net := NewNetwork(2, d)
+	ws := net.NewWorkspace(1, false)
+	b := append([]float64(nil), net.Eval(ws, batchOf([]float64{0, 0})).Data...)
 	// y(e1) - y(0) gives the first weight row.
-	e1 := [][]float64{{1, 0}}
-	y1 := d.Forward(e1, false)[0]
+	y1 := net.Eval(ws, batchOf([]float64{1, 0})).Data
 	for j := 0; j < 2; j++ {
 		if math.Abs(y1[j]-b[j]-d.W.Data[0*2+j]) > 1e-12 {
 			t.Errorf("column %d: affine identity broken", j)
@@ -106,21 +102,30 @@ func TestDenseIsAffine(t *testing.T) {
 
 func TestDenseGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	net := &Network{Layers: []Layer{NewDense(3, 2, rng)}}
+	net := NewNetwork(3, NewDense(3, 2, rng))
 	in := randBatch(rng, 4, 3)
 	target := randBatch(rng, 4, 2)
 	gradCheck(t, net, in, target, 1e-4)
 }
 
 func TestReLUForwardBackward(t *testing.T) {
-	r := NewReLU()
-	y := r.Forward([][]float64{{-1, 2, 0}}, true)
-	if y[0][0] != 0 || y[0][1] != 2 || y[0][2] != 0 {
-		t.Errorf("ReLU forward = %v", y[0])
+	// A leading Dense gives the ReLU an input gradient to fill (the first
+	// layer of a network never computes one): identity weights, zero bias.
+	d := NewDense(3, 3, rand.New(rand.NewSource(1)))
+	for k := range d.W.Data {
+		d.W.Data[k] = 0
 	}
-	g := r.Backward([][]float64{{5, 5, 5}})
-	if g[0][0] != 0 || g[0][1] != 5 || g[0][2] != 0 {
-		t.Errorf("ReLU backward = %v", g[0])
+	d.W.Data[0], d.W.Data[4], d.W.Data[8] = 1, 1, 1
+	net := NewNetwork(3, d, NewReLU())
+	ws := net.NewWorkspace(1, true)
+	y := net.Forward(ws, batchOf([]float64{-1, 2, 0}))
+	if y.Data[0] != 0 || y.Data[1] != 2 || y.Data[2] != 0 {
+		t.Errorf("ReLU forward = %v", y.Data)
+	}
+	net.Backward(ws, batchOf([]float64{5, 5, 5}))
+	// Only the live unit passes gradient on to the Dense bias.
+	if g := d.B.Grad; g[0] != 0 || g[1] != 5 || g[2] != 0 {
+		t.Errorf("ReLU backward = %v", g)
 	}
 }
 
@@ -135,74 +140,84 @@ func TestMLPGradients(t *testing.T) {
 }
 
 func TestBatchNormNormalizes(t *testing.T) {
-	bn := NewBatchNorm(2)
+	net := NewNetwork(2, NewBatchNorm(2))
 	rng := rand.New(rand.NewSource(5))
 	x := randBatch(rng, 64, 2)
-	for i := range x {
-		x[i][0] = x[i][0]*3 + 10 // mean 10, sd 3
+	for i := 0; i < x.Rows; i++ {
+		x.Row(i)[0] = x.Row(i)[0]*3 + 10 // mean 10, sd 3
 	}
-	y := bn.Forward(x, true)
+	y := net.Forward(net.NewWorkspace(64, true), x)
 	var mean, sq float64
-	for i := range y {
-		mean += y[i][0]
+	for i := 0; i < y.Rows; i++ {
+		mean += y.Row(i)[0]
 	}
-	mean /= float64(len(y))
-	for i := range y {
-		d := y[i][0] - mean
+	mean /= float64(y.Rows)
+	for i := 0; i < y.Rows; i++ {
+		d := y.Row(i)[0] - mean
 		sq += d * d
 	}
-	sd := math.Sqrt(sq / float64(len(y)))
+	sd := math.Sqrt(sq / float64(y.Rows))
 	if math.Abs(mean) > 1e-9 || math.Abs(sd-1) > 1e-2 {
 		t.Errorf("batchnorm output mean=%g sd=%g", mean, sd)
 	}
-	bn.Backward(y) // release caches
 }
 
 func TestBatchNormGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	net := &Network{Layers: []Layer{NewDense(2, 3, rng), NewBatchNorm(3)}}
+	net := NewNetwork(2, NewDense(2, 3, rng), NewBatchNorm(3))
 	in := randBatch(rng, 8, 2)
 	target := randBatch(rng, 8, 3)
 	gradCheck(t, net, in, target, 1e-3)
 }
 
 func TestBatchNormEvalUsesRunningStats(t *testing.T) {
-	bn := NewBatchNorm(1)
+	net := NewNetwork(1, NewBatchNorm(1))
 	rng := rand.New(rand.NewSource(7))
+	ws := net.NewWorkspace(32, true)
 	// Train on shifted data to move the running mean.
 	for step := 0; step < 200; step++ {
 		x := randBatch(rng, 32, 1)
-		for i := range x {
-			x[i][0] += 5
+		for k := range x.Data {
+			x.Data[k] += 5
 		}
-		y := bn.Forward(x, true)
-		bn.Backward(y)
-		bn.Gamma.ZeroGrad()
-		bn.Beta.ZeroGrad()
+		y := net.Forward(ws, x)
+		net.Backward(ws, y)
+		net.ZeroGrad()
 	}
 	// Eval on a single centered input: running mean ≈ 5 should subtract.
-	y := bn.Forward([][]float64{{5}}, false)
-	if math.Abs(y[0][0]) > 0.2 {
-		t.Errorf("eval-mode output %g, want ≈0 (running mean)", y[0][0])
+	y := net.Eval(net.NewWorkspace(1, false), batchOf([]float64{5}))
+	if math.Abs(y.Data[0]) > 0.2 {
+		t.Errorf("eval-mode output %g, want ≈0 (running mean)", y.Data[0])
 	}
 }
 
+func TestBatchNormTrainingNeedsTwoRows(t *testing.T) {
+	net := NewNetwork(1, NewBatchNorm(1))
+	defer func() {
+		if recover() == nil {
+			t.Error("a one-row training batch has no batch statistics and must panic")
+		}
+	}()
+	net.Forward(net.NewWorkspace(1, true), batchOf([]float64{1}))
+}
+
 func TestSoftmaxBlocks(t *testing.T) {
-	s := NewSoftmaxBlocks([][2]int{{0, 3}})
-	y := s.Forward([][]float64{{1, 1, 1, 42}}, false)
+	net := NewNetwork(4, NewSoftmaxBlocks([][2]int{{0, 3}}))
+	ws := net.NewWorkspace(1, false)
+	y := net.Eval(ws, batchOf([]float64{1, 1, 1, 42})).Data
 	for j := 0; j < 3; j++ {
-		if math.Abs(y[0][j]-1.0/3) > 1e-12 {
-			t.Errorf("softmax uniform = %v", y[0])
+		if math.Abs(y[j]-1.0/3) > 1e-12 {
+			t.Errorf("softmax uniform = %v", y)
 		}
 	}
-	if y[0][3] != 42 {
-		t.Errorf("pass-through column modified: %g", y[0][3])
+	if y[3] != 42 {
+		t.Errorf("pass-through column modified: %g", y[3])
 	}
 	// Probabilities sum to 1 even with extreme inputs (stability shift).
-	y = s.Forward([][]float64{{1000, -1000, 0, 0}}, false)
+	y = net.Eval(ws, batchOf([]float64{1000, -1000, 0, 0})).Data
 	var sum float64
 	for j := 0; j < 3; j++ {
-		sum += y[0][j]
+		sum += y[j]
 	}
 	if math.Abs(sum-1) > 1e-9 || math.IsNaN(sum) {
 		t.Errorf("softmax extreme sum = %g", sum)
@@ -211,10 +226,7 @@ func TestSoftmaxBlocks(t *testing.T) {
 
 func TestSoftmaxGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	net := &Network{Layers: []Layer{
-		NewDense(2, 4, rng),
-		NewSoftmaxBlocks([][2]int{{0, 3}}),
-	}}
+	net := NewNetwork(2, NewDense(2, 4, rng), NewSoftmaxBlocks([][2]int{{0, 3}}))
 	in := randBatch(rng, 5, 2)
 	target := randBatch(rng, 5, 4)
 	gradCheck(t, net, in, target, 1e-3)
@@ -248,20 +260,18 @@ func TestNetworkTrainingReducesLoss(t *testing.T) {
 	net := NewMLP(2, []int{16}, 1, nil, rng)
 	adam := NewAdam(0.01)
 	in := randBatch(rng, 32, 2)
-	target := make([][]float64, 32)
-	for i := range target {
-		target[i] = []float64{in[i][0]*2 - in[i][1]}
+	target := NewBatch(32, 1)
+	for i := 0; i < 32; i++ {
+		target.Data[i] = in.Row(i)[0]*2 - in.Row(i)[1]
 	}
+	ws := net.NewWorkspace(32, true)
 	first := -1.0
 	var last float64
 	for step := 0; step < 300; step++ {
-		y := net.Forward(in, true)
-		loss, grad := quadLoss(y, target)
+		last = lossAndBackward(net, ws, in, target)
 		if first < 0 {
-			first = loss
+			first = last
 		}
-		last = loss
-		net.Backward(grad)
 		adam.Step(net.Params())
 	}
 	if last > first/10 {
@@ -271,22 +281,23 @@ func TestNetworkTrainingReducesLoss(t *testing.T) {
 
 func TestBackwardWithoutForwardPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	d := NewDense(2, 2, rng)
+	net := NewNetwork(2, NewDense(2, 2, rng))
 	defer func() {
 		if recover() == nil {
 			t.Error("Backward without Forward should panic")
 		}
 	}()
-	d.Backward([][]float64{{1, 1}})
+	net.Backward(net.NewWorkspace(1, true), batchOf([]float64{1, 1}))
 }
 
-func TestCheckShapes(t *testing.T) {
-	if err := CheckShapes([][]float64{{1, 2}, {3, 4}}, 2); err != nil {
-		t.Errorf("valid shapes rejected: %v", err)
-	}
-	if err := CheckShapes([][]float64{{1, 2}, {3}}, 2); err == nil {
-		t.Error("ragged batch should fail")
-	}
+func TestMismatchedWidthsPanic(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	defer func() {
+		if recover() == nil {
+			t.Error("stacking Dense(3→2) under BatchNorm(4) should panic")
+		}
+	}()
+	NewNetwork(3, NewDense(3, 2, rng), NewBatchNorm(4))
 }
 
 func TestXavierInitBounded(t *testing.T) {

@@ -1,9 +1,11 @@
 package swg
 
 import (
+	"sync"
 	"testing"
 
 	"mosaic/internal/marginal"
+	"mosaic/internal/nn"
 	"mosaic/internal/schema"
 	"mosaic/internal/table"
 	"mosaic/internal/value"
@@ -183,17 +185,25 @@ func TestDecodeTableUncoercibleLevel(t *testing.T) {
 	badVec := make([]float64, m.Enc.Dim)
 	badVec[sp.Offset+badIdx] = 5
 
+	batch := func(rows ...[]float64) nn.Batch {
+		b := nn.NewBatch(len(rows), m.Enc.Dim)
+		for i, r := range rows {
+			copy(b.Row(i), r)
+		}
+		return b
+	}
+
 	// Good rows only: both paths succeed identically.
-	colT, errCol := m.DecodeTable("g", [][]float64{goodVec, goodVec}, 1)
-	rowT, errRow := m.DecodeTableRowAppend("g", [][]float64{goodVec, goodVec})
+	colT, errCol := m.DecodeTable("g", batch(goodVec, goodVec), 1)
+	rowT, errRow := m.DecodeTableRowAppend("g", batch(goodVec, goodVec))
 	if errCol != nil || errRow != nil {
 		t.Fatalf("good rows errored: col=%v row=%v", errCol, errRow)
 	}
 	requireTablesIdentical(t, colT, rowT)
 
 	// A row selecting the bad level: both paths fail with the same message.
-	_, errCol = m.DecodeTable("g", [][]float64{goodVec, badVec}, 1)
-	_, errRow = m.DecodeTableRowAppend("g", [][]float64{goodVec, badVec})
+	_, errCol = m.DecodeTable("g", batch(goodVec, badVec), 1)
+	_, errRow = m.DecodeTableRowAppend("g", batch(goodVec, badVec))
 	if errCol == nil || errRow == nil {
 		t.Fatalf("bad level should error: col=%v row=%v", errCol, errRow)
 	}
@@ -202,11 +212,11 @@ func TestDecodeTableUncoercibleLevel(t *testing.T) {
 	}
 }
 
-// TestDecodeTableRejectsMalformedVector: a wrong-width encoded vector must
-// error (as the row-append path always did), never panic.
+// TestDecodeTableRejectsMalformedVector: encoded vectors of the wrong width
+// must error (as the row-append path always did), never panic.
 func TestDecodeTableRejectsMalformedVector(t *testing.T) {
 	m := decodeWorld(t)
-	bad := [][]float64{make([]float64, m.Enc.Dim), {0.5}}
+	bad := nn.NewBatch(2, m.Enc.Dim-1)
 	_, errCol := m.DecodeTable("g", bad, 1)
 	_, errRow := m.DecodeTableRowAppend("g", bad)
 	if errCol == nil || errRow == nil {
@@ -214,5 +224,97 @@ func TestDecodeTableRejectsMalformedVector(t *testing.T) {
 	}
 	if errCol.Error() != errRow.Error() {
 		t.Fatalf("error mismatch:\n  col: %v\n  row: %v", errCol, errRow)
+	}
+}
+
+// TestGenerateTailBatches: generation runs the network in BatchSize chunks
+// and decodes each straight into the column builders, so the chunking must
+// be invisible — including a final chunk of exactly one row (an eval batch
+// of one is fine; only a *training* batch needs two rows).
+func TestGenerateTailBatches(t *testing.T) {
+	m := decodeWorld(t) // BatchSize 16
+	for _, n := range []int{1, 15, 16, 17, 33, 48} {
+		got, err := m.GenerateSeededWeighted("g", n, 5, 1)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		enc := m.GenerateEncodedSeeded(n, 5)
+		if enc.Rows != n || enc.Dim != m.Enc.Dim {
+			t.Fatalf("n=%d: encoded batch is %dx%d", n, enc.Rows, enc.Dim)
+		}
+		want, err := m.DecodeTableRowAppend("g", enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireTablesIdentical(t, got, want)
+		// A prefix of a longer seeded stream is the shorter stream: the
+		// chunk boundaries do not move any latent draw.
+		long := m.GenerateEncodedSeeded(n+16, 5)
+		for k, v := range enc.Data {
+			if v != long.Data[k] {
+				t.Fatalf("n=%d: value %d differs between a %d-row and a %d-row generation", n, k, n, n+16)
+			}
+		}
+	}
+}
+
+// TestNewRejectsBatchSizeOne: batch normalization has no statistics over one
+// row; the configuration is refused up front instead of panicking in the
+// first training step.
+func TestNewRejectsBatchSizeOne(t *testing.T) {
+	tbl := mixedSample(t)
+	mx := oneDMarginal(t, "mx", "x", map[float64]float64{0.1: 50, 0.9: 50})
+	if _, err := New(tbl, []*marginal.Marginal{mx}, Config{BatchSize: 1}); err == nil {
+		t.Fatal("BatchSize 1 must be rejected")
+	}
+	m, err := New(tbl, []*marginal.Marginal{mx}, Config{Hidden: []int{4}, BatchSize: 2, Epochs: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Train(); err != nil {
+		t.Fatalf("BatchSize 2 must train: %v", err)
+	}
+	// GeneratedRows % BatchSize == 1: a one-row eval tail.
+	if g, err := m.GenerateSeeded("g", 3, 1); err != nil || g.Len() != 3 {
+		t.Fatalf("one-row tail batch: %v", err)
+	}
+}
+
+// TestConcurrentGenerationSharesOneModel: replicates of one OPEN query (and
+// concurrent queries) generate from one cached model at once. Generation only
+// reads the model and borrows pooled scratch, so equal seeds give identical
+// tables on every goroutine — and `go test -race` sees no shared write.
+func TestConcurrentGenerationSharesOneModel(t *testing.T) {
+	m := decodeWorld(t)
+	if err := m.Train(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.GenerateSeededWeighted("g", 100, 9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 6
+	got := make([]*table.Table, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				// Other seeds in between, so pooled scratch changes hands.
+				if _, errs[w] = m.GenerateSeededWeighted("g", 37, int64(100+w*10+i), 1); errs[w] != nil {
+					return
+				}
+			}
+			got[w], errs[w] = m.GenerateSeededWeighted("g", 100, 9, 2)
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		requireTablesIdentical(t, got[w], want)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"mosaic/internal/marginal"
+	"mosaic/internal/nn"
 	"mosaic/internal/schema"
 	"mosaic/internal/table"
 	"mosaic/internal/value"
@@ -196,29 +197,24 @@ func (e *Encoder) EncodeRow(row []value.Value) ([]float64, error) {
 // over the table's snapshot: categorical TEXT attributes one-hot directly
 // from dictionary codes through a precomputed code→level table instead of
 // re-hashing strings per row, and continuous attributes scale straight off
-// the typed column vectors. Results are element-identical to encoding each
-// row with EncodeRow.
-func (e *Encoder) EncodeTable(t *table.Table) ([][]float64, error) {
+// the typed column vectors. The result is one flat row-major batch whose rows
+// are element-identical to encoding each row with EncodeRow.
+func (e *Encoder) EncodeTable(t *table.Table) (nn.Batch, error) {
 	snap := t.Snapshot()
-	n := snap.Len()
-	out := make([][]float64, n)
-	flat := make([]float64, n*e.Dim)
-	for i := range out {
-		out[i] = flat[i*e.Dim : (i+1)*e.Dim : (i+1)*e.Dim]
-	}
+	out := nn.NewBatch(snap.Len(), e.Dim)
 	for ai := range e.Attrs {
 		sp := &e.Attrs[ai]
 		col := snap.Col(ai)
 		if err := e.encodeColumn(sp, snap, col, out); err != nil {
-			return nil, err
+			return nn.Batch{}, err
 		}
 	}
 	return out, nil
 }
 
 // encodeColumn fills one attribute's encoded block for every row.
-func (e *Encoder) encodeColumn(sp *AttrSpec, snap *table.Snapshot, col *table.Column, out [][]float64) error {
-	n := len(out)
+func (e *Encoder) encodeColumn(sp *AttrSpec, snap *table.Snapshot, col *table.Column, out nn.Batch) error {
+	n := out.Rows
 	if !sp.Categorical {
 		// Continuous: (f − Min)/(Max − Min), NULL scaling to NaN exactly as
 		// value.Float64 coerces NULL.
@@ -232,7 +228,7 @@ func (e *Encoder) encodeColumn(sp *AttrSpec, snap *table.Snapshot, col *table.Co
 			default:
 				f = col.Floats[i]
 			}
-			out[i][sp.Offset] = (f - sp.Min) / (sp.Max - sp.Min)
+			out.Data[i*out.Dim+sp.Offset] = (f - sp.Min) / (sp.Max - sp.Min)
 		}
 		return nil
 	}
@@ -247,12 +243,12 @@ func (e *Encoder) encodeColumn(sp *AttrSpec, snap *table.Snapshot, col *table.Co
 				if !tOK {
 					return fmt.Errorf("swg: unseen categorical value %s for %q", value.Bool(true), sp.Name)
 				}
-				out[i][sp.Offset+tIdx] = 1
+				out.Data[i*out.Dim+sp.Offset+tIdx] = 1
 			} else {
 				if !fOK {
 					return fmt.Errorf("swg: unseen categorical value %s for %q", value.Bool(false), sp.Name)
 				}
-				out[i][sp.Offset+fIdx] = 1
+				out.Data[i*out.Dim+sp.Offset+fIdx] = 1
 			}
 		}
 		return nil
@@ -276,7 +272,7 @@ func (e *Encoder) encodeColumn(sp *AttrSpec, snap *table.Snapshot, col *table.Co
 		if cat < 0 {
 			return fmt.Errorf("swg: unseen categorical value %s for %q", value.Text(strs[code]), sp.Name)
 		}
-		out[i][sp.Offset+int(cat)] = 1
+		out.Data[i*out.Dim+sp.Offset+int(cat)] = 1
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package swg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -58,7 +59,9 @@ type Config struct {
 	Seed int64
 }
 
-func (c Config) withDefaults(enc *Encoder) Config {
+// Resolved returns the configuration New trains with for a sample of
+// sampleRows rows: every zero field at its default, StepsPerEpoch included.
+func (c Config) Resolved(sampleRows int) Config {
 	if len(c.Hidden) == 0 {
 		c.Hidden = []int{100, 100, 100}
 	}
@@ -92,33 +95,48 @@ func (c Config) withDefaults(enc *Encoder) Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	_ = enc
+	if c.StepsPerEpoch <= 0 {
+		c.StepsPerEpoch = max(1, sampleRows/c.BatchSize)
+	}
 	return c
 }
 
-// lossTerm is one precompiled marginal constraint: the encoded subspace
-// columns, the fixed projection directions, and — because both Ω and the
-// batch size are fixed — the precomputed target quantiles per direction.
-type lossTerm struct {
-	name    string
+// ErrDiverged is wrapped by the error TrainContext returns when the loss
+// stops being a finite number.
+var ErrDiverged = errors.New("swg: training diverged")
+
+// lossItem is one precompiled (marginal, direction) constraint: the encoded
+// subspace columns, one fixed unit direction over them and — because both Ω
+// and the batch size are fixed — the precomputed target quantiles of the
+// marginal projected onto that direction. scale is the term weight divided
+// by the marginal's direction count (the 1/p of Eq. 1).
+type lossItem struct {
 	cols    []int
-	dirs    [][]float64
-	targets [][]float64 // [dir][batch] target quantiles
-	weight  float64     // applied after averaging over dirs
+	dir     []float64
+	targets []float64
+	scale   float64
 }
 
 // Model is a trained or trainable M-SWG.
+//
+// Data layout: the encoded sample, latent batches, generator output and loss
+// gradient are flat row-major nn.Batch values. Training owns its scratch
+// (trainScratch, built once per TrainContext call and dropped with it, so a
+// cached model carries no training buffers); generation borrows an
+// evalScratch from a pool, so any number of goroutines may generate from one
+// trained model at once.
 type Model struct {
 	Enc    *Encoder
 	Net    *nn.Network
 	cfg    Config
 	rng    *rand.Rand
-	terms  []lossTerm
-	sample [][]float64 // encoded sample rows (the manifold anchor set)
+	items  []lossItem
+	sample nn.Batch // encoded sample rows (the manifold anchor set)
 	adam   *nn.Adam
 	// History records per-epoch mean training loss.
 	History []float64
 	trained bool
+	evals   sync.Pool // of *evalScratch
 }
 
 // New compiles an M-SWG for the sample and marginal set. Marginals whose
@@ -132,11 +150,14 @@ func New(sample *table.Table, marginals []*marginal.Marginal, cfg Config) (*Mode
 	if len(marginals) == 0 {
 		return nil, fmt.Errorf("swg: no marginals; the M-SWG needs population metadata")
 	}
+	if cfg.BatchSize == 1 {
+		return nil, fmt.Errorf("swg: BatchSize 1: batch normalization needs at least two rows per training batch")
+	}
 	enc, err := BuildEncoder(sample, marginals)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(enc)
+	cfg = cfg.Resolved(sample.Len())
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{
 		Enc: enc,
@@ -147,29 +168,21 @@ func New(sample *table.Table, marginals []*marginal.Marginal, cfg Config) (*Mode
 	if err != nil {
 		return nil, err
 	}
-	if cfg.StepsPerEpoch <= 0 {
-		cfg.StepsPerEpoch = len(m.sample) / cfg.BatchSize
-		if cfg.StepsPerEpoch < 1 {
-			cfg.StepsPerEpoch = 1
-		}
-		m.cfg = cfg
-	}
 	for _, mg := range marginals {
-		term, err := m.compileTerm(mg)
-		if err != nil {
+		if err := m.compileTerm(mg); err != nil {
 			return nil, err
 		}
-		m.terms = append(m.terms, term)
 	}
 	m.Net = nn.NewMLP(cfg.Latent, cfg.Hidden, enc.Dim, enc.SoftmaxBlocks(), rng)
 	m.adam = nn.NewAdam(cfg.LR)
 	return m, nil
 }
 
-func (m *Model) compileTerm(mg *marginal.Marginal) (lossTerm, error) {
+// compileTerm appends one marginal's loss items, in direction order.
+func (m *Model) compileTerm(mg *marginal.Marginal) error {
 	cols, err := m.Enc.SubspaceCols(mg.Attrs)
 	if err != nil {
-		return lossTerm{}, err
+		return err
 	}
 	cells := mg.Cells()
 	points := make([][]float64, len(cells))
@@ -177,26 +190,23 @@ func (m *Model) compileTerm(mg *marginal.Marginal) (lossTerm, error) {
 	for i, c := range cells {
 		p, err := m.Enc.EncodeCellPoint(mg.Attrs, c.Vals)
 		if err != nil {
-			return lossTerm{}, err
+			return err
 		}
 		points[i] = p
 		weights[i] = c.Count
 	}
-	t := lossTerm{name: mg.Name, cols: cols}
 	var dirs [][]float64
+	weight := 1.0 // the 1/p factor is the average over dirs
 	if len(cols) == 1 {
 		dirs = [][]float64{{1}}
-		t.weight = m.cfg.OneDWeight
+		weight = m.cfg.OneDWeight
 	} else {
 		dirs = make([][]float64, m.cfg.Projections)
 		for i := range dirs {
 			dirs[i] = wasserstein.RandomUnitVector(m.rng, len(cols))
 		}
-		t.weight = 1 // the 1/p factor is the average over dirs
 	}
-	t.dirs = dirs
-	t.targets = make([][]float64, len(dirs))
-	for di, d := range dirs {
+	for _, d := range dirs {
 		proj := make([]float64, len(points))
 		for pi, p := range points {
 			var s float64
@@ -207,30 +217,23 @@ func (m *Model) compileTerm(mg *marginal.Marginal) (lossTerm, error) {
 		}
 		wd, err := wasserstein.NewWeighted(proj, weights)
 		if err != nil {
-			return lossTerm{}, fmt.Errorf("swg: marginal %s: %v", mg.Name, err)
+			return fmt.Errorf("swg: marginal %s: %v", mg.Name, err)
 		}
-		t.targets[di] = wd.Quantiles(m.cfg.BatchSize)
+		m.items = append(m.items, lossItem{
+			cols:    cols,
+			dir:     d,
+			targets: wd.Quantiles(m.cfg.BatchSize),
+			scale:   weight / float64(len(dirs)),
+		})
 	}
-	return t, nil
+	return nil
 }
 
-// latentBatch draws a batch of N(0, I_ℓ) latent vectors from the model's
-// training RNG stream.
-func (m *Model) latentBatch(n int) [][]float64 {
-	return latentBatchFrom(m.rng, n, m.cfg.Latent)
-}
-
-// latentBatchFrom draws a batch of N(0, I_ℓ) latent vectors from rng.
-func latentBatchFrom(rng *rand.Rand, n, latent int) [][]float64 {
-	z := make([][]float64, n)
-	for i := range z {
-		row := make([]float64, latent)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		z[i] = row
+// fillLatent overwrites z with N(0, I_ℓ) draws from rng, row by row.
+func fillLatent(rng *rand.Rand, z nn.Batch) {
+	for k := range z.Data {
+		z.Data[k] = rng.NormFloat64()
 	}
-	return z
 }
 
 // gradShards is the fixed number of gradient accumulation partitions in
@@ -240,175 +243,198 @@ func latentBatchFrom(rng *rand.Rand, n, latent int) [][]float64 {
 // downstream trained weight — is bit-identical for every worker count.
 const gradShards = 16
 
-// lossAndGrad computes Eq. 1 and its subgradient with respect to the
-// generator output batch. With cfg.Workers > 1 the projection terms and the
-// proximity rows are processed in parallel; the shard partition is static
-// and independent of the worker count, so the result is bit-identical
-// regardless of cfg.Workers and goroutine scheduling.
-func (m *Model) lossAndGrad(out [][]float64) (float64, [][]float64, error) {
-	n := len(out)
-	grad := make([][]float64, n)
-	for i := range grad {
-		grad[i] = make([]float64, m.Enc.Dim)
-	}
+// trainScratch is everything one training step writes besides the model:
+// the network workspace, the latent batch, the loss gradient and the
+// per-shard loss scratch. It is sized once for cfg.BatchSize.
+type trainScratch struct {
+	ws       *nn.Workspace
+	z        nn.Batch
+	out      nn.Batch // the generator output lossAndGrad is scoring
+	grad     nn.Batch
+	itemLoss []float64
+	rowLoss  []float64
+	anchors  nn.Batch // this step's proximity anchors: the sample, or a copied subsample of it
+	shards   []shardScratch
+}
 
-	// Flatten (term, dir) pairs into independent work items.
-	type item struct {
-		t  *lossTerm
-		di int
+// shardScratch belongs to whichever goroutine runs the shard this step.
+type shardScratch struct {
+	w1   wasserstein.Scratch
+	proj []float64 // one item's projected batch
+	g    []float64 // its W1 subgradient
+	grad []float64 // the shard's share of ∂L/∂output, batch×Dim
+	err  error
+}
+
+func (m *Model) newTrainScratch() *trainScratch {
+	n, dim := m.cfg.BatchSize, m.Enc.Dim
+	ts := &trainScratch{
+		ws:       m.Net.NewWorkspace(n, true),
+		z:        nn.NewBatch(n, m.cfg.Latent),
+		grad:     nn.NewBatch(n, dim),
+		anchors:  m.sample,
+		itemLoss: make([]float64, len(m.items)),
+		rowLoss:  make([]float64, n),
+		shards:   make([]shardScratch, min(gradShards, len(m.items))),
 	}
-	var items []item
-	for ti := range m.terms {
-		t := &m.terms[ti]
-		for di := range t.dirs {
-			items = append(items, item{t: t, di: di})
+	if m.sample.Rows > m.cfg.ProximitySubsample {
+		ts.anchors = nn.NewBatch(m.cfg.ProximitySubsample, dim)
+	}
+	for s := range ts.shards {
+		ts.shards[s] = shardScratch{
+			proj: make([]float64, n),
+			g:    make([]float64, n),
+			grad: make([]float64, n*dim),
 		}
 	}
+	return ts
+}
 
-	shards := gradShards
-	if shards > len(items) {
-		shards = len(items)
-	}
-	workers := m.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > shards {
-		workers = shards
-	}
-
-	itemLoss := make([]float64, len(items))
-	shardErr := make([]error, shards)
-	shardGrads := make([][][]float64, shards)
-	process := func(s int) {
-		dst := shardGrads[s]
-		for ii := s; ii < len(items); ii += shards {
-			it := items[ii]
-			scale := it.t.weight / float64(len(it.t.dirs))
-			dir := it.t.dirs[it.di]
-			proj := wasserstein.ProjectCols(out, it.t.cols, dir)
-			d, g, err := wasserstein.W1ToUniform(proj, it.t.targets[it.di])
-			if err != nil {
-				shardErr[s] = err
-				return
-			}
-			itemLoss[ii] = scale * d
-			for r, gr := range g {
-				if gr == 0 {
-					continue
-				}
-				gs := scale * gr
-				row := dst[r]
-				for j, c := range it.t.cols {
-					row[c] += gs * dir[j]
-				}
-			}
-		}
-	}
-	for s := 0; s < shards; s++ {
-		buf := make([][]float64, n)
-		flat := make([]float64, n*m.Enc.Dim)
-		for i := range buf {
-			buf[i] = flat[i*m.Enc.Dim : (i+1)*m.Enc.Dim]
-		}
-		shardGrads[s] = buf
-	}
+// forEach runs f(m, ts, i) for i in 0..n-1, on cfg.Workers goroutines when
+// that is more than one. Index i goes to goroutine i mod workers; which
+// goroutine runs an index never changes what it computes. f is a method
+// expression, not a closure, so the serial path allocates nothing.
+func (m *Model) forEach(ts *trainScratch, n int, f func(*Model, *trainScratch, int)) {
+	workers := min(m.cfg.Workers, n)
 	if workers <= 1 {
-		for s := 0; s < shards; s++ {
-			process(s)
+		for i := 0; i < n; i++ {
+			f(m, ts, i)
 		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for s := w; s < shards; s += workers {
-					process(s)
-				}
-			}(w)
-		}
-		wg.Wait()
+		return
 	}
-	for _, err := range shardErr {
-		if err != nil {
-			return 0, nil, err
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				f(m, ts, i)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// lossAndGrad computes Eq. 1 on the generator output batch and leaves its
+// subgradient with respect to that batch in ts.grad. With cfg.Workers > 1
+// the projection terms and the proximity rows are processed in parallel; the
+// shard partition is static and independent of the worker count, so the
+// result is bit-identical regardless of cfg.Workers and goroutine scheduling.
+func (m *Model) lossAndGrad(ts *trainScratch, out nn.Batch) (float64, error) {
+	ts.out = out
+	m.forEach(ts, len(ts.shards), (*Model).wassersteinShard)
+	for s := range ts.shards {
+		if err := ts.shards[s].err; err != nil {
+			return 0, err
 		}
 	}
 	// Reduce in shard order: the same additions in the same order no matter
 	// how many workers ran the shards.
-	for s := 0; s < shards; s++ {
-		for r := range grad {
-			dst, src := grad[r], shardGrads[s][r]
-			for c := range dst {
-				dst[c] += src[c]
-			}
+	grad := ts.grad.Data
+	clear(grad)
+	for s := range ts.shards {
+		for k, v := range ts.shards[s].grad {
+			grad[k] += v
 		}
 	}
 	var loss float64
-	for _, l := range itemLoss {
+	for _, l := range ts.itemLoss {
 		loss += l
 	}
 
 	// Sample-proximity term: λ E_x min_y ||x − y||², estimated over a
 	// random subsample of the encoded sample. Rows write disjoint gradient
 	// entries, so row-parallelism is exact.
-	if m.cfg.Lambda > 0 && len(m.sample) > 0 {
-		sub := m.sample
-		if len(sub) > m.cfg.ProximitySubsample {
-			sub = make([][]float64, m.cfg.ProximitySubsample)
-			for i := range sub {
-				sub[i] = m.sample[m.rng.Intn(len(m.sample))]
+	if m.cfg.Lambda > 0 && m.sample.Rows > 0 {
+		if m.sample.Rows > m.cfg.ProximitySubsample {
+			// Copied side by side, the anchors every output row scans stay
+			// in cache instead of being gathered from all over the sample.
+			for i := 0; i < ts.anchors.Rows; i++ {
+				copy(ts.anchors.Row(i), m.sample.Row(m.rng.Intn(m.sample.Rows)))
 			}
 		}
-		inv := 1 / float64(n)
-		rowLoss := make([]float64, n)
-		proxRow := func(r int) {
-			x := out[r]
-			best := math.Inf(1)
-			var bestY []float64
-			for _, y := range sub {
-				var d float64
-				for j := range x {
-					diff := x[j] - y[j]
-					d += diff * diff
-					if d >= best {
-						break
-					}
-				}
-				if d < best {
-					best = d
-					bestY = y
-				}
-			}
-			rowLoss[r] = m.cfg.Lambda * best * inv
-			row := grad[r]
-			for j := range x {
-				row[j] += m.cfg.Lambda * 2 * (x[j] - bestY[j]) * inv
-			}
-		}
-		if workers <= 1 {
-			for r := range out {
-				proxRow(r)
-			}
-		} else {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for r := w; r < n; r += workers {
-						proxRow(r)
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-		for _, l := range rowLoss {
+		m.forEach(ts, out.Rows, (*Model).proximityRow)
+		for _, l := range ts.rowLoss {
 			loss += l
 		}
 	}
-	return loss, grad, nil
+	return loss, nil
+}
+
+// wassersteinShard accumulates loss items s, s+shards, s+2·shards, … into
+// shard s's own gradient buffer.
+func (m *Model) wassersteinShard(ts *trainScratch, s int) {
+	sh := &ts.shards[s]
+	dim := ts.out.Dim
+	clear(sh.grad)
+	for ii := s; ii < len(m.items); ii += len(ts.shards) {
+		it := &m.items[ii]
+		wasserstein.ProjectCols(sh.proj, ts.out.Data, dim, it.cols, it.dir)
+		d, err := sh.w1.W1ToUniform(sh.proj, it.targets, sh.g)
+		if err != nil {
+			sh.err = err
+			return
+		}
+		ts.itemLoss[ii] = it.scale * d
+		for r, gr := range sh.g {
+			if gr == 0 {
+				continue
+			}
+			gs := it.scale * gr
+			row := sh.grad[r*dim : (r+1)*dim]
+			for j, c := range it.cols {
+				row[c] += gs * it.dir[j]
+			}
+		}
+	}
+}
+
+// proximityRow adds output row r's nearest-anchor term to ts.grad.
+func (m *Model) proximityRow(ts *trainScratch, r int) {
+	dim := ts.out.Dim
+	x := ts.out.Data[r*dim : (r+1)*dim]
+	anchors := ts.anchors.Data
+	inv := 1 / float64(ts.out.Rows)
+	best, bestAt := math.Inf(1), -1
+nextAnchor:
+	for at := 0; at < len(anchors); at += dim {
+		// d sums the squared differences in column order. It only grows, so
+		// an anchor is dropped as soon as a partial sum reaches the best so
+		// far (or is NaN); testing that every fourth column instead of every
+		// column drops the same anchors.
+		y := anchors[at : at+dim]
+		var d float64
+		j := 0
+		for ; j+4 <= dim; j += 4 {
+			if !(d < best) {
+				continue nextAnchor
+			}
+			x4, y4 := x[j:j+4:j+4], y[j:j+4:j+4]
+			d0, d1, d2, d3 := x4[0]-y4[0], x4[1]-y4[1], x4[2]-y4[2], x4[3]-y4[3]
+			d += d0 * d0
+			d += d1 * d1
+			d += d2 * d2
+			d += d3 * d3
+		}
+		for ; j < dim; j++ {
+			diff := x[j] - y[j]
+			d += diff * diff
+		}
+		if d < best {
+			best, bestAt = d, at
+		}
+	}
+	ts.rowLoss[r] = m.cfg.Lambda * best * inv
+	if bestAt < 0 {
+		// Every distance was NaN: the loss is already non-finite and
+		// TrainContext refuses the step.
+		return
+	}
+	y := anchors[bestAt : bestAt+dim]
+	row := ts.grad.Data[r*dim : (r+1)*dim]
+	for j, xj := range x {
+		row[j] += m.cfg.Lambda * 2 * (xj - y[j]) * inv
+	}
 }
 
 // Train runs the full training schedule: Adam with the paper's plateau
@@ -418,13 +444,35 @@ func (m *Model) Train() error {
 	return m.TrainContext(context.Background())
 }
 
+// trainStep runs one optimizer step and returns its loss. A non-finite loss
+// is returned before the parameters move.
+func (m *Model) trainStep(ts *trainScratch) (float64, error) {
+	fillLatent(m.rng, ts.z)
+	out := m.Net.Forward(ts.ws, ts.z)
+	loss, err := m.lossAndGrad(ts, out)
+	if err != nil || !finite(loss) {
+		return loss, err
+	}
+	m.Net.Backward(ts.ws, ts.grad)
+	m.adam.Step(m.Net.Params())
+	return loss, nil
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
 // TrainContext is Train with a cancellation context, checked before every
 // training step (the finest deterministic unit of work). A cancelled training
 // run returns ctx.Err() with the model left partially trained; callers that
 // cache trained models must discard a cancelled model and retrain from a
 // fresh one — training is a pure function of (sample, marginals, Config), so
 // a from-scratch retrain reproduces the uncancelled weights bit for bit.
+//
+// A loss that is NaN or ±Inf (a learning rate too large for the data) stops
+// training with an error wrapping ErrDiverged; the model is left untrained.
+// Divergence is as deterministic as the weights, so callers may cache the
+// error exactly as they would have cached the model.
 func (m *Model) TrainContext(ctx context.Context) error {
+	ts := m.newTrainScratch()
 	best := math.Inf(1)
 	sinceBest := 0
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
@@ -433,14 +481,13 @@ func (m *Model) TrainContext(ctx context.Context) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			z := m.latentBatch(m.cfg.BatchSize)
-			out := m.Net.Forward(z, true)
-			loss, grad, err := m.lossAndGrad(out)
+			loss, err := m.trainStep(ts)
 			if err != nil {
 				return err
 			}
-			m.Net.Backward(grad)
-			m.adam.Step(m.Net.Params())
+			if !finite(loss) {
+				return fmt.Errorf("%w (non-finite loss at epoch %d, step %d)", ErrDiverged, epoch, step)
+			}
 			sum += loss
 		}
 		mean := sum / float64(m.cfg.StepsPerEpoch)
@@ -466,26 +513,51 @@ func (m *Model) TrainContext(ctx context.Context) error {
 // Trained reports whether Train has completed at least once.
 func (m *Model) Trained() bool { return m.trained }
 
-// generateEncodedFrom produces n encoded vectors drawing latents from rng
-// (eval-mode forward: batch norm uses running statistics, no caching). The
-// context is checked once per generated batch; a nil ctx never cancels.
-func (m *Model) generateEncodedFrom(ctx context.Context, rng *rand.Rand, n int) ([][]float64, error) {
-	out := make([][]float64, 0, n)
-	for len(out) < n {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+// evalScratch is what one generating goroutine needs: an eval workspace and
+// a latent batch, both sized for cfg.BatchSize.
+type evalScratch struct {
+	ws *nn.Workspace
+	z  nn.Batch
+}
+
+// generate pushes n latent draws from rng through the generator, one
+// eval-mode batch at a time (batch norm uses running statistics; the model
+// is only read), handing each encoded batch to sink. The batch aliases
+// pooled scratch and is valid only during the call. The context is checked
+// once per batch.
+func (m *Model) generate(ctx context.Context, rng *rand.Rand, n int, sink func(nn.Batch) error) error {
+	es, _ := m.evals.Get().(*evalScratch)
+	if es == nil {
+		es = &evalScratch{
+			ws: m.Net.NewWorkspace(m.cfg.BatchSize, false),
+			z:  nn.NewBatch(m.cfg.BatchSize, m.cfg.Latent),
 		}
-		b := m.cfg.BatchSize
-		if rem := n - len(out); rem < b {
-			b = rem
-		}
-		z := latentBatchFrom(rng, b, m.cfg.Latent)
-		y := m.Net.Forward(z, false)
-		out = append(out, y...)
 	}
-	return out, nil
+	defer m.evals.Put(es)
+	for done := 0; done < n; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		z := es.z.Head(min(m.cfg.BatchSize, n-done))
+		fillLatent(rng, z)
+		if err := sink(m.Net.Eval(es.ws, z)); err != nil {
+			return err
+		}
+		done += z.Rows
+	}
+	return nil
+}
+
+// generateEncodedFrom collects n generated encoded vectors into one batch.
+func (m *Model) generateEncodedFrom(rng *rand.Rand, n int) nn.Batch {
+	out := nn.NewBatch(n, m.Enc.Dim)
+	at := 0
+	// The background context never cancels and the sink never fails.
+	_ = m.generate(context.Background(), rng, n, func(b nn.Batch) error {
+		at += copy(out.Data[at:], b.Data)
+		return nil
+	})
+	return out
 }
 
 // DecodeTableRowAppend materializes encoded vectors as a weight-1 tuple
@@ -493,10 +565,13 @@ func (m *Model) generateEncodedFrom(ctx context.Context, rng *rand.Rand, n int) 
 // generation path, kept as the reference implementation: DecodeTable must
 // produce byte-identical tables (the swg and core test suites pin this),
 // and the executor benchmarks race the two.
-func (m *Model) DecodeTableRowAppend(name string, enc [][]float64) (*table.Table, error) {
+func (m *Model) DecodeTableRowAppend(name string, enc nn.Batch) (*table.Table, error) {
+	if enc.Dim != m.Enc.Dim {
+		return nil, fmt.Errorf("swg: vector has %d dims, encoder has %d", enc.Dim, m.Enc.Dim)
+	}
 	t := table.New(name, m.Enc.Schema)
-	for _, v := range enc {
-		row, err := m.Enc.DecodeRow(v)
+	for i := 0; i < enc.Rows; i++ {
+		row, err := m.Enc.DecodeRow(enc.Row(i))
 		if err != nil {
 			return nil, err
 		}
@@ -516,54 +591,61 @@ func (m *Model) DecodeTableRowAppend(name string, enc [][]float64) (*table.Table
 // row-append path's lazy coercion-error behavior — so the resulting table
 // is value-identical to DecodeTableRowAppend (values, kinds, weights, typed
 // columns). Dictionary code NUMBERING may differ when the schema has two or
-// more TEXT attributes (this path interns per attribute, row-append interns
-// row-major); codes are snapshot-internal, so no query output can observe
-// the difference.
-func (m *Model) DecodeTable(name string, enc [][]float64, w float64) (*table.Table, error) {
+// more TEXT attributes (this path interns per attribute within a batch,
+// row-append interns row-major); codes are snapshot-internal, so no query
+// output can observe the difference.
+func (m *Model) DecodeTable(name string, enc nn.Batch, w float64) (*table.Table, error) {
+	d, err := m.newDecoder(name, enc.Rows, w)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.decode(enc); err != nil {
+		return nil, err
+	}
+	return d.table()
+}
+
+// decoder builds one generated table column-natively, a batch of encoded
+// rows at a time: generation decodes each eval batch as it leaves the
+// network instead of first assembling all n encoded vectors.
+type decoder struct {
+	enc  *Encoder
+	name string
+	w    float64
+	cols []table.Column // typed builders, allocated for all n rows up front
+	dict *table.Dict
+	cats []catCache // per attribute; empty for continuous ones
+	at   int        // rows decoded so far
+	n    int
+}
+
+// catCache holds one categorical attribute's per-level decode results,
+// filled on first argmax hit: the coerced value (the same coercion Append's
+// schema validation applied) and, for TEXT, the dictionary code. Lazy filling
+// keeps the coercion-error surface identical to the row-append path — a bad
+// level only errors if some row actually selects it.
+type catCache struct {
+	levels []value.Value
+	have   []bool
+	codes  []uint32
+}
+
+func (m *Model) newDecoder(name string, n int, w float64) (*decoder, error) {
 	if w < 0 {
 		return nil, fmt.Errorf("table %s: negative weight %g", name, w)
 	}
-	for _, v := range enc {
-		// Same validation (and message) DecodeRow applies per row.
-		if len(v) != m.Enc.Dim {
-			return nil, fmt.Errorf("swg: vector has %d dims, encoder has %d", len(v), m.Enc.Dim)
-		}
-	}
 	sc := m.Enc.Schema
-	cols := make([]table.Column, sc.Len())
-	dict := table.NewDict()
+	d := &decoder{
+		enc: m.Enc, name: name, w: w, n: n,
+		cols: make([]table.Column, sc.Len()),
+		dict: table.NewDict(),
+		cats: make([]catCache, sc.Len()),
+	}
 	for ai := range m.Enc.Attrs {
 		sp := &m.Enc.Attrs[ai]
-		kind := sc.At(ai).Kind
-		cols[ai].Kind = kind
-		if err := decodeColumn(sp, kind, enc, &cols[ai], dict, name); err != nil {
-			return nil, err
-		}
-	}
-	wts := make([]float64, len(enc))
-	for i := range wts {
-		wts[i] = w
-	}
-	return table.FromColumns(name, sc, cols, wts, dict)
-}
-
-// decodeColumn fills one attribute's typed column for every generated row,
-// mirroring Encoder.DecodeRow exactly: categorical
-// blocks force to their argmax level, continuous values clamp to [0,1] and
-// unscale, INT attributes round to the nearest whole number.
-func decodeColumn(sp *AttrSpec, kind value.Kind, enc [][]float64, col *table.Column, dict *table.Dict, name string) error {
-	n := len(enc)
-	if sp.Categorical {
-		// Per-level caches, filled on first argmax hit: the coerced value
-		// (the same coercion Append's schema validation applied) and, for
-		// TEXT, the dictionary code. Lazy filling keeps the coercion-error
-		// surface identical to the row-append path — a bad level only errors
-		// if some row actually selects it. Codes intern in this attribute's
-		// first-use order (see the DecodeTable doc on code numbering).
-		levels := make([]value.Value, len(sp.Cats))
-		haveLevel := make([]bool, len(sp.Cats))
-		codes := make([]uint32, len(sp.Cats))
-		switch kind {
+		col := &d.cols[ai]
+		col.Kind = sc.At(ai).Kind
+		switch col.Kind {
 		case value.KindText:
 			col.Codes = make([]uint32, n)
 		case value.KindBool:
@@ -573,79 +655,116 @@ func decodeColumn(sp *AttrSpec, kind value.Kind, enc [][]float64, col *table.Col
 		case value.KindFloat:
 			col.Floats = make([]float64, n)
 		}
-		for i, vec := range enc {
-			best, bestV := 0, math.Inf(-1)
-			for j := 0; j < sp.Width; j++ {
-				if v := vec[sp.Offset+j]; v > bestV {
-					bestV = v
-					best = j
-				}
-			}
-			if !haveLevel[best] {
-				cv, err := value.Coerce(sp.Cats[best], kind)
-				if err != nil {
-					return fmt.Errorf("table %s: schema: attribute %q: %v", name, sp.Name, err)
-				}
-				levels[best] = cv
-				if kind == value.KindText {
-					codes[best] = dict.Code(cv.AsText())
-				}
-				haveLevel[best] = true
-			}
-			cv := levels[best]
-			switch kind {
-			case value.KindText:
-				col.Codes[i] = codes[best]
-			case value.KindBool:
-				col.Bools[i] = cv.AsBool()
-			case value.KindInt:
-				col.Ints[i] = cv.AsInt()
-			case value.KindFloat:
-				col.Floats[i] = cv.AsFloat()
+		if sp.Categorical {
+			d.cats[ai] = catCache{
+				levels: make([]value.Value, len(sp.Cats)),
+				have:   make([]bool, len(sp.Cats)),
+				codes:  make([]uint32, len(sp.Cats)),
 			}
 		}
-		return nil
 	}
-	// Continuous: clamp, unscale, and (for INT) round — DecodeRow's exact
-	// arithmetic, always yielding the schema kind, so no coercion applies.
-	if kind == value.KindInt {
-		col.Ints = make([]int64, n)
-		for i, vec := range enc {
-			f := vec[sp.Offset]
+	return d, nil
+}
+
+// decode appends b's rows, mirroring Encoder.DecodeRow exactly: categorical
+// blocks force to their argmax level, continuous values clamp to [0,1] and
+// unscale, INT attributes round to the nearest whole number.
+func (d *decoder) decode(b nn.Batch) error {
+	if b.Dim != d.enc.Dim {
+		// Same validation (and message) DecodeRow applies per row.
+		return fmt.Errorf("swg: vector has %d dims, encoder has %d", b.Dim, d.enc.Dim)
+	}
+	if d.at+b.Rows > d.n {
+		return fmt.Errorf("swg: decoding %d rows into a table sized for %d", d.at+b.Rows, d.n)
+	}
+	for ai := range d.enc.Attrs {
+		sp := &d.enc.Attrs[ai]
+		col := &d.cols[ai]
+		if sp.Categorical {
+			if err := d.decodeCategorical(sp, col, &d.cats[ai], b); err != nil {
+				return err
+			}
+			continue
+		}
+		// Continuous: clamp, unscale, and (for INT) round — DecodeRow's exact
+		// arithmetic, always yielding the schema kind, so no coercion applies.
+		for i := 0; i < b.Rows; i++ {
+			f := b.Data[i*b.Dim+sp.Offset]
 			if f < 0 {
 				f = 0
 			}
 			if f > 1 {
 				f = 1
 			}
-			col.Ints[i] = int64(math.Round(sp.Min + f*(sp.Max-sp.Min)))
+			raw := sp.Min + f*(sp.Max-sp.Min)
+			if col.Kind == value.KindInt {
+				col.Ints[d.at+i] = int64(math.Round(raw))
+			} else {
+				col.Floats[d.at+i] = raw
+			}
 		}
-		return nil
 	}
-	col.Floats = make([]float64, n)
-	for i, vec := range enc {
-		f := vec[sp.Offset]
-		if f < 0 {
-			f = 0
+	d.at += b.Rows
+	return nil
+}
+
+func (d *decoder) decodeCategorical(sp *AttrSpec, col *table.Column, cc *catCache, b nn.Batch) error {
+	for i := 0; i < b.Rows; i++ {
+		block := b.Data[i*b.Dim+sp.Offset : i*b.Dim+sp.Offset+sp.Width]
+		best, bestV := 0, math.Inf(-1)
+		for j, v := range block {
+			if v > bestV {
+				bestV = v
+				best = j
+			}
 		}
-		if f > 1 {
-			f = 1
+		if !cc.have[best] {
+			cv, err := value.Coerce(sp.Cats[best], col.Kind)
+			if err != nil {
+				return fmt.Errorf("table %s: schema: attribute %q: %v", d.name, sp.Name, err)
+			}
+			cc.levels[best] = cv
+			if col.Kind == value.KindText {
+				cc.codes[best] = d.dict.Code(cv.AsText())
+			}
+			cc.have[best] = true
 		}
-		col.Floats[i] = sp.Min + f*(sp.Max-sp.Min)
+		cv := cc.levels[best]
+		switch col.Kind {
+		case value.KindText:
+			col.Codes[d.at+i] = cc.codes[best]
+		case value.KindBool:
+			col.Bools[d.at+i] = cv.AsBool()
+		case value.KindInt:
+			col.Ints[d.at+i] = cv.AsInt()
+		case value.KindFloat:
+			col.Floats[d.at+i] = cv.AsFloat()
+		}
 	}
 	return nil
 }
 
+// table finishes the build once all n rows are decoded.
+func (d *decoder) table() (*table.Table, error) {
+	if d.at != d.n {
+		return nil, fmt.Errorf("swg: decoded %d of %d rows", d.at, d.n)
+	}
+	wts := make([]float64, d.n)
+	for i := range wts {
+		wts[i] = d.w
+	}
+	return table.FromColumns(d.name, d.enc.Schema, d.cols, wts, d.dict)
+}
+
 // GenerateEncoded produces n encoded vectors from the trained generator,
 // advancing the model's training RNG stream.
-func (m *Model) GenerateEncoded(n int) [][]float64 {
-	out, _ := m.generateEncodedFrom(nil, m.rng, n)
-	return out
+func (m *Model) GenerateEncoded(n int) nn.Batch {
+	return m.generateEncodedFrom(m.rng, n)
 }
 
 // Generate produces a generated sample table of n tuples with weight 1.
 func (m *Model) Generate(name string, n int) (*table.Table, error) {
-	return m.DecodeTable(name, m.GenerateEncoded(n), 1)
+	return m.generateTable(context.Background(), m.rng, name, n, 1)
 }
 
 // GenerateEncodedSeeded produces n encoded vectors from an independent RNG
@@ -653,9 +772,8 @@ func (m *Model) Generate(name string, n int) (*table.Table, error) {
 // Eval-mode forward passes are read-only, so concurrent calls on a trained
 // model are safe; equal seeds give bit-identical output regardless of what
 // other goroutines generate.
-func (m *Model) GenerateEncodedSeeded(n int, seed int64) [][]float64 {
-	out, _ := m.generateEncodedFrom(nil, rand.New(rand.NewSource(seed)), n)
-	return out
+func (m *Model) GenerateEncodedSeeded(n int, seed int64) nn.Batch {
+	return m.generateEncodedFrom(rand.New(rand.NewSource(seed)), n)
 }
 
 // GenerateSeeded produces a generated sample table of n tuples with weight 1
@@ -680,20 +798,28 @@ func (m *Model) GenerateSeededWeighted(name string, n int, seed int64, w float64
 // (eval-mode forward passes are read-only), so re-running with the same seed
 // reproduces the uncancelled replicate bit for bit.
 func (m *Model) GenerateSeededWeightedContext(ctx context.Context, name string, n int, seed int64, w float64) (*table.Table, error) {
-	enc, err := m.generateEncodedFrom(ctx, rand.New(rand.NewSource(seed)), n)
+	return m.generateTable(ctx, rand.New(rand.NewSource(seed)), name, n, w)
+}
+
+// generateTable decodes each generated batch straight into the table's typed
+// column builders.
+func (m *Model) generateTable(ctx context.Context, rng *rand.Rand, name string, n int, w float64) (*table.Table, error) {
+	d, err := m.newDecoder(name, n, w)
 	if err != nil {
 		return nil, err
 	}
-	return m.DecodeTable(name, enc, w)
+	if err := m.generate(ctx, rng, n, d.decode); err != nil {
+		return nil, err
+	}
+	return d.table()
 }
 
 // Loss evaluates Eq. 1 on a fresh eval-mode batch (no parameter update);
 // useful for model selection and tests.
 func (m *Model) Loss() (float64, error) {
-	z := m.latentBatch(m.cfg.BatchSize)
-	out := m.Net.Forward(z, false)
-	l, _, err := m.lossAndGrad(out)
-	return l, err
+	ts := m.newTrainScratch()
+	fillLatent(m.rng, ts.z)
+	return m.lossAndGrad(ts, m.Net.Eval(ts.ws, ts.z))
 }
 
 // Config returns the effective (defaulted) configuration.

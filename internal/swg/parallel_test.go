@@ -1,11 +1,13 @@
 package swg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"mosaic/internal/marginal"
+	"mosaic/internal/nn"
 	"mosaic/internal/schema"
 	"mosaic/internal/table"
 	"mosaic/internal/value"
@@ -40,33 +42,36 @@ func parallelWorld(t testing.TB, workers int) *Model {
 	return model
 }
 
+// evalLossAndGrad evaluates the loss and its gradient on one eval-mode batch
+// drawn from the model's own RNG stream.
+func evalLossAndGrad(t testing.TB, m *Model) (float64, nn.Batch) {
+	t.Helper()
+	ts := m.newTrainScratch()
+	fillLatent(m.rng, ts.z)
+	l, err := m.lossAndGrad(ts, m.Net.Eval(ts.ws, ts.z))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, ts.grad
+}
+
 func TestParallelLossMatchesSerial(t *testing.T) {
 	// The shard partition is fixed and reduced in shard order, so the loss
 	// and gradient must be BIT-identical — not merely close — for every
 	// worker count.
 	serial := parallelWorld(t, 1)
-	z := serial.latentBatch(serial.cfg.BatchSize)
-	out := serial.Net.Forward(z, false)
-	l1, g1, err := serial.lossAndGrad(out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l1, g1 := evalLossAndGrad(t, serial)
 	for _, workers := range []int{2, 4, 8} {
 		parallel := parallelWorld(t, workers)
 		// Same seed → identical nets and identical latent draws.
-		z2 := parallel.latentBatch(parallel.cfg.BatchSize)
-		out2 := parallel.Net.Forward(z2, false)
-		l2, g2, err := parallel.lossAndGrad(out2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		l2, g2 := evalLossAndGrad(t, parallel)
 		if l1 != l2 {
 			t.Errorf("workers=%d: loss %v differs from serial %v", workers, l2, l1)
 		}
-		for r := range g1 {
-			for c := range g1[r] {
-				if g1[r][c] != g2[r][c] {
-					t.Fatalf("workers=%d: grad[%d][%d] %v differs from serial %v", workers, r, c, g2[r][c], g1[r][c])
+		for r := 0; r < g1.Rows; r++ {
+			for c := 0; c < g1.Dim; c++ {
+				if g1.Row(r)[c] != g2.Row(r)[c] {
+					t.Fatalf("workers=%d: grad[%d][%d] %v differs from serial %v", workers, r, c, g2.Row(r)[c], g1.Row(r)[c])
 				}
 			}
 		}
@@ -92,10 +97,10 @@ func TestTrainedModelIdenticalAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 		gen := m.GenerateEncodedSeeded(64, 99)
-		for r := range refGen {
-			for c := range refGen[r] {
-				if refGen[r][c] != gen[r][c] {
-					t.Fatalf("workers=%d: generated[%d][%d] %v differs from serial %v", workers, r, c, gen[r][c], refGen[r][c])
+		for r := 0; r < refGen.Rows; r++ {
+			for c := 0; c < refGen.Dim; c++ {
+				if refGen.Row(r)[c] != gen.Row(r)[c] {
+					t.Fatalf("workers=%d: generated[%d][%d] %v differs from serial %v", workers, r, c, gen.Row(r)[c], refGen.Row(r)[c])
 				}
 			}
 		}
@@ -111,14 +116,12 @@ func TestGenerateSeededIndependentOfTrainingRNG(t *testing.T) {
 	// Advancing the model's own RNG stream must not change seeded output.
 	_ = m.GenerateEncoded(32)
 	b := m.GenerateEncodedSeeded(32, 7)
-	for r := range a {
-		for c := range a[r] {
-			if a[r][c] != b[r][c] {
-				t.Fatalf("seeded generation drifted at [%d][%d]: %v vs %v", r, c, a[r][c], b[r][c])
-			}
+	for k := range a.Data {
+		if a.Data[k] != b.Data[k] {
+			t.Fatalf("seeded generation drifted at value %d: %v vs %v", k, a.Data[k], b.Data[k])
 		}
 	}
-	if math.IsNaN(a[0][0]) {
+	if math.IsNaN(a.Data[0]) {
 		t.Fatal("NaN in generated output")
 	}
 }
@@ -139,25 +142,43 @@ func TestParallelTrainingIsDeterministic(t *testing.T) {
 	}
 }
 
-func BenchmarkTrainStepSerial(b *testing.B) {
-	model := parallelWorld(b, 1)
-	z := model.latentBatch(model.cfg.BatchSize)
-	out := model.Net.Forward(z, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := model.lossAndGrad(out); err != nil {
-			b.Fatal(err)
+// BenchmarkTrainStep is one full optimizer step (latent draw, training
+// forward, loss and gradient, backward, Adam) at the benchmark's spiral and
+// flights shapes; allocs/op is the steady-state figure the allocation test
+// pins at zero for Workers 1.
+func BenchmarkTrainStep(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		build func(testing.TB, int) *Model
+	}{
+		{"spiral-like", spiralLikeModel},
+		{"flights-like", flightsLikeModel},
+		{"sliced-2d", func(t testing.TB, workers int) *Model { return parallelWorld(t, workers) }},
+	} {
+		for _, workers := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/workers=%d", bc.name, workers), func(b *testing.B) {
+				model := bc.build(b, workers)
+				ts := model.newTrainScratch()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := model.trainStep(ts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }
 
-func BenchmarkTrainStepParallel4(b *testing.B) {
-	model := parallelWorld(b, 4)
-	z := model.latentBatch(model.cfg.BatchSize)
-	out := model.Net.Forward(z, false)
+// BenchmarkForwardEval is one seeded replicate: eval forward plus columnar
+// decode of 2500 rows.
+func BenchmarkForwardEval(b *testing.B) {
+	model := spiralLikeModel(b, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := model.lossAndGrad(out); err != nil {
+		if _, err := model.GenerateSeededWeighted("g", 2500, int64(i), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

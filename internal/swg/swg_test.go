@@ -250,21 +250,17 @@ func TestGenerateIsDeterministicPerSeed(t *testing.T) {
 	m2, _ := trainTiny(t, 9)
 	g1 := m1.GenerateEncoded(16)
 	g2 := m2.GenerateEncoded(16)
-	for i := range g1 {
-		for j := range g1[i] {
-			if g1[i][j] != g2[i][j] {
-				t.Fatalf("same-seed models diverge at [%d][%d]: %g vs %g", i, j, g1[i][j], g2[i][j])
-			}
+	for k := range g1.Data {
+		if g1.Data[k] != g2.Data[k] {
+			t.Fatalf("same-seed models diverge at value %d: %g vs %g", k, g1.Data[k], g2.Data[k])
 		}
 	}
 	m3, _ := trainTiny(t, 10)
 	g3 := m3.GenerateEncoded(16)
 	same := true
-	for i := range g1 {
-		for j := range g1[i] {
-			if g1[i][j] != g3[i][j] {
-				same = false
-			}
+	for k := range g1.Data {
+		if g1.Data[k] != g3.Data[k] {
+			same = false
 		}
 	}
 	if same {
@@ -358,10 +354,7 @@ func TestLambdaKeepsGeneratedNearSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := model.GenerateEncoded(100)
-	var vals []float64
-	for _, v := range enc {
-		vals = append(vals, v[0])
-	}
+	vals := enc.Data // one encoded column: the batch is the column
 	// The sample sits at scaled position (0.5-0)/(1-0)=0.5.
 	if mean := stats.Mean(vals); math.Abs(mean-0.5) > 0.2 {
 		t.Errorf("λ-dominated mean = %.3f, want ≈0.5", mean)

@@ -21,9 +21,11 @@ func benchData(n int) ([]float64, *Weighted, []float64) {
 
 func BenchmarkW1ToUniform500(b *testing.B) {
 	xs, _, targets := benchData(500)
+	var s Scratch
+	grad := make([]float64, len(xs))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := W1ToUniform(xs, targets); err != nil {
+		if _, err := s.W1ToUniform(xs, targets, grad); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,17 +41,15 @@ func BenchmarkQuantiles500(b *testing.B) {
 
 func BenchmarkProjectCols(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	pts := make([][]float64, 500)
+	pts := make([]float64, 500*18)
 	for i := range pts {
-		pts[i] = make([]float64, 18)
-		for j := range pts[i] {
-			pts[i][j] = rng.NormFloat64()
-		}
+		pts[i] = rng.NormFloat64()
 	}
 	cols := []int{0, 3, 7, 11, 15}
 	dir := RandomUnitVector(rng, len(cols))
+	dst := make([]float64, 500)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ProjectCols(pts, cols, dir)
+		ProjectCols(dst, pts, 18, cols, dir)
 	}
 }

@@ -126,32 +126,73 @@ func (w *Weighted) Mean() float64 {
 // With both sides sorted, W1 = (1/n)·Σ |x_(j) − t_j| and ∂W1/∂x_(j) =
 // sign(x_(j) − t_j)/n; the permutation maps gradients back to input order.
 func W1ToUniform(x, targets []float64) (float64, []float64, error) {
+	var s Scratch
+	grad := make([]float64, len(x))
+	d, err := s.W1ToUniform(x, targets, grad)
+	return d, grad, err
+}
+
+// Scratch is the reusable state of the allocation-free W1ToUniform: the
+// batch's values and their input positions, sorted together. One goroutine
+// at a time may use a Scratch.
+type Scratch struct {
+	key []float64
+	at  []int32 // at[j] is the input position of key[j]
+}
+
+// Len, Less and Swap implement sort.Interface over (key, at) pairs.
+func (s *Scratch) Len() int           { return len(s.key) }
+func (s *Scratch) Less(a, b int) bool { return s.key[a] < s.key[b] }
+func (s *Scratch) Swap(a, b int) {
+	s.key[a], s.key[b] = s.key[b], s.key[a]
+	s.at[a], s.at[b] = s.at[b], s.at[a]
+}
+
+// W1ToUniform is the package-level W1ToUniform writing the subgradient into
+// grad (len(x)) and allocating nothing once s has seen a batch this large.
+//
+// Which of several equal x values meets which target decides where the ±1/n
+// subgradients land, so the tie order of the sort is part of the training
+// bit-identity contract. This must stay sort.Sort over the input order: it
+// and the sort.Slice over an index slice it replaced are one generated
+// pdqsort, and carrying the keys along changes no comparison outcome and no
+// swap, so both leave the same permutation
+// (TestScratchW1MatchesSortSlicePermutation).
+func (s *Scratch) W1ToUniform(x, targets, grad []float64) (float64, error) {
 	n := len(x)
 	if len(targets) != n {
-		return 0, nil, fmt.Errorf("wasserstein: %d targets for batch of %d", len(targets), n)
+		return 0, fmt.Errorf("wasserstein: %d targets for batch of %d", len(targets), n)
+	}
+	if len(grad) != n {
+		return 0, fmt.Errorf("wasserstein: gradient buffer of %d for batch of %d", len(grad), n)
 	}
 	if n == 0 {
-		return 0, nil, nil
+		return 0, nil
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	if cap(s.key) < n {
+		s.key, s.at = make([]float64, n), make([]int32, n)
 	}
-	sort.Slice(idx, func(a, b int) bool { return x[idx[a]] < x[idx[b]] })
-	grad := make([]float64, n)
+	s.key, s.at = s.key[:n], s.at[:n]
+	copy(s.key, x)
+	for i := range s.at {
+		s.at[i] = int32(i)
+	}
+	sort.Sort(s)
 	var d float64
 	inv := 1 / float64(n)
-	for j, i := range idx {
-		diff := x[i] - targets[j]
+	for j, i := range s.at {
+		diff := s.key[j] - targets[j]
 		d += math.Abs(diff)
 		switch {
 		case diff > 0:
 			grad[i] = inv
 		case diff < 0:
 			grad[i] = -inv
+		default:
+			grad[i] = 0
 		}
 	}
-	return d * inv, grad, nil
+	return d * inv, nil
 }
 
 // Distance computes the exact W1 between the weighted target and a uniform
@@ -182,30 +223,17 @@ func RandomUnitVector(rng *rand.Rand, d int) []float64 {
 	}
 }
 
-// Project computes the dot products of each row of points with dir.
-func Project(points [][]float64, dir []float64) []float64 {
-	out := make([]float64, len(points))
-	for i, p := range points {
-		var s float64
-		for j, d := range dir {
-			s += p[j] * d
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// ProjectCols projects only the listed columns of each row onto dir
-// (len(dir) == len(cols)); used to slice a marginal's encoded subspace out of
+// ProjectCols projects the listed columns of each row of a flat row-major
+// rows×dim matrix onto dir (len(dir) == len(cols)), one dot product per row
+// into dst (len(dst) rows); used to slice a marginal's encoded subspace out of
 // full generator output.
-func ProjectCols(points [][]float64, cols []int, dir []float64) []float64 {
-	out := make([]float64, len(points))
-	for i, p := range points {
+func ProjectCols(dst, data []float64, dim int, cols []int, dir []float64) {
+	for r := range dst {
+		row := data[r*dim : (r+1)*dim]
 		var s float64
 		for j, c := range cols {
-			s += p[c] * dir[j]
+			s += row[c] * dir[j]
 		}
-		out[i] = s
+		dst[r] = s
 	}
-	return out
 }

@@ -242,16 +242,96 @@ func TestRandomUnitVector(t *testing.T) {
 	}
 }
 
-func TestProjectAndProjectCols(t *testing.T) {
-	pts := [][]float64{{1, 2, 3}, {4, 5, 6}}
-	dir := []float64{1, 0, -1}
-	got := Project(pts, dir)
+func TestProjectCols(t *testing.T) {
+	pts := []float64{1, 2, 3, 4, 5, 6} // 2×3
+	got := make([]float64, 2)
+	ProjectCols(got, pts, 3, []int{0, 1, 2}, []float64{1, 0, -1})
 	if got[0] != -2 || got[1] != -2 {
-		t.Errorf("Project = %v", got)
+		t.Errorf("full projection = %v", got)
 	}
-	got = ProjectCols(pts, []int{2, 0}, []float64{1, 1})
+	ProjectCols(got, pts, 3, []int{2, 0}, []float64{1, 1})
 	if got[0] != 4 || got[1] != 10 {
 		t.Errorf("ProjectCols = %v", got)
+	}
+}
+
+// sliceW1ToUniform is W1ToUniform as it was before it took a Scratch: an
+// index slice ordered by sort.Slice. Training is pinned bit for bit, and
+// where the ±1/n subgradients land depends on how the sort orders equal
+// values, so the scratch form must reproduce this permutation exactly.
+func sliceW1ToUniform(x, targets []float64) (float64, []float64) {
+	n := len(x)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return x[idx[a]] < x[idx[b]] })
+	grad := make([]float64, n)
+	var d float64
+	inv := 1 / float64(n)
+	for j, i := range idx {
+		diff := x[i] - targets[j]
+		d += math.Abs(diff)
+		switch {
+		case diff > 0:
+			grad[i] = inv
+		case diff < 0:
+			grad[i] = -inv
+		}
+	}
+	return d * inv, grad
+}
+
+func TestScratchW1MatchesSortSlicePermutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var s Scratch
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(700)
+		x := make([]float64, n)
+		targets := make([]float64, n)
+		// Few distinct levels → long runs of ties; some trials add NaNs,
+		// presorted or reversed runs (pdqsort's pattern detectors) and
+		// saturated softmax outputs (exact 0 and 1).
+		levels := 1 + rng.Intn(1+trial%40)
+		for i := range x {
+			x[i] = float64(rng.Intn(levels)) / float64(levels)
+			targets[i] = rng.Float64()
+		}
+		switch trial % 5 {
+		case 1:
+			sort.Float64s(x)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(x)))
+		case 3:
+			for k := 0; k < n/10; k++ {
+				x[rng.Intn(n)] = math.NaN()
+			}
+		case 4:
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+		}
+		sort.Float64s(targets)
+		wantD, wantG := sliceW1ToUniform(x, targets)
+		grad := make([]float64, n)
+		for i := range grad {
+			grad[i] = 99 // a reused buffer holds the last call's gradient
+		}
+		gotD, err := s.W1ToUniform(x, targets, grad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(gotD) != math.Float64bits(wantD) {
+			t.Fatalf("trial %d (n=%d): distance %v, sort.Slice form %v", trial, n, gotD, wantD)
+		}
+		for i := range grad {
+			if math.Float64bits(grad[i]) != math.Float64bits(wantG[i]) {
+				t.Fatalf("trial %d (n=%d): grad[%d] %v, sort.Slice form %v", trial, n, i, grad[i], wantG[i])
+			}
+		}
+	}
+	if _, err := s.W1ToUniform([]float64{1, 2}, []float64{1, 2}, make([]float64, 1)); err == nil {
+		t.Error("short gradient buffer should fail")
 	}
 }
 

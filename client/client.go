@@ -1,8 +1,8 @@
 // Package client is a thin Go client for a mosaic-serve instance. It mirrors
 // the mosaic.DB query surface (Query, Run, Exec, Scalar) over HTTP, decoding
 // answers into the same Result/Value types an in-process engine returns —
-// byte-for-byte identical values, as internal/bench's HTTP load mode
-// verifies.
+// byte-for-byte identical values, as internal/server's
+// TestNetworkAnswersMatchInProcess verifies.
 package client
 
 import (
@@ -99,8 +99,12 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if c.priority != "" {
-		req.Header.Set("X-Mosaic-Priority", c.priority)
+	priority := c.priority
+	if p, ok := ctx.Value(priorityKey{}).(string); ok {
+		priority = p
+	}
+	if priority != "" {
+		req.Header.Set("X-Mosaic-Priority", priority)
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		ms := time.Until(dl).Milliseconds()

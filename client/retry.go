@@ -83,6 +83,16 @@ func WithPriority(class string) Option {
 	return func(c *Client) { c.priority = class }
 }
 
+type priorityKey struct{}
+
+// ContextWithPriority overrides WithPriority for every call made under the
+// returned context. The fleet coordinator uses it to forward one inbound
+// request's X-Mosaic-Priority on all of that request's shard and replica
+// calls through its long-lived per-backend clients.
+func ContextWithPriority(ctx context.Context, class string) context.Context {
+	return context.WithValue(ctx, priorityKey{}, class)
+}
+
 // jitterMu guards the shared jitter source (math/rand's global source is
 // also fine, but a dedicated one keeps the client self-contained).
 var (

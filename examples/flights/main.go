@@ -13,14 +13,14 @@ import (
 	"fmt"
 	"log"
 
-	"mosaic/internal/bench"
 	"mosaic/internal/exec"
+	"mosaic/internal/repro"
 	"mosaic/internal/sql"
 	"mosaic/internal/swg"
 )
 
 func main() {
-	setup, err := bench.BuildFlights(bench.FlightsConfig{
+	setup, err := repro.BuildFlights(repro.FlightsConfig{
 		PopN: 30000, OpenSamples: 5, Seed: 3,
 		SWG: swg.Config{
 			Hidden: []int{50, 50, 50}, Latent: 12, Lambda: 1e-6,

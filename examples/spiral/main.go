@@ -11,13 +11,13 @@ import (
 	"fmt"
 	"log"
 
-	"mosaic/internal/bench"
+	"mosaic/internal/repro"
 	"mosaic/internal/swg"
 	"mosaic/internal/table"
 )
 
 func main() {
-	setup, err := bench.BuildSpiral(bench.SpiralConfig{
+	setup, err := repro.BuildSpiral(repro.SpiralConfig{
 		PopN: 20000, SampleN: 4000, Bias: 8, Bins: 32, Seed: 2,
 		SWG: swg.Config{
 			Hidden: []int{64, 64, 64}, Latent: 2, Lambda: 0.04,
@@ -36,7 +36,7 @@ func main() {
 	fmt.Println("\nM-SWG generated sample:")
 	plot(gen)
 
-	res, err := bench.Figure5From(setup)
+	res, err := repro.Figure5From(setup)
 	must(err)
 	fmt.Println()
 	fmt.Println(res)

@@ -4,8 +4,8 @@
 // Themis system [42]. Explicit models answer COUNT-style aggregates by
 // direct inference without materializing tuples — at the cost of the
 // independence assumptions the tree imposes, which Sec 4.2 warns cannot be
-// verified without the population. The ablation harness compares it against
-// the M-SWG (DESIGN.md A5).
+// verified without the population. Ablation A5 (internal/repro) compares it
+// against the M-SWG.
 //
 // Continuous attributes are discretized into equi-width bins; the network
 // stores a root marginal and per-edge conditional probability tables.

@@ -49,6 +49,7 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,6 +65,12 @@ import (
 // budget in milliseconds, intersected with the coordinator's own
 // RequestTimeout and re-propagated to every shard call.
 const deadlineHeader = "X-Mosaic-Deadline-Ms"
+
+// priorityHeader mirrors the mosaic-serve header. The coordinator has no
+// admission classes of its own: it validates the class as a shard would and
+// forwards it verbatim on every shard and replica call of the request, so
+// the shards admit fleet traffic by the class the caller asked for.
+const priorityHeader = "X-Mosaic-Priority"
 
 // Config configures a Coordinator.
 type Config struct {
@@ -417,8 +424,17 @@ func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, into an
 
 // requestCtx derives the request's end-to-end deadline: RequestTimeout
 // intersected with any propagated X-Mosaic-Deadline-Ms. The remaining budget
-// re-propagates to every shard call through the client's own header logic.
+// and any X-Mosaic-Priority class re-propagate to every shard call through
+// the client's own header logic.
 func (c *Coordinator) requestCtx(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
+	parent := r.Context()
+	if raw := r.Header.Get(priorityHeader); raw != "" {
+		if cl := strings.ToLower(raw); cl != "interactive" && cl != "batch" {
+			writeError(w, http.StatusBadRequest, "bad %s %q: want interactive or batch", priorityHeader, raw)
+			return nil, nil, false
+		}
+		parent = client.ContextWithPriority(parent, raw)
+	}
 	timeout := c.cfg.RequestTimeout
 	if raw := r.Header.Get(deadlineHeader); raw != "" {
 		ms, err := strconv.ParseInt(raw, 10, 64)
@@ -435,7 +451,7 @@ func (c *Coordinator) requestCtx(w http.ResponseWriter, r *http.Request) (contex
 			timeout = budget
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(parent, timeout)
 	return ctx, cancel, true
 }
 

@@ -17,9 +17,9 @@ import (
 
 	"mosaic"
 	"mosaic/client"
-	"mosaic/internal/bench"
 	"mosaic/internal/coord"
 	"mosaic/internal/faulty"
+	"mosaic/internal/repro"
 	"mosaic/internal/server"
 	"mosaic/internal/wire"
 )
@@ -30,14 +30,14 @@ import (
 var world struct {
 	once   sync.Once
 	script string
-	cfg    bench.FlightsConfig
+	cfg    repro.FlightsConfig
 	err    error
 }
 
 func worldScript(t *testing.T) (string, *mosaic.Options) {
 	t.Helper()
 	world.once.Do(func() {
-		setup, err := bench.BuildFlights(bench.FlightsConfig{PopN: 4000})
+		setup, err := repro.BuildFlights(repro.FlightsConfig{PopN: 4000})
 		if err != nil {
 			world.err = err
 			return
@@ -71,7 +71,7 @@ var fleetQueries = []string{
 }
 
 // render serializes a result for exact byte comparison (columns + HashKey of
-// every value — the same discipline internal/bench uses).
+// every value, so kinds and float bits count, not just the printed form).
 func render(res *mosaic.Result) string {
 	var b strings.Builder
 	b.WriteString(strings.Join(res.Columns, ","))
@@ -446,6 +446,40 @@ func TestFleetFlakyShardAbsorbedByRetries(t *testing.T) {
 	}
 	if proxy.Dropped.Load() == 0 {
 		t.Error("proxy dropped nothing — the fault injection never engaged")
+	}
+}
+
+// TestFleetForwardsPriorityHeader: the coordinator refuses a malformed
+// X-Mosaic-Priority exactly as a shard does, and forwards a valid class on
+// every shard call of the request — a CLOSED scatter sent as batch is
+// admitted as batch on each shard, where its derived class would have been
+// interactive.
+func TestFleetForwardsPriorityHeader(t *testing.T) {
+	script, opts := worldScript(t)
+	_, shards, _, coordURL := startFleet(t, 2, script, opts)
+	const q = "SELECT CLOSED COUNT(*) FROM Flights"
+
+	_, shardErr := client.New(shards[0].ts.URL, client.WithPriority("urgent")).Query(q)
+	_, coordErr := client.New(coordURL, client.WithPriority("urgent")).Query(q)
+	var re *client.RemoteError
+	if !errors.As(coordErr, &re) || re.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad priority through the coordinator: err = %v, want a 400", coordErr)
+	}
+	if shardErr == nil || coordErr.Error() != shardErr.Error() {
+		t.Errorf("coordinator refusal %q differs from the shard's %q", coordErr, shardErr)
+	}
+
+	if _, err := client.New(coordURL, client.WithPriority("batch")).Query(q); err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range shards {
+		st, err := client.New(sh.ts.URL).Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, in := st.Classes["batch"].Admitted, st.Classes["interactive"].Admitted; b != 1 || in != 0 {
+			t.Errorf("shard %d admitted %d batch / %d interactive requests, want 1 / 0", i, b, in)
+		}
 	}
 }
 

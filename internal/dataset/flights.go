@@ -40,7 +40,7 @@ var carrierShares = []float64{
 
 // FlightsConfig tunes the flights generator.
 type FlightsConfig struct {
-	N    int // rows (default 50000; the paper used 426,411 — see DESIGN.md)
+	N    int // rows (default 50000, sized for a CPU-only laptop; the paper used 426,411)
 	Seed int64
 }
 

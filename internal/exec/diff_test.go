@@ -96,6 +96,7 @@ var diffWheres = []string{
 	"WHERE x NOT BETWEEN 0 AND 400",
 	"WHERE x BETWEEN NULL AND 10",
 	"WHERE x > 100 AND y < 50 OR b",
+	"WHERE c != 'g3' AND y < 75", // text and float kernels under one AND
 	"WHERE NOT (x > 100 OR c = 'g1')",
 	"WHERE x > y",
 	"WHERE x = n",
@@ -147,6 +148,7 @@ var diffShapes = []string{
 	"SELECT COUNT(n), MIN(c), MAX(c), MIN(b), MAX(b) FROM t %s",
 	"SELECT SUM(WEIGHT), MIN(WEIGHT), MAX(WEIGHT), COUNT(WEIGHT) FROM t %s",
 	"SELECT c, COUNT(*), AVG(y) FROM t %s GROUP BY c",
+	"SELECT c, COUNT(*), SUM(x), AVG(y) FROM t %s GROUP BY c", // plain INT SUM per group
 	"SELECT c, b, COUNT(*) AS cnt, SUM(WEIGHT), MIN(n) FROM t %s GROUP BY c, b ORDER BY cnt DESC, c LIMIT 5",
 	"SELECT n, COUNT(n) AS cnt, SUM(y) FROM t %s GROUP BY n HAVING cnt > 2",
 	"SELECT y, COUNT(*) FROM t %s GROUP BY y",
@@ -176,6 +178,7 @@ var diffShapes = []string{
 	"SELECT DISTINCT n, b FROM t %s",
 	"SELECT DISTINCT y FROM t %s ORDER BY y LIMIT 1000000",
 	"SELECT DISTINCT * FROM t %s ORDER BY x LIMIT 7",
+	"SELECT DISTINCT c, n FROM t %s ORDER BY c, n DESC LIMIT 50",
 	"SELECT DISTINCT c, WEIGHT FROM t %s ORDER BY c LIMIT 5", // WEIGHT item: dedup fallback
 	"SELECT DISTINCT x %% 3 AS r FROM t %s ORDER BY r",       // computed item: dedup fallback
 	// Aggregate ORDER BY + LIMIT rides the generic top-K heap.

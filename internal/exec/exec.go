@@ -92,8 +92,8 @@ type Options struct {
 	// stored weights (len must equal table length). Ignored when nil.
 	WeightOverride []float64
 	// ForceRow forces the legacy row-at-a-time executor even when the
-	// vectorized path could serve the query. The differential test harness
-	// and the exec microbenchmarks use it; answers are byte-identical either
+	// vectorized path could serve the query. The differential tests and the
+	// benchmark's answer oracles use it; answers are byte-identical either
 	// way, so production callers never need it.
 	ForceRow bool
 	// Workers is the intra-query parallelism of the columnar kernels: scans

@@ -101,7 +101,7 @@ var shardStressQueries = []string{
 // TestShardConcurrentMutation races sharded scatter-gather queries against
 // concurrent AppendWeighted and Truncate on the same table. Snapshot
 // isolation makes each query see one frozen prefix; the test (run under
-// -race in CI as its own step) asserts no data race and no spurious error —
+// -race in CI) asserts no data race and no spurious error —
 // answer values are unpinnable mid-mutation, so correctness of the scan
 // machinery, not the numbers, is the assertion.
 func TestShardConcurrentMutation(t *testing.T) {

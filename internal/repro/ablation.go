@@ -1,4 +1,4 @@
-package bench
+package repro
 
 import (
 	"fmt"
@@ -453,7 +453,7 @@ func bayesCount(net *bayes.Network, sel *sql.Select, rng *rand.Rand) (float64, e
 		return 0, err
 	}
 	if math.IsNaN(p) {
-		return 0, fmt.Errorf("bench: NaN probability")
+		return 0, fmt.Errorf("repro: NaN probability")
 	}
 	return p * net.Total(), nil
 }

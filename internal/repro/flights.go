@@ -1,4 +1,4 @@
-package bench
+package repro
 
 import (
 	"fmt"
@@ -20,7 +20,7 @@ import (
 // FlightsConfig tunes the flights experiments (Fig 7, the 200-query sweep,
 // and several ablations).
 type FlightsConfig struct {
-	PopN        int     // population rows (paper: 426,411; default 50,000 — see DESIGN.md)
+	PopN        int     // population rows (paper: 426,411; default 50,000, sized for a CPU-only laptop)
 	SampleFrac  float64 // sample fraction (paper: 0.05)
 	BiasFrac    float64 // fraction of sample tuples with elapsed_time > 200 (paper: 0.95)
 	OpenSamples int     // generated replicates per OPEN query (paper: 10)
@@ -409,7 +409,7 @@ func flightsTruthScalar(pop *table.Table, q string) (float64, error) {
 		return 0, err
 	}
 	if len(res.Rows) != 1 || len(res.Rows[0]) != 1 {
-		return 0, fmt.Errorf("bench: %q is not scalar", q)
+		return 0, fmt.Errorf("repro: %q is not scalar", q)
 	}
 	if res.Rows[0][0].IsNull() {
 		return math.NaN(), nil

@@ -1,12 +1,10 @@
-package bench
+package repro
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
 
-	"mosaic/internal/sql"
 	"mosaic/internal/swg"
 )
 
@@ -293,82 +291,6 @@ func TestAblationProjectionsSmoke(t *testing.T) {
 	}
 }
 
-func TestConcurrentClientsSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a generator")
-	}
-	cfg := tinyFlights()
-	cfg.Workers = 2
-	res, err := RunConcurrentClients(ConcurrentConfig{
-		Flights: cfg, Clients: []int{1, 4}, QueriesPerClient: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.QPS <= 0 {
-			t.Errorf("clients=%d: qps = %g", row.Clients, row.QPS)
-		}
-	}
-	if s := res.String(); !strings.Contains(s, "Concurrent clients") {
-		t.Error("String missing header")
-	}
-}
-
-// benchFlights sizes the flights workload so one OPEN query does enough
-// replicate work (10 replicates × 2500 generated tuples) for the worker
-// fan-out to matter.
-func benchFlights(workers int) FlightsConfig {
-	return FlightsConfig{
-		PopN: 50000, SampleFrac: 0.05, BiasFrac: 0.95, OpenSamples: 10,
-		Workers: workers, Seed: 5,
-		SWG: swg.Config{
-			Hidden: []int{50, 50, 50, 50, 50}, Latent: 18, Lambda: 1e-7,
-			BatchSize: 500, Projections: 16, Epochs: 2, StepsPerEpoch: 2,
-			LR: 0.001, Seed: 5,
-		},
-	}
-}
-
-// BenchmarkOpenQueryParallel measures a warm OPEN query (model trained, only
-// replicate generation + combine timed) on the flights workload at different
-// engine worker counts. Answers are asserted byte-identical across worker
-// counts — the speedup must be free of result drift.
-func BenchmarkOpenQueryParallel(b *testing.B) {
-	sel, err := sql.ParseQuery(withVisibility(FlightQueries[4].SQL, "OPEN"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var reference string
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			setup, err := BuildFlights(benchFlights(workers))
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := setup.Engine.Query(sel) // trains the model, untimed
-			if err != nil {
-				b.Fatal(err)
-			}
-			got := res.String()
-			if reference == "" {
-				reference = got
-			} else if got != reference {
-				b.Fatalf("workers=%d answer differs from workers=1:\n%s\nvs\n%s", workers, got, reference)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := setup.Engine.Query(sel); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func TestWithVisibility(t *testing.T) {
 	got := withVisibility("SELECT AVG(d) FROM F", "OPEN")
 	if got != "SELECT OPEN AVG(d) FROM F" {
@@ -386,58 +308,5 @@ func TestQueryError(t *testing.T) {
 	}
 	if !math.IsNaN(queryError(est, nil)) {
 		t.Error("empty truth should be NaN")
-	}
-}
-
-func TestHTTPLoadVerifiesNetworkAnswers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a generator")
-	}
-	cfg := tinyFlights()
-	res, err := RunHTTPLoad(HTTPLoadConfig{
-		Flights: cfg, Clients: []int{1, 4}, QueriesPerClient: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	// 24 warm-up verifications (8 queries × 3 visibilities) + the sweep.
-	if want := 24 + 1*2 + 4*2; res.Verified != want {
-		t.Errorf("Verified = %d, want %d", res.Verified, want)
-	}
-	for _, row := range res.Rows {
-		if row.QPS <= 0 {
-			t.Errorf("clients=%d: qps = %g", row.Clients, row.QPS)
-		}
-	}
-	if s := res.String(); !strings.Contains(s, "byte-for-byte") {
-		t.Error("String missing verification note")
-	}
-}
-
-// TestExecMicroVerifies runs the executor microbenchmarks at a test-sized
-// row count and requires every case to verify byte-identical answers
-// between the row and vectorized paths (the speedup itself is
-// hardware-dependent and asserted only by the committed BENCH_exec.json).
-func TestExecMicroVerifies(t *testing.T) {
-	res, err := RunExecMicro(ExecConfig{Rows: 20000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cases) == 0 {
-		t.Fatal("no benchmark cases ran")
-	}
-	for _, c := range res.Cases {
-		if !c.Match {
-			t.Errorf("case %s (%s): row and vectorized answers diverge", c.Name, c.Query)
-		}
-		if c.Groups == 0 {
-			t.Errorf("case %s: empty answer", c.Name)
-		}
-	}
-	if _, err := res.JSON(); err != nil {
-		t.Fatalf("JSON: %v", err)
 	}
 }

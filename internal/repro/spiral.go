@@ -1,9 +1,9 @@
-// Package bench regenerates every table and figure of the paper's
-// evaluation (Sec 5.3) plus the ablations listed in DESIGN.md. Each
-// experiment is a pure function from a config to a result struct with a
-// String() rendering, so the same drivers back the testing.B benchmarks in
-// bench_test.go and the mosaic-bench CLI.
-package bench
+// Package repro regenerates every table and figure of the paper's
+// evaluation (Sec 3.3, Sec 5.3) plus the ablations A1–A5 of ablation.go.
+// Each experiment is a pure function from a config to a result struct with
+// a String() rendering, so the same drivers back the direction-asserting
+// tests in repro_test.go, the examples and the mosaic-repro CLI.
+package repro
 
 import (
 	"fmt"

@@ -72,7 +72,7 @@ func TestTimeoutCancelsWorkAndFreesSlot(t *testing.T) {
 // TestHTTPParamQueryByteIdentical runs one parameterized query through the
 // real HTTP path and requires the answer byte-identical to the same query
 // with the literal inlined — the wire-level half of the prepared-statement
-// guarantee. CI runs this alongside the exec smoke.
+// guarantee.
 func TestHTTPParamQueryByteIdentical(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	if err := c.Exec(worldScript); err != nil {

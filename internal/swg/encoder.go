@@ -277,46 +277,6 @@ func (e *Encoder) encodeColumn(sp *AttrSpec, snap *table.Snapshot, col *table.Co
 	return nil
 }
 
-// DecodeRow converts one generated vector back into a tuple, forcing
-// categorical blocks to their argmax level ("we … only force the output to
-// be binary for data generation") and clamping/unscaling continuous values.
-// Integer attributes round to the nearest whole number (the flights data's
-// continuous attributes "have been rounded to whole numbers").
-func (e *Encoder) DecodeRow(vec []float64) ([]value.Value, error) {
-	if len(vec) != e.Dim {
-		return nil, fmt.Errorf("swg: vector has %d dims, encoder has %d", len(vec), e.Dim)
-	}
-	out := make([]value.Value, len(e.Attrs))
-	for i := range e.Attrs {
-		sp := &e.Attrs[i]
-		if sp.Categorical {
-			best, bestV := 0, math.Inf(-1)
-			for j := 0; j < sp.Width; j++ {
-				if v := vec[sp.Offset+j]; v > bestV {
-					bestV = v
-					best = j
-				}
-			}
-			out[i] = sp.Cats[best]
-			continue
-		}
-		f := vec[sp.Offset]
-		if f < 0 {
-			f = 0
-		}
-		if f > 1 {
-			f = 1
-		}
-		raw := sp.Min + f*(sp.Max-sp.Min)
-		if sp.Kind == value.KindInt {
-			out[i] = value.Int(int64(math.Round(raw)))
-		} else {
-			out[i] = value.Float(raw)
-		}
-	}
-	return out, nil
-}
-
 // SubspaceCols returns the encoded column indices spanned by the given
 // attributes (a marginal's encoded subspace).
 func (e *Encoder) SubspaceCols(attrs []string) ([]int, error) {

@@ -548,66 +548,18 @@ func (m *Model) generate(ctx context.Context, rng *rand.Rand, n int, sink func(n
 	return nil
 }
 
-// generateEncodedFrom collects n generated encoded vectors into one batch.
-func (m *Model) generateEncodedFrom(rng *rand.Rand, n int) nn.Batch {
-	out := nn.NewBatch(n, m.Enc.Dim)
-	at := 0
-	// The background context never cancels and the sink never fails.
-	_ = m.generate(context.Background(), rng, n, func(b nn.Batch) error {
-		at += copy(out.Data[at:], b.Data)
-		return nil
-	})
-	return out
-}
-
-// DecodeTableRowAppend materializes encoded vectors as a weight-1 tuple
-// table by decoding and appending one row at a time. It is the retired
-// generation path, kept as the reference implementation: DecodeTable must
-// produce byte-identical tables (the swg and core test suites pin this),
-// and the executor benchmarks race the two.
-func (m *Model) DecodeTableRowAppend(name string, enc nn.Batch) (*table.Table, error) {
-	if enc.Dim != m.Enc.Dim {
-		return nil, fmt.Errorf("swg: vector has %d dims, encoder has %d", enc.Dim, m.Enc.Dim)
-	}
-	t := table.New(name, m.Enc.Schema)
-	for i := 0; i < enc.Rows; i++ {
-		row, err := m.Enc.DecodeRow(enc.Row(i))
-		if err != nil {
-			return nil, err
-		}
-		if err := t.Append(row); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// DecodeTable materializes encoded vectors as a tuple table with every row
-// at weight w, writing sampled tuples straight into typed column builders
-// (dictionary codes for TEXT levels, payload slices for continuous
-// attributes) so replicate tables are born columnar: no per-row validation,
-// no per-row locking, no per-row dictionary map lookups. Each categorical
-// level coerces and interns exactly once, on first use — preserving the
-// row-append path's lazy coercion-error behavior — so the resulting table
-// is value-identical to DecodeTableRowAppend (values, kinds, weights, typed
-// columns). Dictionary code NUMBERING may differ when the schema has two or
-// more TEXT attributes (this path interns per attribute within a batch,
-// row-append interns row-major); codes are snapshot-internal, so no query
-// output can observe the difference.
-func (m *Model) DecodeTable(name string, enc nn.Batch, w float64) (*table.Table, error) {
-	d, err := m.newDecoder(name, enc.Rows, w)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.decode(enc); err != nil {
-		return nil, err
-	}
-	return d.table()
-}
-
 // decoder builds one generated table column-natively, a batch of encoded
 // rows at a time: generation decodes each eval batch as it leaves the
-// network instead of first assembling all n encoded vectors.
+// network instead of first assembling all n encoded vectors. Sampled tuples
+// go straight into typed column builders (dictionary codes for TEXT levels,
+// payload slices for continuous attributes), so replicate tables are born
+// columnar: no per-row validation, locking or dictionary map lookups. The
+// result is value-identical (values, kinds, weights, typed columns) to
+// decoding and appending one row at a time — the retired path, kept as the
+// oracle in oracle_test.go. Only dictionary code NUMBERING may differ when
+// the schema has two or more TEXT attributes (this path interns per
+// attribute within a batch, row-append interns row-major); codes are
+// snapshot-internal, so no query output can observe the difference.
 type decoder struct {
 	enc  *Encoder
 	name string
@@ -666,9 +618,9 @@ func (m *Model) newDecoder(name string, n int, w float64) (*decoder, error) {
 	return d, nil
 }
 
-// decode appends b's rows, mirroring Encoder.DecodeRow exactly: categorical
-// blocks force to their argmax level, continuous values clamp to [0,1] and
-// unscale, INT attributes round to the nearest whole number.
+// decode appends b's rows, mirroring the oracle's Encoder.DecodeRow exactly:
+// categorical blocks force to their argmax level, continuous values clamp to
+// [0,1] and unscale, INT attributes round to the nearest whole number.
 func (d *decoder) decode(b nn.Batch) error {
 	if b.Dim != d.enc.Dim {
 		// Same validation (and message) DecodeRow applies per row.
@@ -756,24 +708,9 @@ func (d *decoder) table() (*table.Table, error) {
 	return table.FromColumns(d.name, d.enc.Schema, d.cols, wts, d.dict)
 }
 
-// GenerateEncoded produces n encoded vectors from the trained generator,
-// advancing the model's training RNG stream.
-func (m *Model) GenerateEncoded(n int) nn.Batch {
-	return m.generateEncodedFrom(m.rng, n)
-}
-
 // Generate produces a generated sample table of n tuples with weight 1.
 func (m *Model) Generate(name string, n int) (*table.Table, error) {
 	return m.generateTable(context.Background(), m.rng, name, n, 1)
-}
-
-// GenerateEncodedSeeded produces n encoded vectors from an independent RNG
-// stream derived from seed, leaving the model's training RNG untouched.
-// Eval-mode forward passes are read-only, so concurrent calls on a trained
-// model are safe; equal seeds give bit-identical output regardless of what
-// other goroutines generate.
-func (m *Model) GenerateEncodedSeeded(n int, seed int64) nn.Batch {
-	return m.generateEncodedFrom(rand.New(rand.NewSource(seed)), n)
 }
 
 // GenerateSeeded produces a generated sample table of n tuples with weight 1

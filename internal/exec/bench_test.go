@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mosaic/internal/schema"
 	"mosaic/internal/sql"
 	"mosaic/internal/table"
 	"mosaic/internal/value"
@@ -67,3 +68,44 @@ func BenchmarkGlobalAggregate100k(b *testing.B) {
 		}
 	}
 }
+
+// sortBenchTable is the repo benchmark's closed_scan relation in small: a
+// 10-value and a 100k-value TEXT column sharing the table's one dictionary,
+// an INT measure in [0, 1000) and a FLOAT measure in [0, 100).
+func sortBenchTable(n int) *table.Table {
+	rng := rand.New(rand.NewSource(1))
+	tbl := table.New("t", schema.MustNew(
+		schema.Attribute{Name: "c10", Kind: value.KindText},
+		schema.Attribute{Name: "c100k", Kind: value.KindText},
+		schema.Attribute{Name: "x", Kind: value.KindInt},
+		schema.Attribute{Name: "y", Kind: value.KindFloat},
+	))
+	for i := 0; i < n; i++ {
+		_ = tbl.Append([]value.Value{
+			value.Text(fmt.Sprintf("g%d", rng.Intn(10))),
+			value.Text(fmt.Sprintf("u%d", rng.Intn(100000))),
+			value.Int(int64(rng.Intn(1000))),
+			value.Float(rng.Float64() * 100),
+		})
+	}
+	return tbl
+}
+
+// benchSort times a full columnar ORDER BY (filter-free, so the sort and the
+// materialization of its result are all there is) on the serial path the
+// repo benchmark's engines run.
+func benchSort(b *testing.B, src string) {
+	tbl := sortBenchTable(100000)
+	sel := benchQuery(b, src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(tbl, sel, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSortFull100k(b *testing.B)    { benchSort(b, "SELECT y FROM t ORDER BY y") }
+func BenchmarkSortTwoKeys100k(b *testing.B) { benchSort(b, "SELECT x, y FROM t ORDER BY y DESC, x") }
+func BenchmarkSortTextKey100k(b *testing.B) { benchSort(b, "SELECT c10, x FROM t ORDER BY c10, x") }

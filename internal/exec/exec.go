@@ -638,7 +638,7 @@ func ApplyPostAggregation(ctx context.Context, res *Result, sel *sql.Select) err
 // compare equal under value.Compare keep their relative pre-sort order —
 // scan order for projections, first-occurrence order after DISTINCT, group
 // first-appearance order for aggregates, replicate-0 group order for OPEN
-// combines. Every sort in the engine (this one, the columnar permutation
+// combines. Every sort in the engine (this one, the columnar key-word
 // sort, and the bounded top-K heap) implements this same contract, which is
 // what makes the executors byte-identical and ORDER BY ... LIMIT k equal to
 // the k-prefix of the unlimited query.

@@ -1,25 +1,31 @@
-// Columnar ORDER BY: an index permutation over typed column vectors instead
-// of a generic-comparator sort of materialized rows, plus a bounded heap for
-// ORDER BY ... LIMIT k so a 1M-row top-10 never sorts the full result.
+// Columnar ORDER BY: a key-word sort of candidate row ids over typed column
+// vectors instead of a comparator sort of materialized rows, plus a bounded
+// heap so that ORDER BY ... LIMIT 10 over 1M rows never sorts them all.
 //
 // Tie-break contract (shared with the row engine, orderAndLimit, and
 // exec.ApplyPostAggregation): sorting is STABLE — rows whose ORDER BY keys
 // compare equal under value.Compare keep their pre-sort order, which is scan
 // order for projections, first-occurrence order for DISTINCT, and group
-// first-appearance order for aggregates. The permutation sort reproduces the
-// row engine bit for bit because it runs the same sort.SliceStable algorithm
-// with a comparator that returns the same answer for every pair; the top-K
-// heap reproduces it by totalizing the order with the pre-sort position as
-// the final tie-break, which is exactly what a stable sort does when the key
-// comparator is a strict weak order. value.Compare is NOT a strict weak
-// order when NaN is present (NaN compares equal to everything), so the heap
-// path is guarded by a NaN scan and falls back to the full stable sort.
+// first-appearance order for aggregates.
+//
+// value.Compare over one column is a strict weak order unless a FLOAT value
+// is NaN, and under a strict weak order the stably sorted permutation is
+// UNIQUE: any stable algorithm produces it, so the full sort (sortCandidates)
+// need not run the row engine's. It encodes each key once per candidate as
+// uint64 words whose unsigned order is cmp's (fillWords has the table) and
+// stable-sorts (word, row id) pairs word by word, least significant first:
+// an LSD radix sort, over morsel-sized runs merged with left preference when
+// there are workers. The top-K heap reaches the same prefix by totalizing the
+// order with the pre-sort position. A NaN key (NaN compares equal to
+// everything) makes the outcome algorithm-defined; both then yield to the row
+// engine's own sort.SliceStable behind a value.Compare-exact comparator.
 package exec
 
 import (
 	"context"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -71,16 +77,16 @@ type vecSortKey struct {
 	src  int
 	col  *table.Column // nil for WEIGHT
 	w    []float64     // the effective weight vector when src == srcWeight
-	rank []int32       // TEXT: dictionary code → collation rank
+	rank []int32       // TEXT: dictionary code → collation rank (rankTextKeys)
 }
 
-// resolveVecSortKeys maps every ORDER BY item onto a typed column source.
-// ok=false means some key is not a plain reference to a column-backed output
-// column (a computed output, an expression key, or an unresolvable name) and
-// the caller must fall back to the generic materialized sort.
+// resolveVecSortKeys maps every ORDER BY item onto a typed column source
+// (TEXT keys still need rankTextKeys once the candidates are known). ok=false
+// means some key is not a plain reference to a column-backed output column (a
+// computed output, an expression key, or an unresolvable name) and the caller
+// must fall back to the generic materialized sort.
 func resolveVecSortKeys(snap *table.Snapshot, sel *sql.Select, outCols []string, src []int, rawW []float64) ([]vecSortKey, bool) {
 	keys := make([]vecSortKey, 0, len(sel.OrderBy))
-	var ranks []int32 // built once, shared by every TEXT key of this query
 	for _, o := range sel.OrderBy {
 		col, isCol := o.Expr.(*expr.Column)
 		if !isCol {
@@ -102,32 +108,38 @@ func resolveVecSortKeys(snap *table.Snapshot, sel *sql.Select, outCols []string,
 			k.w = rawW
 		} else {
 			k.col = snap.Col(k.src)
-			if k.col.Kind == value.KindText {
-				if ranks == nil {
-					ranks = textRanks(snap)
-				}
-				k.rank = ranks
-			}
 		}
 		keys = append(keys, k)
 	}
 	return keys, true
 }
 
-// textRanks builds the dictionary-code → collation-rank table: rank order is
-// byte order of the interned strings, matching value.Compare on TEXT.
-func textRanks(snap *table.Snapshot) []int32 {
+// rankTextKeys gives every TEXT key its dictionary-code → collation-rank
+// table (byte order of the interned strings, as in value.Compare), ranking
+// only the codes the key's column holds among the candidates — no other entry
+// is ever used: a table has one dictionary for all its TEXT columns, and a
+// 10-value key must not pay for a 100k-value sibling.
+func rankTextKeys(snap *table.Snapshot, keys []vecSortKey, cand []int32) {
 	strs := snap.DictStrings()
-	idx := make([]int32, len(strs))
-	for i := range idx {
-		idx[i] = int32(i)
+	for ki := range keys {
+		k := &keys[ki]
+		if k.col == nil || k.col.Kind != value.KindText {
+			continue
+		}
+		rank := make([]int32, max(len(strs), 1)) // NULL rows hold code 0, even with nothing interned
+		var codes []uint32
+		for _, ri := range cand {
+			if code := k.col.Codes[ri]; rank[code] == 0 {
+				rank[code] = 1
+				codes = append(codes, code)
+			}
+		}
+		slices.SortFunc(codes, func(x, y uint32) int { return strings.Compare(strs[x], strs[y]) })
+		for r, code := range codes {
+			rank[code] = int32(r)
+		}
+		k.rank = rank
 	}
-	sort.Slice(idx, func(a, b int) bool { return strs[idx[a]] < strs[idx[b]] })
-	rank := make([]int32, len(strs))
-	for r, code := range idx {
-		rank[code] = int32(r)
-	}
-	return rank
 }
 
 // cmp compares rows ri and rj under this key with value.Compare semantics:
@@ -146,16 +158,8 @@ func (k *vecSortKey) cmp(ri, rj int32) int {
 		}
 	}
 	c := k.col
-	ni, nj := c.Null(int(ri)), c.Null(int(rj))
-	if ni || nj {
-		switch {
-		case ni && nj:
-			return 0
-		case ni:
-			return -1
-		default:
-			return 1
-		}
+	if ni, nj := c.Null(int(ri)), c.Null(int(rj)); ni || nj {
+		return boolCmp(nj, ni) // the row that is not NULL is the greater
 	}
 	switch c.Kind {
 	case value.KindInt:
@@ -209,42 +213,184 @@ func rowLess(keys []vecSortKey, ra, rb int32) bool {
 	return false
 }
 
-// vecKeysLess is rowLess over candidate positions a and b.
-func vecKeysLess(keys []vecSortKey, cand []int32, a, b int) bool {
-	return rowLess(keys, cand[a], cand[b])
+// sortPair is one candidate of the key-word sort: its row id and current word.
+type sortPair struct {
+	w  uint64
+	id int32
 }
 
-// sortCandidates stable-sorts the candidate row ids in place. Running the
-// same sort.SliceStable algorithm with a pairwise-identical comparator makes
-// the resulting permutation byte-identical to the row engine's sort of the
-// materialized rows — including under NaN keys, where value.Compare is not
-// a strict weak order and the outcome is algorithm-defined.
-//
-// With workers and a strict weak order (no NaN keys) the sort runs as a
-// parallel stable merge sort instead: under a strict weak order the stably
-// sorted permutation is UNIQUE — any stable algorithm produces it — so
-// chunk-sorting morsels and merging adjacent runs with left preference
-// yields byte-identical output to sort.SliceStable. NaN keys void the
-// uniqueness argument (the outcome becomes algorithm-defined), so they take
-// the serial path, exactly like the top-K heap guard.
+// sortCandidates stable-sorts the candidate row ids in place, byte-identical
+// to the row engine's sort of the materialized rows (see the file comment):
+// one stable sort of the pairs per key word, least significant first. A
+// cancelled sort leaves cand untouched.
 func sortCandidates(ctx context.Context, keys []vecSortKey, cand []int32, workers int) error {
 	if err := checkCtx(ctx); err != nil {
 		return err
 	}
-	totalOrder := keysTotalOrder(keys, cand)
-	// Multi-key sorts re-run the whole key chain on every comparison; under a
-	// strict weak order the chain collapses into one precomputed composite
-	// rank word per candidate, shared by every subsequent comparison.
-	if totalOrder && len(keys) >= 2 {
-		if comp := compositeRanks(keys, cand); comp != nil {
-			return sortByComposite(ctx, cand, comp, workers)
+	if !keysTotalOrder(keys, cand) {
+		sort.SliceStable(cand, func(a, b int) bool { return rowLess(keys, cand[a], cand[b]) })
+		return nil
+	}
+	a, buf := make([]sortPair, len(cand)), make([]sortPair, len(cand))
+	for i, ri := range cand {
+		a[i].id = ri
+	}
+	for ki := len(keys) - 1; ki >= 0; ki-- {
+		k := &keys[ki]
+		words := 1
+		if k.col != nil && k.col.HasNulls() {
+			words = 2 // the value word, then the NULL flag above it
+		}
+		for wi := 0; wi < words; wi++ {
+			k.fillWords(a, wi == 1)
+			if err := sortPairs(ctx, a, buf, workers); err != nil {
+				return err
+			}
 		}
 	}
-	if workers > 1 && len(cand) > morselRows && totalOrder {
-		return parallelSortCandidates(ctx, keys, cand, workers)
+	for i := range a {
+		cand[i] = a[i].id
 	}
-	sort.SliceStable(cand, func(a, b int) bool { return vecKeysLess(keys, cand, a, b) })
 	return nil
+}
+
+// fillWords writes one of this key's words into every pair. Among non-NULL
+// rows the value word orders exactly as cmp does: INT with the sign bit
+// flipped, FLOAT and WEIGHT as floatWord, BOOL 0/1, TEXT the collation rank.
+// The flag word, sorted after it on a column with NULLs, puts NULL below every
+// value; NULL rows get the lowest word of either kind. DESC complements both.
+func (k *vecSortKey) fillWords(a []sortPair, nullFlag bool) {
+	c := k.col
+	var word func(ri int32) uint64
+	switch {
+	case nullFlag:
+		word = func(int32) uint64 { return 1 }
+	case k.src == srcWeight:
+		word = func(ri int32) uint64 { return floatWord(k.w[ri]) }
+	case c.Kind == value.KindInt:
+		word = func(ri int32) uint64 { return uint64(c.Ints[ri]) ^ 1<<63 }
+	case c.Kind == value.KindFloat:
+		word = func(ri int32) uint64 { return floatWord(c.Floats[ri]) }
+	case c.Kind == value.KindBool:
+		word = func(ri int32) uint64 { return uint64(boolCmp(c.Bools[ri], false)) } // 0 / 1
+	default: // TEXT
+		word = func(ri int32) uint64 { return uint64(k.rank[c.Codes[ri]]) }
+	}
+	var flip uint64
+	if k.desc {
+		flip = ^uint64(0)
+	}
+	for i := range a {
+		a[i].w = flip
+		if ri := a[i].id; c == nil || !c.Null(int(ri)) {
+			a[i].w = word(ri) ^ flip
+		}
+	}
+}
+
+// floatWord maps a non-NaN float64 onto a uint64 with the same order: all bits
+// flipped if negative, else the sign bit set. -0 and +0, which compare equal,
+// share a word: distinct words would reorder what the comparator ties.
+func floatWord(f float64) uint64 {
+	if f == 0 {
+		f = 0 // -0 → +0
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// sortPairs stable-sorts a by word; buf is scratch of the same length. With
+// workers and more than one morsel it radix-sorts morsel-sized runs
+// concurrently, then merges adjacent runs in passes of doubling width: left
+// preference on equal words keeps that stable, hence equal to the serial sort.
+func sortPairs(ctx context.Context, a, buf []sortPair, workers int) error {
+	m := len(a)
+	if workers <= 1 || m <= morselRows {
+		return radixSortPairs(ctx, a, buf)
+	}
+	runs := (m + morselRows - 1) / morselRows
+	if err := forEachTask(ctx, runs, workers, func(r int) error {
+		lo := r * morselRows
+		hi := min(lo+morselRows, m)
+		return radixSortPairs(ctx, a[lo:hi], buf[lo:hi])
+	}); err != nil {
+		return err
+	}
+	src, dst := a, buf
+	for width := morselRows; width < m; width *= 2 {
+		merges := (m + 2*width - 1) / (2 * width)
+		if err := forEachTask(ctx, merges, workers, func(p int) error {
+			if err := checkCtx(ctx); err != nil {
+				return err
+			}
+			lo := p * 2 * width
+			mid, hi := min(lo+width, m), min(lo+2*width, m)
+			mergePairs(src[lo:mid], src[mid:hi], dst[lo:hi])
+			return nil
+		}); err != nil {
+			return err
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
+	return nil
+}
+
+// radixSortPairs is the serial kernel: a stable LSD radix sort by word, one
+// counting-sort pass per byte position on which the words differ (small INTs
+// take one or two), with the context checked between passes.
+func radixSortPairs(ctx context.Context, a, buf []sortPair) error {
+	if len(a) < 2 {
+		return nil
+	}
+	var hist [8][256]int32
+	for i := range a {
+		for b, w := 0, a[i].w; b < 8; b, w = b+1, w>>8 {
+			hist[b][byte(w)]++
+		}
+	}
+	src, dst := a, buf
+	for b := range hist {
+		h, shift := &hist[b], uint(8*b)
+		if int(h[byte(src[0].w>>shift)]) == len(src) {
+			continue
+		}
+		if err := checkCtx(ctx); err != nil {
+			return err
+		}
+		var at int32
+		for v, c := range h {
+			h[v] = at
+			at += c
+		}
+		for _, p := range src {
+			v := byte(p.w >> shift)
+			dst[h[v]] = p
+			h[v]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
+	return nil
+}
+
+// mergePairs merges two adjacent sorted runs into out, taking from b only
+// when its head word is strictly less than a's (left preference = stability).
+func mergePairs(a, b, out []sortPair) {
+	for k := range out {
+		if len(a) == 0 || (len(b) > 0 && b[0].w < a[0].w) {
+			out[k], b = b[0], b[1:]
+		} else {
+			out[k], a = a[0], a[1:]
+		}
+	}
 }
 
 // compositeRanks collapses a multi-key ORDER BY into one packed uint64 per
@@ -310,156 +456,9 @@ func compositeRanks(keys []vecSortKey, cand []int32) []uint64 {
 	return comp
 }
 
-// candComposite stable-sorts candidate row ids and their composite rank
-// words as one unit.
-type candComposite struct {
-	cand []int32
-	comp []uint64
-}
-
-func (s candComposite) Len() int           { return len(s.cand) }
-func (s candComposite) Less(a, b int) bool { return s.comp[a] < s.comp[b] }
-func (s candComposite) Swap(a, b int) {
-	s.cand[a], s.cand[b] = s.cand[b], s.cand[a]
-	s.comp[a], s.comp[b] = s.comp[b], s.comp[a]
-}
-
-// sortByComposite stable-sorts cand by its composite rank vector: serial
-// sort.Stable below the parallel threshold, otherwise the same morsel-sort +
-// doubling-merge scheme as parallelSortCandidates with the rank words riding
-// along. Both produce the unique stable permutation of the strict weak order
-// the composite encodes, hence byte-identical output to the key-chain paths.
-func sortByComposite(ctx context.Context, cand []int32, comp []uint64, workers int) error {
-	m := len(cand)
-	if workers <= 1 || m <= morselRows {
-		sort.Stable(candComposite{cand, comp})
-		return nil
-	}
-	if err := forEachMorsel(ctx, m, workers, func(lo, hi int) {
-		sort.Stable(candComposite{cand[lo:hi], comp[lo:hi]})
-	}); err != nil {
-		return err
-	}
-	bufC := make([]int32, m)
-	bufK := make([]uint64, m)
-	srcC, dstC := cand, bufC
-	srcK, dstK := comp, bufK
-	for width := morselRows; width < m; width *= 2 {
-		pairs := (m + 2*width - 1) / (2 * width)
-		w := width
-		sc, dc, sk, dk := srcC, dstC, srcK, dstK
-		if err := forEachTask(ctx, pairs, workers, func(p int) error {
-			if err := checkCtx(ctx); err != nil {
-				return err
-			}
-			lo := p * 2 * w
-			mid, hi := lo+w, lo+2*w
-			if mid > m {
-				mid = m
-			}
-			if hi > m {
-				hi = m
-			}
-			mergeCompositeRuns(sc[lo:mid], sk[lo:mid], sc[mid:hi], sk[mid:hi], dc[lo:hi], dk[lo:hi])
-			return nil
-		}); err != nil {
-			return err
-		}
-		srcC, dstC = dstC, srcC
-		srcK, dstK = dstK, srcK
-	}
-	if &srcC[0] != &cand[0] {
-		copy(cand, srcC)
-	}
-	return nil
-}
-
-// mergeCompositeRuns merges two adjacent sorted runs, taking from b only when
-// its head rank is strictly less (left preference = stability), moving the
-// rank words alongside the row ids.
-func mergeCompositeRuns(aC []int32, aK []uint64, bC []int32, bK []uint64, outC []int32, outK []uint64) {
-	i, j, k := 0, 0, 0
-	for i < len(aC) && j < len(bC) {
-		if bK[j] < aK[i] {
-			outC[k], outK[k] = bC[j], bK[j]
-			j++
-		} else {
-			outC[k], outK[k] = aC[i], aK[i]
-			i++
-		}
-		k++
-	}
-	for ; i < len(aC); i, k = i+1, k+1 {
-		outC[k], outK[k] = aC[i], aK[i]
-	}
-	for ; j < len(bC); j, k = j+1, k+1 {
-		outC[k], outK[k] = bC[j], bK[j]
-	}
-}
-
-// parallelSortCandidates: stable-sort each morsel-sized run concurrently,
-// then merge adjacent run pairs in passes of doubling width. Left preference
-// on equal keys at every merge preserves stability end to end.
-func parallelSortCandidates(ctx context.Context, keys []vecSortKey, cand []int32, workers int) error {
-	m := len(cand)
-	if err := forEachMorsel(ctx, m, workers, func(lo, hi int) {
-		run := cand[lo:hi]
-		sort.SliceStable(run, func(a, b int) bool { return rowLess(keys, run[a], run[b]) })
-	}); err != nil {
-		return err
-	}
-	buf := make([]int32, m)
-	src, dst := cand, buf
-	for width := morselRows; width < m; width *= 2 {
-		pairs := (m + 2*width - 1) / (2 * width)
-		w := width
-		s, d := src, dst
-		if err := forEachTask(ctx, pairs, workers, func(p int) error {
-			if err := checkCtx(ctx); err != nil {
-				return err
-			}
-			lo := p * 2 * w
-			mid, hi := lo+w, lo+2*w
-			if mid > m {
-				mid = m
-			}
-			if hi > m {
-				hi = m
-			}
-			mergeRuns(keys, s[lo:mid], s[mid:hi], d[lo:hi])
-			return nil
-		}); err != nil {
-			return err
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &cand[0] {
-		copy(cand, src)
-	}
-	return nil
-}
-
-// mergeRuns merges two adjacent sorted runs into out, taking from b only
-// when its head is strictly less than a's head (left preference = stability).
-func mergeRuns(keys []vecSortKey, a, b, out []int32) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if rowLess(keys, b[j], a[i]) {
-			out[k] = b[j]
-			j++
-		} else {
-			out[k] = a[i]
-			i++
-		}
-		k++
-	}
-	k += copy(out[k:], a[i:])
-	copy(out[k:], b[j:])
-}
-
 // keysTotalOrder reports whether the keys impose a strict weak order over
 // the candidate rows, i.e. no float key value is NaN. Only then may the
-// heap-based top-K replace the full stable sort.
+// key-word sort or the top-K heap stand in for the row engine's algorithm.
 func keysTotalOrder(keys []vecSortKey, cand []int32) bool {
 	for ki := range keys {
 		k := &keys[ki]

@@ -1810,8 +1810,14 @@ func runAggregateVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sele
 	if emptyGlobal {
 		total = 1
 	}
+	// Every output row is cut from one allocation, capacity-capped so a
+	// caller's append cannot run into the next row; a group HAVING drops just
+	// leaves its cells unused.
+	nc := len(sel.Items)
+	slab := make([]value.Value, total*nc)
+	res.Rows = make([][]value.Value, 0, total)
 	for g := 0; g < total; g++ {
-		row := make([]value.Value, 0, len(sel.Items))
+		row := slab[g*nc : g*nc : (g+1)*nc]
 		ai := 0
 		for ii, it := range sel.Items {
 			if it.Agg == sql.AggNone {
@@ -1942,6 +1948,7 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 		if err := checkCtx(ctx); err != nil {
 			return nil, true, err
 		}
+		rankTextKeys(snap, sortKeys, cand)
 		switch {
 		case sel.Limit == 0:
 			cand = nil
@@ -1967,7 +1974,12 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 	// Plain items (stars, columns, WEIGHT) copy one cell each; only a
 	// computed item needs the whole row materialized and bound.
 	env, _ := makeEnv(snap.Schema())
-	res = &Result{Columns: outCols}
+	res = &Result{Columns: outCols, Rows: make([][]value.Value, 0, len(cand))}
+	nc := len(sources)
+	var slab []value.Value // every plain row is cut from this one allocation
+	if errFree {
+		slab = make([]value.Value, len(cand)*nc)
+	}
 	for ci, ri := range cand {
 		if ci%cancelCheckRows == 0 {
 			if err := checkCtx(ctx); err != nil {
@@ -1976,7 +1988,8 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 		}
 		var out []value.Value
 		if errFree {
-			out = make([]value.Value, len(sources))
+			// Capacity-capped, so a caller's append cannot run into the next row.
+			out = slab[ci*nc : (ci+1)*nc : (ci+1)*nc]
 			for oi, src := range sources {
 				if src == srcWeight {
 					out[oi] = value.Float(rawW[ri])

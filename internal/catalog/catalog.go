@@ -54,9 +54,23 @@ type Sample struct {
 	// From is the population the sample was declared over (the GP).
 	From  string
 	Where expr.Expr
-	// Mechanism is non-nil when the sampling mechanism is known.
-	Mechanism mechanism.Mechanism
+	// Mechanism is non-nil when the sampling mechanism is known. Replace it
+	// through SetMechanism, which also advances MechanismVersion.
+	Mechanism   mechanism.Mechanism
+	mechVersion uint64
 }
+
+// SetMechanism installs or replaces the sample's mechanism. Mechanisms hold
+// maps and expressions and cannot be compared, so each replacement advances
+// a counter instead: state derived from the sample records the counter and
+// is stale once it moves. Like table writes, it must not overlap readers.
+func (s *Sample) SetMechanism(m mechanism.Mechanism) {
+	s.Mechanism = m
+	s.mechVersion++
+}
+
+// MechanismVersion counts the SetMechanism calls on this sample.
+func (s *Sample) MechanismVersion() uint64 { return s.mechVersion }
 
 // Catalog stores all relations. Methods are safe for concurrent use.
 type Catalog struct {

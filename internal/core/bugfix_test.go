@@ -353,7 +353,7 @@ func openWorldWith(t *testing.T, cfg swg.Config) *Engine {
 // decoded into NaN floats and garbage ints in the answer. The OPEN read must
 // fail with the typed divergence error instead — the same error for every
 // later read (divergence is deterministic, so the cached refusal is right),
-// until a write invalidates the slot.
+// until a write to the sample makes the slot stale.
 func TestDivergedTrainingIsTheQueryError(t *testing.T) {
 	e := openWorldWith(t, swg.Config{
 		Hidden: []int{8}, Latent: 2, Epochs: 3, BatchSize: 16, Projections: 4,
@@ -386,14 +386,14 @@ func TestDivergedTrainingIsTheQueryError(t *testing.T) {
 	if got := scalar(t, e, "SELECT CLOSED COUNT(*) FROM World"); got != 6 {
 		t.Errorf("CLOSED COUNT(*) = %g, want 6", got)
 	}
-	// A write drops the cached refusal with everything else; the retrain
-	// diverges again, from scratch.
+	// A write to the sample makes the cached refusal stale like any model;
+	// the retrain diverges again, from scratch.
 	exec1(t, e, "INSERT INTO S VALUES ('a', 1)")
-	if out := explainText(t, e, q); !strings.Contains(out, "model=untrained") {
+	if out := explainText(t, e, q); !strings.Contains(out, "model=stale: sample S grew ") {
 		t.Errorf("EXPLAIN after a write:\n%s", out)
 	}
 	if _, err := e.Query(sel); !errors.Is(err, swg.ErrDiverged) {
-		t.Fatalf("after invalidation: err = %v, want swg.ErrDiverged", err)
+		t.Fatalf("after the write: err = %v, want swg.ErrDiverged", err)
 	}
 }
 

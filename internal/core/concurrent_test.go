@@ -14,10 +14,10 @@ import (
 // mixing every visibility of Query against Ingest, CREATE/DROP METADATA, and
 // UPDATE SAMPLE. Run under -race this is the engine's central safety test:
 // readers share the engine read lock while each mutation takes the write
-// lock and invalidates the model/IPF caches. Queries may legitimately error
-// while metadata is mid-swap (e.g. "needs population marginals"); the test
-// asserts freedom from races, panics, and deadlocks, and that a quiesced
-// engine answers correctly afterwards.
+// lock and changes the inputs the cached models and fits answer for. Queries
+// may legitimately error while metadata is mid-swap (e.g. "needs population
+// marginals"); the test asserts freedom from races, panics, and deadlocks,
+// and that a quiesced engine answers correctly afterwards.
 func TestConcurrentQueriesAndMutations(t *testing.T) {
 	e := NewEngine(Options{
 		Seed:        1,

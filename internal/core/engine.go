@@ -106,12 +106,13 @@ func (o Options) withDefaults() Options {
 
 // Engine executes Mosaic statements. It is safe for concurrent use: SELECT
 // and EXPLAIN run under a shared read lock, so any number of queries proceed
-// in parallel, while DDL/DML statements take the exclusive write lock and
-// invalidate the derived-state caches. Trained M-SWG models and IPF fits are
-// pure functions of (sample, marginals), so they are computed once per
-// sample/population pair — under a single-flight gate, to keep concurrent
-// first queries from training the same model twice — and served read-only
-// thereafter.
+// in parallel, while DDL/DML statements take the exclusive write lock.
+// Trained M-SWG models, IPF fits and inverse-probability weights are pure
+// functions of (sample, mechanism, ordered marginals), so each is computed
+// once — under a single-flight gate, to keep concurrent first queries from
+// training the same model twice — and served read-only for as long as those
+// inputs stay what they were (derived.go). No write evicts anything: a slot
+// whose inputs changed is replaced by the next read that needs it.
 type Engine struct {
 	cat  *catalog.Catalog
 	opts Options
@@ -137,8 +138,11 @@ type Engine struct {
 	// single-flight gates so cacheMu is never held across training or
 	// fitting.
 	cacheMu sync.Mutex
-	models  map[string]*sfEntry[*swg.Model] // key: sample|population
-	ipfFits map[string]*sfEntry[ipfFit]     // key: scope-prefixed sample|population
+	models  map[string]*slot[*swg.Model]      // key: sample|population
+	ipfFits map[string]*slot[ipfFit]          // key: scope-prefixed sample|population
+	unions  map[string]*slot[*catalog.Sample] // key: union(members)|population (UnionSamples)
+
+	cacheStats modelCacheCounters
 
 	// shardScans/shardRows count, per shard index, how many partial scans
 	// the scatter-gather executor ran and how many rows they covered —
@@ -148,11 +152,11 @@ type Engine struct {
 	shardRows  []atomic.Int64
 }
 
-// ipfFit is the cached outcome of a SEMI-OPEN IPF fit for one
+// ipfFit is the cached outcome of a SEMI-OPEN reweighting for one
 // sample/population pair: the whole-sample weight vector for global-scope
-// fits, or the fitted view-restricted sub-table for query-scope fits. Both
-// are served read-only (exec never mutates weight overrides or scanned
-// tables).
+// IPF fits and for known-mechanism inverse-probability weights, or the fitted
+// view-restricted sub-table for query-scope fits. All are served read-only
+// (exec never mutates weight overrides or scanned tables).
 type ipfFit struct {
 	weights []float64
 	sub     *table.Table
@@ -162,9 +166,10 @@ type ipfFit struct {
 // runs the expensive work; concurrent callers wait on ready OR their own
 // context — so a waiter with a short deadline is never held hostage by a
 // slower leader. Completed outcomes (including non-context errors, which are
-// pure functions of the engine state) stay cached until the next mutation
-// invalidates the map; a cancelled attempt leaves the slot empty so the next
-// caller recomputes from scratch.
+// pure functions of the slot's inputs) stay cached for as long as the slot
+// does, i.e. until a lookup finds its inputs changed and replaces it (see
+// slot); a cancelled attempt leaves the slot empty so the next caller
+// recomputes from scratch.
 type sfEntry[T any] struct {
 	val   T
 	err   error
@@ -175,7 +180,7 @@ type sfEntry[T any] struct {
 
 // sfDo resolves one single-flight slot. lookup is called under mu and must
 // return the slot to use (creating it if absent — and re-reading the map
-// every time, so a concurrent invalidation hands out a fresh slot). compute
+// every time, so a slot replaced meanwhile is not resurrected). compute
 // runs without mu held and must honor ctx; a compute outcome that IS a
 // context error (checked with errors.Is, so wrapped cancellations count) is
 // returned to the caller but never cached.
@@ -247,8 +252,9 @@ func NewEngine(opts Options) *Engine {
 	e := &Engine{
 		cat:     catalog.New(),
 		opts:    opts.withDefaults(),
-		models:  make(map[string]*sfEntry[*swg.Model]),
-		ipfFits: make(map[string]*sfEntry[ipfFit]),
+		models:  make(map[string]*slot[*swg.Model]),
+		ipfFits: make(map[string]*slot[ipfFit]),
+		unions:  make(map[string]*slot[*catalog.Sample]),
 	}
 	e.shardScans = make([]atomic.Int64, e.opts.Shards)
 	e.shardRows = make([]atomic.Int64, e.opts.Shards)
@@ -400,8 +406,9 @@ func (e *Engine) execMutation(st sql.Statement, source string) error {
 	case *sql.UpdateWeights:
 		err = e.execUpdateWeights(s)
 	case *sql.Drop:
-		e.invalidateModels()
-		err = e.cat.Drop(s.Kind, s.Name)
+		if err = e.cat.Drop(s.Kind, s.Name); err == nil {
+			e.releaseDropped()
+		}
 	case *sql.Copy:
 		err = e.execCopy(s)
 	default:
@@ -430,25 +437,6 @@ func (e *Engine) DeltaScript(from uint64) ([]LogStmt, uint64, error) {
 	cur := e.gen.Load()
 	stmts, err := e.log.delta(from, cur)
 	return stmts, cur, err
-}
-
-// invalidateModels drops every cached M-SWG model and IPF fit. Callers must
-// hold the engine write lock (all mutation paths do), so no query can be
-// mid-flight with a stale cache entry.
-func (e *Engine) invalidateModels() {
-	e.cacheMu.Lock()
-	e.models = make(map[string]*sfEntry[*swg.Model])
-	e.ipfFits = make(map[string]*sfEntry[ipfFit])
-	e.cacheMu.Unlock()
-}
-
-// invalidateIfSample is the trailer of every ingest path: new tuples in a
-// sample (at weight 1; the stored weights of the old ones are untouched)
-// make every model trained or fitted on it stale.
-func (e *Engine) invalidateIfSample(relation string) {
-	if _, ok := e.cat.Sample(relation); ok {
-		e.invalidateModels()
-	}
 }
 
 // sourceTable resolves a FROM name to a physical table (auxiliary table or
@@ -557,8 +545,7 @@ func (e *Engine) SetSampleMechanism(sample string, m mechanism.Mechanism) error 
 	if !ok {
 		return fmt.Errorf("core: no sample %q", sample)
 	}
-	s.Mechanism = m
-	e.invalidateModels()
+	s.SetMechanism(m)
 	return nil
 }
 
@@ -619,16 +606,16 @@ func (e *Engine) execCreateMetadata(s *sql.CreateMetadata) error {
 			return err
 		}
 	}
-	e.invalidateModels()
 	return e.cat.AddMarginal(s.TargetPopulation(), m)
 }
 
 // AddMarginal attaches a programmatically built marginal to a population.
+// The engine keeps m: models and fits recognise it by pointer, so the caller
+// must not add to or rescale it afterwards.
 func (e *Engine) AddMarginal(pop string, m *marginal.Marginal) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	defer e.logBarrierAndBump()
-	e.invalidateModels()
 	return e.cat.AddMarginal(pop, m)
 }
 
@@ -677,7 +664,6 @@ func (e *Engine) execInsert(s *sql.Insert) error {
 			return err
 		}
 	}
-	e.invalidateIfSample(s.Table)
 	return nil
 }
 
@@ -716,11 +702,7 @@ func (e *Engine) execUpdateWeights(s *sql.UpdateWeights) error {
 		}
 		w[i] = f
 	}
-	if err := t.SetWeights(w); err != nil {
-		return err
-	}
-	e.invalidateModels()
-	return nil
+	return t.SetWeights(w)
 }
 
 // Ingest appends Go-native rows into a table or sample (the bulk-loading
@@ -746,7 +728,6 @@ func (e *Engine) Ingest(relation string, rows [][]any) error {
 			return err
 		}
 	}
-	e.invalidateIfSample(relation)
 	return nil
 }
 
@@ -767,11 +748,7 @@ func (e *Engine) IngestTable(relation string, src *table.Table) error {
 		}
 		return true
 	})
-	if cpErr != nil {
-		return cpErr
-	}
-	e.invalidateIfSample(relation)
-	return nil
+	return cpErr
 }
 
 func andExpr(a, b expr.Expr) expr.Expr {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -84,7 +86,7 @@ func (e *Engine) Explain(sel *sql.Select) (*exec.Result, error) {
 	case sql.VisibilityClosed:
 		add("technique", "sample as stored (user-initialized weights)")
 	case sql.VisibilitySemiOpen:
-		if _, usable, _ := e.knownMechanismWeights(ctx.sample); usable {
+		if mechanismKnown(ctx.sample) {
 			add("technique", "inverse inclusion probability (Horvitz–Thompson)")
 		} else if len(ctx.margs) > 0 {
 			add("technique", "IPF reweighting against marginals")
@@ -110,7 +112,7 @@ func (e *Engine) Explain(sel *sql.Select) (*exec.Result, error) {
 				add("technique", fmt.Sprintf("M-SWG generation: %d replicates × %d tuples across %d workers, group-intersect + average",
 					e.opts.OpenSamples, n, workers))
 			}
-			add("model", e.openModelState(ctx.sample, ctx.modelPop()))
+			add("model", e.openModelState(ctx))
 		}
 	}
 	add("execution", e.execPlan())
@@ -187,7 +189,6 @@ func (e *Engine) execCopy(c *sql.Copy) error {
 			return fmt.Errorf("core: COPY %s row %d: %v", c.Table, ri+1, err)
 		}
 	}
-	e.invalidateIfSample(c.Table)
 	return nil
 }
 
@@ -224,6 +225,11 @@ func parseCSVField(s string, k value.Kind) (value.Value, error) {
 // of the population and let IPF or the M-SWG reweight the combined tuples.
 // The union's mechanism is unknown (the members may have different designs),
 // and the union's weights concatenate the members' stored weights.
+//
+// The union is derived state like the fits and models built on it: its
+// inputs are the member tables, in name order, each at its mutation version,
+// and while those stand every plan gets the same *catalog.Sample back — so
+// what is derived from the union stays valid too.
 func (e *Engine) unionCoveringSamples(gp *catalog.Population, need map[string]bool) (*catalog.Sample, error) {
 	var members []*catalog.Sample
 	for _, s := range e.cat.SamplesOf(gp.Name) {
@@ -244,6 +250,25 @@ func (e *Engine) unionCoveringSamples(gp *catalog.Population, need map[string]bo
 	if len(members) == 1 {
 		return members[0], nil
 	}
+	// The catalog lists samples in map order; the union's row order must not
+	// depend on it.
+	sort.Slice(members, func(i, j int) bool { return members[i].Name < members[j].Name })
+	names := make([]string, len(members))
+	cur := inputs{pop: gp}
+	for i, m := range members {
+		names[i] = m.Name
+		cur.tables = append(cur.tables, stateOf(m.Table))
+	}
+	name := "union(" + strings.Join(names, "+") + ")"
+	// plan has no context to pass on, and materializing a union is bounded
+	// work that nothing needs to interrupt.
+	return derive(context.TODO(), e, e.unions, modelKey(name, gp.Name), cur, nil, func() (*catalog.Sample, error) {
+		return unionSamples(name, gp, members)
+	})
+}
+
+// unionSamples materializes the union of members, in order, under name.
+func unionSamples(name string, gp *catalog.Population, members []*catalog.Sample) (*catalog.Sample, error) {
 	// Use the narrowest member schema all members share: project each
 	// member down to the intersection of attributes so heterogeneous
 	// samples can still union (Sec 7 "Data Integration" relaxation is out
@@ -262,10 +287,8 @@ func (e *Engine) unionCoveringSamples(gp *catalog.Population, need map[string]bo
 			return nil, err
 		}
 	}
-	names := make([]string, len(members))
-	union := table.New("union", common)
-	for i, m := range members {
-		names[i] = m.Name
+	union := table.New(name, common)
+	for _, m := range members {
 		_, idxs, err := m.Table.Schema().Project(common.Names())
 		if err != nil {
 			return nil, err
@@ -283,9 +306,5 @@ func (e *Engine) unionCoveringSamples(gp *catalog.Population, need map[string]bo
 			return nil, appErr
 		}
 	}
-	return &catalog.Sample{
-		Name:  "union(" + strings.Join(names, "+") + ")",
-		Table: union,
-		From:  gp.Name,
-	}, nil
+	return &catalog.Sample{Name: name, Table: union, From: gp.Name}, nil
 }

@@ -76,8 +76,8 @@ func TestExplainOpenModelRow(t *testing.T) {
 		t.Errorf("EXPLAIN differs between equal engines:\n%s\nvs\n%s", got, trained)
 	}
 	exec1(t, e, "INSERT INTO S VALUES ('a', 1)")
-	if out := explainText(t, e, q); !strings.Contains(out, "model=untrained") {
-		t.Errorf("after a write dropped the model:\n%s", out)
+	if out := explainText(t, e, q); !strings.Contains(out, "model=stale: sample S grew 10 → 11 rows (next OPEN read trains 8 epochs × 4 steps)\n") {
+		t.Errorf("after a write to the model's sample:\n%s", out)
 	}
 }
 

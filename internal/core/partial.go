@@ -81,7 +81,7 @@ func (e *Engine) partial(ctx context.Context, sel *sql.Select, shard, shards int
 			q.Where = andExpr(sel.Where, pc.viewPred)
 			return exec.PartialAggregate(ctx, pc.sample.Table.Snapshot(), &q, partialOpts(true, nil), shard, shards)
 		case sql.VisibilitySemiOpen:
-			if w, ok, err := e.knownMechanismWeights(pc.sample); err != nil {
+			if w, ok, err := e.knownMechanismWeights(ctx, pc); err != nil {
 				return nil, true, err
 			} else if ok {
 				q := *sel

@@ -93,6 +93,18 @@ type planContext struct {
 	scope    string               // "query" or "global" (Fig 3's two paths)
 }
 
+// inputs captures what state derived from this plan's sample for pop is
+// computed from, as of now.
+func (pc *planContext) inputs(pop *catalog.Population, margs []*marginal.Marginal) inputs {
+	return inputs{
+		pop:     pop,
+		sample:  pc.sample,
+		mechVer: pc.sample.MechanismVersion(),
+		tables:  []tableState{stateOf(pc.sample.Table)},
+		margs:   margs,
+	}
+}
+
 func (e *Engine) queryPopulation(ctx context.Context, pop *catalog.Population, sel *sql.Select) (*exec.Result, error) {
 	sel = expandStars(sel, pop)
 	pc, err := e.plan(pop, sel)
@@ -288,7 +300,7 @@ func (e *Engine) runClosed(ctx context.Context, pc *planContext, sel *sql.Select
 // runSemiOpen reweights the sample: inverse inclusion probability when the
 // mechanism is known, IPF against the marginal scope otherwise (Sec 4.1).
 func (e *Engine) runSemiOpen(ctx context.Context, pc *planContext, sel *sql.Select) (*exec.Result, error) {
-	if w, ok, err := e.knownMechanismWeights(pc.sample); err != nil {
+	if w, ok, err := e.knownMechanismWeights(ctx, pc); err != nil {
 		return nil, err
 	} else if ok {
 		q := *sel
@@ -327,7 +339,7 @@ func (e *Engine) runSemiOpen(ctx context.Context, pc *planContext, sel *sql.Sele
 // SEMI-OPEN queries skip refitting. The cached table is served read-only.
 func (e *Engine) ipfViewFit(ctx context.Context, pc *planContext) (*table.Table, error) {
 	key := "view|" + modelKey(pc.sample.Name, pc.pop.Name)
-	fit, err := sfDo(ctx, &e.cacheMu, e.ipfSlot(key), func() (ipfFit, error) {
+	fit, err := derive(ctx, e, e.ipfFits, key, pc.inputs(pc.pop, pc.margs), &e.cacheStats.fitted, func() (ipfFit, error) {
 		sub, err := filterTable(ctx, pc.sample.Table, pc.viewPred)
 		if err != nil {
 			return ipfFit{}, err
@@ -349,47 +361,46 @@ func (e *Engine) ipfViewFit(ctx context.Context, pc *planContext) (*table.Table,
 // derived population over one GP shares a single fit. The slice is shared by
 // concurrent queries; exec treats weight overrides as read-only.
 func (e *Engine) ipfGlobalFit(ctx context.Context, pc *planContext) ([]float64, error) {
-	scopePop := pc.pop
-	if pc.scope == "global" {
-		scopePop = pc.gp
-	}
+	scopePop := pc.modelPop()
 	key := "global|" + modelKey(pc.sample.Name, scopePop.Name)
-	fit, err := sfDo(ctx, &e.cacheMu, e.ipfSlot(key), func() (ipfFit, error) {
+	fit, err := derive(ctx, e, e.ipfFits, key, pc.inputs(scopePop, pc.margs), &e.cacheStats.fitted, func() (ipfFit, error) {
 		w, _, err := ipf.FitContext(ctx, pc.sample.Table, pc.margs, e.opts.IPF)
 		return ipfFit{weights: w}, err
 	})
 	return fit.weights, err
 }
 
-// ipfSlot returns a lookup closure for one IPF cache key; sfDo calls it
-// under cacheMu, and re-reading e.ipfFits on every call means a concurrent
-// invalidation hands out a fresh slot.
-func (e *Engine) ipfSlot(key string) func() *sfEntry[ipfFit] {
-	return func() *sfEntry[ipfFit] {
-		ent, ok := e.ipfFits[key]
-		if !ok {
-			ent = &sfEntry[ipfFit]{}
-			e.ipfFits[key] = ent
-		}
-		return ent
+// mechanismKnown reports whether the sample's mechanism yields inclusion
+// probabilities (a stratified design without computed probabilities is
+// treated as unknown).
+func mechanismKnown(s *catalog.Sample) bool {
+	if st, ok := s.Mechanism.(mechanism.Stratified); ok && st.Probs == nil {
+		return false
 	}
+	return s.Mechanism != nil
 }
 
 // knownMechanismWeights returns inverse-probability weights when the
-// sample's mechanism is usable (a stratified design without computed
-// probabilities is treated as unknown).
-func (e *Engine) knownMechanismWeights(s *catalog.Sample) ([]float64, bool, error) {
-	if s.Mechanism == nil {
+// sample's mechanism is usable. The vector depends on the sample and its
+// mechanism alone, so every SEMI-OPEN query on the sample shares one,
+// read-only like an IPF fit — unless the design is uniform: that vector is
+// one constant, refilling it per query costs about a nanosecond a row where
+// a mechanism that reads the tuple costs ~75, and keeping it would hold
+// 8 B a row live for nothing.
+func (e *Engine) knownMechanismWeights(ctx context.Context, pc *planContext) ([]float64, bool, error) {
+	s := pc.sample
+	if !mechanismKnown(s) {
 		return nil, false, nil
 	}
-	if st, ok := s.Mechanism.(mechanism.Stratified); ok && st.Probs == nil {
-		return nil, false, nil
+	if _, uniform := s.Mechanism.(mechanism.Uniform); uniform {
+		w, err := mechanism.InverseWeights(s.Table, s.Mechanism)
+		return w, err == nil, err
 	}
-	w, err := mechanism.InverseWeights(s.Table, s.Mechanism)
-	if err != nil {
-		return nil, false, err
-	}
-	return w, true, nil
+	fit, err := derive(ctx, e, e.ipfFits, "mechanism|"+strings.ToLower(s.Name), pc.inputs(nil, nil), &e.cacheStats.fitted, func() (ipfFit, error) {
+		w, err := mechanism.InverseWeights(s.Table, s.Mechanism)
+		return ipfFit{weights: w}, err
+	})
+	return fit.weights, err == nil, err
 }
 
 // runOpen trains (or reuses) the M-SWG for this sample/population pair,
@@ -405,7 +416,7 @@ func (e *Engine) runOpen(ctx context.Context, pc *planContext, sel *sql.Select) 
 	if pc.scope == "global" {
 		viewPred = pc.viewPred
 	}
-	model, err := e.openModel(ctx, pc.sample, pc.modelPop(), pc.margs)
+	model, err := e.openModel(ctx, pc)
 	if err != nil {
 		return nil, err
 	}
@@ -527,9 +538,9 @@ func replicateSeed(base int64, r int) int64 {
 	return int64(x)
 }
 
-// modelPop is the population whose marginals the OPEN generator trains
-// against — the global population on the global-scope path — and so the
-// population half of its model-cache key.
+// modelPop is the population whose marginals the OPEN generator trains and
+// the global-scope IPF fit rakes against — the global population on the
+// global-scope path — and so the population half of their cache keys.
 func (pc *planContext) modelPop() *catalog.Population {
 	if pc.scope == "global" {
 		return pc.gp
@@ -537,47 +548,50 @@ func (pc *planContext) modelPop() *catalog.Population {
 	return pc.pop
 }
 
-// openModelState describes the model-cache slot an OPEN read of this pair
-// would use, for EXPLAIN. The text depends only on the statement stream and
-// the options (steps and losses are deterministic; no wall time), so two
-// engines that saw the same statements and reads print the same row.
-func (e *Engine) openModelState(s *catalog.Sample, pop *catalog.Population) string {
+// openModelState describes the model-cache slot an OPEN read of this plan
+// would use, for EXPLAIN: never trained, trained from inputs that have since
+// changed (and which one), or usable. The text depends only on the statement
+// stream and the options (steps and losses are deterministic; no wall time),
+// so two engines that saw the same statements and reads print the same row.
+func (e *Engine) openModelState(pc *planContext) string {
+	s, pop := pc.sample, pc.modelPop()
+	cur := pc.inputs(pop, pc.margs)
 	e.cacheMu.Lock()
 	ent := e.models[modelKey(s.Name, pop.Name)]
+	trained := ent != nil && ent.done
 	var model *swg.Model
 	var err error
-	if ent != nil && ent.done {
+	var stale string
+	if trained {
 		model, err = ent.val, ent.err
+		stale, _ = ent.in.diff(&cur)
 	}
 	e.cacheMu.Unlock()
+	cfg := e.opts.SWG.Resolved(s.Table.Len())
+	next := fmt.Sprintf("next OPEN read trains %d epochs × %d steps", cfg.Epochs, cfg.StepsPerEpoch)
 	switch {
+	case !trained:
+		return "untrained (" + next + ")"
+	case stale != "":
+		return "stale: " + stale + " (" + next + ")"
 	case err != nil:
 		return "failed: " + err.Error()
-	case model != nil:
-		return fmt.Sprintf("cached: %d steps, final loss %.6g",
-			len(model.History)*model.Config().StepsPerEpoch, model.History[len(model.History)-1])
 	}
-	cfg := e.opts.SWG.Resolved(s.Table.Len())
-	return fmt.Sprintf("untrained (next OPEN read trains %d epochs × %d steps)", cfg.Epochs, cfg.StepsPerEpoch)
+	return fmt.Sprintf("cached: %d steps, final loss %.6g",
+		len(model.History)*model.Config().StepsPerEpoch, model.History[len(model.History)-1])
 }
 
-// openModel returns a cached or freshly trained M-SWG for the pair, training
-// at most once per (sample, population) even under concurrent first queries.
-// A cancelled training is never cached: the slot stays empty, the canceller
-// gets ctx.Err(), and the next query retrains from scratch — bit-identically,
-// since training is deterministic in (sample, marginals, seed).
-func (e *Engine) openModel(ctx context.Context, s *catalog.Sample, pop *catalog.Population, margs []*marginal.Marginal) (*swg.Model, error) {
-	key := modelKey(s.Name, pop.Name)
-	lookup := func() *sfEntry[*swg.Model] {
-		ent, ok := e.models[key]
-		if !ok {
-			ent = &sfEntry[*swg.Model]{}
-			e.models[key] = ent
-		}
-		return ent
-	}
-	return sfDo(ctx, &e.cacheMu, lookup, func() (*swg.Model, error) {
-		return e.trainOpenModel(ctx, s, margs)
+// openModel returns a cached or freshly trained M-SWG for the plan's
+// sample/population pair, training at most once per input state even under
+// concurrent first queries. A cancelled training is never cached: the slot
+// stays empty, the canceller gets ctx.Err(), and the next query retrains from
+// scratch — bit-identically, since training is deterministic in (sample,
+// marginals, seed), which is also why a model kept across a write answers
+// exactly as one retrained after it would.
+func (e *Engine) openModel(ctx context.Context, pc *planContext) (*swg.Model, error) {
+	pop := pc.modelPop()
+	return derive(ctx, e, e.models, modelKey(pc.sample.Name, pop.Name), pc.inputs(pop, pc.margs), &e.cacheStats.trained, func() (*swg.Model, error) {
+		return e.trainOpenModel(ctx, pc.sample, pc.margs)
 	})
 }
 

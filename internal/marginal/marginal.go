@@ -251,6 +251,42 @@ func (m *Marginal) Clone() *Marginal {
 	return out
 }
 
+// Equal reports whether o would drive IPF and M-SWG training exactly as m
+// does: same name, attributes and bin widths, the same cells in the same
+// insertion order (cell order feeds IPF's sweep order and the generator's
+// RNG draws, so a permutation is a different marginal), cell values of the
+// same kinds, and counts equal bit for bit.
+func (m *Marginal) Equal(o *Marginal) bool {
+	if m == o {
+		return true
+	}
+	if m.Name != o.Name || len(m.Attrs) != len(o.Attrs) || len(m.order) != len(o.order) {
+		return false
+	}
+	for i, a := range m.Attrs {
+		if a != o.Attrs[i] || m.bins[i] != o.bins[i] {
+			return false
+		}
+	}
+	for i, k := range m.order {
+		if k != o.order[i] {
+			return false
+		}
+		// Equal keys fix every value up to INT vs FLOAT (HashKey puts both
+		// in one numeric class), so the kinds are compared beside them.
+		mc, oc := m.cells[k], o.cells[k]
+		if math.Float64bits(mc.Count) != math.Float64bits(oc.Count) {
+			return false
+		}
+		for d, v := range mc.Vals {
+			if v.Kind() != oc.Vals[d].Kind() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // FromTable builds a marginal by grouping a relation on attrs and summing
 // tuple weights (weight 1 rows give plain counts).
 func FromTable(name string, t *table.Table, attrs []string) (*Marginal, error) {

@@ -393,3 +393,47 @@ func TestFromTableBinnedMatchesPerRowAdd(t *testing.T) {
 		}
 	}
 }
+
+// TestEqual: two marginals are equal exactly when IPF and the generator
+// would read them alike — name, attributes, bin widths, cells in insertion
+// order, value kinds, counts bit for bit.
+func TestEqual(t *testing.T) {
+	build := func(name string, width float64, cells ...Cell) *Marginal {
+		m, err := New(name, []string{"v"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if width > 0 {
+			if err := m.SetBinWidth("v", width); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range cells {
+			if err := m.Add(c.Vals, c.Count); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	cell := func(v value.Value, n float64) Cell { return Cell{Vals: []value.Value{v}, Count: n} }
+	one, two := cell(value.Int(1), 40), cell(value.Int(2), 60)
+	base := build("M", 0, one, two)
+	if !base.Equal(base) || !base.Equal(build("M", 0, one, two)) || !base.Equal(base.Clone()) {
+		t.Error("a marginal rebuilt from the same cells in the same order is not Equal")
+	}
+	for what, other := range map[string]*Marginal{
+		"name":       build("N", 0, one, two),
+		"cell order": build("M", 0, two, one),
+		"count ulp":  build("M", 0, one, cell(value.Int(2), math.Nextafter(60, 61))),
+		"value kind": build("M", 0, one, cell(value.Float(2), 60)),
+		"bin width":  build("M", 4, one, two),
+		"fewer":      build("M", 0, one),
+	} {
+		if base.Equal(other) || other.Equal(base) {
+			t.Errorf("marginals differing in %s compare Equal", what)
+		}
+	}
+	if a, b := build("M", 0, cell(value.Float(math.NaN()), 1)), build("M", 0, cell(value.Float(math.NaN()), 1)); !a.Equal(b) {
+		t.Error("equal NaN cells compare unequal")
+	}
+}

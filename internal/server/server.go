@@ -776,9 +776,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.Follower = &fs
 		out.Generation = fs.Generation
 	}
-	// Per-shard scan counters live on the engine (the server has no view of
-	// scatter-gather execution); merge them in when sharding is on.
-	if eng := s.db.Engine(); eng.Shards() > 1 {
+	// The model cache and the per-shard scan counters live on the engine
+	// (the server has no view of either); merge them in once an OPEN or
+	// SEMI-OPEN read has run, and when sharding is on.
+	eng := s.db.Engine()
+	if mc := eng.ModelCacheStats(); mc != (core.ModelCacheStats{}) {
+		out.ModelCache = &wire.ModelCacheStats{Hits: mc.Hits, Revalidated: mc.Revalidated, Trained: mc.Trained, Fitted: mc.Fitted}
+	}
+	if eng.Shards() > 1 {
 		out.Sharding = &wire.ShardStats{
 			Shards: eng.Shards(),
 			Scans:  eng.ShardScans(),

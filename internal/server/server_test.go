@@ -170,6 +170,46 @@ func TestExplainHealthStats(t *testing.T) {
 	}
 }
 
+// TestStatsModelCache pins the /statsz model_cache block: absent until an
+// OPEN or SEMI-OPEN read has run, then counting trainings, fits and hits —
+// and a write that changes none of a model's inputs shows up as hits, not as
+// another training.
+func TestStatsModelCache(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	if err := c.Exec(worldScript); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(worldQueries[0]); err != nil { // CLOSED
+		t.Fatal(err)
+	}
+	if st, err := c.Stats(); err != nil {
+		t.Fatal(err)
+	} else if st.ModelCache != nil {
+		t.Errorf("/statsz reports model_cache %+v before any OPEN or SEMI-OPEN read", st.ModelCache)
+	}
+	for round := 0; round < 2; round++ {
+		for _, q := range worldQueries {
+			if _, err := c.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Re-declaring a marginal with the cells it had changes no input.
+		if err := c.Exec("DROP METADATA World_M2; CREATE METADATA World_M2 AS (SELECT v, n FROM Truth)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ModelCache == nil {
+		t.Fatal("/statsz lacks the model_cache block")
+	}
+	if mc := *st.ModelCache; mc.Trained != 1 || mc.Fitted != 1 || mc.Hits != 2 || mc.Revalidated != 2 {
+		t.Errorf("model_cache = %+v, want 1 trained, 1 fitted, 2 hits, 2 revalidated", mc)
+	}
+}
+
 // TestStatsShardCounters pins the /statsz sharding block: absent on an
 // unsharded engine, and populated with per-shard scan counters once a
 // sharded engine has served a CLOSED aggregate.

@@ -38,6 +38,11 @@ type Table struct {
 	wts    []float64 // one weight per tuple; its length is the tuple count
 	cols   []Column
 	dict   *Dict
+	// version counts mutations: every append, weight write and Truncate
+	// advances it, so (table identity, version) names one exact content.
+	// Derived state (IPF fits, trained models) records the pair it was
+	// computed from and is valid exactly while the pair still matches.
+	version uint64
 
 	// codeMu guards codeCache, the per-(column, bin width) cache of
 	// materialized code vectors served through Snapshot.Codes/BinnedCodes
@@ -66,6 +71,14 @@ func (t *Table) Len() int {
 	return len(t.wts)
 }
 
+// Version returns the table's mutation counter. It only ever grows, and two
+// reads that return the same value saw the same rows and weights.
+func (t *Table) Version() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.version
+}
+
 // Append validates and stores a row with weight 1.
 func (t *Table) Append(row []value.Value) error {
 	return t.AppendWeighted(row, 1)
@@ -89,6 +102,7 @@ func (t *Table) AppendWeighted(row []value.Value, w float64) error {
 		t.cols[ci].appendValue(i, vr[ci], t.dict)
 	}
 	t.wts = append(t.wts, w)
+	t.version++
 	t.mu.Unlock()
 	return nil
 }
@@ -125,6 +139,7 @@ func (t *Table) SetWeight(i int, w float64) error {
 	}
 	t.mu.Lock()
 	t.wts[i] = w
+	t.version++
 	t.mu.Unlock()
 	return nil
 }
@@ -136,12 +151,15 @@ func (t *Table) SetWeights(w []float64) error {
 	if len(w) != len(t.wts) {
 		return fmt.Errorf("table %s: %d weights for %d rows", t.name, len(w), len(t.wts))
 	}
+	// All or nothing: a vector refused half-way must not leave weights
+	// changed under an unchanged version.
 	for i, x := range w {
 		if x < 0 {
 			return fmt.Errorf("table %s: negative weight %g at row %d", t.name, x, i)
 		}
-		t.wts[i] = x
 	}
+	copy(t.wts, w)
+	t.version++
 	return nil
 }
 
@@ -163,6 +181,7 @@ func (t *Table) ResetWeights(w float64) error {
 	for i := range t.wts {
 		t.wts[i] = w
 	}
+	t.version++
 	t.mu.Unlock()
 	return nil
 }
@@ -273,6 +292,7 @@ func (t *Table) Truncate() {
 	t.mu.Lock()
 	t.wts = nil
 	t.cols = newColumns(t.schema)
+	t.version++
 	t.mu.Unlock()
 	t.codeMu.Lock()
 	t.codeCache = nil

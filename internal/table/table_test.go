@@ -290,3 +290,53 @@ func TestConcurrentReaders(t *testing.T) {
 		<-done
 	}
 }
+
+// TestVersionAdvancesOnEveryMutation: derived state is valid while (table,
+// Version) stands, so every call that changes rows or weights must move it —
+// and a call that fails before changing anything, or only reads, must not.
+func TestVersionAdvancesOnEveryMutation(t *testing.T) {
+	tbl := New("t", testSchema)
+	last := tbl.Version()
+	moved := func(what string, want bool) {
+		t.Helper()
+		v := tbl.Version()
+		if (v > last) != want {
+			t.Errorf("%s: version %d → %d, moved should be %v", what, last, v, want)
+		}
+		last = v
+	}
+	fill(t, tbl, [][2]float64{{1, 1}, {2, 2}})
+	moved("Append", true)
+	if err := tbl.Append([]value.Value{value.Text("x"), value.Float(1)}); err == nil {
+		t.Fatal("bad row should fail")
+	}
+	moved("failed Append", false)
+	if err := tbl.AppendWeighted([]value.Value{value.Int(3), value.Float(3)}, 2); err != nil {
+		t.Fatal(err)
+	}
+	moved("AppendWeighted", true)
+	if err := tbl.SetWeight(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	moved("SetWeight", true)
+	if err := tbl.SetWeights([]float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	moved("SetWeights", true)
+	if err := tbl.SetWeights([]float64{1}); err == nil {
+		t.Fatal("short weight vector should fail")
+	}
+	if err := tbl.SetWeights([]float64{9, 9, -1}); err == nil || tbl.Weight(0) != 1 {
+		t.Fatalf("a vector with a negative entry should fail whole: err %v, weight[0] %g", err, tbl.Weight(0))
+	}
+	moved("failed SetWeights", false)
+	if err := tbl.ResetWeights(1); err != nil {
+		t.Fatal(err)
+	}
+	moved("ResetWeights", true)
+	_ = tbl.Snapshot()
+	_ = tbl.Weights()
+	moved("reads", false)
+	tbl.Truncate()
+	moved("Truncate", true)
+}

@@ -107,6 +107,19 @@ type PlanCacheStats struct {
 	Capacity  int   `json:"capacity"`
 }
 
+// ModelCacheStats reports the engine's derived-state cache (trained M-SWG
+// models, IPF fits, inverse-probability weights): Hits are lookups answered
+// by state whose inputs still stood, Revalidated the hits that had to
+// compare a re-declared marginal's content to establish that, Trained and
+// Fitted the models and SEMI-OPEN weight vectors computed because no valid
+// state existed. Present once an OPEN or SEMI-OPEN read has run.
+type ModelCacheStats struct {
+	Hits        int64 `json:"hits"`
+	Revalidated int64 `json:"revalidated"`
+	Trained     int64 `json:"trained"`
+	Fitted      int64 `json:"fitted"`
+}
+
 // ShardStats reports the engine's sharded-execution counters: how many
 // partial aggregate plans each range shard has served and how many rows each
 // scanned. Present only when the engine runs with Shards > 1.
@@ -130,6 +143,7 @@ type StatsResponse struct {
 	Visibilities     map[string]VisibilityStats `json:"visibilities"`
 	Classes          map[string]ClassStats      `json:"classes,omitempty"`
 	PlanCache        *PlanCacheStats            `json:"plan_cache,omitempty"`
+	ModelCache       *ModelCacheStats           `json:"model_cache,omitempty"`
 	Snapshots        int64                      `json:"snapshots"`
 	LastSnapshotUnix int64                      `json:"last_snapshot_unix,omitempty"`
 	LastSnapshotSize int64                      `json:"last_snapshot_bytes,omitempty"`

@@ -513,7 +513,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// non-aggregate shapes return raw tuples — neither decomposes into
 	// mergeable partial states. Both pass through whole; every shard holds
 	// the full data, so shard 0's answer IS the fleet's answer.
-	if sel.Visibility == sql.VisibilityOpen || !sel.HasAggregates() {
+	if sel.Visibility == sql.VisibilityOpen || !sel.IsAggregate() {
 		c.passQueryLocked(ctx, w, &req)
 		return
 	}
@@ -794,7 +794,7 @@ func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mode := fmt.Sprintf("scatter-gather over %d shard processes, partial states merged in shard order", len(c.backends))
-	if sel.Visibility == sql.VisibilityOpen || !sel.HasAggregates() {
+	if sel.Visibility == sql.VisibilityOpen || !sel.IsAggregate() {
 		mode = "pass-through to shard 0 (not partial-executable; every shard holds the full data)"
 	}
 	res := &exec.Result{Columns: []string{"property", "value"}}

@@ -18,108 +18,95 @@ import (
 
 // Explain describes how a SELECT would be answered without running it: the
 // relation kind, the resolved visibility, the chosen sample, the marginal
-// scope (Fig 3's two paths), and the debiasing technique. Like Query it runs
-// on the engine's shared read path.
+// scope (Fig 3's two paths), and the debiasing technique — the same route and
+// scan decision the read paths execute, so EXPLAIN refuses what they refuse.
+// Like Query it runs on the engine's shared read path.
 func (e *Engine) Explain(sel *sql.Select) (*exec.Result, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	rt, err := e.resolve(sel)
+	if err != nil {
+		return nil, err
+	}
 	res := &exec.Result{Columns: []string{"property", "value"}}
 	add := func(k, v string) {
 		res.Rows = append(res.Rows, []value.Value{value.Text(k), value.Text(v)})
 	}
-	kind := e.cat.Resolve(sel.From)
 	add("relation", sel.From)
-	switch kind {
-	case "":
-		return nil, fmt.Errorf("core: unknown relation %q", sel.From)
+	switch rt.kind {
 	case "table":
 		add("kind", "auxiliary table")
-		add("technique", "direct scan (closed world)")
-		add("execution", e.execPlan())
-		if p := e.shardPlan(sql.VisibilityClosed); p != "" {
-			add("sharding", p)
-		}
-		return res, nil
 	case "sample":
 		add("kind", "sample")
-		add("technique", "direct scan over stored weights")
-		add("execution", e.execPlan())
-		if p := e.shardPlan(sql.VisibilityClosed); p != "" {
-			add("sharding", p)
-		}
-		return res, nil
-	}
-	pop, _ := e.cat.Population(sel.From)
-	if pop.Global {
-		add("kind", "global population")
-	} else {
-		add("kind", fmt.Sprintf("population (view over %s)", pop.From))
-	}
-	vis := sel.Visibility
-	if vis == sql.VisibilityDefault {
-		vis = sql.VisibilitySemiOpen
-		add("visibility", vis.String()+" (default)")
-	} else {
-		add("visibility", vis.String())
-	}
-	ctx, err := e.plan(pop, sel)
-	if err != nil {
-		return nil, err
-	}
-	add("sample", fmt.Sprintf("%s (%d tuples)", ctx.sample.Name, ctx.sample.Table.Len()))
-	if ctx.sample.Mechanism != nil {
-		add("mechanism", ctx.sample.Mechanism.Name())
-	} else {
-		add("mechanism", "unknown")
-	}
-	if len(ctx.margs) > 0 {
-		names := make([]string, len(ctx.margs))
-		for i, m := range ctx.margs {
-			names[i] = m.Name
-		}
-		add("marginal scope", ctx.scope+" population")
-		add("marginals", strings.Join(names, ", "))
-	} else {
-		add("marginals", "none")
-	}
-	switch vis {
-	case sql.VisibilityClosed:
-		add("technique", "sample as stored (user-initialized weights)")
-	case sql.VisibilitySemiOpen:
-		if mechanismKnown(ctx.sample) {
-			add("technique", "inverse inclusion probability (Horvitz–Thompson)")
-		} else if len(ctx.margs) > 0 {
-			add("technique", "IPF reweighting against marginals")
+	default:
+		pc := rt.pc
+		if pc.pop.Global {
+			add("kind", "global population")
 		} else {
-			add("technique", "UNANSWERABLE: no mechanism and no marginals")
+			add("kind", fmt.Sprintf("population (view over %s)", pc.pop.From))
 		}
-	case sql.VisibilityOpen:
-		if len(ctx.margs) == 0 {
-			add("technique", "UNANSWERABLE: OPEN needs marginals")
+		if sel.Visibility == sql.VisibilityDefault {
+			add("visibility", sql.VisibilitySemiOpen.String()+" (default)")
 		} else {
-			n := e.opts.GeneratedRows
-			if n <= 0 {
-				n = ctx.sample.Table.Len()
-			}
-			if !sel.HasAggregates() && len(sel.GroupBy) == 0 {
-				// Non-aggregate OPEN queries answer from a single replicate.
-				add("technique", fmt.Sprintf("M-SWG generation: 1 replicate × %d tuples", n))
-			} else {
-				workers := e.opts.Workers
-				if workers > e.opts.OpenSamples {
-					workers = e.opts.OpenSamples
-				}
-				add("technique", fmt.Sprintf("M-SWG generation: %d replicates × %d tuples across %d workers, group-intersect + average",
-					e.opts.OpenSamples, n, workers))
-			}
-			add("model", e.openModelState(ctx))
+			add("visibility", sel.Visibility.String())
 		}
+		add("sample", fmt.Sprintf("%s (%d tuples)", pc.sample.Name, pc.sample.Table.Len()))
+		if pc.sample.Mechanism != nil {
+			add("mechanism", pc.sample.Mechanism.Name())
+		} else {
+			add("mechanism", "unknown")
+		}
+		if len(pc.margs) > 0 {
+			names := make([]string, len(pc.margs))
+			for i, m := range pc.margs {
+				names[i] = m.Name
+			}
+			add("marginal scope", pc.scope+" population")
+			add("marginals", strings.Join(names, ", "))
+		} else {
+			add("marginals", "none")
+		}
+	}
+	s := e.scanOf(rt, sel)
+	add("technique", e.technique(s))
+	if s.src == wOpen {
+		add("model", e.openModelState(s.pc))
 	}
 	add("execution", e.execPlan())
-	if p := e.shardPlan(vis); p != "" {
+	if p := e.shardPlan(s); p != "" {
 		add("sharding", p)
 	}
 	return res, nil
+}
+
+// technique names the scan's weight source — the same decision bind and
+// runOpen act on.
+func (e *Engine) technique(s scan) string {
+	switch s.src {
+	case wUnweighted:
+		return "direct scan (closed world)"
+	case wStored:
+		if s.pc == nil {
+			return "direct scan over stored weights"
+		}
+		return "sample as stored (user-initialized weights)"
+	case wInverse:
+		return "inverse inclusion probability (Horvitz–Thompson)"
+	case wIPFView, wIPFGlobal:
+		return "IPF reweighting against marginals"
+	case wRefused:
+		return "UNANSWERABLE: " + strings.TrimPrefix(s.err.Error(), "core: ")
+	}
+	n := e.opts.GeneratedRows
+	if n <= 0 {
+		n = s.pc.sample.Table.Len()
+	}
+	if !s.q.IsAggregate() {
+		// Non-aggregate OPEN queries answer from a single replicate.
+		return fmt.Sprintf("M-SWG generation: 1 replicate × %d tuples", n)
+	}
+	return fmt.Sprintf("M-SWG generation: %d replicates × %d tuples across %d workers, group-intersect + average",
+		e.opts.OpenSamples, n, min(e.opts.Workers, e.opts.OpenSamples))
 }
 
 // execPlan describes the physical scan plan: which executor serves the query
@@ -139,17 +126,20 @@ func (e *Engine) execPlan() string {
 
 // shardPlan describes the scatter-gather shard plan alongside the morsel
 // plan; empty when sharding is off (Shards ≤ 1) so single-shard EXPLAIN
-// output stays byte-identical to the pre-sharding engine. Unlike the morsel
+// output stays byte-identical to the pre-sharding engine, and empty for
+// non-aggregate shapes, which the executor never shards. Unlike the morsel
 // plan, the shard plan is part of the answer contract: float aggregates may
 // differ in low-order bits between Shards values (partial-state merges
 // reassociate addition), though for a fixed Shards value answers stay
 // bit-identical across runs and Workers.
-func (e *Engine) shardPlan(vis sql.Visibility) string {
-	if e.opts.Shards <= 1 || e.opts.RowExec {
+func (e *Engine) shardPlan(s scan) string {
+	switch {
+	case e.opts.Shards <= 1 || e.opts.RowExec:
 		return ""
-	}
-	if vis == sql.VisibilityOpen {
+	case s.src == wOpen:
 		return fmt.Sprintf("disabled for OPEN: replicates scan the unified view (models train on the full sample); %d shards serve CLOSED/SEMI-OPEN aggregates only", e.opts.Shards)
+	case !s.q.IsAggregate():
+		return ""
 	}
 	return fmt.Sprintf("scatter-gather over %d contiguous range shards (64-row-aligned bounds), partial aggregate states merged in shard order", e.opts.Shards)
 }

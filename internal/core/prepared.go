@@ -5,18 +5,17 @@ import (
 	"fmt"
 	"sync"
 
-	"mosaic/internal/catalog"
 	"mosaic/internal/exec"
 	"mosaic/internal/sql"
-	"mosaic/internal/table"
 )
 
 // PreparedQuery caches everything about one SELECT that does not depend on
-// bound parameter values: the relation route and, for population queries,
-// the resolved plan (chosen sample, marginal scope, view predicate). Plans
-// are keyed by the engine's DDL/DML generation counter — any mutation
-// invalidates them, and the next execution transparently re-resolves. A
-// PreparedQuery is safe for concurrent use and belongs to one Engine.
+// bound parameter values: its route (resolve) — the relation and, for
+// population queries, the resolved plan (chosen sample, marginal scope, view
+// predicate). Routes are keyed by the engine's DDL/DML generation counter —
+// any mutation invalidates them, and the next execution transparently
+// re-resolves. A PreparedQuery is safe for concurrent use and belongs to one
+// Engine.
 //
 // Parameter placeholders never reach the plan: binding replaces them with
 // literals before execution, and the plan depends only on which columns a
@@ -29,12 +28,8 @@ type PreparedQuery struct {
 	mu     sync.Mutex
 	gen    uint64 // engine generation the cached resolution belongs to
 	valid  bool
-	route  string
-	tbl    *table.Table    // route "table"
-	smp    *catalog.Sample // route "sample"
-	pop    *catalog.Population
-	pc     *planContext // route "population"
-	resErr error        // cached resolution error (also generation-keyed)
+	rt     *route
+	resErr error // cached resolution error (also generation-keyed)
 }
 
 // Prepare readies sel for repeated execution against the engine. Resolution
@@ -60,62 +55,47 @@ func (e *Engine) QueryPrepared(ctx context.Context, pq *PreparedQuery, bound *sq
 	if pq.eng != e {
 		return nil, fmt.Errorf("core: prepared query belongs to a different engine")
 	}
-	if bound.NumParams > 0 {
-		return nil, fmt.Errorf("core: statement has %d unbound parameter(s); bind them with sql.BindParams", bound.NumParams)
-	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if err := pq.resolve(); err != nil {
+	s, err := pq.scanFor(bound)
+	if err != nil {
 		return nil, err
 	}
-	switch pq.route {
-	case "table":
-		if bound.Visibility == sql.VisibilitySemiOpen || bound.Visibility == sql.VisibilityOpen {
-			return nil, fmt.Errorf("core: %s queries apply to populations; %q is an auxiliary table", bound.Visibility, bound.From)
-		}
-		return exec.RunContext(ctx, pq.tbl, bound, e.execOpts(false, nil))
-	case "sample":
-		if bound.Visibility == sql.VisibilitySemiOpen || bound.Visibility == sql.VisibilityOpen {
-			return nil, fmt.Errorf("core: %s queries apply to populations; query the population %q was sampled from", bound.Visibility, bound.From)
-		}
-		return exec.RunContext(ctx, pq.smp.Table, bound, e.execOpts(true, nil))
-	default: // population
-		// Star expansion depends only on the item shapes, which binding
-		// preserves, so expanding the bound statement matches the skeleton.
-		return e.runVisibility(ctx, pq.pc, expandStars(bound, pq.pop))
+	if s.src == wOpen {
+		return e.runOpen(ctx, s)
 	}
+	t, opts, err := e.bind(ctx, s)
+	if err != nil {
+		return nil, err
+	}
+	return exec.RunContext(ctx, t, s.q, opts)
 }
 
-// resolve (re)computes the route and plan when the cached one is missing or
+// scanFor decides how bound reads; a refusal — unbound parameters, a route
+// refusal, an unanswerable visibility — is the error. Callers hold the
+// engine read lock.
+func (pq *PreparedQuery) scanFor(bound *sql.Select) (scan, error) {
+	if bound.NumParams > 0 {
+		return scan{}, fmt.Errorf("core: statement has %d unbound parameter(s); bind them with a prepared statement", bound.NumParams)
+	}
+	rt, err := pq.resolve()
+	if err != nil {
+		return scan{}, err
+	}
+	s := pq.eng.scanOf(rt, bound)
+	return s, s.err
+}
+
+// resolve returns the cached route, re-resolving it when it is missing or
 // from an older engine generation. Callers hold the engine read lock, so the
 // catalog cannot change mid-resolution and the generation read is stable.
-func (pq *PreparedQuery) resolve() error {
-	e := pq.eng
-	gen := e.gen.Load()
+func (pq *PreparedQuery) resolve() (*route, error) {
+	gen := pq.eng.gen.Load()
 	pq.mu.Lock()
 	defer pq.mu.Unlock()
-	if pq.valid && pq.gen == gen {
-		return pq.resErr
+	if !pq.valid || pq.gen != gen {
+		pq.gen, pq.valid = gen, true
+		pq.rt, pq.resErr = pq.eng.resolve(pq.skeleton)
 	}
-	pq.gen = gen
-	pq.valid = true
-	pq.tbl, pq.smp, pq.pop, pq.pc, pq.resErr = nil, nil, nil, nil, nil
-	switch pq.route = e.cat.Resolve(pq.skeleton.From); pq.route {
-	case "table":
-		pq.tbl, _ = e.cat.Table(pq.skeleton.From)
-	case "sample":
-		pq.smp, _ = e.cat.Sample(pq.skeleton.From)
-	case "population":
-		pop, _ := e.cat.Population(pq.skeleton.From)
-		pq.pop = pop
-		pc, err := e.plan(pop, expandStars(pq.skeleton, pop))
-		if err != nil {
-			pq.resErr = err
-			return err
-		}
-		pq.pc = pc
-	default:
-		pq.resErr = fmt.Errorf("core: unknown relation %q", pq.skeleton.From)
-	}
-	return pq.resErr
+	return pq.rt, pq.resErr
 }

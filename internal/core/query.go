@@ -32,55 +32,10 @@ func (e *Engine) Query(sel *sql.Select) (*exec.Result, error) {
 // boundaries — so a cancelled query returns ctx.Err() promptly. Cancellation
 // never corrupts state: caches only ever store completed work (a cancelled
 // training or fit leaves its slot empty for the next caller), so a re-run of
-// the same query returns the byte-identical uncancelled answer.
+// the same query returns the byte-identical uncancelled answer. An ad-hoc
+// query is a prepared statement used once.
 func (e *Engine) QueryContext(ctx context.Context, sel *sql.Select) (*exec.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.query(ctx, sel)
-}
-
-// execOpts assembles the executor options for every CLOSED/SEMI-OPEN (and
-// auxiliary-table) scan: these are the sharded-eligible call sites, so they
-// carry the engine's shard count and the per-shard scan counters. OPEN
-// replicate scans use their own unsharded options (see openReplicate).
-func (e *Engine) execOpts(weighted bool, override []float64) exec.Options {
-	return exec.Options{
-		Weighted:       weighted,
-		WeightOverride: override,
-		ForceRow:       e.opts.RowExec,
-		Workers:        e.opts.Workers,
-		Shards:         e.opts.Shards,
-		ShardScan:      e.recordShardScan,
-	}
-}
-
-func (e *Engine) query(ctx context.Context, sel *sql.Select) (*exec.Result, error) {
-	if sel.NumParams > 0 {
-		return nil, fmt.Errorf("core: statement has %d unbound parameter(s); bind them with a prepared statement", sel.NumParams)
-	}
-	switch e.cat.Resolve(sel.From) {
-	case "table":
-		if sel.Visibility == sql.VisibilitySemiOpen || sel.Visibility == sql.VisibilityOpen {
-			return nil, fmt.Errorf("core: %s queries apply to populations; %q is an auxiliary table", sel.Visibility, sel.From)
-		}
-		t, _ := e.cat.Table(sel.From)
-		return exec.RunContext(ctx, t, sel, e.execOpts(false, nil))
-	case "sample":
-		if sel.Visibility == sql.VisibilitySemiOpen || sel.Visibility == sql.VisibilityOpen {
-			return nil, fmt.Errorf("core: %s queries apply to populations; query the population %q was sampled from", sel.Visibility, sel.From)
-		}
-		s, _ := e.cat.Sample(sel.From)
-		// Direct sample queries honor the stored (user-initialized) weights.
-		return exec.RunContext(ctx, s.Table, sel, e.execOpts(true, nil))
-	case "population":
-		pop, _ := e.cat.Population(sel.From)
-		return e.queryPopulation(ctx, pop, sel)
-	default:
-		return nil, fmt.Errorf("core: unknown relation %q", sel.From)
-	}
+	return e.QueryPrepared(ctx, e.Prepare(sel), sel)
 }
 
 // planContext is everything resolved before executing a population query.
@@ -102,34 +57,6 @@ func (pc *planContext) inputs(pop *catalog.Population, margs []*marginal.Margina
 		mechVer: pc.sample.MechanismVersion(),
 		tables:  []tableState{stateOf(pc.sample.Table)},
 		margs:   margs,
-	}
-}
-
-func (e *Engine) queryPopulation(ctx context.Context, pop *catalog.Population, sel *sql.Select) (*exec.Result, error) {
-	sel = expandStars(sel, pop)
-	pc, err := e.plan(pop, sel)
-	if err != nil {
-		return nil, err
-	}
-	return e.runVisibility(ctx, pc, sel)
-}
-
-// runVisibility dispatches an expanded population query to its visibility
-// path against an already-resolved plan.
-func (e *Engine) runVisibility(ctx context.Context, pc *planContext, sel *sql.Select) (*exec.Result, error) {
-	vis := sel.Visibility
-	if vis == sql.VisibilityDefault {
-		vis = sql.VisibilitySemiOpen
-	}
-	switch vis {
-	case sql.VisibilityClosed:
-		return e.runClosed(ctx, pc, sel)
-	case sql.VisibilitySemiOpen:
-		return e.runSemiOpen(ctx, pc, sel)
-	case sql.VisibilityOpen:
-		return e.runOpen(ctx, pc, sel)
-	default:
-		return nil, fmt.Errorf("core: unsupported visibility %v", vis)
 	}
 }
 
@@ -289,51 +216,6 @@ func (e *Engine) plan(pop *catalog.Population, sel *sql.Select) (*planContext, e
 	return pc, nil
 }
 
-// runClosed answers with the sample as-is (standard LAV-style view
-// answering): the sample table's own weights, no debiasing.
-func (e *Engine) runClosed(ctx context.Context, pc *planContext, sel *sql.Select) (*exec.Result, error) {
-	q := *sel
-	q.Where = andExpr(sel.Where, pc.viewPred)
-	return exec.RunContext(ctx, pc.sample.Table, &q, e.execOpts(true, nil))
-}
-
-// runSemiOpen reweights the sample: inverse inclusion probability when the
-// mechanism is known, IPF against the marginal scope otherwise (Sec 4.1).
-func (e *Engine) runSemiOpen(ctx context.Context, pc *planContext, sel *sql.Select) (*exec.Result, error) {
-	if w, ok, err := e.knownMechanismWeights(ctx, pc); err != nil {
-		return nil, err
-	} else if ok {
-		q := *sel
-		q.Where = andExpr(sel.Where, pc.viewPred)
-		return exec.RunContext(ctx, pc.sample.Table, &q, e.execOpts(true, w))
-	}
-
-	if len(pc.margs) == 0 {
-		return nil, fmt.Errorf("core: SEMI-OPEN query on %q needs a known mechanism or population marginals", pc.pop.Name)
-	}
-
-	if pc.scope == "query" && pc.viewPred != nil {
-		// Fit the view-restricted sub-sample directly to the query
-		// population's marginals (Fig 3, bottom dashed path).
-		sub, err := e.ipfViewFit(ctx, pc)
-		if err != nil {
-			return nil, err
-		}
-		q := *sel
-		return exec.RunContext(ctx, sub, &q, e.execOpts(true, nil))
-	}
-
-	// Global scope: fit the whole sample to the GP marginals, then answer
-	// through the view (Fig 3, left dashed path).
-	w, err := e.ipfGlobalFit(ctx, pc)
-	if err != nil {
-		return nil, err
-	}
-	q := *sel
-	q.Where = andExpr(sel.Where, pc.viewPred)
-	return exec.RunContext(ctx, pc.sample.Table, &q, e.execOpts(true, w))
-}
-
 // ipfViewFit returns the view-restricted sub-sample fitted to the query
 // population's marginals, cached per (sample, population) so repeated
 // SEMI-OPEN queries skip refitting. The cached table is served read-only.
@@ -380,42 +262,31 @@ func mechanismKnown(s *catalog.Sample) bool {
 	return s.Mechanism != nil
 }
 
-// knownMechanismWeights returns inverse-probability weights when the
-// sample's mechanism is usable. The vector depends on the sample and its
-// mechanism alone, so every SEMI-OPEN query on the sample shares one,
-// read-only like an IPF fit — unless the design is uniform: that vector is
-// one constant, refilling it per query costs about a nanosecond a row where
-// a mechanism that reads the tuple costs ~75, and keeping it would hold
-// 8 B a row live for nothing.
-func (e *Engine) knownMechanismWeights(ctx context.Context, pc *planContext) ([]float64, bool, error) {
+// inverseWeights returns the 1/Pr weights of the sample's known mechanism.
+// The vector depends on the sample and its mechanism alone, so every
+// SEMI-OPEN query on the sample shares one, read-only like an IPF fit —
+// unless the design is uniform: that vector is one constant, refilling it per
+// query costs about a nanosecond a row where a mechanism that reads the tuple
+// costs ~75, and keeping it would hold 8 B a row live for nothing.
+func (e *Engine) inverseWeights(ctx context.Context, pc *planContext) ([]float64, error) {
 	s := pc.sample
-	if !mechanismKnown(s) {
-		return nil, false, nil
-	}
 	if _, uniform := s.Mechanism.(mechanism.Uniform); uniform {
-		w, err := mechanism.InverseWeights(s.Table, s.Mechanism)
-		return w, err == nil, err
+		return mechanism.InverseWeights(s.Table, s.Mechanism)
 	}
 	fit, err := derive(ctx, e, e.ipfFits, "mechanism|"+strings.ToLower(s.Name), pc.inputs(nil, nil), &e.cacheStats.fitted, func() (ipfFit, error) {
 		w, err := mechanism.InverseWeights(s.Table, s.Mechanism)
 		return ipfFit{weights: w}, err
 	})
-	return fit.weights, err == nil, err
+	return fit.weights, err
 }
 
-// runOpen trains (or reuses) the M-SWG for this sample/population pair,
-// generates OpenSamples samples, uniformly reweights each to the population
-// size, answers the query on each, and combines per the paper's protocol:
-// groups appearing in all answers are returned with averaged aggregates
-// (Sec 5.3).
-func (e *Engine) runOpen(ctx context.Context, pc *planContext, sel *sql.Select) (*exec.Result, error) {
-	if len(pc.margs) == 0 {
-		return nil, fmt.Errorf("core: OPEN query on %q needs population marginals to train a generator", pc.pop.Name)
-	}
-	viewPred := expr.Expr(nil)
-	if pc.scope == "global" {
-		viewPred = pc.viewPred
-	}
+// runOpen trains (or reuses) the M-SWG for the scan's sample/population
+// pair, generates OpenSamples samples, uniformly reweights each to the
+// population size, answers the query on each, and combines per the paper's
+// protocol: groups appearing in all answers are returned with averaged
+// aggregates (Sec 5.3).
+func (e *Engine) runOpen(ctx context.Context, s scan) (*exec.Result, error) {
+	pc, sel := s.pc, s.q
 	model, err := e.openModel(ctx, pc)
 	if err != nil {
 		return nil, err
@@ -429,8 +300,7 @@ func (e *Engine) runOpen(ctx context.Context, pc *planContext, sel *sql.Select) 
 		return nil, fmt.Errorf("core: sample %q is empty", pc.sample.Name)
 	}
 	q := *sel
-	q.Where = andExpr(sel.Where, viewPred)
-	if !sel.HasAggregates() && len(sel.GroupBy) == 0 {
+	if !sel.IsAggregate() {
 		// Non-aggregate OPEN query: return one generated sample's
 		// qualifying tuples (materializing missing tuples).
 		return e.openReplicate(ctx, pc, model, &q, 0, n, popTotal)

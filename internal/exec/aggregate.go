@@ -1,0 +1,253 @@
+// The columnar aggregate pipeline: plan → scan → finalize. Unsharded
+// queries, in-process Options.Shards scatter-gather, and the fleet's
+// PartialAggregate / GatherPartials are drivers of the same three pieces:
+//
+//   - planAggregate resolves the group keys and weights, compiles the
+//     aggregate inputs against the full snapshot, and applies the
+//     engage/decline guard — so every shard of every process holding the
+//     same data reaches the same decision;
+//   - aggPlan.scan runs selection → group ids → accumulation over the plan's
+//     rows (aggPlan.slice narrows a plan to one shard's range);
+//   - finalize turns merged states into output rows, then HAVING, then
+//     ORDER BY / LIMIT.
+//
+// The unsharded path scans and finalizes with no merge step in between, so
+// Shards: 1 stays byte-identical to the row engine.
+package exec
+
+import (
+	"context"
+
+	"mosaic/internal/expr"
+	"mosaic/internal/sql"
+	"mosaic/internal/table"
+	"mosaic/internal/value"
+)
+
+// aggPlan is an aggregate query planned over one snapshot (or a shard's
+// slice of it).
+type aggPlan struct {
+	snap     *table.Snapshot
+	sel      *sql.Select
+	keyIdx   []int     // schema positions of the GROUP BY columns
+	rawW     []float64 // the weights the scan reads: stored, or the override
+	vaggs    []vecAgg
+	weighted bool
+	workers  int
+}
+
+// planAggregate plans sel over snap. handled=false means the shape is not
+// kernel-covered (or needs the row path's interleaved error ordering) and
+// the caller must answer it on the row path; a nil plan with handled=true
+// carries the error.
+func planAggregate(snap *table.Snapshot, sel *sql.Select, opts Options) (*aggPlan, bool, error) {
+	keyIdx, err := resolveGroupKeys(snap, sel)
+	if err != nil {
+		// Eager validation errors are identical on both paths.
+		return nil, true, err
+	}
+	rawW := snap.Weights()
+	if opts.WeightOverride != nil {
+		rawW = opts.WeightOverride
+	}
+	workers := opts.workers()
+	comp := &kernelCompiler{snap: snap, weights: rawW, n: snap.Len(), workers: workers}
+	vaggs, ok := planVectorAggs(comp, sel)
+	if !ok {
+		return nil, false, nil
+	}
+	// When a compiled aggregate input can error (division-by-zero bits) AND
+	// the filter needs the interpreted fallback, only the row path's
+	// interleaved evaluation (WHERE row i, then aggregate row i) can decide
+	// whether the filter's error or the aggregate's surfaces first — an
+	// interpreted filter can raise errors other than division by zero, so
+	// the messages differ. A kernel filter's only error is the same
+	// division-by-zero, making the order indistinguishable.
+	if sel.Where != nil && aggsCanErr(vaggs, snap.Len()) && compileFilter(sel.Where, snap, rawW, 1) == nil {
+		return nil, false, nil
+	}
+	return &aggPlan{snap: snap, sel: sel, keyIdx: keyIdx, rawW: rawW, vaggs: vaggs, weighted: opts.Weighted, workers: workers}, true, nil
+}
+
+// slice narrows the plan to rows [lo, hi), one shard's contiguous range.
+// Compiled inputs are per-row, so their slice equals compiling the slice;
+// lo is 64-aligned (shardBounds), so bitmaps re-slice on word boundaries.
+func (p *aggPlan) slice(lo, hi int) *aggPlan {
+	s := *p
+	s.snap = p.snap.SliceRange(lo, hi)
+	s.rawW = p.rawW[lo:hi]
+	s.vaggs = make([]vecAgg, len(p.vaggs))
+	for i, a := range p.vaggs {
+		if a.vec != nil {
+			a.vec = a.vec.slice(lo, hi)
+		}
+		s.vaggs[i] = a
+	}
+	return &s
+}
+
+// aggScan is one scan's grouped partial states: ngroups groups in
+// first-appearance scan order, group g first seen at scan row firstRow[g].
+type aggScan struct {
+	states   []*PartialStates
+	ngroups  int
+	firstRow []int32
+}
+
+// scan runs selection → aggregate-error check → weights → group ids →
+// accumulation over the plan's rows.
+func (p *aggPlan) scan(ctx context.Context) (*aggScan, error) {
+	selRows, err := selectRows(ctx, p.snap, p.sel.Where, p.rawW, p.workers)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkAggErrs(p.vaggs, selRows); err != nil {
+		return nil, err
+	}
+	selW := make([]float64, len(selRows))
+	if p.weighted {
+		for k, ri := range selRows {
+			selW[k] = p.rawW[ri]
+		}
+	} else {
+		for k := range selW {
+			selW[k] = 1
+		}
+	}
+	gids, ngroups, firstRow := groupIDs(p.snap, p.keyIdx, selRows, p.workers)
+	states, err := accumulateStates(ctx, p.vaggs, p.snap, selRows, gids, selW, p.rawW, ngroups, p.workers)
+	if err != nil {
+		return nil, err
+	}
+	return &aggScan{states: states, ngroups: ngroups, firstRow: firstRow}, nil
+}
+
+// key returns group g's k-th GROUP BY value.
+func (p *aggPlan) key(s *aggScan, g, k int) value.Value {
+	return p.snap.Value(int(s.firstRow[g]), p.keyIdx[k])
+}
+
+// partial scans rows [lo, hi) into a ShardPartial keyed by group identity.
+func (p *aggPlan) partial(ctx context.Context, lo, hi int) (*ShardPartial, error) {
+	sub := p.slice(lo, hi)
+	s, err := sub.scan(ctx)
+	if err != nil {
+		return nil, err
+	}
+	out := &ShardPartial{
+		Keys:    make([]string, s.ngroups),
+		KeyVals: make([][]value.Value, s.ngroups),
+		States:  s.states,
+		Rows:    hi - lo,
+	}
+	for g := range out.Keys {
+		kv := make([]value.Value, len(p.keyIdx))
+		for k := range kv {
+			kv[k] = sub.key(s, g, k)
+		}
+		out.Keys[g], out.KeyVals[g] = GroupKey(kv), kv
+	}
+	return out, nil
+}
+
+// runAggregateVector answers an aggregate query on the columnar path:
+// unsharded it scans and finalizes; with Shards > 1 it scatters the plan over
+// contiguous range shards and gathers their partials in shard order.
+// handled=false means the row path must answer.
+func runAggregateVector(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, bool, error) {
+	p, handled, err := planAggregate(snap, sel, opts)
+	if p == nil {
+		return nil, handled, err
+	}
+	if opts.Shards <= 1 {
+		s, err := p.scan(ctx)
+		if err != nil {
+			return nil, true, err
+		}
+		res, err := finalize(ctx, sel, s.states, s.ngroups, func(g, k int) value.Value { return p.key(s, g, k) })
+		return res, true, err
+	}
+	// Scatter: shards fan out across the worker pool, and a shard's own
+	// morsel scans use the same pool size. Errors surface in shard order
+	// (forEachTask), and within a shard in scan order — together, the first
+	// erroring selected row in global scan order, exactly like the
+	// unsharded scan.
+	bounds := shardBounds(snap.Len(), opts.Shards)
+	partials := make([]*ShardPartial, len(bounds))
+	err = forEachTask(ctx, len(bounds), p.workers, func(i int) error {
+		part, err := p.partial(ctx, bounds[i][0], bounds[i][1])
+		if err != nil {
+			return err
+		}
+		if opts.ShardScan != nil {
+			opts.ShardScan(i, part.Rows)
+		}
+		partials[i] = part
+		return nil
+	})
+	if err != nil {
+		return nil, true, err
+	}
+	res, err := gather(ctx, sel, partials)
+	return res, true, err
+}
+
+// finalize builds the answer from merged states: one output row per group —
+// GROUP BY items from key, aggregates finalized — all cut from one slab,
+// then HAVING, then ORDER BY / LIMIT against the output columns.
+func finalize(ctx context.Context, sel *sql.Select, states []*PartialStates, ngroups int, key func(g, k int) value.Value) (*Result, error) {
+	total := ngroups
+	if total == 0 && len(sel.GroupBy) == 0 {
+		// A global aggregate over zero selected rows still yields one row of
+		// empty aggregates.
+		total = 1
+		for _, st := range states {
+			st.Grow(1)
+		}
+	}
+	res := &Result{}
+	for _, it := range sel.Items {
+		res.Columns = append(res.Columns, it.Name())
+	}
+	outSchema := outputSchema(res.Columns)
+	keyPos := itemKeyPositions(sel)
+	// Every output row is cut from one allocation, capacity-capped so a
+	// caller's append cannot run into the next row.
+	nc := len(sel.Items)
+	slab := make([]value.Value, total*nc)
+	res.Rows = make([][]value.Value, 0, total)
+	for g := 0; g < total; g++ {
+		row := slab[g*nc : g*nc : (g+1)*nc]
+		ai := 0
+		for ii, it := range sel.Items {
+			if it.Agg == sql.AggNone {
+				row = append(row, key(g, keyPos[ii]))
+			} else {
+				row = append(row, states[ai].Finalize(g))
+				ai++
+			}
+		}
+		if sel.Having != nil {
+			ok, err := expr.Truthy(sel.Having, &expr.Binding{Schema: outSchema, Row: row})
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	if err := orderAndLimit(ctx, res, sel, outSchema); err != nil {
+		return nil, err
+	}
+	if n := len(res.Rows); n < total {
+		// The groups HAVING or LIMIT dropped still fill the slab: copy the
+		// survivors out, so a kept answer holds only its own cells.
+		kept := make([]value.Value, n*nc)
+		for i, row := range res.Rows {
+			res.Rows[i] = append(kept[i*nc:i*nc:(i+1)*nc], row...)
+		}
+	}
+	return res, nil
+}

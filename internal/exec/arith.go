@@ -93,6 +93,30 @@ func (v *numVec) full(n int) *numVec {
 	}
 }
 
+// slice returns rows [lo, hi) of a full (non-scalar) vector, sharing its
+// storage; lo must be 64-aligned unless the range is empty, so the bitmaps
+// re-slice on word boundaries.
+func (v *numVec) slice(lo, hi int) *numVec {
+	s := *v
+	if v.ints != nil {
+		s.ints = v.ints[lo:hi]
+	}
+	if v.floats != nil {
+		s.floats = v.floats[lo:hi]
+	}
+	s.nulls, s.errs = sliceBits(v.nulls, lo), sliceBits(v.errs, lo)
+	return &s
+}
+
+// sliceBits re-slices a bitmap to start at row lo (64-aligned); words past
+// its end are unset bits, which nil already means.
+func sliceBits(bm []uint64, lo int) []uint64 {
+	if w := lo >> 6; w < len(bm) {
+		return bm[w:]
+	}
+	return nil
+}
+
 func bitGet(bm []uint64, i int) bool {
 	if bm == nil {
 		return false

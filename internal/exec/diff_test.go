@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -479,8 +480,71 @@ func FuzzRowVsVector(f *testing.F) {
 					}
 				}
 			}
+			checkFleetPartials(t, src, tbl, sel, s)
 		}
 	})
+}
+
+// checkFleetPartials is the fleet half of the differential oracle: a shape
+// PartialAggregate handles, scattered as PartialAggregate(i of shards) for
+// every i and gathered, must reproduce RunSnapshotContext at Shards: shards
+// bit for bit — or its error.
+func checkFleetPartials(t *testing.T, src string, tbl *table.Table, sel *sql.Select, shards int) {
+	t.Helper()
+	ctx := context.Background()
+	snap := tbl.Snapshot()
+	opts := Options{Weighted: true, Workers: 2, Shards: shards}
+	want, wantErr := RunSnapshotContext(ctx, snap, sel, opts)
+	partials := make([]*ShardPartial, shards)
+	for i := range partials {
+		p, handled, err := PartialAggregate(ctx, snap, sel, opts, i, shards)
+		switch {
+		case !handled && i > 0:
+			t.Fatalf("%q: partial %d of %d declined after partial 0 was handled", src, i, shards)
+		case !handled:
+			return
+		case err != nil:
+			if wantErr == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%q: partial %d of %d errored %v, Shards:%d answer %v", src, i, shards, err, shards, wantErr)
+			}
+			return
+		}
+		partials[i] = p
+	}
+	got, err := GatherPartials(ctx, sel, partials)
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("%q: gather of %d partials errored %v, Shards:%d answer %v", src, shards, err, shards, wantErr)
+	case err != nil:
+		if err.Error() != wantErr.Error() {
+			t.Fatalf("%q: gather error %v, Shards:%d error %v", src, err, shards, wantErr)
+		}
+	case !bitIdentical(want, got):
+		t.Fatalf("%q: %d gathered partials differ from Shards:%d\n--- Shards ---\n%s\n--- gathered ---\n%s", src, shards, shards, want, got)
+	}
+}
+
+// bitIdentical compares two results exactly: columns, kinds, float bits.
+func bitIdentical(a, b *Result) bool {
+	if fmt.Sprint(a.Columns) != fmt.Sprint(b.Columns) || len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i := range a.Rows {
+		for j, x := range a.Rows[i] {
+			y := b.Rows[i][j]
+			if x.Kind() != y.Kind() {
+				return false
+			}
+			if x.Kind() == value.KindFloat {
+				if math.Float64bits(x.AsFloat()) != math.Float64bits(y.AsFloat()) {
+					return false
+				}
+			} else if !value.Equal(x, y) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestAggErrOrderWithInterpretedFilter pins the error-ordering rule for

@@ -111,10 +111,11 @@ type Options struct {
 	// Shards values (the shard merge reassociates addition) — Shards is part
 	// of the answer contract.
 	Shards int
-	// ShardScan, when non-nil, is called once per executed shard partial
-	// with the shard index and the number of rows its slice scanned — the
-	// observability hook behind /statsz's per-shard counters. Must be safe
-	// for concurrent calls.
+	// ShardScan, when non-nil, is called once per shard of an in-process
+	// scatter (Shards > 1) with the shard index and the number of rows its
+	// slice scanned — the observability hook behind /statsz's per-shard
+	// counters. PartialAggregate never calls it: fleet shard indices are the
+	// coordinator's, not this process's. Must be safe for concurrent calls.
 	ShardScan func(shard, rows int)
 }
 
@@ -150,19 +151,11 @@ func RunSnapshot(snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, 
 
 // RunSnapshotContext is RunSnapshot with a cancellation context.
 func RunSnapshotContext(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, error) {
-	if opts.WeightOverride != nil && len(opts.WeightOverride) != snap.Len() {
-		return nil, fmt.Errorf("exec: weight override has %d entries for %d rows", len(opts.WeightOverride), snap.Len())
-	}
-	if err := checkCtx(ctx); err != nil {
+	sel, err := begin(ctx, snap, sel, opts)
+	if err != nil {
 		return nil, err
 	}
-	sel = foldSelect(sel)
-	if sel.HasAggregates() || len(sel.GroupBy) > 0 {
-		if !opts.ForceRow && opts.Shards > 1 {
-			if res, handled, err := runAggregateSharded(ctx, snap, sel, opts); handled {
-				return res, err
-			}
-		}
+	if sel.IsAggregate() {
 		if !opts.ForceRow {
 			if res, handled, err := runAggregateVector(ctx, snap, sel, opts); handled {
 				return res, err
@@ -176,6 +169,18 @@ func RunSnapshotContext(ctx context.Context, snap *table.Snapshot, sel *sql.Sele
 		}
 	}
 	return runProjection(ctx, snap, sel, opts)
+}
+
+// begin is every executor entry point's preamble: validate the weight
+// override against the snapshot, honor an expired context, and fold sel.
+func begin(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*sql.Select, error) {
+	if opts.WeightOverride != nil && len(opts.WeightOverride) != snap.Len() {
+		return nil, fmt.Errorf("exec: weight override has %d entries for %d rows", len(opts.WeightOverride), snap.Len())
+	}
+	if err := checkCtx(ctx); err != nil {
+		return nil, err
+	}
+	return foldSelect(sel), nil
 }
 
 // cancelCheckRows is how many rows a tight scan loop processes between

@@ -2,7 +2,7 @@
 // SUM/COUNT/AVG/MIN/MAX (weighted or not) accumulate inputs, merge partial
 // results, and finalize into output values. Three drivers consume it — the
 // row interpreter (runAggregate), the vectorized executor's group-indexed
-// loops (runAggregateVector, runAggregateSharded), and the OPEN replicate
+// loops (aggregate.go's scan and finalize), and the OPEN replicate
 // combine (core.combineOpenResults) — so the accumulation semantics exist
 // exactly once and every combine layer (morsel, shard, replicate) speaks the
 // same algebra.

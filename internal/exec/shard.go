@@ -3,7 +3,8 @@
 // Options.Shards range-partitions the snapshot into S contiguous slices
 // (shard boundaries are a pure function of the row count and S, and always
 // multiples of 64 so null bitmaps re-slice on word boundaries). Each shard
-// runs the ordinary vectorized aggregate pipeline over its slice and emits
+// runs the ordinary vectorized aggregate scan (aggregate.go) over its slice
+// and emits
 // mergeable partial states; the gather step then merges partials **in shard
 // order** through the shared partial-state algebra before HAVING / ORDER BY
 // / LIMIT apply. Because shards are contiguous in scan order, a group's
@@ -27,7 +28,6 @@ import (
 	"fmt"
 	"strings"
 
-	"mosaic/internal/expr"
 	"mosaic/internal/sql"
 	"mosaic/internal/table"
 	"mosaic/internal/value"
@@ -74,7 +74,7 @@ type ShardPartial struct {
 }
 
 // GroupKey builds the canonical gather key for one group's key values — the
-// same encoding shardPartialAggregate produces, so remote partials merge into
+// same encoding every local partial carries, so remote partials merge into
 // the identical group identity space.
 func GroupKey(kv []value.Value) string {
 	var kb strings.Builder
@@ -87,65 +87,32 @@ func GroupKey(kv []value.Value) string {
 
 // PartialAggregate runs the scatter half of sharded execution for shard
 // `shard` of `shards` over the full snapshot: it plans against the full
-// table (so the engage/decline decision is identical on every shard), slices
-// out the shard's contiguous range, and returns its partial states.
+// table (so the engage/decline decision is identical on every shard), then
+// scans only the shard's contiguous range and returns its partial states.
 // handled=false means the shape is not kernel-coverable (or needs the row
 // path's interleaved error ordering) — the caller must answer the query
 // through the ordinary unsharded path instead. This is the entry point the
 // fleet's /v1/partial endpoint serves; opts.Shards is ignored in favor of
-// the explicit shard/shards pair.
+// the explicit shard/shards pair, and opts.ShardScan is never called (fleet
+// shard indices are the coordinator's, not this process's).
 func PartialAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options, shard, shards int) (*ShardPartial, bool, error) {
 	if shards < 1 || shard < 0 || shard >= shards {
 		return nil, true, fmt.Errorf("exec: shard %d of %d out of range", shard, shards)
 	}
-	if opts.WeightOverride != nil && len(opts.WeightOverride) != snap.Len() {
-		return nil, true, fmt.Errorf("exec: weight override has %d entries for %d rows", len(opts.WeightOverride), snap.Len())
-	}
-	if err := checkCtx(ctx); err != nil {
-		return nil, true, err
-	}
-	sel = foldSelect(sel)
-	if !sel.HasAggregates() && len(sel.GroupBy) == 0 {
-		return nil, false, nil
-	}
-	keyIdx, err := resolveGroupKeys(snap, sel)
+	sel, err := begin(ctx, snap, sel, opts)
 	if err != nil {
 		return nil, true, err
 	}
-	rawW := snap.Weights()
-	if opts.WeightOverride != nil {
-		rawW = opts.WeightOverride
-	}
-	workers := opts.workers()
-	// The engage/decline decision runs against the FULL snapshot, exactly as
-	// runAggregateSharded's does: plannability depends only on schema and
-	// expression shape, and the error-ordering guard (aggsCanErr without a
-	// compilable filter) on the full row count — so every shard process
-	// holding the same data reaches the same decision.
-	comp := &kernelCompiler{snap: snap, weights: rawW, n: snap.Len(), workers: workers}
-	vaggs, ok := planVectorAggs(comp, sel)
-	if !ok {
+	if !sel.IsAggregate() {
 		return nil, false, nil
 	}
-	if sel.Where != nil && aggsCanErr(vaggs, snap.Len()) && compileFilter(sel.Where, snap, rawW, 1) == nil {
-		return nil, false, nil
+	p, handled, err := planAggregate(snap, sel, opts)
+	if p == nil {
+		return nil, handled, err
 	}
-	bounds := shardBounds(snap.Len(), shards)
-	lo, hi := bounds[shard][0], bounds[shard][1]
-	sub := snap.SliceRange(lo, hi)
-	var wo []float64
-	if opts.WeightOverride != nil {
-		wo = opts.WeightOverride[lo:hi]
-	}
-	p, err := shardPartialAggregate(ctx, sub, sel, keyIdx, wo, opts, workers)
-	if err != nil {
-		return nil, true, err
-	}
-	p.Rows = hi - lo
-	if opts.ShardScan != nil {
-		opts.ShardScan(shard, hi-lo)
-	}
-	return p, true, nil
+	b := shardBounds(snap.Len(), shards)[shard]
+	part, err := p.partial(ctx, b[0], b[1])
+	return part, true, err
 }
 
 // GatherPartials merges per-shard partials **in slice order** through the
@@ -153,8 +120,8 @@ func PartialAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select
 // first appearance across the shard sequence, then HAVING / ORDER BY /
 // LIMIT. It is the gather half of both in-process sharding and the
 // multi-process fleet (where partials arrive deserialized off the wire); for
-// identical inputs in identical order the output is bit-identical to
-// runAggregateSharded's.
+// identical inputs in identical order the output is bit-identical to the
+// in-process Options.Shards answer.
 func GatherPartials(ctx context.Context, sel *sql.Select, partials []*ShardPartial) (*Result, error) {
 	if len(partials) == 0 {
 		return nil, fmt.Errorf("exec: gather of zero partials")
@@ -182,82 +149,18 @@ func GatherPartials(ctx context.Context, sel *sql.Select, partials []*ShardParti
 			}
 		}
 	}
-	return gatherShardPartials(ctx, sel, partials)
+	return gather(ctx, sel, partials)
 }
 
-// runAggregateSharded answers an aggregate query by scattering it over
-// opts.Shards contiguous range partitions and gathering the partial states
-// in shard order. handled=false means the shape is not kernel-coverable (or
-// needs the row path's interleaved error ordering); the caller falls through
-// to the unsharded paths.
-func runAggregateSharded(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, bool, error) {
-	keyIdx, err := resolveGroupKeys(snap, sel)
-	if err != nil {
-		return nil, true, err
-	}
-	rawW := snap.Weights()
-	if opts.WeightOverride != nil {
-		rawW = opts.WeightOverride
-	}
-	workers := opts.workers()
-	// Engagement mirrors runAggregateVector exactly: a query the vectorized
-	// path would decline must take the (unsharded) row path, with the same
-	// error-ordering reasoning.
-	comp := &kernelCompiler{snap: snap, weights: rawW, n: snap.Len(), workers: workers}
-	vaggs, ok := planVectorAggs(comp, sel)
-	if !ok {
-		return nil, false, nil
-	}
-	if sel.Where != nil && aggsCanErr(vaggs, snap.Len()) && compileFilter(sel.Where, snap, rawW, 1) == nil {
-		return nil, false, nil
-	}
-
-	// Scatter: each shard runs the full selection → group-id → accumulate
-	// pipeline over its slice. Shards fan out across the existing worker
-	// pool; a shard's internal morsel scans use the same pool size. Errors
-	// surface in shard order (forEachTask), and within a shard in scan
-	// order — together, the first erroring selected row in global scan order,
-	// exactly like the unsharded scan.
-	bounds := shardBounds(snap.Len(), opts.Shards)
-	partials := make([]*ShardPartial, len(bounds))
-	err = forEachTask(ctx, len(bounds), workers, func(s int) error {
-		lo, hi := bounds[s][0], bounds[s][1]
-		sub := snap.SliceRange(lo, hi)
-		var wo []float64
-		if opts.WeightOverride != nil {
-			wo = opts.WeightOverride[lo:hi]
-		}
-		p, err := shardPartialAggregate(ctx, sub, sel, keyIdx, wo, opts, workers)
-		if err != nil {
-			return err
-		}
-		p.Rows = hi - lo
-		if opts.ShardScan != nil {
-			opts.ShardScan(s, hi-lo)
-		}
-		partials[s] = p
-		return nil
-	})
-	if err != nil {
-		return nil, true, err
-	}
-	res, err := gatherShardPartials(ctx, sel, partials)
-	if err != nil {
-		return nil, true, err
-	}
-	return res, true, nil
-}
-
-// gatherShardPartials is the shared gather: merge partials in slice order,
-// assign group global ids at first appearance (shards being contiguous scan
-// ranges, that is scan order), finalize every aggregate, and apply HAVING /
-// ORDER BY / LIMIT. Aggregate kinds come from the partials themselves.
-func gatherShardPartials(ctx context.Context, sel *sql.Select, partials []*ShardPartial) (*Result, error) {
+// gather merges partials in slice order — a group's global id is its first
+// appearance across the shard sequence, which for contiguous scan ranges is
+// scan order — and finalizes. Aggregate kinds come from the partials.
+func gather(ctx context.Context, sel *sql.Select, partials []*ShardPartial) (*Result, error) {
 	globalIdx := make(map[string]int)
 	var keyVals [][]value.Value
-	gStates := make([]*PartialStates, len(partials[0].States))
+	states := make([]*PartialStates, len(partials[0].States))
 	for ai, st := range partials[0].States {
-		gStates[ai] = NewPartialStates(st.Kind, 0)
+		states[ai] = NewPartialStates(st.Kind, 0)
 	}
 	for _, p := range partials {
 		for lg, k := range p.Keys {
@@ -266,107 +169,14 @@ func gatherShardPartials(ctx context.Context, sel *sql.Select, partials []*Shard
 				gi = len(keyVals)
 				globalIdx[k] = gi
 				keyVals = append(keyVals, p.KeyVals[lg])
-				for _, st := range gStates {
+				for _, st := range states {
 					st.Grow(gi + 1)
 				}
 			}
-			for ai, st := range gStates {
+			for ai, st := range states {
 				st.MergeGroup(gi, p.States[ai], lg)
 			}
 		}
 	}
-
-	res := &Result{}
-	for _, it := range sel.Items {
-		res.Columns = append(res.Columns, it.Name())
-	}
-	outSchema := outputSchema(res.Columns)
-	keyPos := itemKeyPositions(sel)
-	total := len(keyVals)
-	// A global aggregate over zero selected rows still yields one row of
-	// empty aggregates.
-	if total == 0 && len(sel.GroupBy) == 0 {
-		total = 1
-		for _, st := range gStates {
-			st.Grow(1)
-		}
-	}
-	for g := 0; g < total; g++ {
-		row := make([]value.Value, 0, len(sel.Items))
-		ai := 0
-		for ii, it := range sel.Items {
-			if it.Agg == sql.AggNone {
-				row = append(row, keyVals[g][keyPos[ii]])
-			} else {
-				row = append(row, gStates[ai].Finalize(g))
-				ai++
-			}
-		}
-		if sel.Having != nil {
-			ok, err := expr.Truthy(sel.Having, &expr.Binding{Schema: outSchema, Row: row})
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	if err := orderAndLimit(ctx, res, sel, outSchema); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// shardPartialAggregate runs the vectorized aggregate pipeline over one
-// shard slice and returns its partial states keyed by group identity.
-func shardPartialAggregate(ctx context.Context, sub *table.Snapshot, sel *sql.Select, keyIdx []int, weightOverride []float64, opts Options, workers int) (*ShardPartial, error) {
-	rawW := sub.Weights()
-	if weightOverride != nil {
-		rawW = weightOverride
-	}
-	comp := &kernelCompiler{snap: sub, weights: rawW, n: sub.Len(), workers: workers}
-	vaggs, ok := planVectorAggs(comp, sel)
-	if !ok {
-		// Plannability depends only on schema and expression shape, which
-		// every slice shares with the full snapshot the caller planned.
-		return nil, fmt.Errorf("exec: internal: shard plan diverged from table plan")
-	}
-	selRows, err := selectRows(ctx, sub, sel.Where, rawW, workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkAggErrs(vaggs, selRows); err != nil {
-		return nil, err
-	}
-	selW := make([]float64, len(selRows))
-	if opts.Weighted {
-		for k, ri := range selRows {
-			selW[k] = rawW[ri]
-		}
-	} else {
-		for k := range selW {
-			selW[k] = 1
-		}
-	}
-	gids, ngroups, firstRow := groupIDs(sub, keyIdx, selRows, workers)
-	states, err := accumulateStates(ctx, vaggs, sub, selRows, gids, selW, rawW, ngroups, workers)
-	if err != nil {
-		return nil, err
-	}
-	p := &ShardPartial{
-		Keys:    make([]string, ngroups),
-		KeyVals: make([][]value.Value, ngroups),
-		States:  states,
-	}
-	for g := 0; g < ngroups; g++ {
-		kv := make([]value.Value, len(keyIdx))
-		for ki, j := range keyIdx {
-			kv[ki] = sub.Value(int(firstRow[g]), j)
-		}
-		p.Keys[g] = GroupKey(kv)
-		p.KeyVals[g] = kv
-	}
-	return p, nil
+	return finalize(ctx, sel, states, len(keyVals), func(g, k int) value.Value { return keyVals[g][k] })
 }

@@ -1741,109 +1741,6 @@ func accumulateStates(ctx context.Context, vaggs []vecAgg, snap *table.Snapshot,
 	return states, nil
 }
 
-// runAggregateVector answers an aggregate query on the columnar path.
-// handled=false means the shape is not kernel-covered and the caller must
-// use the row path.
-func runAggregateVector(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (res *Result, handled bool, err error) {
-	keyIdx, err := resolveGroupKeys(snap, sel)
-	if err != nil {
-		// Eager validation errors are identical on both paths.
-		return nil, true, err
-	}
-	rawW := snap.Weights()
-	if opts.WeightOverride != nil {
-		rawW = opts.WeightOverride
-	}
-	workers := opts.workers()
-	comp := &kernelCompiler{snap: snap, weights: rawW, n: snap.Len(), workers: workers}
-	vaggs, ok := planVectorAggs(comp, sel)
-	if !ok {
-		return nil, false, nil
-	}
-	// When a compiled aggregate input can error (division-by-zero bits) AND
-	// the filter needs the interpreted fallback, only the row path's
-	// interleaved evaluation (WHERE row i, then aggregate row i) can decide
-	// whether the filter's error or the aggregate's surfaces first — an
-	// interpreted filter can raise errors other than division by zero, so
-	// the messages differ. A kernel filter's only error is the same
-	// division-by-zero, making the order indistinguishable.
-	if sel.Where != nil && aggsCanErr(vaggs, snap.Len()) && compileFilter(sel.Where, snap, rawW, 1) == nil {
-		return nil, false, nil
-	}
-	selRows, err := selectRows(ctx, snap, sel.Where, rawW, workers)
-	if err != nil {
-		return nil, true, err
-	}
-	if err := checkAggErrs(vaggs, selRows); err != nil {
-		return nil, true, err
-	}
-	selW := make([]float64, len(selRows))
-	if opts.Weighted {
-		for k, ri := range selRows {
-			selW[k] = rawW[ri]
-		}
-	} else {
-		for k := range selW {
-			selW[k] = 1
-		}
-	}
-	gids, ngroups, firstRow := groupIDs(snap, keyIdx, selRows, workers)
-	// A global aggregate over zero selected rows still yields one row of
-	// empty aggregates.
-	emptyGlobal := ngroups == 0 && len(sel.GroupBy) == 0
-	nst := ngroups
-	if emptyGlobal {
-		nst = 1
-	}
-	states, err := accumulateStates(ctx, vaggs, snap, selRows, gids, selW, rawW, nst, workers)
-	if err != nil {
-		return nil, true, err
-	}
-
-	res = &Result{}
-	for _, it := range sel.Items {
-		res.Columns = append(res.Columns, it.Name())
-	}
-	outSchema := outputSchema(res.Columns)
-	keyPos := itemKeyPositions(sel)
-	total := ngroups
-	if emptyGlobal {
-		total = 1
-	}
-	// Every output row is cut from one allocation, capacity-capped so a
-	// caller's append cannot run into the next row; a group HAVING drops just
-	// leaves its cells unused.
-	nc := len(sel.Items)
-	slab := make([]value.Value, total*nc)
-	res.Rows = make([][]value.Value, 0, total)
-	for g := 0; g < total; g++ {
-		row := slab[g*nc : g*nc : (g+1)*nc]
-		ai := 0
-		for ii, it := range sel.Items {
-			if it.Agg == sql.AggNone {
-				row = append(row, snap.Value(int(firstRow[g]), keyIdx[keyPos[ii]]))
-			} else {
-				row = append(row, states[ai].Finalize(g))
-				ai++
-			}
-		}
-		if sel.Having != nil {
-			ok, err := expr.Truthy(sel.Having, &expr.Binding{Schema: outSchema, Row: row})
-			if err != nil {
-				return nil, true, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	if err := orderAndLimit(ctx, res, sel, outSchema); err != nil {
-		return nil, true, err
-	}
-	return res, true, nil
-}
-
 // runProjectionVector answers a non-aggregate query on the columnar path:
 // the WHERE compiles into selection kernels, DISTINCT densifies through the
 // group-id machinery, and ORDER BY permutes row indices over typed columns —

@@ -195,6 +195,13 @@ func (s *Select) HasAggregates() bool {
 	return false
 }
 
+// IsAggregate reports whether the query has the aggregate shape — any
+// aggregate item or a GROUP BY — and so answers one row per group (or one
+// row for a global aggregate) instead of one row per qualifying tuple.
+func (s *Select) IsAggregate() bool {
+	return len(s.GroupBy) > 0 || s.HasAggregates()
+}
+
 // MechanismSpec is the USING MECHANISM clause of CREATE SAMPLE.
 type MechanismSpec struct {
 	Kind    string  // "UNIFORM" or "STRATIFIED"

@@ -75,6 +75,22 @@ func TestParseAggregates(t *testing.T) {
 	}
 }
 
+// TestIsAggregate: a GROUP BY alone makes the aggregate shape, aggregates
+// alone make it, and neither is a projection.
+func TestIsAggregate(t *testing.T) {
+	for q, want := range map[string]bool{
+		"SELECT COUNT(*) FROM t":             true,
+		"SELECT c FROM t GROUP BY c":         true,
+		"SELECT c, x FROM t":                 false,
+		"SELECT DISTINCT c FROM t":           false,
+		"SELECT c, MAX(x) FROM t GROUP BY c": true,
+	} {
+		if got := parseOne(t, q).(*Select).IsAggregate(); got != want {
+			t.Errorf("%q: IsAggregate = %v, want %v", q, got, want)
+		}
+	}
+}
+
 func TestParseGroupByHavingOrderLimit(t *testing.T) {
 	sel := parseOne(t, `
 		SELECT c, COUNT(*) AS n FROM t

@@ -27,6 +27,14 @@
 //     ascending and divides by the standard deviation (never multiplies by a
 //     reciprocal); hoisting a per-feature subexpression out of the row loop
 //     is fine, re-associating one is not.
+//
+// SIMD kernels obey the same rule lane by lane: each lane multiplies, then
+// adds (never a fused multiply-add), and meets its terms in the scalar order.
+// On amd64 CPUs with AVX2, Dense.backward's weight- and input-gradient sums
+// run in assembly (backward_amd64.s); every other CPU and architecture runs
+// the Go loops in scalarKernels, which are also the oracle the assembly is
+// tested against bit for bit (simd_test.go). Dense's forward, which is also
+// generation's, stays scalar.
 package nn
 
 import (
@@ -158,37 +166,69 @@ func (d *Dense) eval(x, y []float64, rows int, _ []float64) {
 
 func (d *Dense) forward(x, y []float64, rows int, aux []float64) { d.eval(x, y, rows, aux) }
 
+// backward touches each gradient element in its own sequence of operations,
+// so the bias, weight and input gradients can be formed one after the other.
 func (d *Dense) backward(x, _, g, gx []float64, rows int, aux []float64) {
 	in, out := d.In, d.Out
-	w, wg, bg := d.W.Data, d.W.Grad, d.B.Grad
-	var wt []float64
-	if gx != nil {
-		// ∂L/∂x[i] = Σ_j W[i][j]·g[j], summed over j ascending from zero.
-		// Walking Wᵀ row j adds term j to every i at once: the same sums in
-		// the same order, without one serial dependency chain per i.
-		wt = aux[:in*out]
-		for i := 0; i < in; i++ {
-			for j, v := range w[i*out : (i+1)*out] {
-				wt[j*in+i] = v
-			}
-		}
-	}
+	bg := d.B.Grad[:out]
 	for r := 0; r < rows; r++ {
-		gr := g[r*out : (r+1)*out]
-		for j, gj := range gr {
+		for j, gj := range g[r*out : (r+1)*out] {
 			bg[j] += gj
 		}
+	}
+	kernels.gradW(d.W.Grad, x, g, rows, in, out)
+	if gx == nil {
+		return
+	}
+	// ∂L/∂x[i] = Σ_j W[i][j]·g[j], summed over j ascending from zero.
+	// Walking Wᵀ row j adds term j to every i at once: the same sums in the
+	// same order, without one serial dependency chain per i.
+	wt := aux[:in*out]
+	for i := 0; i < in; i++ {
+		for j, v := range d.W.Data[i*out : (i+1)*out] {
+			wt[j*in+i] = v
+		}
+	}
+	kernels.gradX(gx, g, wt, rows, in, out)
+}
+
+// denseKernels are the two halves of Dense.backward that cost O(rows·in·out).
+type denseKernels struct {
+	// gradW adds x[r][i]·g[r][j] to wg[i][j] for r ascending, skipping
+	// inputs that are exactly zero. x is rows×in, g rows×out, wg in×out.
+	gradW func(wg, x, g []float64, rows, in, out int)
+	// gradX sets gx[r][i] to Σ_j g[r][j]·wt[j][i], summed over j ascending
+	// from zero. g is rows×out, wt out×in, gx rows×in.
+	gradX func(gx, g, wt []float64, rows, in, out int)
+}
+
+var (
+	// scalarKernels are the portable Go loops: the fallback on every other
+	// CPU and architecture, and the oracle the SIMD kernels are tested against.
+	scalarKernels = denseKernels{gradWGo, gradXGo}
+	// simdKernels are the AVX2 kernels, or nil where the CPU lacks AVX2 or
+	// the architecture has none (set by backward_amd64.go).
+	simdKernels *denseKernels
+	// kernels is what Dense.backward runs.
+	kernels = scalarKernels
+)
+
+func gradWGo(wg, x, g []float64, rows, in, out int) {
+	for r := 0; r < rows; r++ {
+		gr := g[r*out : (r+1)*out]
 		for i, xi := range x[r*in : (r+1)*in] {
 			if xi != 0 {
 				axpy(xi, gr, wg[i*out:(i+1)*out])
 			}
 		}
-		if gx == nil {
-			continue
-		}
+	}
+}
+
+func gradXGo(gx, g, wt []float64, rows, in, out int) {
+	for r := 0; r < rows; r++ {
 		gxr := gx[r*in : (r+1)*in]
 		clear(gxr)
-		for j, gj := range gr {
+		for j, gj := range g[r*out : (r+1)*out] {
 			axpy(gj, wt[j*in:(j+1)*in], gxr)
 		}
 	}

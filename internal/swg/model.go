@@ -132,6 +132,7 @@ type Model struct {
 	rng    *rand.Rand
 	items  []lossItem
 	sample nn.Batch // encoded sample rows (the manifold anchor set)
+	keyCol int      // the encoded column proximity anchors are indexed by
 	adam   *nn.Adam
 	// History records per-epoch mean training loss.
 	History []float64
@@ -168,6 +169,7 @@ func New(sample *table.Table, marginals []*marginal.Marginal, cfg Config) (*Mode
 	if err != nil {
 		return nil, err
 	}
+	m.keyCol = proximityKey(enc, m.sample)
 	for _, mg := range marginals {
 		if err := m.compileTerm(mg); err != nil {
 			return nil, err
@@ -247,13 +249,15 @@ const gradShards = 16
 // the network workspace, the latent batch, the loss gradient and the
 // per-shard loss scratch. It is sized once for cfg.BatchSize.
 type trainScratch struct {
+	rng      *rand.Rand // draws the latent batch and the anchor subsample
 	ws       *nn.Workspace
 	z        nn.Batch
 	out      nn.Batch // the generator output lossAndGrad is scoring
 	grad     nn.Batch
 	itemLoss []float64
 	rowLoss  []float64
-	anchors  nn.Batch // this step's proximity anchors: the sample, or a copied subsample of it
+	anchors  nn.Batch    // this step's proximity anchors: the sample, or a copied subsample of it
+	index    anchorIndex // the anchors by m.keyCol
 	shards   []shardScratch
 }
 
@@ -269,6 +273,7 @@ type shardScratch struct {
 func (m *Model) newTrainScratch() *trainScratch {
 	n, dim := m.cfg.BatchSize, m.Enc.Dim
 	ts := &trainScratch{
+		rng:      m.rng,
 		ws:       m.Net.NewWorkspace(n, true),
 		z:        nn.NewBatch(n, m.cfg.Latent),
 		grad:     nn.NewBatch(n, dim),
@@ -279,6 +284,10 @@ func (m *Model) newTrainScratch() *trainScratch {
 	}
 	if m.sample.Rows > m.cfg.ProximitySubsample {
 		ts.anchors = nn.NewBatch(m.cfg.ProximitySubsample, dim)
+	}
+	ts.index = anchorIndex{col: m.keyCol, keys: make([]anchorKey, 0, ts.anchors.Rows)}
+	if ts.anchors.Rows == m.sample.Rows {
+		ts.index.build(ts.anchors) // the whole sample: the same anchors every step
 	}
 	for s := range ts.shards {
 		ts.shards[s] = shardScratch{
@@ -347,11 +356,12 @@ func (m *Model) lossAndGrad(ts *trainScratch, out nn.Batch) (float64, error) {
 	// entries, so row-parallelism is exact.
 	if m.cfg.Lambda > 0 && m.sample.Rows > 0 {
 		if m.sample.Rows > m.cfg.ProximitySubsample {
-			// Copied side by side, the anchors every output row scans stay
+			// Copied side by side, the anchors every output row searches stay
 			// in cache instead of being gathered from all over the sample.
 			for i := 0; i < ts.anchors.Rows; i++ {
-				copy(ts.anchors.Row(i), m.sample.Row(m.rng.Intn(m.sample.Rows)))
+				copy(ts.anchors.Row(i), m.sample.Row(ts.rng.Intn(m.sample.Rows)))
 			}
+			ts.index.build(ts.anchors)
 		}
 		m.forEach(ts, out.Rows, (*Model).proximityRow)
 		for _, l := range ts.rowLoss {
@@ -393,44 +403,15 @@ func (m *Model) wassersteinShard(ts *trainScratch, s int) {
 func (m *Model) proximityRow(ts *trainScratch, r int) {
 	dim := ts.out.Dim
 	x := ts.out.Data[r*dim : (r+1)*dim]
-	anchors := ts.anchors.Data
 	inv := 1 / float64(ts.out.Rows)
-	best, bestAt := math.Inf(1), -1
-nextAnchor:
-	for at := 0; at < len(anchors); at += dim {
-		// d sums the squared differences in column order. It only grows, so
-		// an anchor is dropped as soon as a partial sum reaches the best so
-		// far (or is NaN); testing that every fourth column instead of every
-		// column drops the same anchors.
-		y := anchors[at : at+dim]
-		var d float64
-		j := 0
-		for ; j+4 <= dim; j += 4 {
-			if !(d < best) {
-				continue nextAnchor
-			}
-			x4, y4 := x[j:j+4:j+4], y[j:j+4:j+4]
-			d0, d1, d2, d3 := x4[0]-y4[0], x4[1]-y4[1], x4[2]-y4[2], x4[3]-y4[3]
-			d += d0 * d0
-			d += d1 * d1
-			d += d2 * d2
-			d += d3 * d3
-		}
-		for ; j < dim; j++ {
-			diff := x[j] - y[j]
-			d += diff * diff
-		}
-		if d < best {
-			best, bestAt = d, at
-		}
-	}
+	best, bestAt := ts.index.nearest(x, ts.anchors)
 	ts.rowLoss[r] = m.cfg.Lambda * best * inv
 	if bestAt < 0 {
-		// Every distance was NaN: the loss is already non-finite and
+		// No distance was below +Inf: the loss is already non-finite and
 		// TrainContext refuses the step.
 		return
 	}
-	y := anchors[bestAt : bestAt+dim]
+	y := ts.anchors.Row(bestAt)
 	row := ts.grad.Data[r*dim : (r+1)*dim]
 	for j, xj := range x {
 		row[j] += m.cfg.Lambda * 2 * (xj - y[j]) * inv
@@ -447,7 +428,7 @@ func (m *Model) Train() error {
 // trainStep runs one optimizer step and returns its loss. A non-finite loss
 // is returned before the parameters move.
 func (m *Model) trainStep(ts *trainScratch) (float64, error) {
-	fillLatent(m.rng, ts.z)
+	fillLatent(ts.rng, ts.z)
 	out := m.Net.Forward(ts.ws, ts.z)
 	loss, err := m.lossAndGrad(ts, out)
 	if err != nil || !finite(loss) {
@@ -752,10 +733,14 @@ func (m *Model) generateTable(ctx context.Context, rng *rand.Rand, name string, 
 }
 
 // Loss evaluates Eq. 1 on a fresh eval-mode batch (no parameter update);
-// useful for model selection and tests.
+// useful for model selection and tests. Its latent batch and anchor
+// subsample come from a stream of its own seeded from Config.Seed, so Loss
+// returns the same value until the model trains further and never changes
+// what training draws.
 func (m *Model) Loss() (float64, error) {
 	ts := m.newTrainScratch()
-	fillLatent(m.rng, ts.z)
+	ts.rng = rand.New(rand.NewSource(m.cfg.Seed))
+	fillLatent(ts.rng, ts.z)
 	return m.lossAndGrad(ts, m.Net.Eval(ts.ws, ts.z))
 }
 

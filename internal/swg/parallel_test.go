@@ -142,15 +142,37 @@ func TestParallelTrainingIsDeterministic(t *testing.T) {
 	}
 }
 
+// benchSpiral and benchFlights are the training configurations of the repo
+// benchmark's ingest_refit and open_flights workloads (benchmark/models.go)
+// over the pinned test worlds.
+func benchSpiral(t testing.TB, workers int) *Model {
+	return spiralLike(t, Config{
+		Hidden: []int{32, 32, 32}, Latent: 2, Lambda: 0.04, BatchSize: 250,
+		ProximitySubsample: 256, Projections: 16, Epochs: 50, StepsPerEpoch: 10,
+		LR: 0.005, Workers: workers, Seed: 1,
+	})
+}
+
+func benchFlights(t testing.TB, workers int) *Model {
+	return flightsLike(t, Config{
+		Hidden: []int{64, 64}, Latent: 18, Lambda: 1e-7, BatchSize: 250,
+		ProximitySubsample: 256, Projections: 16, Epochs: 10, LR: 0.01,
+		Workers: workers, Seed: 1,
+	})
+}
+
 // BenchmarkTrainStep is one full optimizer step (latent draw, training
-// forward, loss and gradient, backward, Adam) at the benchmark's spiral and
-// flights shapes; allocs/op is the steady-state figure the allocation test
-// pins at zero for Workers 1.
+// forward, loss and gradient, backward, Adam): at the repo benchmark's spiral
+// and flights training shapes, at the pinned worlds' shapes, and on a sliced
+// 2-D marginal; allocs/op is the steady-state figure the allocation test pins
+// at zero for Workers 1.
 func BenchmarkTrainStep(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		build func(testing.TB, int) *Model
 	}{
+		{"spiral-bench", benchSpiral},
+		{"flights-bench", benchFlights},
 		{"spiral-like", spiralLikeModel},
 		{"flights-like", flightsLikeModel},
 		{"sliced-2d", func(t testing.TB, workers int) *Model { return parallelWorld(t, workers) }},

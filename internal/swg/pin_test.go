@@ -31,6 +31,16 @@ const (
 // (which consumes the training RNG) is active.
 func spiralLikeModel(t testing.TB, workers int) *Model {
 	t.Helper()
+	return spiralLike(t, Config{
+		Hidden: []int{32, 32, 32}, Latent: 2, Lambda: 0.04, BatchSize: 250,
+		ProximitySubsample: 64, Projections: 16, Epochs: 6, StepsPerEpoch: 5,
+		LR: 0.005, Workers: workers, Seed: 1,
+	})
+}
+
+// spiralLike builds spiralLikeModel's world under any configuration.
+func spiralLike(t testing.TB, cfg Config) *Model {
+	t.Helper()
 	sc := schema.MustNew(
 		schema.Attribute{Name: "x", Kind: value.KindFloat},
 		schema.Attribute{Name: "y", Kind: value.KindFloat},
@@ -62,11 +72,7 @@ func spiralLikeModel(t testing.TB, workers int) *Model {
 		}
 		margs = append(margs, m)
 	}
-	model, err := New(smp, margs, Config{
-		Hidden: []int{32, 32, 32}, Latent: 2, Lambda: 0.04, BatchSize: 250,
-		ProximitySubsample: 64, Projections: 16, Epochs: 6, StepsPerEpoch: 5,
-		LR: 0.005, Workers: workers, Seed: 1,
-	})
+	model, err := New(smp, margs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +88,16 @@ func spiralLikeModel(t testing.TB, workers int) *Model {
 // block. The odd hidden widths and batch size keep any unrolled kernel's
 // remainder loops on the pinned path.
 func flightsLikeModel(t testing.TB, workers int) *Model {
+	t.Helper()
+	return flightsLike(t, Config{
+		Hidden: []int{37, 29}, Latent: 8, Lambda: 1e-7, BatchSize: 131,
+		ProximitySubsample: 256, Projections: 16, Epochs: 3, StepsPerEpoch: 4,
+		LR: 0.01, Workers: workers, Seed: 1,
+	})
+}
+
+// flightsLike builds flightsLikeModel's world under any configuration.
+func flightsLike(t testing.TB, cfg Config) *Model {
 	t.Helper()
 	sc := schema.MustNew(
 		schema.Attribute{Name: "carrier", Kind: value.KindText},
@@ -127,11 +143,7 @@ func flightsLikeModel(t testing.TB, workers int) *Model {
 		}
 		margs = append(margs, m)
 	}
-	model, err := New(smp, margs, Config{
-		Hidden: []int{37, 29}, Latent: 8, Lambda: 1e-7, BatchSize: 131,
-		ProximitySubsample: 256, Projections: 16, Epochs: 3, StepsPerEpoch: 4,
-		LR: 0.01, Workers: workers, Seed: 1,
-	})
+	model, err := New(smp, margs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

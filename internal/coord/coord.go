@@ -92,8 +92,6 @@ type Config struct {
 	// RequestTimeout bounds every request end to end, intersected with any
 	// client-propagated X-Mosaic-Deadline-Ms. Default 30s.
 	RequestTimeout time.Duration
-	// MaxBodyBytes caps request bodies. Default 1 MiB.
-	MaxBodyBytes int64
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -104,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -406,10 +401,10 @@ func (c *Coordinator) writeUnavailable(w http.ResponseWriter, hint time.Duration
 	writeError(w, http.StatusServiceUnavailable, format, args...)
 }
 
-// decodeBody decodes a JSON body under the MaxBodyBytes cap (413 oversized,
-// 400 malformed), reporting success.
+// decodeBody decodes a JSON body under the shards' own default cap,
+// wire.MaxBodyBytes (413 oversized, 400 malformed), reporting success.
 func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	body := http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(into); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {

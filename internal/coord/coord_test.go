@@ -249,6 +249,27 @@ func TestFleetExecFansOutAndQueriesTrackMutations(t *testing.T) {
 	}
 }
 
+// TestFleetRelaysScriptsItsShardsAccept: the coordinator caps request
+// bodies where its shards do (wire.MaxBodyBytes), so a script larger than
+// 1 MiB but under that cap runs through the front door as it would against
+// one shard.
+func TestFleetRelaysScriptsItsShardsAccept(t *testing.T) {
+	cc, shards, _, _ := startFleet(t, 2, "CREATE TABLE Big (k TEXT, v INT)", nil)
+	script := fmt.Sprintf("INSERT INTO Big VALUES ('%s', 1)", strings.Repeat("x", 2<<20))
+	if err := cc.Exec(script); err != nil {
+		t.Fatalf("%d-byte script through the coordinator: %v", len(script), err)
+	}
+	for i, sh := range shards {
+		res, err := sh.db.Query("SELECT COUNT(*) FROM Big")
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		if got, _ := res.Rows[0][0].Float64(); got != 1 {
+			t.Errorf("shard %d holds %g Big rows, want 1", i, got)
+		}
+	}
+}
+
 // TestFleetPassThroughNonAggregate: non-aggregate shapes relay whole to
 // shard 0 and answer byte-identically to a single engine.
 func TestFleetPassThroughNonAggregate(t *testing.T) {

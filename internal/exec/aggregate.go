@@ -70,8 +70,9 @@ func planAggregate(snap *table.Snapshot, sel *sql.Select, opts Options) (*aggPla
 }
 
 // slice narrows the plan to rows [lo, hi), one shard's contiguous range.
-// Compiled inputs are per-row, so their slice equals compiling the slice;
-// lo is 64-aligned (shardBounds), so bitmaps re-slice on word boundaries.
+// Every numeric input is a per-row numVec, so its slice equals compiling
+// the slice (TEXT/BOOL inputs read the sliced snapshot); lo is 64-aligned
+// (shardBounds), so bitmaps re-slice on word boundaries.
 func (p *aggPlan) slice(lo, hi int) *aggPlan {
 	s := *p
 	s.snap = p.snap.SliceRange(lo, hi)
@@ -115,7 +116,7 @@ func (p *aggPlan) scan(ctx context.Context) (*aggScan, error) {
 		}
 	}
 	gids, ngroups, firstRow := groupIDs(p.snap, p.keyIdx, selRows, p.workers)
-	states, err := accumulateStates(ctx, p.vaggs, p.snap, selRows, gids, selW, p.rawW, ngroups, p.workers)
+	states, err := accumulateStates(ctx, p.vaggs, p.snap, selRows, gids, selW, ngroups, p.workers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,14 +1,18 @@
-// Arithmetic vector kernels: +, -, *, /, % over typed columns.
+// Numeric operands and their kernels: +, -, *, /, % and the numeric
+// truth, comparison and IN kernels.
 //
-// A numVec is one numeric operand of a WHERE comparison (or an aggregate
-// input) materialized as a typed vector: int64 when the whole expression
-// stays in exact integer arithmetic, float64 otherwise, with null and error
-// bitmaps on the side. The compiler mirrors expr.evalArith exactly — INT op
-// INT stays int64 (including wraparound) except division, everything else
-// computes through float64 in the interpreter's operand order — so results
-// are bit-identical to the row path. The only dynamic error arithmetic over
-// numeric columns can raise is division by zero; rows that would raise it
-// carry an error bit, which the consuming kernels turn into ternErr.
+// A numVec is the columnar executor's one numeric operand, in WHERE and in
+// aggregate inputs alike: an INT/FLOAT column or WEIGHT (sharing the
+// snapshot's payload and null bitmap, never copied), a literal (one scalar
+// element), or arithmetic materialized as a typed vector — int64 when the
+// whole expression stays in exact integer arithmetic, float64 otherwise,
+// with null and error bitmaps on the side. The compiler mirrors
+// expr.evalArith exactly — INT op INT stays int64 (including wraparound)
+// except division, everything else computes through float64 in the
+// interpreter's operand order — so results are bit-identical to the row
+// path. The only dynamic error arithmetic over numeric columns can raise is
+// division by zero; rows that would raise it carry an error bit, which the
+// consuming kernels turn into ternErr.
 package exec
 
 import (
@@ -166,7 +170,7 @@ func overlayBits(dst []int8, bm []uint64, v int8, lo int) {
 }
 
 // floatView returns the vector's values as float64s, converting an int
-// vector once (the coercion value.Compare applies to mixed comparisons).
+// vector once (the coercion expr.evalArith applies to mixed arithmetic).
 func (v *numVec) floatView() []float64 {
 	if !v.isInt {
 		return v.floats
@@ -188,20 +192,10 @@ func (c *kernelCompiler) compileNum(e expr.Expr) *numVec {
 	}
 	switch ex := e.(type) {
 	case *expr.Column:
-		ref, ok := c.resolve(ex.Name)
-		if !ok {
-			return nil
-		}
-		switch {
-		case ref.isWeight:
-			return &numVec{floats: ref.weight}
-		case ref.kind == value.KindInt:
-			return &numVec{isInt: true, ints: ref.col.Ints, nulls: ref.col.Nulls}
-		case ref.kind == value.KindFloat:
-			return &numVec{floats: ref.col.Floats, nulls: ref.col.Nulls}
-		default:
-			return nil // arithmetic on BOOL/TEXT errors per row: interpreted fallback
-		}
+		// nil for BOOL/TEXT (arithmetic on them errors per row) and unknown
+		// columns: the interpreted fallback answers.
+		ref, _ := c.resolve(ex.Name)
+		return ref.num
 	case *expr.Unary:
 		if !ex.Neg {
 			return nil // NOT yields BOOL; arithmetic on it errors per row
@@ -581,37 +575,28 @@ func ownBits(bm []uint64, n int) []uint64 {
 
 // --- kernels over numeric vectors ---
 
-// cmpNumNumKernel compares two numeric vectors with value.Compare semantics:
-// exact int64 when both sides stayed integer, float64 (NaN comparing equal
-// to everything, like the interpreter's "neither smaller") otherwise.
-// Scalar operands compare from a register — the common `x*2 > 500` shape
-// never materializes the constant side.
+// cmpNumNumKernel compares two numeric operands with value.Compare
+// semantics: exact int64 when both sides are INT, float64 otherwise — an
+// INT element converts inline, never through a materialized copy — with NaN
+// comparing equal to everything (the interpreter's "neither smaller"). A
+// scalar operand compares from a register, so `x > 500` and `x*2 > 500`
+// never materialize the constant side.
 type cmpNumNumKernel struct {
-	a, b   *numVec
-	af, bf []float64 // precomputed float views of non-scalar mixed operands
-	lut    [3]int8
+	a, b *numVec // a is scalar only when b is too (newCmpNumNum)
+	lut  [3]int8
 }
 
-// newCmpNumNum builds the comparison kernel, materializing any int→float
-// coercion once at compile time: eval runs per morsel, and re-deriving a
-// floatView inside each morsel would redo the whole-column conversion per
-// morsel (and allocate under the worker pool).
+// newCmpNumNum builds the comparison kernel, moving a lone scalar operand
+// to the right: `5 < x` is `x > 5`, the LUT mirrored.
 func newCmpNumNum(a, b *numVec, lut [3]int8) kernel {
-	k := &cmpNumNumKernel{a: a, b: b, lut: lut}
-	wholeRowConst := a.constErr || b.constErr || a.constNull || b.constNull
-	if !wholeRowConst && !(a.isInt && b.isInt) {
-		if !a.scalar {
-			k.af = a.floatView()
-		}
-		if !b.scalar {
-			k.bf = b.floatView()
-		}
+	if a.scalar && !b.scalar {
+		a, b, lut = b, a, [3]int8{lut[2], lut[1], lut[0]}
 	}
-	return k
+	return &cmpNumNumKernel{a: a, b: b, lut: lut}
 }
 
 func (k *cmpNumNumKernel) eval(dst []int8, lo, hi int) {
-	a, b := k.a, k.b
+	a, b, lut := k.a, k.b, k.lut
 	// Whole-row constants first: an erroring operand errors every row; a
 	// NULL constant nulls every row but still surfaces the other side's
 	// division errors (operands evaluate before the comparison).
@@ -629,105 +614,69 @@ func (k *cmpNumNumKernel) eval(dst []int8, lo, hi int) {
 		overlayBits(dst, b.errs, ternErr, lo)
 		return
 	}
-	tl, te, tg := k.lut[0], k.lut[1], k.lut[2]
-	bothInt := a.isInt && b.isInt
 	switch {
-	case a.scalar && b.scalar:
+	case a.scalar:
 		// Two plain constants under an unfoldable parent: one comparison
 		// decides every row.
-		var c int
-		if bothInt {
+		c := cmpOrder(a.scalarFloat(), b.scalarFloat())
+		if a.isInt && b.isInt {
 			c = cmpOrder(a.scalarInt(), b.scalarInt())
-		} else {
-			c = cmpOrder(a.scalarFloat(), b.scalarFloat())
 		}
-		v := k.lut[c+1]
 		for i := range dst {
-			dst[i] = v
+			dst[i] = lut[c+1]
 		}
+	case b.scalar && a.isInt && b.isInt:
+		cmpScalar(dst, a.ints[lo:hi], b.scalarInt(), lut)
+	case b.scalar && a.isInt:
+		cmpScalar(dst, a.ints[lo:hi], b.scalarFloat(), lut)
 	case b.scalar:
-		if bothInt {
-			y := b.scalarInt()
-			for i, x := range a.ints[lo:hi] {
-				switch {
-				case x < y:
-					dst[i] = tl
-				case x > y:
-					dst[i] = tg
-				default:
-					dst[i] = te
-				}
-			}
-		} else {
-			y := b.scalarFloat()
-			for i, x := range k.af[lo:hi] {
-				switch {
-				case x < y:
-					dst[i] = tl
-				case x > y:
-					dst[i] = tg
-				default:
-					dst[i] = te
-				}
-			}
-		}
-	case a.scalar:
-		if bothInt {
-			x := a.scalarInt()
-			for i, y := range b.ints[lo:hi] {
-				switch {
-				case x < y:
-					dst[i] = tl
-				case x > y:
-					dst[i] = tg
-				default:
-					dst[i] = te
-				}
-			}
-		} else {
-			x := a.scalarFloat()
-			for i, y := range k.bf[lo:hi] {
-				switch {
-				case x < y:
-					dst[i] = tl
-				case x > y:
-					dst[i] = tg
-				default:
-					dst[i] = te
-				}
-			}
-		}
-	case bothInt:
-		ys := b.ints[lo:hi]
-		for i, x := range a.ints[lo:hi] {
-			y := ys[i]
-			switch {
-			case x < y:
-				dst[i] = tl
-			case x > y:
-				dst[i] = tg
-			default:
-				dst[i] = te
-			}
-		}
+		cmpScalar(dst, a.floats[lo:hi], b.scalarFloat(), lut)
+	case a.isInt && b.isInt:
+		cmpRows[int64](dst, a.ints[lo:hi], b.ints[lo:hi], lut)
+	case a.isInt:
+		cmpRows[float64](dst, a.ints[lo:hi], b.floats[lo:hi], lut)
+	case b.isInt:
+		cmpRows[float64](dst, a.floats[lo:hi], b.ints[lo:hi], lut)
 	default:
-		ys := k.bf[lo:hi]
-		for i, x := range k.af[lo:hi] {
-			y := ys[i]
-			switch {
-			case x < y:
-				dst[i] = tl
-			case x > y:
-				dst[i] = tg
-			default:
-				dst[i] = te
-			}
-		}
+		cmpRows[float64](dst, a.floats[lo:hi], b.floats[lo:hi], lut)
 	}
 	overlayBits(dst, a.nulls, ternNull, lo)
 	overlayBits(dst, b.nulls, ternNull, lo)
 	overlayBits(dst, a.errs, ternErr, lo)
 	overlayBits(dst, b.errs, ternErr, lo)
+}
+
+// cmpScalar compares each row of xs against y in y's type C: an INT row
+// against a FLOAT scalar converts to float64 in the loop.
+func cmpScalar[X, C int64 | float64](dst []int8, xs []X, y C, lut [3]int8) {
+	tl, te, tg := lut[0], lut[1], lut[2]
+	for i, x := range xs {
+		switch c := C(x); {
+		case c < y:
+			dst[i] = tl
+		case c > y:
+			dst[i] = tg
+		default:
+			dst[i] = te
+		}
+	}
+}
+
+// cmpRows compares xs[i] against ys[i] in type C: int64 when both sides
+// are INT, float64 otherwise.
+func cmpRows[C, X, Y int64 | float64](dst []int8, xs []X, ys []Y, lut [3]int8) {
+	tl, te, tg := lut[0], lut[1], lut[2]
+	ys = ys[:len(xs)]
+	for i, x := range xs {
+		switch c, d := C(x), C(ys[i]); {
+		case c < d:
+			dst[i] = tl
+		case c > d:
+			dst[i] = tg
+		default:
+			dst[i] = te
+		}
+	}
 }
 
 // cmpOrder is value.Compare's ordering over two same-shape numerics: -1/0/1
@@ -743,7 +692,7 @@ func cmpOrder[T int64 | float64](x, y T) int {
 	}
 }
 
-// truthNumKernel is WHERE truthiness of an arithmetic expression.
+// truthNumKernel is WHERE truthiness of a numeric operand.
 type truthNumKernel struct{ v *numVec }
 
 func (k *truthNumKernel) eval(dst []int8, lo, hi int) {
@@ -760,17 +709,41 @@ func (k *truthNumKernel) eval(dst []int8, lo, hi int) {
 	overlayBits(dst, k.v.errs, ternErr, lo)
 }
 
-// inNumKernel is IN-list membership of an arithmetic expression, with the
-// same exact-int/float asymmetry — and NaN rules — as inIntKernel and
-// inFloatKernel.
+// inNumKernel is IN-list membership of a numeric operand with value.Equal
+// semantics. Over an INT operand, INT list items match exactly on int64 and
+// FLOAT items through float64 — the asymmetry value.Compare has. NaN needs
+// flags of its own: under value.Equal a NaN equals EVERY numeric (Compare
+// finds neither smaller), so a NaN item matches every child and a NaN child
+// matches as soon as the list holds any numeric item — hash sets alone
+// cannot say that.
 type inNumKernel struct {
 	v       *numVec
-	ints    map[int64]bool
-	floats  map[uint64]bool
+	ints    map[int64]bool  // INT items, over an INT operand
+	floats  map[uint64]bool // every other numeric item, by eqBits
 	anyNum  bool
 	nanItem bool
 	sawNull bool
 	negate  bool
+}
+
+// newInNum builds the membership kernel over a full (non-scalar) operand.
+// Other classes can never equal a numeric value (kind rank), so only
+// numeric list items enter the sets.
+func newInNum(v *numVec, vals []value.Value, sawNull, negate bool) *inNumKernel {
+	k := &inNumKernel{v: v, ints: map[int64]bool{}, floats: map[uint64]bool{}, sawNull: sawNull, negate: negate}
+	for _, item := range vals {
+		if classOf(item.Kind()) != value.ClassNum {
+			continue
+		}
+		f, _ := item.Float64()
+		k.anyNum, k.nanItem = true, k.nanItem || math.IsNaN(f)
+		if v.isInt && item.Kind() == value.KindInt {
+			k.ints[item.AsInt()] = true
+		} else {
+			k.floats[eqBits(f)] = true
+		}
+	}
+	return k
 }
 
 func (k *inNumKernel) eval(dst []int8, lo, hi int) {
@@ -801,34 +774,4 @@ func (k *inNumKernel) eval(dst []int8, lo, hi int) {
 	}
 	overlayBits(dst, k.v.nulls, ternNull, lo)
 	overlayBits(dst, k.v.errs, ternErr, lo)
-}
-
-// isNullNumKernel is IS [NOT] NULL over an arithmetic expression.
-type isNullNumKernel struct {
-	v      *numVec
-	negate bool
-}
-
-func (k *isNullNumKernel) eval(dst []int8, lo, hi int) {
-	base := ternOf(k.negate)
-	for i := range dst {
-		dst[i] = base
-	}
-	overlayBits(dst, k.v.nulls, ternOf(!k.negate), lo)
-	overlayBits(dst, k.v.errs, ternErr, lo)
-}
-
-// constWithErrsKernel is a constant outcome except on error rows (a BETWEEN
-// with a NULL bound over an arithmetic child: the child still evaluates
-// first, so its division errors must surface).
-type constWithErrsKernel struct {
-	v    int8
-	errs []uint64
-}
-
-func (k *constWithErrsKernel) eval(dst []int8, lo, hi int) {
-	for i := range dst {
-		dst[i] = k.v
-	}
-	overlayBits(dst, k.errs, ternErr, lo)
 }

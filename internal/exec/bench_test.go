@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -42,6 +43,34 @@ func BenchmarkFilterProject100k(b *testing.B) {
 		if _, err := Run(tbl, sel, Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFilterKernels100k times one WHERE per numeric operand pairing:
+// compiling it, running its kernel over every row and cutting the
+// selection vector, with no aggregate or projection after it. B/op is the
+// truth vector and the selection; a kernel that copied a column would add a
+// table-length slice to it.
+func BenchmarkFilterKernels100k(b *testing.B) {
+	tbl := benchTable(100000)
+	snap := tbl.Snapshot()
+	for _, bc := range []struct{ name, where string }{
+		{"int-int-lit", "x > 500"},
+		{"float-int-lit", "y < 50"},
+		{"int-float-lit", "x > 499.5"},
+		{"col-col", "x > y"},
+		{"in-int", "x IN (1, 2, 3, 500, 999)"},
+		{"between", "x BETWEEN 100 AND 600"},
+	} {
+		where := benchQuery(b, "SELECT * FROM t WHERE "+bc.where).Where
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := selectRows(context.Background(), snap, where, snap.Weights(), 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -112,6 +112,14 @@ var diffWheres = []string{
 	"WHERE c = c",
 	"WHERE WEIGHT > 1",
 	"WHERE WEIGHT = 0",
+	"WHERE x > 2.5", // INT column against a FLOAT literal
+	"WHERE x = 42.0",
+	"WHERE 2.5 < x", // literal on the left
+	"WHERE 100 >= x",
+	"WHERE WEIGHT",
+	"WHERE WEIGHT IN (0.5, 2)",
+	"WHERE WEIGHT NOT BETWEEN 1 AND 2",
+	"WHERE x BETWEEN -0.5 AND 10.5",
 	"WHERE x = NULL",
 	"WHERE x > 'text'",
 	"WHERE b > 5",
@@ -132,6 +140,8 @@ var diffWheres = []string{
 	"WHERE x * 2 BETWEEN 10 AND 100",
 	"WHERE y - 0.5 NOT BETWEEN 0 AND 1",
 	"WHERE x * 2 BETWEEN NULL AND 100",
+	"WHERE x * 2 NOT BETWEEN 'a' AND 100", // bound of another class: ranked, not compared
+	"WHERE x / n BETWEEN 'a' AND 5",       // ... with the child's division errors
 	"WHERE x + NULL > 3",
 	"WHERE x + y",
 	"WHERE x - x",
@@ -576,8 +586,10 @@ func TestAggErrOrderWithInterpretedFilter(t *testing.T) {
 }
 
 // TestInExactIntMembership pins value.Equal's exact INT-vs-INT comparison
-// on the vectorized IN kernel: 2^53 and 2^53+1 collapse to one float64, so
-// a float-coded membership set would confuse them.
+// on the vectorized IN and comparison kernels: 2^53 and 2^53+1 collapse to
+// one float64, so a float-coded membership set or an INT-vs-INT comparison
+// through float64 would confuse them. INT against FLOAT rounds through
+// float64 on both paths (2^53+1.0 parses as 2^53).
 func TestInExactIntMembership(t *testing.T) {
 	tbl := table.New("t", diffSchema)
 	big := int64(1) << 53
@@ -586,12 +598,18 @@ func TestInExactIntMembership(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, src := range []string{
+	srcs := []string{
 		fmt.Sprintf("SELECT COUNT(*) FROM t WHERE x IN (%d)", big+1),
 		fmt.Sprintf("SELECT COUNT(*) FROM t WHERE x IN (%d, 7)", big),
 		fmt.Sprintf("SELECT COUNT(*) FROM t WHERE x NOT IN (%d)", big+1),
 		fmt.Sprintf("SELECT COUNT(*) FROM t WHERE x IN (%d.0)", 8),
-	} {
+	}
+	for _, lit := range []string{fmt.Sprint(big), fmt.Sprint(big + 1), fmt.Sprintf("%d.0", big), fmt.Sprintf("%d.0", big+1)} {
+		for _, where := range []string{"x = %s", "x < %s", "x >= %s", "%s > x", "x BETWEEN %s AND %[1]s", "x BETWEEN 7 AND %s"} {
+			srcs = append(srcs, "SELECT COUNT(*) FROM t WHERE "+fmt.Sprintf(where, lit))
+		}
+	}
+	for _, src := range srcs {
 		runBoth(t, tbl, src, Options{Weighted: true})
 	}
 }

@@ -2,10 +2,14 @@
 //
 // The WHERE clause compiles once into a tree of selection kernels that
 // evaluate SQL's three-valued logic over typed column vectors (one int8
-// truth value per row: false/true/null). Group-by keys densify into small
-// integer ids built from dictionary codes and NaN-canonical float bits —
-// never from per-row strings — and aggregates run as tight loops over typed
-// slices with the weight vector.
+// truth value per row: false/true/null). Every numeric operand — an
+// INT/FLOAT column, WEIGHT, a literal or arithmetic — compiles to one numVec
+// (arith.go), so numeric truth, comparison, IN, BETWEEN and IS NULL each
+// have one kernel; TEXT and BOOL columns keep kernels over their dictionary
+// codes and bools. Group-by keys densify into small integer ids built from
+// dictionary codes and NaN-canonical float bits — never from per-row
+// strings — and aggregates run as tight loops over the same numVecs with
+// the weight vector.
 //
 // Determinism contract: the vectorized path is byte-identical to the row
 // interpreter on every query it accepts. Group output order is
@@ -59,16 +63,23 @@ type kernel interface {
 	eval(dst []int8, lo, hi int)
 }
 
-// colRef is a resolved column operand: either a schema column or the WEIGHT
-// pseudo-column (the effective per-row weight vector, which is never NULL).
+// colRef is a resolved column. An INT/FLOAT column or the WEIGHT
+// pseudo-column (the effective per-row weight vector, never NULL) is a
+// column-backed numVec sharing the snapshot's payload and null bitmap; a
+// TEXT/BOOL column keeps its table.Column for the typed kernels.
 type colRef struct {
-	kind     value.Kind
-	col      *table.Column // nil for WEIGHT
-	isWeight bool
-	weight   []float64 // the effective weight vector when isWeight (may be nil for an empty table)
+	kind value.Kind
+	col  *table.Column // TEXT/BOOL
+	num  *numVec       // INT/FLOAT column or WEIGHT
 }
 
-func (r *colRef) nulls() *table.Column { return r.col }
+// nulls is the column's NULL bitmap (nil: no NULLs).
+func (r colRef) nulls() []uint64 {
+	if r.num != nil {
+		return r.num.nulls
+	}
+	return r.col.Nulls
+}
 
 // class buckets a kind the way value.Compare ranks it.
 func classOf(k value.Kind) value.Class {
@@ -106,10 +117,18 @@ func compileFilter(e expr.Expr, snap *table.Snapshot, weights []float64, workers
 
 func (c *kernelCompiler) resolve(name string) (colRef, bool) {
 	if j, ok := c.snap.Schema().Index(name); ok {
-		return colRef{kind: c.snap.Schema().At(j).Kind, col: c.snap.Col(j)}, true
+		col := c.snap.Col(j)
+		switch kind := c.snap.Schema().At(j).Kind; kind {
+		case value.KindInt:
+			return colRef{kind: kind, num: &numVec{isInt: true, ints: col.Ints, nulls: col.Nulls}}, true
+		case value.KindFloat:
+			return colRef{kind: kind, num: &numVec{floats: col.Floats, nulls: col.Nulls}}, true
+		default:
+			return colRef{kind: kind, col: col}, true
+		}
 	}
 	if strings.EqualFold(name, "WEIGHT") {
-		return colRef{kind: value.KindFloat, isWeight: true, weight: c.weights}, true
+		return colRef{kind: value.KindFloat, num: &numVec{floats: c.weights}}, true
 	}
 	return colRef{}, false
 }
@@ -163,26 +182,20 @@ func (c *kernelCompiler) compile(e expr.Expr) kernel {
 	}
 	switch ex := e.(type) {
 	case *expr.Column:
-		return c.compileColTruth(ex.Name)
+		if ref, ok := c.resolve(ex.Name); ok && ref.kind == value.KindBool {
+			return &truthBoolKernel{xs: ref.col.Bools, col: ref.col}
+		}
 	case *expr.Unary:
-		if ex.Neg {
-			// truth(-x) == truth(x) for numeric columns; the negation cannot
-			// change zero-ness and NULL propagates identically.
-			if col, ok := ex.Child.(*expr.Column); ok {
-				if ref, ok := c.resolve(col.Name); ok && classOf(ref.kind) == value.ClassNum {
-					return c.compileColTruth(col.Name)
-				}
+		if !ex.Neg {
+			child := c.compile(ex.Child)
+			if child == nil {
+				return nil
 			}
-			if v := c.compileNum(ex); v != nil {
-				return &truthNumKernel{v: v.full(c.n)}
-			}
-			return nil
+			return &notKernel{child: child}
 		}
-		child := c.compile(ex.Child)
-		if child == nil {
-			return nil
-		}
-		return &notKernel{child: child}
+		// truth(-e) == truth(e): negation changes neither zero-ness nor the
+		// NULL and error rows, so the child's vector answers, un-negated.
+		e = ex.Child
 	case *expr.Binary:
 		switch ex.Op {
 		case expr.OpAnd, expr.OpOr:
@@ -197,12 +210,6 @@ func (c *kernelCompiler) compile(e expr.Expr) kernel {
 			return &logicKernel{l: l, r: r, and: ex.Op == expr.OpAnd}
 		case expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
 			return c.compileCompare(ex.Op, ex.Left, ex.Right)
-		default:
-			// Arithmetic used as a boolean: WHERE x + y.
-			if v := c.compileNum(ex); v != nil {
-				return &truthNumKernel{v: v.full(c.n)}
-			}
-			return nil
 		}
 	case *expr.In:
 		return c.compileIn(ex)
@@ -210,28 +217,14 @@ func (c *kernelCompiler) compile(e expr.Expr) kernel {
 		return c.compileBetween(ex)
 	case *expr.IsNull:
 		return c.compileIsNull(ex)
-	default:
-		return nil
 	}
-}
-
-func (c *kernelCompiler) compileColTruth(name string) kernel {
-	ref, ok := c.resolve(name)
-	if !ok {
-		return nil
+	// Numeric truth: an INT/FLOAT column, WEIGHT, or arithmetic used as a
+	// boolean (WHERE x + y). Truth of TEXT errors per row in the
+	// interpreter, so it stays uncompiled.
+	if v := c.compileNum(e); v != nil {
+		return &truthNumKernel{v: v.full(c.n)}
 	}
-	switch {
-	case ref.isWeight:
-		return &truthFloatKernel{xs: ref.weight}
-	case ref.kind == value.KindInt:
-		return &truthIntKernel{xs: ref.col.Ints, col: ref.col}
-	case ref.kind == value.KindFloat:
-		return &truthFloatKernel{xs: ref.col.Floats, col: ref.col}
-	case ref.kind == value.KindBool:
-		return &truthBoolKernel{xs: ref.col.Bools, col: ref.col}
-	default:
-		return nil // truth of TEXT errors per row in the interpreter
-	}
+	return nil
 }
 
 // cmpLUT maps a comparison result c ∈ {-1,0,1} (index c+1) to the ternary
@@ -269,76 +262,79 @@ func mirrorOp(op expr.BinOp) expr.BinOp {
 }
 
 func (c *kernelCompiler) compileCompare(op expr.BinOp, left, right expr.Expr) kernel {
-	lcol, lIsCol := left.(*expr.Column)
-	rcol, rIsCol := right.(*expr.Column)
+	// Numeric operands — INT/FLOAT columns, WEIGHT, literals, arithmetic —
+	// meet in one kernel.
+	if l := c.compileNum(left); l != nil {
+		if r := c.compileNum(right); r != nil {
+			return newCmpNumNum(l, r, cmpLUT(op))
+		}
+	}
+	// A TEXT/BOOL column, or a column against another kind class. An
+	// unknown column compiles nothing: its error is lazy, per row, on the
+	// fallback.
+	lr, lok := c.columnOf(left)
+	rr, rok := c.columnOf(right)
 	switch {
-	case lIsCol && rIsCol:
-		lr, lok := c.resolve(lcol.Name)
-		rr, rok := c.resolve(rcol.Name)
-		if lok && rok {
-			return c.compileColCol(op, lr, rr)
+	case lok && rok:
+		return c.compileColCol(op, lr, rr)
+	case lok:
+		if v, ok := foldConst(right); ok {
+			return c.compileColLit(op, lr, v)
 		}
-		return nil // unknown column: lazy per-row error on the fallback
-	case lIsCol:
-		if lr, ok := c.resolve(lcol.Name); ok {
-			if v, ok := foldConst(right); ok {
-				return c.compileColLit(op, lr, v)
-			}
-		}
-	case rIsCol:
-		if rr, ok := c.resolve(rcol.Name); ok {
-			if v, ok := foldConst(left); ok {
-				return c.compileColLit(mirrorOp(op), rr, v)
-			}
+	case rok:
+		if v, ok := foldConst(left); ok {
+			return c.compileColLit(mirrorOp(op), rr, v)
 		}
 	}
-	// At least one side is a computed expression: numeric vector compare.
-	l := c.compileNum(left)
-	if l == nil {
-		return nil
-	}
-	r := c.compileNum(right)
-	if r == nil {
-		return nil
-	}
-	return newCmpNumNum(l, r, cmpLUT(op))
+	return nil
 }
 
+// columnOf resolves e when it is a plain column reference.
+func (c *kernelCompiler) columnOf(e expr.Expr) (colRef, bool) {
+	col, ok := e.(*expr.Column)
+	if !ok {
+		return colRef{}, false
+	}
+	return c.resolve(col.Name)
+}
+
+// crossClass decides a comparison between two different kind classes by
+// their rank alone (value.Compare): one outcome for every row its operands
+// leave neither NULL nor erroring.
+func crossClass(op expr.BinOp, a, b value.Class, nulls, errs []uint64) kernel {
+	cc := -1
+	if a > b {
+		cc = 1
+	}
+	return &constKernel{v: cmpLUT(op)[cc+1], nulls: nulls, errs: errs}
+}
+
+// compileNumLit compares a numeric operand against a constant: a numeric
+// or NULL constant is a scalar numVec, a TEXT/BOOL one (numConst's nil)
+// ranks by class.
+func (c *kernelCompiler) compileNumLit(op expr.BinOp, v *numVec, lit value.Value) kernel {
+	if lv := c.numConst(lit); lv != nil {
+		return newCmpNumNum(v, lv, cmpLUT(op))
+	}
+	return crossClass(op, value.ClassNum, classOf(lit.Kind()), v.nulls, v.errs)
+}
+
+// compileColLit compares a TEXT/BOOL column against a constant, or any
+// column against a constant of another class (numeric pairs never get
+// here: compileCompare sends them to cmpNumNumKernel).
 func (c *kernelCompiler) compileColLit(op expr.BinOp, ref colRef, lit value.Value) kernel {
 	if lit.IsNull() {
 		// Comparison with NULL is NULL for every row, NULL rows included.
 		return &constKernel{v: ternNull}
 	}
-	lut := cmpLUT(op)
-	refCls, litCls := classOf(ref.kind), classOf(lit.Kind())
-	if refCls != litCls {
-		// Cross-class comparison is decided by the kind rank alone
-		// (value.Compare): constant for every non-null row.
-		cc := -1
-		if refCls > litCls {
-			cc = 1
-		}
-		return &constNullableKernel{v: lut[cc+1], col: ref.nulls()}
+	if rc, lc := classOf(ref.kind), classOf(lit.Kind()); rc != lc {
+		return crossClass(op, rc, lc, ref.nulls(), nil)
 	}
-	switch refCls {
-	case value.ClassNum:
-		if ref.isWeight {
-			lf, _ := lit.Float64()
-			return &cmpFloatLitKernel{xs: ref.weight, lit: lf, lut: lut}
-		}
-		if ref.kind == value.KindInt && lit.Kind() == value.KindInt {
-			// INT vs INT compares exactly (value.Compare avoids float
-			// rounding on large ints).
-			return &cmpIntLitKernel{xs: ref.col.Ints, lit: lit.AsInt(), lut: lut, col: ref.col}
-		}
-		lf, _ := lit.Float64()
-		if ref.kind == value.KindInt {
-			return &cmpIntFloatLitKernel{xs: ref.col.Ints, lit: lf, lut: lut, col: ref.col}
-		}
-		return &cmpFloatLitKernel{xs: ref.col.Floats, lit: lf, lut: lut, col: ref.col}
-	case value.ClassBool:
+	lut := cmpLUT(op)
+	switch ref.kind {
+	case value.KindBool:
 		return &cmpBoolLitKernel{xs: ref.col.Bools, lit: lit.AsBool(), lut: lut, col: ref.col}
-	case value.ClassText:
+	case value.KindText:
 		ls := lit.AsText()
 		if op == expr.OpEq || op == expr.OpNe {
 			code, found := c.snap.DictLookup(ls)
@@ -357,25 +353,17 @@ func (c *kernelCompiler) compileColLit(op expr.BinOp, ref colRef, lit value.Valu
 	}
 }
 
+// compileColCol compares two TEXT/BOOL columns, or two columns of
+// different classes.
 func (c *kernelCompiler) compileColCol(op expr.BinOp, a, b colRef) kernel {
-	lut := cmpLUT(op)
-	ca, cb := classOf(a.kind), classOf(b.kind)
-	if ca != cb {
-		cc := -1
-		if ca > cb {
-			cc = 1
-		}
-		return &constNullable2Kernel{v: lut[cc+1], a: a.nulls(), b: b.nulls()}
+	if ca, cb := classOf(a.kind), classOf(b.kind); ca != cb {
+		return crossClass(op, ca, cb, orBits(a.nulls(), b.nulls(), c.n), nil)
 	}
-	switch ca {
-	case value.ClassNum:
-		if a.kind == value.KindInt && b.kind == value.KindInt {
-			return &cmpIntIntColKernel{a: a.col.Ints, b: b.col.Ints, lut: lut, ca: a.col, cb: b.col}
-		}
-		return &cmpFloatFloatColKernel{a: numFloats(a, c.n), b: numFloats(b, c.n), lut: lut, ca: a.nulls(), cb: b.nulls()}
-	case value.ClassBool:
+	lut := cmpLUT(op)
+	switch a.kind {
+	case value.KindBool:
 		return &cmpBoolBoolColKernel{a: a.col.Bools, b: b.col.Bools, lut: lut, ca: a.col, cb: b.col}
-	case value.ClassText:
+	case value.KindText:
 		if op == expr.OpEq || op == expr.OpNe {
 			return &cmpTextTextEqColKernel{a: a.col.Codes, b: b.col.Codes, eq: op == expr.OpEq, ca: a.col, cb: b.col}
 		}
@@ -383,22 +371,6 @@ func (c *kernelCompiler) compileColCol(op expr.BinOp, a, b colRef) kernel {
 	default:
 		return nil
 	}
-}
-
-// numFloats materializes a numeric operand as a float64 slice (the weight
-// vector, the float column, or a converted int column).
-func numFloats(r colRef, n int) []float64 {
-	if r.isWeight {
-		return r.weight
-	}
-	if r.kind == value.KindFloat {
-		return r.col.Floats
-	}
-	out := make([]float64, n)
-	for i, x := range r.col.Ints {
-		out[i] = float64(x)
-	}
-	return out
 }
 
 func (c *kernelCompiler) compileIn(ex *expr.In) kernel {
@@ -415,78 +387,15 @@ func (c *kernelCompiler) compileIn(ex *expr.In) kernel {
 		}
 		vals = append(vals, v)
 	}
-	col, ok := ex.Child.(*expr.Column)
-	if !ok {
-		// Computed membership test: (x*2) IN (4, 8).
-		v := c.compileNum(ex.Child)
-		if v == nil {
-			return nil
-		}
-		v = v.full(c.n) // inNumKernel indexes per row
-		k := &inNumKernel{v: v, sawNull: sawNull, negate: ex.Negate, floats: map[uint64]bool{}}
-		if v.isInt {
-			k.ints = map[int64]bool{}
-			for _, item := range vals {
-				switch item.Kind() {
-				case value.KindInt:
-					k.ints[item.AsInt()] = true
-				case value.KindFloat:
-					k.floats[eqBits(item.AsFloat())] = true
-				}
-			}
-		} else {
-			for _, item := range vals {
-				if classOf(item.Kind()) == value.ClassNum {
-					f, _ := item.Float64()
-					k.floats[eqBits(f)] = true
-				}
-			}
-		}
-		k.anyNum, k.nanItem = numListTraits(vals)
-		return k
+	if v := c.compileNum(ex.Child); v != nil {
+		return newInNum(v.full(c.n), vals, sawNull, ex.Negate) // inNumKernel indexes per row
 	}
-	ref, ok := c.resolve(col.Name)
+	ref, ok := c.columnOf(ex.Child)
 	if !ok {
 		return nil
 	}
-	switch classOf(ref.kind) {
-	case value.ClassNum:
-		// Other classes can never equal a numeric value (kind rank), so
-		// only numeric list items enter the sets. NaN needs its own flags:
-		// under value.Equal a NaN equals EVERY numeric (Compare finds
-		// neither smaller), so a NaN child matches any numeric item and a
-		// NaN item matches any numeric child — hash sets alone cannot say
-		// that (see numListTraits).
-		anyNum, nanItem := numListTraits(vals)
-		if ref.kind == value.KindInt && !ref.isWeight {
-			// value.Equal compares INT against INT exactly (no float64
-			// rounding on large ints), so INT items get their own exact
-			// set; FLOAT items compare through float64 as the row path
-			// does.
-			intSet := make(map[int64]bool, len(vals))
-			floatSet := make(map[uint64]bool, len(vals))
-			for _, v := range vals {
-				switch v.Kind() {
-				case value.KindInt:
-					intSet[v.AsInt()] = true
-				case value.KindFloat:
-					floatSet[eqBits(v.AsFloat())] = true
-				}
-			}
-			return &inIntKernel{xs: ref.col.Ints, ints: intSet, floats: floatSet, nanItem: nanItem, sawNull: sawNull, negate: ex.Negate, col: ref.col}
-		}
-		set := make(map[uint64]bool, len(vals))
-		for _, v := range vals {
-			if classOf(v.Kind()) == value.ClassNum {
-				f, _ := v.Float64()
-				set[eqBits(f)] = true
-			}
-		}
-		if ref.isWeight {
-			return &inFloatKernel{xs: ref.weight, set: set, anyNum: anyNum, nanItem: nanItem, sawNull: sawNull, negate: ex.Negate}
-		}
-		return &inFloatKernel{xs: ref.col.Floats, set: set, anyNum: anyNum, nanItem: nanItem, sawNull: sawNull, negate: ex.Negate, col: ref.col}
-	case value.ClassBool:
+	switch ref.kind {
+	case value.KindBool:
 		wantT, wantF := false, false
 		for _, v := range vals {
 			if v.Kind() == value.KindBool {
@@ -498,7 +407,7 @@ func (c *kernelCompiler) compileIn(ex *expr.In) kernel {
 			}
 		}
 		return &inBoolKernel{xs: ref.col.Bools, wantT: wantT, wantF: wantF, sawNull: sawNull, negate: ex.Negate, col: ref.col}
-	case value.ClassText:
+	case value.KindText:
 		set := make(map[uint32]bool, len(vals))
 		for _, v := range vals {
 			if v.Kind() == value.KindText {
@@ -522,45 +431,31 @@ func (c *kernelCompiler) compileBetween(ex *expr.Between) kernel {
 	if !ok {
 		return nil
 	}
-	if col, ok := ex.Child.(*expr.Column); ok {
-		ref, ok := c.resolve(col.Name)
+	// Any NULL bound makes every row NULL: the interpreter checks the three
+	// operands together before comparing, but only after evaluating the
+	// child, so a computed child's division errors still surface.
+	var ge, le kernel
+	if v := c.compileNum(ex.Child); v != nil {
+		// The child is read by two comparisons and the NULL-bound shortcut,
+		// so a computed one materializes once; the bounds stay scalar.
+		v = v.full(c.n)
+		if lo.IsNull() || hi.IsNull() {
+			return &constKernel{v: ternNull, errs: v.errs}
+		}
+		ge, le = c.compileNumLit(expr.OpGe, v, lo), c.compileNumLit(expr.OpLe, v, hi)
+	} else {
+		ref, ok := c.columnOf(ex.Child)
 		if !ok {
 			return nil
 		}
 		if lo.IsNull() || hi.IsNull() {
-			// Any NULL bound makes every row NULL (the interpreter checks
-			// the three operands together before comparing).
 			return &constKernel{v: ternNull}
 		}
-		ge := c.compileColLit(expr.OpGe, ref, lo)
-		le := c.compileColLit(expr.OpLe, ref, hi)
+		ge, le = c.compileColLit(expr.OpGe, ref, lo), c.compileColLit(expr.OpLe, ref, hi)
 		if ge == nil || le == nil {
 			return nil
 		}
-		var k kernel = &logicKernel{l: ge, r: le, and: true}
-		if ex.Negate {
-			k = &notKernel{child: k}
-		}
-		return k
 	}
-	// Computed child: x*2 BETWEEN 10 AND 100. The child evaluates before the
-	// NULL-bound check, so its division errors still surface. The child
-	// materializes (it is read by two comparisons and its error bitmap by
-	// the NULL-bound shortcut); the bounds stay scalar.
-	v := c.compileNum(ex.Child)
-	if v == nil {
-		return nil
-	}
-	v = v.full(c.n)
-	if lo.IsNull() || hi.IsNull() {
-		return &constWithErrsKernel{v: ternNull, errs: v.errs}
-	}
-	lv, hv := c.numConst(lo), c.numConst(hi)
-	if lv == nil || hv == nil {
-		return nil // non-numeric bound on a computed child: interpreted fallback
-	}
-	ge := newCmpNumNum(v, lv, cmpLUT(expr.OpGe))
-	le := newCmpNumNum(v, hv, cmpLUT(expr.OpLe))
 	var k kernel = &logicKernel{l: ge, r: le, and: true}
 	if ex.Negate {
 		k = &notKernel{child: k}
@@ -569,20 +464,15 @@ func (c *kernelCompiler) compileBetween(ex *expr.Between) kernel {
 }
 
 func (c *kernelCompiler) compileIsNull(ex *expr.IsNull) kernel {
-	col, ok := ex.Child.(*expr.Column)
-	if !ok {
-		// Computed child: x + y IS NULL.
-		v := c.compileNum(ex.Child)
-		if v == nil {
-			return nil
-		}
-		return &isNullNumKernel{v: v.full(c.n), negate: ex.Negate}
+	if v := c.compileNum(ex.Child); v != nil {
+		v = v.full(c.n)
+		return &isNullKernel{nulls: v.nulls, errs: v.errs, negate: ex.Negate}
 	}
-	ref, ok := c.resolve(col.Name)
+	ref, ok := c.columnOf(ex.Child)
 	if !ok {
 		return nil
 	}
-	return &isNullKernel{col: ref.nulls(), negate: ex.Negate}
+	return &isNullKernel{nulls: ref.nulls(), negate: ex.Negate}
 }
 
 // eqBits maps a float64 onto the code space used for IN-list membership:
@@ -608,74 +498,19 @@ func sign(c int) int {
 
 // --- kernel implementations ---
 
-type constKernel struct{ v int8 }
+// constKernel is one outcome for every row, except the rows its operands
+// mark NULL (nulls) or erroring (errs); nil bitmaps mark none.
+type constKernel struct {
+	v           int8
+	nulls, errs []uint64
+}
 
 func (k *constKernel) eval(dst []int8, lo, hi int) {
 	for i := range dst {
 		dst[i] = k.v
 	}
-}
-
-// constNullableKernel is a constant outcome except on NULL rows.
-type constNullableKernel struct {
-	v   int8
-	col *table.Column // nil: no null source
-}
-
-func (k *constNullableKernel) eval(dst []int8, lo, hi int) {
-	for i := range dst {
-		dst[i] = k.v
-	}
-	overlayNulls(dst, k.col, lo)
-}
-
-type constNullable2Kernel struct {
-	v    int8
-	a, b *table.Column
-}
-
-func (k *constNullable2Kernel) eval(dst []int8, lo, hi int) {
-	for i := range dst {
-		dst[i] = k.v
-	}
-	overlayNulls(dst, k.a, lo)
-	overlayNulls(dst, k.b, lo)
-}
-
-// overlayNulls marks NULL rows in dst, which covers rows [lo, lo+len(dst)).
-func overlayNulls(dst []int8, col *table.Column, lo int) {
-	if col == nil || !col.HasNulls() {
-		return
-	}
-	for i := range dst {
-		if col.Null(lo + i) {
-			dst[i] = ternNull
-		}
-	}
-}
-
-type truthIntKernel struct {
-	xs  []int64
-	col *table.Column
-}
-
-func (k *truthIntKernel) eval(dst []int8, lo, hi int) {
-	for i, x := range k.xs[lo:hi] {
-		dst[i] = ternOf(x != 0)
-	}
-	overlayNulls(dst, k.col, lo)
-}
-
-type truthFloatKernel struct {
-	xs  []float64
-	col *table.Column
-}
-
-func (k *truthFloatKernel) eval(dst []int8, lo, hi int) {
-	for i, x := range k.xs[lo:hi] {
-		dst[i] = ternOf(x != 0)
-	}
-	overlayNulls(dst, k.col, lo)
+	overlayBits(dst, k.nulls, ternNull, lo)
+	overlayBits(dst, k.errs, ternErr, lo)
 }
 
 type truthBoolKernel struct {
@@ -687,7 +522,7 @@ func (k *truthBoolKernel) eval(dst []int8, lo, hi int) {
 	for i, x := range k.xs[lo:hi] {
 		dst[i] = ternOf(x)
 	}
-	overlayNulls(dst, k.col, lo)
+	overlayBits(dst, k.col.Nulls, ternNull, lo)
 }
 
 type notKernel struct{ child kernel }
@@ -754,75 +589,6 @@ func (k *logicKernel) eval(dst []int8, lo, hi int) {
 	}
 }
 
-type cmpIntLitKernel struct {
-	xs  []int64
-	lit int64
-	lut [3]int8
-	col *table.Column
-}
-
-func (k *cmpIntLitKernel) eval(dst []int8, lo, hi int) {
-	tl, te, tg := k.lut[0], k.lut[1], k.lut[2]
-	for i, x := range k.xs[lo:hi] {
-		switch {
-		case x < k.lit:
-			dst[i] = tl
-		case x > k.lit:
-			dst[i] = tg
-		default:
-			dst[i] = te
-		}
-	}
-	overlayNulls(dst, k.col, lo)
-}
-
-type cmpIntFloatLitKernel struct {
-	xs  []int64
-	lit float64
-	lut [3]int8
-	col *table.Column
-}
-
-func (k *cmpIntFloatLitKernel) eval(dst []int8, lo, hi int) {
-	tl, te, tg := k.lut[0], k.lut[1], k.lut[2]
-	for i, x := range k.xs[lo:hi] {
-		f := float64(x)
-		switch {
-		case f < k.lit:
-			dst[i] = tl
-		case f > k.lit:
-			dst[i] = tg
-		default:
-			dst[i] = te
-		}
-	}
-	overlayNulls(dst, k.col, lo)
-}
-
-type cmpFloatLitKernel struct {
-	xs  []float64
-	lit float64
-	lut [3]int8
-	col *table.Column
-}
-
-func (k *cmpFloatLitKernel) eval(dst []int8, lo, hi int) {
-	tl, te, tg := k.lut[0], k.lut[1], k.lut[2]
-	for i, x := range k.xs[lo:hi] {
-		// NaN takes the eq branch, matching value.Compare's "neither
-		// smaller" result of 0.
-		switch {
-		case x < k.lit:
-			dst[i] = tl
-		case x > k.lit:
-			dst[i] = tg
-		default:
-			dst[i] = te
-		}
-	}
-	overlayNulls(dst, k.col, lo)
-}
-
 type cmpBoolLitKernel struct {
 	xs  []bool
 	lit bool
@@ -834,7 +600,7 @@ func (k *cmpBoolLitKernel) eval(dst []int8, lo, hi int) {
 	for i, x := range k.xs[lo:hi] {
 		dst[i] = k.lut[boolCmp(x, k.lit)+1]
 	}
-	overlayNulls(dst, k.col, lo)
+	overlayBits(dst, k.col.Nulls, ternNull, lo)
 }
 
 func boolCmp(a, b bool) int {
@@ -872,7 +638,7 @@ func (k *cmpTextEqLitKernel) eval(dst []int8, lo, hi int) {
 			}
 		}
 	}
-	overlayNulls(dst, k.col, lo)
+	overlayBits(dst, k.col.Nulls, ternNull, lo)
 }
 
 type cmpTextTableKernel struct {
@@ -885,55 +651,7 @@ func (k *cmpTextTableKernel) eval(dst []int8, lo, hi int) {
 	for i, c := range k.xs[lo:hi] {
 		dst[i] = k.tbl[c]
 	}
-	overlayNulls(dst, k.col, lo)
-}
-
-type cmpIntIntColKernel struct {
-	a, b   []int64
-	lut    [3]int8
-	ca, cb *table.Column
-}
-
-func (k *cmpIntIntColKernel) eval(dst []int8, lo, hi int) {
-	tl, te, tg := k.lut[0], k.lut[1], k.lut[2]
-	b := k.b[lo:hi]
-	for i, x := range k.a[lo:hi] {
-		y := b[i]
-		switch {
-		case x < y:
-			dst[i] = tl
-		case x > y:
-			dst[i] = tg
-		default:
-			dst[i] = te
-		}
-	}
-	overlayNulls(dst, k.ca, lo)
-	overlayNulls(dst, k.cb, lo)
-}
-
-type cmpFloatFloatColKernel struct {
-	a, b   []float64
-	lut    [3]int8
-	ca, cb *table.Column
-}
-
-func (k *cmpFloatFloatColKernel) eval(dst []int8, lo, hi int) {
-	tl, te, tg := k.lut[0], k.lut[1], k.lut[2]
-	b := k.b[lo:hi]
-	for i, x := range k.a[lo:hi] {
-		y := b[i]
-		switch {
-		case x < y:
-			dst[i] = tl
-		case x > y:
-			dst[i] = tg
-		default:
-			dst[i] = te
-		}
-	}
-	overlayNulls(dst, k.ca, lo)
-	overlayNulls(dst, k.cb, lo)
+	overlayBits(dst, k.col.Nulls, ternNull, lo)
 }
 
 type cmpBoolBoolColKernel struct {
@@ -947,8 +665,8 @@ func (k *cmpBoolBoolColKernel) eval(dst []int8, lo, hi int) {
 	for i, x := range k.a[lo:hi] {
 		dst[i] = k.lut[boolCmp(x, b[i])+1]
 	}
-	overlayNulls(dst, k.ca, lo)
-	overlayNulls(dst, k.cb, lo)
+	overlayBits(dst, k.ca.Nulls, ternNull, lo)
+	overlayBits(dst, k.cb.Nulls, ternNull, lo)
 }
 
 type cmpTextTextEqColKernel struct {
@@ -967,8 +685,8 @@ func (k *cmpTextTextEqColKernel) eval(dst []int8, lo, hi int) {
 			dst[i] = other
 		}
 	}
-	overlayNulls(dst, k.ca, lo)
-	overlayNulls(dst, k.cb, lo)
+	overlayBits(dst, k.ca.Nulls, ternNull, lo)
+	overlayBits(dst, k.cb.Nulls, ternNull, lo)
 }
 
 type cmpTextTextOrdColKernel struct {
@@ -988,13 +706,15 @@ func (k *cmpTextTextOrdColKernel) eval(dst []int8, lo, hi int) {
 		}
 		dst[i] = k.lut[sign(strings.Compare(k.strs[x], k.strs[y]))+1]
 	}
-	overlayNulls(dst, k.ca, lo)
-	overlayNulls(dst, k.cb, lo)
+	overlayBits(dst, k.ca.Nulls, ternNull, lo)
+	overlayBits(dst, k.cb.Nulls, ternNull, lo)
 }
 
+// isNullKernel is IS [NOT] NULL over an operand's NULL bitmap; a computed
+// operand's error rows raise.
 type isNullKernel struct {
-	col    *table.Column // nil: WEIGHT, never null
-	negate bool
+	nulls, errs []uint64
+	negate      bool
 }
 
 func (k *isNullKernel) eval(dst []int8, lo, hi int) {
@@ -1002,90 +722,8 @@ func (k *isNullKernel) eval(dst []int8, lo, hi int) {
 	for i := range dst {
 		dst[i] = base
 	}
-	if k.col == nil || !k.col.HasNulls() {
-		return
-	}
-	hit := ternOf(!k.negate)
-	for i := range dst {
-		if k.col.Null(lo + i) {
-			dst[i] = hit
-		}
-	}
-}
-
-// numListTraits inspects the numeric items of an IN list: whether any
-// exist at all, and whether one of them is NaN (which, under value.Equal,
-// matches every numeric child).
-func numListTraits(vals []value.Value) (anyNum, nanItem bool) {
-	for _, v := range vals {
-		if classOf(v.Kind()) != value.ClassNum {
-			continue
-		}
-		anyNum = true
-		f, _ := v.Float64()
-		if math.IsNaN(f) {
-			nanItem = true
-		}
-	}
-	return anyNum, nanItem
-}
-
-// inIntKernel tests INT-column membership with value.Equal semantics: INT
-// list items match exactly on int64, FLOAT items through float64 (exactly
-// the asymmetry value.Compare has), and a NaN item matches every child
-// (value.Compare(x, NaN) finds neither smaller, so Equal is true).
-type inIntKernel struct {
-	xs      []int64
-	ints    map[int64]bool
-	floats  map[uint64]bool
-	nanItem bool
-	sawNull bool
-	negate  bool
-	col     *table.Column
-}
-
-func (k *inIntKernel) eval(dst []int8, lo, hi int) {
-	match, miss := ternOf(!k.negate), ternOf(k.negate)
-	if k.sawNull {
-		miss = ternNull
-	}
-	for i, x := range k.xs[lo:hi] {
-		hit := k.nanItem || k.ints[x]
-		if !hit && len(k.floats) > 0 {
-			hit = k.floats[eqBits(float64(x))]
-		}
-		if hit {
-			dst[i] = match
-		} else {
-			dst[i] = miss
-		}
-	}
-	overlayNulls(dst, k.col, lo)
-}
-
-type inFloatKernel struct {
-	xs      []float64
-	set     map[uint64]bool
-	anyNum  bool // a NaN child matches as soon as any numeric item exists
-	nanItem bool // a NaN item matches every child
-	sawNull bool
-	negate  bool
-	col     *table.Column
-}
-
-func (k *inFloatKernel) eval(dst []int8, lo, hi int) {
-	match, miss := ternOf(!k.negate), ternOf(k.negate)
-	if k.sawNull {
-		miss = ternNull
-	}
-	for i, x := range k.xs[lo:hi] {
-		if k.nanItem || k.set[eqBits(x)] || (k.anyNum && math.IsNaN(x)) {
-			dst[i] = match
-		} else {
-			dst[i] = miss
-		}
-	}
-	overlayNulls(dst, k.col, lo)
+	overlayBits(dst, k.nulls, ternOf(!k.negate), lo)
+	overlayBits(dst, k.errs, ternErr, lo)
 }
 
 type inBoolKernel struct {
@@ -1108,7 +746,7 @@ func (k *inBoolKernel) eval(dst []int8, lo, hi int) {
 			dst[i] = miss
 		}
 	}
-	overlayNulls(dst, k.col, lo)
+	overlayBits(dst, k.col.Nulls, ternNull, lo)
 }
 
 type inTextKernel struct {
@@ -1131,14 +769,14 @@ func (k *inTextKernel) eval(dst []int8, lo, hi int) {
 			dst[i] = miss
 		}
 	}
-	overlayNulls(dst, k.col, lo)
+	overlayBits(dst, k.col.Nulls, ternNull, lo)
 }
 
 // --- vectorized aggregation ---
 
-// vecAgg is one vectorizable aggregate: its input is the WEIGHT pseudo
-// column (col == -1), a schema column, a compiled arithmetic expression
-// (vec != nil), or nothing (COUNT(*)).
+// vecAgg is one vectorizable aggregate. A numeric input — INT/FLOAT column,
+// WEIGHT or arithmetic — is vec; a TEXT/BOOL column input is col; COUNT(*)
+// has neither.
 type vecAgg struct {
 	kind sql.AggKind
 	star bool
@@ -1147,13 +785,13 @@ type vecAgg struct {
 }
 
 // planVectorAggs decides whether every aggregate item is kernel-shaped:
-// a plain column, WEIGHT, COUNT(*), or an arithmetic expression the numeric
-// compiler covers. Shapes whose runtime errors the kernels cannot reproduce
-// (SUM/AVG over TEXT, unknown columns, non-arithmetic expressions — all of
-// which the row path reports lazily, per scanned row) are declined so the
-// row path keeps its exact semantics; a compiled arithmetic input's only
-// dynamic error is division by zero, which the accumulator surfaces for
-// selected rows (see checkAggErrs).
+// COUNT(*), a numeric operand the compiler covers, or a TEXT/BOOL column.
+// Shapes whose runtime errors the kernels cannot reproduce (SUM/AVG over
+// TEXT, unknown columns, non-arithmetic expressions — all of which the row
+// path reports lazily, per scanned row) are declined so the row path keeps
+// its exact semantics; a compiled arithmetic input's only dynamic error is
+// division by zero, which the accumulator surfaces for selected rows (see
+// checkAggErrs).
 func planVectorAggs(comp *kernelCompiler, sel *sql.Select) ([]vecAgg, bool) {
 	sc := comp.snap.Schema()
 	out := make([]vecAgg, 0, len(sel.Items))
@@ -1165,27 +803,21 @@ func planVectorAggs(comp *kernelCompiler, sel *sql.Select) ([]vecAgg, bool) {
 			out = append(out, vecAgg{kind: it.Agg, star: true})
 			continue
 		}
-		if colEx, ok := it.Expr.(*expr.Column); ok {
-			if j, ok := sc.Index(colEx.Name); ok {
-				if (it.Agg == sql.AggSum || it.Agg == sql.AggAvg) && sc.At(j).Kind == value.KindText {
-					return nil, false
-				}
-				out = append(out, vecAgg{kind: it.Agg, col: j})
-				continue
-			}
-			if strings.EqualFold(colEx.Name, "WEIGHT") {
-				out = append(out, vecAgg{kind: it.Agg, col: -1})
-				continue
-			}
+		if v := comp.compileNum(it.Expr); v != nil {
+			// The accumulators index per row; scalars (e.g. SUM(2) under an
+			// unfoldable parent) materialize here, off the hot path.
+			out = append(out, vecAgg{kind: it.Agg, vec: v.full(comp.n)})
+			continue
+		}
+		colEx, ok := it.Expr.(*expr.Column)
+		if !ok {
 			return nil, false
 		}
-		v := comp.compileNum(it.Expr)
-		if v == nil {
+		j, ok := sc.Index(colEx.Name)
+		if !ok || ((it.Agg == sql.AggSum || it.Agg == sql.AggAvg) && sc.At(j).Kind == value.KindText) {
 			return nil, false
 		}
-		// The accumulators index per row; scalars (e.g. SUM(2) under an
-		// unfoldable parent) materialize here, off the hot path.
-		out = append(out, vecAgg{kind: it.Agg, vec: v.full(comp.n)})
+		out = append(out, vecAgg{kind: it.Agg, col: j})
 	}
 	return out, true
 }
@@ -1573,138 +1205,95 @@ func denseFromKeys(rk []uint64, workers int) ([]int32, int32) {
 // accumulate runs one aggregate's tight loop over the selected rows,
 // writing the shared partial-state arrays (PartialStates). Accumulation
 // order is scan order and the operation sequence matches AggState.Accumulate
-// exactly, so float results are bit-identical to the row path.
-func accumulate(a vecAgg, st *PartialStates, snap *table.Snapshot, selRows, gids []int32, selW, rawW []float64) {
+// exactly, so float results are bit-identical to the row path. COUNT and
+// SUM/AVG decide a numeric input's kind and its no-NULL case once, outside
+// the row loop.
+func accumulate(a vecAgg, st *PartialStates, snap *table.Snapshot, selRows, gids []int32, selW []float64) {
+	v := a.vec
+	var nulls []uint64 // COUNT(*) has no input; WEIGHT is never NULL
+	switch {
+	case v != nil:
+		nulls = v.nulls
+	case !a.star:
+		nulls = snap.Col(a.col).Nulls
+	}
 	switch a.kind {
 	case sql.AggCount:
-		if a.star || (a.col == -1 && a.vec == nil) {
-			// COUNT(*) has no input; COUNT(WEIGHT) inputs are never null.
-			for k := range selRows {
-				st.Count[gids[k]] += selW[k]
-			}
-			return
-		}
-		if a.vec != nil {
-			for k, ri := range selRows {
-				if bitGet(a.vec.nulls, int(ri)) {
-					continue
-				}
-				st.Count[gids[k]] += selW[k]
-			}
-			return
-		}
-		c := snap.Col(a.col)
-		if !c.HasNulls() {
+		if nulls == nil {
 			for k := range selRows {
 				st.Count[gids[k]] += selW[k]
 			}
 			return
 		}
 		for k, ri := range selRows {
-			if c.Null(int(ri)) {
-				continue
+			if !bitGet(nulls, int(ri)) {
+				st.Count[gids[k]] += selW[k]
 			}
-			st.Count[gids[k]] += selW[k]
 		}
 	case sql.AggSum, sql.AggAvg:
-		if a.vec != nil {
+		switch {
+		case v == nil: // a BOOL column; SUM/AVG over TEXT is declined at plan time
+			bools := snap.Col(a.col).Bools
 			for k, ri := range selRows {
-				if bitGet(a.vec.nulls, int(ri)) {
-					continue
+				if !bitGet(nulls, int(ri)) {
+					x := 0.0
+					if bools[ri] {
+						x = 1
+					}
+					addSum(st, gids[k], selW[k], x) // full multiply keeps NaN/±0 flow identical
 				}
-				g, w := gids[k], selW[k]
-				x := 0.0
-				if a.vec.isInt {
-					x = float64(a.vec.ints[ri])
-				} else {
-					x = a.vec.floats[ri]
-				}
-				st.SumW[g] += w
-				st.SumWX[g] += w * x
-				st.Seen[g] = true
 			}
-			return
-		}
-		if a.col == -1 {
-			for k := range selRows {
-				g, w := gids[k], selW[k]
-				st.SumW[g] += w
-				st.SumWX[g] += w * rawW[selRows[k]]
-				st.Seen[g] = true
-			}
-			return
-		}
-		c := snap.Col(a.col)
-		switch c.Kind {
-		case value.KindInt:
-			for k, ri := range selRows {
-				if c.Null(int(ri)) {
-					continue
-				}
-				g, w := gids[k], selW[k]
-				st.SumW[g] += w
-				st.SumWX[g] += w * float64(c.Ints[ri])
-				st.Seen[g] = true
-			}
-		case value.KindFloat:
-			for k, ri := range selRows {
-				if c.Null(int(ri)) {
-					continue
-				}
-				g, w := gids[k], selW[k]
-				st.SumW[g] += w
-				st.SumWX[g] += w * c.Floats[ri]
-				st.Seen[g] = true
-			}
-		case value.KindBool:
-			for k, ri := range selRows {
-				if c.Null(int(ri)) {
-					continue
-				}
-				g, w := gids[k], selW[k]
-				x := 0.0
-				if c.Bools[ri] {
-					x = 1
-				}
-				st.SumW[g] += w
-				st.SumWX[g] += w * x // full multiply keeps NaN/±0 flow identical
-				st.Seen[g] = true
-			}
+		case v.isInt:
+			sumRows(st, v.ints, nulls, selRows, gids, selW)
+		default:
+			sumRows(st, v.floats, nulls, selRows, gids, selW)
 		}
 	case sql.AggMin, sql.AggMax:
-		wantLess := a.kind == sql.AggMin
+		less := a.kind == sql.AggMin
 		for k, ri := range selRows {
-			var v value.Value
+			var x value.Value
 			switch {
-			case a.vec != nil:
-				if bitGet(a.vec.nulls, int(ri)) {
+			case v == nil:
+				if x = snap.Value(int(ri), a.col); x.IsNull() {
 					continue
 				}
-				if a.vec.isInt {
-					v = value.Int(a.vec.ints[ri])
-				} else {
-					v = value.Float(a.vec.floats[ri])
-				}
-			case a.col == -1:
-				v = value.Float(rawW[ri])
-			default:
-				v = snap.Value(int(ri), a.col)
-			}
-			if v.IsNull() {
+			case bitGet(nulls, int(ri)):
 				continue
+			case v.isInt:
+				x = value.Int(v.ints[ri])
+			default:
+				x = value.Float(v.floats[ri])
 			}
 			g := gids[k]
 			if !st.Seen[g] {
-				st.MinMax[g] = v
-				st.Seen[g] = true
-				continue
-			}
-			c := value.Compare(v, st.MinMax[g])
-			if (wantLess && c < 0) || (!wantLess && c > 0) {
-				st.MinMax[g] = v
+				st.MinMax[g], st.Seen[g] = x, true
+			} else if c := value.Compare(x, st.MinMax[g]); (less && c < 0) || (!less && c > 0) {
+				st.MinMax[g] = x
 			}
 		}
 	}
+}
+
+// sumRows is SUM/AVG over one numeric payload.
+func sumRows[T int64 | float64](st *PartialStates, xs []T, nulls []uint64, selRows, gids []int32, selW []float64) {
+	if nulls == nil {
+		for k, ri := range selRows {
+			addSum(st, gids[k], selW[k], float64(xs[ri]))
+		}
+		return
+	}
+	for k, ri := range selRows {
+		if !bitGet(nulls, int(ri)) {
+			addSum(st, gids[k], selW[k], float64(xs[ri]))
+		}
+	}
+}
+
+// addSum folds one weighted value into group g's SUM/AVG state.
+func addSum(st *PartialStates, g int32, w, x float64) {
+	st.SumW[g] += w
+	st.SumWX[g] += w * x
+	st.Seen[g] = true
 }
 
 // accumulateStates runs every aggregate's accumulation pass over one
@@ -1717,7 +1306,7 @@ func accumulate(a vecAgg, st *PartialStates, snap *table.Snapshot, selRows, gids
 // (weighted-global has five) still fans out. Chunked calls on
 // position-aligned sub-slices keep per-morsel cancellation checkpoints
 // without changing accumulation order.
-func accumulateStates(ctx context.Context, vaggs []vecAgg, snap *table.Snapshot, selRows, gids []int32, selW, rawW []float64, nst, workers int) ([]*PartialStates, error) {
+func accumulateStates(ctx context.Context, vaggs []vecAgg, snap *table.Snapshot, selRows, gids []int32, selW []float64, nst, workers int) ([]*PartialStates, error) {
 	states := make([]*PartialStates, len(vaggs))
 	err := forEachTask(ctx, len(vaggs), workers, func(i int) error {
 		a := vaggs[i]
@@ -1730,7 +1319,7 @@ func accumulateStates(ctx context.Context, vaggs []vecAgg, snap *table.Snapshot,
 			if hi > len(selRows) {
 				hi = len(selRows)
 			}
-			accumulate(a, st, snap, selRows[lo:hi], gids[lo:hi], selW[lo:hi], rawW)
+			accumulate(a, st, snap, selRows[lo:hi], gids[lo:hi], selW[lo:hi])
 		}
 		states[i] = st
 		return nil

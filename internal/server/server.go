@@ -82,7 +82,8 @@ type Config struct {
 	// RequestTimeout bounds each /v1 request (admission wait + execution),
 	// intersected with any client-propagated X-Mosaic-Deadline-Ms. Default 30s.
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (413 beyond it). Default 8 MiB.
+	// MaxBodyBytes bounds request bodies (413 beyond it). Default
+	// wire.MaxBodyBytes, the fleet coordinator's cap.
 	MaxBodyBytes int64
 	// PlanCacheSize bounds the server-side prepared-plan cache (distinct
 	// query texts). Default 256; negative disables the cache.
@@ -123,7 +124,7 @@ func (c Config) withDefaults() Config {
 		c.RequestTimeout = 30 * time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
+		c.MaxBodyBytes = wire.MaxBodyBytes
 	}
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 256

@@ -33,6 +33,11 @@ type QueryRequest struct {
 	CheckGeneration bool   `json:"check_generation,omitempty"`
 }
 
+// MaxBodyBytes is the default request-body cap of the shard server and the
+// fleet coordinator (413 beyond it). One value for both, so the
+// coordinator accepts every request it relays to a default shard.
+const MaxBodyBytes = 8 << 20
+
 // ExecRequest is the body of POST /v1/exec: a semicolon-separated Mosaic
 // script. Statements execute in order; SELECTs inside the script return
 // their results in order (null for DDL/DML), mirroring mosaic.DB.Run.

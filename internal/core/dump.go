@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -14,13 +15,22 @@ import (
 // DumpScript serializes the whole database as a Mosaic SQL script that
 // recreates it when executed against an empty engine: auxiliary tables with
 // their rows, the global population, derived populations, metadata (via
-// temporary staging tables, with bin widths), samples with their rows, and
-// per-tuple weights that differ from 1.
+// temporary staging tables, with bin widths), and samples with their rows.
 //
-// Known limitations, noted as comments in the output: mechanisms other than
-// UNIFORM cannot be expressed in SQL (stratified probabilities and
-// predicate-biased designs are Go-API objects), so those samples dump as
-// mechanism-less.
+// Rows are INSERT statements of up to 500 rows each. A sample whose stored
+// weights are not all exactly 1 carries them as data, one per row:
+// INSERT INTO s (cols…, WEIGHT) VALUES (…, w), or, if a column of s is
+// named WEIGHT and so shadows that pseudo-column, INSERT INTO s VALUES (…)
+// WEIGHT w. So identical tuples keep their own weights, and restoring takes
+// time linear in the rows. Every
+// literal is value.AppendSQL's: numbers in shortest round-trip form, and
+// NaN, ±Inf and -0 as FLOAT 'NaN', FLOAT '+Inf', FLOAT '-Inf', FLOAT '-0',
+// so a restore gets the same bits back (every NaN as the canonical NaN).
+//
+// Known limitations: mechanisms other than UNIFORM cannot be expressed in
+// SQL (stratified probabilities and predicate-biased designs are Go-API
+// objects), so those samples dump as mechanism-less, noted by a comment in
+// the output.
 func (e *Engine) DumpScript() (string, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -86,9 +96,9 @@ func (e *Engine) dumpScriptLocked() (string, error) {
 				for _, c := range m.SortedCells() {
 					vals := make([]string, 0, len(c.Vals)+1)
 					for _, v := range c.Vals {
-						vals = append(vals, v.String())
+						vals = append(vals, v.SQL())
 					}
-					vals = append(vals, fmt.Sprintf("%g", c.Count))
+					vals = append(vals, value.Float(c.Count).SQL())
 					lines = append(lines, "("+strings.Join(vals, ", ")+")")
 				}
 				if len(lines) > 0 {
@@ -172,70 +182,57 @@ func schemaDDL(s *schema.Schema) string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// dumpRows emits INSERT statements in batches, followed (for a sample) by
-// per-weight UPDATE SAMPLE statements for its non-unit stored weights
-// (grouped by weight value and matched by full-tuple predicates).
+// dumpRows writes a relation's rows as INSERT statements of up to 500 rows,
+// appending each cell from one snapshot's typed columns straight into the
+// statement text. A sample whose weights are not all exactly 1 gets the
+// weight as one more value per row, under a WEIGHT column — or, when a
+// column of the sample is named WEIGHT, in a WEIGHT clause after each row.
 func dumpRows(b *strings.Builder, name string, t *table.Table, sample bool) {
 	const batch = 500
-	var lines []string
-	flush := func() {
-		if len(lines) == 0 {
-			return
-		}
-		fmt.Fprintf(b, "INSERT INTO %s VALUES %s;\n", name, strings.Join(lines, ", "))
-		lines = lines[:0]
+	snap := t.Snapshot()
+	sc := snap.Schema()
+	head := "INSERT INTO " + name + " VALUES "
+	wts := snap.Weights()
+	weighted := sample && slices.ContainsFunc(wts, func(w float64) bool { return w != 1 })
+	_, shadowed := sc.Index("WEIGHT")
+	weightCol, weightClause := weighted && !shadowed, weighted && shadowed
+	if weightCol {
+		head = "INSERT INTO " + name + " (" + strings.Join(sc.Names(), ", ") + ", WEIGHT) VALUES "
 	}
-	// Group rows by weight; emit one UPDATE per distinct non-unit weight
-	// with a disjunction of full-tuple matches. Rows with identical tuples
-	// share a weight under this scheme — acceptable for dump fidelity since
-	// identical tuples are statistically exchangeable.
-	byWeight := map[float64][]string{}
-	var order []float64
-	sc := t.Schema()
-	t.Scan(func(row []value.Value, w float64) bool {
-		vals := make([]string, len(row))
-		for i, v := range row {
-			vals[i] = v.String()
+	strs := snap.DictStrings()
+	var stmt []byte
+	for r := range wts {
+		if r%batch == 0 {
+			stmt = append(stmt[:0], head...)
+		} else {
+			stmt = append(stmt, ", "...)
 		}
-		lines = append(lines, "("+strings.Join(vals, ", ")+")")
-		if len(lines) >= batch {
-			flush()
-		}
-		if !sample || w == 1 {
-			return true
-		}
-		conj := make([]string, len(row))
-		for ci, v := range row {
-			if v.IsNull() {
-				conj[ci] = fmt.Sprintf("%s IS NULL", sc.At(ci).Name)
-			} else {
-				conj[ci] = fmt.Sprintf("%s = %s", sc.At(ci).Name, vals[ci])
+		stmt = append(stmt, '(')
+		for ci := 0; ci < sc.Len(); ci++ {
+			if ci > 0 {
+				stmt = append(stmt, ", "...)
 			}
+			stmt = value.AppendSQL(stmt, snap.Col(ci).Value(r, strs))
 		}
-		if _, ok := byWeight[w]; !ok {
-			order = append(order, w)
+		if weightCol {
+			stmt = append(stmt, ", "...)
+			stmt = value.AppendSQL(stmt, value.Float(wts[r]))
 		}
-		byWeight[w] = append(byWeight[w], "("+strings.Join(conj, " AND ")+")")
-		return true
-	})
-	flush()
-	for _, w := range order {
-		preds := dedupStrings(byWeight[w])
-		fmt.Fprintf(b, "UPDATE SAMPLE %s SET WEIGHT = %g WHERE %s;\n",
-			name, w, strings.Join(preds, " OR "))
-	}
-}
-
-func dedupStrings(in []string) []string {
-	seen := map[string]bool{}
-	out := in[:0:0]
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
+		stmt = append(stmt, ')')
+		if weightClause {
+			stmt = append(stmt, " WEIGHT "...)
+			stmt = value.AppendSQL(stmt, value.Float(wts[r]))
+		}
+		if r%batch == batch-1 || r == len(wts)-1 {
+			stmt = append(stmt, ";\n"...)
+			if r < batch {
+				// Size the builder once, from the first statement's bytes
+				// per row, rather than regrowing it along a multi-MB dump.
+				b.Grow(len(stmt) * len(wts) / (r + 1))
+			}
+			b.Write(stmt)
 		}
 	}
-	return out
 }
 
 func sanitize(s string) string {

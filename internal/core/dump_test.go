@@ -65,8 +65,8 @@ func TestDumpPreservesWeightsAndPredicates(t *testing.T) {
 	if !strings.Contains(script, "WHERE (g = 'a')") {
 		t.Errorf("sample predicate missing from dump:\n%s", script)
 	}
-	if !strings.Contains(script, "UPDATE SAMPLE S SET WEIGHT = 2.5") {
-		t.Errorf("weight update missing from dump:\n%s", script)
+	if !strings.Contains(script, "INSERT INTO S (g, v, WEIGHT) VALUES ('a', 1, 1), ('a', 2, 2.5)") {
+		t.Errorf("per-row weights missing from dump:\n%s", script)
 	}
 	e2 := restore(t, script)
 	if got := scalar(t, e2, "SELECT CLOSED COUNT(*) FROM P"); got != 3.5 {

@@ -334,6 +334,36 @@ func (e *Engine) ExecScriptContext(ctx context.Context, src string) ([]*exec.Res
 	return out, nil
 }
 
+// Restore replays a snapshot script (DumpScript's output, or any script)
+// into e, which must be new: nothing may have changed it yet, and nothing
+// may read it until Restore returns. Statements are read, parsed and run one
+// at a time, so the replay holds one statement's tokens and syntax tree,
+// never the script's. The first failing statement ends the replay; the
+// caller then discards e.
+//
+// A restored engine keeps nothing of the script: no name or predicate shares
+// its memory, and the statement log ends empty at the generation the replay
+// reached, so DeltaScript from any earlier generation answers
+// ErrLogTruncated, as it does after log eviction.
+func (e *Engine) Restore(script string) error {
+	if e.gen.Load() != 0 {
+		return errors.New("core: Restore needs a new engine")
+	}
+	sc := sql.NewScanner(script)
+	for i := 1; sc.Next(); i++ {
+		if _, err := e.execScriptStmt(context.Background(), sc.Stmt()); err != nil {
+			return fmt.Errorf("statement %d: %w", i, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	e.mu.Lock()
+	e.log = stmtLog{cap: e.log.cap, base: e.gen.Load()}
+	e.mu.Unlock()
+	return nil
+}
+
 // execScriptStmt executes one statement of a script, retaining its SQL
 // source so mutations land in the replication log as replayable entries.
 func (e *Engine) execScriptStmt(ctx context.Context, st sql.ScriptStmt) (*exec.Result, error) {
@@ -619,16 +649,32 @@ func (e *Engine) AddMarginal(pop string, m *marginal.Marginal) error {
 	return e.cat.AddMarginal(pop, m)
 }
 
+// execInsert appends the rows of an INSERT. Into a sample, the column list
+// may name WEIGHT, the tuple's weight (SELECT's pseudo-column rule: a real
+// column of that name wins), and so may a row's WEIGHT clause, which no
+// column shadows. The weight converts as UPDATE SAMPLE's SET WEIGHT does,
+// and a row without one weighs 1.
 func (e *Engine) execInsert(s *sql.Insert) error {
 	t, err := e.sourceTable(s.Table)
 	if err != nil {
 		return fmt.Errorf("core: INSERT INTO %s: %v", s.Table, err)
 	}
+	if len(s.Weights) > 0 {
+		if _, isSample := e.cat.Sample(s.Table); !isSample {
+			return fmt.Errorf("core: INSERT INTO %s: a WEIGHT clause needs a sample", s.Table)
+		}
+	}
 	sc := t.Schema()
-	colIdx := make([]int, 0, sc.Len())
+	colIdx := make([]int, 0, sc.Len()) // -1 marks the WEIGHT pseudo-column
+	weightCol := false
 	if len(s.Columns) > 0 {
 		for _, c := range s.Columns {
 			j, ok := sc.Index(c)
+			if !ok && strings.EqualFold(c, "WEIGHT") {
+				if _, isSample := e.cat.Sample(s.Table); isSample {
+					j, ok, weightCol = -1, true, true
+				}
+			}
 			if !ok {
 				return fmt.Errorf("core: INSERT INTO %s: no column %q", s.Table, c)
 			}
@@ -637,6 +683,7 @@ func (e *Engine) execInsert(s *sql.Insert) error {
 	}
 	for ri, rexprs := range s.Rows {
 		row := make([]value.Value, sc.Len())
+		w := 1.0
 		if len(s.Columns) == 0 {
 			if len(rexprs) != sc.Len() {
 				return fmt.Errorf("core: INSERT INTO %s row %d: %d values for %d columns", s.Table, ri+1, len(rexprs), sc.Len())
@@ -657,10 +704,28 @@ func (e *Engine) execInsert(s *sql.Insert) error {
 				if err != nil {
 					return fmt.Errorf("core: INSERT INTO %s row %d: %v", s.Table, ri+1, err)
 				}
+				if colIdx[i] < 0 {
+					if w, err = v.Float64(); err != nil {
+						return fmt.Errorf("core: INSERT INTO %s row %d: weight: %v", s.Table, ri+1, err)
+					}
+					continue
+				}
 				row[colIdx[i]] = v
 			}
 		}
-		if err := t.Append(row); err != nil {
+		if ri < len(s.Weights) && s.Weights[ri] != nil {
+			if weightCol {
+				return fmt.Errorf("core: INSERT INTO %s row %d: weight given twice", s.Table, ri+1)
+			}
+			v, err := s.Weights[ri].Eval(nil)
+			if err == nil {
+				w, err = v.Float64()
+			}
+			if err != nil {
+				return fmt.Errorf("core: INSERT INTO %s row %d: weight: %v", s.Table, ri+1, err)
+			}
+		}
+		if err := t.AppendWeighted(row, w); err != nil {
 			return err
 		}
 	}

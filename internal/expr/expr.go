@@ -58,7 +58,7 @@ type Literal struct{ Val value.Value }
 // Eval implements Expr.
 func (l *Literal) Eval(*Binding) (value.Value, error) { return l.Val, nil }
 
-func (l *Literal) String() string { return l.Val.String() }
+func (l *Literal) String() string { return l.Val.SQL() }
 
 // Columns implements Expr.
 func (l *Literal) Columns(dst []string) []string { return dst }

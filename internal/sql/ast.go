@@ -272,11 +272,14 @@ func (c *CreateMetadata) TargetPopulation() string {
 	return c.Name
 }
 
-// Insert adds literal rows to a relation.
+// Insert adds literal rows to a relation. Into a sample, a row may end in
+// a WEIGHT clause, VALUES (…) WEIGHT w, which sets its tuple weight whatever
+// the sample's columns are named.
 type Insert struct {
 	Table   string
 	Columns []string // optional column list
 	Rows    [][]expr.Expr
+	Weights []expr.Expr // Weights[i]: row i's WEIGHT clause, nil or past the end if none
 }
 
 func (*Insert) stmt() {}

@@ -38,7 +38,14 @@ var fuzzSeedCorpus = []string{
 	`EXPLAIN SELECT OPEN COUNT(*) FROM P`,
 	`COPY t FROM 'file.csv' WITH HEADER`,
 	`SELECT a FROM t; SELECT b FROM u;`,
+	"INSERT INTO t VALUES ('a;b'); SELECT a FROM t -- c;d\n; SELECT /* ; */ b FROM u",
+	`INSERT INTO s (a, WEIGHT) VALUES (1, 2.5), (FLOAT '-0', FLOAT '+Inf')`,
+	`INSERT INTO s VALUES (1, 7) WEIGHT 2.5, (2, 7), (3, 7) WEIGHT FLOAT 'NaN'`,
+	`SELECT -0.0, FLOAT 'NaN', FLOAT '-Inf' FROM t WHERE f <> FLOAT '+Inf'`,
 	// Adversarial / malformed.
+	`SELECT a FROM t; SELEC b FROM u; SELECT 'unterminated`,
+	`SELECT a FROM t; SELECT @ FROM u; SELECT FROM v`,
+	`SELECT FLOAT 'x' FROM t`,
 	``,
 	`;`,
 	`;;;`,

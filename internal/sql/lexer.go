@@ -21,10 +21,15 @@ const (
 
 // token is one lexical token with its source position (1-based line/col)
 // and the byte offset of its first character in the source — the offset is
-// what lets ParseScript slice each statement's exact source text back out.
+// what lets a Scanner slice each statement's exact source text back out.
 type token struct {
 	kind tokenKind
-	text string // keywords are upper-cased; idents keep original case
+	// text is the keyword upper-cased, the identifier as written, the string
+	// literal unquoted, or the number or symbol as written. Keyword,
+	// identifier and string texts never share memory with the source: they
+	// end up in catalog names and predicates, which would otherwise keep a
+	// whole script alive.
+	text string
 	line int
 	col  int
 	off  int // byte offset of the token's first character
@@ -41,24 +46,32 @@ func (t token) String() string {
 	}
 }
 
-// keywords recognized by the dialect. Everything else is an identifier.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"AND": true, "OR": true, "NOT": true, "IN": true, "BETWEEN": true,
-	"IS": true, "NULL": true, "TRUE": true, "FALSE": true, "AS": true,
-	"CREATE": true, "TABLE": true, "TEMPORARY": true, "TEMP": true,
-	"POPULATION": true, "GLOBAL": true, "SAMPLE": true, "METADATA": true,
-	"USING": true, "MECHANISM": true, "PERCENT": true, "ON": true,
-	"UNIFORM": true, "STRATIFIED": true,
-	"INSERT": true, "INTO": true, "VALUES": true,
-	"UPDATE": true, "SET": true, "WEIGHT": true,
-	"DROP": true, "FOR": true,
-	"EXPLAIN": true, "COPY": true, "WITH": true, "HEADER": true, "BINS": true,
-	"CLOSED": true, "OPEN": true, "SEMI": true, "SEMIOPEN": true,
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"DISTINCT": true,
-}
+// keywords recognized by the dialect, each mapped to its own upper-case
+// spelling, which keyword tokens carry as their text. Everything else is an
+// identifier.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY",
+		"HAVING", "ORDER", "ASC", "DESC", "LIMIT",
+		"AND", "OR", "NOT", "IN", "BETWEEN",
+		"IS", "NULL", "TRUE", "FALSE", "AS",
+		"CREATE", "TABLE", "TEMPORARY", "TEMP",
+		"POPULATION", "GLOBAL", "SAMPLE", "METADATA",
+		"USING", "MECHANISM", "PERCENT", "ON",
+		"UNIFORM", "STRATIFIED",
+		"INSERT", "INTO", "VALUES",
+		"UPDATE", "SET", "WEIGHT",
+		"DROP", "FOR",
+		"EXPLAIN", "COPY", "WITH", "HEADER", "BINS",
+		"CLOSED", "OPEN", "SEMI", "SEMIOPEN",
+		"COUNT", "SUM", "AVG", "MIN", "MAX",
+		"DISTINCT",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
 
 // lexer turns SQL text into tokens.
 type lexer struct {
@@ -70,17 +83,18 @@ type lexer struct {
 
 func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
 
-// lex tokenizes the whole input.
-func (l *lexer) lex() ([]token, error) {
-	var out []token
+// statement appends the tokens of the next statement to dst: every token up
+// to and including the first ';', or up to and including EOF. A ';' inside a
+// string literal or a comment is not a token, so it ends nothing.
+func (l *lexer) statement(dst []token) ([]token, error) {
 	for {
 		t, err := l.next()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		out = append(out, t)
-		if t.kind == tokEOF {
-			return out, nil
+		dst = append(dst, t)
+		if t.kind == tokEOF || t.kind == tokSymbol && t.text == ";" {
+			return dst, nil
 		}
 	}
 }
@@ -163,11 +177,10 @@ func (l *lexer) next() (token, error) {
 			}
 		}
 		word := l.src[start:l.pos]
-		upper := strings.ToUpper(word)
-		if keywords[upper] {
-			t = token{kind: tokKeyword, text: upper, line: line, col: col}
+		if kw, ok := keywords[strings.ToUpper(word)]; ok {
+			t = token{kind: tokKeyword, text: kw, line: line, col: col}
 		} else {
-			t = token{kind: tokIdent, text: word, line: line, col: col}
+			t = token{kind: tokIdent, text: strings.Clone(word), line: line, col: col}
 		}
 	case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 		t, err = l.lexNumber(line, col)

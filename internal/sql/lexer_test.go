@@ -4,6 +4,21 @@ import (
 	"testing"
 )
 
+// lex tokenizes the whole input, ';' tokens included, through EOF.
+func (l *lexer) lex() ([]token, error) {
+	var out []token
+	for {
+		t, err := l.next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.kind == tokEOF {
+			return out, nil
+		}
+	}
+}
+
 func lexAll(t *testing.T, src string) []token {
 	t.Helper()
 	toks, err := newLexer(src).lex()

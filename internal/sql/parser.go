@@ -33,32 +33,90 @@ type ScriptStmt struct {
 }
 
 // ParseScript parses a script of semicolon-separated statements, retaining
-// each statement's source text.
+// each statement's source text. It parses the whole script before returning
+// anything, so a script with an error anywhere yields no statements; the
+// error is the first one in source order.
 func ParseScript(src string) ([]ScriptStmt, error) {
-	toks, err := newLexer(src).lex()
-	if err != nil {
+	var out []ScriptStmt
+	sc := NewScanner(src)
+	for sc.Next() {
+		out = append(out, sc.Stmt())
+	}
+	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	var out []ScriptStmt
-	for {
-		for p.acceptSymbol(";") {
-		}
-		if p.peek().kind == tokEOF {
-			return out, nil
-		}
-		start := p.peek().off
-		st, err := p.parseStatement()
-		if err != nil {
-			return nil, err
-		}
-		end := p.peek().off // the terminator (';' or EOF) starts here
-		out = append(out, ScriptStmt{Stmt: st, Source: strings.TrimSpace(src[start:end])})
-		if !p.acceptSymbol(";") && p.peek().kind != tokEOF {
-			return nil, p.errf("expected ';' or end of input, found %s", p.peek())
-		}
-	}
+	return out, nil
 }
+
+// Scanner reads a script one statement at a time: it lexes up to the next
+// ';' and parses that statement before reading further, reusing one token
+// buffer, so its memory follows the largest statement rather than the whole
+// script. Use it as
+//
+//	sc := sql.NewScanner(src)
+//	for sc.Next() {
+//		st := sc.Stmt()
+//		...
+//	}
+//	err := sc.Err()
+//
+// The first error, lexical or syntactic, ends the scan; nothing after it is
+// read.
+type Scanner struct {
+	src  string
+	lex  lexer
+	p    parser
+	stmt ScriptStmt
+	err  error
+	done bool
+}
+
+// NewScanner returns a Scanner over src.
+func NewScanner(src string) *Scanner {
+	return &Scanner{src: src, lex: lexer{src: src, line: 1, col: 1}}
+}
+
+// Next parses the next statement, reporting false at the end of the script
+// or at the first error (see Err). Empty statements (";;") are skipped.
+func (s *Scanner) Next() bool {
+	s.stmt = ScriptStmt{}
+	for !s.done && s.err == nil {
+		s.p.toks, s.err = s.lex.statement(s.p.toks[:0])
+		s.p.pos = 0
+		if s.err != nil {
+			break
+		}
+		first := s.p.peek()
+		if first.kind == tokEOF {
+			s.done = true
+			break
+		}
+		if s.p.acceptSymbol(";") {
+			continue
+		}
+		st, err := s.p.parseStatement()
+		if err != nil {
+			s.err = err
+			break
+		}
+		end := s.p.peek() // the terminator (';' or EOF), unless input trails
+		if end.kind != tokEOF && !(end.kind == tokSymbol && end.text == ";") {
+			s.err = s.p.errf("expected ';' or end of input, found %s", end)
+			break
+		}
+		s.done = end.kind == tokEOF
+		s.stmt = ScriptStmt{Stmt: st, Source: strings.TrimSpace(s.src[first.off:end.off])}
+		return true
+	}
+	return false
+}
+
+// Stmt returns the statement the last successful Next parsed. Its Source is
+// a substring of the script.
+func (s *Scanner) Stmt() ScriptStmt { return s.stmt }
+
+// Err returns the error that ended the scan, or nil at a clean end.
+func (s *Scanner) Err() error { return s.err }
 
 // ParseStatement parses exactly one statement.
 func ParseStatement(src string) (Statement, error) {
@@ -88,7 +146,7 @@ func ParseQuery(src string) (*Select, error) {
 // ParseExpr parses a standalone scalar expression (used by the Go API for
 // predicates).
 func ParseExpr(src string) (expr.Expr, error) {
-	toks, err := newLexer(src).lex()
+	toks, err := newLexer(src).statement(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -842,6 +900,14 @@ func (p *parser) parseInsert() (Statement, error) {
 			return nil, err
 		}
 		ins.Rows = append(ins.Rows, row)
+		if p.acceptKeyword("WEIGHT") {
+			w, err := p.parseExpr()
+			if err != nil {
+				return nil, err
+			}
+			ins.Weights = append(ins.Weights, make([]expr.Expr, len(ins.Rows)-1-len(ins.Weights))...)
+			ins.Weights = append(ins.Weights, w)
+		}
 		if !p.acceptSymbol(",") {
 			break
 		}
@@ -1161,6 +1227,17 @@ func (p *parser) parsePrimary() (expr.Expr, error) {
 		return nil, p.errf("unexpected keyword %s in expression", t.text)
 	case tokIdent:
 		p.advance()
+		if s := p.peek(); s.kind == tokString && strings.EqualFold(t.text, "FLOAT") {
+			// The typed literal FLOAT '<float>' spells the values a number
+			// cannot: FLOAT 'NaN', FLOAT '+Inf', FLOAT '-Inf', FLOAT '-0'
+			// (value.AppendSQL writes them so).
+			f, err := strconv.ParseFloat(s.text, 64)
+			if err != nil {
+				return nil, p.errf("invalid FLOAT literal %s", s)
+			}
+			p.advance()
+			return expr.Lit(value.Float(f)), nil
+		}
 		return expr.Col(t.text), nil
 	case tokSymbol:
 		if t.text == "?" {

@@ -293,9 +293,17 @@ func TestParseInsert(t *testing.T) {
 	if ins.Table != "t" || len(ins.Rows) != 2 || len(ins.Rows[0]) != 2 {
 		t.Errorf("insert parse: %+v", ins)
 	}
+	if ins.Weights != nil {
+		t.Errorf("no WEIGHT clause parsed as %v", ins.Weights)
+	}
 	ins = parseOne(t, `INSERT INTO t (a, b) VALUES (1, 2)`).(*Insert)
 	if len(ins.Columns) != 2 {
 		t.Errorf("insert columns: %v", ins.Columns)
+	}
+	ins = parseOne(t, `INSERT INTO t VALUES (1), (2) WEIGHT 2.5, (3), (4) WEIGHT FLOAT 'NaN'`).(*Insert)
+	if len(ins.Rows) != 4 || len(ins.Weights) != 4 || ins.Weights[0] != nil || ins.Weights[1] == nil ||
+		ins.Weights[2] != nil || ins.Weights[3] == nil {
+		t.Errorf("row WEIGHT clauses: %d rows, weights %v", len(ins.Rows), ins.Weights)
 	}
 }
 

@@ -145,26 +145,59 @@ func (v Value) Float64() (float64, error) {
 	}
 }
 
-// String renders the value in SQL-literal form.
+// String renders the value for display: its SQL literal, except that a
+// FLOAT prints as strconv formats it, so NaN, ±Inf and -0 read "NaN",
+// "+Inf", "-Inf" and "-0", which do not parse back.
 func (v Value) String() string {
+	if v.kind == KindFloat {
+		return strconv.FormatFloat(v.f, 'g', -1, 64)
+	}
+	return v.SQL()
+}
+
+// SQL renders the value as a literal that parses back to the same value
+// (see AppendSQL).
+func (v Value) SQL() string { return string(AppendSQL(nil, v)) }
+
+// AppendSQL appends v as a SQL literal that parses back to the same value
+// and bits. It is String's rendering, except for the FLOATs whose String
+// would not: NaN, ±Inf and -0 are written as the typed literal
+// FLOAT '<strconv form>', i.e. FLOAT 'NaN', FLOAT '+Inf', FLOAT '-Inf' and
+// FLOAT '-0'. NaN payloads are not kept: every NaN reads back as the
+// canonical NaN, as on the wire.
+func AppendSQL(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
-		return "NULL"
+		return append(dst, "NULL"...)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		if math.IsNaN(v.f) || math.IsInf(v.f, 0) || v.f == 0 && math.Signbit(v.f) {
+			dst = append(dst, "FLOAT '"...)
+			dst = strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+			return append(dst, '\'')
+		}
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 	case KindText:
-		// SQL-literal form: embedded quotes double so the rendering is
-		// re-parseable (dump/restore depends on this).
-		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+		dst = append(dst, '\'')
+		for s := v.s; ; {
+			i := strings.IndexByte(s, '\'')
+			if i < 0 {
+				dst = append(dst, s...)
+				break
+			}
+			dst = append(dst, s[:i+1]...)
+			dst = append(dst, '\'')
+			s = s[i+1:]
+		}
+		return append(dst, '\'')
 	case KindBool:
 		if v.b {
-			return "TRUE"
+			return append(dst, "TRUE"...)
 		}
-		return "FALSE"
+		return append(dst, "FALSE"...)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 

@@ -311,11 +311,15 @@ func (db *DB) Snapshot() (string, error) {
 // Restore replaces the database's entire state by replaying a Snapshot
 // script against a fresh engine with the DB's original Options (so
 // restored answers are bit-identical to the snapshotted instance's for the
-// same statement stream). On replay error the current state is untouched.
-// Concurrent queries started before Restore finish against the old state.
+// same statement stream). The replay runs statement by statement, holding
+// one statement's parse at a time, and the restored engine keeps no part of
+// the script: its statement log starts empty at the generation the replay
+// reached.
+// On replay error the current state is untouched. Concurrent queries
+// started before Restore finish against the old state.
 func (db *DB) Restore(script string) error {
 	fresh := core.NewEngine(db.opts)
-	if _, err := fresh.ExecScript(script); err != nil {
+	if err := fresh.Restore(script); err != nil {
 		return fmt.Errorf("mosaic: restore: %w", err)
 	}
 	db.engine.Store(fresh)

@@ -144,11 +144,11 @@ func TestSnapshotPreservesWeightsQuotesAndBins(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"UPDATE SAMPLE S SET WEIGHT = 2.5", // non-unit weights survive
-		"'O''Brien'",                       // embedded quote doubled
-		"'D''Arcy ''''quoted'''''",         // doubled quotes re-doubled
-		"WITH BINS (age 10)",               // binned marginal
-		"CREATE POPULATION North",          // derived population
+		"INSERT INTO S (name, region, age, WEIGHT) VALUES ('Anna', 'north', 12, 2.5)", // non-unit weights survive, per row
+		"'O''Brien'",               // embedded quote doubled
+		"'D''Arcy ''''quoted'''''", // doubled quotes re-doubled
+		"WITH BINS (age 10)",       // binned marginal
+		"CREATE POPULATION North",  // derived population
 	} {
 		if !strings.Contains(script, want) {
 			t.Errorf("snapshot script missing %q:\n%s", want, script)

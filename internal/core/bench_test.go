@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"mosaic/internal/exec"
@@ -83,5 +85,68 @@ func BenchmarkOpenAfterUnrelatedWrite(b *testing.B) {
 	b.StopTimer()
 	if st := e.ModelCacheStats(); st.Trained != 1 {
 		b.Fatalf("trained %d models, want 1", st.Trained)
+	}
+}
+
+// closedScanSchema is the repo benchmark's closed_scan table: three TEXT
+// columns of 10, 1,000 and 100,000 distinct values, an INT and a FLOAT.
+const closedScanSchema = `CREATE GLOBAL POPULATION P (c10 TEXT, c1k TEXT, c100k TEXT, x INT, y FLOAT);
+CREATE SAMPLE S AS (SELECT * FROM P);`
+
+func closedScanRows(n int) [][]any {
+	rng := rand.New(rand.NewSource(1))
+	rows := make([][]any, n)
+	for i := range rows {
+		rows[i] = []any{
+			fmt.Sprintf("g%d", rng.Intn(10)),
+			fmt.Sprintf("k%d", rng.Intn(1000)),
+			fmt.Sprintf("u%d", rng.Intn(100000)),
+			rng.Intn(1000),
+			rng.Float64() * 100,
+		}
+	}
+	return rows
+}
+
+// BenchmarkIngest400k: closed_scan's load, 400k rows ingested 50k at a time
+// into a fresh sample. Rows convert a chunk at a time into reused buffers
+// and append under one table lock per chunk, so allocs/op is the columns'
+// and the dictionary's growth, not a slice or two per row.
+func BenchmarkIngest400k(b *testing.B) {
+	rows := closedScanRows(400_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := NewEngine(Options{Workers: 1})
+		if _, err := e.ExecScript(closedScanSchema); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for lo := 0; lo < len(rows); lo += 50_000 {
+			if err := e.Ingest("S", rows[lo:lo+50_000]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkUpdateWeights400k: closed_scan's reweighting of its 400k-row
+// sample, computed on the arithmetic kernels: B/op is a handful of
+// table-length vectors, allocs/op in the tens.
+func BenchmarkUpdateWeights400k(b *testing.B) {
+	e := NewEngine(Options{Workers: 1})
+	if _, err := e.ExecScript(closedScanSchema); err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Ingest("S", closedScanRows(400_000)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.ExecScript(`UPDATE SAMPLE S SET WEIGHT = 0.5 + (x % 100) / 100.0`); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -732,6 +732,11 @@ func (e *Engine) execInsert(s *sql.Insert) error {
 	return nil
 }
 
+// execUpdateWeights reweights a sample's tuples. WEIGHT in SET or WHERE is
+// the tuple's weight from before the statement, by SELECT's pseudo-column
+// rule: a real column of that name wins. The kernels compute the new weights
+// (exec.UpdateWeights) unless they decline or RowExec is set; the row loop
+// answers then, and it alone words the errors.
 func (e *Engine) execUpdateWeights(s *sql.UpdateWeights) error {
 	smp, ok := e.cat.Sample(s.Sample)
 	if !ok {
@@ -740,11 +745,27 @@ func (e *Engine) execUpdateWeights(s *sql.UpdateWeights) error {
 	t := smp.Table
 	snap := t.Snapshot()
 	w := t.Weights()
+	if !e.opts.RowExec {
+		if rows, vals, ok := exec.UpdateWeights(snap, s.Where, s.Weight, e.opts.Workers); ok {
+			for k, r := range rows {
+				w[r] = vals[k]
+			}
+			return t.SetWeights(w)
+		}
+	}
+	sc, wIdx := t.Schema(), -1
+	if _, shadowed := sc.Index("WEIGHT"); !shadowed {
+		wIdx = sc.Len()
+		sc = schema.MustNew(append(sc.Attributes(), schema.Attribute{Name: "WEIGHT", Kind: value.KindFloat})...)
+	}
 	// One binding serves every tuple: nothing keeps the row past its
 	// evaluation, so each is materialized over the last.
-	b := &expr.Binding{Schema: t.Schema()}
+	b := &expr.Binding{Schema: sc}
 	for i := range w {
 		b.Row = snap.AppendRow(b.Row[:0], i)
+		if wIdx >= 0 {
+			b.Row = append(b.Row, value.Float(snap.Weight(i)))
+		}
 		if s.Where != nil {
 			ok, err := expr.Truthy(s.Where, b)
 			if err != nil {
@@ -771,7 +792,9 @@ func (e *Engine) execUpdateWeights(s *sql.UpdateWeights) error {
 }
 
 // Ingest appends Go-native rows into a table or sample (the bulk-loading
-// path the paper's "...Ingest Yahoo sample..." step implies).
+// path the paper's "...Ingest Yahoo sample..." step implies). It stops at
+// the first row that fails, with an error naming it, and keeps the rows
+// before it.
 func (e *Engine) Ingest(relation string, rows [][]any) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -780,23 +803,25 @@ func (e *Engine) Ingest(relation string, rows [][]any) error {
 	if err != nil {
 		return err
 	}
-	for ri, raw := range rows {
-		row := make([]value.Value, len(raw))
-		for i, x := range raw {
+	ri, err := appendRows(t, len(rows), func(buf []value.Value, i int) ([]value.Value, error) {
+		for _, x := range rows[i] {
 			v, err := value.FromRaw(x)
 			if err != nil {
-				return fmt.Errorf("core: ingest %s row %d: %v", relation, ri+1, err)
+				return buf, err
 			}
-			row[i] = v
+			buf = append(buf, v)
 		}
-		if err := t.Append(row); err != nil {
-			return err
-		}
+		return buf, nil
+	})
+	if err != nil {
+		return fmt.Errorf("core: ingest %s row %d: %v", relation, ri+1, err)
 	}
 	return nil
 }
 
-// IngestTable bulk-copies all rows of src into the named relation.
+// IngestTable bulk-copies all rows of src into the named relation: the rows
+// src holds when the call begins, so src may be the relation itself. Like
+// Ingest, it stops at the first row that fails and keeps the rows before it.
 func (e *Engine) IngestTable(relation string, src *table.Table) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -805,15 +830,56 @@ func (e *Engine) IngestTable(relation string, src *table.Table) error {
 	if err != nil {
 		return err
 	}
-	var cpErr error
-	src.Scan(func(row []value.Value, _ float64) bool {
-		if err := dst.Append(row); err != nil {
-			cpErr = err
-			return false
-		}
-		return true
+	snap := src.Snapshot()
+	ri, err := appendRows(dst, snap.Len(), func(buf []value.Value, i int) ([]value.Value, error) {
+		return snap.AppendRow(buf, i), nil
 	})
-	return cpErr
+	if err != nil {
+		return fmt.Errorf("core: ingest %s row %d: %v", relation, ri+1, err)
+	}
+	return nil
+}
+
+// ingestChunk is how many rows a bulk load converts before it hands them to
+// table.BulkAppend: its buffers are reused from chunk to chunk, so a load
+// allocates the same for any row count.
+const ingestChunk = 1024
+
+// appendRows stores n rows into t a chunk at a time; add appends row i's
+// values to buf and returns it. It stops at the first row whose add or
+// coercion fails and returns that row's index and error, keeping the rows
+// before it, as a loop of t.Append would.
+func appendRows(t *table.Table, n int, add func(buf []value.Value, i int) ([]value.Value, error)) (int, error) {
+	var flat []value.Value
+	var ends []int
+	var batch [][]value.Value
+	for lo := 0; lo < n; lo += ingestChunk {
+		hi := min(lo+ingestChunk, n)
+		flat, ends, batch = flat[:0], ends[:0], batch[:0]
+		var addErr error
+		for i := lo; i < hi && addErr == nil; i++ {
+			if flat, addErr = add(flat, i); addErr == nil {
+				ends = append(ends, len(flat))
+			}
+		}
+		// flat may have moved while it grew: rows are cut from it only now.
+		start := 0
+		for _, end := range ends {
+			batch = append(batch, flat[start:end:end])
+			start = end
+		}
+		if err := t.BulkAppend(batch); err != nil {
+			var be *table.BatchError
+			if errors.As(err, &be) {
+				return lo + be.Row, be.Err
+			}
+			return lo, err
+		}
+		if addErr != nil {
+			return lo + len(ends), addErr
+		}
+	}
+	return n, nil
 }
 
 func andExpr(a, b expr.Expr) expr.Expr {

@@ -145,7 +145,8 @@ func (e *Engine) shardPlan(s scan) string {
 }
 
 // execCopy bulk-loads a CSV file into a table or sample, coercing each field
-// to the target column's kind. Empty fields load as NULL.
+// to the target column's kind. Empty fields load as NULL. Like Ingest, it
+// stops at the first row that fails and keeps the rows before it.
 func (e *Engine) execCopy(c *sql.Copy) error {
 	t, err := e.sourceTable(c.Table)
 	if err != nil {
@@ -166,18 +167,18 @@ func (e *Engine) execCopy(c *sql.Copy) error {
 		records = records[1:]
 	}
 	sc := t.Schema()
-	for ri, rec := range records {
-		row := make([]value.Value, sc.Len())
-		for i, field := range rec {
-			v, err := parseCSVField(field, sc.At(i).Kind)
+	ri, err := appendRows(t, len(records), func(buf []value.Value, i int) ([]value.Value, error) {
+		for j, field := range records[i] {
+			v, err := parseCSVField(field, sc.At(j).Kind)
 			if err != nil {
-				return fmt.Errorf("core: COPY %s row %d column %q: %v", c.Table, ri+1, sc.At(i).Name, err)
+				return buf, fmt.Errorf("column %q: %v", sc.At(j).Name, err)
 			}
-			row[i] = v
+			buf = append(buf, v)
 		}
-		if err := t.Append(row); err != nil {
-			return fmt.Errorf("core: COPY %s row %d: %v", c.Table, ri+1, err)
-		}
+		return buf, nil
+	})
+	if err != nil {
+		return fmt.Errorf("core: COPY %s row %d: %v", c.Table, ri+1, err)
 	}
 	return nil
 }

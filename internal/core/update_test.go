@@ -1,0 +1,141 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+func weightBits(t *testing.T, e *Engine, sample string) []uint64 {
+	t.Helper()
+	w := sampleTable(t, e, sample).Weights()
+	out := make([]uint64, len(w))
+	for i, x := range w {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// updateWorld holds S (c TEXT, x INT, y FLOAT, b BOOL), whose y has NULLs,
+// NaN, ±Inf and -0 and whose b has NULLs, and W, whose column named weight
+// shadows the WEIGHT pseudo-column.
+func updateWorld(t *testing.T, rowExec bool) *Engine {
+	t.Helper()
+	e := NewEngine(Options{RowExec: rowExec, Workers: 2})
+	exec1(t, e, `CREATE GLOBAL POPULATION P (c TEXT, x INT, y FLOAT, b BOOL, weight FLOAT);
+CREATE SAMPLE S (c TEXT, x INT, y FLOAT, b BOOL) AS (SELECT c, x, y, b FROM P);
+CREATE SAMPLE W (weight FLOAT, x INT) AS (SELECT weight, x FROM P);`)
+	specials := []any{nil, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	var s, w [][]any
+	for i := 0; i < 300; i++ {
+		var y, b any = float64(i%13) - 4.5, i%3 == 0
+		if i%7 == 0 {
+			y = specials[(i/7)%len(specials)]
+		}
+		if i%11 == 0 {
+			b = nil
+		}
+		s = append(s, []any{fmt.Sprintf("t%d", i%4), i % 10, y, b})
+		w = append(w, []any{float64(i%5) / 2, i % 10})
+	}
+	if err := e.Ingest("S", s); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Ingest("W", w); err != nil {
+		t.Fatal(err)
+	}
+	exec1(t, e, `UPDATE SAMPLE S SET WEIGHT = 1 + x % 3`)
+	return e
+}
+
+// TestUpdateReadsWeight: WEIGHT in UPDATE SAMPLE's SET and WHERE is the
+// tuple's weight before the statement, as in SELECT, and a column of that
+// name wins — on the kernels and on the row loop alike. It was an unknown
+// column.
+func TestUpdateReadsWeight(t *testing.T) {
+	for _, rowExec := range []bool{false, true} {
+		e := NewEngine(Options{RowExec: rowExec})
+		exec1(t, e, `CREATE GLOBAL POPULATION P (x INT, weight FLOAT);
+CREATE SAMPLE S (x INT) AS (SELECT x FROM P);
+CREATE SAMPLE W (x INT, weight FLOAT) AS (SELECT x, weight FROM P);
+INSERT INTO S VALUES (1), (2), (3);
+INSERT INTO W VALUES (1, 10), (2, 20);
+UPDATE SAMPLE S SET WEIGHT = x;
+UPDATE SAMPLE S SET WEIGHT = WEIGHT * 2;
+UPDATE SAMPLE S SET WEIGHT = 7 WHERE WEIGHT > 3;
+UPDATE SAMPLE W SET WEIGHT = weight + 1;
+UPDATE SAMPLE W SET WEIGHT = 0 WHERE weight > 15;`)
+		if got, want := sampleTable(t, e, "S").Weights(), []float64{2, 7, 7}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("RowExec %v: S weights %v, want %v", rowExec, got, want)
+		}
+		if got, want := sampleTable(t, e, "W").Weights(), []float64{11, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("RowExec %v: W weights %v, want %v", rowExec, got, want)
+		}
+		if got := scalar(t, e, "SELECT COUNT(*) FROM S"); got != 16 {
+			t.Errorf("RowExec %v: COUNT(*) = %g, want 16", rowExec, got)
+		}
+	}
+}
+
+// TestUpdateKernelsMatchRowLoop: UPDATE SAMPLE … SET WEIGHT on the kernels
+// leaves weights bit-identical to the row loop's (RowExec), or fails with
+// the identical error, over weight expressions × WHEREs: division by zero
+// in WHERE before and after a weight's, NULL, NaN, negative, BOOL and TEXT
+// weights, and WEIGHT read as the pseudo-column and as a real column. The
+// statements run in sequence, so later ones read the weights earlier ones
+// left.
+func TestUpdateKernelsMatchRowLoop(t *testing.T) {
+	vec, row := updateWorld(t, false), updateWorld(t, true)
+	// x is i % 10: WHERE 10 / (x - 3) first fails at row 3, before a weight
+	// 1 / (x - 7) fails at row 7; 10 / (x - 9) fails only after it.
+	weights := []string{
+		"2", "x", "y", "-y", "x * 0.5", "x / 2", "x % 3", "1 / (x - 7)", "y / 0",
+		"NULL", "-1", "x - 5", "c", "b", "WEIGHT * 2", "WEIGHT + x", "0.5 + (x % 100) / 100.0",
+	}
+	wheres := []string{
+		"", "x > 4", "10 / (x - 3) > 0", "10 / (x - 9) < 100", "y IS NULL", "y IS NOT NULL",
+		"y > 0", "WEIGHT > 1", "c = 't1'", "b", "NOT b", "x IN (1, 2, 3)",
+	}
+	nulls, failed := 0, 0
+	for _, w := range weights {
+		for _, where := range wheres {
+			stmt := "UPDATE SAMPLE S SET WEIGHT = " + w
+			if where != "" {
+				stmt += " WHERE " + where
+			}
+			_, errV := vec.ExecScript(stmt)
+			_, errR := row.ExecScript(stmt)
+			if fmt.Sprint(errV) != fmt.Sprint(errR) {
+				t.Fatalf("%s: kernels: %v, row loop: %v", stmt, errV, errR)
+			}
+			if errR != nil {
+				failed++
+			}
+			if got, want := weightBits(t, vec, "S"), weightBits(t, row, "S"); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: weights differ from the row loop's", stmt)
+			}
+			if math.IsNaN(sampleTable(t, row, "S").TotalWeight()) {
+				nulls++ // a NULL weight stores NaN: reset it for the next statement
+				exec1(t, vec, `UPDATE SAMPLE S SET WEIGHT = 1 + x % 3`)
+				exec1(t, row, `UPDATE SAMPLE S SET WEIGHT = 1 + x % 3`)
+			}
+		}
+	}
+	if failed == 0 || nulls == 0 {
+		t.Errorf("the grid should hold failing statements (%d) and NULL weights (%d)", failed, nulls)
+	}
+	for _, stmt := range []string{
+		"UPDATE SAMPLE W SET WEIGHT = weight * 2",
+		"UPDATE SAMPLE W SET WEIGHT = x + weight WHERE weight > 1",
+		"UPDATE SAMPLE W SET WEIGHT = weight - 1",
+	} {
+		_, errV := vec.ExecScript(stmt)
+		_, errR := row.ExecScript(stmt)
+		if fmt.Sprint(errV) != fmt.Sprint(errR) {
+			t.Fatalf("%s: kernels: %v, row loop: %v", stmt, errV, errR)
+		}
+		if got, want := weightBits(t, vec, "W"), weightBits(t, row, "W"); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: weights differ from the row loop's", stmt)
+		}
+	}
+}

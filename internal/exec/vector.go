@@ -911,6 +911,63 @@ func selectRows(ctx context.Context, snap *table.Snapshot, where expr.Expr, rawW
 	return sel, nil
 }
 
+// UpdateWeights computes UPDATE SAMPLE … SET WEIGHT = weight WHERE where on
+// the kernels: the rows where keeps (every row when it is nil), in row
+// order, and weight's value at each as float64. WEIGHT in either expression
+// reads snap's weights unless a column of that name shadows it. ok=false
+// declines, and the caller's row interpreter answers instead, errors
+// included: when either expression falls outside the kernel set, when any
+// row of where or any selected row of weight would raise an error, or when a
+// selected weight is NULL or negative.
+func UpdateWeights(snap *table.Snapshot, where, weight expr.Expr, workers int) (rows []int32, vals []float64, ok bool) {
+	n := snap.Len()
+	c := &kernelCompiler{snap: snap, weights: snap.Weights(), n: n, workers: workers}
+	v := c.compileNum(weight)
+	if v == nil {
+		return nil, nil, false
+	}
+	// A mutation runs to completion once it holds the engine's write lock,
+	// so the kernels get no caller context.
+	ctx := context.Background()
+	if where == nil {
+		rows = make([]int32, n)
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+	} else {
+		k := c.compile(where)
+		if k == nil {
+			return nil, nil, false
+		}
+		tern, err := evalTern(ctx, k, n, workers)
+		if err != nil {
+			return nil, nil, false
+		}
+		var sawErr bool
+		if rows, sawErr, err = ternSelection(ctx, tern, workers); err != nil || sawErr {
+			return nil, nil, false
+		}
+	}
+	v = v.full(n)
+	vals = make([]float64, len(rows))
+	for j, r := range rows {
+		if bitGet(v.errs, int(r)) || bitGet(v.nulls, int(r)) {
+			return nil, nil, false
+		}
+		var f float64
+		if v.isInt {
+			f = float64(v.ints[r])
+		} else {
+			f = v.floats[r]
+		}
+		if f < 0 {
+			return nil, nil, false
+		}
+		vals[j] = f
+	}
+	return rows, vals, true
+}
+
 // densifyColumn assigns each selected row a dense id for one key column, in
 // first-appearance order. Identity follows HashKey: dictionary code for
 // TEXT, NaN-canonical float64 bits for numerics (so an INT column groups by

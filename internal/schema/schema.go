@@ -150,16 +150,26 @@ func (s *Schema) String() string {
 // Validate checks a row of values against the schema, coercing INT↔FLOAT
 // where needed, and returns the (possibly coerced) row.
 func (s *Schema) Validate(row []value.Value) ([]value.Value, error) {
-	if len(row) != len(s.attrs) {
-		return nil, fmt.Errorf("schema: row has %d values, schema has %d attributes", len(row), len(s.attrs))
+	out := make([]value.Value, len(s.attrs))
+	if err := s.ValidateInto(out, row); err != nil {
+		return nil, err
 	}
-	out := make([]value.Value, len(row))
+	return out, nil
+}
+
+// ValidateInto is Validate writing the coerced row into dst, which must
+// hold Len values, instead of a fresh slice. On error dst holds a prefix of
+// the row and must not be used.
+func (s *Schema) ValidateInto(dst, row []value.Value) error {
+	if len(row) != len(s.attrs) {
+		return fmt.Errorf("schema: row has %d values, schema has %d attributes", len(row), len(s.attrs))
+	}
 	for i, v := range row {
 		cv, err := value.Coerce(v, s.attrs[i].Kind)
 		if err != nil {
-			return nil, fmt.Errorf("schema: attribute %q: %v", s.attrs[i].Name, err)
+			return fmt.Errorf("schema: attribute %q: %v", s.attrs[i].Name, err)
 		}
-		out[i] = cv
+		dst[i] = cv
 	}
-	return out, nil
+	return nil
 }

@@ -39,13 +39,19 @@ func NewDict() *Dict {
 // Code interns s and returns its code.
 func (d *Dict) Code(s string) uint32 {
 	d.mu.Lock()
+	c := d.intern(s)
+	d.mu.Unlock()
+	return c
+}
+
+// intern is Code for a caller that holds d.mu.
+func (d *Dict) intern(s string) uint32 {
 	c, ok := d.codes[s]
 	if !ok {
 		c = uint32(len(d.strs))
 		d.codes[s] = c
 		d.strs = append(d.strs, s)
 	}
-	d.mu.Unlock()
 	return c
 }
 
@@ -135,8 +141,10 @@ func appendRow(dst []value.Value, cols []Column, strs []string, i int) []value.V
 	return dst
 }
 
-// appendValue extends the column with row value v (already schema-coerced).
-func (c *Column) appendValue(i int, v value.Value, dict *Dict) {
+// appendValue extends the column with row value v (already schema-coerced),
+// coding TEXT through code: a Dict's Code, or its intern under a lock the
+// caller holds.
+func (c *Column) appendValue(i int, v value.Value, code func(string) uint32) {
 	if v.IsNull() {
 		c.setNull(i)
 		switch c.Kind {
@@ -159,7 +167,7 @@ func (c *Column) appendValue(i int, v value.Value, dict *Dict) {
 	case value.KindBool:
 		c.Bools = append(c.Bools, v.AsBool())
 	case value.KindText:
-		c.Codes = append(c.Codes, dict.Code(v.AsText()))
+		c.Codes = append(c.Codes, code(v.AsText()))
 	}
 }
 

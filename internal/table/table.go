@@ -99,7 +99,7 @@ func (t *Table) AppendWeighted(row []value.Value, w float64) error {
 	t.mu.Lock()
 	i := len(t.wts)
 	for ci := range t.cols {
-		t.cols[ci].appendValue(i, vr[ci], t.dict)
+		t.cols[ci].appendValue(i, vr[ci], t.dict.Code)
 	}
 	t.wts = append(t.wts, w)
 	t.version++
@@ -107,13 +107,44 @@ func (t *Table) AppendWeighted(row []value.Value, w float64) error {
 	return nil
 }
 
+// A BatchError is the error BulkAppend stops on: Err is what Append would
+// have returned for the batch's row at index Row.
+type BatchError struct {
+	Row int
+	Err error
+}
+
+func (e *BatchError) Error() string { return e.Err.Error() }
+
+func (e *BatchError) Unwrap() error { return e.Err }
+
 // BulkAppend stores many rows with weight 1, validating each. It stops at
-// the first bad row, keeping the rows before it.
+// the first bad row with a *BatchError, keeping the rows before it. The
+// stored rows, dictionary codes and weights are the ones as many Appends
+// would leave, but the batch takes the table and dictionary locks once and
+// advances Version once when it stored any row.
 func (t *Table) BulkAppend(rows [][]value.Value) error {
-	for _, r := range rows {
-		if err := t.Append(r); err != nil {
-			return err
+	buf := make([]value.Value, len(t.cols))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.dict.mu.Lock()
+	defer t.dict.mu.Unlock()
+	n0, intern := len(t.wts), t.dict.intern
+	defer func() {
+		if len(t.wts) > n0 {
+			t.version++
 		}
+	}()
+	for ri, row := range rows {
+		// The whole row is coerced before any column grows, as in Append.
+		if err := t.schema.ValidateInto(buf, row); err != nil {
+			return &BatchError{Row: ri, Err: fmt.Errorf("table %s: %v", t.name, err)}
+		}
+		i := len(t.wts)
+		for ci := range t.cols {
+			t.cols[ci].appendValue(i, buf[ci], intern)
+		}
+		t.wts = append(t.wts, 1)
 	}
 	return nil
 }

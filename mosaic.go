@@ -248,7 +248,9 @@ func bindArgs(sel *sql.Select, args []any) (*sql.Select, error) {
 }
 
 // Ingest appends Go-native rows ([]any per row, matching the relation
-// schema) into a table or sample.
+// schema) into a table or sample. It stops at the first row that fails,
+// with an error that names it ("core: ingest S row 2: …"), and keeps the
+// rows before it.
 func (db *DB) Ingest(relation string, rows [][]any) error {
 	return db.eng().Ingest(relation, rows)
 }

@@ -16,10 +16,16 @@ import (
 // exactly the regime where applying ORDER BY/LIMIT/HAVING per replicate
 // (instead of after the combine) changes the answer.
 func closeWorld(t *testing.T) *Engine {
+	return twoGroupWorld(t, 5, 0)
+}
+
+// twoGroupWorld is closeWorld with the replicate count and Workers given.
+func twoGroupWorld(t *testing.T, openSamples, workers int) *Engine {
 	t.Helper()
 	e := NewEngine(Options{
 		Seed:          31,
-		OpenSamples:   5,
+		OpenSamples:   openSamples,
+		Workers:       workers,
 		GeneratedRows: 512,
 		SWG: swg.Config{
 			Hidden: []int{16, 16}, Latent: 2, Epochs: 10,
@@ -103,6 +109,42 @@ func TestOpenHavingAppliesAfterCombine(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("group %s (avg %g) missing under HAVING cnt > %g", row[0], avg, thresh)
+		}
+	}
+}
+
+// TestOpenKeysOnGroupByValues: the OPEN combine keys a group on its GROUP BY
+// values, not on the columns the query projects. Keyed on the projection, an
+// unprojected GROUP BY collapsed every group into one row, and projecting a
+// subset of the keys merged the groups that share it.
+func TestOpenKeysOnGroupByValues(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		e := twoGroupWorld(t, 3, workers)
+		if n := len(query(t, e, "SELECT CLOSED COUNT(*) FROM S GROUP BY grp")); n != 2 {
+			t.Fatalf("the sample holds %d groups, want 2", n)
+		}
+		for _, tc := range []struct {
+			keyed, projected string
+			cols             []int // the projected answer's columns the keyed one must equal
+		}{
+			{"SELECT OPEN COUNT(*) FROM World GROUP BY grp", "SELECT OPEN grp, COUNT(*) FROM World GROUP BY grp", []int{1}},
+			{"SELECT OPEN COUNT(*) FROM World GROUP BY grp, v", "SELECT OPEN grp, v, COUNT(*) FROM World GROUP BY grp, v", []int{2}},
+			{"SELECT OPEN grp, COUNT(*) FROM World GROUP BY grp, v", "SELECT OPEN grp, v, COUNT(*) FROM World GROUP BY grp, v", []int{0, 2}},
+		} {
+			keyed, projected := query(t, e, tc.keyed), query(t, e, tc.projected)
+			if len(projected) < 2 {
+				t.Fatalf("%q (Workers %d) has %d groups, want at least 2", tc.projected, workers, len(projected))
+			}
+			if len(keyed) != len(projected) {
+				t.Fatalf("%q (Workers %d) returned %d rows, %q %d", tc.keyed, workers, len(keyed), tc.projected, len(projected))
+			}
+			for i, row := range keyed {
+				for j, c := range tc.cols {
+					if row[j].String() != projected[i][c].String() {
+						t.Errorf("%q (Workers %d) row %d = %v, want the columns %v of %v", tc.keyed, workers, i, row, tc.cols, projected[i])
+					}
+				}
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"mosaic/internal/exec"
 	"mosaic/internal/marginal"
 	"mosaic/internal/mechanism"
 	"mosaic/internal/schema"
@@ -317,35 +316,6 @@ func TestInsertAndCreateTableAsSelect(t *testing.T) {
 	}
 	if _, err := e.ExecScript(`INSERT INTO Missing VALUES (1)`); err == nil {
 		t.Error("insert into missing relation should fail")
-	}
-}
-
-func TestOpenCombineProtocol(t *testing.T) {
-	// Directly exercise combineOpenResults: a group must appear in all
-	// replicates to be returned, aggregates are averaged.
-	sel, _ := sql.ParseQuery("SELECT g, COUNT(*) FROM x GROUP BY g")
-	mk := func(rows ...[]value.Value) *exec.Result {
-		return &exec.Result{Columns: []string{"g", "COUNT(*)"}, Rows: rows}
-	}
-	r1 := mk(
-		[]value.Value{value.Text("a"), value.Float(10)},
-		[]value.Value{value.Text("b"), value.Float(4)},
-	)
-	r2 := mk(
-		[]value.Value{value.Text("a"), value.Float(20)},
-	)
-	out, err := combineOpenResults([]*exec.Result{r1, r2}, sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Rows) != 1 {
-		t.Fatalf("combined rows = %v", out.Rows)
-	}
-	if out.Rows[0][0].AsText() != "a" {
-		t.Errorf("surviving group = %v", out.Rows[0][0])
-	}
-	if got, _ := out.Rows[0][1].Float64(); got != 15 {
-		t.Errorf("averaged count = %g, want 15", got)
 	}
 }
 

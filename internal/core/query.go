@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"mosaic/internal/catalog"
 	"mosaic/internal/exec"
@@ -15,7 +14,6 @@ import (
 	"mosaic/internal/sql"
 	"mosaic/internal/swg"
 	"mosaic/internal/table"
-	"mosaic/internal/value"
 )
 
 // Query answers a SELECT. Auxiliary tables and samples answer directly;
@@ -281,12 +279,12 @@ func (e *Engine) inverseWeights(ctx context.Context, pc *planContext) ([]float64
 }
 
 // runOpen trains (or reuses) the M-SWG for the scan's sample/population
-// pair, generates OpenSamples samples, uniformly reweights each to the
-// population size, answers the query on each, and combines per the paper's
-// protocol: groups appearing in all answers are returned with averaged
-// aggregates (Sec 5.3).
+// pair and hands exec.RunReplicates a generator of OpenSamples replicates,
+// each uniformly reweighted to the population size; RunReplicates answers
+// the query on each and combines per the paper's protocol: groups appearing
+// in all answers are returned with averaged aggregates (Sec 5.3).
 func (e *Engine) runOpen(ctx context.Context, s scan) (*exec.Result, error) {
-	pc, sel := s.pc, s.q
+	pc := s.pc
 	model, err := e.openModel(ctx, pc)
 	if err != nil {
 		return nil, err
@@ -299,101 +297,21 @@ func (e *Engine) runOpen(ctx context.Context, s scan) (*exec.Result, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: sample %q is empty", pc.sample.Name)
 	}
-	q := *sel
-	if !sel.IsAggregate() {
-		// Non-aggregate OPEN query: return one generated sample's
-		// qualifying tuples (materializing missing tuples).
-		return e.openReplicate(ctx, pc, model, &q, 0, n, popTotal)
-	}
-	// Post-aggregation clauses apply to the *combined* answer, never per
-	// replicate: a per-replicate LIMIT k (or HAVING) would drop groups
-	// before the intersect-and-average protocol sees them, biasing both the
-	// surviving group set and the averages.
-	q.OrderBy = nil
-	q.Having = nil
-	q.Limit = -1
-	reps := e.opts.OpenSamples
-	results := make([]*exec.Result, reps)
-	errs := make([]error, reps)
-	workers := e.opts.Workers
-	if workers > reps {
-		workers = reps
-	}
-	if workers <= 1 {
-		for r := 0; r < reps; r++ {
-			// Per-replicate cancellation checkpoint: stop generating new
-			// replicates as soon as the context expires.
-			if err := ctx.Err(); err != nil {
-				errs[r] = err
-				break
-			}
-			results[r], errs[r] = e.openReplicate(ctx, pc, model, &q, r, n, popTotal)
-		}
-	} else {
-		// Fan the replicates across a worker pool. Each replicate's RNG
-		// stream depends only on (Seed, r), so the partition is purely a
-		// scheduling choice: answers are bit-identical for any Workers.
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for r := w; r < reps; r += workers {
-					if err := ctx.Err(); err != nil {
-						errs[r] = err
-						return
-					}
-					results[r], errs[r] = e.openReplicate(ctx, pc, model, &q, r, n, popTotal)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	// Cancellation first: a cancelled run leaves later results/errs slots nil
-	// (the loops above stop scheduling replicates the moment ctx expires), so
-	// the partial replicate set must never reach combineOpenResults — and the
-	// surfaced error must be ctx.Err() itself, not whichever replicate
-	// happened to observe the cancellation first.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for r, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		if results[r] == nil {
-			// Unreachable defensively: every slot either erred or produced a
-			// result once the loops finish uncancelled.
-			return nil, fmt.Errorf("core: OPEN replicate %d produced no result", r)
-		}
-	}
-	res, err := combineOpenResults(results, sel)
-	if err != nil {
-		return nil, err
-	}
-	if err := exec.ApplyPostAggregation(ctx, res, sel); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// openReplicate generates OPEN replicate r and answers q over it. Eval-mode
-// generation is read-only on the model, so replicates run concurrently.
-// Generation is column-native: sampled tuples decode straight into typed
-// column builders at their final uniform weight popTotal/n ("uniformly
-// reweight the generated sample to match the size of the population"), so
-// the replicate table is born columnar with no per-row append and no second
-// reweighting pass.
-func (e *Engine) openReplicate(ctx context.Context, pc *planContext, model *swg.Model, q *sql.Select, r, n int, popTotal float64) (*exec.Result, error) {
-	gen, err := model.GenerateSeededWeightedContext(ctx, fmt.Sprintf("%s_gen%d", pc.sample.Name, r), n, replicateSeed(e.opts.Seed, r), popTotal/float64(n))
-	if err != nil {
-		return nil, err
+	// Replicate r is generated on a stream that depends on (Seed, r) alone,
+	// and eval-mode generation is read-only on the model, so replicates run
+	// concurrently with bit-identical answers for any Workers. Generation is
+	// column-native: sampled tuples decode straight into typed column
+	// builders at their final uniform weight popTotal/n ("uniformly reweight
+	// the generated sample to match the size of the population").
+	gen := func(ctx context.Context, r int) (*table.Table, error) {
+		return model.GenerateSeededWeightedContext(ctx, fmt.Sprintf("%s_gen%d", pc.sample.Name, r), n, replicateSeed(e.opts.Seed, r), popTotal/float64(n))
 	}
 	// OPEN scans are deliberately unsharded (no Shards in these options): the
 	// generative model trains on the unified sample and each replicate is
 	// already a partition of the OPEN combine, so sharding replicate scans is
 	// future work — the engine must never silently shard an OPEN answer.
-	return exec.RunContext(ctx, gen, q, exec.Options{Weighted: true, ForceRow: e.opts.RowExec, Workers: e.opts.Workers})
+	opts := exec.Options{Weighted: true, ForceRow: e.opts.RowExec, Workers: e.opts.Workers}
+	return exec.RunReplicates(ctx, s.q, e.opts.OpenSamples, opts, gen)
 }
 
 // replicateSeed derives the RNG seed of OPEN replicate r from the engine
@@ -521,101 +439,6 @@ func AugmentMarginals(sample *table.Table, margs []*marginal.Marginal) ([]*margi
 			return nil, err
 		}
 		out = append(out, m)
-	}
-	return out, nil
-}
-
-// combineOpenResults merges replicate answers: group keys must appear in
-// every replicate; numeric (aggregate) columns are averaged. It is a driver
-// of the shared partial-state algebra: averaging across replicates is AVG
-// accumulation at weight 1 per replicate, merged in replicate order (the
-// fixed partition order that keeps OPEN answers bit-identical for any
-// Workers). The replicate-intersection protocol and null handling stay here:
-// a group must appear in every replicate, and a NULL aggregate cell in any
-// replicate poisons that cell to NULL (unlike AVG's skip-null semantics over
-// rows).
-func combineOpenResults(results []*exec.Result, sel *sql.Select) (*exec.Result, error) {
-	if len(results) == 0 {
-		return nil, fmt.Errorf("core: no OPEN replicates")
-	}
-	first := results[0]
-	// Identify which output columns are group keys vs aggregates.
-	isAgg := make([]bool, len(sel.Items))
-	for i, it := range sel.Items {
-		isAgg[i] = it.Agg != sql.AggNone
-	}
-	type acc struct {
-		keys  []value.Value
-		sts   []exec.AggState
-		nulls []bool
-		seen  int
-	}
-	accs := map[string]*acc{}
-	var order []string
-	for ri, res := range results {
-		seenThis := map[string]bool{}
-		for _, row := range res.Rows {
-			var kb strings.Builder
-			for ci := range row {
-				if !isAgg[ci] {
-					kb.WriteString(row[ci].HashKey())
-					kb.WriteByte('\x1f')
-				}
-			}
-			k := kb.String()
-			if seenThis[k] {
-				continue
-			}
-			seenThis[k] = true
-			a, ok := accs[k]
-			if !ok {
-				if ri != 0 {
-					continue // group absent from replicate 0: cannot appear in all
-				}
-				a = &acc{
-					keys:  append([]value.Value(nil), row...),
-					sts:   make([]exec.AggState, len(row)),
-					nulls: make([]bool, len(row)),
-				}
-				accs[k] = a
-				order = append(order, k)
-			}
-			if a.seen != ri {
-				continue // missed an earlier replicate
-			}
-			for ci := range row {
-				if !isAgg[ci] {
-					continue
-				}
-				if row[ci].IsNull() {
-					a.nulls[ci] = true
-					continue
-				}
-				if err := a.sts[ci].Accumulate(sql.AggAvg, row[ci], 1); err != nil {
-					return nil, fmt.Errorf("core: non-numeric aggregate in OPEN combine: %v", err)
-				}
-			}
-			a.seen = ri + 1
-		}
-	}
-	out := &exec.Result{Columns: first.Columns}
-	for _, k := range order {
-		a := accs[k]
-		if a.seen != len(results) {
-			continue // not in every replicate
-		}
-		row := make([]value.Value, len(a.keys))
-		for ci := range row {
-			switch {
-			case !isAgg[ci]:
-				row[ci] = a.keys[ci]
-			case a.nulls[ci]:
-				row[ci] = value.Null()
-			default:
-				row[ci] = a.sts[ci].Finalize(sql.AggAvg)
-			}
-		}
-		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }

@@ -130,7 +130,7 @@ func (e *Engine) scanOf(rt *route, sel *sql.Select) scan {
 // and returns the relation to scan with executor options carrying those
 // weights. A refused scan returns its refusal. The options carry the
 // engine's shard count and per-shard scan counters; OPEN replicate scans use
-// their own unsharded options (see openReplicate).
+// their own unsharded options (see runOpen).
 func (e *Engine) bind(ctx context.Context, s scan) (*table.Table, exec.Options, error) {
 	t, w, err := s.tbl, []float64(nil), s.err
 	switch s.src {

@@ -1,6 +1,8 @@
 // The columnar aggregate pipeline: plan → scan → finalize. Unsharded
 // queries, in-process Options.Shards scatter-gather, and the fleet's
-// PartialAggregate / GatherPartials are drivers of the same three pieces:
+// PartialAggregate / GatherPartials are drivers of the same three pieces;
+// the row interpreter (runAggregate) and the OPEN replicate combine
+// (RunReplicates) build their own states and share finalize:
 //
 //   - planAggregate resolves the group keys and weights, compiles the
 //     aggregate inputs against the full snapshot, and applies the
@@ -239,7 +241,7 @@ func finalize(ctx context.Context, sel *sql.Select, states []*PartialStates, ngr
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	if err := orderAndLimit(ctx, res, sel, outSchema); err != nil {
+	if err := orderAndLimit(ctx, res, sel); err != nil {
 		return nil, err
 	}
 	if n := len(res.Rows); n < total {

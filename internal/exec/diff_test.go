@@ -177,6 +177,7 @@ var diffShapes = []string{
 	"SELECT c FROM t %s GROUP BY c",
 	"SELECT AVG(c) FROM t %s", // SUM/AVG over TEXT: lazy error, row path on both sides
 	"SELECT c, COUNT(*) FROM t %s GROUP BY c HAVING c > 'g2'",
+	"SELECT COUNT(*), SUM(y) FROM t %s GROUP BY c", // GROUP BY key not projected
 	// Columnar ORDER BY / top-K: every kind as a key, ties, DESC, NULL
 	// ordering, LIMIT 0 / 1 / oversized, and computed-item fallbacks.
 	"SELECT x, y FROM t %s ORDER BY y LIMIT 10",

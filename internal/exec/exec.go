@@ -13,7 +13,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -350,7 +349,7 @@ func runProjection(ctx context.Context, snap *table.Snapshot, sel *sql.Select, o
 	if sel.Distinct {
 		res.Rows = dedupRows(res.Rows)
 	}
-	if err := orderAndLimit(ctx, res, sel, snap.Schema()); err != nil {
+	if err := orderAndLimit(ctx, res, sel); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -375,46 +374,6 @@ func dedupRows(rows [][]value.Value) [][]value.Value {
 		out = append(out, row)
 	}
 	return out
-}
-
-// agg is the row interpreter's driver of one aggregate: it evaluates the
-// input expression per row and folds the result into the shared partial
-// state (the accumulation semantics live in AggState, not here).
-type agg struct {
-	kind sql.AggKind
-	star bool
-	e    expr.Expr
-	st   AggState
-}
-
-func (a *agg) add(b *expr.Binding, w float64, weighted bool) error {
-	if !weighted {
-		w = 1
-	}
-	if a.kind == sql.AggCount && a.star {
-		a.st.AccumulateStar(w)
-		return nil
-	}
-	v, err := a.e.Eval(b)
-	if err != nil {
-		return err
-	}
-	if v.IsNull() {
-		return nil
-	}
-	if err := a.st.Accumulate(a.kind, v, w); err != nil {
-		return fmt.Errorf("exec: %s over non-numeric value %s", a.kind, v)
-	}
-	return nil
-}
-
-func (a *agg) result() value.Value {
-	return a.st.Finalize(a.kind)
-}
-
-type group struct {
-	keys []value.Value
-	aggs []*agg
 }
 
 // resolveGroupKeys maps GROUP BY names to schema positions and validates the
@@ -454,8 +413,8 @@ func resolveGroupKeys(snap *table.Snapshot, sel *sql.Select) ([]int, error) {
 }
 
 // itemKeyPositions precomputes, for every select item, the GROUP BY position
-// its key value comes from (-1 for aggregates). It mirrors the first-match
-// EqualFold scan the output loop historically did per group.
+// its key value comes from (-1 for aggregates): the first GROUP BY name that
+// matches the item's column under EqualFold.
 func itemKeyPositions(sel *sql.Select) []int {
 	out := make([]int, len(sel.Items))
 	for ii, it := range sel.Items {
@@ -477,28 +436,28 @@ func itemKeyPositions(sel *sql.Select) []int {
 	return out
 }
 
+// runAggregate is the row interpreter's aggregate driver: it evaluates WHERE
+// and every aggregate input per row, gives groups ids by first appearance,
+// folds each input into the shared PartialStates with one scalar
+// Accumulate, and hands the states to finalize. It shares only the state
+// algebra and the output step with the kernels, so it stays an independent
+// oracle for their loops.
 func runAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, error) {
-	sc := snap.Schema()
-	env, _ := makeEnv(sc)
-
+	env, _ := makeEnv(snap.Schema())
 	keyIdx, err := resolveGroupKeys(snap, sel)
 	if err != nil {
 		return nil, err
 	}
-
-	newAggs := func() []*agg {
-		out := make([]*agg, 0, len(sel.Items))
-		for _, it := range sel.Items {
-			if it.Agg == sql.AggNone {
-				continue
-			}
-			out = append(out, &agg{kind: it.Agg, star: it.Star, e: it.Expr})
+	var aggs []sql.SelectItem
+	var states []*PartialStates
+	for _, it := range sel.Items {
+		if it.Agg != sql.AggNone {
+			aggs = append(aggs, it)
+			states = append(states, NewPartialStates(it.Agg, 0))
 		}
-		return out
 	}
-
-	groups := map[string]*group{}
-	var order []string
+	ids := map[string]int{}
+	var keys [][]value.Value // group g's GROUP BY values, from its first row
 	var kb strings.Builder
 	n := snap.Len()
 	for i := 0; i < n; i++ {
@@ -527,66 +486,50 @@ func runAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, op
 			kb.WriteByte('\x1f')
 		}
 		k := kb.String()
-		g, ok := groups[k]
+		g, ok := ids[k]
 		if !ok {
 			// Key values materialize only on first sight of the group; rows
 			// that land in an existing group allocate nothing for keys.
-			keys := make([]value.Value, len(keyIdx))
+			kv := make([]value.Value, len(keyIdx))
 			for ki, j := range keyIdx {
-				keys[ki] = row[j]
+				kv[ki] = row[j]
 			}
-			g = &group{keys: keys, aggs: newAggs()}
-			groups[k] = g
-			order = append(order, k)
+			g = len(keys)
+			ids[k] = g
+			keys = append(keys, kv)
+			for _, st := range states {
+				st.Grow(g + 1)
+			}
 		}
-		for _, a := range g.aggs {
-			if err := a.add(b, w, opts.Weighted); err != nil {
+		if !opts.Weighted {
+			w = 1
+		}
+		for ai, it := range aggs {
+			if err := accumulateRow(states[ai], g, it, b, w); err != nil {
 				return nil, err
 			}
 		}
 	}
+	return finalize(ctx, sel, states, len(keys), func(g, k int) value.Value { return keys[g][k] })
+}
 
-	// Global aggregate with no rows still yields one row of empty aggregates.
-	if len(sel.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = &group{aggs: newAggs()}
-		order = append(order, "")
+// accumulateRow evaluates aggregate item it over one bound row and folds a
+// non-null input into group g of st.
+func accumulateRow(st *PartialStates, g int, it sql.SelectItem, b *expr.Binding, w float64) error {
+	if it.Star { // COUNT(*): no input, never null
+		return st.Accumulate(g, value.Null(), w)
 	}
-
-	res := &Result{}
-	for _, it := range sel.Items {
-		res.Columns = append(res.Columns, it.Name())
+	v, err := it.Expr.Eval(b)
+	if err != nil {
+		return err
 	}
-	// Output schema for HAVING / ORDER BY references output columns.
-	outSchema := outputSchema(res.Columns)
-	keyPos := itemKeyPositions(sel)
-
-	for _, k := range order {
-		g := groups[k]
-		row := make([]value.Value, 0, len(sel.Items))
-		ai := 0
-		for ii, it := range sel.Items {
-			if it.Agg == sql.AggNone {
-				row = append(row, g.keys[keyPos[ii]])
-			} else {
-				row = append(row, g.aggs[ai].result())
-				ai++
-			}
-		}
-		if sel.Having != nil {
-			ok, err := expr.Truthy(sel.Having, &expr.Binding{Schema: outSchema, Row: row})
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		res.Rows = append(res.Rows, row)
+	if v.IsNull() {
+		return nil
 	}
-	if err := orderAndLimit(ctx, res, sel, outSchema); err != nil {
-		return nil, err
+	if err := st.Accumulate(g, v, w); err != nil {
+		return fmt.Errorf("exec: %s over non-numeric value %s", it.Agg, v)
 	}
-	return res, nil
+	return nil
 }
 
 // outputSchema builds the name-resolution schema over a result's output
@@ -610,44 +553,17 @@ func outputSchema(cols []string) *schema.Schema {
 	return sc
 }
 
-// ApplyPostAggregation applies the post-aggregation clauses — HAVING, ORDER
-// BY, LIMIT — to an already-materialized result, resolving names against the
-// result's output columns. The OPEN path combines per-replicate answers
-// first and only then applies these clauses: running them per replicate
-// would drop groups before the intersect-and-average protocol sees them.
-//
-// Sorting obeys the engine-wide tie-break contract (see orderAndLimit): rows
-// with equal ORDER BY keys keep their pre-sort order, so OPEN answers sort
-// exactly like single-engine answers over the same combined rows.
-func ApplyPostAggregation(ctx context.Context, res *Result, sel *sql.Select) error {
-	if sel.Having != nil {
-		outSchema := outputSchema(res.Columns)
-		kept := res.Rows[:0:0]
-		for _, row := range res.Rows {
-			ok, err := expr.Truthy(sel.Having, &expr.Binding{Schema: outSchema, Row: row})
-			if err != nil {
-				return err
-			}
-			if ok {
-				kept = append(kept, row)
-			}
-		}
-		res.Rows = kept
-	}
-	return orderAndLimit(ctx, res, sel, nil)
-}
-
 // orderAndLimit sorts and truncates a materialized result.
 //
 // Tie-break contract: the sort is STABLE. Rows whose ORDER BY keys all
 // compare equal under value.Compare keep their relative pre-sort order —
 // scan order for projections, first-occurrence order after DISTINCT, group
-// first-appearance order for aggregates, replicate-0 group order for OPEN
-// combines. Every sort in the engine (this one, the columnar key-word
+// first-appearance order for aggregates (replicate-0 order for the OPEN
+// combine). Every sort in the engine (this one, the columnar key-word
 // sort, and the bounded top-K heap) implements this same contract, which is
 // what makes the executors byte-identical and ORDER BY ... LIMIT k equal to
 // the k-prefix of the unlimited query.
-func orderAndLimit(ctx context.Context, res *Result, sel *sql.Select, sc *schema.Schema) error {
+func orderAndLimit(ctx context.Context, res *Result, sel *sql.Select) error {
 	if len(sel.OrderBy) > 0 {
 		// Sort boundary: the comparator itself is not interruptible, so the
 		// check lands before the O(n log n) work starts.
@@ -659,14 +575,14 @@ func orderAndLimit(ctx context.Context, res *Result, sel *sql.Select, sc *schema
 		// small. topKRows refuses (and the lazy stable sort below runs)
 		// whenever its answer could differ: inextractable keys or NaNs.
 		if sel.Limit >= 0 && sel.Limit < len(res.Rows) {
-			if topKRows(res, sel, sc, outSchema) {
+			if topKRows(res, sel, outSchema) {
 				return nil
 			}
 		}
 		var sortErr error
 		sort.SliceStable(res.Rows, func(i, j int) bool {
 			for _, o := range sel.OrderBy {
-				vi, vj, err := orderKey(o.Expr, res, sc, outSchema, i, j)
+				vi, vj, err := orderKey(o.Expr, res, outSchema, i, j)
 				if err != nil {
 					sortErr = err
 					return false
@@ -694,7 +610,7 @@ func orderAndLimit(ctx context.Context, res *Result, sel *sql.Select, sc *schema
 
 // orderKey evaluates an ORDER BY expression against output row i and j,
 // trying output-column names first.
-func orderKey(e expr.Expr, res *Result, in, out *schema.Schema, i, j int) (value.Value, value.Value, error) {
+func orderKey(e expr.Expr, res *Result, out *schema.Schema, i, j int) (value.Value, value.Value, error) {
 	if col, ok := e.(*expr.Column); ok {
 		for ci, name := range res.Columns {
 			if strings.EqualFold(name, col.Name) {
@@ -702,12 +618,10 @@ func orderKey(e expr.Expr, res *Result, in, out *schema.Schema, i, j int) (value
 			}
 		}
 	}
-	if out != nil {
-		vi, erri := e.Eval(&expr.Binding{Schema: out, Row: res.Rows[i]})
-		vj, errj := e.Eval(&expr.Binding{Schema: out, Row: res.Rows[j]})
-		if erri == nil && errj == nil {
-			return vi, vj, nil
-		}
+	vi, erri := e.Eval(&expr.Binding{Schema: out, Row: res.Rows[i]})
+	vj, errj := e.Eval(&expr.Binding{Schema: out, Row: res.Rows[j]})
+	if erri == nil && errj == nil {
+		return vi, vj, nil
 	}
 	return value.Null(), value.Null(), fmt.Errorf("exec: cannot resolve ORDER BY expression %s against output columns", e)
 }
@@ -746,49 +660,4 @@ func Materialize(t *table.Table, sel *sql.Select, opts Options, name string) (*t
 		}
 	}
 	return out, nil
-}
-
-// SumWeights returns Σ w over rows matching the predicate (nil matches all).
-func SumWeights(t *table.Table, where expr.Expr) (float64, error) {
-	snap := t.Snapshot()
-	var total float64
-	n := snap.Len()
-	wts := snap.Weights()
-	if k := compileFilter(where, snap, wts, 1); where == nil || k != nil {
-		// Columnar path: one kernel pass, then a tight sum over survivors.
-		if k == nil {
-			for _, w := range wts {
-				total += w
-			}
-		} else {
-			tern := make([]int8, n)
-			k.eval(tern, 0, n)
-			for i, t := range tern {
-				if t == ternErr {
-					return 0, errDivisionByZero
-				}
-				if t == ternTrue {
-					total += wts[i]
-				}
-			}
-		}
-	} else {
-		env, _ := makeEnv(snap.Schema())
-		for i := 0; i < n; i++ {
-			w := wts[i]
-			_, b := env.bind(snap, i, w)
-			ok, err := expr.Truthy(where, b)
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				continue
-			}
-			total += w
-		}
-	}
-	if math.IsNaN(total) {
-		return 0, fmt.Errorf("exec: NaN weight sum in %s", t.Name())
-	}
-	return total, nil
 }

@@ -268,22 +268,6 @@ func TestWeightPseudoColumn(t *testing.T) {
 	}
 }
 
-func TestSumWeights(t *testing.T) {
-	tbl := sampleData(t)
-	tot, err := SumWeights(tbl, nil)
-	if err != nil || tot != 10 {
-		t.Errorf("SumWeights = %v, %v", tot, err)
-	}
-	pred, err := sql.ParseExpr("c = 'a'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tot, err = SumWeights(tbl, pred)
-	if err != nil || tot != 5 {
-		t.Errorf("filtered SumWeights = %v, %v", tot, err)
-	}
-}
-
 func TestMaterialize(t *testing.T) {
 	tbl := sampleData(t)
 	out, err := Materialize(tbl, q(t, "SELECT c, x FROM t WHERE x < 3"), Options{}, "mat")

@@ -2,11 +2,11 @@
 // vectors instead of a comparator sort of materialized rows, plus a bounded
 // heap so that ORDER BY ... LIMIT 10 over 1M rows never sorts them all.
 //
-// Tie-break contract (shared with the row engine, orderAndLimit, and
-// exec.ApplyPostAggregation): sorting is STABLE — rows whose ORDER BY keys
-// compare equal under value.Compare keep their pre-sort order, which is scan
-// order for projections, first-occurrence order for DISTINCT, and group
-// first-appearance order for aggregates.
+// Tie-break contract (shared with the row engine's orderAndLimit, which every
+// aggregate answer — the OPEN combine's included — sorts through): sorting is
+// STABLE — rows whose ORDER BY keys compare equal under value.Compare keep
+// their pre-sort order, which is scan order for projections, first-occurrence
+// order for DISTINCT, and group first-appearance order for aggregates.
 //
 // value.Compare over one column is a strict weak order unless a FLOAT value
 // is NaN, and under a strict weak order the stably sorted permutation is
@@ -581,13 +581,13 @@ func boundedTopK(n, k int, less func(a, b int) bool) []int {
 // res untouched — whenever the legacy lazy comparator must run instead:
 // a key that fails to extract (the lazy path may not error at all on 0/1-row
 // results) or a NaN key value (no strict weak order).
-func topKRows(res *Result, sel *sql.Select, in, out *schema.Schema) bool {
+func topKRows(res *Result, sel *sql.Select, out *schema.Schema) bool {
 	n := len(res.Rows)
 	keys := make([][]value.Value, n)
 	for i := 0; i < n; i++ {
 		row := make([]value.Value, len(sel.OrderBy))
 		for oi, o := range sel.OrderBy {
-			vi, _, err := orderKey(o.Expr, res, in, out, i, i)
+			vi, _, err := orderKey(o.Expr, res, out, i, i)
 			if err != nil {
 				return false
 			}

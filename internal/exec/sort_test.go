@@ -19,7 +19,7 @@ import (
 // TestSortStabilityContract pins the engine-wide tie-break contract (see
 // orderAndLimit): rows with equal ORDER BY keys keep their pre-sort order on
 // every sorting surface — the row engine, the columnar permutation sort, the
-// bounded top-K heap, and ApplyPostAggregation (the OPEN combine path).
+// bounded top-K heap, and the OPEN combine (RunReplicates).
 func TestSortStabilityContract(t *testing.T) {
 	tbl := table.New("t", metaSchema)
 	// key cycles 2,1,0,2,1,0,... so each key value collects ids in ascending
@@ -57,40 +57,45 @@ func TestSortStabilityContract(t *testing.T) {
 		}
 	}
 
-	// ApplyPostAggregation must apply the identical contract to a
-	// materialized result (the OPEN path sorts combined answers with it).
-	sel, err := sql.ParseQuery("SELECT k, id FROM t ORDER BY k LIMIT 5")
-	if err != nil {
-		t.Fatal(err)
+	// The OPEN combine sorts its combined answer under the same contract:
+	// ties keep replicate-0 group order even when a later replicate lists
+	// the groups in reverse, and LIMIT k is the k-prefix of the full answer.
+	rep0 := table.New("t", metaSchema)
+	rep1 := table.New("t", metaSchema)
+	for i := 0; i < 20; i++ {
+		for _, rep := range []*table.Table{rep0, rep1} {
+			j := i
+			if rep == rep1 {
+				j = 19 - i
+			}
+			err := rep.Append([]value.Value{value.Int(int64(j)), value.Text("k"), value.Int(int64(2 - j%3)), value.Float(0), value.Bool(false)})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	mk := func() *Result {
-		res := &Result{Columns: []string{"k", "id"}}
-		for i := 0; i < 20; i++ {
-			res.Rows = append(res.Rows, []value.Value{value.Int(int64(2 - (i % 3))), value.Int(int64(i))})
+	combine := func(src string) *Result {
+		t.Helper()
+		res, err := RunReplicates(context.Background(), q(t, src), 2, Options{Weighted: true}, replicas(rep0, rep1))
+		if err != nil {
+			t.Fatal(err)
 		}
 		return res
 	}
-	limited := mk()
-	if err := ApplyPostAggregation(context.Background(), limited, sel); err != nil {
-		t.Fatal(err)
-	}
-	selFull := *sel
-	selFull.Limit = -1
-	full := mk()
-	if err := ApplyPostAggregation(context.Background(), full, &selFull); err != nil {
-		t.Fatal(err)
+	full := combine("SELECT x, id, COUNT(*) FROM t GROUP BY x, id ORDER BY x")
+	limited := combine("SELECT x, id, COUNT(*) FROM t GROUP BY x, id ORDER BY x LIMIT 5")
+	if len(full.Rows) != 20 || len(limited.Rows) != 5 {
+		t.Fatalf("combine kept %d / %d rows, want 20 / 5", len(full.Rows), len(limited.Rows))
 	}
 	for i, row := range limited.Rows {
-		want := full.Rows[i]
-		if row[0].AsInt() != want[0].AsInt() || row[1].AsInt() != want[1].AsInt() {
-			t.Fatalf("ApplyPostAggregation LIMIT row %d = (%v,%v), full sort prefix has (%v,%v)",
-				i, row[0], row[1], want[0], want[1])
+		if want := full.Rows[i]; row[1].AsInt() != want[1].AsInt() {
+			t.Fatalf("combine LIMIT row %d has id %v, the full answer's prefix has %v", i, row[1], want[1])
 		}
 	}
 	for i := 1; i < len(full.Rows); i++ {
 		a, b := full.Rows[i-1], full.Rows[i]
 		if a[0].AsInt() == b[0].AsInt() && a[1].AsInt() > b[1].AsInt() {
-			t.Fatalf("ApplyPostAggregation tie broken out of input order at row %d", i)
+			t.Fatalf("combine tie broken out of replicate-0 order at row %d: id %v after %v", i, b[1], a[1])
 		}
 	}
 }

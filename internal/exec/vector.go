@@ -1261,8 +1261,8 @@ func denseFromKeys(rk []uint64, workers int) ([]int32, int32) {
 
 // accumulate runs one aggregate's tight loop over the selected rows,
 // writing the shared partial-state arrays (PartialStates). Accumulation
-// order is scan order and the operation sequence matches AggState.Accumulate
-// exactly, so float results are bit-identical to the row path. COUNT and
+// order is scan order and the operation sequence matches
+// PartialStates.Accumulate exactly, so float results are bit-identical to the row path. COUNT and
 // SUM/AVG decide a numeric input's kind and its no-NULL case once, outside
 // the row loop.
 func accumulate(a vecAgg, st *PartialStates, snap *table.Snapshot, selRows, gids []int32, selW []float64) {
@@ -1554,7 +1554,7 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 	if postDone {
 		return res, true, nil
 	}
-	if err := orderAndLimit(ctx, res, sel, snap.Schema()); err != nil {
+	if err := orderAndLimit(ctx, res, sel); err != nil {
 		return nil, true, err
 	}
 	return res, true, nil

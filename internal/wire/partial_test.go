@@ -67,31 +67,21 @@ func randValue(rng *rand.Rand) value.Value {
 }
 
 // randPartial builds one aggregate's states for n groups by accumulating
-// random weighted inputs through the real AggState algebra.
+// random weighted inputs through the real PartialStates.Accumulate.
 func randPartial(rng *rand.Rand, kind sql.AggKind, n, accums int) *exec.PartialStates {
 	st := exec.NewPartialStates(kind, n)
 	for i := 0; i < accums; i++ {
 		g := rng.Intn(n)
 		w := randFloat(rng)
+		var v value.Value // COUNT takes no input
 		switch kind {
-		case sql.AggCount:
-			st.Count[g] += w
 		case sql.AggSum, sql.AggAvg:
-			st.SumW[g] += w
-			st.SumWX[g] += w * randFloat(rng)
-			st.Seen[g] = true
-		case sql.AggMin:
-			v := randValue(rng)
-			if !st.Seen[g] || value.Compare(v, st.MinMax[g]) < 0 {
-				st.MinMax[g] = v
-			}
-			st.Seen[g] = true
-		case sql.AggMax:
-			v := randValue(rng)
-			if !st.Seen[g] || value.Compare(v, st.MinMax[g]) > 0 {
-				st.MinMax[g] = v
-			}
-			st.Seen[g] = true
+			v = value.Float(randFloat(rng))
+		case sql.AggMin, sql.AggMax:
+			v = randValue(rng)
+		}
+		if err := st.Accumulate(g, v, w); err != nil {
+			panic(err) // every input above is numeric where the kind needs it
 		}
 	}
 	return st

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -69,6 +70,10 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("mosaic server: %d: %s", e.StatusCode, e.Message)
 }
 
+// maxResponseBytes caps a JSON response body: a longer body is an error,
+// never a truncated parse. A variable so tests can lower it.
+var maxResponseBytes int64 = 64 << 20
+
 // do marshals body once and routes through the retry loop (a no-op unless
 // WithRetry is configured and the path is idempotent).
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
@@ -118,9 +123,15 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 		return err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if sb, ok := out.(*snapshotBody); ok && resp.StatusCode/100 == 2 {
+		return sb.read(resp)
+	}
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		return err
+	}
+	if int64(len(raw)) > maxResponseBytes {
+		return fmt.Errorf("mosaic client: response body exceeds the client's %d-byte cap", maxResponseBytes)
 	}
 	if resp.StatusCode/100 != 2 {
 		re := &RemoteError{StatusCode: resp.StatusCode}
@@ -407,13 +418,43 @@ func (c *Client) Health() error {
 }
 
 // SnapshotContext fetches the server's full dump script plus the generation
-// it captures (GET /v1/snapshot) — the follower bootstrap primitive.
+// it captures (GET /v1/snapshot) — the follower bootstrap primitive. The
+// script travels as a text/plain body whose Content-Length it is checked
+// against: a short body is an error, never a shorter script.
 func (c *Client) SnapshotContext(ctx context.Context) (*wire.SnapshotResponse, error) {
-	var w wire.SnapshotResponse
+	var w snapshotBody
 	if err := c.do(ctx, http.MethodGet, "/v1/snapshot", nil, &w); err != nil {
 		return nil, err
 	}
-	return &w, nil
+	return &w.SnapshotResponse, nil
+}
+
+// snapshotBody is the out value of GET /v1/snapshot, whose 2xx body is text,
+// not JSON.
+type snapshotBody struct{ wire.SnapshotResponse }
+
+// read takes the script, read whole into one buffer sized from
+// Content-Length, and the generation header.
+func (sb *snapshotBody) read(resp *http.Response) error {
+	gen, err := strconv.ParseUint(resp.Header.Get(wire.GenerationHeader), 10, 64)
+	if err != nil {
+		return fmt.Errorf("mosaic client: snapshot: bad %s header: %v", wire.GenerationHeader, err)
+	}
+	n := resp.ContentLength
+	if n < 0 {
+		return errors.New("mosaic client: snapshot: no Content-Length")
+	}
+	var b strings.Builder
+	b.Grow(int(min(n, 1<<30))) // a declared length is not yet bytes received
+	got, err := io.Copy(&b, io.LimitReader(resp.Body, n))
+	if err == nil && got < n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return fmt.Errorf("mosaic client: snapshot: read %d of %d bytes: %w", got, n, err)
+	}
+	sb.Script, sb.Generation = b.String(), gen
+	return nil
 }
 
 // SnapshotDeltaContext fetches the statement suffix advancing generation

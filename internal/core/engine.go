@@ -48,7 +48,8 @@ type Options struct {
 	// of Workers — morsel states merge in scan order and each replicate draws
 	// from an RNG stream derived only from (Seed, replicate index). 0 (the
 	// default) means runtime.GOMAXPROCS(0), i.e. use every core; negative
-	// values mean 1 (the true serial path).
+	// values mean 1 (the true serial path). Restore's lex, parse and apply
+	// pipeline is fixed at three goroutines, outside Workers.
 	Workers int
 	// RowExec forces the legacy row-at-a-time executor for every query,
 	// bypassing the vectorized columnar path. Answers are byte-identical
@@ -336,10 +337,12 @@ func (e *Engine) ExecScriptContext(ctx context.Context, src string) ([]*exec.Res
 
 // Restore replays a snapshot script (DumpScript's output, or any script)
 // into e, which must be new: nothing may have changed it yet, and nothing
-// may read it until Restore returns. Statements are read, parsed and run one
-// at a time, so the replay holds one statement's tokens and syntax tree,
-// never the script's. The first failing statement ends the replay; the
-// caller then discards e.
+// may read it until Restore returns. sql.ApplyScript lexes and parses the
+// script on two goroutines of its own while Restore runs each statement, in
+// source order, on the caller's: the replay holds a fixed few batches of
+// statements' tokens and syntax trees, never the script's. The first failing statement
+// ends the replay, with the error and the partial state a statement-by-
+// statement loop would leave; the caller then discards e.
 //
 // A restored engine keeps nothing of the script: no name or predicate shares
 // its memory, and the statement log ends empty at the generation the replay
@@ -349,13 +352,14 @@ func (e *Engine) Restore(script string) error {
 	if e.gen.Load() != 0 {
 		return errors.New("core: Restore needs a new engine")
 	}
-	sc := sql.NewScanner(script)
-	for i := 1; sc.Next(); i++ {
-		if _, err := e.execScriptStmt(context.Background(), sc.Stmt()); err != nil {
+	i := 0
+	if err := sql.ApplyScript(script, func(st sql.ScriptStmt) error {
+		i++
+		if _, err := e.execScriptStmt(context.Background(), st); err != nil {
 			return fmt.Errorf("statement %d: %w", i, err)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	}); err != nil {
 		return err
 	}
 	e.mu.Lock()

@@ -6,13 +6,17 @@ package repl_test
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"mosaic"
 	"mosaic/internal/repl"
 	"mosaic/internal/server"
+	"mosaic/internal/wire"
 )
 
 func testOpts() *mosaic.Options { return &mosaic.Options{Seed: 3, OpenSamples: 3} }
@@ -249,5 +253,38 @@ func TestFollowerPollLoopTracksPrimary(t *testing.T) {
 	time.Sleep(80 * time.Millisecond)
 	if !f.Stats().Stale {
 		t.Error("follower not stale after syncs stopped for > StalenessMax")
+	}
+}
+
+// TestShortSnapshotBootstrapsNothing: a primary whose snapshot body ends
+// before its Content-Length leaves the follower as it was — no restored
+// state, no adopted generation, no full sync counted.
+func TestShortSnapshotBootstrapsNothing(t *testing.T) {
+	src := mosaic.Open(testOpts())
+	if err := src.Exec("CREATE TABLE T (v INT); INSERT INTO T VALUES (1), (2), (3)"); err != nil {
+		t.Fatal(err)
+	}
+	script, err := src.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(script)))
+		w.Header().Set(wire.GenerationHeader, "2")
+		w.WriteHeader(http.StatusOK)
+		// Cut after the first statement: the rest would parse as a
+		// shorter, valid script.
+		w.Write([]byte(script[:strings.Index(script, ";")+1]))
+	}))
+	defer ts.Close()
+	db, f := newFollower(t, ts.URL, testOpts())
+	if err := f.Bootstrap(context.Background()); err == nil {
+		t.Fatal("Bootstrap from a short snapshot body succeeded")
+	}
+	if st := f.Stats(); st.Generation != 0 || st.FullSyncs != 0 || st.SyncErrors != 1 {
+		t.Errorf("follower after a failed bootstrap: %+v", st)
+	}
+	if g := db.Engine().Generation(); g != 0 {
+		t.Errorf("follower DB at generation %d after a failed bootstrap, want 0", g)
 	}
 }

@@ -8,7 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,11 +23,23 @@ import (
 
 // TestSnapshotEndpointBootstrapsIdenticalState: GET /v1/snapshot returns a
 // script + generation pair; restoring the script into a fresh same-Options
-// DB answers byte-identically, and the generation matches /statsz.
+// DB answers byte-identically, and the generation matches /statsz. On the
+// wire the script is the text/plain body itself, with its Content-Length,
+// and the generation is a header.
 func TestSnapshotEndpointBootstrapsIdenticalState(t *testing.T) {
-	_, c := newTestServer(t, Config{})
+	s, c := newTestServer(t, Config{})
 	if err := c.Exec(worldScript); err != nil {
 		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/snapshot", nil))
+	h := rec.Header()
+	if want, _, _ := s.db.Engine().DumpWithGeneration(); rec.Code != http.StatusOK ||
+		!strings.HasPrefix(h.Get("Content-Type"), "text/plain") ||
+		h.Get("Content-Length") != strconv.Itoa(len(want)) || rec.Body.String() != want ||
+		h.Get(wire.GenerationHeader) != strconv.FormatUint(s.db.Engine().Generation(), 10) {
+		t.Errorf("GET /v1/snapshot: %d, headers %v, %d-byte body; want 200, a text/plain %d-byte script, its generation",
+			rec.Code, h, rec.Body.Len(), len(want))
 	}
 	snap, err := c.SnapshotContext(context.Background())
 	if err != nil {

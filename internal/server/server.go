@@ -6,6 +6,8 @@
 //	GET  /v1/explain?q=SELECT ...               → plan description result
 //	GET  /healthz                               → liveness
 //	GET  /statsz                                → per-visibility and per-class counters + latency histograms
+//	GET  /v1/snapshot                           → the dump script as text/plain, its generation in X-Mosaic-Generation
+//	GET  /v1/snapshot/delta?from=G              → {"from": G, "generation": ..., "stmts": [...]}
 //
 // Every /v1 request passes a priority-aware admission controller before any
 // work starts. Requests carry a priority class (X-Mosaic-Priority:
@@ -47,6 +49,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -691,11 +694,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSnapshot serves GET /v1/snapshot: the full dump script plus the
-// generation it captures, for follower bootstrap. It bypasses admission —
-// replication is control-plane traffic, and shedding a bootstrap during
-// overload would wedge the replica fleet exactly when read capacity is
-// needed most.
+// handleSnapshot serves GET /v1/snapshot, for follower bootstrap: the full
+// dump script as a text/plain body with its Content-Length, and the
+// generation it captures in the X-Mosaic-Generation header. It bypasses
+// admission — replication is control-plane traffic, and shedding a
+// bootstrap during overload would wedge the replica fleet exactly when read
+// capacity is needed most.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -710,7 +714,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.SnapshotResponse{Script: script, Generation: gen})
+	h := w.Header()
+	h.Set("Content-Type", "text/plain; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(script)))
+	h.Set(wire.GenerationHeader, strconv.FormatUint(gen, 10))
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the follower hung up; its length check fails
+	// the fetch on its side.
+	_, _ = io.WriteString(w, script)
 }
 
 // handleSnapshotDelta serves GET /v1/snapshot/delta?from=G: the statement

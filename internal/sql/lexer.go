@@ -84,17 +84,18 @@ type lexer struct {
 func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
 
 // statement appends the tokens of the next statement to dst: every token up
-// to and including the first ';', or up to and including EOF. A ';' inside a
-// string literal or a comment is not a token, so it ends nothing.
-func (l *lexer) statement(dst []token) ([]token, error) {
+// to and including the first ';', or up to and including EOF, which eof
+// reports. A ';' inside a string literal or a comment is not a token, so it
+// ends nothing.
+func (l *lexer) statement(dst []token) (toks []token, eof bool, err error) {
 	for {
 		t, err := l.next()
 		if err != nil {
-			return dst, err
+			return dst, false, err
 		}
 		dst = append(dst, t)
 		if t.kind == tokEOF || t.kind == tokSymbol && t.text == ";" {
-			return dst, nil
+			return dst, t.kind == tokEOF, nil
 		}
 	}
 }

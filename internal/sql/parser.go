@@ -61,7 +61,8 @@ func ParseScript(src string) ([]ScriptStmt, error) {
 //	err := sc.Err()
 //
 // The first error, lexical or syntactic, ends the scan; nothing after it is
-// read.
+// read. ApplyScript runs the same two halves, lex and parse, on goroutines
+// of their own.
 type Scanner struct {
 	src  string
 	lex  lexer
@@ -81,34 +82,37 @@ func NewScanner(src string) *Scanner {
 func (s *Scanner) Next() bool {
 	s.stmt = ScriptStmt{}
 	for !s.done && s.err == nil {
-		s.p.toks, s.err = s.lex.statement(s.p.toks[:0])
-		s.p.pos = 0
+		s.p.toks, s.done, s.err = s.lex.statement(s.p.toks[:0])
 		if s.err != nil {
 			break
 		}
-		first := s.p.peek()
-		if first.kind == tokEOF {
-			s.done = true
-			break
+		var ok bool
+		if s.stmt, ok, s.err = s.p.scriptStmt(s.src); ok {
+			return true
 		}
-		if s.p.acceptSymbol(";") {
-			continue
-		}
-		st, err := s.p.parseStatement()
-		if err != nil {
-			s.err = err
-			break
-		}
-		end := s.p.peek() // the terminator (';' or EOF), unless input trails
-		if end.kind != tokEOF && !(end.kind == tokSymbol && end.text == ";") {
-			s.err = s.p.errf("expected ';' or end of input, found %s", end)
-			break
-		}
-		s.done = end.kind == tokEOF
-		s.stmt = ScriptStmt{Stmt: st, Source: strings.TrimSpace(s.src[first.off:end.off])}
-		return true
 	}
 	return false
+}
+
+// scriptStmt is the parse half of a Scanner: it parses p.toks, one
+// statement's tokens as lexer.statement returns them, into a ScriptStmt
+// whose Source is sliced out of src. ok is false, with a nil error, for an
+// empty statement and for the end of the script.
+func (p *parser) scriptStmt(src string) (st ScriptStmt, ok bool, err error) {
+	p.pos = 0
+	first := p.peek()
+	if first.kind == tokEOF || p.acceptSymbol(";") {
+		return ScriptStmt{}, false, nil
+	}
+	stmt, err := p.parseStatement()
+	if err != nil {
+		return ScriptStmt{}, false, err
+	}
+	end := p.peek() // the terminator (';' or EOF), unless input trails
+	if end.kind != tokEOF && !(end.kind == tokSymbol && end.text == ";") {
+		return ScriptStmt{}, false, p.errf("expected ';' or end of input, found %s", end)
+	}
+	return ScriptStmt{Stmt: stmt, Source: strings.TrimSpace(src[first.off:end.off])}, true, nil
 }
 
 // Stmt returns the statement the last successful Next parsed. Its Source is
@@ -146,7 +150,7 @@ func ParseQuery(src string) (*Select, error) {
 // ParseExpr parses a standalone scalar expression (used by the Go API for
 // predicates).
 func ParseExpr(src string) (expr.Expr, error) {
-	toks, err := newLexer(src).statement(nil)
+	toks, _, err := newLexer(src).statement(nil)
 	if err != nil {
 		return nil, err
 	}

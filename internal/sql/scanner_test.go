@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -125,4 +127,51 @@ func TestParsedNamesDoNotShareTheScript(t *testing.T) {
 			t.Errorf("name %q shares the script's memory", n)
 		}
 	}
+}
+
+// TestApplyScriptIsTheScannerLoop: ApplyScript hands apply the statements a
+// Scanner yields, in order, then the Scanner's error; an apply error ends
+// the script at that statement.
+func TestApplyScriptIsTheScannerLoop(t *testing.T) {
+	for _, src := range append(fuzzSeedCorpus,
+		"SELECT a FROM t;;SELECT b FROM u;",
+		"SELECT a FROM t garbage; SELECT b FROM u",
+		"SELECT a FROM t; /* unterminated",
+		// Errors after, and inside, the first of ApplyScript's batches.
+		strings.Repeat("SELECT a FROM t;", 300)+"SELECT FROM u;"+strings.Repeat("SELECT b FROM v;", 300),
+		strings.Repeat("SELECT a FROM t;", 300)+"SELECT @ FROM u;SELECT b FROM v",
+		strings.Repeat("SELECT a FROM t;;", 300)+"SELECT b FROM v",
+	) {
+		if err := applyIsTheScannerLoop(src); err != nil {
+			t.Error(err)
+		}
+	}
+	stop := errors.New("stop")
+	var got []string
+	err := ApplyScript("SELECT a FROM t; SELECT b FROM u; SELECT FROM v", func(st ScriptStmt) error {
+		got = append(got, st.Source)
+		return stop
+	})
+	if err != stop || len(got) != 1 {
+		t.Errorf("ApplyScript applied %q then returned %v; want one statement, then apply's error", got, err)
+	}
+}
+
+// applyIsTheScannerLoop reports how ApplyScript's statements and error over
+// src differ from a Scanner's, or nil.
+func applyIsTheScannerLoop(src string) error {
+	var want []string
+	sc := NewScanner(src)
+	for sc.Next() {
+		want = append(want, sc.Stmt().Source)
+	}
+	var got []string
+	err := ApplyScript(src, func(st ScriptStmt) error {
+		got = append(got, st.Source)
+		return nil
+	})
+	if strings.Join(got, "\x00") != strings.Join(want, "\x00") || fmt.Sprint(err) != fmt.Sprint(sc.Err()) {
+		return fmt.Errorf("ApplyScript(%q) applied %q then %v; the Scanner read %q then %v", src, got, err, want, sc.Err())
+	}
+	return nil
 }

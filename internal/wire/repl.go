@@ -6,13 +6,20 @@
 // statement log, telling the follower to re-bootstrap).
 package wire
 
-// SnapshotResponse is the body of GET /v1/snapshot: the primary's full dump
-// script and the DDL/DML generation it captures, read under one lock
-// acquisition — replaying Script yields the primary's state at exactly
+// GenerationHeader carries, on a GET /v1/snapshot answer, the DDL/DML
+// generation the body's script captures. The body is the script itself,
+// text/plain, with a Content-Length the reader checks: a short body is a
+// failed fetch, never a shorter script.
+const GenerationHeader = "X-Mosaic-Generation"
+
+// SnapshotResponse is a GET /v1/snapshot answer as the client decodes it
+// (the wire body is the bare script, see GenerationHeader): the primary's
+// full dump script and the DDL/DML generation it captures, read under one
+// lock acquisition — replaying Script yields the primary's state at exactly
 // Generation.
 type SnapshotResponse struct {
-	Script     string `json:"script"`
-	Generation uint64 `json:"generation"`
+	Script     string
+	Generation uint64
 }
 
 // DeltaStmt is one replicated statement: the exact SQL source the primary

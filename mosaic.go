@@ -58,8 +58,10 @@ package mosaic
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 
 	"mosaic/internal/core"
@@ -116,7 +118,8 @@ type Options struct {
 	// workers unless SWG.Workers overrides it. Answers are bit-identical for
 	// any Workers value (see the package comment's determinism guarantee).
 	// 0 (the default) means all cores — runtime.GOMAXPROCS(0); use 1 for the
-	// true serial path.
+	// true serial path. Restore is not a query: its lex, parse and apply
+	// stages are a fixed pipeline of three goroutines whatever Workers says.
 	Workers int
 	// Shards range-partitions every table scan into this many contiguous
 	// slices and answers CLOSED/SEMI-OPEN aggregate queries by in-process
@@ -313,10 +316,10 @@ func (db *DB) Snapshot() (string, error) {
 // Restore replaces the database's entire state by replaying a Snapshot
 // script against a fresh engine with the DB's original Options (so
 // restored answers are bit-identical to the snapshotted instance's for the
-// same statement stream). The replay runs statement by statement, holding
-// one statement's parse at a time, and the restored engine keeps no part of
-// the script: its statement log starts empty at the generation the replay
-// reached.
+// same statement stream). The replay runs statement by statement, lexing
+// and parsing a fixed few batches of statements ahead of the one it
+// applies, and the restored engine keeps no part of the script: its
+// statement log starts empty at the generation the replay reached.
 // On replay error the current state is untouched. Concurrent queries
 // started before Restore finish against the old state.
 func (db *DB) Restore(script string) error {
@@ -360,13 +363,34 @@ func (db *DB) SaveSnapshot(path string) error {
 }
 
 // LoadSnapshot restores the database from a snapshot file written by
-// SaveSnapshot (or any Mosaic SQL script).
+// SaveSnapshot (or any Mosaic SQL script). The file is read once, into one
+// string sized from its length, which Restore then replays.
 func (db *DB) LoadSnapshot(path string) error {
-	script, err := os.ReadFile(path)
+	script, err := readFileString(path)
 	if err != nil {
 		return fmt.Errorf("mosaic: snapshot: %w", err)
 	}
-	return db.Restore(string(script))
+	return db.Restore(script)
+}
+
+// readFileString is os.ReadFile into a string without the []byte → string
+// copy.
+func readFileString(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	b.Grow(int(fi.Size()))
+	if _, err := io.Copy(&b, f); err != nil {
+		return "", err
+	}
+	return b.String(), nil
 }
 
 // NewMarginal builds a 1- or 2-attribute marginal from (values..., count)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -293,6 +294,41 @@ func BenchmarkRestore80k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := mosaic.Open(&mosaic.Options{Seed: 1, Workers: 1}).Restore(script); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadSnapshot80k is BenchmarkRestore80k from a file: B/op over
+// it is the one copy of the script LoadSnapshot reads.
+func BenchmarkLoadSnapshot80k(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "snap.sql")
+	if err := synthDB80k(b).SaveSnapshot(path); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := mosaic.Open(&mosaic.Options{Seed: 1, Workers: 1}).LoadSnapshot(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRestoreSmallStatements restores 10k one-row INSERTs: the shape
+// where a handoff per statement between restore's stages would cost more
+// than the statement, which is why the stages hand over batches.
+func BenchmarkRestoreSmallStatements(b *testing.B) {
+	var sb strings.Builder
+	sb.WriteString("CREATE TABLE T (k TEXT, x INT);\n")
+	for i := 0; i < 10000; i++ {
+		fmt.Fprintf(&sb, "INSERT INTO T VALUES ('k%d', %d);\n", i%10, i)
+	}
+	script := sb.String()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

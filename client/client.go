@@ -109,14 +109,14 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 		priority = p
 	}
 	if priority != "" {
-		req.Header.Set("X-Mosaic-Priority", priority)
+		req.Header.Set(wire.PriorityHeader, priority)
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		ms := time.Until(dl).Milliseconds()
 		if ms < 0 {
 			ms = 0
 		}
-		req.Header.Set("X-Mosaic-Deadline-Ms", strconv.FormatInt(ms, 10))
+		req.Header.Set(wire.DeadlineHeader, strconv.FormatInt(ms, 10))
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {

@@ -29,6 +29,12 @@
 // DDL/DML generation (or -boot-timeout expires). A shard that later answers
 // at a different generation — a restart, a side-channel mutation — turns
 // queries into clean 503s rather than wrong answers.
+//
+// Requests pass the same admission as on a mosaic-serve shard, at its
+// default limits: a malformed X-Mosaic-Priority or X-Mosaic-Deadline-Ms is
+// a 400, a spent deadline a 503 + Retry-After before any shard is called,
+// and a request still running at its deadline (-request-timeout, or the
+// caller's, whichever is sooner) a 504.
 package main
 
 import (

@@ -224,7 +224,9 @@ loop:
 					q = loaded
 				}
 				srv.ApplyQoS(q)
-				log.Printf("SIGHUP: QoS limits reloaded")
+				q = srv.QoS()
+				log.Printf("SIGHUP: QoS limits reloaded: max_concurrent=%d batch_max_concurrent=%d shed_margin=%g",
+					q.MaxConcurrent, q.BatchMaxConcurrent, q.ShedMargin)
 				continue
 			}
 			log.Printf("received %s, shutting down", s)

@@ -37,40 +37,38 @@
 // every caught-up replica unreachable, diverged, or mid-crash — turns the
 // whole query into a 503 with a Retry-After hint. The coordinator never
 // synthesizes an answer from a subset of shards: a wrong answer is worse
-// than no answer.
+// than no answer. One function, shardFailure, classifies every failed shard
+// call.
+//
+// # Request path
+//
+// The coordinator owns no HTTP plumbing of its own: each /v1 endpoint is one
+// server.Call answered through internal/server's Kernel, the request path a
+// shard serves through. Body decoding, the priority and deadline headers,
+// doomed-deadline shedding, admission by class at the default QoSConfig,
+// the 504 path and the /statsz class block are therefore a shard's, word
+// for word. A deadline that expires here is a 504, never a shard failure.
 package coord
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mosaic/client"
 	"mosaic/internal/exec"
+	"mosaic/internal/server"
 	"mosaic/internal/sql"
 	"mosaic/internal/value"
 	"mosaic/internal/wire"
 )
-
-// deadlineHeader mirrors the mosaic-serve header: the client's remaining
-// budget in milliseconds, intersected with the coordinator's own
-// RequestTimeout and re-propagated to every shard call.
-const deadlineHeader = "X-Mosaic-Deadline-Ms"
-
-// priorityHeader mirrors the mosaic-serve header. The coordinator has no
-// admission classes of its own: it validates the class as a shard would and
-// forwards it verbatim on every shard and replica call of the request, so
-// the shards admit fleet traffic by the class the caller asked for.
-const priorityHeader = "X-Mosaic-Priority"
 
 // Config configures a Coordinator.
 type Config struct {
@@ -90,7 +88,8 @@ type Config struct {
 	// pass-through, health). Zero-valued fields take client defaults.
 	Retry client.RetryPolicy
 	// RequestTimeout bounds every request end to end, intersected with any
-	// client-propagated X-Mosaic-Deadline-Ms. Default 30s.
+	// client-propagated X-Mosaic-Deadline-Ms; the remaining budget
+	// re-propagates to every shard call. Default 30s.
 	RequestTimeout time.Duration
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -99,9 +98,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ReplicaPollInterval <= 0 {
 		c.ReplicaPollInterval = 250 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -193,6 +189,7 @@ type Coordinator struct {
 	backends [][]*backend // [shard][0] = primary, rest replicas
 	started  time.Time
 	mux      *http.ServeMux
+	kernel   *server.Kernel
 
 	// gen is the coordinator's view of the fleet's DDL/DML generation
 	// counter. Every scatter carries it and every shard refuses (409) on
@@ -227,7 +224,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err := ValidateTopology(cfg.Shards, cfg.Replicas); err != nil {
 		return nil, err
 	}
-	c := &Coordinator{cfg: cfg, started: time.Now()}
+	c := &Coordinator{cfg: cfg, started: time.Now(), kernel: server.NewKernel(server.QoSConfig{}, cfg.RequestTimeout)}
 	replicas := 0
 	for i, base := range cfg.Shards {
 		slot := []*backend{{url: base, shard: i, cli: client.New(base, client.WithRetry(cfg.Retry))}}
@@ -379,149 +376,120 @@ func (c *Coordinator) countRead(b *backend) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, wire.ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeUnavailable answers 503 with a Retry-After hint — the coordinator's
-// only failure answer for shard trouble; it never serves a partial result.
-func (c *Coordinator) writeUnavailable(w http.ResponseWriter, hint time.Duration, format string, args ...any) {
-	c.unavail.Add(1)
-	secs := int(hint.Round(time.Second).Seconds())
-	if secs < 1 {
-		secs = 1
+// call wraps one endpoint's work as the kernel's Call. It forwards the
+// caller's explicit X-Mosaic-Priority — which the kernel validated before
+// the Call runs — on every shard and replica call of the request, so the
+// shards admit fleet traffic by the class the caller asked for, and it
+// counts the 503s shard trouble causes.
+func (c *Coordinator) call(r *http.Request, work server.Call) server.Call {
+	priority := r.Header.Get(wire.PriorityHeader)
+	return func(ctx context.Context) (any, error) {
+		if priority != "" {
+			ctx = client.ContextWithPriority(ctx, priority)
+		}
+		body, err := work(ctx)
+		var se *server.StatusError
+		if errors.As(err, &se) && se.Status == http.StatusServiceUnavailable {
+			c.unavail.Add(1)
+		}
+		return body, err
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusServiceUnavailable, format, args...)
 }
 
-// decodeBody decodes a JSON body under the shards' own default cap,
-// wire.MaxBodyBytes (413 oversized, 400 malformed), reporting success.
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	body := http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(into); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", mbe.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+// shardFailure is the coordinator's one classification of a failed call to
+// a shard backend (what names it in the message). It returns the error to
+// answer with, and whether another backend of the same slot may still
+// answer:
+//
+//   - the request's own deadline expired or its caller left: ctx.Err(),
+//     which the kernel answers as a 504 (or drops). No shard error, no
+//     failover — the shard did nothing wrong;
+//   - a 4xx other than 409: the engine's refusal, identical on every
+//     backend — relayed verbatim;
+//   - a 409: the backend is not at the fleet generation — 503;
+//   - anything else, a transport failure or a 5xx: 503 with the backend's
+//     Retry-After.
+func (c *Coordinator) shardFailure(ctx context.Context, err error, what string) (error, bool) {
+	if ctx.Err() != nil {
+		return ctx.Err(), false
 	}
-	return true
-}
-
-// requestCtx derives the request's end-to-end deadline: RequestTimeout
-// intersected with any propagated X-Mosaic-Deadline-Ms. The remaining budget
-// and any X-Mosaic-Priority class re-propagate to every shard call through
-// the client's own header logic.
-func (c *Coordinator) requestCtx(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
-	parent := r.Context()
-	if raw := r.Header.Get(priorityHeader); raw != "" {
-		if cl := strings.ToLower(raw); cl != "interactive" && cl != "batch" {
-			writeError(w, http.StatusBadRequest, "bad %s %q: want interactive or batch", priorityHeader, raw)
-			return nil, nil, false
-		}
-		parent = client.ContextWithPriority(parent, raw)
-	}
-	timeout := c.cfg.RequestTimeout
-	if raw := r.Header.Get(deadlineHeader); raw != "" {
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad %s %q: want integer milliseconds", deadlineHeader, raw)
-			return nil, nil, false
-		}
-		budget := time.Duration(ms) * time.Millisecond
-		if budget <= 0 {
-			c.writeUnavailable(w, time.Second, "deadline already expired (budget %s)", budget)
-			return nil, nil, false
-		}
-		if budget < timeout {
-			timeout = budget
-		}
-	}
-	ctx, cancel := context.WithTimeout(parent, timeout)
-	return ctx, cancel, true
-}
-
-// relayRemote relays a backend's answer for non-routed paths: deterministic
-// engine answers (4xx) travel verbatim; everything else — transport
-// failures, backend 5xx — becomes the coordinator's own 503.
-func (c *Coordinator) relayRemote(w http.ResponseWriter, err error, what string) {
 	c.shardErrors.Add(1)
 	var re *client.RemoteError
-	if errors.As(err, &re) {
-		if re.StatusCode/100 == 4 {
-			writeError(w, re.StatusCode, "%s", re.Message)
-			return
-		}
-		c.writeUnavailable(w, re.RetryAfter, "%s unavailable: %s", what, re.Message)
-		return
+	switch {
+	case !errors.As(err, &re):
+		return unavailable(0, "%s unreachable: %v", what, err), true
+	case re.StatusCode == http.StatusConflict:
+		return unavailable(re.RetryAfter, "%s diverged from fleet generation %d: %s", what, c.gen.Load(), re.Message), true
+	case re.StatusCode/100 == 4:
+		return server.Errorf(re.StatusCode, "%s", re.Message), false
 	}
-	c.writeUnavailable(w, 0, "%s unreachable: %v", what, err)
+	return unavailable(re.RetryAfter, "%s unavailable: %s", what, re.Message), true
 }
 
-// readUnavailable turns the LAST failover error for a shard slot into the
-// coordinator's 503 — reached only after every candidate backend failed.
-func (c *Coordinator) readUnavailable(w http.ResponseWriter, err error, shard int) {
-	var re *client.RemoteError
-	if errors.As(err, &re) {
-		if re.StatusCode == http.StatusConflict {
-			c.writeUnavailable(w, re.RetryAfter, "shard %d diverged from fleet generation %d: %s", shard, c.gen.Load(), re.Message)
-			return
+// unavailable is the coordinator's 503: a Retry-After of the shard's hint,
+// at least a second.
+func unavailable(hint time.Duration, format string, args ...any) error {
+	e := server.Errorf(http.StatusServiceUnavailable, format, args...)
+	e.RetryAfter = max(hint, time.Second)
+	return e
+}
+
+// readShard runs one read against a shard slot, failing over across its
+// eligible backends, cheapest EWMA first, until read succeeds on one.
+func (c *Coordinator) readShard(ctx context.Context, shard int, read func(b *backend) error) error {
+	var err error
+	for _, b := range c.readCandidates(shard) {
+		start := time.Now()
+		if err = read(b); err == nil {
+			b.observe(time.Since(start))
+			c.countRead(b)
+			return nil
 		}
-		c.writeUnavailable(w, re.RetryAfter, "shard %d unavailable on every backend: %s", shard, re.Message)
-		return
+		var failover bool
+		if err, failover = c.shardFailure(ctx, err, fmt.Sprintf("shard %d", shard)); !failover {
+			return err
+		}
+		b.failovers.Add(1)
+		c.failovers.Add(1)
 	}
-	c.writeUnavailable(w, 0, "shard %d unreachable on every backend: %v", shard, err)
+	return err
 }
 
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req wire.QueryRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	sel, err := sql.ParseQuery(req.Query)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel, ok := c.requestCtx(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	c.queries.Add(1)
-	c.fleetMu.RLock()
-	defer c.fleetMu.RUnlock()
-	// OPEN queries train generative models on the unified view and
-	// non-aggregate shapes return raw tuples — neither decomposes into
-	// mergeable partial states. Both pass through whole; every shard holds
-	// the full data, so shard 0's answer IS the fleet's answer.
-	if sel.Visibility == sql.VisibilityOpen || !sel.IsAggregate() {
-		c.passQueryLocked(ctx, w, &req)
-		return
-	}
-	c.scatterQueryLocked(ctx, w, &req, sel)
+	c.kernel.Serve(w, r, http.MethodPost, &req, func() (server.Class, server.Call, error) {
+		sel, err := sql.ParseQuery(req.Query)
+		if err != nil {
+			return 0, nil, server.Errorf(http.StatusBadRequest, "%v", err)
+		}
+		bound, err := server.BindParams(sel, req.Params)
+		if err != nil {
+			return 0, nil, err
+		}
+		return server.QueryClass(sel.Visibility), c.call(r, func(ctx context.Context) (any, error) {
+			c.queries.Add(1)
+			c.fleetMu.RLock()
+			defer c.fleetMu.RUnlock()
+			// OPEN queries train generative models on the unified view and
+			// non-aggregate shapes return raw tuples — neither decomposes
+			// into mergeable partial states. Both pass through whole; every
+			// shard holds the full data, so shard 0's answer IS the fleet's
+			// answer.
+			if sel.Visibility == sql.VisibilityOpen || !sel.IsAggregate() {
+				return c.passQueryLocked(ctx, &req)
+			}
+			return c.scatterQueryLocked(ctx, &req, bound)
+		}), nil
+	})
 }
 
 // passQueryLocked relays the whole query to shard slot 0 — primary or any
 // caught-up replica, cheapest first — and the winning answer verbatim,
 // failing over until a backend answers. Callers hold fleetMu.RLock.
-func (c *Coordinator) passQueryLocked(ctx context.Context, w http.ResponseWriter, req *wire.QueryRequest) {
+func (c *Coordinator) passQueryLocked(ctx context.Context, req *wire.QueryRequest) (any, error) {
 	gen := c.gen.Load()
-	var lastErr error
-	for _, b := range c.readCandidates(0) {
+	var res *wire.Result
+	err := c.readShard(ctx, 0, func(b *backend) (err error) {
 		rq := *req
 		if b.replica {
 			// Pin the replica to the fleet generation: a follower that lags
@@ -530,68 +498,23 @@ func (c *Coordinator) passQueryLocked(ctx context.Context, w http.ResponseWriter
 			rq.Generation = gen
 			rq.CheckGeneration = true
 		}
-		start := time.Now()
-		res, err := b.cli.QueryRawContext(ctx, &rq)
-		if err == nil {
-			b.observe(time.Since(start))
-			c.countRead(b)
-			c.passThrough.Add(1)
-			writeJSON(w, http.StatusOK, res)
-			return
-		}
-		c.shardErrors.Add(1)
-		var re *client.RemoteError
-		if errors.As(err, &re) && re.StatusCode/100 == 4 && re.StatusCode != http.StatusConflict {
-			// Deterministic engine errors answer identically on every
-			// backend: relay, don't fail over.
-			writeError(w, re.StatusCode, "%s", re.Message)
-			return
-		}
-		b.failovers.Add(1)
-		c.failovers.Add(1)
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
+		res, err = b.cli.QueryRawContext(ctx, &rq)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	c.readUnavailable(w, lastErr, 0)
-}
-
-// shardPartial runs one shard slot's scatter leg with failover: try every
-// eligible backend (cheapest EWMA first) until one returns the slot's
-// partial states. Deterministic engine errors (4xx except the generation
-// 409) return immediately — they answer identically everywhere.
-func (c *Coordinator) shardPartial(ctx context.Context, shard int, req *wire.PartialRequest) (*wire.PartialResponse, error) {
-	var lastErr error
-	for _, b := range c.readCandidates(shard) {
-		start := time.Now()
-		resp, err := b.cli.PartialContext(ctx, req)
-		if err == nil {
-			b.observe(time.Since(start))
-			c.countRead(b)
-			return resp, nil
-		}
-		c.shardErrors.Add(1)
-		lastErr = err
-		var re *client.RemoteError
-		if errors.As(err, &re) && re.StatusCode/100 == 4 && re.StatusCode != http.StatusConflict {
-			return nil, err
-		}
-		b.failovers.Add(1)
-		c.failovers.Add(1)
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return nil, lastErr
+	c.passThrough.Add(1)
+	return res, nil
 }
 
 // scatterQueryLocked fans the partial plan over every shard slot, gathers
 // the states in fixed shard order, and finishes the aggregation (merge,
 // HAVING, ORDER BY, LIMIT) locally. Each slot fails over across its
 // backends; a slot where every backend fails, declines, or answers at the
-// wrong generation aborts the whole answer. Callers hold fleetMu.RLock.
-func (c *Coordinator) scatterQueryLocked(ctx context.Context, w http.ResponseWriter, req *wire.QueryRequest, sel *sql.Select) {
+// wrong generation aborts the whole answer, with the first such slot's
+// error in shard order. Callers hold fleetMu.RLock.
+func (c *Coordinator) scatterQueryLocked(ctx context.Context, req *wire.QueryRequest, bound *sql.Select) (any, error) {
 	gen := c.gen.Load()
 	n := len(c.backends)
 	resps := make([]*wire.PartialResponse, n)
@@ -601,48 +524,32 @@ func (c *Coordinator) scatterQueryLocked(ctx context.Context, w http.ResponseWri
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i], errs[i] = c.shardPartial(ctx, i, &wire.PartialRequest{
+			preq := &wire.PartialRequest{
 				Query:           req.Query,
 				Params:          req.Params,
 				Shard:           i,
 				Shards:          n,
 				Generation:      gen,
 				CheckGeneration: true,
+			}
+			errs[i] = c.readShard(ctx, i, func(b *backend) (err error) {
+				resps[i], err = b.cli.PartialContext(ctx, preq)
+				return err
 			})
 		}(i)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err == nil {
-			continue
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		var re *client.RemoteError
-		if errors.As(err, &re) {
-			switch {
-			case re.StatusCode == http.StatusConflict:
-				// Every backend of the slot answered from a diverged or
-				// moving generation: refusing is the whole point of the
-				// handshake — never answer from it.
-				c.writeUnavailable(w, re.RetryAfter, "shard %d diverged from fleet generation %d: %s", i, gen, re.Message)
-			case re.StatusCode/100 == 4:
-				// Deterministic engine errors (unknown relation, unanswerable
-				// visibility) fail identically on every shard; relay the first.
-				writeError(w, re.StatusCode, "%s", re.Message)
-			default:
-				c.writeUnavailable(w, re.RetryAfter, "shard %d unavailable on every backend: %s", i, re.Message)
-			}
-		} else {
-			c.writeUnavailable(w, 0, "shard %d unreachable on every backend: %v", i, err)
-		}
-		return
 	}
 	for _, resp := range resps {
 		if !resp.Handled {
 			// The plan shape is not partial-executable on this engine (e.g.
 			// row-path only). Every shard runs the same engine version, so
 			// fall back to one whole pass-through query.
-			c.passQueryLocked(ctx, w, req)
-			return
+			return c.passQueryLocked(ctx, req)
 		}
 	}
 	partials := make([]*exec.ShardPartial, n)
@@ -650,50 +557,36 @@ func (c *Coordinator) scatterQueryLocked(ctx context.Context, w http.ResponseWri
 		p, err := wire.DecodePartial(resp)
 		if err != nil {
 			c.shardErrors.Add(1)
-			writeError(w, http.StatusBadGateway, "shard %d answer undecodable: %v", i, err)
-			return
+			return nil, server.Errorf(http.StatusBadGateway, "shard %d answer undecodable: %v", i, err)
 		}
 		partials[i] = p
 	}
-	vals, err := wire.DecodeValues(req.Params)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad parameters: %v", err)
-		return
-	}
-	bound, err := sql.BindParams(sel, vals)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	res, err := exec.GatherPartials(ctx, bound, partials)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
+		return nil, server.Errorf(http.StatusUnprocessableEntity, "%v", err)
 	}
 	c.scattered.Add(1)
-	writeJSON(w, http.StatusOK, wire.EncodeResult(res))
+	return wire.EncodeResult(res), nil
 }
 
 func (c *Coordinator) handleExec(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req wire.ExecRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	ctx, cancel, ok := c.requestCtx(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	c.execs.Add(1)
-	// The generation moves: hold the write lock so no read consults a
-	// half-updated fleet. Writes go to primaries ONLY — followers replicate
-	// them through the statement log and reject direct DDL/DML.
-	c.fleetMu.Lock()
-	defer c.fleetMu.Unlock()
+	c.kernel.Serve(w, r, http.MethodPost, &req, func() (server.Class, server.Call, error) {
+		return server.Batch, c.call(r, func(ctx context.Context) (any, error) {
+			c.execs.Add(1)
+			// The generation moves: hold the write lock so no read consults
+			// a half-updated fleet.
+			c.fleetMu.Lock()
+			defer c.fleetMu.Unlock()
+			return c.execLocked(ctx, req.Script)
+		}), nil
+	})
+}
+
+// execLocked fans a script out to every primary — followers replicate it
+// through the statement log and reject direct DDL/DML — and adopts the
+// generation the shards agree on. Callers hold fleetMu.
+func (c *Coordinator) execLocked(ctx context.Context, script string) (any, error) {
 	n := len(c.backends)
 	resps := make([]*wire.ExecResponse, n)
 	errs := make([]error, n)
@@ -702,22 +595,20 @@ func (c *Coordinator) handleExec(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i], errs[i] = c.backends[i][0].cli.ExecRawContext(ctx, req.Script)
+			resps[i], errs[i] = c.backends[i][0].cli.ExecRawContext(ctx, script)
 		}(i)
 	}
 	wg.Wait()
 	var firstErr error
-	failed := false
 	for _, err := range errs {
-		if err != nil {
-			failed = true
-			if firstErr == nil {
-				firstErr = err
-			}
-			c.shardErrors.Add(1)
+		if err == nil {
+			continue
+		}
+		if ferr, _ := c.shardFailure(ctx, err, "exec fan-out"); firstErr == nil {
+			firstErr = ferr
 		}
 	}
-	if !failed {
+	if firstErr == nil {
 		for i, resp := range resps {
 			if resp.Generation != resps[0].Generation {
 				// All shards applied the script yet disagree on the counter:
@@ -725,13 +616,11 @@ func (c *Coordinator) handleExec(w http.ResponseWriter, r *http.Request) {
 				// side — the stale coordinator generation makes every future
 				// scatter 409 into a clean 503 until an operator intervenes.
 				c.cfg.Logf("coord: exec left shards diverged: shard 0 at %d, shard %d at %d", resps[0].Generation, i, resp.Generation)
-				writeError(w, http.StatusBadGateway, "fleet degraded: shard generations diverged after exec (shard 0 at %d, shard %d at %d)", resps[0].Generation, i, resp.Generation)
-				return
+				return nil, server.Errorf(http.StatusBadGateway, "fleet degraded: shard generations diverged after exec (shard 0 at %d, shard %d at %d)", resps[0].Generation, i, resp.Generation)
 			}
 		}
 		c.gen.Store(resps[0].Generation)
-		writeJSON(w, http.StatusOK, resps[0])
-		return
+		return resps[0], nil
 	}
 	// At least one shard failed. A deterministic script error (bad SQL,
 	// unknown table) fails identically everywhere and still bumps each
@@ -752,59 +641,48 @@ func (c *Coordinator) handleExec(w http.ResponseWriter, r *http.Request) {
 		}
 		if agreed {
 			c.gen.Store(gens[0])
-			c.relayRemote(w, firstErr, "exec fan-out")
-			return
+			return nil, firstErr
 		}
 	}
 	c.cfg.Logf("coord: exec fan-out degraded the fleet: %v (probe: %v)", firstErr, perr)
-	writeError(w, http.StatusBadGateway, "fleet degraded: exec failed on some shards and generations diverged: %v", firstErr)
+	return nil, server.Errorf(http.StatusBadGateway, "fleet degraded: exec failed on some shards and generations diverged: %v", firstErr)
 }
 
 func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		writeError(w, http.StatusBadRequest, "missing q parameter")
-		return
-	}
-	sel, err := sql.ParseQuery(q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel, ok := c.requestCtx(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	c.explains.Add(1)
-	c.fleetMu.RLock()
-	defer c.fleetMu.RUnlock()
-	shardPlan, err := c.backends[0][0].cli.ExplainContext(ctx, q)
-	if err != nil {
-		c.relayRemote(w, err, "shard 0")
-		return
-	}
-	mode := fmt.Sprintf("scatter-gather over %d shard processes, partial states merged in shard order", len(c.backends))
-	if sel.Visibility == sql.VisibilityOpen || !sel.IsAggregate() {
-		mode = "pass-through to shard 0 (not partial-executable; every shard holds the full data)"
-	}
-	res := &exec.Result{Columns: []string{"property", "value"}}
-	res.Rows = append(res.Rows,
-		[]value.Value{value.Text("fleet"), value.Text(mode)},
-		[]value.Value{value.Text("fleet generation"), value.Text(strconv.FormatUint(c.gen.Load(), 10))},
-	)
-	if nr, eligible := c.replicaCounts(); nr > 0 {
-		res.Rows = append(res.Rows, []value.Value{
-			value.Text("replicas"),
-			value.Text(fmt.Sprintf("reads fan out over %d follower replicas (%d caught up to generation %d) plus primaries, balanced by EWMA latency with failover", nr, eligible, c.gen.Load())),
-		})
-	}
-	res.Rows = append(res.Rows, shardPlan.Rows...)
-	writeJSON(w, http.StatusOK, wire.EncodeResult(res))
+	c.kernel.Serve(w, r, http.MethodGet, nil, func() (server.Class, server.Call, error) {
+		sel, err := server.ParseExplain(r)
+		if err != nil {
+			return 0, nil, err
+		}
+		q := r.URL.Query().Get("q")
+		return server.Interactive, c.call(r, func(ctx context.Context) (any, error) {
+			c.explains.Add(1)
+			c.fleetMu.RLock()
+			defer c.fleetMu.RUnlock()
+			shardPlan, err := c.backends[0][0].cli.ExplainContext(ctx, q)
+			if err != nil {
+				err, _ = c.shardFailure(ctx, err, "shard 0")
+				return nil, err
+			}
+			mode := fmt.Sprintf("scatter-gather over %d shard processes, partial states merged in shard order", len(c.backends))
+			if sel.Visibility == sql.VisibilityOpen || !sel.IsAggregate() {
+				mode = "pass-through to shard 0 (not partial-executable; every shard holds the full data)"
+			}
+			res := &exec.Result{Columns: []string{"property", "value"}}
+			res.Rows = append(res.Rows,
+				[]value.Value{value.Text("fleet"), value.Text(mode)},
+				[]value.Value{value.Text("fleet generation"), value.Text(strconv.FormatUint(c.gen.Load(), 10))},
+			)
+			if nr, eligible := c.replicaCounts(); nr > 0 {
+				res.Rows = append(res.Rows, []value.Value{
+					value.Text("replicas"),
+					value.Text(fmt.Sprintf("reads fan out over %d follower replicas (%d caught up to generation %d) plus primaries, balanced by EWMA latency with failover", nr, eligible, c.gen.Load())),
+				})
+			}
+			res.Rows = append(res.Rows, shardPlan.Rows...)
+			return wire.EncodeResult(res), nil
+		}), nil
+	})
 }
 
 // replicaCounts reports how many replicas are configured and how many are
@@ -863,25 +741,26 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 			out.Status = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	gen := c.gen.Load()
 	out := wire.CoordStatsResponse{
-		UptimeSecs:   time.Since(c.started).Seconds(),
-		Shards:       append([]string(nil), c.cfg.Shards...),
-		Generation:   gen,
-		Queries:      c.queries.Load(),
-		Scattered:    c.scattered.Load(),
-		PassThrough:  c.passThrough.Load(),
-		Execs:        c.execs.Load(),
-		Explains:     c.explains.Load(),
-		Unavailable:  c.unavail.Load(),
-		ShardErrors:  c.shardErrors.Load(),
-		PrimaryReads: c.primaryReads.Load(),
-		ReplicaReads: c.replicaReads.Load(),
-		Failovers:    c.failovers.Load(),
+		AdmissionStats: c.kernel.AdmissionStats(),
+		UptimeSecs:     time.Since(c.started).Seconds(),
+		Shards:         append([]string(nil), c.cfg.Shards...),
+		Generation:     gen,
+		Queries:        c.queries.Load(),
+		Scattered:      c.scattered.Load(),
+		PassThrough:    c.passThrough.Load(),
+		Execs:          c.execs.Load(),
+		Explains:       c.explains.Load(),
+		Unavailable:    c.unavail.Load(),
+		ShardErrors:    c.shardErrors.Load(),
+		PrimaryReads:   c.primaryReads.Load(),
+		ReplicaReads:   c.replicaReads.Load(),
+		Failovers:      c.failovers.Load(),
 	}
 	for _, slot := range c.backends {
 		for _, b := range slot {
@@ -909,5 +788,5 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			out.Backends = append(out.Backends, bs)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }

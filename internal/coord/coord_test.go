@@ -504,6 +504,171 @@ func TestFleetForwardsPriorityHeader(t *testing.T) {
 	}
 }
 
+// TestFleetShedsDoomedDeadlineBeforeShards: the coordinator sheds a spent
+// X-Mosaic-Deadline-Ms as a shard does — 503 with Retry-After, counted
+// under shed — before it calls any shard: no shard admits a request.
+func TestFleetShedsDoomedDeadlineBeforeShards(t *testing.T) {
+	script, opts := worldScript(t)
+	_, shards, _, coordURL := startFleet(t, 2, script, opts)
+	admitted := func() (n int64) {
+		for _, sh := range shards {
+			st, err := client.New(sh.ts.URL).Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cs := range st.Classes {
+				n += cs.Admitted
+			}
+		}
+		return n
+	}
+	before := admitted()
+	body, _ := json.Marshal(wire.QueryRequest{Query: "SELECT CLOSED COUNT(*) FROM Flights"})
+	req, err := http.NewRequest(http.MethodPost, coordURL+"/v1/query", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(wire.DeadlineHeader, "0")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("doomed request answered %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("shed 503 lacks a Retry-After hint")
+	}
+	if after := admitted(); after != before {
+		t.Errorf("a shed request reached the shards: %d → %d admitted", before, after)
+	}
+	st := coordStats(t, coordURL)
+	if st.Shed != 1 || st.Classes["interactive"].Shed != 1 || st.Classes["interactive"].Admitted != 0 {
+		t.Errorf("coordinator shed %d (interactive: shed %d, admitted %d), want 1 / 1 / 0",
+			st.Shed, st.Classes["interactive"].Shed, st.Classes["interactive"].Admitted)
+	}
+	if st.Queries != 0 || st.Unavailable != 0 {
+		t.Errorf("a shed request counted as %d queries / %d unavailable, want 0 / 0", st.Queries, st.Unavailable)
+	}
+}
+
+// TestFleetAdmitsByClass: the coordinator admits under a shard's classes —
+// an explicit batch request shows as batch in its own /statsz, a CLOSED
+// query without the header as interactive — and its /statsz keeps every
+// fleet counter name beside the class block.
+func TestFleetAdmitsByClass(t *testing.T) {
+	script, opts := worldScript(t)
+	cc, _, _, coordURL := startFleet(t, 2, script, opts)
+	const q = "SELECT CLOSED COUNT(*) FROM Flights"
+	if _, err := client.New(coordURL, client.WithPriority("batch")).Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cc.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	st := coordStats(t, coordURL)
+	if b, in := st.Classes["batch"].Admitted, st.Classes["interactive"].Admitted; b != 1 || in != 1 {
+		t.Errorf("coordinator admitted %d batch / %d interactive requests, want 1 / 1", b, in)
+	}
+	resp, err := http.Get(coordURL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var raw map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"scattered", "pass_through", "primary_reads", "classes", "shed", "timeouts"} {
+		if _, ok := raw[key]; !ok {
+			t.Errorf("coordinator /statsz lacks %q", key)
+		}
+	}
+}
+
+// stall delays every /v1 request by d (or until its caller leaves) before
+// serving it; /statsz and /healthz answer at once, so the fleet syncs and
+// polls normally.
+func stall(h http.Handler, d time.Duration) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/") {
+			select {
+			case <-time.After(d):
+			case <-r.Context().Done():
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestFleetDeadlineAtCoordinatorIs504: when the coordinator's own deadline
+// expires while every backend of a shard stalls, the answer is the
+// kernel's 504, counted under timeouts — not a 503 blaming the shard, a
+// failover, or a shard error.
+func TestFleetDeadlineAtCoordinatorIs504(t *testing.T) {
+	script, opts := worldScript(t)
+	var urls []string
+	for i := 0; i < 2; i++ {
+		db := mosaic.Open(opts)
+		if err := db.Restore(script); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(server.Config{DB: db, RequestTimeout: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(stall(srv.Handler(), 2*time.Second))
+		t.Cleanup(func() {
+			ts.Close()
+			srv.Close()
+		})
+		urls = append(urls, ts.URL)
+	}
+	c, err := coord.New(coord.Config{
+		Shards:              urls[:1],
+		Replicas:            map[int][]string{0: urls[1:]},
+		ReplicaPollInterval: 10 * time.Millisecond,
+		RequestTimeout:      200 * time.Millisecond,
+		Logf:                t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.Sync(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(c.Handler())
+	t.Cleanup(cts.Close)
+	deadline := time.Now().Add(5 * time.Second)
+	for st := coordStats(t, cts.URL); !st.Backends[1].CaughtUp; st = coordStats(t, cts.URL) {
+		if time.Now().After(deadline) {
+			t.Fatal("the replica never caught up")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	start := time.Now()
+	_, err = client.New(cts.URL).Query("SELECT CLOSED COUNT(*) FROM Flights")
+	var re *client.RemoteError
+	if !errors.As(err, &re) || re.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("query past the coordinator's deadline: err = %v, want a 504", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("the 504 took %s against a 200ms deadline", elapsed)
+	}
+	st := coordStats(t, cts.URL)
+	if st.Timeouts != 1 || st.Classes["interactive"].Timeouts != 1 {
+		t.Errorf("timeouts = %d (interactive %d), want 1 / 1", st.Timeouts, st.Classes["interactive"].Timeouts)
+	}
+	if st.Failovers != 0 || st.ShardErrors != 0 || st.Unavailable != 0 {
+		t.Errorf("the coordinator's own expiry counted %d failovers, %d shard errors, %d unavailable; want 0 each",
+			st.Failovers, st.ShardErrors, st.Unavailable)
+	}
+}
+
 // TestFleetExplainPrependsFleetPlan: EXPLAIN through the coordinator carries
 // the fleet topology ahead of the shard's own plan rows.
 func TestFleetExplainPrependsFleetPlan(t *testing.T) {

@@ -2,71 +2,73 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"mosaic/internal/sql"
+	"mosaic/internal/wire"
 )
 
-// class is a request priority class. Interactive requests (cheap CLOSED /
-// SEMI-OPEN lookups by default) must never starve behind batch work (OPEN
-// model-training queries, bulk exec scripts): the admission controller caps
-// batch concurrency below the total slot count and hands freed slots to
-// interactive waiters first.
-type class int
+// Class is a request's admission priority class. Interactive requests
+// (cheap CLOSED / SEMI-OPEN lookups by default) must never starve behind
+// batch work (OPEN model-training queries, bulk exec scripts): the admission
+// controller caps batch concurrency below the total slot count and hands
+// freed slots to interactive waiters first.
+type Class int
 
 const (
-	classInteractive class = iota
-	classBatch
+	Interactive Class = iota
+	Batch
 	numClasses
 )
 
-func (c class) String() string {
-	if c == classBatch {
+func (c Class) String() string {
+	if c == Batch {
 		return "batch"
 	}
 	return "interactive"
 }
 
-// priorityHeader carries an explicit class; absent, the server derives one
-// (queries: from visibility — OPEN is batch, everything else interactive;
-// exec scripts default to batch; explain to interactive).
-const priorityHeader = "X-Mosaic-Priority"
+// QueryClass is a query's default class: OPEN queries train and sample
+// generative models — batch; CLOSED and SEMI-OPEN answer from stored
+// samples — interactive.
+func QueryClass(vis sql.Visibility) Class {
+	if vis == sql.VisibilityOpen {
+		return Batch
+	}
+	return Interactive
+}
 
-// deadlineHeader carries the client's remaining budget in milliseconds. The
-// server intersects it with RequestTimeout and sheds the request up front
-// when the budget is already spent or provably insufficient (per-class EWMA
-// estimate) — a 503 with Retry-After before any engine work, instead of
-// burning CPU toward a guaranteed 504.
-const deadlineHeader = "X-Mosaic-Deadline-Ms"
-
-// classFromHeader resolves the explicit priority header, falling back to def.
-func classFromHeader(r *http.Request, def class) (class, error) {
-	switch strings.ToLower(r.Header.Get(priorityHeader)) {
+// classFromHeader resolves an explicit wire.PriorityHeader, falling back to
+// def.
+func classFromHeader(r *http.Request, def Class) (Class, error) {
+	raw := r.Header.Get(wire.PriorityHeader)
+	switch strings.ToLower(raw) {
 	case "":
 		return def, nil
 	case "interactive":
-		return classInteractive, nil
+		return Interactive, nil
 	case "batch":
-		return classBatch, nil
+		return Batch, nil
 	default:
-		return def, fmt.Errorf("bad %s %q: want interactive or batch", priorityHeader, r.Header.Get(priorityHeader))
+		return def, Errorf(http.StatusBadRequest, "bad %s %q: want interactive or batch", wire.PriorityHeader, raw)
 	}
 }
 
-// deadlineFromHeader parses the propagated client deadline. ok reports
-// whether the header was present; a present-but-unparseable header is an
-// error. Zero or negative budgets are valid (and doomed — the caller sheds).
+// deadlineFromHeader parses a propagated wire.DeadlineHeader. ok reports
+// whether the header was present; a present-but-unparseable header is a
+// 400. Zero or negative budgets are valid (and doomed — the kernel sheds).
 func deadlineFromHeader(r *http.Request) (time.Duration, bool, error) {
-	raw := r.Header.Get(deadlineHeader)
+	raw := r.Header.Get(wire.DeadlineHeader)
 	if raw == "" {
 		return 0, false, nil
 	}
 	ms, err := strconv.ParseInt(raw, 10, 64)
 	if err != nil {
-		return 0, false, fmt.Errorf("bad %s %q: want integer milliseconds", deadlineHeader, raw)
+		return 0, false, Errorf(http.StatusBadRequest, "bad %s %q: want integer milliseconds", wire.DeadlineHeader, raw)
 	}
 	return time.Duration(ms) * time.Millisecond, true, nil
 }
@@ -123,27 +125,20 @@ type admission struct {
 	waiting  [numClasses][]chan struct{}
 }
 
-func newAdmission(q QoSConfig) *admission {
-	a := &admission{}
-	a.setLimits(q)
-	return a
-}
-
-// setLimits swaps the concurrency limits and wakes any waiters the new
-// limits can now admit. In-flight counts above a shrunk limit simply drain
-// naturally; nothing is interrupted.
+// setLimits swaps the concurrency limits (q has its defaults applied) and
+// wakes any waiters the new limits can now admit. In-flight counts above a
+// shrunk limit simply drain naturally; nothing is interrupted.
 func (a *admission) setLimits(q QoSConfig) {
-	q = q.withDefaults()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.total = q.MaxConcurrent
-	a.limit[classInteractive] = q.MaxConcurrent
-	a.limit[classBatch] = q.BatchMaxConcurrent
+	a.limit[Interactive] = q.MaxConcurrent
+	a.limit[Batch] = q.BatchMaxConcurrent
 	a.grantLocked()
 }
 
-func (a *admission) canAdmitLocked(cl class) bool {
-	return a.inflight[classInteractive]+a.inflight[classBatch] < a.total &&
+func (a *admission) canAdmitLocked(cl Class) bool {
+	return a.inflight[Interactive]+a.inflight[Batch] < a.total &&
 		a.inflight[cl] < a.limit[cl]
 }
 
@@ -153,9 +148,9 @@ func (a *admission) canAdmitLocked(cl class) bool {
 // out can detect the grant and release it.
 func (a *admission) grantLocked() {
 	for {
-		var cl class = classInteractive
+		cl := Interactive
 		if len(a.waiting[cl]) == 0 || !a.canAdmitLocked(cl) {
-			cl = classBatch
+			cl = Batch
 			if len(a.waiting[cl]) == 0 || !a.canAdmitLocked(cl) {
 				return
 			}
@@ -169,7 +164,7 @@ func (a *admission) grantLocked() {
 
 // acquire reserves a slot for cl, waiting until ctx expires. It reports
 // whether the slot was granted; the caller must release(cl) on true.
-func (a *admission) acquire(ctx context.Context, cl class) bool {
+func (a *admission) acquire(ctx context.Context, cl Class) bool {
 	a.mu.Lock()
 	if a.canAdmitLocked(cl) {
 		a.inflight[cl]++
@@ -205,7 +200,7 @@ func (a *admission) acquire(ctx context.Context, cl class) bool {
 }
 
 // release frees a slot previously acquired for cl and re-grants.
-func (a *admission) release(cl class) {
+func (a *admission) release(cl Class) {
 	a.mu.Lock()
 	a.inflight[cl]--
 	a.grantLocked()
@@ -213,14 +208,14 @@ func (a *admission) release(cl class) {
 }
 
 // queueDepth reports how many requests of cl are waiting for a slot.
-func (a *admission) queueDepth(cl class) int {
+func (a *admission) queueDepth(cl Class) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.waiting[cl])
 }
 
 // inflightCount reports how many requests of cl hold a slot.
-func (a *admission) inflightCount(cl class) int {
+func (a *admission) inflightCount(cl Class) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.inflight[cl]

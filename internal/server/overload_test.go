@@ -154,7 +154,7 @@ func TestOverloadBehindFlakyProxy(t *testing.T) {
 			t.Fatal(err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(deadlineHeader, "0")
+		req.Header.Set(wire.DeadlineHeader, "0")
 		resp, err := hc.Do(req)
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,7 +36,7 @@ func newRawServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // blockIn occupies one admission slot of cl with a request parked inside fn
 // until the returned release func is called. It waits for the slot to be
 // held before returning.
-func blockIn(t *testing.T, s *Server, cl class) (release func(), done chan struct{}) {
+func blockIn(t *testing.T, s *Server, cl Class) (release func(), done chan struct{}) {
 	t.Helper()
 	gate := make(chan struct{})
 	done = make(chan struct{})
@@ -46,9 +45,9 @@ func blockIn(t *testing.T, s *Server, cl class) (release func(), done chan struc
 		defer close(done)
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodGet, "/x", nil)
-		s.run(rec, req, cl, func(ctx context.Context) (any, int) {
+		s.run(rec, req, cl, func(ctx context.Context) (any, error) {
 			<-gate
-			return "ok", http.StatusOK
+			return "ok", nil
 		})
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -73,16 +72,16 @@ func TestBatchCannotStarveInteractive(t *testing.T) {
 	}
 
 	// Saturate the batch class: one holder, one waiter.
-	release1, done1 := blockIn(t, s, classBatch)
+	release1, done1 := blockIn(t, s, Batch)
 	defer release1()
 	waiterDone := make(chan bool, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		waiterDone <- s.adm.acquire(ctx, classBatch)
+		waiterDone <- s.adm.acquire(ctx, Batch)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.adm.queueDepth(classBatch) == 0 {
+	for s.adm.queueDepth(Batch) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("second batch request never queued")
 		}
@@ -108,7 +107,7 @@ func TestBatchCannotStarveInteractive(t *testing.T) {
 	if granted := <-waiterDone; !granted {
 		t.Error("queued batch waiter was not granted after the holder released")
 	}
-	s.adm.release(classBatch)
+	s.adm.release(Batch)
 }
 
 // TestDoomedDeadlineShedsBeforeEngine pins the shed contract: a request whose
@@ -122,7 +121,7 @@ func TestDoomedDeadlineShedsBeforeEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(deadlineHeader, "0")
+	req.Header.Set(wire.DeadlineHeader, "0")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +136,7 @@ func TestDoomedDeadlineShedsBeforeEngine(t *testing.T) {
 	if got := s.stats.shed.Load(); got != 1 {
 		t.Errorf("shed counter = %d, want 1", got)
 	}
-	if got := s.stats.classes[classInteractive].shed.Load(); got != 1 {
+	if got := s.stats.classes[Interactive].shed.Load(); got != 1 {
 		t.Errorf("interactive shed counter = %d, want 1", got)
 	}
 	for vis := range s.stats.queries {
@@ -145,7 +144,7 @@ func TestDoomedDeadlineShedsBeforeEngine(t *testing.T) {
 			t.Errorf("doomed request reached the engine: queries[%d] = %d", vis, n)
 		}
 	}
-	if got := s.stats.classes[classInteractive].admitted.Load(); got != 0 {
+	if got := s.stats.classes[Interactive].admitted.Load(); got != 0 {
 		t.Errorf("doomed request was admitted (%d), want shed before admission", got)
 	}
 }
@@ -157,13 +156,13 @@ func TestEstimateSheddingRefusesUnmeetableDeadlines(t *testing.T) {
 	s, ts := newRawServer(t, Config{})
 	// Prime the interactive estimate at ~10s.
 	for i := 0; i < 8; i++ {
-		s.stats.classes[classInteractive].observe(10 * time.Second)
+		s.stats.classes[Interactive].observe(10 * time.Second)
 	}
 	doomed := func() *http.Response {
 		body, _ := json.Marshal(wire.QueryRequest{Query: "SELECT COUNT(*) FROM Nowhere"})
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(deadlineHeader, "50") // 50ms budget vs ~10s estimate
+		req.Header.Set(wire.DeadlineHeader, "50") // 50ms budget vs ~10s estimate
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -194,17 +193,17 @@ func TestEstimateSheddingRefusesUnmeetableDeadlines(t *testing.T) {
 // queued one is granted by the raised limit — nothing is dropped.
 func TestApplyQoSMidFlightDropsNothing(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxConcurrent: 1, RequestTimeout: 5 * time.Second})
-	release, done := blockIn(t, s, classInteractive)
+	release, done := blockIn(t, s, Interactive)
 	defer release()
 
 	waiterDone := make(chan bool, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		waiterDone <- s.adm.acquire(ctx, classInteractive)
+		waiterDone <- s.adm.acquire(ctx, Interactive)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.adm.queueDepth(classInteractive) == 0 {
+	for s.adm.queueDepth(Interactive) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never queued")
 		}
@@ -222,7 +221,7 @@ func TestApplyQoSMidFlightDropsNothing(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("queued waiter not granted after the limit was raised")
 	}
-	s.adm.release(classInteractive)
+	s.adm.release(Interactive)
 
 	// The request admitted under the old limit completes untouched.
 	release()
@@ -275,28 +274,6 @@ func TestClientCancelCountsCancelledNotTimeout(t *testing.T) {
 	}
 }
 
-// TestOversizedBodyAnswers413: a body over MaxBodyBytes is a clear 413, not
-// a confusing 400 decode error.
-func TestOversizedBodyAnswers413(t *testing.T) {
-	_, ts := newRawServer(t, Config{MaxBodyBytes: 128})
-	big, _ := json.Marshal(wire.QueryRequest{Query: "SELECT " + strings.Repeat("1+", 400) + "1"})
-	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body answered %d, want 413", resp.StatusCode)
-	}
-	var werr wire.ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&werr); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(werr.Error, "128-byte limit") {
-		t.Errorf("413 message %q does not name the limit", werr.Error)
-	}
-}
-
 // TestInvalidPriorityHeaderIs400: a malformed class is the client's bug and
 // must not be silently coerced.
 func TestInvalidPriorityHeaderIs400(t *testing.T) {
@@ -304,7 +281,7 @@ func TestInvalidPriorityHeaderIs400(t *testing.T) {
 	body, _ := json.Marshal(wire.QueryRequest{Query: "SELECT COUNT(*) FROM T"})
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(priorityHeader, "urgent")
+	req.Header.Set(wire.PriorityHeader, "urgent")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -381,7 +358,7 @@ func TestPlanCacheHitsAndDDLInvalidation(t *testing.T) {
 // ctx.Done branch observed every cancellation; this test fails there.
 func TestCancelStormDoesNotPolluteEWMA(t *testing.T) {
 	s, _ := newRawServer(t, Config{RequestTimeout: time.Minute})
-	cl := classInteractive
+	cl := Interactive
 
 	// Seed the estimate with healthy-but-slow completions at ~80ms.
 	const seed = 80 * time.Millisecond
@@ -410,9 +387,9 @@ func TestCancelStormDoesNotPolluteEWMA(t *testing.T) {
 			}
 			cancel()
 		}()
-		s.run(rec, req, cl, func(ctx context.Context) (any, int) {
+		s.run(rec, req, cl, func(ctx context.Context) (any, error) {
 			<-gate
-			return "ok", http.StatusOK
+			return "ok", nil
 		})
 		close(gate)
 		cancel()

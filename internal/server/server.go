@@ -9,11 +9,13 @@
 //	GET  /v1/snapshot                           → the dump script as text/plain, its generation in X-Mosaic-Generation
 //	GET  /v1/snapshot/delta?from=G              → {"from": G, "generation": ..., "stmts": [...]}
 //
-// Every /v1 request passes a priority-aware admission controller before any
-// work starts. Requests carry a priority class (X-Mosaic-Priority:
+// This package owns the request path of every Mosaic front door: the Kernel
+// (kernel.go) decodes, classifies, sheds, admits, runs and answers each /v1
+// request, for this Server and for the fleet coordinator (internal/coord)
+// alike. Requests carry a priority class (X-Mosaic-Priority:
 // interactive|batch; queries default by visibility — OPEN is batch,
 // everything else interactive) and optionally a propagated client deadline
-// (X-Mosaic-Deadline-Ms), intersected with RequestTimeout. The controller:
+// (X-Mosaic-Deadline-Ms), intersected with RequestTimeout. The kernel:
 //
 //   - sheds work it cannot finish — budget already spent, or the per-class
 //     EWMA latency estimate exceeds the remaining budget — with
@@ -46,16 +48,13 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mosaic"
@@ -85,12 +84,6 @@ type Config struct {
 	// RequestTimeout bounds each /v1 request (admission wait + execution),
 	// intersected with any client-propagated X-Mosaic-Deadline-Ms. Default 30s.
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (413 beyond it). Default
-	// wire.MaxBodyBytes, the fleet coordinator's cap.
-	MaxBodyBytes int64
-	// PlanCacheSize bounds the server-side prepared-plan cache (distinct
-	// query texts). Default 256; negative disables the cache.
-	PlanCacheSize int
 	// SnapshotPath, when non-empty, enables persistence: restored on boot,
 	// written atomically every SnapshotInterval and on Close.
 	SnapshotPath string
@@ -119,19 +112,11 @@ type FollowerState interface {
 	Stats() wire.FollowerStats
 }
 
+// planCacheSize bounds the server-side prepared-plan cache (distinct query
+// texts).
+const planCacheSize = 256
+
 func (c Config) withDefaults() Config {
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 64
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = wire.MaxBodyBytes
-	}
-	if c.PlanCacheSize == 0 {
-		c.PlanCacheSize = 256
-	}
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = 30 * time.Second
 	}
@@ -141,27 +126,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// qos extracts the live-reloadable slice of the configuration.
-func (c Config) qos() QoSConfig {
-	return QoSConfig{
-		MaxConcurrent:      c.MaxConcurrent,
-		BatchMaxConcurrent: c.BatchMaxConcurrent,
-		ShedMargin:         c.ShedMargin,
-	}.withDefaults()
-}
-
-// Server is the HTTP front end of one mosaic.DB.
+// Server is the HTTP front end of one mosaic.DB. Its /v1 endpoints are
+// Calls answered through the embedded Kernel.
 type Server struct {
+	*Kernel
 	cfg   Config
 	db    *mosaic.DB
 	stats *stats
-	adm   *admission
-	plans *core.PlanCache // nil when disabled
+	plans *core.PlanCache
 	mux   *http.ServeMux
-
-	qosMu      sync.Mutex
-	qosCur     QoSConfig
-	shedMargin atomic64f
 
 	stopOnce sync.Once
 	stopSnap chan struct{}
@@ -170,13 +143,6 @@ type Server struct {
 
 	restored bool // a boot snapshot was loaded
 }
-
-// atomic64f is a float64 stored in a uint64 atomic (the shed margin is read
-// on every request and swapped by ApplyQoS).
-type atomic64f struct{ bits atomic.Uint64 }
-
-func (a *atomic64f) store(f float64) { a.bits.Store(math.Float64bits(f)) }
-func (a *atomic64f) load() float64   { return math.Float64frombits(a.bits.Load()) }
 
 // Restored reports whether New loaded an existing snapshot on boot. Callers
 // that seed a fresh instance (e.g. mosaic-serve's positional init scripts)
@@ -190,19 +156,19 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DB == nil {
 		return nil, fmt.Errorf("server: Config.DB is required")
 	}
-	qos := cfg.qos()
+	k := NewKernel(QoSConfig{
+		MaxConcurrent:      cfg.MaxConcurrent,
+		BatchMaxConcurrent: cfg.BatchMaxConcurrent,
+		ShedMargin:         cfg.ShedMargin,
+	}, cfg.RequestTimeout)
 	s := &Server{
+		Kernel:   k,
 		cfg:      cfg,
 		db:       cfg.DB,
-		stats:    newStats(),
-		adm:      newAdmission(qos),
+		stats:    newStats(k),
+		plans:    core.NewPlanCache(planCacheSize),
 		mux:      http.NewServeMux(),
-		qosCur:   qos,
 		stopSnap: make(chan struct{}),
-	}
-	s.shedMargin.store(qos.ShedMargin)
-	if cfg.PlanCacheSize > 0 {
-		s.plans = core.NewPlanCache(cfg.PlanCacheSize)
 	}
 	if cfg.SnapshotPath != "" {
 		if _, err := os.Stat(cfg.SnapshotPath); err == nil {
@@ -240,28 +206,6 @@ func (s *Server) fleetGen() (uint64, bool) {
 
 // Handler returns the root HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// ApplyQoS swaps the admission limits and shed threshold at runtime without
-// dropping in-flight requests: work already admitted runs to completion, a
-// raised limit wakes waiters immediately, a lowered one only throttles new
-// admissions. mosaic-serve calls this on SIGHUP.
-func (s *Server) ApplyQoS(q QoSConfig) {
-	q = q.withDefaults()
-	s.qosMu.Lock()
-	s.qosCur = q
-	s.qosMu.Unlock()
-	s.shedMargin.store(q.ShedMargin)
-	s.adm.setLimits(q)
-	s.cfg.Logf("qos: max_concurrent=%d batch_max_concurrent=%d shed_margin=%g",
-		q.MaxConcurrent, q.BatchMaxConcurrent, q.ShedMargin)
-}
-
-// QoS returns the currently effective admission configuration.
-func (s *Server) QoS() QoSConfig {
-	s.qosMu.Lock()
-	defer s.qosMu.Unlock()
-	return s.qosCur
-}
 
 // Close stops the snapshot loop and writes a final snapshot (when
 // persistence is configured).
@@ -308,237 +252,70 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, wire.ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// retryAfterSecs derives the Retry-After hint from the class's latency
-// estimate: roughly one expected request duration, at least one second.
-func (s *Server) retryAfterSecs(cl class) int {
-	secs := int(math.Ceil(s.stats.classes[cl].estimate().Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-// writeUnavailable answers 503 with a Retry-After hint — the contract for
-// both shed (deadline unmeetable) and rejected (no slot) outcomes.
-func (s *Server) writeUnavailable(w http.ResponseWriter, cl class, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs(cl)))
-	writeError(w, http.StatusServiceUnavailable, format, args...)
-}
-
-// run executes fn for priority class cl under the admission controller and
-// the per-request deadline (RequestTimeout intersected with any propagated
-// X-Mosaic-Deadline-Ms). Outcomes:
-//
-//	503 + Retry-After — shed before any work: the budget is already spent,
-//	                    or the class's EWMA latency estimate says the
-//	                    deadline cannot be met;
-//	503 + Retry-After — no slot freed within the deadline;
-//	504               — admitted but the deadline expired mid-execution; the
-//	                    statement is cancelled server-side (the engine
-//	                    unwinds at its next checkpoint and the slot frees).
-//
-// fn receives the request context and must pass it into the engine.
-func (s *Server) run(w http.ResponseWriter, r *http.Request, cl class, fn func(ctx context.Context) (any, int)) {
-	timeout := s.cfg.RequestTimeout
-	budget, ok, err := deadlineFromHeader(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if ok {
-		if budget <= 0 {
-			s.stats.recordShed(cl)
-			s.writeUnavailable(w, cl, "deadline already expired (budget %s); shed before execution", budget)
-			return
-		}
-		if budget < timeout {
-			timeout = budget
-		}
-	}
-	// Estimate-based shedding: admitting work whose deadline the recent
-	// latency EWMA says cannot be met only burns CPU toward a guaranteed
-	// 504 — refuse it up front instead, with a Retry-After hint.
-	if margin := s.shedMargin.load(); margin > 0 {
-		if est := s.stats.classes[cl].estimate(); est > 0 && time.Duration(float64(est)*margin) > timeout {
-			s.stats.recordShed(cl)
-			s.writeUnavailable(w, cl, "%s budget %s below the estimated latency %s; shed before execution",
-				cl, timeout.Round(time.Millisecond), est.Round(time.Millisecond))
-			return
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	if !s.adm.acquire(ctx, cl) {
-		s.stats.recordRejected(cl)
-		s.writeUnavailable(w, cl, "server overloaded: no %s slot within %s", cl, timeout)
-		return
-	}
-	s.stats.classes[cl].admitted.Add(1)
-	s.stats.inflight.Add(1)
-	start := time.Now()
-	type outcome struct {
-		body   any
-		status int
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		defer s.adm.release(cl)
-		defer s.stats.inflight.Add(-1)
-		body, status := fn(ctx)
-		done <- outcome{body, status}
-	}()
-	select {
-	case out := <-done:
-		s.stats.classes[cl].observe(time.Since(start))
-		if out.status >= 400 {
-			if msg, ok := out.body.(string); ok {
-				writeError(w, out.status, "%s", msg)
-				return
-			}
-		}
-		writeJSON(w, out.status, out.body)
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			// The class estimate must reflect expiries too, or a saturated
-			// class keeps a rosy EWMA and the shedder never engages. Client
-			// cancellations must NOT feed it: a cancel storm of fast aborts
-			// would drag the EWMA down and disarm the shedder exactly when
-			// real completions are slow.
-			s.stats.classes[cl].observe(time.Since(start))
-			s.stats.recordTimeout(cl)
-			writeError(w, http.StatusGatewayTimeout, "request exceeded %s (the statement was cancelled server-side)", timeout)
-			return
-		}
-		// Client went away: nobody reads the response; the engine-side
-		// unwinding records the cancellation (recordQuery/recordCancelled).
-		writeError(w, http.StatusServiceUnavailable, "client cancelled")
-	}
-}
-
-// decodeBody decodes a JSON request body under the MaxBodyBytes cap,
-// answering 413 for oversized bodies and 400 for malformed ones. It reports
-// whether decoding succeeded; on false the response has been written.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(into); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit", mbe.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
-// classForVisibility derives the default priority class of a query: OPEN
-// queries train and sample generative models — batch; CLOSED and SEMI-OPEN
-// answer from stored samples — interactive.
-func classForVisibility(vis sql.Visibility) class {
-	if vis == sql.VisibilityOpen {
-		return classBatch
-	}
-	return classInteractive
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req wire.QueryRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	// Plan-cache lookup before parsing: a hit skips parse + plan entirely
-	// (the PreparedQuery re-resolves itself if DDL/DML moved the generation
-	// counter, so hits are never stale).
-	eng := s.db.Engine()
-	var sel *sql.Select
-	var pq *core.PreparedQuery
-	if s.plans != nil {
-		sel, pq, _ = s.plans.Lookup(eng, req.Query)
-	}
-	if sel == nil {
-		parsed, err := sql.ParseQuery(req.Query)
+	s.Serve(w, r, http.MethodPost, &req, func() (Class, Call, error) {
+		// Plan-cache lookup before parsing: a hit skips parse + plan entirely
+		// (the PreparedQuery re-resolves itself if DDL/DML moved the
+		// generation counter, so hits are never stale).
+		eng := s.db.Engine()
+		sel, pq, _ := s.plans.Lookup(eng, req.Query)
+		if sel == nil {
+			parsed, err := sql.ParseQuery(req.Query)
+			if err != nil {
+				return 0, nil, Errorf(http.StatusBadRequest, "%v", err)
+			}
+			sel, pq = parsed, s.plans.Store(eng, req.Query, parsed)
+		}
+		bound, err := BindParams(sel, req.Params)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
+			return 0, nil, err
 		}
-		sel = parsed
-		if s.plans != nil {
-			pq = s.plans.Store(eng, req.Query, sel)
-		}
-	}
-	params, err := wire.DecodeValues(req.Params)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	bound, err := sql.BindParams(sel, params)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	vis := bound.Visibility
-	cl, err := classFromHeader(r, classForVisibility(vis))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.run(w, r, cl, func(ctx context.Context) (any, int) {
-		// Generation-checked reads bracket execution: refuse before starting
-		// when the serving state is not at the requested generation, and
-		// refuse the computed answer when the generation moved (or a follower
-		// delta was mid-apply) underneath it. Any query that could have
-		// observed a different or intermediate state fails one of the two
-		// checks — the gate that makes replica answers bit-identical to the
-		// primary's at the same generation.
-		if req.CheckGeneration {
-			if g, ok := s.fleetGen(); !ok || g != req.Generation {
-				return fmt.Sprintf("serving generation %d, coordinator expected %d: state diverged from the fleet", g, req.Generation), http.StatusConflict
+		vis := bound.Visibility
+		return QueryClass(vis), func(ctx context.Context) (any, error) {
+			// Generation-checked reads bracket execution: refuse before
+			// starting when the serving state is not at the requested
+			// generation, and refuse the computed answer when the generation
+			// moved (or a follower delta was mid-apply) underneath it. Any
+			// query that could have observed a different or intermediate
+			// state fails one of the two checks — the gate that makes replica
+			// answers bit-identical to the primary's at the same generation.
+			if req.CheckGeneration {
+				if g, ok := s.fleetGen(); !ok || g != req.Generation {
+					return nil, Errorf(http.StatusConflict, "serving generation %d, coordinator expected %d: state diverged from the fleet", g, req.Generation)
+				}
+				// Re-capture the engine AFTER the generation check: a
+				// follower re-bootstrap (Restore) swaps the engine pointer,
+				// and executing against the pre-swap engine would pass both
+				// generation checks while reading outdated state. Captured
+				// after g1, any later swap moves the generation and the
+				// post-execution check refuses.
+				if cur := s.db.Engine(); cur != eng {
+					eng, pq = cur, nil
+				}
 			}
-			// Re-capture the engine AFTER the generation check: a follower
-			// re-bootstrap (Restore) swaps the engine pointer, and executing
-			// against the pre-swap engine would pass both generation checks
-			// while reading outdated state. Captured after g1, any later swap
-			// moves the generation and the post-execution check refuses.
-			if cur := s.db.Engine(); cur != eng {
-				eng, pq = cur, nil
+			start := time.Now()
+			// Query the engine with the already-parsed statement (db.Query
+			// would re-parse the string); through the prepared plan when
+			// cached.
+			var res *exec.Result
+			var qerr error
+			if pq != nil {
+				res, qerr = eng.QueryPrepared(ctx, pq, bound)
+			} else {
+				res, qerr = eng.QueryContext(ctx, bound)
 			}
-		}
-		start := time.Now()
-		// Query the engine with the already-parsed statement (db.Query would
-		// re-parse the string); through the prepared plan when cached.
-		var res *exec.Result
-		var qerr error
-		if pq != nil {
-			res, qerr = eng.QueryPrepared(ctx, pq, bound)
-		} else {
-			res, qerr = eng.QueryContext(ctx, bound)
-		}
-		s.stats.recordQuery(vis, time.Since(start), qerr)
-		if qerr != nil {
-			return qerr.Error(), http.StatusUnprocessableEntity
-		}
-		if req.CheckGeneration {
-			if g, ok := s.fleetGen(); !ok || g != req.Generation {
-				return fmt.Sprintf("generation moved to %d during a generation-%d read: answer discarded", g, req.Generation), http.StatusConflict
+			s.stats.recordQuery(vis, time.Since(start), qerr)
+			if qerr != nil {
+				return nil, Errorf(http.StatusUnprocessableEntity, "%v", qerr)
 			}
-		}
-		return wire.EncodeResult(res), http.StatusOK
+			if req.CheckGeneration {
+				if g, ok := s.fleetGen(); !ok || g != req.Generation {
+					return nil, Errorf(http.StatusConflict, "generation moved to %d during a generation-%d read: answer discarded", g, req.Generation)
+				}
+			}
+			return wire.EncodeResult(res), nil
+		}, nil
 	})
 }
 
@@ -551,147 +328,117 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // answer. The generation is read under the engine lock the partial executes
 // under, so the check cannot race a concurrent mutation.
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req wire.PartialRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if req.Shards < 1 || req.Shard < 0 || req.Shard >= req.Shards {
-		writeError(w, http.StatusBadRequest, "shard %d of %d out of range", req.Shard, req.Shards)
-		return
-	}
-	sel, err := sql.ParseQuery(req.Query)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	params, err := wire.DecodeValues(req.Params)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	bound, err := sql.BindParams(sel, params)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Partials serve only CLOSED/SEMI-OPEN aggregates (OPEN is unhandled),
-	// so the default class is interactive, like the equivalent /v1/query.
-	cl, err := classFromHeader(r, classInteractive)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.run(w, r, cl, func(ctx context.Context) (any, int) {
-		// In follower mode the local engine counter is meaningless (replay
-		// renumbers it); generation-checked partials bracket execution on the
-		// replicated generation instead, and the engine is captured after the
-		// first check so a concurrent re-bootstrap cannot slip an outdated
-		// engine past both checks.
-		if req.CheckGeneration && s.cfg.Follower != nil {
-			if g, ok := s.fleetGen(); !ok || g != req.Generation {
-				return fmt.Sprintf("follower at generation %d, coordinator expected %d: replica state diverged from the fleet", g, req.Generation), http.StatusConflict
+	s.Serve(w, r, http.MethodPost, &req, func() (Class, Call, error) {
+		if req.Shards < 1 || req.Shard < 0 || req.Shard >= req.Shards {
+			return 0, nil, Errorf(http.StatusBadRequest, "shard %d of %d out of range", req.Shard, req.Shards)
+		}
+		sel, err := sql.ParseQuery(req.Query)
+		if err != nil {
+			return 0, nil, Errorf(http.StatusBadRequest, "%v", err)
+		}
+		bound, err := BindParams(sel, req.Params)
+		if err != nil {
+			return 0, nil, err
+		}
+		// Partials serve only CLOSED/SEMI-OPEN aggregates (OPEN is
+		// unhandled), so the class is interactive, like the equivalent
+		// /v1/query.
+		return Interactive, func(ctx context.Context) (any, error) {
+			// In follower mode the local engine counter is meaningless
+			// (replay renumbers it); generation-checked partials bracket
+			// execution on the replicated generation instead, and the engine
+			// is captured after the first check so a concurrent re-bootstrap
+			// cannot slip an outdated engine past both checks.
+			if req.CheckGeneration && s.cfg.Follower != nil {
+				if g, ok := s.fleetGen(); !ok || g != req.Generation {
+					return nil, Errorf(http.StatusConflict, "follower at generation %d, coordinator expected %d: replica state diverged from the fleet", g, req.Generation)
+				}
 			}
-		}
-		eng := s.db.Engine()
-		p, gen, handled, perr := eng.PartialContext(ctx, bound, req.Shard, req.Shards)
-		if s.cfg.Follower != nil {
-			g, ok := s.fleetGen()
-			if req.CheckGeneration && (!ok || g != req.Generation) {
-				return fmt.Sprintf("follower generation moved to %d during a generation-%d partial: answer discarded", g, req.Generation), http.StatusConflict
+			eng := s.db.Engine()
+			p, gen, handled, perr := eng.PartialContext(ctx, bound, req.Shard, req.Shards)
+			if s.cfg.Follower != nil {
+				g, ok := s.fleetGen()
+				if req.CheckGeneration && (!ok || g != req.Generation) {
+					return nil, Errorf(http.StatusConflict, "follower generation moved to %d during a generation-%d partial: answer discarded", g, req.Generation)
+				}
+				gen = g // report the replicated generation, not the local counter
 			}
-			gen = g // report the replicated generation, not the local counter
-		}
-		if req.CheckGeneration && gen != req.Generation {
-			return fmt.Sprintf("shard at generation %d, coordinator expected %d: shard state diverged from the fleet", gen, req.Generation), http.StatusConflict
-		}
-		if perr != nil {
-			s.stats.recordCancelled(perr)
-			return perr.Error(), http.StatusUnprocessableEntity
-		}
-		if !handled {
-			return &wire.PartialResponse{Handled: false, Generation: gen}, http.StatusOK
-		}
-		s.stats.partials.Add(1)
-		resp, eerr := wire.EncodePartial(p, gen)
-		if eerr != nil {
-			return eerr.Error(), http.StatusInternalServerError
-		}
-		return resp, http.StatusOK
+			if req.CheckGeneration && gen != req.Generation {
+				return nil, Errorf(http.StatusConflict, "shard at generation %d, coordinator expected %d: shard state diverged from the fleet", gen, req.Generation)
+			}
+			if perr != nil {
+				s.stats.recordCancelled(perr)
+				return nil, Errorf(http.StatusUnprocessableEntity, "%v", perr)
+			}
+			if !handled {
+				return &wire.PartialResponse{Handled: false, Generation: gen}, nil
+			}
+			s.stats.partials.Add(1)
+			return wire.EncodePartial(p, gen)
+		}, nil
 	})
 }
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if s.cfg.Follower != nil {
-		writeError(w, http.StatusForbidden,
-			"read-only follower replicating from %s: DDL/DML is not accepted here — write to the primary", s.cfg.Follower.Stats().Primary)
-		return
-	}
 	var req wire.ExecRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	// Scripts can carry arbitrary DDL/DML and heavy SELECTs: batch class
-	// unless the client says otherwise.
-	cl, err := classFromHeader(r, classBatch)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.run(w, r, cl, func(ctx context.Context) (any, int) {
-		s.stats.execs.Add(1)
-		results, err := s.db.RunContext(ctx, req.Script)
-		if err != nil {
-			s.stats.recordCancelled(err)
-			return err.Error(), http.StatusUnprocessableEntity
+	s.Serve(w, r, http.MethodPost, &req, func() (Class, Call, error) {
+		if s.cfg.Follower != nil {
+			return 0, nil, Errorf(http.StatusForbidden,
+				"read-only follower replicating from %s: DDL/DML is not accepted here — write to the primary", s.cfg.Follower.Stats().Primary)
 		}
-		out := wire.ExecResponse{Results: make([]*wire.Result, len(results))}
-		for i, res := range results {
-			out.Results[i] = wire.EncodeResult(res)
-		}
-		// The post-script generation is the fleet coordinator's handshake:
-		// every shard must land on the same counter after a fanned-out exec.
-		out.Generation = s.db.Engine().Generation()
-		return out, http.StatusOK
+		// Scripts can carry arbitrary DDL/DML and heavy SELECTs: batch
+		// class unless the client says otherwise.
+		return Batch, func(ctx context.Context) (any, error) {
+			s.stats.execs.Add(1)
+			results, err := s.db.RunContext(ctx, req.Script)
+			if err != nil {
+				s.stats.recordCancelled(err)
+				return nil, Errorf(http.StatusUnprocessableEntity, "%v", err)
+			}
+			out := wire.ExecResponse{Results: make([]*wire.Result, len(results))}
+			for i, res := range results {
+				out.Results[i] = wire.EncodeResult(res)
+			}
+			// The post-script generation is the fleet coordinator's
+			// handshake: every shard must land on the same counter after a
+			// fanned-out exec.
+			out.Generation = s.db.Engine().Generation()
+			return out, nil
+		}, nil
 	})
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+	s.Serve(w, r, http.MethodGet, nil, func() (Class, Call, error) {
+		sel, err := ParseExplain(r)
+		if err != nil {
+			return 0, nil, err
+		}
+		// EXPLAIN plans without executing; nothing long-running to cancel.
+		return Interactive, func(context.Context) (any, error) {
+			s.stats.explains.Add(1)
+			res, err := s.db.Engine().Explain(sel)
+			if err != nil {
+				return nil, Errorf(http.StatusUnprocessableEntity, "%v", err)
+			}
+			return wire.EncodeResult(res), nil
+		}, nil
+	})
+}
+
+// ParseExplain reads and parses the ?q= query of a GET /v1/explain; a
+// missing or unparseable query is a 400.
+func ParseExplain(r *http.Request) (*sql.Select, error) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
-		writeError(w, http.StatusBadRequest, "missing ?q=SELECT ...")
-		return
+		return nil, Errorf(http.StatusBadRequest, "missing ?q=SELECT ...")
 	}
 	sel, err := sql.ParseQuery(q)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, Errorf(http.StatusBadRequest, "%v", err)
 	}
-	cl, err := classFromHeader(r, classInteractive)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.run(w, r, cl, func(ctx context.Context) (any, int) {
-		_ = ctx // EXPLAIN plans without executing; nothing long-running to cancel
-		s.stats.explains.Add(1)
-		res, err := s.db.Engine().Explain(sel)
-		if err != nil {
-			return err.Error(), http.StatusUnprocessableEntity
-		}
-		return wire.EncodeResult(res), http.StatusOK
-	})
+	return sel, nil
 }
 
 // handleSnapshot serves GET /v1/snapshot, for follower bootstrap: the full
@@ -759,7 +506,7 @@ func (s *Server) handleSnapshotDelta(w http.ResponseWriter, r *http.Request) {
 			out.Stmts[i] = wire.DeltaStmt{Src: st.Src, Failed: st.Failed}
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -774,11 +521,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			out.Status = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	out := s.stats.snapshot(s.adm, s.plans)
+	out := s.stats.snapshot(s.plans)
+	out.AdmissionStats = s.AdmissionStats()
 	out.Generation = s.db.Engine().Generation()
 	if s.cfg.Follower != nil {
 		// Report the replicated primary generation — the value the
@@ -802,5 +550,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Rows:   eng.ShardRows(),
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }

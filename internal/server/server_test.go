@@ -275,10 +275,10 @@ func TestAdmissionGateRejectsWhenSaturated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Saturate the single slot out-of-band.
-	if !s.adm.acquire(context.Background(), classInteractive) {
+	if !s.adm.acquire(context.Background(), Interactive) {
 		t.Fatal("could not take the only slot")
 	}
-	defer s.adm.release(classInteractive)
+	defer s.adm.release(Interactive)
 	_, err := c.Query("SELECT COUNT(*) FROM T")
 	re, ok := err.(*client.RemoteError)
 	if !ok || re.StatusCode != http.StatusServiceUnavailable {
@@ -300,9 +300,9 @@ func TestRequestTimeoutAnswers504(t *testing.T) {
 	s, _ := newTestServer(t, Config{RequestTimeout: 30 * time.Millisecond})
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodGet, "/x", nil)
-	s.run(rec, req, classInteractive, func(context.Context) (any, int) {
+	s.run(rec, req, Interactive, func(context.Context) (any, error) {
 		time.Sleep(300 * time.Millisecond)
-		return "late", http.StatusOK
+		return "late", nil
 	})
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("slow request code = %d, want 504", rec.Code)

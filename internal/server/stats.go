@@ -97,9 +97,39 @@ func (cs *classStats) estimate() time.Duration {
 	return time.Duration(cs.ewmaNs.Load())
 }
 
-// stats aggregates per-visibility query counters, per-class admission
-// accounting, and whole-server request accounting.
+// admissionStats are the kernel's counters: admission accounting across
+// classes and per class.
+type admissionStats struct {
+	rejected atomic.Int64 // admission-gate rejections (all classes)
+	shed     atomic.Int64 // deadline-unmeetable sheds (all classes)
+	timeouts atomic.Int64 // per-request deadline expiries (all classes)
+	inflight atomic.Int64
+	classes  [numClasses]classStats
+}
+
+// recordShed counts one up-front shed for cl.
+func (a *admissionStats) recordShed(cl Class) {
+	a.shed.Add(1)
+	a.classes[cl].shed.Add(1)
+}
+
+// recordRejected counts one admission-gate rejection for cl.
+func (a *admissionStats) recordRejected(cl Class) {
+	a.rejected.Add(1)
+	a.classes[cl].rejected.Add(1)
+}
+
+// recordTimeout counts one mid-execution deadline expiry for cl.
+func (a *admissionStats) recordTimeout(cl Class) {
+	a.timeouts.Add(1)
+	a.classes[cl].timeouts.Add(1)
+}
+
+// stats aggregates a Server's per-visibility query counters and
+// whole-server accounting beside its kernel's admission counters.
 type stats struct {
+	*admissionStats // the Server's Kernel's
+
 	started time.Time
 
 	queries   [4]atomic.Int64 // indexed by sql.Visibility
@@ -107,21 +137,16 @@ type stats struct {
 	execs     atomic.Int64
 	explains  atomic.Int64
 	partials  atomic.Int64 // /v1/partial plans served (fleet shard duty)
-	rejected  atomic.Int64 // admission-gate rejections (all classes)
-	shed      atomic.Int64 // deadline-unmeetable sheds (all classes)
-	timeouts  atomic.Int64 // per-request deadline expiries (all classes)
 	cancelled atomic.Int64 // engine calls aborted by context cancellation
-	inflight  atomic.Int64
 
 	latency [4]histogram // per visibility
-	classes [numClasses]classStats
 
 	snapshots        atomic.Int64
 	lastSnapshotUnix atomic.Int64
 	lastSnapshotSize atomic.Int64
 }
 
-func newStats() *stats { return &stats{started: time.Now()} }
+func newStats(k *Kernel) *stats { return &stats{admissionStats: k.counts, started: time.Now()} }
 
 func (s *stats) recordQuery(vis sql.Visibility, d time.Duration, err error) {
 	if err != nil {
@@ -144,74 +169,36 @@ func (s *stats) recordCancelled(err error) {
 	}
 }
 
-// recordShed counts one up-front shed for cl.
-func (s *stats) recordShed(cl class) {
-	s.shed.Add(1)
-	s.classes[cl].shed.Add(1)
-}
-
-// recordRejected counts one admission-gate rejection for cl.
-func (s *stats) recordRejected(cl class) {
-	s.rejected.Add(1)
-	s.classes[cl].rejected.Add(1)
-}
-
-// recordTimeout counts one mid-execution deadline expiry for cl.
-func (s *stats) recordTimeout(cl class) {
-	s.timeouts.Add(1)
-	s.classes[cl].timeouts.Add(1)
-}
-
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-func (s *stats) snapshot(adm *admission, plans *core.PlanCache) wire.StatsResponse {
+func (s *stats) snapshot(plans *core.PlanCache) wire.StatsResponse {
+	ps := plans.Stats()
 	out := wire.StatsResponse{
 		UptimeSecs:       time.Since(s.started).Seconds(),
-		Inflight:         s.inflight.Load(),
 		Execs:            s.execs.Load(),
 		Explains:         s.explains.Load(),
 		Partials:         s.partials.Load(),
 		QueryErrors:      s.errors.Load(),
-		Rejected:         s.rejected.Load(),
-		Shed:             s.shed.Load(),
-		Timeouts:         s.timeouts.Load(),
 		Cancelled:        s.cancelled.Load(),
 		Visibilities:     make(map[string]wire.VisibilityStats, 4),
-		Classes:          make(map[string]wire.ClassStats, numClasses),
 		Snapshots:        s.snapshots.Load(),
 		LastSnapshotUnix: s.lastSnapshotUnix.Load(),
 		LastSnapshotSize: s.lastSnapshotSize.Load(),
+		PlanCache: &wire.PlanCacheStats{
+			Hits:      ps.Hits,
+			Misses:    ps.Misses,
+			Evictions: ps.Evictions,
+			Size:      ps.Size,
+			Capacity:  ps.Capacity,
+		},
 	}
 	for vis := sql.VisibilityDefault; vis <= sql.VisibilityOpen; vis++ {
 		name := strings.ToLower(vis.String())
 		out.Visibilities[name] = wire.VisibilityStats{
 			Queries: s.queries[vis].Load(),
 			Latency: s.latency[vis].snapshot(),
-		}
-	}
-	for cl := classInteractive; cl < numClasses; cl++ {
-		cs := &s.classes[cl]
-		out.Classes[cl.String()] = wire.ClassStats{
-			Admitted:   cs.admitted.Load(),
-			Shed:       cs.shed.Load(),
-			Rejected:   cs.rejected.Load(),
-			Timeouts:   cs.timeouts.Load(),
-			Inflight:   int64(adm.inflightCount(cl)),
-			QueueDepth: int64(adm.queueDepth(cl)),
-			EWMAMs:     float64(cs.ewmaNs.Load()) / 1e6,
-			Latency:    cs.latency.snapshot(),
-		}
-	}
-	if plans != nil {
-		ps := plans.Stats()
-		out.PlanCache = &wire.PlanCacheStats{
-			Hits:      ps.Hits,
-			Misses:    ps.Misses,
-			Evictions: ps.Evictions,
-			Size:      ps.Size,
-			Capacity:  ps.Capacity,
 		}
 	}
 	return out

@@ -60,7 +60,9 @@ type PartialResponse struct {
 }
 
 // CoordStatsResponse is the body of the fleet coordinator's GET /statsz.
+// Its admission block is the shard server's, filled by the same kernel.
 type CoordStatsResponse struct {
+	AdmissionStats
 	UptimeSecs  float64  `json:"uptime_secs"`
 	Shards      []string `json:"shards"`     // primary base URLs, fixed fan-out order
 	Generation  uint64   `json:"generation"` // fleet DDL/DML generation

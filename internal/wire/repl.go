@@ -6,12 +6,6 @@
 // statement log, telling the follower to re-bootstrap).
 package wire
 
-// GenerationHeader carries, on a GET /v1/snapshot answer, the DDL/DML
-// generation the body's script captures. The body is the script itself,
-// text/plain, with a Content-Length the reader checks: a short body is a
-// failed fetch, never a shorter script.
-const GenerationHeader = "X-Mosaic-Generation"
-
 // SnapshotResponse is a GET /v1/snapshot answer as the client decodes it
 // (the wire body is the bare script, see GenerationHeader): the primary's
 // full dump script and the DDL/DML generation it captures, read under one

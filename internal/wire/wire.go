@@ -33,10 +33,29 @@ type QueryRequest struct {
 	CheckGeneration bool   `json:"check_generation,omitempty"`
 }
 
-// MaxBodyBytes is the default request-body cap of the shard server and the
-// fleet coordinator (413 beyond it). One value for both, so the
-// coordinator accepts every request it relays to a default shard.
+// MaxBodyBytes is the request-body cap of every Mosaic front door, shard
+// and coordinator alike (413 beyond it), so the coordinator accepts every
+// request it relays to a shard.
 const MaxBodyBytes = 8 << 20
+
+// The protocol's headers.
+const (
+	// PriorityHeader carries a request's explicit admission class,
+	// "interactive" or "batch". Absent, the server derives one: queries by
+	// visibility (OPEN is batch, everything else interactive), exec
+	// scripts batch, explain interactive.
+	PriorityHeader = "X-Mosaic-Priority"
+	// DeadlineHeader carries the caller's remaining budget in integer
+	// milliseconds. The server intersects it with its request timeout and
+	// sheds the request before any work when the budget is spent or below
+	// the class's latency estimate.
+	DeadlineHeader = "X-Mosaic-Deadline-Ms"
+	// GenerationHeader carries, on a GET /v1/snapshot answer, the DDL/DML
+	// generation the body's script captures. The body is the script
+	// itself, text/plain, with a Content-Length the reader checks: a short
+	// body is a failed fetch, never a shorter script.
+	GenerationHeader = "X-Mosaic-Generation"
+)
 
 // ExecRequest is the body of POST /v1/exec: a semicolon-separated Mosaic
 // script. Statements execute in order; SELECTs inside the script return
@@ -134,19 +153,26 @@ type ShardStats struct {
 	Rows   []int64 `json:"rows"`  // per-shard rows scanned
 }
 
+// AdmissionStats is the serving kernel's block of /statsz, the same on a
+// shard and on the coordinator: requests holding a slot, the refusals by
+// kind across classes, and the per-class split.
+type AdmissionStats struct {
+	Inflight int64                 `json:"inflight"`
+	Rejected int64                 `json:"rejected"`
+	Shed     int64                 `json:"shed"`
+	Timeouts int64                 `json:"timeouts"`
+	Classes  map[string]ClassStats `json:"classes,omitempty"`
+}
+
 // StatsResponse is the body of GET /statsz.
 type StatsResponse struct {
+	AdmissionStats
 	UptimeSecs       float64                    `json:"uptime_secs"`
-	Inflight         int64                      `json:"inflight"`
 	Execs            int64                      `json:"execs"`
 	Explains         int64                      `json:"explains"`
 	QueryErrors      int64                      `json:"query_errors"`
-	Rejected         int64                      `json:"rejected"`
-	Shed             int64                      `json:"shed"`
-	Timeouts         int64                      `json:"timeouts"`
 	Cancelled        int64                      `json:"cancelled"`
 	Visibilities     map[string]VisibilityStats `json:"visibilities"`
-	Classes          map[string]ClassStats      `json:"classes,omitempty"`
 	PlanCache        *PlanCacheStats            `json:"plan_cache,omitempty"`
 	ModelCache       *ModelCacheStats           `json:"model_cache,omitempty"`
 	Snapshots        int64                      `json:"snapshots"`

@@ -117,7 +117,7 @@ func (p *aggPlan) scan(ctx context.Context) (*aggScan, error) {
 			selW[k] = 1
 		}
 	}
-	gids, ngroups, firstRow := groupIDs(p.snap, p.keyIdx, selRows, p.workers)
+	gids, ngroups, firstRow := groupIDs(p.snap, p.keyIdx, selRows)
 	states, err := accumulateStates(ctx, p.vaggs, p.snap, selRows, gids, selW, ngroups, p.workers)
 	if err != nil {
 		return nil, err

@@ -138,3 +138,52 @@ func benchSort(b *testing.B, src string) {
 func BenchmarkSortFull100k(b *testing.B)    { benchSort(b, "SELECT y FROM t ORDER BY y") }
 func BenchmarkSortTwoKeys100k(b *testing.B) { benchSort(b, "SELECT x, y FROM t ORDER BY y DESC, x") }
 func BenchmarkSortTextKey100k(b *testing.B) { benchSort(b, "SELECT c10, x FROM t ORDER BY c10, x") }
+
+// BenchmarkGroupBy400k times weighted GROUP BY and DISTINCT over the repo
+// benchmark's closed_scan relation, 400k rows of (c10, c1k, c100k TEXT,
+// x INT, y FLOAT), at one and two workers. It guards the one serial group-id
+// path: workers=2 reading well above workers=1 means per-morsel group tables
+// came back (the deleted ones read 1.5–2.5× slower on TEXT keys).
+func BenchmarkGroupBy400k(b *testing.B) {
+	const n = 400_000
+	rng := rand.New(rand.NewSource(1))
+	tbl := table.New("t", schema.MustNew(
+		schema.Attribute{Name: "c10", Kind: value.KindText},
+		schema.Attribute{Name: "c1k", Kind: value.KindText},
+		schema.Attribute{Name: "c100k", Kind: value.KindText},
+		schema.Attribute{Name: "x", Kind: value.KindInt},
+		schema.Attribute{Name: "y", Kind: value.KindFloat},
+	))
+	for i := 0; i < n; i++ {
+		x := rng.Intn(1000)
+		_ = tbl.AppendWeighted([]value.Value{
+			value.Text(fmt.Sprintf("g%d", rng.Intn(10))),
+			value.Text(fmt.Sprintf("k%d", rng.Intn(1000))),
+			value.Text(fmt.Sprintf("u%d", rng.Intn(100000))),
+			value.Int(int64(x)),
+			value.Float(rng.Float64() * 100),
+		}, 0.5+float64(x%100)/100)
+	}
+	snap := tbl.Snapshot()
+	for _, bc := range []struct{ name, src string }{
+		{"text10", "SELECT c10, COUNT(*), AVG(y) FROM t WHERE x < 1000 GROUP BY c10"},
+		{"text1k", "SELECT c1k, COUNT(*), SUM(x), AVG(y) FROM t WHERE x < 1000 GROUP BY c1k"},
+		{"text100k", "SELECT c100k, COUNT(*), AVG(y) FROM t WHERE x < 1000 GROUP BY c100k"},
+		{"text2keys", "SELECT c10, c1k, COUNT(*) FROM t WHERE x < 1000 GROUP BY c10, c1k"},
+		{"distinct", "SELECT DISTINCT c1k FROM t WHERE x < 1000"},
+		{"float200k", "SELECT y, COUNT(*) FROM t WHERE x < 500 GROUP BY y"},
+		{"int1k", "SELECT x, COUNT(*), AVG(y) FROM t GROUP BY x"},
+	} {
+		sel := benchQuery(b, bc.src)
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", bc.name, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := RunSnapshot(snap, sel, Options{Weighted: true, Workers: w}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

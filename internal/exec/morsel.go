@@ -3,7 +3,7 @@
 // Every columnar scan partitions into fixed-size morsels of morselRows rows
 // and runs across a small worker pool. Partitioning is independent of the
 // worker count — morsel boundaries are a pure function of the row count — so
-// any per-morsel state (selection counts, local group tables, sorted runs)
+// any per-morsel state (selection counts, truth-vector slices, sorted runs)
 // merges **in morsel order** into exactly the state a serial scan would have
 // built. That is the whole determinism story: workers only decide who
 // computes a morsel, never what the morsel produces or the order morsels
@@ -25,7 +25,7 @@ import (
 )
 
 // morselRows is the fixed scan partition size. 64K rows keeps per-morsel
-// state (a truth-vector slice, a local group table) comfortably in cache
+// state (a truth-vector slice, a sorted run) comfortably in cache
 // while giving a 1M-row scan 16 units of schedulable work. Must stay a
 // multiple of 64 (see the package comment on bitmap word ownership).
 const morselRows = 64 * 1024
@@ -34,66 +34,25 @@ const morselRows = 64 * 1024
 // (EXPLAIN's execution row).
 const MorselRows = morselRows
 
-// forEachMorsel runs fn over the morsel partition of [0, n), checking ctx at
-// every morsel boundary. With workers <= 1 (or a single morsel) the morsels
-// run in order on the calling goroutine; otherwise min(workers, morsels)
-// goroutines pull morsels from an atomic counter. fn must be safe to call
+// forEachMorsel runs fn over the morsel partition of [0, n) as forEachTask
+// tasks, checking ctx at every morsel boundary. fn must be safe to call
 // concurrently on disjoint ranges and must not depend on completion order.
 func forEachMorsel(ctx context.Context, n, workers int, fn func(lo, hi int)) error {
-	if n <= 0 {
-		return checkCtx(ctx)
-	}
-	nMorsels := (n + morselRows - 1) / morselRows
-	if workers > nMorsels {
-		workers = nMorsels
-	}
-	if workers <= 1 {
-		for lo := 0; lo < n; lo += morselRows {
-			if err := checkCtx(ctx); err != nil {
-				return err
-			}
-			hi := lo + morselRows
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
+	return forEachTask(ctx, (n+morselRows-1)/morselRows, workers, func(m int) error {
+		if err := checkCtx(ctx); err != nil {
+			return err
 		}
+		lo := m * morselRows
+		fn(lo, min(lo+morselRows, n))
 		return nil
-	}
-	var next atomic.Int64
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				m := int(next.Add(1)) - 1
-				if m >= nMorsels || cancelled.Load() {
-					return
-				}
-				if err := checkCtx(ctx); err != nil {
-					cancelled.Store(true)
-					return
-				}
-				lo := m * morselRows
-				hi := lo + morselRows
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	// A context that cancelled a worker is still cancelled here (ctx.Err is
-	// sticky), so the caller always observes the error.
-	return checkCtx(ctx)
+	})
 }
 
-// forEachTask runs fn(0..n-1) across the worker pool. Unlike forEachMorsel
-// the units are whole tasks (one aggregate's accumulation pass, one merge of
-// two sorted runs); fn handles its own context checkpoints. The first error
+// forEachTask runs fn(0..n-1) across exec's one worker pool: with workers <= 1
+// (or a single task) in order on the calling goroutine, otherwise on
+// min(workers, n) goroutines pulling tasks from an atomic counter. A task is
+// one morsel (forEachMorsel), one aggregate's accumulation pass or one merge
+// of two sorted runs; fn handles its own context checkpoints. The first error
 // in task order wins, so the surfaced error is deterministic.
 func forEachTask(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {

@@ -14,9 +14,10 @@ import (
 // exercise the pool plumbing and the across-aggregates fan-out, never the
 // multi-morsel code paths. This file pins those paths on a table large
 // enough (3×morselRows + change) that forEachMorsel really partitions,
-// ternSelection really stitches per-morsel segments, groupIDsParallel
-// really merges per-morsel key tables, and the parallel merge sort really
-// merges sorted runs.
+// ternSelection really stitches per-morsel segments and the parallel merge
+// sort really merges sorted runs. It also runs groupIDs, which is serial at
+// every worker count, over every key kind: TEXT, BOOL, INT and FLOAT keys,
+// composites and DISTINCT.
 
 const morselTestRows = 3*morselRows + 4321
 
@@ -29,12 +30,18 @@ var morselQueries = []string{
 	"SELECT id FROM t WHERE y * 2 > x + 1",
 	// Weighted global multi-aggregate (fan-out across aggregate items).
 	"SELECT COUNT(*), SUM(x), AVG(y), MIN(x), MAX(y) FROM t",
-	// Low-cardinality group-by: groupIDsParallel over a TEXT key.
+	// Low-cardinality group-by: groupIDs over a TEXT key (dictionary codes).
 	"SELECT c, COUNT(*), SUM(x) FROM t GROUP BY c ORDER BY c",
 	// Composite key group-by: per-key dense ids folded pairwise.
 	"SELECT c, b, COUNT(*) FROM t GROUP BY c, b ORDER BY c, b",
-	// FLOAT key group-by: NaN and NULL keys through the nullKeyBits sentinel.
+	// FLOAT key group-by: NaN and NULL keys each form one group.
 	"SELECT y, COUNT(*) FROM t GROUP BY y ORDER BY y",
+	// INT key group-by: a numeric map key with a NULL group.
+	"SELECT x, COUNT(*), SUM(y) FROM t GROUP BY x ORDER BY x",
+	// BOOL key group-by.
+	"SELECT b, COUNT(*), AVG(x) FROM t GROUP BY b ORDER BY b",
+	// INT+TEXT composite key group-by.
+	"SELECT x, c, COUNT(*) FROM t GROUP BY x, c ORDER BY x, c",
 	// Full sort on NaN-free keys: the parallel stable merge sort.
 	"SELECT x, id FROM t ORDER BY x, id",
 	// Full sort on a NaN-carrying key: must take the serial fallback.
@@ -43,6 +50,8 @@ var morselQueries = []string{
 	"SELECT id, y FROM t ORDER BY y DESC, id LIMIT 25",
 	// Columnar DISTINCT (group-by machinery, first-appearance order).
 	"SELECT DISTINCT c, b FROM t",
+	// Columnar DISTINCT over an INT column with NULLs.
+	"SELECT DISTINCT x FROM t",
 	// Division by zero inside an aggregate: the error must be byte-identical
 	// at every worker count (y - y is 0 except for NULL/NaN rows).
 	"SELECT SUM(x / (y - y)) FROM t",

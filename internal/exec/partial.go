@@ -81,8 +81,10 @@ func grown[T any](s []T, n int) []T {
 // group g; COUNT ignores v. The operation sequence here is the determinism
 // contract: the kernels' loops in vector.go must perform exactly these
 // additions in scan order so float results are bit-identical across paths.
-// The returned error is value.Float64's (SUM/AVG over a non-numeric value);
-// callers wrap it with their own message.
+// Converting w*f to float64 rounds the product, which keeps arm64, ppc64le,
+// riscv64 and s390x from fusing the update into one multiply-add, so the bits
+// match amd64's too. The returned error is value.Float64's (SUM/AVG over a
+// non-numeric value); callers wrap it with their own message.
 func (st *PartialStates) Accumulate(g int, v value.Value, w float64) error {
 	switch st.Kind {
 	case sql.AggCount:
@@ -94,7 +96,7 @@ func (st *PartialStates) Accumulate(g int, v value.Value, w float64) error {
 			return err
 		}
 		st.SumW[g] += w
-		st.SumWX[g] += w * f
+		st.SumWX[g] += float64(w * f)
 	case sql.AggMin:
 		if !st.Seen[g] || value.Compare(v, st.MinMax[g]) < 0 {
 			st.MinMax[g] = v

@@ -973,7 +973,7 @@ func UpdateWeights(snap *table.Snapshot, where, weight expr.Expr, workers int) (
 // TEXT, NaN-canonical float64 bits for numerics (so an INT column groups by
 // float64 value, exactly as HashKey formats it), 0/1 for BOOL, one id for
 // NULL.
-func densifyColumn(snap *table.Snapshot, col int, selRows []int32) ([]int32, int32) {
+func densifyColumn(snap *table.Snapshot, col int, selRows []int32) []int32 {
 	c := snap.Col(col)
 	dense := make([]int32, len(selRows))
 	var next int32
@@ -1057,19 +1057,13 @@ func densifyColumn(snap *table.Snapshot, col int, selRows []int32) ([]int32, int
 			dense[k] = id
 		}
 	}
-	return dense, next
+	return dense
 }
 
 // groupIDs assigns each selected row its final group id, folding multi-key
 // composites pairwise through uint64-keyed maps. Ids are dense and ordered
 // by first appearance, which is exactly the row path's group output order.
-//
-// With workers > 1 and enough rows, each key column densifies in parallel:
-// morsels build local id tables independently, then a serial morsel-ordered
-// merge assigns global ids (see denseFromKeys). Dense first-appearance ids
-// are a pure function of the key sequence, so the parallel path's output is
-// byte-identical to the serial maps.
-func groupIDs(snap *table.Snapshot, keyIdx []int, selRows []int32, workers int) (gids []int32, ngroups int, firstRow []int32) {
+func groupIDs(snap *table.Snapshot, keyIdx []int, selRows []int32) (gids []int32, ngroups int, firstRow []int32) {
 	m := len(selRows)
 	if len(keyIdx) == 0 {
 		if m == 0 {
@@ -1077,27 +1071,23 @@ func groupIDs(snap *table.Snapshot, keyIdx []int, selRows []int32, workers int) 
 		}
 		return make([]int32, m), 1, []int32{selRows[0]}
 	}
-	if workers > 1 && m > morselRows {
-		gids = groupIDsParallel(snap, keyIdx, selRows, workers)
-	} else {
-		gids, _ = densifyColumn(snap, keyIdx[0], selRows)
-		for _, kc := range keyIdx[1:] {
-			d, _ := densifyColumn(snap, kc, selRows)
-			pair := make(map[uint64]int32)
-			out := make([]int32, m)
-			var next int32
-			for k := 0; k < m; k++ {
-				key := uint64(uint32(gids[k]))<<32 | uint64(uint32(d[k]))
-				id, ok := pair[key]
-				if !ok {
-					id = next
-					next++
-					pair[key] = id
-				}
-				out[k] = id
+	gids = densifyColumn(snap, keyIdx[0], selRows)
+	for _, kc := range keyIdx[1:] {
+		d := densifyColumn(snap, kc, selRows)
+		pair := make(map[uint64]int32)
+		out := make([]int32, m)
+		var next int32
+		for k := 0; k < m; k++ {
+			key := uint64(uint32(gids[k]))<<32 | uint64(uint32(d[k]))
+			id, ok := pair[key]
+			if !ok {
+				id = next
+				next++
+				pair[key] = id
 			}
-			gids = out
+			out[k] = id
 		}
+		gids = out
 	}
 	for k, g := range gids {
 		if int(g) == len(firstRow) {
@@ -1105,158 +1095,6 @@ func groupIDs(snap *table.Snapshot, keyIdx []int, selRows []int32, workers int) 
 		}
 	}
 	return gids, len(firstRow), firstRow
-}
-
-// groupIDsParallel is groupIDs' morsel-parallel body: per key column it
-// materializes canonical uint64 keys in parallel, densifies them with the
-// morsel-ordered merge, and folds composites pairwise through the same
-// machinery.
-func groupIDsParallel(snap *table.Snapshot, keyIdx []int, selRows []int32, workers int) []int32 {
-	m := len(selRows)
-	rk := make([]uint64, m)
-	columnKeys(snap, keyIdx[0], selRows, rk, workers)
-	gids, _ := denseFromKeys(rk, workers)
-	for _, kc := range keyIdx[1:] {
-		columnKeys(snap, kc, selRows, rk, workers)
-		d, _ := denseFromKeys(rk, workers)
-		_ = forEachMorsel(nil, m, workers, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				rk[k] = uint64(uint32(gids[k]))<<32 | uint64(uint32(d[k]))
-			}
-		})
-		gids, _ = denseFromKeys(rk, workers)
-	}
-	return gids
-}
-
-// nullKeyBits marks NULL in a canonical numeric key stream. It is a
-// non-canonical NaN bit pattern, which value.NumBits can never produce (it
-// folds every NaN onto the one canonical pattern), so NULL cannot collide
-// with any real value.
-var nullKeyBits = math.Float64bits(math.NaN()) ^ 1
-
-// columnKeys materializes the canonical grouping key of one column for every
-// selected row: dictionary code + 1 for TEXT (0 = NULL), 0/1/2 for BOOL
-// (0 = NULL), and value.NumBits with the nullKeyBits sentinel for numerics —
-// the same identities densifyColumn uses, flattened to one uint64 per row so
-// morsels can build them independently.
-func columnKeys(snap *table.Snapshot, col int, selRows []int32, rk []uint64, workers int) {
-	c := snap.Col(col)
-	m := len(selRows)
-	switch c.Kind {
-	case value.KindText:
-		_ = forEachMorsel(nil, m, workers, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				ri := int(selRows[k])
-				if c.Null(ri) {
-					rk[k] = 0
-				} else {
-					rk[k] = uint64(c.Codes[ri]) + 1
-				}
-			}
-		})
-	case value.KindBool:
-		_ = forEachMorsel(nil, m, workers, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				ri := int(selRows[k])
-				switch {
-				case c.Null(ri):
-					rk[k] = 0
-				case c.Bools[ri]:
-					rk[k] = 2
-				default:
-					rk[k] = 1
-				}
-			}
-		})
-	case value.KindInt:
-		_ = forEachMorsel(nil, m, workers, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				ri := int(selRows[k])
-				if c.Null(ri) {
-					rk[k] = nullKeyBits
-				} else {
-					rk[k] = value.NumBits(float64(c.Ints[ri]))
-				}
-			}
-		})
-	case value.KindFloat:
-		_ = forEachMorsel(nil, m, workers, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				ri := int(selRows[k])
-				if c.Null(ri) {
-					rk[k] = nullKeyBits
-				} else {
-					rk[k] = value.NumBits(c.Floats[ri])
-				}
-			}
-		})
-	}
-}
-
-// denseFromKeys assigns first-appearance dense ids over a key sequence.
-// Parallel morsels build local tables (local id = local first-appearance
-// order), then one serial pass merges the per-morsel key lists **in morsel
-// order** into the global table — a key's global id is therefore assigned at
-// its earliest occurrence in scan order, exactly like the serial map loop —
-// and a final parallel pass rewrites local ids through each morsel's remap.
-func denseFromKeys(rk []uint64, workers int) ([]int32, int32) {
-	m := len(rk)
-	ids := make([]int32, m)
-	nMorsels := (m + morselRows - 1) / morselRows
-	if workers <= 1 || nMorsels <= 1 {
-		mp := make(map[uint64]int32)
-		var next int32
-		for k, key := range rk {
-			id, ok := mp[key]
-			if !ok {
-				id = next
-				next++
-				mp[key] = id
-			}
-			ids[k] = id
-		}
-		return ids, next
-	}
-	localKeys := make([][]uint64, nMorsels)
-	_ = forEachMorsel(nil, m, workers, func(lo, hi int) {
-		mp := make(map[uint64]int32)
-		var order []uint64
-		for k := lo; k < hi; k++ {
-			key := rk[k]
-			id, ok := mp[key]
-			if !ok {
-				id = int32(len(order))
-				mp[key] = id
-				order = append(order, key)
-			}
-			ids[k] = id
-		}
-		localKeys[lo/morselRows] = order
-	})
-	global := make(map[uint64]int32)
-	var next int32
-	remaps := make([][]int32, nMorsels)
-	for mi, order := range localKeys {
-		remap := make([]int32, len(order))
-		for li, key := range order {
-			id, ok := global[key]
-			if !ok {
-				id = next
-				next++
-				global[key] = id
-			}
-			remap[li] = id
-		}
-		remaps[mi] = remap
-	}
-	_ = forEachMorsel(nil, m, workers, func(lo, hi int) {
-		remap := remaps[lo/morselRows]
-		for k := lo; k < hi; k++ {
-			ids[k] = remap[ids[k]]
-		}
-	})
-	return ids, next
 }
 
 // accumulate runs one aggregate's tight loop over the selected rows,
@@ -1346,10 +1184,11 @@ func sumRows[T int64 | float64](st *PartialStates, xs []T, nulls []uint64, selRo
 	}
 }
 
-// addSum folds one weighted value into group g's SUM/AVG state.
+// addSum folds one weighted value into group g's SUM/AVG state. The
+// float64 conversion forbids a fused multiply-add (see Accumulate).
 func addSum(st *PartialStates, g int32, w, x float64) {
 	st.SumW[g] += w
-	st.SumWX[g] += w * x
+	st.SumWX[g] += float64(w * x)
 	st.Seen[g] = true
 }
 
@@ -1481,7 +1320,7 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 	// representatives are exactly dedupRows' first occurrences.
 	cand := selRows
 	if sel.Distinct && distinctOK {
-		_, _, cand = groupIDs(snap, sources, selRows, workers)
+		_, _, cand = groupIDs(snap, sources, selRows)
 	}
 
 	// ORDER BY / LIMIT on row indices, before materialization.

@@ -28,8 +28,8 @@
 //
 // Determinism guarantee: for a fixed Seed and statement stream, answers are
 // bit-identical regardless of Workers. Morsel boundaries are a pure function
-// of the row count, and per-morsel state (selection vectors, group tables,
-// sorted runs) merges in morsel order — so the parallel scan reconstructs
+// of the row count, and per-morsel state (selection vectors, sorted runs)
+// merges in morsel order — so the parallel scan reconstructs
 // exactly the serial scan's result. Every OPEN replicate draws from an RNG
 // stream derived only from (Seed, replicate index) — never from which
 // goroutine runs it or in what order — and parallel loss reductions are

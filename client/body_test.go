@@ -18,6 +18,7 @@ func TestSnapshotShortBodyIsAnError(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(script)))
 		w.Header().Set(wire.GenerationHeader, "7")
+		w.Header().Set(wire.SnapshotFormatHeader, wire.SnapshotFormat)
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte(script[:len(script)/2])) // the server closes the connection short
 	}))

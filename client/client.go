@@ -123,8 +123,15 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 		return err
 	}
 	defer resp.Body.Close()
-	if sb, ok := out.(*snapshotBody); ok && resp.StatusCode/100 == 2 {
-		return sb.read(resp)
+	if resp.StatusCode/100 == 2 {
+		switch o := out.(type) {
+		case *snapshotBody:
+			return o.read(resp)
+		case *deltaBody:
+			if err := checkSnapshotFormat(resp); err != nil {
+				return err
+			}
+		}
 	}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
@@ -420,7 +427,8 @@ func (c *Client) Health() error {
 // SnapshotContext fetches the server's full dump script plus the generation
 // it captures (GET /v1/snapshot) — the follower bootstrap primitive. The
 // script travels as a text/plain body whose Content-Length it is checked
-// against: a short body is an error, never a shorter script.
+// against: a short body is an error, never a shorter script. An answer in
+// a snapshot format other than wire.SnapshotFormat is a *FormatError.
 func (c *Client) SnapshotContext(ctx context.Context) (*wire.SnapshotResponse, error) {
 	var w snapshotBody
 	if err := c.do(ctx, http.MethodGet, "/v1/snapshot", nil, &w); err != nil {
@@ -436,6 +444,9 @@ type snapshotBody struct{ wire.SnapshotResponse }
 // read takes the script, read whole into one buffer sized from
 // Content-Length, and the generation header.
 func (sb *snapshotBody) read(resp *http.Response) error {
+	if err := checkSnapshotFormat(resp); err != nil {
+		return err
+	}
 	gen, err := strconv.ParseUint(resp.Header.Get(wire.GenerationHeader), 10, 64)
 	if err != nil {
 		return fmt.Errorf("mosaic client: snapshot: bad %s header: %v", wire.GenerationHeader, err)
@@ -461,13 +472,43 @@ func (sb *snapshotBody) read(resp *http.Response) error {
 // `from` to the primary's current generation (GET /v1/snapshot/delta). A
 // *RemoteError with StatusCode 410 (Gone) means `from` fell out of the
 // primary's bounded statement log and the follower must re-bootstrap from
-// SnapshotContext.
+// SnapshotContext. An answer in a snapshot format other than
+// wire.SnapshotFormat is a *FormatError.
 func (c *Client) SnapshotDeltaContext(ctx context.Context, from uint64) (*wire.DeltaResponse, error) {
-	var w wire.DeltaResponse
+	var w deltaBody
 	if err := c.do(ctx, http.MethodGet, "/v1/snapshot/delta?from="+strconv.FormatUint(from, 10), nil, &w); err != nil {
 		return nil, err
 	}
-	return &w, nil
+	return &w.DeltaResponse, nil
+}
+
+// deltaBody is the out value of GET /v1/snapshot/delta: JSON, in the
+// snapshot format the client reads.
+type deltaBody struct{ wire.DeltaResponse }
+
+// A FormatError is a replication answer, from GET /v1/snapshot or
+// /v1/snapshot/delta, whose wire.SnapshotFormatHeader is missing or names
+// a format other than wire.SnapshotFormat: a primary of another version.
+// Nothing of the answer is returned, so nothing of it can be replayed.
+type FormatError struct {
+	Got string // the header's value, "" when there is none
+}
+
+func (e *FormatError) Error() string {
+	if e.Got == "" {
+		return fmt.Sprintf("mosaic client: the replication answer names no snapshot format (%s); this client reads format %s",
+			wire.SnapshotFormatHeader, wire.SnapshotFormat)
+	}
+	return fmt.Sprintf("mosaic client: the replication answer is in snapshot format %q; this client reads format %s",
+		e.Got, wire.SnapshotFormat)
+}
+
+// checkSnapshotFormat refuses a replication answer in another format.
+func checkSnapshotFormat(resp *http.Response) error {
+	if got := resp.Header.Get(wire.SnapshotFormatHeader); got != wire.SnapshotFormat {
+		return &FormatError{Got: got}
+	}
+	return nil
 }
 
 // StatsContext fetches the server's /statsz counters, bounded by ctx.

@@ -8,7 +8,9 @@
 //
 // With file arguments, each script executes in order against one shared
 // database and SELECT results print to stdout. Without arguments, mosaic
-// reads statements from stdin (terminated by ';'), REPL-style.
+// reads statements from stdin (terminated by ';'), REPL-style; a COPY …
+// FROM STDIN statement runs on to the line \. that ends its rows, so
+// `mosaic < dump.sql` replays a dump.
 //
 // With -remote http://host:port the shell drives a mosaic-serve instance
 // instead of an in-process engine: statements travel over the HTTP API and
@@ -26,6 +28,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -79,7 +82,7 @@ func main() {
 		}
 		return
 	}
-	repl(db)
+	repl(db, os.Stdin)
 }
 
 // scriptTimeout is the -timeout flag: a per-script context deadline.
@@ -102,18 +105,33 @@ func runScript(db runner, src string) error {
 	return err
 }
 
-func repl(db runner) {
+// repl runs what it reads from in, a statement at a time: it submits at
+// each line with a ';', except that a COPY … FROM STDIN header's rows run
+// on to a line \. outside quotes.
+func repl(db runner, in io.Reader) {
 	fmt.Println("Mosaic — open world query processing. Statements end with ';'. Ctrl-D exits.")
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
 	prompt := "mosaic> "
 	fmt.Print(prompt)
+	rows, quoted := false, false // inside a block's rows; inside a quote there
 	for sc.Scan() {
 		line := sc.Text()
 		buf.WriteString(line)
 		buf.WriteByte('\n')
-		if strings.Contains(line, ";") {
+		complete := strings.Contains(line, ";")
+		switch {
+		case rows:
+			rows = quoted || line != `\.`
+			if strings.Count(line, "'")%2 == 1 {
+				quoted = !quoted
+			}
+			complete = !rows
+		case strings.HasSuffix(strings.ToUpper(strings.TrimSpace(line)), "FROM STDIN;"):
+			rows, quoted, complete = true, false, false
+		}
+		if complete {
 			if err := runScript(db, buf.String()); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 			}

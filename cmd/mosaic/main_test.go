@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mosaic"
@@ -58,5 +59,37 @@ func TestScriptFileRoundTrip(t *testing.T) {
 	db := mosaic.Open(nil)
 	if err := runScript(db, string(src)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStdinReplaysADump: stdin mode reads a COPY block on to its \. line,
+// through rows whose TEXT holds a newline, a ';' or a \. line, so
+// `mosaic < dump.sql` rebuilds the dumped database.
+func TestStdinReplaysADump(t *testing.T) {
+	src := mosaic.Open(nil)
+	if err := src.Exec(`
+		CREATE GLOBAL POPULATION P (g TEXT, v INT);
+		CREATE SAMPLE S AS (SELECT * FROM P);
+		CREATE TABLE T (g TEXT);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Ingest("S", [][]any{{"a;b", 1}, {"line\n\\.\nnext;", 2}, {"it's", 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Exec(`UPDATE SAMPLE S SET WEIGHT = 2 WHERE v = 2; INSERT INTO T VALUES ('x')`); err != nil {
+		t.Fatal(err)
+	}
+	dump, err := src.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(dump, "FROM STDIN;\n") {
+		t.Fatalf("the dump has no COPY block:\n%s", dump)
+	}
+	db := mosaic.Open(nil)
+	repl(db, strings.NewReader(dump))
+	if got, err := db.Dump(); err != nil || got != dump {
+		t.Errorf("stdin replay dumps (%v)\n%s\nwant\n%s", err, got, dump)
 	}
 }

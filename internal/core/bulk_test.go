@@ -8,12 +8,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"mosaic/internal/schema"
+	"mosaic/internal/sql"
 	"mosaic/internal/table"
 	"mosaic/internal/value"
 )
@@ -181,7 +183,9 @@ func bulkPaths(t *testing.T) []bulkPath {
 		{
 			name:  "BulkAppend",
 			batch: valueBatch,
-			bulk:  func(e *Engine, batch any) error { return sampleTable(t, e, "S").BulkAppend(batch.([][]value.Value)) },
+			bulk: func(e *Engine, batch any) error {
+				return sampleTable(t, e, "S").BulkAppend(batch.([][]value.Value))
+			},
 			ref: func(e *Engine, batch any) error {
 				return appendEach(sampleTable(t, e, "S"), batch.([][]value.Value), func(ri int, err error) error { return err })
 			},
@@ -285,11 +289,50 @@ func bulkPaths(t *testing.T) []bulkPath {
 				return nil
 			},
 		},
+		{
+			// The rows as one COPY block, weights in its WEIGHT column: every
+			// value travels as its literal, which scans back to it, and the
+			// bad row has a value that does not coerce.
+			name: "COPY block",
+			batch: func(rng *rand.Rand, sc *schema.Schema, fresh *int) (any, int) {
+				n := rng.Intn(3000)
+				bad := pick(rng, n)
+				b := weightedRows{rows: bulkRows(rng, sc, n, bad, rng.Intn(sc.Len()), fresh)}
+				for range b.rows {
+					b.wts = append(b.wts, float64(rng.Intn(6))/2)
+				}
+				return b, bad
+			},
+			bulk: func(e *Engine, batch any) error {
+				b := batch.(weightedRows)
+				cols := append(sampleTable(t, e, "S").Schema().Names(), "WEIGHT")
+				_, err := e.ExecScript(string(sql.AppendBlock(nil, "S", cols, len(b.rows), func(i int) []value.Value {
+					return append(slices.Clip(b.rows[i]), value.Float(b.wts[i]))
+				})))
+				return err
+			},
+			ref: func(e *Engine, batch any) error {
+				b := batch.(weightedRows)
+				for ri, r := range b.rows {
+					if err := sampleTable(t, e, "S").AppendWeighted(r, b.wts[ri]); err != nil {
+						return fmt.Errorf("statement 1: core: COPY S row %d: %v", ri+1, err)
+					}
+				}
+				return nil
+			},
+		},
 	}
 }
 
-// TestBulkLoadsMatchPerRowAppend: Ingest, BulkAppend, IngestTable and COPY
-// each store what a loop of table.Append stores — bit for bit, in the same
+// weightedRows is a batch of rows with a weight for each.
+type weightedRows struct {
+	rows [][]value.Value
+	wts  []float64
+}
+
+// TestBulkLoadsMatchPerRowAppend: Ingest, BulkAppend, IngestTable, COPY
+// from a file and a COPY block each store what a loop of table.Append
+// stores — bit for bit, in the same
 // dictionary order, with the same dump — and stop on the same row with the
 // same error, keeping the rows before it and moving the table's Version.
 func TestBulkLoadsMatchPerRowAppend(t *testing.T) {

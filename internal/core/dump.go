@@ -8,6 +8,7 @@ import (
 
 	"mosaic/internal/catalog"
 	"mosaic/internal/schema"
+	"mosaic/internal/sql"
 	"mosaic/internal/table"
 	"mosaic/internal/value"
 )
@@ -17,15 +18,16 @@ import (
 // their rows, the global population, derived populations, metadata (via
 // temporary staging tables, with bin widths), and samples with their rows.
 //
-// Rows are INSERT statements of up to 500 rows each. A sample whose stored
-// weights are not all exactly 1 carries them as data, one per row:
-// INSERT INTO s (cols…, WEIGHT) VALUES (…, w), or, if a column of s is
-// named WEIGHT and so shadows that pseudo-column, INSERT INTO s VALUES (…)
-// WEIGHT w. So identical tuples keep their own weights, and restoring takes
-// time linear in the rows. Every
-// literal is value.AppendSQL's: numbers in shortest round-trip form, and
-// NaN, ±Inf and -0 as FLOAT 'NaN', FLOAT '+Inf', FLOAT '-Inf', FLOAT '-0',
-// so a restore gets the same bits back (every NaN as the canonical NaN).
+// Rows are COPY blocks (sql.Block) of up to ingestChunk rows each: a header
+// COPY rel (cols…) FROM STDIN;, then one row per line, tab-separated, then
+// the line \.. A sample whose stored weights are not all exactly 1 carries
+// them as data, one per row, in a last column WEIGHT after its own columns,
+// which no column of the sample shadows there. So identical tuples keep
+// their own weights, and restoring scans the rows straight into the tables
+// in time linear in them. Every value is value.AppendSQL's: numbers in
+// shortest round-trip form, and NaN, ±Inf and -0 as FLOAT 'NaN',
+// FLOAT '+Inf', FLOAT '-Inf', FLOAT '-0', so a restore gets the same bits
+// back (every NaN as the canonical NaN).
 //
 // Known limitations: mechanisms other than UNIFORM cannot be expressed in
 // SQL (stratified probabilities and predicate-biased designs are Go-API
@@ -92,18 +94,12 @@ func (e *Engine) dumpScriptLocked() (string, error) {
 				}
 				fmt.Fprintf(&b, "CREATE TEMPORARY TABLE %s (%s, mcount FLOAT);\n",
 					staging, strings.Join(cols, ", "))
-				var lines []string
-				for _, c := range m.SortedCells() {
-					vals := make([]string, 0, len(c.Vals)+1)
-					for _, v := range c.Vals {
-						vals = append(vals, v.SQL())
-					}
-					vals = append(vals, value.Float(c.Count).SQL())
-					lines = append(lines, "("+strings.Join(vals, ", ")+")")
-				}
-				if len(lines) > 0 {
-					fmt.Fprintf(&b, "INSERT INTO %s VALUES %s;\n", staging, strings.Join(lines, ", "))
-				}
+				cells := m.SortedCells()
+				var row []value.Value
+				writeBlocks(&b, staging, append(slices.Clip(m.Attrs), "mcount"), len(cells), func(i int) []value.Value {
+					row = append(append(row[:0], cells[i].Vals...), value.Float(cells[i].Count))
+					return row
+				})
 				fmt.Fprintf(&b, "CREATE METADATA %s FOR %s", m.Name, p.Name)
 				var bins []string
 				for i, a := range m.Attrs {
@@ -182,57 +178,55 @@ func schemaDDL(s *schema.Schema) string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// dumpRows writes a relation's rows as INSERT statements of up to 500 rows,
-// appending each cell from one snapshot's typed columns straight into the
-// statement text. A sample whose weights are not all exactly 1 gets the
-// weight as one more value per row, under a WEIGHT column — or, when a
-// column of the sample is named WEIGHT, in a WEIGHT clause after each row.
+// dumpRows writes a relation's rows as COPY blocks, every value read from
+// one snapshot's typed columns: the relation's columns, and WEIGHT, the
+// tuple weights, when the relation is a sample whose weights are not all
+// exactly 1.
 func dumpRows(b *strings.Builder, name string, t *table.Table, sample bool) {
-	const batch = 500
 	snap := t.Snapshot()
-	sc := snap.Schema()
-	head := "INSERT INTO " + name + " VALUES "
-	wts := snap.Weights()
-	weighted := sample && slices.ContainsFunc(wts, func(w float64) bool { return w != 1 })
-	_, shadowed := sc.Index("WEIGHT")
-	weightCol, weightClause := weighted && !shadowed, weighted && shadowed
-	if weightCol {
-		head = "INSERT INTO " + name + " (" + strings.Join(sc.Names(), ", ") + ", WEIGHT) VALUES "
+	cols, row := storedRows(snap, 0, sample && !unitWeights(snap.Weights()))
+	writeBlocks(b, name, cols, snap.Len(), row)
+}
+
+// writeBlocks writes n rows into rel as COPY blocks of up to ingestChunk
+// rows each, so a restore holds a fixed few blocks' rows in flight; row(i)
+// is row i's values, under the names cols.
+func writeBlocks(b *strings.Builder, rel string, cols []string, n int, row func(i int) []value.Value) {
+	var buf []byte
+	for lo := 0; lo < n; lo += ingestChunk {
+		hi := min(lo+ingestChunk, n)
+		buf = sql.AppendBlock(buf[:0], rel, cols, hi-lo, func(i int) []value.Value { return row(lo + i) })
+		if lo == 0 {
+			// Size the builder once, from the first block's bytes per row,
+			// rather than regrowing it along a multi-MB dump.
+			b.Grow(len(buf) * n / hi)
+		}
+		b.Write(buf)
 	}
-	strs := snap.DictStrings()
-	var stmt []byte
-	for r := range wts {
-		if r%batch == 0 {
-			stmt = append(stmt[:0], head...)
-		} else {
-			stmt = append(stmt, ", "...)
-		}
-		stmt = append(stmt, '(')
-		for ci := 0; ci < sc.Len(); ci++ {
-			if ci > 0 {
-				stmt = append(stmt, ", "...)
-			}
-			stmt = value.AppendSQL(stmt, snap.Col(ci).Value(r, strs))
-		}
-		if weightCol {
-			stmt = append(stmt, ", "...)
-			stmt = value.AppendSQL(stmt, value.Float(wts[r]))
-		}
-		stmt = append(stmt, ')')
-		if weightClause {
-			stmt = append(stmt, " WEIGHT "...)
-			stmt = value.AppendSQL(stmt, value.Float(wts[r]))
-		}
-		if r%batch == batch-1 || r == len(wts)-1 {
-			stmt = append(stmt, ";\n"...)
-			if r < batch {
-				// Size the builder once, from the first statement's bytes
-				// per row, rather than regrowing it along a multi-MB dump.
-				b.Grow(len(stmt) * len(wts) / (r + 1))
-			}
-			b.Write(stmt)
-		}
+}
+
+// storedRows returns the names and the rows a block of snap's rows from lo
+// on carries: the relation's columns, then the tuple weight under WEIGHT
+// when weighted. Each row it returns is valid until the next call.
+func storedRows(snap *table.Snapshot, lo int, weighted bool) ([]string, func(i int) []value.Value) {
+	cols, wts := snap.Schema().Names(), snap.Weights()
+	if weighted {
+		cols = append(cols, "WEIGHT")
 	}
+	var row []value.Value
+	return cols, func(i int) []value.Value {
+		row = snap.AppendRow(row[:0], lo+i)
+		if weighted {
+			row = append(row, value.Float(wts[lo+i]))
+		}
+		return row
+	}
+}
+
+// unitWeights reports whether every weight is exactly 1: rows that need no
+// WEIGHT column.
+func unitWeights(wts []float64) bool {
+	return !slices.ContainsFunc(wts, func(w float64) bool { return w != 1 })
 }
 
 func sanitize(s string) string {

@@ -65,7 +65,7 @@ func TestDumpPreservesWeightsAndPredicates(t *testing.T) {
 	if !strings.Contains(script, "WHERE (g = 'a')") {
 		t.Errorf("sample predicate missing from dump:\n%s", script)
 	}
-	if !strings.Contains(script, "INSERT INTO S (g, v, WEIGHT) VALUES ('a', 1, 1), ('a', 2, 2.5)") {
+	if !strings.Contains(script, "COPY S (g, v, WEIGHT) FROM STDIN;\n'a'\t1\t1\n'a'\t2\t2.5\n\\.\n") {
 		t.Errorf("per-row weights missing from dump:\n%s", script)
 	}
 	e2 := restore(t, script)

@@ -340,9 +340,10 @@ func (e *Engine) ExecScriptContext(ctx context.Context, src string) ([]*exec.Res
 // may read it until Restore returns. sql.ApplyScript lexes and parses the
 // script on two goroutines of its own while Restore runs each statement, in
 // source order, on the caller's: the replay holds a fixed few batches of
-// statements' tokens and syntax trees, never the script's. The first failing statement
-// ends the replay, with the error and the partial state a statement-by-
-// statement loop would leave; the caller then discards e.
+// statements' tokens, syntax trees and COPY blocks' scanned rows, never the
+// script's. The first failing statement ends the replay, with the error and
+// the partial state a statement-by-statement loop would leave; the caller
+// then discards e.
 //
 // A restored engine keeps nothing of the script: no name or predicate shares
 // its memory, and the statement log ends empty at the generation the replay
@@ -352,20 +353,25 @@ func (e *Engine) Restore(script string) error {
 	if e.gen.Load() != 0 {
 		return errors.New("core: Restore needs a new engine")
 	}
+	// The replay retains no log (so a COPY renders no entry), and the log
+	// starts over at the generation it reaches.
+	e.mu.Lock()
+	keep := e.log.cap
+	e.log.cap = 0
+	e.mu.Unlock()
+	defer func() {
+		e.mu.Lock()
+		e.log = stmtLog{cap: keep, base: e.gen.Load()}
+		e.mu.Unlock()
+	}()
 	i := 0
-	if err := sql.ApplyScript(script, func(st sql.ScriptStmt) error {
+	return sql.ApplyScript(script, func(st sql.ScriptStmt) error {
 		i++
 		if _, err := e.execScriptStmt(context.Background(), st); err != nil {
 			return fmt.Errorf("statement %d: %w", i, err)
 		}
 		return nil
-	}); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.log = stmtLog{cap: e.log.cap, base: e.gen.Load()}
-	e.mu.Unlock()
-	return nil
+	})
 }
 
 // execScriptStmt executes one statement of a script, retaining its SQL
@@ -418,11 +424,12 @@ func (e *Engine) execMutation(st sql.Statement, source string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var err error
+	replays := false // source replays without error, whatever err is
 	defer func() {
 		if source == "" {
 			e.log.appendBarrier()
 		} else {
-			e.log.append(source, err != nil)
+			e.log.append(source, err != nil && !replays)
 		}
 		e.gen.Add(1)
 	}()
@@ -444,7 +451,13 @@ func (e *Engine) execMutation(st sql.Statement, source string) error {
 			e.releaseDropped()
 		}
 	case *sql.Copy:
-		err = e.execCopy(s)
+		// A follower replays the rows the COPY stored, not its source: they
+		// load whole and without error, wherever the source read them from
+		// and however it ended.
+		var stored string
+		if stored, err = e.execCopy(s); stored != "" {
+			source, replays = stored, true
+		}
 	default:
 		err = fmt.Errorf("core: unsupported statement %T", st)
 	}
@@ -807,7 +820,7 @@ func (e *Engine) Ingest(relation string, rows [][]any) error {
 	if err != nil {
 		return err
 	}
-	ri, err := appendRows(t, len(rows), func(buf []value.Value, i int) ([]value.Value, error) {
+	ri, err := appendRows(t, len(rows), false, builtRows(func(buf []value.Value, i int) ([]value.Value, error) {
 		for _, x := range rows[i] {
 			v, err := value.FromRaw(x)
 			if err != nil {
@@ -816,7 +829,7 @@ func (e *Engine) Ingest(relation string, rows [][]any) error {
 			buf = append(buf, v)
 		}
 		return buf, nil
-	})
+	}))
 	if err != nil {
 		return fmt.Errorf("core: ingest %s row %d: %v", relation, ri+1, err)
 	}
@@ -835,9 +848,9 @@ func (e *Engine) IngestTable(relation string, src *table.Table) error {
 		return err
 	}
 	snap := src.Snapshot()
-	ri, err := appendRows(dst, snap.Len(), func(buf []value.Value, i int) ([]value.Value, error) {
+	ri, err := appendRows(dst, snap.Len(), false, builtRows(func(buf []value.Value, i int) ([]value.Value, error) {
 		return snap.AppendRow(buf, i), nil
-	})
+	}))
 	if err != nil {
 		return fmt.Errorf("core: ingest %s row %d: %v", relation, ri+1, err)
 	}
@@ -845,24 +858,47 @@ func (e *Engine) IngestTable(relation string, src *table.Table) error {
 }
 
 // ingestChunk is how many rows a bulk load converts before it hands them to
-// table.BulkAppend: its buffers are reused from chunk to chunk, so a load
-// allocates the same for any row count.
+// table.BulkAppendWeighted: its buffers are reused from chunk to chunk, so
+// a load allocates the same for any row count. A dump's COPY blocks hold as
+// many rows each.
 const ingestChunk = 1024
 
-// appendRows stores n rows into t a chunk at a time; add appends row i's
-// values to buf and returns it. It stops at the first row whose add or
-// coercion fails and returns that row's index and error, keeping the rows
-// before it, as a loop of t.Append would.
-func appendRows(t *table.Table, n int, add func(buf []value.Value, i int) ([]value.Value, error)) (int, error) {
+// appendRows stores n rows into t a chunk at a time: chunk(lo, hi) returns
+// rows [lo, hi) and their weights (nil: every weight 1), or the rows before
+// the first one it cannot give and that row's error. appendRows stops at
+// the first row whose chunk, coercion or weight fails and returns that
+// row's index and error, keeping the rows before it, as a loop of
+// t.AppendWeighted would. clone is table.BulkAppendWeighted's: set it when
+// the rows' strings alias memory the table must not keep.
+func appendRows(t *table.Table, n int, clone bool, chunk func(lo, hi int) ([][]value.Value, []float64, error)) (int, error) {
+	for lo := 0; lo < n; lo += ingestChunk {
+		rows, wts, rowErr := chunk(lo, min(lo+ingestChunk, n))
+		if err := t.BulkAppendWeighted(rows, wts, clone); err != nil {
+			var be *table.BatchError
+			if errors.As(err, &be) {
+				return lo + be.Row, be.Err
+			}
+			return lo, err
+		}
+		if rowErr != nil {
+			return lo + len(rows), rowErr
+		}
+	}
+	return n, nil
+}
+
+// builtRows gives appendRows chunks of rows of weight 1 that add builds,
+// appending row i's values to buf; the buffers are reused from chunk to
+// chunk.
+func builtRows(add func(buf []value.Value, i int) ([]value.Value, error)) func(lo, hi int) ([][]value.Value, []float64, error) {
 	var flat []value.Value
 	var ends []int
 	var batch [][]value.Value
-	for lo := 0; lo < n; lo += ingestChunk {
-		hi := min(lo+ingestChunk, n)
+	return func(lo, hi int) ([][]value.Value, []float64, error) {
 		flat, ends, batch = flat[:0], ends[:0], batch[:0]
-		var addErr error
-		for i := lo; i < hi && addErr == nil; i++ {
-			if flat, addErr = add(flat, i); addErr == nil {
+		var err error
+		for i := lo; i < hi && err == nil; i++ {
+			if flat, err = add(flat, i); err == nil {
 				ends = append(ends, len(flat))
 			}
 		}
@@ -872,18 +908,8 @@ func appendRows(t *table.Table, n int, add func(buf []value.Value, i int) ([]val
 			batch = append(batch, flat[start:end:end])
 			start = end
 		}
-		if err := t.BulkAppend(batch); err != nil {
-			var be *table.BatchError
-			if errors.As(err, &be) {
-				return lo + be.Row, be.Err
-			}
-			return lo, err
-		}
-		if addErr != nil {
-			return lo + len(ends), addErr
-		}
+		return batch, nil, err
 	}
-	return n, nil
 }
 
 func andExpr(a, b expr.Expr) expr.Expr {

@@ -144,14 +144,34 @@ func (e *Engine) shardPlan(s scan) string {
 	return fmt.Sprintf("scatter-gather over %d contiguous range shards (64-row-aligned bounds), partial aggregate states merged in shard order", e.opts.Shards)
 }
 
-// execCopy bulk-loads a CSV file into a table or sample, coercing each field
-// to the target column's kind. Empty fields load as NULL. Like Ingest, it
-// stops at the first row that fails and keeps the rows before it.
-func (e *Engine) execCopy(c *sql.Copy) error {
+// execCopy bulk-loads rows into a table or sample from a CSV file or from
+// an inline block. Like Ingest, it stops at the first row that fails and
+// keeps the rows before it. Once the relation resolves, stored is the block
+// of the rows it stored, what the statement log records for it while the
+// log retains anything.
+func (e *Engine) execCopy(c *sql.Copy) (stored string, err error) {
 	t, err := e.sourceTable(c.Table)
 	if err != nil {
-		return fmt.Errorf("core: COPY %s: %v", c.Table, err)
+		return "", fmt.Errorf("core: COPY %s: %v", c.Table, err)
 	}
+	_, sample := e.cat.Sample(c.Table)
+	n0 := t.Len()
+	if c.Block != nil {
+		err = copyBlock(t, c, sample)
+	} else {
+		err = copyCSV(t, c)
+	}
+	if e.log.cap > 0 {
+		snap := t.Snapshot()
+		cols, row := storedRows(snap, n0, sample && !unitWeights(snap.Weights()[n0:]))
+		stored = string(sql.AppendBlock(nil, c.Table, cols, snap.Len()-n0, row))
+	}
+	return stored, err
+}
+
+// copyCSV loads a CSV file, coercing each field to the target column's
+// kind. Empty fields load as NULL.
+func copyCSV(t *table.Table, c *sql.Copy) error {
 	f, err := os.Open(c.Path)
 	if err != nil {
 		return fmt.Errorf("core: COPY %s: %v", c.Table, err)
@@ -167,7 +187,7 @@ func (e *Engine) execCopy(c *sql.Copy) error {
 		records = records[1:]
 	}
 	sc := t.Schema()
-	ri, err := appendRows(t, len(records), func(buf []value.Value, i int) ([]value.Value, error) {
+	ri, err := appendRows(t, len(records), true, builtRows(func(buf []value.Value, i int) ([]value.Value, error) {
 		for j, field := range records[i] {
 			v, err := parseCSVField(field, sc.At(j).Kind)
 			if err != nil {
@@ -176,7 +196,54 @@ func (e *Engine) execCopy(c *sql.Copy) error {
 			buf = append(buf, v)
 		}
 		return buf, nil
+	}))
+	if err != nil {
+		return fmt.Errorf("core: COPY %s row %d: %v", c.Table, ri+1, err)
+	}
+	return nil
+}
+
+// copyBlock loads a block's rows (sql.Block), as INSERT INTO <relation>
+// (<header>) VALUES would. The header names the relation's columns in
+// schema order and, into a sample, may add WEIGHT, the tuple weight,
+// converted as INSERT converts it, even when a column is named WEIGHT too.
+// A row that did not scan fails the statement after the rows before it.
+func copyBlock(t *table.Table, c *sql.Copy, sample bool) error {
+	b, sc := c.Block, t.Schema()
+	n := sc.Len()
+	weighted := sample && len(b.Columns) == n+1 && strings.EqualFold(b.Columns[n], "WEIGHT")
+	ok := weighted || len(b.Columns) == n
+	for i := 0; ok && i < n; i++ {
+		j, found := sc.Index(b.Columns[i])
+		ok = found && j == i
+	}
+	if !ok {
+		return fmt.Errorf("core: COPY %s: the header must name the columns (%s) in order, then, into a sample, optionally WEIGHT",
+			c.Table, strings.Join(sc.Names(), ", "))
+	}
+	// The rows are slices of the block's values, not copies; a weighted
+	// row's weight is its last value, which the row then leaves out.
+	w := len(b.Columns)
+	var rows [][]value.Value
+	var wts []float64
+	ri, err := appendRows(t, b.Len(), true, func(lo, hi int) ([][]value.Value, []float64, error) {
+		rows, wts = rows[:0], wts[:0]
+		for i := lo; i < hi; i++ {
+			row := b.Vals[i*w : (i+1)*w]
+			if weighted {
+				wt, err := row[n].Float64()
+				if err != nil {
+					return rows, wts, fmt.Errorf("weight: %v", err)
+				}
+				row, wts = row[:n], append(wts, wt)
+			}
+			rows = append(rows, row)
+		}
+		return rows, wts, nil
 	})
+	if err == nil && b.Err != nil {
+		ri, err = b.Len(), b.Err
+	}
 	if err != nil {
 		return fmt.Errorf("core: COPY %s row %d: %v", c.Table, ri+1, err)
 	}

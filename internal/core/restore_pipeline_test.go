@@ -48,14 +48,30 @@ func TestRestoreErrorsAreTheSerialLoops(t *testing.T) {
 		"INSERT INTO S VALUES ('a', 1), ('b', 2)",
 	}
 	// Enough small statements that the script spans several of
-	// ApplyScript's batches, with the middle position inside one of them.
-	for i := 0; i < 300; i++ {
+	// ApplyScript's batches, with the middle position inside one of them,
+	// then two blocks, each a batch of its own. The script keeps 306
+	// statements, so the cases keep their names.
+	for i := 0; i < 298; i++ {
 		good = append(good, fmt.Sprintf("INSERT INTO T VALUES ('k%d', %d)", i%3, i))
 	}
+	good = append(good,
+		"COPY T (k, x) FROM STDIN;\n'tab\there'\t5\n'new\nline'\t6\n'\\.'\t7\n'x\n\\.\ny'\tNULL\n\\.\n",
+		"COPY S (k, x, WEIGHT) FROM STDIN;\n'a'\t1\t2.5\n'a'\t1\tFLOAT 'NaN'\n\\.\n")
 	bad := map[string]struct{ stmt, want string }{
 		"lexical":  {"SELECT @ FROM T", "unexpected character '@'"},
 		"syntax":   {"SELECT FROM T", "unexpected keyword FROM"},
 		"mutation": {"INSERT INTO S VALUES ('c', 3), ('x', 'y')", "statement "},
+	}
+	// A block keeps the rows before its bad one, whether the bad row does
+	// not scan or does not coerce. Its relation exists from the second
+	// statement on. The ';' that joins statements here follows a block's
+	// \. line on a line of its own.
+	badBlocks := map[string]struct{ stmt, want string }{
+		"bad field":    {"COPY T (k, x) FROM STDIN;\n'a'\t1\n'b'\t2\n'c'\tbogus\n'd'\t4\n\\.\n", `COPY T row 3: sql: line `},
+		"bad value":    {"COPY S (k, x, WEIGHT) FROM STDIN;\n'c'\t3\t1\n'x'\t'y'\t1\n\\.\n", "COPY S row 2: table S"},
+		"bad weight":   {"COPY S (k, x, WEIGHT) FROM STDIN;\n'c'\t3\t1\n'x'\t4\t-1\n\\.\n", "negative weight"},
+		"bad header":   {"COPY T (x, k) FROM STDIN;\n1\t'a'\n\\.\n", "the header must name the columns (k, x) in order"},
+		"header trail": {"COPY T (k, x) FROM STDIN; 'a'\t1\n\\.\n", "start on the line after its ';'"},
 	}
 	join := func(stmts []string) string { return strings.Join(stmts, ";\n") + ";\n" }
 	type testCase struct{ name, script, want string }
@@ -66,12 +82,19 @@ func TestRestoreErrorsAreTheSerialLoops(t *testing.T) {
 			cases = append(cases, testCase{fmt.Sprintf("%s at %d", kind, at+1), join(stmts), b.want})
 		}
 	}
+	for kind, b := range badBlocks {
+		for _, at := range []int{len(good) / 2, len(good)} {
+			stmts := append(append(append([]string(nil), good[:at]...), b.stmt), good[at:]...)
+			cases = append(cases, testCase{fmt.Sprintf("%s at %d", kind, at+1), join(stmts), b.want})
+		}
+	}
 	cases = append(cases,
 		testCase{"exec error then syntax error", join(append(append([]string(nil), good...),
 			"INSERT INTO Missing VALUES (1)", "INSERT INTO T VALUES ('z', 9)", "SELECT FROM T")), fmt.Sprintf("statement %d: ", len(good)+1)},
 		testCase{"empty statements", ";;" + strings.Join(good, ";;\n;") + ";;", ""},
 		testCase{"no trailing semicolon", strings.Join(good, ";\n"), ""},
 		testCase{"unterminated string at the end", join(good) + "INSERT INTO T VALUES ('oops", "unterminated"},
+		testCase{"block with no end line", join(good) + "COPY T (k, x) FROM STDIN;\n'a'\t1\n'b'\t2\n", `no \. line ends the COPY block`},
 		testCase{"empty script", "", ""},
 		testCase{"comments only", "-- nothing\n/* to ; see */\n", ""},
 	)

@@ -19,7 +19,7 @@ import (
 // semicolons and comment markers inside them, and every special float (a
 // NaN with a non-canonical payload too).
 var (
-	rtTexts  = []string{"a", "b", "it's", "''", "x;y", "-- not a comment", "/* nor this */", ""}
+	rtTexts  = append([]string{"a", "b", "it's", "x;y", "-- not a comment", "/* nor this */", ""}, blockTexts...)
 	rtFloats = []float64{0.5, -2.25, 3, math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
 		math.NaN(), math.Float64frombits(0x7ff8000000000123), 1e300, 5e-324, 0.1}
 	rtWeights = []float64{1, 2.5, 0, 0.1, 1e300, 5e-324, math.Copysign(0, -1), math.Inf(1),
@@ -51,6 +51,7 @@ func randomWorld(t *testing.T, seed int64) *Engine {
 		CREATE GLOBAL POPULATION P (k TEXT, i INT, f FLOAT, b BOOL);
 		CREATE POPULATION Q AS (SELECT k, i, f, b FROM P WHERE f >= -0.0 OR k IN ('it''s', 'x;y'));
 		CREATE TABLE T (k TEXT, i INT, f FLOAT, b BOOL);
+		CREATE TABLE E (k TEXT, i INT);
 		CREATE TABLE Mk (k TEXT, n INT);
 		CREATE TABLE Mi (i INT, n INT);
 		CREATE SAMPLE S1 AS (SELECT * FROM P);
@@ -193,7 +194,9 @@ func sameStored(orig, restored *table.Table) error {
 // TestDumpRoundTripProperty: over seeded random databases, dump → Restore
 // gives back every cell and weight bit for bit (every NaN as the canonical
 // NaN), the same CLOSED and SEMI-OPEN answers byte for byte, and a dump
-// equal to the one it was restored from.
+// equal to the one it was restored from. The dump's COPY blocks carry TEXT
+// with tabs, newlines, quotes and \. lines, in rows and in marginal cells,
+// identical tuples with different weights, and an empty table.
 func TestDumpRoundTripProperty(t *testing.T) {
 	semiOpenAnswered := 0
 	for seed := int64(1); seed <= 12; seed++ {
@@ -206,7 +209,7 @@ func TestDumpRoundTripProperty(t *testing.T) {
 		if err := r.Restore(script); err != nil {
 			t.Fatalf("seed %d: restore: %v\n%s", seed, err, script)
 		}
-		for _, name := range []string{"T", "S1", "S2"} {
+		for _, name := range []string{"T", "E", "S1", "S2"} {
 			orig, _ := e.sourceTable(name)
 			back, err := r.sourceTable(name)
 			if err != nil {
@@ -242,22 +245,28 @@ func TestDumpRoundTripProperty(t *testing.T) {
 	}
 }
 
+// blockTexts are TEXT values the block format must carry as data: a tab, a
+// newline, doubled quotes, and lines that read \. outside a quote.
+var blockTexts = []string{"tab\there", "new\nline", "''", "\\.", "x\n\\.\ny", "\n\\.\n", "\t'\n"}
+
 // TestDumpRoundTripShadowedWeights: a sample with a column named WEIGHT,
-// reweighted from that column, dumps its tuple weights in per-row WEIGHT
-// clauses, which the column cannot shadow, and restores the same weights
-// (identical tuples keeping their own), answers and dump.
+// reweighted from that column, dumps its tuple weights in a last WEIGHT
+// column of its block, which the real column cannot shadow, and restores
+// the same weights (identical tuples keeping their own), TEXT values with
+// tabs, newlines, quotes and \. lines, an empty sample, answers and dump.
 func TestDumpRoundTripShadowedWeights(t *testing.T) {
 	e := NewEngine(Options{})
 	exec1(t, e, `
 		CREATE GLOBAL POPULATION P (g TEXT, weight INT);
 		CREATE SAMPLE S AS (SELECT * FROM P);
+		CREATE SAMPLE S0 AS (SELECT g FROM P WHERE g = 'none');
 		INSERT INTO S VALUES ('a', 7), ('b', 2);
 	`)
 	script, err := e.DumpScript()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(script, "INSERT INTO S VALUES ('a', 7), ('b', 2);") {
+	if !strings.Contains(script, "COPY S (g, WEIGHT) FROM STDIN;\n'a'\t7\n'b'\t2\n\\.\n") {
 		t.Errorf("unit-weight rows:\n%s", script)
 	}
 	exec1(t, e, `
@@ -267,17 +276,31 @@ func TestDumpRoundTripShadowedWeights(t *testing.T) {
 	if script, err = e.DumpScript(); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(script, "INSERT INTO S VALUES ('a', 7) WEIGHT 7, ('b', 2) WEIGHT 2, ('a', 7) WEIGHT 1;") {
+	if !strings.Contains(script, "COPY S (g, WEIGHT, WEIGHT) FROM STDIN;\n'a'\t7\t7\n'b'\t2\t2\n'a'\t7\t1\n\\.\n") {
 		t.Errorf("weighted rows:\n%s", script)
+	}
+	if strings.Contains(script, "COPY S0") {
+		t.Errorf("an empty sample dumps a block:\n%s", script)
+	}
+	var rows [][]any
+	for i, s := range blockTexts {
+		rows = append(rows, []any{s, i})
+	}
+	mustIngest(t, e, "S", rows)
+	exec1(t, e, `UPDATE SAMPLE S SET WEIGHT = 0.5 WHERE weight = 3`)
+	if script, err = e.DumpScript(); err != nil {
+		t.Fatal(err)
 	}
 	r := NewEngine(e.Options())
 	if err := r.Restore(script); err != nil {
 		t.Fatalf("restore: %v\n%s", err, script)
 	}
-	orig, _ := e.Catalog().Sample("S")
-	back, _ := r.Catalog().Sample("S")
-	if err := sameStored(orig.Table, back.Table); err != nil {
-		t.Error(err)
+	for _, name := range []string{"S", "S0"} {
+		orig, _ := e.Catalog().Sample(name)
+		back, _ := r.Catalog().Sample(name)
+		if err := sameStored(orig.Table, back.Table); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 	for _, q := range []string{
 		"SELECT CLOSED COUNT(*), SUM(weight) FROM P",

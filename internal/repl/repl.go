@@ -6,7 +6,7 @@
 // engine is deterministic for a fixed Options and statement stream, so a
 // follower that replays the primary's exact statement suffix — failed
 // statements included, in order — lands on a bit-identical state at the
-// same generation. Three invariants keep that sound:
+// same generation. Four invariants keep that sound:
 //
 //   - Every delta statement carries the primary's Failed flag, and the
 //     follower verifies its own replay agrees ((err != nil) == Failed). A
@@ -18,6 +18,10 @@
 //     SetMechanism, ...) have no SQL source; the primary logs them as
 //     barriers that poison delta ranges, and the follower falls back to a
 //     full snapshot — never skipping or guessing a statement.
+//   - A follower replays only answers in its snapshot format
+//     (wire.SnapshotFormat, named by every snapshot and delta answer). A
+//     primary of another version is refused with a *client.FormatError and
+//     counted, and nothing it sent is replayed.
 //   - While a delta is mid-apply (or a bootstrap mid-swap), the follower's
 //     state is between generations: ReplicatedGeneration reports not-ok and
 //     the serving layer refuses generation-checked reads with 409, so the
@@ -105,6 +109,7 @@ type Follower struct {
 	appliedStmts atomic.Int64
 	truncations  atomic.Int64
 	syncErrors   atomic.Int64
+	refusals     atomic.Int64
 
 	started  atomic.Bool
 	stopOnce sync.Once
@@ -161,6 +166,7 @@ func (f *Follower) Stats() wire.FollowerStats {
 		AppliedStmts:   f.appliedStmts.Load(),
 		Truncations:    f.truncations.Load(),
 		SyncErrors:     f.syncErrors.Load(),
+		FormatRefusals: f.refusals.Load(),
 	}
 }
 
@@ -174,7 +180,7 @@ func (f *Follower) Stats() wire.FollowerStats {
 func (f *Follower) Bootstrap(ctx context.Context) error {
 	snap, err := f.cli.SnapshotContext(ctx)
 	if err != nil {
-		f.syncErrors.Add(1)
+		f.syncError(err)
 		return fmt.Errorf("repl: snapshot from %s: %w", f.cfg.Primary, err)
 	}
 	f.applying.Store(true)
@@ -210,7 +216,7 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 			f.cfg.Logf("repl: delta from generation %d gone (%s); re-bootstrapping", from, re.Message)
 			return f.Bootstrap(ctx)
 		}
-		f.syncErrors.Add(1)
+		f.syncError(err)
 		return fmt.Errorf("repl: delta from %s: %w", f.cfg.Primary, err)
 	}
 	if delta.Generation == from {
@@ -248,6 +254,15 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 	f.deltaSyncs.Add(1)
 	f.lastSyncMs.Store(time.Now().UnixMilli())
 	return nil
+}
+
+// syncError counts a failed fetch: a sync error, and a format refusal when
+// the primary answered in a snapshot format this follower does not read.
+func (f *Follower) syncError(err error) {
+	f.syncErrors.Add(1)
+	if fe := (*client.FormatError)(nil); errors.As(err, &fe) {
+		f.refusals.Add(1)
+	}
 }
 
 // Start bootstraps and then polls the primary every PollInterval until

@@ -5,15 +5,19 @@ package repl_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"mosaic"
+	"mosaic/client"
 	"mosaic/internal/repl"
 	"mosaic/internal/server"
 	"mosaic/internal/wire"
@@ -271,6 +275,7 @@ func TestShortSnapshotBootstrapsNothing(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(script)))
 		w.Header().Set(wire.GenerationHeader, "2")
+		w.Header().Set(wire.SnapshotFormatHeader, wire.SnapshotFormat)
 		w.WriteHeader(http.StatusOK)
 		// Cut after the first statement: the rest would parse as a
 		// shorter, valid script.
@@ -286,5 +291,117 @@ func TestShortSnapshotBootstrapsNothing(t *testing.T) {
 	}
 	if g := db.Engine().Generation(); g != 0 {
 		t.Errorf("follower DB at generation %d after a failed bootstrap, want 0", g)
+	}
+}
+
+// TestFollowerCopyReplaysTheRowsNotTheFileSnapshot: a COPY replicates as
+// the rows the primary stored, not as its path. The follower holds the
+// primary's rows after the primary's file is rewritten, after a COPY that
+// failed part-way too, and crosses both by delta, with no re-bootstrap.
+func TestFollowerCopyReplaysTheRowsNotTheFileSnapshot(t *testing.T) {
+	opts := testOpts()
+	pdb, url := startPrimary(t, opts)
+	path := filepath.Join(t.TempDir(), "rows.csv")
+	write := func(rows string) {
+		if err := os.WriteFile(path, []byte(rows), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pdb.Exec("CREATE TABLE T (v INT)"); err != nil {
+		t.Fatal(err)
+	}
+	fdb, f := newFollower(t, url, opts)
+	if err := f.Bootstrap(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	write("1\n2\n")
+	if err := pdb.Exec("COPY T FROM '" + path + "'"); err != nil {
+		t.Fatal(err)
+	}
+	write("7\n8\n9\n")
+	if err := f.SyncOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dumpsEqual(t, "after COPY", pdb, fdb)
+	write("3\nx\n4\n")
+	if err := pdb.Exec("COPY T FROM '" + path + "'"); err == nil {
+		t.Fatal("COPY of a bad row succeeded")
+	}
+	write("")
+	if err := f.SyncOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dumpsEqual(t, "after a failed COPY", pdb, fdb)
+	if n, err := pdb.Scalar("SELECT COUNT(*) FROM T"); err != nil || n != 3 {
+		t.Errorf("primary holds %g rows (%v), want 1, 2 and 3", n, err)
+	}
+	if st := f.Stats(); st.FullSyncs != 1 || st.DeltaSyncs != 2 || st.Generation != pdb.Engine().Generation() {
+		t.Errorf("follower stats %+v: want one bootstrap, two deltas, at the primary's generation", st)
+	}
+}
+
+// TestFollowerRefusesOtherSnapshotFormats: a primary whose snapshot or
+// delta answer names no snapshot format, or another one, is refused with a
+// *client.FormatError and counted; nothing of the answer is replayed.
+func TestFollowerRefusesOtherSnapshotFormats(t *testing.T) {
+	src := mosaic.Open(testOpts())
+	if err := src.Exec("CREATE TABLE T (v INT); INSERT INTO T VALUES (1), (2)"); err != nil {
+		t.Fatal(err)
+	}
+	script, err := src.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapFormat, deltaFormat string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/snapshot/delta" {
+			if deltaFormat != "" {
+				w.Header().Set(wire.SnapshotFormatHeader, deltaFormat)
+			}
+			server.WriteJSON(w, http.StatusOK, wire.DeltaResponse{From: 2, Generation: 3,
+				Stmts: []wire.DeltaStmt{{Src: "INSERT INTO T VALUES (3)"}}})
+			return
+		}
+		w.Header().Set(wire.GenerationHeader, "2")
+		if snapFormat != "" {
+			w.Header().Set(wire.SnapshotFormatHeader, snapFormat)
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(script)))
+		w.Write([]byte(script))
+	}))
+	defer ts.Close()
+	db, f := newFollower(t, ts.URL, testOpts())
+	refused := func(what string, err error, want int64) {
+		t.Helper()
+		var fe *client.FormatError
+		if !errors.As(err, &fe) {
+			t.Fatalf("%s: err = %v, want a *client.FormatError", what, err)
+		}
+		if st := f.Stats(); st.FormatRefusals != want || st.SyncErrors != want {
+			t.Errorf("%s: stats %+v, want %d format refusals and sync errors", what, st, want)
+		}
+	}
+	for i, format := range []string{"", "1", "3"} {
+		snapFormat = format
+		refused(fmt.Sprintf("snapshot format %q", format), f.Bootstrap(context.Background()), int64(i+1))
+		if g := db.Engine().Generation(); g != 0 {
+			t.Fatalf("snapshot format %q: follower replayed it, generation %d", format, g)
+		}
+	}
+	snapFormat = wire.SnapshotFormat
+	if err := f.Bootstrap(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	deltaFormat = "1"
+	refused("delta format \"1\"", f.SyncOnce(context.Background()), 4)
+	if n, err := db.Scalar("SELECT COUNT(*) FROM T"); err != nil || n != 2 || f.Generation() != 2 {
+		t.Errorf("follower holds %g rows at generation %d (%v) after a refused delta, want 2 at 2", n, f.Generation(), err)
+	}
+	deltaFormat = wire.SnapshotFormat
+	if err := f.SyncOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := db.Scalar("SELECT COUNT(*) FROM T"); n != 3 || f.Generation() != 3 {
+		t.Errorf("follower holds %g rows at generation %d, want 3 at 3", n, f.Generation())
 	}
 }

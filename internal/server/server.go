@@ -6,7 +6,7 @@
 //	GET  /v1/explain?q=SELECT ...               → plan description result
 //	GET  /healthz                               → liveness
 //	GET  /statsz                                → per-visibility and per-class counters + latency histograms
-//	GET  /v1/snapshot                           → the dump script as text/plain, its generation in X-Mosaic-Generation
+//	GET  /v1/snapshot                           → the dump script as text/plain, its generation in X-Mosaic-Generation, its format in X-Mosaic-Snapshot-Format
 //	GET  /v1/snapshot/delta?from=G              → {"from": G, "generation": ..., "stmts": [...]}
 //
 // This package owns the request path of every Mosaic front door: the Kernel
@@ -465,6 +465,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Type", "text/plain; charset=utf-8")
 	h.Set("Content-Length", strconv.Itoa(len(script)))
 	h.Set(wire.GenerationHeader, strconv.FormatUint(gen, 10))
+	h.Set(wire.SnapshotFormatHeader, wire.SnapshotFormat)
 	w.WriteHeader(http.StatusOK)
 	// A failed write means the follower hung up; its length check fails
 	// the fetch on its side.
@@ -506,6 +507,7 @@ func (s *Server) handleSnapshotDelta(w http.ResponseWriter, r *http.Request) {
 			out.Stmts[i] = wire.DeltaStmt{Src: st.Src, Failed: st.Failed}
 		}
 	}
+	w.Header().Set(wire.SnapshotFormatHeader, wire.SnapshotFormat)
 	WriteJSON(w, http.StatusOK, out)
 }
 

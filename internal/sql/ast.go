@@ -312,12 +312,56 @@ type Explain struct {
 
 func (*Explain) stmt() {}
 
-// Copy bulk-loads a CSV file into a table or sample:
-// COPY <relation> FROM '<path>' [WITH HEADER].
+// Copy bulk-loads rows into a table or sample from one of two sources:
+//
+//   - a CSV file: COPY <relation> FROM '<path>' [WITH HEADER];
+//   - an inline block: COPY <relation> (<col>, …[, WEIGHT]) FROM STDIN;
+//     then one row per line, ended by a line \. (see Block).
 type Copy struct {
 	Table  string
-	Path   string
-	Header bool
+	Path   string // the CSV file, when Block is nil
+	Header bool   // the CSV file's first record names its columns
+	Block  *Block // the inline rows, or nil for a CSV file
 }
 
 func (*Copy) stmt() {}
+
+// String renders the statement as it parses back: a block with its header,
+// every row of Vals and its end line (not the bad row Err names, nor the
+// rows after it).
+func (c *Copy) String() string {
+	if c.Block != nil {
+		b := c.Block
+		w := len(b.Columns)
+		out := AppendBlock(nil, c.Table, b.Columns, b.Len(), func(i int) []value.Value { return b.Vals[i*w : (i+1)*w] })
+		return strings.TrimSuffix(string(out), "\n")
+	}
+	s := "COPY " + c.Table + " FROM " + value.Text(c.Path).SQL()
+	if c.Header {
+		s += " WITH HEADER"
+	}
+	return s
+}
+
+// Block is the inline source of a COPY, a block of rows. It is defined to
+// load what INSERT INTO <relation> (<Columns>) VALUES (<row>), … would: the
+// same coercions, dictionary order and, into a sample, weights, except that
+// a last column WEIGHT after the relation's columns is the tuple weight even
+// when the relation has a column of that name. Each field is a literal as
+// value.AppendSQL spells it: a number, FLOAT '<float>', NULL, TRUE, FALSE
+// or a quoted TEXT in which a quote is doubled. Fields are separated by a
+// tab, and a row ends at a newline outside quotes, so a TEXT may hold
+// either, or a line \..
+type Block struct {
+	Columns []string
+	// Vals holds the rows that scanned, len(Columns) values to a row, in
+	// row order. A TEXT value may share memory with the script.
+	Vals []value.Value
+	// Err is the error of the first row that did not scan, the row after
+	// those in Vals; nil when every row scanned. Like INSERT's bad row, it
+	// fails the statement after the rows before it are stored.
+	Err error
+}
+
+// Len returns the number of rows in Vals.
+func (b *Block) Len() int { return len(b.Vals) / len(b.Columns) }

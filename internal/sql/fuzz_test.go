@@ -37,6 +37,13 @@ var fuzzSeedCorpus = []string{
 	`DROP METADATA m`,
 	`EXPLAIN SELECT OPEN COUNT(*) FROM P`,
 	`COPY t FROM 'file.csv' WITH HEADER`,
+	"COPY t (a, b, WEIGHT) FROM STDIN;\n1\t'x'\t2.5\n-3\tNULL\tFLOAT 'NaN'\n\\.\nSELECT a FROM t",
+	"COPY t (s) FROM STDIN;\n'tab\there'\n'new\nline'\n'it''s'\n'\n\\.\n'\n\\.",
+	"COPY t (a, b) FROM stdin;  \n1e+300\tTRUE\nfalse\tfloat '-Inf'\n\\.\n;",
+	"COPY t (a) FROM STDIN;\n",
+	"COPY t (a) FROM STDIN;\n1\n2\tx\n\\.",
+	"COPY t (a) FROM STDIN; 1\n\\.",
+	"COPY t FROM STDIN;\n\\.",
 	`SELECT a FROM t; SELECT b FROM u;`,
 	"INSERT INTO t VALUES ('a;b'); SELECT a FROM t -- c;d\n; SELECT /* ; */ b FROM u",
 	`INSERT INTO s (a, WEIGHT) VALUES (1, 2.5), (FLOAT '-0', FLOAT '+Inf')`,
@@ -75,9 +82,10 @@ var fuzzSeedCorpus = []string{
 }
 
 // FuzzParse is the parser's no-panic and round-trip guarantee: Parse must
-// never panic on arbitrary bytes, and any SELECT it accepts must re-render
-// to SQL that parses back to the same rendering (a fixed point after one
-// round). The corpus seeds every statement form plus malformed inputs.
+// never panic on arbitrary bytes, and any SELECT or COPY it accepts must
+// re-render to SQL that parses back to the same rendering (a fixed point
+// after one round); a COPY block renders with its rows. The corpus seeds
+// every statement form plus malformed inputs.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeedCorpus {
 		f.Add(s)
@@ -88,17 +96,8 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		for _, st := range stmts {
-			sel, ok := st.(*Select)
-			if !ok {
-				continue
-			}
-			r1 := renderSelect(sel)
-			again, err := ParseQuery(r1)
-			if err != nil {
-				t.Fatalf("round-trip: %q (from %q) failed to re-parse: %v", r1, src, err)
-			}
-			if r2 := renderSelect(again); r2 != r1 {
-				t.Fatalf("round-trip not a fixed point:\n  first:  %q\n  second: %q\n  input:  %q", r1, r2, src)
+			if err := roundTrip(st); err != nil {
+				t.Fatalf("%v\n  input:  %q", err, src)
 			}
 		}
 	})
@@ -121,6 +120,32 @@ func FuzzLex(f *testing.F) {
 			t.Fatalf("token stream does not end with EOF: %v", toks[len(toks)-1])
 		}
 	})
+}
+
+// roundTrip renders a SELECT or a COPY, parses the rendering and renders
+// that again: the two renderings must be equal. Other statements pass.
+func roundTrip(st Statement) error {
+	render := func(st Statement) (string, bool) {
+		switch s := st.(type) {
+		case *Select:
+			return renderSelect(s), true
+		case *Copy:
+			return s.String(), true
+		}
+		return "", false
+	}
+	r1, ok := render(st)
+	if !ok {
+		return nil
+	}
+	again, err := ParseStatement(r1)
+	if err != nil {
+		return fmt.Errorf("round-trip: %q failed to re-parse: %v", r1, err)
+	}
+	if r2, _ := render(again); r2 != r1 {
+		return fmt.Errorf("round-trip not a fixed point:\n  first:  %q\n  second: %q", r1, r2)
+	}
+	return nil
 }
 
 // renderSelect reconstructs the SQL text of a parsed SELECT. Expressions
@@ -193,16 +218,8 @@ func TestRenderSelectRoundTripsCorpus(t *testing.T) {
 			continue
 		}
 		for _, st := range stmts {
-			if sel, ok := st.(*Select); ok {
-				r1 := renderSelect(sel)
-				again, err := ParseQuery(r1)
-				if err != nil {
-					t.Errorf("%q: rendering %q does not re-parse: %v", src, r1, err)
-					continue
-				}
-				if r2 := renderSelect(again); r2 != r1 {
-					t.Errorf("%q: not a fixed point: %q vs %q", src, r1, r2)
-				}
+			if err := roundTrip(st); err != nil {
+				t.Errorf("%q: %v", src, err)
 			}
 		}
 	}

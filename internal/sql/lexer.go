@@ -17,6 +17,7 @@ const (
 	tokNumber
 	tokString
 	tokSymbol // punctuation and operators
+	tokBlock  // the rows of a COPY … FROM STDIN block, as written
 )
 
 // token is one lexical token with its source position (1-based line/col)
@@ -25,10 +26,11 @@ const (
 type token struct {
 	kind tokenKind
 	// text is the keyword upper-cased, the identifier as written, the string
-	// literal unquoted, or the number or symbol as written. Keyword,
-	// identifier and string texts never share memory with the source: they
-	// end up in catalog names and predicates, which would otherwise keep a
-	// whole script alive.
+	// literal unquoted, the number or symbol as written, or a block's row
+	// lines. Keyword, identifier and string texts never share memory with
+	// the source: they end up in catalog names and predicates, which would
+	// otherwise keep a whole script alive. A block's text is a slice of the
+	// source; what the engine keeps of its rows is copied when stored.
 	text string
 	line int
 	col  int
@@ -41,6 +43,8 @@ func (t token) String() string {
 		return "end of input"
 	case tokString:
 		return fmt.Sprintf("'%s'", t.text)
+	case tokBlock:
+		return "a block of rows"
 	default:
 		return fmt.Sprintf("%q", t.text)
 	}
@@ -86,17 +90,78 @@ func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
 // statement appends the tokens of the next statement to dst: every token up
 // to and including the first ';', or up to and including EOF, which eof
 // reports. A ';' inside a string literal or a comment is not a token, so it
-// ends nothing.
+// ends nothing. The ';' that ends a COPY … FROM STDIN header is followed by
+// the block's rows: they come as one tokBlock before the ';', whose offset
+// then marks the end of the block's \. line, so the statement's source
+// spans header, rows and end line.
 func (l *lexer) statement(dst []token) (toks []token, eof bool, err error) {
+	start := len(dst)
 	for {
 		t, err := l.next()
 		if err != nil {
 			return dst, false, err
 		}
+		if t.kind == tokSymbol && t.text == ";" && isBlockHeader(dst[start:]) {
+			b, err := l.block()
+			if err != nil {
+				return dst, false, err
+			}
+			t.line, t.col, t.off = l.line, l.col, l.pos
+			dst = append(dst, b)
+		}
 		dst = append(dst, t)
 		if t.kind == tokEOF || t.kind == tokSymbol && t.text == ";" {
 			return dst, t.kind == tokEOF, nil
 		}
+	}
+}
+
+// isBlockHeader reports whether toks, a statement up to its ';', is a
+// COPY … FROM STDIN header: the one statement a block of rows follows.
+func isBlockHeader(toks []token) bool {
+	n := len(toks)
+	return n >= 4 && toks[0].kind == tokKeyword && toks[0].text == "COPY" &&
+		toks[n-2].kind == tokKeyword && toks[n-2].text == "FROM" &&
+		toks[n-1].kind == tokIdent && strings.EqualFold(toks[n-1].text, "STDIN")
+}
+
+// blockEnd is the line that ends a block of rows.
+const blockEnd = `\.`
+
+// block reads the rows that follow a COPY … FROM STDIN header, from the
+// line after its ';' up to a line \. outside quotes, and leaves the lexer
+// just past the \.: a quote opens or closes at each ', so a row's TEXT
+// may hold a tab, a newline or a \. line. The rows come back as the
+// token's text, a slice of the source, one line per row, each ending in
+// '\n'.
+func (l *lexer) block() (token, error) {
+	line := l.line
+	for l.pos < len(l.src) && l.src[l.pos] != '\n' {
+		if c := l.src[l.pos]; c != ' ' && c != '\t' {
+			return token{}, fmt.Errorf("sql: line %d col %d: the rows of COPY … FROM STDIN start on the line after its ';'", l.line, l.col)
+		}
+		l.advance()
+	}
+	start := min(l.pos+1, len(l.src))
+	quoted := false // a quote opened on an earlier line is still open
+	for i := start; ; {
+		rest := l.src[i:]
+		if !quoted && strings.HasPrefix(rest, blockEnd) {
+			if after := rest[len(blockEnd):]; after == "" || after[0] == '\n' {
+				t := token{kind: tokBlock, text: l.src[start:i], line: line + 1, col: 1, off: start}
+				l.line += strings.Count(l.src[l.pos:i], "\n")
+				l.pos, l.col = i+len(blockEnd), 1+len(blockEnd)
+				return t, nil
+			}
+		}
+		nl := strings.IndexByte(rest, '\n')
+		if nl < 0 {
+			return token{}, fmt.Errorf("sql: line %d: no \\. line ends the COPY block", line)
+		}
+		if strings.Count(rest[:nl], "'")%2 == 1 {
+			quoted = !quoted
+		}
+		i += nl + 1
 	}
 }
 
@@ -196,26 +261,9 @@ func (l *lexer) next() (token, error) {
 
 func (l *lexer) lexNumber(line, col int) (token, error) {
 	start := l.pos
-	seenDot, seenExp := false, false
-	for l.pos < len(l.src) {
-		c := l.peekByte()
-		switch {
-		case isDigit(c):
-			l.advance()
-		case c == '.' && !seenDot && !seenExp:
-			seenDot = true
-			l.advance()
-		case (c == 'e' || c == 'E') && !seenExp && l.pos > start:
-			seenExp = true
-			l.advance()
-			if l.pos < len(l.src) && (l.peekByte() == '+' || l.peekByte() == '-') {
-				l.advance()
-			}
-		default:
-			goto done
-		}
-	}
-done:
+	// A number spans no newline, so the column moves by its length.
+	l.pos = numberEnd(l.src, start)
+	l.col += l.pos - start
 	text := l.src[start:l.pos]
 	if text == "." {
 		return token{}, fmt.Errorf("sql: stray '.' at line %d col %d", line, col)

@@ -4,16 +4,17 @@ import (
 	"testing"
 )
 
-// lex tokenizes the whole input, ';' tokens included, through EOF.
+// lex tokenizes the whole input, ';' tokens and blocks of rows included,
+// through EOF.
 func (l *lexer) lex() ([]token, error) {
 	var out []token
 	for {
-		t, err := l.next()
-		if err != nil {
+		var eof bool
+		var err error
+		if out, eof, err = l.statement(out); err != nil {
 			return nil, err
 		}
-		out = append(out, t)
-		if t.kind == tokEOF {
+		if eof {
 			return out, nil
 		}
 	}

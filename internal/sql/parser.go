@@ -275,7 +275,9 @@ func (p *parser) parseStatement() (Statement, error) {
 	}
 }
 
-// parseCopy parses COPY <relation> FROM '<path>' [WITH HEADER].
+// parseCopy parses COPY <relation> FROM '<path>' [WITH HEADER], or
+// COPY <relation> (<col>, …) FROM STDIN and the block of rows the lexer
+// hands over after its ';'.
 func (p *parser) parseCopy() (Statement, error) {
 	if err := p.expectKeyword("COPY"); err != nil {
 		return nil, err
@@ -284,12 +286,43 @@ func (p *parser) parseCopy() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	var cols []string
+	if p.acceptSymbol("(") {
+		for {
+			col, err := p.identifier()
+			if err != nil {
+				return nil, err
+			}
+			cols = append(cols, col)
+			if !p.acceptSymbol(",") {
+				break
+			}
+		}
+		if err := p.expectSymbol(")"); err != nil {
+			return nil, err
+		}
+	}
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
 	t := p.peek()
+	if t.kind == tokIdent && strings.EqualFold(t.text, "STDIN") {
+		if cols == nil {
+			return nil, p.errf("COPY … FROM STDIN needs a column list")
+		}
+		p.advance()
+		rows := p.peek()
+		if rows.kind != tokBlock {
+			return nil, p.errf("expected ';' and a block of rows, found %s", rows)
+		}
+		p.advance()
+		return &Copy{Table: name, Block: scanBlock(rows, cols)}, nil
+	}
 	if t.kind != tokString {
-		return nil, p.errf("expected quoted file path, found %s", t)
+		return nil, p.errf("expected quoted file path or STDIN, found %s", t)
+	}
+	if cols != nil {
+		return nil, p.errf("COPY from a file takes no column list")
 	}
 	p.advance()
 	c := &Copy{Table: name, Path: t.text}
@@ -1192,23 +1225,11 @@ func (p *parser) parsePrimary() (expr.Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.advance()
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("invalid number %q", t.text)
-			}
-			return expr.Lit(value.Float(f)), nil
-		}
-		i, err := strconv.ParseInt(t.text, 10, 64)
+		v, err := numberValue(t.text)
 		if err != nil {
-			// Integer overflow: fall back to float.
-			f, ferr := strconv.ParseFloat(t.text, 64)
-			if ferr != nil {
-				return nil, p.errf("invalid number %q", t.text)
-			}
-			return expr.Lit(value.Float(f)), nil
+			return nil, p.errf("%v", err)
 		}
-		return expr.Lit(value.Int(i)), nil
+		return expr.Lit(v), nil
 	case tokString:
 		p.advance()
 		return expr.Lit(value.Text(t.text)), nil

@@ -8,15 +8,17 @@ const (
 	// a fixed handful of batches' tokens and parses are ever held.
 	pipelineDepth = 2
 	// batchTokens is the fewest tokens a batch collects before it moves on,
-	// unless the script ends: a script of small statements then pays one
-	// handoff per batch, not one per statement, and a dump's 500-row INSERT
-	// travels alone.
+	// unless the script ends or a block of rows does: a script of small
+	// statements then pays one handoff per batch, not one per statement, and
+	// a dump's COPY block travels alone, so the rows in flight are a fixed
+	// few blocks' worth.
 	batchTokens = 1024
 )
 
 // lexedBatch is what ApplyScript's lexer hands its parser: a run of whole
 // statements' tokens, back to back, with the end of each in ends, then the
-// error, if any, that ends the script after them.
+// error, if any, that ends the script after them. A block's rows are one
+// token, which the parser scans into values.
 type lexedBatch struct {
 	toks []token
 	ends []int
@@ -44,7 +46,9 @@ type parsedBatch struct {
 //	return sc.Err()
 //
 // with the Scanner's two halves run ahead of apply on goroutines of their
-// own, so lexing, parsing and applying overlap. apply runs on the caller's
+// own, so lexing, parsing and applying overlap: a COPY block is cut out of
+// the script by the first, scanned into values by the second and stored by
+// apply. apply runs on the caller's
 // goroutine and sees exactly the statements the loop would: a scan error
 // travels in order behind the statements before it, and once apply fails
 // nothing further reaches it. No goroutine outlives the call.
@@ -69,11 +73,13 @@ func ApplyScript(src string, apply func(ScriptStmt) error) error {
 			default: // every buffer is in flight: start one that size
 				b.toks = make([]token, 0, size)
 			}
-			for !eof && b.err == nil && len(b.toks) < batchTokens {
+			for full := false; !eof && b.err == nil && !full; {
 				b.toks, eof, b.err = lex.statement(b.toks)
 				if b.err == nil {
 					b.ends = append(b.ends, len(b.toks))
 				}
+				n := len(b.toks)
+				full = n >= batchTokens || n >= 2 && b.toks[n-2].kind == tokBlock
 			}
 			size = max(size, cap(b.toks))
 			select {

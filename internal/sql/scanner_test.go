@@ -141,6 +141,9 @@ func TestApplyScriptIsTheScannerLoop(t *testing.T) {
 		strings.Repeat("SELECT a FROM t;", 300)+"SELECT FROM u;"+strings.Repeat("SELECT b FROM v;", 300),
 		strings.Repeat("SELECT a FROM t;", 300)+"SELECT @ FROM u;SELECT b FROM v",
 		strings.Repeat("SELECT a FROM t;;", 300)+"SELECT b FROM v",
+		// Blocks, each a batch of its own, between, after and inside
+		// batches of small statements.
+		strings.Repeat(testBlock+strings.Repeat("SELECT a FROM t;", 20), 30)+testBlock+"SELECT FROM u;"+testBlock,
 	) {
 		if err := applyIsTheScannerLoop(src); err != nil {
 			t.Error(err)
@@ -156,6 +159,9 @@ func TestApplyScriptIsTheScannerLoop(t *testing.T) {
 		t.Errorf("ApplyScript applied %q then returned %v; want one statement, then apply's error", got, err)
 	}
 }
+
+// testBlock is a COPY block of 50 rows.
+var testBlock = "COPY t (a, b) FROM STDIN;\n" + strings.Repeat("1\t'x'\n", 50) + "\\.\n"
 
 // applyIsTheScannerLoop reports how ApplyScript's statements and error over
 // src differ from a Scanner's, or nil.

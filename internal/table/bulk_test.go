@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"mosaic/internal/value"
 )
@@ -109,10 +110,11 @@ func sameStorage(t *testing.T, what string, got, want *Table) {
 	}
 }
 
-// TestBulkAppendMatchesPerRowAppend: BulkAppend leaves exactly the state a
-// loop of Append would — the same cells, NULLs, dictionary codes in the
-// same first-appearance order, weights and error — and moves Version once
-// when it stored a row.
+// TestBulkAppendMatchesPerRowAppend: BulkAppendWeighted leaves exactly the
+// state a loop of AppendWeighted would — the same cells, NULLs, dictionary
+// codes in the same first-appearance order, weights and error, a negative
+// weight's too — and moves Version once when it stored a row, cloning new
+// strings or not.
 func TestBulkAppendMatchesPerRowAppend(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -120,14 +122,31 @@ func TestBulkAppendMatchesPerRowAppend(t *testing.T) {
 		fresh := 0
 		for b := 0; b < 4; b++ {
 			rows, badRow := randomBatch(rng, rng.Intn(200), rng.Intn(2) == 0, &fresh)
+			var wts []float64 // nil: every weight 1
+			if rng.Intn(2) == 0 {
+				wts = make([]float64, len(rows))
+				for i := range wts {
+					wts[i] = float64(rng.Intn(5)) / 2
+				}
+				if k := pickRow(rng, len(rows)); k >= 0 {
+					wts[k] = -1
+					if badRow < 0 || k < badRow {
+						badRow = k
+					}
+				}
+			}
 			var refErr error
-			for _, r := range rows {
-				if refErr = ref.Append(r); refErr != nil {
+			for i, r := range rows {
+				w := 1.0
+				if wts != nil {
+					w = wts[i]
+				}
+				if refErr = ref.AppendWeighted(r, w); refErr != nil {
 					break
 				}
 			}
 			before := bulk.Version()
-			err := bulk.BulkAppend(rows)
+			err := bulk.BulkAppendWeighted(rows, wts, rng.Intn(2) == 0)
 			what := fmt.Sprintf("seed %d batch %d (%d rows, bad row %d)", seed, b, len(rows), badRow)
 			switch {
 			case (err == nil) != (refErr == nil):
@@ -173,4 +192,47 @@ func TestBulkAppendSharedDictionary(t *testing.T) {
 	if got := clone.Snapshot().Col(0).Codes; !reflect.DeepEqual(got, []uint32{0, 1, 2, 0}) {
 		t.Errorf("clone codes %v", got)
 	}
+}
+
+// TestBulkAppendClonesNewStringsOnly: with clone set, a TEXT value new to
+// the dictionary is stored as a copy that shares no memory with the row it
+// came in, and a value the dictionary holds costs no copy; without it, the
+// dictionary keeps the caller's string.
+func TestBulkAppendClonesNewStringsOnly(t *testing.T) {
+	buf := "alpha beta"
+	row := func(s string) []value.Value {
+		return []value.Value{value.Text(s), value.Int(1), value.Float(1), value.Bool(true)}
+	}
+	var allocs [2]float64 // appending known strings, without and with clone
+	for ci, clone := range []bool{false, true} {
+		tbl := New("t", snapSchema)
+		if err := tbl.BulkAppendWeighted([][]value.Value{row(buf[:5]), row(buf[6:]), row(buf[:5])}, nil, clone); err != nil {
+			t.Fatal(err)
+		}
+		strs := tbl.dict.Strings()
+		if !reflect.DeepEqual(strs, []string{"alpha", "beta"}) {
+			t.Fatalf("clone=%v: dictionary %q", clone, strs)
+		}
+		aliased := unsafe.StringData(strs[0]) == unsafe.StringData(buf) || unsafe.StringData(strs[1]) == unsafe.StringData(buf[6:])
+		if aliased == clone {
+			t.Errorf("clone=%v: dictionary strings alias the input: %v", clone, aliased)
+		}
+		known := [][]value.Value{row(buf[:5]), row(buf[6:])}
+		allocs[ci] = testing.AllocsPerRun(20, func() {
+			if err := tbl.BulkAppendWeighted(known, nil, clone); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[1] != allocs[0] {
+		t.Errorf("appending known strings allocates %v times with clone, %v without", allocs[1], allocs[0])
+	}
+}
+
+// pickRow returns a random row index of n, or -1 (also when n is 0).
+func pickRow(rng *rand.Rand, n int) int {
+	if n == 0 || rng.Intn(3) != 0 {
+		return -1
+	}
+	return rng.Intn(n)
 }

@@ -15,6 +15,7 @@ package table
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"mosaic/internal/schema"
@@ -39,15 +40,19 @@ func NewDict() *Dict {
 // Code interns s and returns its code.
 func (d *Dict) Code(s string) uint32 {
 	d.mu.Lock()
-	c := d.intern(s)
+	c := d.intern(s, false)
 	d.mu.Unlock()
 	return c
 }
 
-// intern is Code for a caller that holds d.mu.
-func (d *Dict) intern(s string) uint32 {
+// intern is Code for a caller that holds d.mu. With clone set, a string
+// new to d is stored as a copy of s.
+func (d *Dict) intern(s string, clone bool) uint32 {
 	c, ok := d.codes[s]
 	if !ok {
+		if clone {
+			s = strings.Clone(s)
+		}
 		c = uint32(len(d.strs))
 		d.codes[s] = c
 		d.strs = append(d.strs, s)

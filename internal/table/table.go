@@ -118,33 +118,51 @@ func (e *BatchError) Error() string { return e.Err.Error() }
 
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// BulkAppend stores many rows with weight 1, validating each. It stops at
-// the first bad row with a *BatchError, keeping the rows before it. The
-// stored rows, dictionary codes and weights are the ones as many Appends
-// would leave, but the batch takes the table and dictionary locks once and
-// advances Version once when it stored any row.
+// BulkAppend stores many rows with weight 1, validating each. It is
+// BulkAppendWeighted(rows, nil, false).
 func (t *Table) BulkAppend(rows [][]value.Value) error {
+	return t.BulkAppendWeighted(rows, nil, false)
+}
+
+// BulkAppendWeighted stores many rows, validating each: row i with weight
+// wts[i], or 1 when wts is nil. It stops at the first bad row with a
+// *BatchError, keeping the rows before it. The stored rows, dictionary codes
+// and weights are the ones as many AppendWeighted calls would leave, but
+// the batch takes the table and dictionary locks once and advances Version
+// once when it stored any row. With clone set, a TEXT value new to the
+// dictionary is stored as a copy, so rows whose strings alias a larger
+// buffer (a script being restored) leave nothing of it behind; a repeated
+// value costs nothing.
+func (t *Table) BulkAppendWeighted(rows [][]value.Value, wts []float64, clone bool) error {
 	buf := make([]value.Value, len(t.cols))
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.dict.mu.Lock()
 	defer t.dict.mu.Unlock()
-	n0, intern := len(t.wts), t.dict.intern
+	n0 := len(t.wts)
+	intern := func(s string) uint32 { return t.dict.intern(s, clone) }
 	defer func() {
 		if len(t.wts) > n0 {
 			t.version++
 		}
 	}()
 	for ri, row := range rows {
-		// The whole row is coerced before any column grows, as in Append.
+		// The whole row is coerced, and its weight checked, before any
+		// column grows, as in AppendWeighted.
 		if err := t.schema.ValidateInto(buf, row); err != nil {
 			return &BatchError{Row: ri, Err: fmt.Errorf("table %s: %v", t.name, err)}
+		}
+		w := 1.0
+		if wts != nil {
+			if w = wts[ri]; w < 0 {
+				return &BatchError{Row: ri, Err: fmt.Errorf("table %s: negative weight %g", t.name, w)}
+			}
 		}
 		i := len(t.wts)
 		for ci := range t.cols {
 			t.cols[ci].appendValue(i, buf[ci], intern)
 		}
-		t.wts = append(t.wts, 1)
+		t.wts = append(t.wts, w)
 	}
 	return nil
 }

@@ -59,6 +59,10 @@ type FollowerStats struct {
 	// re-bootstrap.
 	Truncations int64 `json:"truncations"`
 	SyncErrors  int64 `json:"sync_errors"`
+	// FormatRefusals counts snapshot and delta answers refused, unreplayed,
+	// for a missing or different SnapshotFormatHeader: a primary of
+	// another version. Each is a sync error too.
+	FormatRefusals int64 `json:"format_refusals"`
 }
 
 // HealthResponse is the typed body of GET /healthz on mosaic-serve. Status

@@ -55,7 +55,17 @@ const (
 	// itself, text/plain, with a Content-Length the reader checks: a short
 	// body is a failed fetch, never a shorter script.
 	GenerationHeader = "X-Mosaic-Generation"
+	// SnapshotFormatHeader carries, on every GET /v1/snapshot and
+	// /v1/snapshot/delta answer, the format of the replication surface,
+	// SnapshotFormat. A follower refuses an answer in any other format, or
+	// in none, rather than replay text it may misread.
+	SnapshotFormatHeader = "X-Mosaic-Snapshot-Format"
 )
+
+// SnapshotFormat is the format the replication surface speaks: 2, whose
+// dumps and logged COPY statements carry rows as COPY blocks. Answers
+// before it carried no SnapshotFormatHeader.
+const SnapshotFormat = "2"
 
 // ExecRequest is the body of POST /v1/exec: a semicolon-separated Mosaic
 // script. Statements execute in order; SELECTs inside the script return

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -143,6 +144,46 @@ func TestRestoreRetainsNothing(t *testing.T) {
 	if stmts, cur, err := eng.DeltaScript(g); err != nil || cur != g || len(stmts) != 0 {
 		t.Errorf("DeltaScript(%d) = %d statements, %d, %v", g, len(stmts), cur, err)
 	}
+}
+
+// TestRestoreRetainsNothingOfBlocks: the same for a dump of COPY blocks,
+// loaded from a file as mosaic-serve -snapshot loads one. The rows' long
+// TEXT values scan as slices of the script; the dictionary keeps copies of
+// its 8 distinct values, never the slices, which would keep the script.
+func TestRestoreRetainsNothingOfBlocks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "blocks.sql")
+	scriptBytes := saveLongTextBlocks(t, path, 40000)
+	db := mosaic.Open(&mosaic.Options{Workers: 1})
+	before := heapAfterGC()
+	if err := db.LoadSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	after := heapAfterGC()
+	tables := 2 * (storedBytes(t, db, "S") + storedBytes(t, db, "T"))
+	const slack = 1 << 20
+	if grew := int64(after) - int64(before); grew > int64(tables+slack) {
+		t.Errorf("heap grew %d B over a restore of a %d B script; tables account for %d B + %d B slack",
+			grew, scriptBytes, tables, slack)
+	}
+}
+
+// saveLongTextBlocks writes to path the dump of restoreLongTextScript's
+// rows, COPY blocks, and returns its length.
+func saveLongTextBlocks(t *testing.T, path string, n int) int {
+	t.Helper()
+	src := mosaic.Open(&mosaic.Options{Workers: 1})
+	restoreLongTextScript(t, src, n)
+	if err := src.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	script, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks := strings.Count(string(script), "FROM STDIN;\n"); len(script) < 3<<20 || blocks < 2*n/1024 {
+		t.Fatalf("the dump is %d bytes in %d blocks; the test needs ≥ 3 MiB of blocks", len(script), blocks)
+	}
+	return len(script)
 }
 
 // restoreLongTextScript restores into db a script of n sample rows and n
@@ -335,5 +376,83 @@ func BenchmarkRestoreSmallStatements(b *testing.B) {
 		if err := mosaic.Open(&mosaic.Options{Seed: 1, Workers: 1}).Restore(script); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// insertFormatWorld is the world testdata/insert_format_dump.sql was dumped
+// from, by DumpScript as it was before dumps carried rows as COPY blocks:
+// a weighted sample with a column named WEIGHT (so its weights travel in
+// per-row WEIGHT clauses), NaN, ±Inf and -0, NULLs, quoted TEXT, a binned
+// marginal and a sample of unit weights.
+const insertFormatWorld = `
+CREATE GLOBAL POPULATION P (g TEXT, weight INT, f FLOAT, ok BOOL);
+CREATE TABLE Truth (g TEXT, n INT);
+CREATE TABLE Ages (weight INT, n INT);
+INSERT INTO Truth VALUES ('a', 40), ('it''s', 60);
+INSERT INTO Ages VALUES (10, 25), (20, 25), (30, 50);
+CREATE METADATA P_g AS (SELECT g, n FROM Truth);
+CREATE METADATA P_w WITH BINS (weight 10) AS (SELECT weight, n FROM Ages);
+CREATE SAMPLE S AS (SELECT * FROM P);
+CREATE SAMPLE U AS (SELECT g, f FROM P);
+INSERT INTO S VALUES ('a', 12, FLOAT 'NaN', TRUE), ('it''s', 25, FLOAT '+Inf', NULL),
+	('a', 31, FLOAT '-0', FALSE), (NULL, 12, FLOAT '-Inf', TRUE), ('a', 12, 2.5, TRUE),
+	('it''s', 18, -0.125, FALSE), ('a', 12, 2.5, TRUE);
+UPDATE SAMPLE S SET WEIGHT = weight / 10.0 WHERE g = 'a';
+INSERT INTO U VALUES ('a', 1.5), ('it''s', NULL), ('a', FLOAT '-0');
+`
+
+// insertFormatQueries read every cell and weight of the world, and answer
+// over its marginals.
+var insertFormatQueries = []string{
+	"SELECT g, WEIGHT, f, ok FROM S",
+	"SELECT g, f, WEIGHT FROM U",
+	"SELECT g, n FROM Truth",
+	"SELECT CLOSED g, COUNT(*), SUM(WEIGHT), AVG(f) FROM P GROUP BY g ORDER BY g",
+	"SELECT SEMI-OPEN g, COUNT(*) FROM P GROUP BY g ORDER BY g",
+	"SELECT SEMI-OPEN COUNT(*), SUM(WEIGHT) FROM P",
+}
+
+// TestRestoreInsertFormatSnapshot: a snapshot whose rows are INSERT
+// statements, written before dumps carried rows as COPY blocks, still
+// restores — to the answers of the world it was dumped from — and dumps
+// again as COPY blocks, equal to that world's own dump.
+func TestRestoreInsertFormatSnapshot(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "insert_format_dump.sql"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(old), ") WEIGHT 1.2, (") || strings.Contains(string(old), "FROM STDIN") {
+		t.Fatalf("testdata is not an INSERT-format dump:\n%s", old)
+	}
+	opts := &mosaic.Options{Seed: 3, Workers: 1}
+	restored := mosaic.Open(opts)
+	if err := restored.Restore(string(old)); err != nil {
+		t.Fatal(err)
+	}
+	world := mosaic.Open(opts)
+	if err := world.Exec(insertFormatWorld); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range insertFormatQueries {
+		want, err := world.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		got, err := restored.Query(q)
+		if err != nil || got.String() != want.String() {
+			t.Errorf("%s: restored answer (%v)\n%s\nwant\n%s", q, err, got, want)
+		}
+	}
+	redump, err := restored.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDump, err := world.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if redump != wantDump || strings.Contains(redump, "INSERT") ||
+		!strings.Contains(redump, "COPY S (g, WEIGHT, f, ok, WEIGHT) FROM STDIN;\n'a'\t12\tFLOAT 'NaN'\tTRUE\t1.2\n") {
+		t.Errorf("re-dump:\n%s\nwant the world's dump:\n%s", redump, wantDump)
 	}
 }

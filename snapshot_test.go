@@ -144,7 +144,7 @@ func TestSnapshotPreservesWeightsQuotesAndBins(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"INSERT INTO S (name, region, age, WEIGHT) VALUES ('Anna', 'north', 12, 2.5)", // non-unit weights survive, per row
+		"COPY S (name, region, age, WEIGHT) FROM STDIN;\n'Anna'\t'north'\t12\t2.5\n", // non-unit weights survive, per row
 		"'O''Brien'",               // embedded quote doubled
 		"'D''Arcy ''''quoted'''''", // doubled quotes re-doubled
 		"WITH BINS (age 10)",       // binned marginal

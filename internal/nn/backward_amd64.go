@@ -4,7 +4,7 @@ import "math"
 
 func init() {
 	if hasAVX2() {
-		simdKernels = &denseKernels{gradWAVX2, gradXAVX2}
+		simdKernels = &denseKernels{forwardAVX2, gradWAVX2, gradXAVX2}
 		kernels = *simdKernels
 	}
 }
@@ -30,9 +30,28 @@ func hasAVX2() bool {
 	return ebx&avx2 != 0
 }
 
-// gradBlock is how many batch rows gradWAVX2 gathers per input column at a
-// time; its scratch lives on the stack.
+// gradBlock is how many batch rows gradWAVX2 gathers per input column, and
+// how many inputs forwardAVX2 gathers per row, at a time; their scratch lives
+// on the stack.
 const gradBlock = 64
+
+// forwardAVX2 runs the forward on gradW's assembly: a row of y is a gradient
+// row of W whose terms are the row's inputs that are not exactly zero, each
+// scaling its row of w, in input order. Every term is one the scalar loop
+// adds, in the same order.
+func forwardAVX2(y, x, w, b []float64, rows, in, out int) {
+	y, x, w, b = y[:rows*out], x[:rows*in], w[:in*out], b[:out]
+	var xs [gradBlock]float64
+	var offs [gradBlock]int
+	for r := 0; r < rows; r++ {
+		yr, xr := y[r*out:(r+1)*out], x[r*in:(r+1)*in]
+		copy(yr, b)
+		for i0 := 0; i0 < in; i0 += gradBlock {
+			n := gatherNonzero(&xs, &offs, xr[i0:], 1, 8*out, min(gradBlock, in-i0), 8*i0*out)
+			gradWRowsAsm(yr, xs[:n], offs[:n], w)
+		}
+	}
+}
 
 // gradWAVX2 hands the assembly, for each block of rows and each input
 // column, the inputs that are not exactly zero and their g rows: every term

@@ -1,8 +1,10 @@
 #include "textflag.h"
 
-// AVX2 kernels for Dense.backward. Every output element sees the operations
-// the scalar Go loops (gradWGo, gradXGo) give it, in the same order: one
-// VMULPD, then one VADDPD, per term. No FMA.
+// AVX2 kernels for Dense's training step: gradWRowsAsm serves the backward's
+// weight gradient and the forward, gradXAsm the input gradient. Every output
+// element sees the operations the scalar Go loops (gradWGo or forwardGo,
+// gradXGo) give it, in the same order: one VMULPD, then one VADDPD, per term.
+// No FMA.
 //
 // A tile of output columns stays in registers while a sum runs (for gradW,
 // over one block of rows; for gradX, over all its terms): 16 columns in

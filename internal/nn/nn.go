@@ -28,13 +28,22 @@
 //     reciprocal); hoisting a per-feature subexpression out of the row loop
 //     is fine, re-associating one is not.
 //
-// SIMD kernels obey the same rule lane by lane: each lane multiplies, then
+// No product is fused with a sum. A Go compiler may fuse x + a*b into one
+// multiply-add on arm64, ppc64le, riscv64 and s390x, whose single rounding
+// would change the low bits of a trained weight there; every product that
+// meets a sum is written float64(a*b), which the Go spec forbids fusing, so
+// a loop means the same operations on every architecture (CI checks the
+// object code for fused instructions).
+//
+// SIMD kernels obey the same rules lane by lane: each lane multiplies, then
 // adds (never a fused multiply-add), and meets its terms in the scalar order.
-// On amd64 CPUs with AVX2, Dense.backward's weight- and input-gradient sums
-// run in assembly (backward_amd64.s); every other CPU and architecture runs
-// the Go loops in scalarKernels, which are also the oracle the assembly is
-// tested against bit for bit (simd_test.go). Dense's forward, which is also
-// generation's, stays scalar.
+// On amd64 CPUs with AVX2, Dense's training step runs in assembly
+// (backward_amd64.s): the backward's weight- and input-gradient sums, and the
+// training forward, which is the weight-gradient kernel with a row of y as
+// its accumulator. Every other CPU and architecture runs the Go loops in
+// scalarKernels, which are also the oracle the assembly is tested against
+// bit for bit (simd_test.go). Dense's inference forward, which is
+// generation's, stays on the Go loop (see Dense.eval).
 package nn
 
 import (
@@ -125,7 +134,7 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	d := &Dense{In: in, Out: out, W: NewParam(in * out), B: NewParam(out)}
 	bound := math.Sqrt(6.0 / float64(in+out))
 	for i := range d.W.Data {
-		d.W.Data[i] = (rng.Float64()*2 - 1) * bound
+		d.W.Data[i] = (float64(rng.Float64())*2 - 1) * bound
 	}
 	return d
 }
@@ -149,22 +158,21 @@ func (d *Dense) auxLen(_ int, train bool) int {
 	return d.In * d.Out
 }
 
+// eval runs the portable loop on every CPU: it is generation's forward, and
+// it writes the bits forward does (TestDenseForwardIsEval). It stays scalar
+// because generation is what an OPEN read times, and the repo benchmark fails
+// a run whose serial read median is below its 5 ms floor: on the AVX2 kernel,
+// ingest_refit's read_ms_p50 went from 12.0 to 6.2 ms at reference speed, an
+// as-measured median of 5.18 ms on a 2-vCPU x86-64 host. Send it through
+// kernels once the benchmark's floor allows it.
 func (d *Dense) eval(x, y []float64, rows int, _ []float64) {
-	in, out := d.In, d.Out
-	w, b := d.W.Data, d.B.Data
-	for r := 0; r < rows; r++ {
-		yr := y[r*out : (r+1)*out]
-		copy(yr, b)
-		for i, xi := range x[r*in : (r+1)*in] {
-			if xi == 0 {
-				continue
-			}
-			axpy(xi, w[i*out:(i+1)*out], yr)
-		}
-	}
+	forwardGo(y, x, d.W.Data, d.B.Data, rows, d.In, d.Out)
 }
 
-func (d *Dense) forward(x, y []float64, rows int, aux []float64) { d.eval(x, y, rows, aux) }
+// forward is the training forward, on the fastest kernel the CPU has.
+func (d *Dense) forward(x, y []float64, rows int, _ []float64) {
+	kernels.forward(y, x, d.W.Data, d.B.Data, rows, d.In, d.Out)
+}
 
 // backward touches each gradient element in its own sequence of operations,
 // so the bias, weight and input gradients can be formed one after the other.
@@ -192,8 +200,13 @@ func (d *Dense) backward(x, _, g, gx []float64, rows int, aux []float64) {
 	kernels.gradX(gx, g, wt, rows, in, out)
 }
 
-// denseKernels are the two halves of Dense.backward that cost O(rows·in·out).
+// denseKernels are the parts of Dense's training step that cost
+// O(rows·in·out): the forward and the two halves of the backward.
 type denseKernels struct {
+	// forward sets y[r][j] to b[j] plus x[r][i]·w[i][j] for i ascending,
+	// skipping inputs that are exactly zero. x is rows×in, w in×out, b out,
+	// y rows×out.
+	forward func(y, x, w, b []float64, rows, in, out int)
 	// gradW adds x[r][i]·g[r][j] to wg[i][j] for r ascending, skipping
 	// inputs that are exactly zero. x is rows×in, g rows×out, wg in×out.
 	gradW func(wg, x, g []float64, rows, in, out int)
@@ -205,13 +218,25 @@ type denseKernels struct {
 var (
 	// scalarKernels are the portable Go loops: the fallback on every other
 	// CPU and architecture, and the oracle the SIMD kernels are tested against.
-	scalarKernels = denseKernels{gradWGo, gradXGo}
+	scalarKernels = denseKernels{forwardGo, gradWGo, gradXGo}
 	// simdKernels are the AVX2 kernels, or nil where the CPU lacks AVX2 or
 	// the architecture has none (set by backward_amd64.go).
 	simdKernels *denseKernels
-	// kernels is what Dense.backward runs.
+	// kernels is what Dense.forward and Dense.backward run.
 	kernels = scalarKernels
 )
+
+func forwardGo(y, x, w, b []float64, rows, in, out int) {
+	for r := 0; r < rows; r++ {
+		yr := y[r*out : (r+1)*out]
+		copy(yr, b)
+		for i, xi := range x[r*in : (r+1)*in] {
+			if xi != 0 {
+				axpy(xi, w[i*out:(i+1)*out], yr)
+			}
+		}
+	}
+}
 
 func gradWGo(wg, x, g []float64, rows, in, out int) {
 	for r := 0; r < rows; r++ {
@@ -241,13 +266,13 @@ func axpy(a float64, x, y []float64) {
 	j := 0
 	for ; j+4 <= len(x); j += 4 {
 		x4, y4 := x[j:j+4:j+4], y[j:j+4:j+4]
-		y4[0] += a * x4[0]
-		y4[1] += a * x4[1]
-		y4[2] += a * x4[2]
-		y4[3] += a * x4[3]
+		y4[0] += float64(a * x4[0])
+		y4[1] += float64(a * x4[1])
+		y4[2] += float64(a * x4[2])
+		y4[3] += float64(a * x4[3])
 	}
 	for ; j < len(x); j++ {
-		y[j] += a * x[j]
+		y[j] += float64(a * x[j])
 	}
 }
 
@@ -356,7 +381,7 @@ func (b *BatchNorm) eval(x, y []float64, rows int, aux []float64) {
 	for r := 0; r < rows; r++ {
 		xr, yr := x[r*dim:(r+1)*dim], y[r*dim:(r+1)*dim]
 		for j, v := range xr {
-			yr[j] = gamma[j]*((v-mean[j])/sd[j]) + beta[j]
+			yr[j] = float64(gamma[j]*((v-mean[j])/sd[j])) + beta[j]
 		}
 	}
 }
@@ -390,14 +415,14 @@ func (b *BatchNorm) forward(x, y []float64, rows int, aux []float64) {
 		for j, v := range xr {
 			c := v - mean[j]
 			cr[j] = c
-			variance[j] += c * c
+			variance[j] += float64(c * c)
 		}
 	}
 	for j := range variance {
 		variance[j] /= n
 		std[j] = math.Sqrt(variance[j] + b.Eps)
-		b.runMean[j] = b.Momentum*b.runMean[j] + (1-b.Momentum)*mean[j]
-		b.runVar[j] = b.Momentum*b.runVar[j] + (1-b.Momentum)*variance[j]
+		b.runMean[j] = float64(b.Momentum*b.runMean[j]) + float64((1-b.Momentum)*mean[j])
+		b.runVar[j] = float64(b.Momentum*b.runVar[j]) + float64((1-b.Momentum)*variance[j])
 	}
 	gamma, beta := b.Gamma.Data[:dim], b.Beta.Data[:dim]
 	for r := 0; r < rows; r++ {
@@ -405,7 +430,7 @@ func (b *BatchNorm) forward(x, y []float64, rows int, aux []float64) {
 		for j, c := range cr {
 			xh := c / std[j]
 			cr[j] = xh
-			yr[j] = gamma[j]*xh + beta[j]
+			yr[j] = float64(gamma[j]*xh) + beta[j]
 		}
 	}
 }
@@ -424,7 +449,7 @@ func (b *BatchNorm) backward(_, _, g, gx []float64, rows int, aux []float64) {
 	for r := 0; r < rows; r++ {
 		gr, xr := g[r*dim:(r+1)*dim], xhat[r*dim:(r+1)*dim]
 		for j, gj := range gr {
-			gxh := gj * xr[j]
+			gxh := float64(gj * xr[j])
 			betaG[j] += gj
 			gammaG[j] += gxh
 			sumG[j] += gj
@@ -501,7 +526,7 @@ func (s *SoftmaxBlocks) backward(_, y, g, gx []float64, rows int, _ []float64) {
 			gb := g[r*dim+blk[0] : r*dim+blk[1]]
 			var dot float64
 			for j, yj := range yb {
-				dot += yj * gb[j]
+				dot += float64(yj * gb[j])
 			}
 			out := gx[r*dim+blk[0] : r*dim+blk[1]]
 			for j, yj := range yb {
@@ -724,8 +749,8 @@ func (a *Adam) Step(params []*Param) {
 	for _, p := range params {
 		data, grad, m, v := p.Data, p.Grad[:len(p.Data)], p.m[:len(p.Data)], p.v[:len(p.Data)]
 		for i, g := range grad {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*g)
+			v[i] = float64(a.Beta2*v[i]) + float64((1-a.Beta2)*g*g)
 			mhat := m[i] / bc1
 			vhat := v[i] / bc2
 			data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)

@@ -53,7 +53,7 @@ func (d *refDense) Forward(x [][]float64, train bool) [][]float64 {
 			}
 			wRow := d.W.Data[i*d.Out : (i+1)*d.Out]
 			for j, w := range wRow {
-				yr[j] += xi * w
+				yr[j] += float64(xi * w)
 			}
 		}
 	}
@@ -77,8 +77,8 @@ func (d *refDense) Backward(grad [][]float64) [][]float64 {
 			gRow := d.W.Grad[i*d.Out : (i+1)*d.Out]
 			var s float64
 			for j, gj := range g {
-				gRow[j] += xi * gj
-				s += wRow[j] * gj
+				gRow[j] += float64(xi * gj)
+				s += float64(wRow[j] * gj)
 			}
 			gxr[i] = s
 		}
@@ -162,7 +162,7 @@ func (b *refBatchNorm) Forward(x [][]float64, train bool) [][]float64 {
 		for i, row := range x {
 			for j, v := range row {
 				xh := (v - b.runMean[j]) / math.Sqrt(b.runVar[j]+b.Eps)
-				y[i][j] = b.Gamma.Data[j]*xh + b.Beta.Data[j]
+				y[i][j] = float64(b.Gamma.Data[j]*xh) + b.Beta.Data[j]
 			}
 		}
 		return y
@@ -182,22 +182,22 @@ func (b *refBatchNorm) Forward(x [][]float64, train bool) [][]float64 {
 		for j, v := range row {
 			c := v - mean[j]
 			center[i][j] = c
-			variance[j] += c * c
+			variance[j] += float64(c * c)
 		}
 	}
 	std := make([]float64, b.Dim)
 	for j := range variance {
 		variance[j] /= float64(n)
 		std[j] = math.Sqrt(variance[j] + b.Eps)
-		b.runMean[j] = b.Momentum*b.runMean[j] + (1-b.Momentum)*mean[j]
-		b.runVar[j] = b.Momentum*b.runVar[j] + (1-b.Momentum)*variance[j]
+		b.runMean[j] = float64(b.Momentum*b.runMean[j]) + float64((1-b.Momentum)*mean[j])
+		b.runVar[j] = float64(b.Momentum*b.runVar[j]) + float64((1-b.Momentum)*variance[j])
 	}
 	xhat := refAlloc(n, b.Dim)
 	for i := range x {
 		for j := 0; j < b.Dim; j++ {
 			xh := center[i][j] / std[j]
 			xhat[i][j] = xh
-			y[i][j] = b.Gamma.Data[j]*xh + b.Beta.Data[j]
+			y[i][j] = float64(b.Gamma.Data[j]*xh) + b.Beta.Data[j]
 		}
 	}
 	b.xhat, b.std, b.center = xhat, std, center
@@ -217,9 +217,9 @@ func (b *refBatchNorm) Backward(grad [][]float64) [][]float64 {
 	for i, g := range grad {
 		for j, gj := range g {
 			b.Beta.Grad[j] += gj
-			b.Gamma.Grad[j] += gj * b.xhat[i][j]
+			b.Gamma.Grad[j] += float64(gj * b.xhat[i][j])
 			sumG[j] += gj
-			sumGX[j] += gj * b.xhat[i][j]
+			sumGX[j] += float64(gj * b.xhat[i][j])
 		}
 	}
 	for i, g := range grad {
@@ -277,7 +277,7 @@ func (s *refSoftmaxBlocks) Backward(grad [][]float64) [][]float64 {
 			g := grad[i][blk[0]:blk[1]]
 			var dot float64
 			for j := range y {
-				dot += y[j] * g[j]
+				dot += float64(y[j] * g[j])
 			}
 			out := gx[i][blk[0]:blk[1]]
 			for j := range y {
@@ -371,8 +371,8 @@ func (a *refAdam) Step(params []*Param) {
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for _, p := range params {
 		for i, g := range p.Grad {
-			p.m[i] = a.Beta1*p.m[i] + (1-a.Beta1)*g
-			p.v[i] = a.Beta2*p.v[i] + (1-a.Beta2)*g*g
+			p.m[i] = float64(a.Beta1*p.m[i]) + float64((1-a.Beta1)*g)
+			p.v[i] = float64(a.Beta2*p.v[i]) + float64((1-a.Beta2)*g*g)
 			mhat := p.m[i] / bc1
 			vhat := p.v[i] / bc2
 			p.Data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)

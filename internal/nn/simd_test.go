@@ -38,13 +38,28 @@ func kernelInput(rng *rand.Rand, n int, zeros float64) []float64 {
 	return v
 }
 
-// refGradW and refGradX state the kernels' contracts as plain loops.
+// refForward, refGradW and refGradX state the kernels' contracts as plain
+// loops.
+func refForward(y, x, w, b []float64, rows, in, out int) {
+	for r := 0; r < rows; r++ {
+		for j := 0; j < out; j++ {
+			s := b[j]
+			for i := 0; i < in; i++ {
+				if xi := x[r*in+i]; xi != 0 {
+					s += float64(xi * w[i*out+j])
+				}
+			}
+			y[r*out+j] = s
+		}
+	}
+}
+
 func refGradW(wg, x, g []float64, rows, in, out int) {
 	for r := 0; r < rows; r++ {
 		for i := 0; i < in; i++ {
 			if xi := x[r*in+i]; xi != 0 {
 				for j := 0; j < out; j++ {
-					wg[i*out+j] += xi * g[r*out+j]
+					wg[i*out+j] += float64(xi * g[r*out+j])
 				}
 			}
 		}
@@ -56,7 +71,7 @@ func refGradX(gx, g, wt []float64, rows, in, out int) {
 		for i := 0; i < in; i++ {
 			var s float64
 			for j := 0; j < out; j++ {
-				s += wt[j*in+i] * g[r*out+j]
+				s += float64(wt[j*in+i] * g[r*out+j])
 			}
 			gx[r*in+i] = s
 		}
@@ -72,12 +87,13 @@ func sameOrBothNaN(a, b float64) bool {
 func sameBitsExactly(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // kernelCase is one shape: every width from 1 to 67 appears as both the
-// output width (gradW's tiles) and the input width (gradX's tiles), so every
-// tile remainder is covered; rows run from 2 to 301; x is mostly zero, as
-// behind a ReLU.
+// output width (forward's and gradW's tiles) and the input width (gradX's
+// tiles, and forward's gathers of more than one block), so every tile
+// remainder is covered; rows run from 2 to 301; x is mostly zero, as behind
+// a ReLU.
 type kernelCase struct {
-	rows, in, out int
-	wg, x, g, wt  []float64
+	rows, in, out      int
+	wg, x, g, wt, w, b []float64
 }
 
 func kernelCases() []kernelCase {
@@ -93,6 +109,8 @@ func kernelCases() []kernelCase {
 				x:  kernelInput(rng, rows*in, 0.6),
 				g:  kernelInput(rng, rows*out, 0.1),
 				wt: kernelInput(rng, out*in, 0.1),
+				w:  kernelInput(rng, in*out, 0.1),
+				b:  kernelInput(rng, out, 0.1),
 			})
 		}
 	}
@@ -103,6 +121,10 @@ func kernelCases() []kernelCase {
 func checkKernels(t *testing.T, k, want denseKernels, same func(a, b float64) bool) {
 	t.Helper()
 	for _, c := range kernelCases() {
+		gotY := make([]float64, c.rows*c.out)
+		wantY := make([]float64, c.rows*c.out)
+		k.forward(gotY, c.x, c.w, c.b, c.rows, c.in, c.out)
+		want.forward(wantY, c.x, c.w, c.b, c.rows, c.in, c.out)
 		gotW := append([]float64(nil), c.wg...)
 		wantW := append([]float64(nil), c.wg...)
 		k.gradW(gotW, c.x, c.g, c.rows, c.in, c.out)
@@ -111,27 +133,48 @@ func checkKernels(t *testing.T, k, want denseKernels, same func(a, b float64) bo
 		wantX := make([]float64, c.rows*c.in)
 		k.gradX(gotX, c.g, c.wt, c.rows, c.in, c.out)
 		want.gradX(wantX, c.g, c.wt, c.rows, c.in, c.out)
-		for what, pair := range map[string][2][]float64{"gradW": {gotW, wantW}, "gradX": {gotX, wantX}} {
-			for e, v := range pair[0] {
-				if w := pair[1][e]; !same(v, w) {
-					t.Fatalf("%s, %d rows, %d→%d: element %d is %v (%#x), want %v (%#x)",
-						what, c.rows, c.in, c.out, e, v, math.Float64bits(v), w, math.Float64bits(w))
-				}
-			}
+		for what, pair := range map[string][2][]float64{"forward": {gotY, wantY}, "gradW": {gotW, wantW}, "gradX": {gotX, wantX}} {
+			checkSame(t, what, c, pair[0], pair[1], same)
 		}
 	}
 }
 
-// TestBackwardKernels holds the portable Dense.backward kernels to the plain
-// loops, and the AVX2 kernels to the portable ones bit for bit.
+func checkSame(t *testing.T, what string, c kernelCase, got, want []float64, same func(a, b float64) bool) {
+	t.Helper()
+	for e, v := range got {
+		if w := want[e]; !same(v, w) {
+			t.Fatalf("%s, %d rows, %d→%d: element %d is %v (%#x), want %v (%#x)",
+				what, c.rows, c.in, c.out, e, v, math.Float64bits(v), w, math.Float64bits(w))
+		}
+	}
+}
+
+// TestBackwardKernels holds the portable kernels of Dense's training step
+// (its forward and both halves of its backward) to the plain loops, and the
+// AVX2 kernels to the portable ones bit for bit.
 func TestBackwardKernels(t *testing.T) {
 	t.Run("scalar", func(t *testing.T) {
-		checkKernels(t, scalarKernels, denseKernels{refGradW, refGradX}, sameOrBothNaN)
+		checkKernels(t, scalarKernels, denseKernels{refForward, refGradW, refGradX}, sameOrBothNaN)
 	})
 	t.Run("avx2", func(t *testing.T) {
 		if simdKernels == nil {
-			t.Skip("no AVX2 on this CPU or architecture: Dense.backward runs the scalar kernels")
+			t.Skip("no AVX2 on this CPU or architecture: Dense's training step runs the scalar kernels")
 		}
 		checkKernels(t, *simdKernels, scalarKernels, sameBitsExactly)
 	})
+}
+
+// TestDenseForwardIsEval holds Dense's training forward, which runs on
+// whichever kernels the CPU has, to its inference forward, which is always
+// the portable loop: generation and training may dispatch differently only
+// because they write the same bits.
+func TestDenseForwardIsEval(t *testing.T) {
+	for _, c := range kernelCases() {
+		d := &Dense{In: c.in, Out: c.out, W: &Param{Data: c.w}, B: &Param{Data: c.b}}
+		fwd := make([]float64, c.rows*c.out)
+		eval := make([]float64, c.rows*c.out)
+		d.forward(c.x, fwd, c.rows, nil)
+		d.eval(c.x, eval, c.rows, nil)
+		checkSame(t, "Dense.forward vs Dense.eval", c, fwd, eval, sameBitsExactly)
+	}
 }

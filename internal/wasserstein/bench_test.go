@@ -23,7 +23,11 @@ func BenchmarkW1ToUniform500(b *testing.B) {
 	xs, _, targets := benchData(500)
 	var s Scratch
 	grad := make([]float64, len(xs))
+	if _, err := s.W1ToUniform(xs, targets, grad); err != nil { // size the scratch
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.W1ToUniform(xs, targets, grad); err != nil {
 			b.Fatal(err)

@@ -133,19 +133,13 @@ func W1ToUniform(x, targets []float64) (float64, []float64, error) {
 }
 
 // Scratch is the reusable state of the allocation-free W1ToUniform: the
-// batch's values and their input positions, sorted together. One goroutine
-// at a time may use a Scratch.
+// batch's sort keys and their input positions, sorted together, and the
+// radix sort's second buffers and digit counts. One goroutine at a time may
+// use a Scratch.
 type Scratch struct {
-	key []float64
-	at  []int32 // at[j] is the input position of key[j]
-}
-
-// Len, Less and Swap implement sort.Interface over (key, at) pairs.
-func (s *Scratch) Len() int           { return len(s.key) }
-func (s *Scratch) Less(a, b int) bool { return s.key[a] < s.key[b] }
-func (s *Scratch) Swap(a, b int) {
-	s.key[a], s.key[b] = s.key[b], s.key[a]
-	s.at[a], s.at[b] = s.at[b], s.at[a]
+	key, keyTmp []uint64 // radixKey of the batch's values
+	at, atTmp   []int32  // at[j] is the input position of key[j]
+	count       [8][256]int32
 }
 
 // W1ToUniform is the package-level W1ToUniform writing the subgradient into
@@ -153,11 +147,9 @@ func (s *Scratch) Swap(a, b int) {
 //
 // Which of several equal x values meets which target decides where the ±1/n
 // subgradients land, so the tie order of the sort is part of the training
-// bit-identity contract. This must stay sort.Sort over the input order: it
-// and the sort.Slice over an index slice it replaced are one generated
-// pdqsort, and carrying the keys along changes no comparison outcome and no
-// swap, so both leave the same permutation
-// (TestScratchW1MatchesSortSlicePermutation).
+// bit-identity contract: equal values meet targets in input order (−0 equals
+// +0), and NaNs come after +Inf, in input order
+// (TestScratchW1TiesMeetTargetsInInputOrder).
 func (s *Scratch) W1ToUniform(x, targets, grad []float64) (float64, error) {
 	n := len(x)
 	if len(targets) != n {
@@ -169,19 +161,11 @@ func (s *Scratch) W1ToUniform(x, targets, grad []float64) (float64, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	if cap(s.key) < n {
-		s.key, s.at = make([]float64, n), make([]int32, n)
-	}
-	s.key, s.at = s.key[:n], s.at[:n]
-	copy(s.key, x)
-	for i := range s.at {
-		s.at[i] = int32(i)
-	}
-	sort.Sort(s)
+	s.sort(x)
 	var d float64
 	inv := 1 / float64(n)
 	for j, i := range s.at {
-		diff := s.key[j] - targets[j]
+		diff := x[i] - targets[j]
 		d += math.Abs(diff)
 		switch {
 		case diff > 0:
@@ -193,6 +177,66 @@ func (s *Scratch) W1ToUniform(x, targets, grad []float64) (float64, error) {
 		}
 	}
 	return d * inv, nil
+}
+
+// sort leaves in s.at the input positions of x in ascending order of value,
+// equal values in input order: a stable LSD radix sort, one pass per 8-bit
+// digit of radixKey, skipping the digits every key shares.
+func (s *Scratch) sort(x []float64) {
+	n := len(x)
+	if cap(s.key) < n {
+		s.key, s.keyTmp = make([]uint64, n), make([]uint64, n)
+		s.at, s.atTmp = make([]int32, n), make([]int32, n)
+	}
+	key, at := s.key[:n], s.at[:n]
+	keyTmp, atTmp := s.keyTmp[:n], s.atTmp[:n]
+	count := &s.count
+	*count = [8][256]int32{}
+	for i, v := range x {
+		k := radixKey(v)
+		key[i], at[i] = k, int32(i)
+		for d := range count {
+			count[d][byte(k>>(8*d))]++
+		}
+	}
+	first := key[0]
+	for d := range count {
+		c := &count[d]
+		shift := 8 * uint(d)
+		if c[byte(first>>shift)] == int32(n) {
+			continue
+		}
+		var sum int32
+		for b, m := range c {
+			c[b], sum = sum, sum+m
+		}
+		for j, k := range key {
+			b := byte(k >> shift)
+			p := c[b]
+			c[b]++
+			keyTmp[p], atTmp[p] = k, at[j]
+		}
+		key, keyTmp = keyTmp, key
+		at, atTmp = atTmp, at
+	}
+	// After an odd number of passes the sorted order is in the second
+	// buffers; swapping the names keeps s.at the sorted one.
+	s.key, s.keyTmp = key, keyTmp
+	s.at, s.atTmp = at, atTmp
+}
+
+// radixKey maps v to a key whose unsigned order is v's order: the sign bit
+// flipped for positive values, every bit for negative ones. −0 keys as +0,
+// and every NaN as the largest key, after +Inf.
+func radixKey(v float64) uint64 {
+	switch {
+	case v == 0:
+		return 1 << 63
+	case v != v:
+		return math.MaxUint64
+	}
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
 // Distance computes the exact W1 between the weighted target and a uniform

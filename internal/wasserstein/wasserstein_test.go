@@ -255,17 +255,20 @@ func TestProjectCols(t *testing.T) {
 	}
 }
 
-// sliceW1ToUniform is W1ToUniform as it was before it took a Scratch: an
-// index slice ordered by sort.Slice. Training is pinned bit for bit, and
-// where the ±1/n subgradients land depends on how the sort orders equal
-// values, so the scratch form must reproduce this permutation exactly.
-func sliceW1ToUniform(x, targets []float64) (float64, []float64) {
+// stableW1ToUniform states W1ToUniform's contract as a plain loop: input
+// positions ordered by value with sort.SliceStable, so equal values (−0 and
+// +0 among them) meet targets in input order, and NaNs come last, in input
+// order.
+func stableW1ToUniform(x, targets []float64) (float64, []float64) {
 	n := len(x)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return x[idx[a]] < x[idx[b]] })
+	sort.SliceStable(idx, func(a, b int) bool {
+		xa, xb := x[idx[a]], x[idx[b]]
+		return xa < xb || !math.IsNaN(xa) && math.IsNaN(xb)
+	})
 	grad := make([]float64, n)
 	var d float64
 	inv := 1 / float64(n)
@@ -282,37 +285,52 @@ func sliceW1ToUniform(x, targets []float64) (float64, []float64) {
 	return d * inv, grad
 }
 
-func TestScratchW1MatchesSortSlicePermutation(t *testing.T) {
+// TestScratchW1TiesMeetTargetsInInputOrder: where the ±1/n subgradients land
+// depends on which of several equal values meets which target, and training
+// is pinned bit for bit, so the tie order is part of the contract.
+func TestScratchW1TiesMeetTargetsInInputOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var s Scratch
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(700)
 		x := make([]float64, n)
 		targets := make([]float64, n)
-		// Few distinct levels → long runs of ties; some trials add NaNs,
-		// presorted or reversed runs (pdqsort's pattern detectors) and
-		// saturated softmax outputs (exact 0 and 1).
+		// Few distinct levels → long runs of ties; some trials add NaNs of
+		// either sign, presorted or reversed runs, saturated softmax outputs
+		// (exact 0 and 1), −0 beside +0 among targets on both sides of zero,
+		// and values a few ulps apart, which only the low digits order.
 		levels := 1 + rng.Intn(1+trial%40)
 		for i := range x {
 			x[i] = float64(rng.Intn(levels)) / float64(levels)
 			targets[i] = rng.Float64()
 		}
-		switch trial % 5 {
+		switch trial % 7 {
 		case 1:
 			sort.Float64s(x)
 		case 2:
 			sort.Sort(sort.Reverse(sort.Float64Slice(x)))
 		case 3:
 			for k := 0; k < n/10; k++ {
-				x[rng.Intn(n)] = math.NaN()
+				x[rng.Intn(n)] = math.Copysign(math.NaN(), float64(rng.Intn(2)*2-1))
 			}
 		case 4:
 			for i := range x {
 				x[i] = rng.NormFloat64()
 			}
+		case 5:
+			for i := range x {
+				if x[i] == 0 && rng.Intn(2) == 0 {
+					x[i] = math.Copysign(0, -1)
+				}
+				targets[i] -= 0.5
+			}
+		case 6:
+			for i := range x {
+				x[i] = math.Float64frombits(math.Float64bits(x[i]+1) + uint64(rng.Intn(1<<10)))
+			}
 		}
 		sort.Float64s(targets)
-		wantD, wantG := sliceW1ToUniform(x, targets)
+		wantD, wantG := stableW1ToUniform(x, targets)
 		grad := make([]float64, n)
 		for i := range grad {
 			grad[i] = 99 // a reused buffer holds the last call's gradient
@@ -322,11 +340,11 @@ func TestScratchW1MatchesSortSlicePermutation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if math.Float64bits(gotD) != math.Float64bits(wantD) {
-			t.Fatalf("trial %d (n=%d): distance %v, sort.Slice form %v", trial, n, gotD, wantD)
+			t.Fatalf("trial %d (n=%d): distance %v, stable sort %v", trial, n, gotD, wantD)
 		}
 		for i := range grad {
 			if math.Float64bits(grad[i]) != math.Float64bits(wantG[i]) {
-				t.Fatalf("trial %d (n=%d): grad[%d] %v, sort.Slice form %v", trial, n, i, grad[i], wantG[i])
+				t.Fatalf("trial %d (n=%d): grad[%d] %v, stable sort %v", trial, n, i, grad[i], wantG[i])
 			}
 		}
 	}

@@ -55,15 +55,6 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 		`SELECT COUNT(*) FROM S`,
 		`EXPLAIN SELECT OPEN COUNT(*) FROM World`,
 	}
-	parsed := make([]sql.Statement, len(queries))
-	for i, q := range queries {
-		stmts, err := sql.Parse(q)
-		if err != nil {
-			t.Fatalf("parse %q: %v", q, err)
-		}
-		parsed[i] = stmts[0]
-	}
-
 	const (
 		readers   = 8
 		mutators  = 4
@@ -77,8 +68,7 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iterEach; i++ {
-				st := parsed[(g+i)%len(parsed)]
-				if _, err := e.Exec(st); err != nil {
+				if _, err := e.ExecScript(queries[(g+i)%len(queries)]); err != nil {
 					// Transient planning errors are expected while metadata
 					// is mid-swap; data races and panics are not.
 					errored.Add(1)

@@ -290,9 +290,6 @@ func TestWriteToOneSampleKeepsTheOthersModels(t *testing.T) {
 			if after := e.ModelCacheStats(); after.Trained != before.Trained+1 {
 				t.Errorf("trained %d models after the write, want 1 (World's)", after.Trained-before.Trained)
 			}
-			if w.name == "SetSampleMechanism" {
-				return // a dump cannot express the mechanism
-			}
 			if want := coldAnswers(t, e); got != want {
 				t.Errorf("answers differ from a cold engine's:\n%s\nvs\n%s", got, want)
 			}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"mosaic/internal/catalog"
+	"mosaic/internal/marginal"
 	"mosaic/internal/schema"
 	"mosaic/internal/sql"
 	"mosaic/internal/table"
@@ -27,16 +28,12 @@ import (
 // in time linear in them. Every value is value.AppendSQL's: numbers in
 // shortest round-trip form, and NaN, ±Inf and -0 as FLOAT 'NaN',
 // FLOAT '+Inf', FLOAT '-Inf', FLOAT '-0', so a restore gets the same bits
-// back (every NaN as the canonical NaN).
-//
-// Known limitations: mechanisms other than UNIFORM cannot be expressed in
-// SQL (stratified probabilities and predicate-biased designs are Go-API
-// objects), so those samples dump as mechanism-less, noted by a comment in
-// the output.
+// back (every NaN as the canonical NaN). A sample's mechanism is its USING
+// MECHANISM clause, so Restore(DumpScript()) dumps the same script again.
 func (e *Engine) DumpScript() (string, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.dumpScriptLocked()
+	return e.dumpScriptLocked(), nil
 }
 
 // DumpWithGeneration returns the dump script together with the generation it
@@ -46,11 +43,10 @@ func (e *Engine) DumpScript() (string, error) {
 func (e *Engine) DumpWithGeneration() (string, uint64, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	script, err := e.dumpScriptLocked()
-	return script, e.gen.Load(), err
+	return e.dumpScriptLocked(), e.gen.Load(), nil
 }
 
-func (e *Engine) dumpScriptLocked() (string, error) {
+func (e *Engine) dumpScriptLocked() string {
 	var b strings.Builder
 	b.WriteString("-- Mosaic dump; replay with mosaic.DB.Exec or cmd/mosaic.\n")
 
@@ -75,44 +71,9 @@ func (e *Engine) dumpScriptLocked() (string, error) {
 			b.WriteString(");\n")
 		}
 		// Metadata for every population, via staging tables.
-		pops := append([]*catalog.Population{gp}, e.derivedPopulations()...)
-		for _, p := range pops {
+		for _, p := range append([]*catalog.Population{gp}, e.derivedPopulations()...) {
 			for _, m := range p.MarginalList() {
-				staging := "__meta_" + sanitize(m.Name)
-				cols := make([]string, len(m.Attrs))
-				for i, a := range m.Attrs {
-					k, err := p.Schema.Kind(a)
-					if err != nil {
-						return "", err
-					}
-					// Binned numeric cells hold midpoints, which may be
-					// fractional even for INT attributes.
-					if m.BinWidth(i) > 0 && k == value.KindInt {
-						k = value.KindFloat
-					}
-					cols[i] = fmt.Sprintf("%s %s", a, k)
-				}
-				fmt.Fprintf(&b, "CREATE TEMPORARY TABLE %s (%s, mcount FLOAT);\n",
-					staging, strings.Join(cols, ", "))
-				cells := m.SortedCells()
-				var row []value.Value
-				writeBlocks(&b, staging, append(slices.Clip(m.Attrs), "mcount"), len(cells), func(i int) []value.Value {
-					row = append(append(row[:0], cells[i].Vals...), value.Float(cells[i].Count))
-					return row
-				})
-				fmt.Fprintf(&b, "CREATE METADATA %s FOR %s", m.Name, p.Name)
-				var bins []string
-				for i, a := range m.Attrs {
-					if w := m.BinWidth(i); w > 0 {
-						bins = append(bins, fmt.Sprintf("%s %g", a, w))
-					}
-				}
-				if len(bins) > 0 {
-					fmt.Fprintf(&b, " WITH BINS (%s)", strings.Join(bins, ", "))
-				}
-				fmt.Fprintf(&b, " AS (SELECT %s, mcount FROM %s);\n",
-					strings.Join(m.Attrs, ", "), staging)
-				fmt.Fprintf(&b, "DROP TABLE %s;\n", staging)
+				writeMetadata(&b, p, m)
 			}
 		}
 	}
@@ -126,25 +87,56 @@ func (e *Engine) dumpScriptLocked() (string, error) {
 			fmt.Fprintf(&b, " WHERE %s", s.Where)
 		}
 		if s.Mechanism != nil {
-			if mn := s.Mechanism.Name(); strings.HasPrefix(mn, "UNIFORM PERCENT ") {
-				fmt.Fprintf(&b, " USING MECHANISM %s", mn)
-				b.WriteString(");\n")
-			} else {
-				fmt.Fprintf(&b, "); -- mechanism %q is not expressible in SQL; restore via SetMechanism\n", mn)
-			}
-		} else {
-			b.WriteString(");\n")
+			fmt.Fprintf(&b, " USING MECHANISM %s", s.Mechanism.Name())
 		}
+		b.WriteString(");\n")
 		dumpRows(&b, s.Name, s.Table, true)
 	}
-	return b.String(), nil
+	return b.String()
+}
+
+// writeMetadata writes the script that rebuilds marginal m of population
+// p: a temporary staging table holding its cells, CREATE METADATA over it
+// with m's bin widths, and DROP TABLE. The dump writes it for every
+// marginal, and the statement log for each one AddMarginal stores.
+func writeMetadata(b *strings.Builder, p *catalog.Population, m *marginal.Marginal) {
+	staging := "__meta_" + sanitize(m.Name)
+	cols := make([]string, len(m.Attrs))
+	for i, a := range m.Attrs {
+		// The catalog admits no marginal over an attribute p lacks.
+		k, _ := p.Schema.Kind(a)
+		// Binned numeric cells hold midpoints, which may be fractional even
+		// for INT attributes.
+		if m.BinWidth(i) > 0 && k == value.KindInt {
+			k = value.KindFloat
+		}
+		cols[i] = fmt.Sprintf("%s %s", a, k)
+	}
+	fmt.Fprintf(b, "CREATE TEMPORARY TABLE %s (%s, mcount FLOAT);\n",
+		staging, strings.Join(cols, ", "))
+	cells := m.SortedCells()
+	var row []value.Value
+	writeBlocks(b, staging, append(slices.Clip(m.Attrs), "mcount"), len(cells), func(i int) []value.Value {
+		row = append(append(row[:0], cells[i].Vals...), value.Float(cells[i].Count))
+		return row
+	})
+	fmt.Fprintf(b, "CREATE METADATA %s FOR %s", m.Name, p.Name)
+	var bins []string
+	for i, a := range m.Attrs {
+		if w := m.BinWidth(i); w > 0 {
+			bins = append(bins, fmt.Sprintf("%s %g", a, w))
+		}
+	}
+	if len(bins) > 0 {
+		fmt.Fprintf(b, " WITH BINS (%s)", strings.Join(bins, ", "))
+	}
+	fmt.Fprintf(b, " AS (SELECT %s, mcount FROM %s);\n",
+		strings.Join(m.Attrs, ", "), staging)
+	fmt.Fprintf(b, "DROP TABLE %s;\n", staging)
 }
 
 func (e *Engine) auxTableNames() []string {
 	var names []string
-	// The catalog has no listing API for tables by design; rebuild the list
-	// through Resolve by tracking registrations would be invasive, so the
-	// catalog exposes AllTables below.
 	for _, t := range e.cat.AllTables() {
 		names = append(names, t.Name())
 	}
@@ -184,7 +176,11 @@ func schemaDDL(s *schema.Schema) string {
 // exactly 1.
 func dumpRows(b *strings.Builder, name string, t *table.Table, sample bool) {
 	snap := t.Snapshot()
-	cols, row := storedRows(snap, 0, sample && !unitWeights(snap.Weights()))
+	var wts []float64
+	if sample && !unitWeights(snap.Weights()) {
+		wts = snap.Weights()
+	}
+	cols, row := storedRows(snap, 0, wts)
 	writeBlocks(b, name, cols, snap.Len(), row)
 }
 
@@ -206,18 +202,19 @@ func writeBlocks(b *strings.Builder, rel string, cols []string, n int, row func(
 }
 
 // storedRows returns the names and the rows a block of snap's rows from lo
-// on carries: the relation's columns, then the tuple weight under WEIGHT
-// when weighted. Each row it returns is valid until the next call.
-func storedRows(snap *table.Snapshot, lo int, weighted bool) ([]string, func(i int) []value.Value) {
-	cols, wts := snap.Schema().Names(), snap.Weights()
-	if weighted {
+// on carries: the relation's columns, then, when wts is not nil, the tuple
+// weight wts[i] of row lo+i under WEIGHT. Each row it returns is valid until
+// the next call.
+func storedRows(snap *table.Snapshot, lo int, wts []float64) ([]string, func(i int) []value.Value) {
+	cols := snap.Schema().Names()
+	if wts != nil {
 		cols = append(cols, "WEIGHT")
 	}
 	var row []value.Value
 	return cols, func(i int) []value.Value {
 		row = snap.AppendRow(row[:0], lo+i)
-		if weighted {
-			row = append(row, value.Float(wts[lo+i]))
+		if wts != nil {
+			row = append(row, value.Float(wts[i]))
 		}
 		return row
 	}

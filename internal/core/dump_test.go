@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"mosaic/internal/marginal"
+	"mosaic/internal/mechanism"
 	"mosaic/internal/schema"
 	"mosaic/internal/value"
 )
@@ -159,19 +161,55 @@ func TestDumpQuotesEmbeddedQuotes(t *testing.T) {
 	}
 }
 
-func TestDumpNotesInexpressibleMechanism(t *testing.T) {
+// TestSetMechanismRefusesTypeWithoutSQL: a mechanism type the dialect
+// cannot spell is refused with a typed error before anything changes — no
+// generation, no log entry, no mechanism — so no dump or replica can lose it.
+func TestSetMechanismRefusesTypeWithoutSQL(t *testing.T) {
 	e := smallWorld(t)
-	s, _ := e.Catalog().Sample("S")
-	s.Mechanism = fakeMech{}
-	script, err := e.DumpScript()
+	before, err := e.DumpScript()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(script, "not expressible in SQL") {
-		t.Errorf("dump should note inexpressible mechanism:\n%s", script)
+	gen := e.Generation()
+	err = e.SetSampleMechanism("S", fakeMech{})
+	var nse *mechanism.NoSQLError
+	if !errors.As(err, &nse) || nse.Type != "core.fakeMech" {
+		t.Fatalf("SetSampleMechanism(fakeMech) = %v, want a *mechanism.NoSQLError for core.fakeMech", err)
 	}
-	// The script must still restore cleanly (mechanism-less).
-	restore(t, script)
+	if e.Generation() != gen {
+		t.Errorf("a refused mechanism advanced the generation %d -> %d", gen, e.Generation())
+	}
+	if s, _ := e.Catalog().Sample("S"); s.Mechanism != nil {
+		t.Errorf("a refused mechanism was installed: %v", s.Mechanism)
+	}
+	if after, _ := e.DumpScript(); after != before {
+		t.Errorf("a refused mechanism changed the dump:\n%s\nwant\n%s", after, before)
+	}
+}
+
+// TestSetMechanismInstallsWhatReplays: SetSampleMechanism installs the
+// mechanism its logged ALTER SAMPLE parses to, not the caller's value, so a
+// follower replaying the statement installs the same one. A Stratified with
+// an empty, non-nil probability map writes no list: both install a design
+// without probabilities, which SEMI-OPEN answers by IPF.
+func TestSetMechanismInstallsWhatReplays(t *testing.T) {
+	e := smallWorld(t)
+	from := e.Generation()
+	if err := e.SetSampleMechanism("S", mechanism.Stratified{Attr: "grp", Percent: 10, Probs: map[string]float64{}}); err != nil {
+		t.Fatal(err)
+	}
+	stmts, _, err := e.DeltaScript(from)
+	if err != nil || len(stmts) != 1 || stmts[0].Src != "ALTER SAMPLE S USING MECHANISM STRATIFIED ON grp PERCENT 10" {
+		t.Fatalf("logged %+v (%v), want the one ALTER SAMPLE", stmts, err)
+	}
+	s, _ := e.Catalog().Sample("S")
+	if m, ok := s.Mechanism.(mechanism.Stratified); !ok || m.Probs != nil {
+		t.Errorf("installed %#v, want the parsed design with nil Probs", s.Mechanism)
+	}
+	if out, err := e.ExecScript("EXPLAIN SELECT SEMI-OPEN COUNT(*) FROM World"); err != nil ||
+		!strings.Contains(out[0].String(), "IPF reweighting") {
+		t.Errorf("EXPLAIN = %v (%v), want IPF", out, err)
+	}
 }
 
 type fakeMech struct{}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,10 +69,13 @@ type Options struct {
 	Shards int
 	// StmtLogSize bounds the per-generation statement log that backs
 	// follower delta catch-up (GET /v1/snapshot/delta): the engine retains
-	// the SQL source of the most recent StmtLogSize mutations. A follower
-	// whose generation has fallen out of the window re-bootstraps from a
-	// full snapshot. 0 (the default) means 1024; negative disables retention
-	// entirely (every delta request forces a full snapshot).
+	// an entry for each of the most recent StmtLogSize mutations — a
+	// statement's SQL source, or a reference to the rows or the marginal a
+	// COPY, an ingestion or AddMarginal stored, rendered as SQL when a delta
+	// is served. A follower whose generation has fallen out of the window
+	// re-bootstraps from a full snapshot. 0 (the default) means 1024;
+	// negative disables retention entirely (every delta request forces a
+	// full snapshot).
 	StmtLogSize int
 	// IPF tunes the SEMI-OPEN fit.
 	IPF ipf.Options
@@ -129,8 +133,8 @@ type Engine struct {
 	gen atomic.Uint64
 
 	// log is the bounded statement log paired with gen: every generation
-	// bump appends the mutation's SQL source (or a barrier when it has
-	// none), so followers can catch up by replaying the generation delta.
+	// bump appends the mutation's SQL source, or the rows or marginal it
+	// stored, so followers can catch up by replaying the generation delta.
 	// Guarded by mu — appends under the write lock, reads under the read
 	// lock.
 	log stmtLog
@@ -302,8 +306,10 @@ func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 func (e *Engine) Options() Options { return e.opts }
 
 // Generation returns the engine's DDL/DML generation counter. It advances on
-// every mutation (CREATE/INSERT/DROP/COPY/UPDATE, ingestion, mechanism and
-// marginal changes); prepared statements use it to detect stale plans.
+// every statement that mutates or fails to (CREATE/ALTER/INSERT/DROP/COPY/
+// UPDATE, SetSampleMechanism's ALTER SAMPLE) and on every ingestion or
+// marginal the Go API stores; a Go-API write refused before it changes
+// anything leaves it alone. Prepared statements use it to detect stale plans.
 func (e *Engine) Generation() uint64 { return e.gen.Load() }
 
 // ExecScript parses and executes a semicolon-separated script, returning the
@@ -389,49 +395,19 @@ func (e *Engine) execScriptStmt(ctx context.Context, st sql.ScriptStmt) (*exec.R
 	return nil, e.execMutation(st.Stmt, st.Source)
 }
 
-// Exec executes one parsed statement. SELECT and EXPLAIN run on the shared
-// read path; every other statement takes the engine write lock.
-func (e *Engine) Exec(st sql.Statement) (*exec.Result, error) {
-	return e.ExecContext(context.Background(), st)
-}
-
-// ExecContext is Exec with a cancellation context. SELECTs honor it at every
-// engine checkpoint; DDL/DML checks it before taking the write lock and then
-// runs to completion (partial mutations are never left behind). A mutation
-// executed through this parsed-statement entry point has no SQL source, so
-// it lands in the replication log as a barrier — followers crossing it
-// re-bootstrap from a full snapshot. Script execution (ExecScriptContext)
-// retains each statement's source and replicates incrementally.
-func (e *Engine) ExecContext(ctx context.Context, st sql.Statement) (*exec.Result, error) {
-	switch s := st.(type) {
-	case *sql.Select:
-		return e.QueryContext(ctx, s)
-	case *sql.Explain:
-		return e.Explain(s.Query)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return nil, e.execMutation(st, "")
-}
-
 // execMutation runs one DDL/DML statement under the write lock, appending it
 // to the replication log and advancing the generation in the same critical
 // section — so a reader holding the read lock always observes a (state,
 // generation, log) triple that agree. source is the statement's exact SQL
-// text; "" logs a barrier entry.
+// text.
 func (e *Engine) execMutation(st sql.Statement, source string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var err error
-	replays := false // source replays without error, whatever err is
+	ent := logEntry{src: source}
 	defer func() {
-		if source == "" {
-			e.log.appendBarrier()
-		} else {
-			e.log.append(source, err != nil && !replays)
-		}
-		e.gen.Add(1)
+		ent.failed = err != nil && ent.render == nil
+		e.logged(ent)
 	}()
 	switch s := st.(type) {
 	case *sql.CreateTable:
@@ -440,6 +416,8 @@ func (e *Engine) execMutation(st sql.Statement, source string) error {
 		err = e.execCreatePopulation(s)
 	case *sql.CreateSample:
 		err = e.execCreateSample(s)
+	case *sql.AlterSample:
+		err = e.execAlterSample(s)
 	case *sql.CreateMetadata:
 		err = e.execCreateMetadata(s)
 	case *sql.Insert:
@@ -454,9 +432,9 @@ func (e *Engine) execMutation(st sql.Statement, source string) error {
 		// A follower replays the rows the COPY stored, not its source: they
 		// load whole and without error, wherever the source read them from
 		// and however it ended.
-		var stored string
-		if stored, err = e.execCopy(s); stored != "" {
-			source, replays = stored, true
+		var rows logEntry
+		if rows, err = e.execCopy(s); rows.render != nil {
+			ent = rows
 		}
 	default:
 		err = fmt.Errorf("core: unsupported statement %T", st)
@@ -464,20 +442,40 @@ func (e *Engine) execMutation(st sql.Statement, source string) error {
 	return err
 }
 
-// logBarrierAndBump records a non-replayable mutation (no SQL source) in
-// the statement log and advances the generation. Callers hold the write
-// lock.
-func (e *Engine) logBarrierAndBump() {
-	e.log.appendBarrier()
+// logged appends ent to the statement log and advances the generation.
+// Callers hold the write lock.
+func (e *Engine) logged(ent logEntry) {
+	e.log.push(ent)
 	e.gen.Add(1)
+}
+
+// rowsEntry is the log entry of the rows a bulk load stored into rel, the
+// table t, from row n0 on: it renders them as a COPY block when a delta is
+// served. It holds t, never a snapshot, whose columns later appends would
+// reallocate, and copies the rows' weights only when weighted (they may be
+// other than 1) and they are not all 1. That is enough because engine
+// tables are append-only (nothing calls table.Truncate): rows [n0, t.Len())
+// keep their values for as long as t lives, whatever its name comes to
+// mean, and UPDATE SAMPLE, which rewrites weights, is logged after them.
+func (e *Engine) rowsEntry(rel string, t *table.Table, n0 int, weighted bool) logEntry {
+	n := t.Len() - n0
+	var wts []float64
+	if e.log.cap > 0 && weighted {
+		if w := t.Snapshot().Weights()[n0:]; !unitWeights(w) {
+			wts = slices.Clone(w)
+		}
+	}
+	return logEntry{render: func() string {
+		cols, row := storedRows(t.Snapshot(), n0, wts)
+		return string(sql.AppendBlock(nil, rel, cols, n, row))
+	}}
 }
 
 // DeltaScript returns the statements that advance this engine from
 // generation `from` to the current generation, in execution order, plus the
 // current generation itself. ErrLogTruncated means the range is
-// unserviceable (fell out of the bounded log, lies in the future, or
-// crosses a non-replayable barrier) and the follower must re-bootstrap from
-// a full snapshot.
+// unserviceable (fell out of the bounded log or lies in the future) and the
+// follower must re-bootstrap from a full snapshot.
 func (e *Engine) DeltaScript(from uint64) ([]LogStmt, uint64, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -561,38 +559,35 @@ func (e *Engine) execCreateSample(s *sql.CreateSample) error {
 		}
 		sc = ps
 	}
-	var mech mechanism.Mechanism
-	if s.Mechanism != nil {
-		switch s.Mechanism.Kind {
-		case "UNIFORM":
-			mech = mechanism.Uniform{Percent: s.Mechanism.Percent}
-		case "STRATIFIED":
-			// Per-stratum probabilities depend on the (unknown) population
-			// stratum sizes; the catalog records the design and the engine
-			// treats the mechanism as known only after the user supplies the
-			// probabilities via SetSampleMechanism. Until then SEMI-OPEN
-			// falls back to IPF.
-			mech = mechanism.Stratified{Attr: s.Mechanism.Attr, Percent: s.Mechanism.Percent}
-		default:
-			return fmt.Errorf("core: unknown mechanism %q", s.Mechanism.Kind)
-		}
-	}
-	_, err := e.cat.CreateSample(s.Name, s.From, s.Where, sc, mech)
+	_, err := e.cat.CreateSample(s.Name, s.From, s.Where, sc, s.Mechanism)
 	return err
 }
 
-// SetSampleMechanism installs or replaces a sample's mechanism (the Go-API
-// hook for mechanisms SQL cannot express, e.g. computed stratified
-// probabilities or predicate-biased designs).
+// SetSampleMechanism installs or replaces a sample's mechanism: it renders
+// ALTER SAMPLE sample USING MECHANISM m, parses that and executes it, so the
+// engine installs exactly the mechanism a follower replaying the statement
+// does. A mechanism of a type SQL cannot spell is refused with a
+// *mechanism.NoSQLError, and one whose rendering does not parse (a
+// probability outside (0, 1], say) with the parser's error, both before
+// anything changes.
 func (e *Engine) SetSampleMechanism(sample string, m mechanism.Mechanism) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	defer e.logBarrierAndBump()
-	s, ok := e.cat.Sample(sample)
-	if !ok {
-		return fmt.Errorf("core: no sample %q", sample)
+	if err := mechanism.CheckSQL(m); err != nil {
+		return err
 	}
-	s.SetMechanism(m)
+	src := (&sql.AlterSample{Sample: sample, Mechanism: m}).String()
+	st, err := sql.ParseStatement(src)
+	if err != nil {
+		return fmt.Errorf("core: SetSampleMechanism(%q, %s): %w", sample, m.Name(), err)
+	}
+	return e.execMutation(st, src)
+}
+
+func (e *Engine) execAlterSample(s *sql.AlterSample) error {
+	smp, ok := e.cat.Sample(s.Sample)
+	if !ok {
+		return fmt.Errorf("core: no sample %q", s.Sample)
+	}
+	smp.SetMechanism(s.Mechanism)
 	return nil
 }
 
@@ -657,13 +652,22 @@ func (e *Engine) execCreateMetadata(s *sql.CreateMetadata) error {
 }
 
 // AddMarginal attaches a programmatically built marginal to a population.
-// The engine keeps m: models and fits recognise it by pointer, so the caller
-// must not add to or rescale it afterwards.
+// The engine keeps m: models and fits recognise it by pointer, and the
+// statement log renders it when a delta is served, so the caller must not
+// add to or rescale it afterwards.
 func (e *Engine) AddMarginal(pop string, m *marginal.Marginal) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	defer e.logBarrierAndBump()
-	return e.cat.AddMarginal(pop, m)
+	if err := e.cat.AddMarginal(pop, m); err != nil {
+		return err
+	}
+	p, _ := e.cat.Population(pop)
+	e.logged(logEntry{render: func() string {
+		var b strings.Builder
+		writeMetadata(&b, p, m)
+		return b.String()
+	}})
+	return nil
 }
 
 // execInsert appends the rows of an INSERT. Into a sample, the column list
@@ -815,11 +819,12 @@ func (e *Engine) execUpdateWeights(s *sql.UpdateWeights) error {
 func (e *Engine) Ingest(relation string, rows [][]any) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	defer e.logBarrierAndBump()
 	t, err := e.sourceTable(relation)
 	if err != nil {
 		return err
 	}
+	n0 := t.Len()
+	defer func() { e.logged(e.rowsEntry(relation, t, n0, false)) }()
 	ri, err := appendRows(t, len(rows), false, builtRows(func(buf []value.Value, i int) ([]value.Value, error) {
 		for _, x := range rows[i] {
 			v, err := value.FromRaw(x)
@@ -842,11 +847,12 @@ func (e *Engine) Ingest(relation string, rows [][]any) error {
 func (e *Engine) IngestTable(relation string, src *table.Table) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	defer e.logBarrierAndBump()
 	dst, err := e.sourceTable(relation)
 	if err != nil {
 		return err
 	}
+	n0 := dst.Len()
+	defer func() { e.logged(e.rowsEntry(relation, dst, n0, false)) }()
 	snap := src.Snapshot()
 	ri, err := appendRows(dst, snap.Len(), false, builtRows(func(buf []value.Value, i int) ([]value.Value, error) {
 		return snap.AppendRow(buf, i), nil

@@ -146,13 +146,12 @@ func (e *Engine) shardPlan(s scan) string {
 
 // execCopy bulk-loads rows into a table or sample from a CSV file or from
 // an inline block. Like Ingest, it stops at the first row that fails and
-// keeps the rows before it. Once the relation resolves, stored is the block
-// of the rows it stored, what the statement log records for it while the
-// log retains anything.
-func (e *Engine) execCopy(c *sql.Copy) (stored string, err error) {
+// keeps the rows before it. Once the relation resolves, rows is the log
+// entry of the rows it stored.
+func (e *Engine) execCopy(c *sql.Copy) (rows logEntry, err error) {
 	t, err := e.sourceTable(c.Table)
 	if err != nil {
-		return "", fmt.Errorf("core: COPY %s: %v", c.Table, err)
+		return logEntry{}, fmt.Errorf("core: COPY %s: %v", c.Table, err)
 	}
 	_, sample := e.cat.Sample(c.Table)
 	n0 := t.Len()
@@ -161,12 +160,7 @@ func (e *Engine) execCopy(c *sql.Copy) (stored string, err error) {
 	} else {
 		err = copyCSV(t, c)
 	}
-	if e.log.cap > 0 {
-		snap := t.Snapshot()
-		cols, row := storedRows(snap, n0, sample && !unitWeights(snap.Weights()[n0:]))
-		stored = string(sql.AppendBlock(nil, c.Table, cols, snap.Len()-n0, row))
-	}
-	return stored, err
+	return e.rowsEntry(c.Table, t, n0, sample), err
 }
 
 // copyCSV loads a CSV file, coercing each field to the target column's

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"mosaic/internal/sql"
 	"mosaic/internal/value"
 )
 
@@ -265,15 +264,11 @@ func TestUnionSeedWeightsConcatenate(t *testing.T) {
 
 func TestExplainParsesThroughPublicScript(t *testing.T) {
 	e := smallWorld(t)
-	st, err := sql.ParseStatement("EXPLAIN SELECT OPEN COUNT(*) FROM World")
+	out, err := e.ExecScript("EXPLAIN SELECT OPEN COUNT(*) FROM World")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Exec(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 || res.Rows[0][0].Kind() != value.KindText {
+	if res := out[0]; len(res.Rows) == 0 || res.Rows[0][0].Kind() != value.KindText {
 		t.Errorf("explain result malformed: %v", res.Rows)
 	}
 }

@@ -4,6 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"mosaic/internal/marginal"
+	"mosaic/internal/mechanism"
+	"mosaic/internal/sql"
+	"mosaic/internal/table"
+	"mosaic/internal/value"
 )
 
 // TestStmtLogDeltaReplaysToIdenticalDump: the delta contract end to end —
@@ -122,27 +128,103 @@ func TestStmtLogTruncation(t *testing.T) {
 	}
 }
 
-// TestStmtLogBarrierPoisonsDelta: mutations without SQL source (Go-API
-// ingest) log barriers — any delta range crossing one refuses with
-// ErrLogTruncated instead of silently skipping the mutation.
-func TestStmtLogBarrierPoisonsDelta(t *testing.T) {
-	e := NewEngine(Options{})
-	exec1(t, e, `CREATE GLOBAL POPULATION P (g TEXT, v INT); CREATE SAMPLE S AS (SELECT * FROM P)`)
-	from := e.Generation()
-	if err := e.Ingest("S", [][]any{{"a", 1}}); err != nil {
-		t.Fatal(err)
-	}
-	exec1(t, e, `CREATE TABLE After (x INT)`)
-	if _, _, err := e.DeltaScript(from); !errors.Is(err, ErrLogTruncated) {
-		t.Errorf("delta across a Go-API barrier: err = %v, want ErrLogTruncated", err)
-	}
-	// A range strictly after the barrier is fine.
-	stmts, _, err := e.DeltaScript(from + 1)
+// TestStmtLogReplaysGoAPIWrites: every Go-API write — Ingest, IngestTable,
+// SetSampleMechanism and AddMarginal, each once succeeding and once failing
+// — lands in the statement log as something a follower replays, beside a
+// weighted COPY whose weights a later UPDATE SAMPLE rewrites. A delta across
+// all of them replays, each entry with the primary's outcome, to the
+// primary's dump and answers.
+func TestStmtLogReplaysGoAPIWrites(t *testing.T) {
+	primary := NewEngine(Options{Seed: 3})
+	exec1(t, primary, `
+		CREATE GLOBAL POPULATION P (g TEXT, v INT);
+		CREATE SAMPLE S AS (SELECT * FROM P);
+		CREATE TABLE T (g TEXT, v INT);
+	`)
+	script, g0, err := primary.DumpWithGeneration()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stmts) != 1 {
-		t.Errorf("post-barrier delta = %d stmts, want 1", len(stmts))
+	follower := restore(t, script)
+
+	tt, _ := primary.Catalog().Table("T")
+	src := table.New("src", tt.Schema())
+	for _, r := range [][]value.Value{{value.Text("a"), value.Int(1)}, {value.Text("b"), value.Int(2)}} {
+		if err := src.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := marginal.New("P_g", []string{"g"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		g string
+		n float64
+	}{{"a", 30}, {"b", 70}} {
+		if err := m.Add([]value.Value{value.Text(c.g)}, c.n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pred, err := sql.ParseExpr("v > 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := []struct {
+		name string
+		fail bool
+		do   func() error
+	}{
+		{"Ingest", false, func() error { return primary.Ingest("S", [][]any{{"a", 1}, {"b", 2}, {"b", 3}}) }},
+		{"Ingest bad row", true, func() error { return primary.Ingest("S", [][]any{{"a", 4}, {"a", "x"}}) }},
+		{"Ingest missing", true, func() error { return primary.Ingest("Nope", [][]any{{"a", 1}}) }},
+		{"IngestTable", false, func() error { return primary.IngestTable("T", src) }},
+		{"IngestTable missing", true, func() error { return primary.IngestTable("Nope", src) }},
+		{"SetSampleMechanism", false, func() error {
+			return primary.SetSampleMechanism("S", mechanism.Biased{Pred: pred, PTrue: 0.5, PFalse: 0.1})
+		}},
+		{"SetSampleMechanism missing", true, func() error {
+			return primary.SetSampleMechanism("Nope", mechanism.Uniform{Percent: 10})
+		}},
+		{"AddMarginal", false, func() error { return primary.AddMarginal("P", m) }},
+		{"AddMarginal twice", true, func() error { return primary.AddMarginal("P", m) }},
+		{"weighted COPY", false, func() error {
+			_, err := primary.ExecScript("COPY S (g, v, WEIGHT) FROM STDIN;\n'a'\t5\t2.5\n'b'\t6\t0.1\n\\.\n")
+			return err
+		}},
+		{"UPDATE SAMPLE", false, func() error {
+			_, err := primary.ExecScript("UPDATE SAMPLE S SET WEIGHT = WEIGHT * 2 WHERE v > 4")
+			return err
+		}},
+	}
+	for _, w := range writes {
+		if err := w.do(); (err != nil) != w.fail {
+			t.Fatalf("%s: err = %v, want failure %v", w.name, err, w.fail)
+		}
+	}
+	stmts, _, err := primary.DeltaScript(g0)
+	if err != nil {
+		t.Fatalf("delta across the Go-API writes: %v", err)
+	}
+	for _, st := range stmts {
+		if _, err := follower.ExecScript(st.Src); (err != nil) != st.Failed {
+			t.Fatalf("replay of %q: err = %v, primary failed = %v", st.Src, err, st.Failed)
+		}
+	}
+	want, _ := primary.DumpScript()
+	if got, _ := follower.DumpScript(); got != want {
+		t.Errorf("replayed follower dump differs from the primary's\nfollower:\n%s\nprimary:\n%s", got, want)
+	}
+	for _, q := range []string{
+		"SELECT SEMI-OPEN g, COUNT(*) FROM P GROUP BY g ORDER BY g",
+		"SELECT CLOSED g, SUM(v) FROM P GROUP BY g ORDER BY g",
+		"SELECT g, v, WEIGHT FROM S",
+	} {
+		a, errA := primary.ExecScript(q)
+		b, errB := follower.ExecScript(q)
+		if errA != nil || errB != nil || a[0].String() != b[0].String() {
+			t.Errorf("%s: primary %v (%v), follower %v (%v)", q, a, errA, b, errB)
+		}
 	}
 }
 

@@ -11,6 +11,9 @@ package mechanism
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strconv"
+	"strings"
 
 	"mosaic/internal/expr"
 	"mosaic/internal/schema"
@@ -20,7 +23,10 @@ import (
 
 // Mechanism yields the inclusion probability of a tuple.
 type Mechanism interface {
-	// Name identifies the mechanism for display and catalogs.
+	// Name identifies the mechanism for display and catalogs. For the
+	// package's mechanisms it is the SQL spelling of the USING MECHANISM
+	// clause, which parses back to an equal mechanism, every number to the
+	// same bits.
 	Name() string
 	// InclusionProb returns Pr_S(t) in (0,1] for the given row.
 	InclusionProb(row []value.Value, s *schema.Schema) (float64, error)
@@ -32,8 +38,8 @@ type Uniform struct {
 	Percent float64 // in (0,100]
 }
 
-// Name implements Mechanism.
-func (u Uniform) Name() string { return fmt.Sprintf("UNIFORM PERCENT %g", u.Percent) }
+// Name implements Mechanism: UNIFORM PERCENT <Percent>.
+func (u Uniform) Name() string { return "UNIFORM PERCENT " + number(u.Percent) }
 
 // InclusionProb implements Mechanism.
 func (u Uniform) InclusionProb([]value.Value, *schema.Schema) (float64, error) {
@@ -55,9 +61,23 @@ type Stratified struct {
 	Probs map[string]float64
 }
 
-// Name implements Mechanism.
+// Name implements Mechanism: STRATIFIED ON <Attr> PERCENT <Percent>, then,
+// when Probs is not empty, WITH PROBABILITIES (<stratum> <p>, …), the
+// strata in HashKey order, each written as the literal it is the key of.
 func (s Stratified) Name() string {
-	return fmt.Sprintf("STRATIFIED ON %s PERCENT %g", s.Attr, s.Percent)
+	b := "STRATIFIED ON " + s.Attr + " PERCENT " + number(s.Percent)
+	if len(s.Probs) == 0 {
+		return b
+	}
+	keys := make([]string, 0, len(s.Probs))
+	for k := range s.Probs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for i, k := range keys {
+		keys[i] = stratumSQL(k) + " " + number(s.Probs[k])
+	}
+	return b + " WITH PROBABILITIES (" + strings.Join(keys, ", ") + ")"
 }
 
 // InclusionProb implements Mechanism.
@@ -77,18 +97,50 @@ func (s Stratified) InclusionProb(row []value.Value, sc *schema.Schema) (float64
 // with PFalse. This models the paper's flights sample: "95 percent of the
 // tuples have a long flight time" is a biased mechanism on E > 200.
 type Biased struct {
-	Label  string
 	Pred   expr.Expr
 	PTrue  float64
 	PFalse float64
 }
 
-// Name implements Mechanism.
+// Name implements Mechanism: BIASED ON <Pred> WITH PROBABILITIES
+// (TRUE <PTrue>, FALSE <PFalse>).
 func (b Biased) Name() string {
-	if b.Label != "" {
-		return b.Label
+	return fmt.Sprintf("BIASED ON %s WITH PROBABILITIES (TRUE %s, FALSE %s)", b.Pred, number(b.PTrue), number(b.PFalse))
+}
+
+// NoSQLError refuses a mechanism whose type is not one of this package's:
+// the SQL dialect has no spelling for it, so no statement, dump or replica
+// could carry it.
+type NoSQLError struct {
+	Type string // the mechanism's Go type, e.g. "main.myMechanism"
+}
+
+func (e *NoSQLError) Error() string {
+	return fmt.Sprintf("mechanism: %s has no SQL form; a sample's mechanism must be UNIFORM, STRATIFIED or BIASED", e.Type)
+}
+
+// CheckSQL returns a *NoSQLError unless m is a Uniform, Stratified or
+// Biased: the mechanisms whose Name is SQL.
+func CheckSQL(m Mechanism) error {
+	switch m.(type) {
+	case Uniform, Stratified, Biased:
+		return nil
 	}
-	return fmt.Sprintf("BIASED ON %s (p=%g else %g)", b.Pred, b.PTrue, b.PFalse)
+	return &NoSQLError{Type: fmt.Sprintf("%T", m)}
+}
+
+// number writes f in the shortest form that parses back to the same bits.
+func number(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+
+// stratumSQL writes the literal whose value.HashKey is k, as
+// value.AppendSQL writes it. A key no value has writes as ?, which no
+// stratum list accepts.
+func stratumSQL(k string) string {
+	v, ok := value.FromHashKey(k)
+	if !ok {
+		return "?"
+	}
+	return string(value.AppendSQL(nil, v))
 }
 
 // InclusionProb implements Mechanism.

@@ -1,10 +1,11 @@
-package mechanism
+package mechanism_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"mosaic/internal/mechanism"
 	"mosaic/internal/schema"
 	"mosaic/internal/sql"
 	"mosaic/internal/table"
@@ -34,15 +35,15 @@ func pop(t *testing.T, n int) *table.Table {
 }
 
 func TestUniformProbability(t *testing.T) {
-	u := Uniform{Percent: 10}
+	u := mechanism.Uniform{Percent: 10}
 	p, err := u.InclusionProb(nil, nil)
 	if err != nil || p != 0.1 {
 		t.Errorf("uniform prob = %g, %v", p, err)
 	}
-	if _, err := (Uniform{Percent: 0}).InclusionProb(nil, nil); err == nil {
+	if _, err := (mechanism.Uniform{Percent: 0}).InclusionProb(nil, nil); err == nil {
 		t.Error("percent 0 should fail")
 	}
-	if _, err := (Uniform{Percent: 150}).InclusionProb(nil, nil); err == nil {
+	if _, err := (mechanism.Uniform{Percent: 150}).InclusionProb(nil, nil); err == nil {
 		t.Error("percent 150 should fail")
 	}
 	if got := u.Name(); got != "UNIFORM PERCENT 10" {
@@ -52,7 +53,7 @@ func TestUniformProbability(t *testing.T) {
 
 func TestStratifiedForEqualAllocation(t *testing.T) {
 	p := pop(t, 1000)
-	st, err := StratifiedFor(p, "g", 20)
+	st, err := mechanism.StratifiedFor(p, "g", 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,16 +80,16 @@ func TestStratifiedForEqualAllocation(t *testing.T) {
 	if math.Abs(expected-200) > k {
 		t.Errorf("total expected sample %g, want ≈200", expected)
 	}
-	if _, err := StratifiedFor(p, "nope", 20); err == nil {
+	if _, err := mechanism.StratifiedFor(p, "nope", 20); err == nil {
 		t.Error("missing attribute should fail")
 	}
-	if _, err := StratifiedFor(p, "g", 0); err == nil {
+	if _, err := mechanism.StratifiedFor(p, "g", 0); err == nil {
 		t.Error("percent 0 should fail")
 	}
 }
 
 func TestStratifiedInclusionProb(t *testing.T) {
-	st := Stratified{Attr: "g", Percent: 10, Probs: map[string]float64{
+	st := mechanism.Stratified{Attr: "g", Percent: 10, Probs: map[string]float64{
 		value.Text("a").HashKey(): 0.05,
 	}}
 	row := []value.Value{value.Text("a"), value.Int(1)}
@@ -107,7 +108,7 @@ func TestBiasedMechanism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := Biased{Pred: pred, PTrue: 0.9, PFalse: 0.1}
+	b := mechanism.Biased{Pred: pred, PTrue: 0.9, PFalse: 0.1}
 	hi := []value.Value{value.Text("a"), value.Int(200)}
 	lo := []value.Value{value.Text("a"), value.Int(50)}
 	if p, _ := b.InclusionProb(hi, sc); p != 0.9 {
@@ -119,15 +120,12 @@ func TestBiasedMechanism(t *testing.T) {
 	if b.Name() == "" {
 		t.Error("Name should not be empty")
 	}
-	if (Biased{Label: "L", Pred: pred}).Name() != "L" {
-		t.Error("label should override name")
-	}
 }
 
 func TestInverseWeightsHorvitzThompson(t *testing.T) {
 	p := pop(t, 100)
-	u := Uniform{Percent: 25}
-	w, err := InverseWeights(p, u)
+	u := mechanism.Uniform{Percent: 25}
+	w, err := mechanism.InverseWeights(p, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +134,7 @@ func TestInverseWeightsHorvitzThompson(t *testing.T) {
 			t.Fatalf("weight = %g, want 4", x)
 		}
 	}
-	if err := ApplyInverseWeights(p, u); err != nil {
+	if err := mechanism.ApplyInverseWeights(p, u); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.TotalWeight(); got != 400 {
@@ -146,8 +144,8 @@ func TestInverseWeightsHorvitzThompson(t *testing.T) {
 
 func TestInverseWeightsRejectBadProbs(t *testing.T) {
 	p := pop(t, 10)
-	st := Stratified{Attr: "g", Probs: map[string]float64{}}
-	if _, err := InverseWeights(p, st); err == nil {
+	st := mechanism.Stratified{Attr: "g", Probs: map[string]float64{}}
+	if _, err := mechanism.InverseWeights(p, st); err == nil {
 		t.Error("missing stratum probs should fail")
 	}
 }
@@ -155,7 +153,7 @@ func TestInverseWeightsRejectBadProbs(t *testing.T) {
 func TestSampleDrawsExpectedFraction(t *testing.T) {
 	p := pop(t, 20000)
 	rng := rand.New(rand.NewSource(1))
-	s, err := Sample(p, Uniform{Percent: 10}, "s", rng)
+	s, err := mechanism.Sample(p, mechanism.Uniform{Percent: 10}, "s", rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,13 +167,13 @@ func TestSampleThenReweightRecoversPopulation(t *testing.T) {
 	// End-to-end Horvitz–Thompson: biased draw + inverse weights ≈ truth.
 	p := pop(t, 30000)
 	pred, _ := sql.ParseExpr("x > 15000")
-	mech := Biased{Pred: pred, PTrue: 0.3, PFalse: 0.05}
+	mech := mechanism.Biased{Pred: pred, PTrue: 0.3, PFalse: 0.05}
 	rng := rand.New(rand.NewSource(2))
-	s, err := Sample(p, mech, "s", rng)
+	s, err := mechanism.Sample(p, mech, "s", rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyInverseWeights(s, mech); err != nil {
+	if err := mechanism.ApplyInverseWeights(s, mech); err != nil {
 		t.Fatal(err)
 	}
 	got := s.TotalWeight()
@@ -187,12 +185,12 @@ func TestSampleThenReweightRecoversPopulation(t *testing.T) {
 func TestStratifiedSampleCoversSmallStrata(t *testing.T) {
 	// Equal allocation oversamples small strata; every stratum must appear.
 	p := pop(t, 10000)
-	st, err := StratifiedFor(p, "g", 10)
+	st, err := mechanism.StratifiedFor(p, "g", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	s, err := Sample(p, st, "s", rng)
+	s, err := mechanism.Sample(p, st, "s", rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,13 @@
 //     processes, by the determinism contract); the follower discards its
 //     state and re-bootstraps from a full snapshot rather than serve wrong
 //     answers.
-//   - Mutations that entered the primary through the Go API (Ingest,
-//     SetMechanism, ...) have no SQL source; the primary logs them as
-//     barriers that poison delta ranges, and the follower falls back to a
-//     full snapshot — never skipping or guessing a statement.
+//   - Every mutation is a statement in the delta, including those that
+//     entered the primary through the Go API: Ingest and IngestTable arrive
+//     as the COPY blocks of the rows they stored, SetMechanism as the ALTER
+//     SAMPLE it executed, AddMarginal as the staging script a dump writes.
+//     A follower falls back to a full snapshot only when the primary's
+//     bounded log no longer covers its generation — never skipping or
+//     guessing a statement.
 //   - A follower replays only answers in its snapshot format
 //     (wire.SnapshotFormat, named by every snapshot and delta answer). A
 //     primary of another version is refused with a *client.FormatError and
@@ -200,7 +203,7 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 // SyncOnce advances the follower by one round: fetch the statement suffix
 // since the replicated generation and replay it, falling back to a full
 // Bootstrap when the primary's log no longer covers the range (410 Gone:
-// truncated, barriered, or a primary that restarted to an older counter).
+// truncated, or a primary that restarted to an older counter).
 func (f *Follower) SyncOnce(ctx context.Context) error {
 	if f.dirty.Load() {
 		// A previous apply aborted mid-suffix; the state between generations

@@ -18,8 +18,10 @@ import (
 
 	"mosaic"
 	"mosaic/client"
+	"mosaic/internal/mechanism"
 	"mosaic/internal/repl"
 	"mosaic/internal/server"
+	"mosaic/internal/sql"
 	"mosaic/internal/wire"
 )
 
@@ -155,28 +157,76 @@ func TestFollowerTruncationFallsBackToFullBootstrap(t *testing.T) {
 	}
 }
 
-// TestFollowerGoAPIBarrierForcesFullSnapshot: a primary mutation with no
-// SQL source (Go-API Ingest) poisons the delta range; the follower must
-// take the full-snapshot path and still converge byte-identically.
-func TestFollowerGoAPIBarrierForcesFullSnapshot(t *testing.T) {
+// TestFollowerCrossesGoAPIWritesByDelta: primary mutations made through the
+// Go API — Ingest, IngestTable, SetMechanism and AddMarginal, each once
+// succeeding and once failing — reach the follower as a delta. It neither
+// re-bootstraps nor counts a truncation, and it answers as the primary does.
+func TestFollowerCrossesGoAPIWritesByDelta(t *testing.T) {
 	opts := testOpts()
 	pdb, url := startPrimary(t, opts)
-	if err := pdb.Exec("CREATE GLOBAL POPULATION P (g TEXT, v INT); CREATE SAMPLE S AS (SELECT * FROM P)"); err != nil {
+	if err := pdb.Exec(`
+		CREATE GLOBAL POPULATION P (g TEXT, v INT);
+		CREATE SAMPLE S AS (SELECT * FROM P);
+		CREATE TABLE T (g TEXT, v INT);
+		INSERT INTO T VALUES ('a', 1), ('b', 2);
+	`); err != nil {
 		t.Fatal(err)
 	}
 	fdb, f := newFollower(t, url, opts)
 	if err := f.Bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := pdb.Ingest("S", [][]any{{"a", 1}, {"b", 2}}); err != nil {
+	src, err := pdb.Table("T")
+	if err != nil {
 		t.Fatal(err)
+	}
+	m, err := mosaic.NewMarginal("P_g", []string{"g"}, [][]any{{"a", 40}, {"b", 60}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := sql.ParseExpr("g = 'a'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	biased := mechanism.Biased{Pred: pred, PTrue: 0.5, PFalse: 0.25}
+	for i, w := range []struct {
+		fail bool
+		do   func() error
+	}{
+		{false, func() error { return pdb.Ingest("S", [][]any{{"a", 1}, {"b", 2}, {"a", 3}}) }},
+		{true, func() error { return pdb.Ingest("S", [][]any{{"b", 4}, {"b", "x"}}) }},
+		{false, func() error { return pdb.Engine().IngestTable("S", src) }},
+		{true, func() error { return pdb.Engine().IngestTable("Nope", src) }},
+		{false, func() error { return pdb.SetMechanism("S", biased) }},
+		{true, func() error { return pdb.SetMechanism("Nope", biased) }},
+		{false, func() error { return pdb.AddMarginal("P", m) }},
+		{true, func() error { return pdb.AddMarginal("P", m) }},
+	} {
+		if err := w.do(); (err != nil) != w.fail {
+			t.Fatalf("write %d: err = %v, want failure %v", i, err, w.fail)
+		}
 	}
 	if err := f.SyncOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	dumpsEqual(t, "post-barrier", pdb, fdb)
-	if st := f.Stats(); st.Truncations != 1 || st.FullSyncs != 2 {
-		t.Errorf("stats = truncations %d / full %d, want 1 / 2", st.Truncations, st.FullSyncs)
+	dumpsEqual(t, "post-Go-API", pdb, fdb)
+	st := f.Stats()
+	if st.Truncations != 0 || st.FullSyncs != 1 || st.DeltaSyncs != 1 {
+		t.Errorf("stats = truncations %d / full %d / delta %d, want 0 / 1 / 1", st.Truncations, st.FullSyncs, st.DeltaSyncs)
+	}
+	if g, ok := f.ReplicatedGeneration(); !ok || g != pdb.Engine().Generation() {
+		t.Errorf("replicated generation (%d, %v), primary at %d", g, ok, pdb.Engine().Generation())
+	}
+	for _, q := range []string{
+		"SELECT SEMI-OPEN COUNT(*) FROM P",
+		"SELECT SEMI-OPEN g, COUNT(*) FROM P GROUP BY g ORDER BY g",
+		"EXPLAIN SELECT SEMI-OPEN COUNT(*) FROM P",
+	} {
+		want, errP := pdb.Run(q)
+		got, errF := fdb.Run(q)
+		if errP != nil || errF != nil || got[0].String() != want[0].String() {
+			t.Errorf("%s: follower %v (%v), primary %v (%v)", q, got, errF, want, errP)
+		}
 	}
 }
 
@@ -381,7 +431,7 @@ func TestFollowerRefusesOtherSnapshotFormats(t *testing.T) {
 			t.Errorf("%s: stats %+v, want %d format refusals and sync errors", what, st, want)
 		}
 	}
-	for i, format := range []string{"", "1", "3"} {
+	for i, format := range []string{"", "1", "2", "4"} {
 		snapFormat = format
 		refused(fmt.Sprintf("snapshot format %q", format), f.Bootstrap(context.Background()), int64(i+1))
 		if g := db.Engine().Generation(); g != 0 {
@@ -392,8 +442,8 @@ func TestFollowerRefusesOtherSnapshotFormats(t *testing.T) {
 	if err := f.Bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	deltaFormat = "1"
-	refused("delta format \"1\"", f.SyncOnce(context.Background()), 4)
+	deltaFormat = "2"
+	refused("delta format \"2\"", f.SyncOnce(context.Background()), 5)
 	if n, err := db.Scalar("SELECT COUNT(*) FROM T"); err != nil || n != 2 || f.Generation() != 2 {
 		t.Errorf("follower holds %g rows at generation %d (%v) after a refused delta, want 2 at 2", n, f.Generation(), err)
 	}

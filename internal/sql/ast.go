@@ -1,7 +1,7 @@
 // Package sql implements Mosaic's SQL dialect: a hand-written lexer and
 // recursive-descent parser for standard SELECT/INSERT/CREATE TABLE plus the
 // paper's extensions — CREATE [GLOBAL] POPULATION, CREATE SAMPLE ... USING
-// MECHANISM, CREATE METADATA, and the SELECT visibility keyword
+// MECHANISM, ALTER SAMPLE, CREATE METADATA, and the SELECT visibility keyword
 // (CLOSED | SEMI-OPEN | OPEN).
 package sql
 
@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"mosaic/internal/expr"
+	"mosaic/internal/mechanism"
 	"mosaic/internal/schema"
 	"mosaic/internal/value"
 )
@@ -202,13 +203,6 @@ func (s *Select) IsAggregate() bool {
 	return len(s.GroupBy) > 0 || s.HasAggregates()
 }
 
-// MechanismSpec is the USING MECHANISM clause of CREATE SAMPLE.
-type MechanismSpec struct {
-	Kind    string  // "UNIFORM" or "STRATIFIED"
-	Attr    string  // stratification attribute (STRATIFIED only)
-	Percent float64 // sample size as percent of the global population
-}
-
 // CreateTable creates an auxiliary relation (ordinary SQL table).
 type CreateTable struct {
 	Name      string
@@ -233,14 +227,30 @@ func (*CreatePopulation) stmt() {}
 type CreateSample struct {
 	Name      string
 	Schema    *schema.Schema
-	From      string    // the global population sampled from
-	Where     expr.Expr // optional defining predicate
-	Columns   []string  // projected attributes from the SELECT
-	Star      bool      // SELECT *
-	Mechanism *MechanismSpec
+	From      string              // the global population sampled from
+	Where     expr.Expr           // optional defining predicate
+	Columns   []string            // projected attributes from the SELECT
+	Star      bool                // SELECT *
+	Mechanism mechanism.Mechanism // the USING MECHANISM clause; nil without one
 }
 
 func (*CreateSample) stmt() {}
+
+// AlterSample installs or replaces a sample's mechanism:
+// ALTER SAMPLE s USING MECHANISM m. It is how a mechanism set through the
+// Go API enters the statement log.
+type AlterSample struct {
+	Sample    string
+	Mechanism mechanism.Mechanism
+}
+
+func (*AlterSample) stmt() {}
+
+// String renders the statement; for the mechanisms of package mechanism it
+// parses back to an equal statement.
+func (a *AlterSample) String() string {
+	return "ALTER SAMPLE " + a.Sample + " USING MECHANISM " + a.Mechanism.Name()
+}
 
 // CreateMetadata attaches a marginal to a population (paper Sec 3.2).
 // The marginal is a 1-D or 2-D GROUP BY COUNT(*) over an auxiliary relation.

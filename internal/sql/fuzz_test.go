@@ -79,13 +79,33 @@ var fuzzSeedCorpus = []string{
 	strings.Repeat("(", 500),
 	strings.Repeat("SELECT * FROM t;", 100),
 	`SELECT a FROM t WHERE ` + strings.Repeat("NOT ", 500) + `x`,
+	// Mechanisms, every kind and every stratum kind, in CREATE SAMPLE and
+	// ALTER SAMPLE.
+	`CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 12.5)`,
+	`CREATE SAMPLE S (a INT) AS (SELECT a FROM P WHERE a > 1 USING MECHANISM STRATIFIED ON a PERCENT 20)`,
+	`CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM STRATIFIED ON g PERCENT 20 WITH PROBABILITIES ('north' 0.5, 'it''s' 0.25, NULL 1))`,
+	`CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM STRATIFIED ON i PERCENT 5 WITH PROBABILITIES (1 0.5, -2 0.25, 9007199254740993 1e-05))`,
+	`CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM STRATIFIED ON f PERCENT 1e-3 WITH PROBABILITIES (0.1 0.5, FLOAT '-0' 0.25, FLOAT 'NaN' 0.125, 1e+300 1, FLOAT '-Inf' 0.3))`,
+	`CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM STRATIFIED ON b PERCENT 50 WITH PROBABILITIES (TRUE 0.75, FALSE 0.0625))`,
+	`CREATE SAMPLE S AS (SELECT * FROM P WHERE g = 'x' USING MECHANISM BIASED ON x > 1.5e-7 AND y < -0.25 WITH PROBABILITIES (TRUE 0.95, FALSE 0.05))`,
+	`ALTER SAMPLE S USING MECHANISM UNIFORM PERCENT 100`,
+	`alter sample S using mechanism biased on f = 0.1 OR f IN (2.5, FLOAT '+Inf') with probabilities (true 1, false 0.3)`,
+	`ALTER SAMPLE S USING MECHANISM STRATIFIED ON s PERCENT 0.1 WITH PROBABILITIES ('a' 0.1, 'b' 0.2, 'c' 0.30000000000000004)`,
+	`ALTER SAMPLE S USING MECHANISM BIASED ON x WITH PROBABILITIES (FALSE 0.1, TRUE 0.5)`,
+	`ALTER SAMPLE S USING MECHANISM BIASED ON x WITH PROBABILITIES (TRUE 0, FALSE 1)`,
+	`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES ('a' 0.5, 'a' 0.5)`,
+	`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES ()`,
+	`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES (a 0.5)`,
+	`ALTER SAMPLE S USING MECHANISM UNIFORM PERCENT 5; ALTER TABLE t`,
+	`ALTER SAMPLE S`,
 }
 
 // FuzzParse is the parser's no-panic and round-trip guarantee: Parse must
-// never panic on arbitrary bytes, and any SELECT or COPY it accepts must
-// re-render to SQL that parses back to the same rendering (a fixed point
-// after one round); a COPY block renders with its rows. The corpus seeds
-// every statement form plus malformed inputs.
+// never panic on arbitrary bytes, and any SELECT, COPY, CREATE SAMPLE or
+// ALTER SAMPLE it accepts must re-render to SQL that parses back to the same
+// rendering (a fixed point after one round); a COPY block renders with its
+// rows, a mechanism as its Name. The corpus seeds every statement form plus
+// malformed inputs.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeedCorpus {
 		f.Add(s)
@@ -122,14 +142,19 @@ func FuzzLex(f *testing.F) {
 	})
 }
 
-// roundTrip renders a SELECT or a COPY, parses the rendering and renders
-// that again: the two renderings must be equal. Other statements pass.
+// roundTrip renders a SELECT, a COPY, a CREATE SAMPLE or an ALTER SAMPLE,
+// parses the rendering and renders that again: the two renderings must be
+// equal. Other statements pass.
 func roundTrip(st Statement) error {
 	render := func(st Statement) (string, bool) {
 		switch s := st.(type) {
 		case *Select:
 			return renderSelect(s), true
 		case *Copy:
+			return s.String(), true
+		case *CreateSample:
+			return renderCreateSample(s), true
+		case *AlterSample:
 			return s.String(), true
 		}
 		return "", false
@@ -206,6 +231,28 @@ func renderSelect(sel *Select) string {
 		fmt.Fprintf(&b, " LIMIT %d", sel.Limit)
 	}
 	return b.String()
+}
+
+// renderCreateSample reconstructs the SQL text of a parsed CREATE SAMPLE,
+// its mechanism as the mechanism's Name.
+func renderCreateSample(cs *CreateSample) string {
+	var b strings.Builder
+	b.WriteString("CREATE SAMPLE " + cs.Name)
+	if cs.Schema != nil {
+		b.WriteString(" " + cs.Schema.String())
+	}
+	cols := "*"
+	if !cs.Star {
+		cols = strings.Join(cs.Columns, ", ")
+	}
+	b.WriteString(" AS (SELECT " + cols + " FROM " + cs.From)
+	if cs.Where != nil {
+		b.WriteString(" WHERE " + cs.Where.String())
+	}
+	if cs.Mechanism != nil {
+		b.WriteString(" USING MECHANISM " + cs.Mechanism.Name())
+	}
+	return b.String() + ")"
 }
 
 // TestRenderSelectRoundTripsCorpus pins the round-trip property on the valid

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"mosaic/internal/expr"
+	"mosaic/internal/mechanism"
 	"mosaic/internal/schema"
 	"mosaic/internal/value"
 )
@@ -246,6 +247,9 @@ func (p *parser) identifier() (string, error) {
 
 func (p *parser) parseStatement() (Statement, error) {
 	p.params = 0 // placeholders number per statement
+	if p.acceptWord("ALTER") {
+		return p.parseAlterSample()
+	}
 	t := p.peek()
 	if t.kind != tokKeyword {
 		return nil, p.errf("expected statement, found %s", t)
@@ -709,39 +713,9 @@ func (p *parser) parseCreateSample() (Statement, error) {
 		}
 	}
 	if p.acceptKeyword("USING") {
-		if err := p.expectKeyword("MECHANISM"); err != nil {
+		if cs.Mechanism, err = p.parseMechanism(); err != nil {
 			return nil, err
 		}
-		mech := &MechanismSpec{}
-		switch {
-		case p.acceptKeyword("UNIFORM"):
-			mech.Kind = "UNIFORM"
-		case p.acceptKeyword("STRATIFIED"):
-			mech.Kind = "STRATIFIED"
-			if err := p.expectKeyword("ON"); err != nil {
-				return nil, err
-			}
-			mech.Attr, err = p.identifier()
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, p.errf("expected UNIFORM or STRATIFIED mechanism, found %s", p.peek())
-		}
-		if err := p.expectKeyword("PERCENT"); err != nil {
-			return nil, err
-		}
-		t := p.peek()
-		if t.kind != tokNumber {
-			return nil, p.errf("expected PERCENT value, found %s", t)
-		}
-		pct, err := strconv.ParseFloat(t.text, 64)
-		if err != nil || pct <= 0 || pct > 100 {
-			return nil, p.errf("invalid PERCENT value %q", t.text)
-		}
-		p.advance()
-		mech.Percent = pct
-		cs.Mechanism = mech
 	}
 	if paren {
 		if err := p.expectSymbol(")"); err != nil {
@@ -749,6 +723,145 @@ func (p *parser) parseCreateSample() (Statement, error) {
 		}
 	}
 	return cs, nil
+}
+
+// parseAlterSample parses ALTER SAMPLE s USING MECHANISM m, after ALTER.
+func (p *parser) parseAlterSample() (Statement, error) {
+	if err := p.expectKeyword("SAMPLE"); err != nil {
+		return nil, err
+	}
+	name, err := p.identifier()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectKeyword("USING"); err != nil {
+		return nil, err
+	}
+	m, err := p.parseMechanism()
+	if err != nil {
+		return nil, err
+	}
+	return &AlterSample{Sample: name, Mechanism: m}, nil
+}
+
+// parseMechanism parses the rest of a USING MECHANISM clause, after USING:
+//
+//	MECHANISM UNIFORM PERCENT x
+//	MECHANISM STRATIFIED ON a PERCENT x [WITH PROBABILITIES (v p [, v p]…)]
+//	MECHANISM BIASED ON pred WITH PROBABILITIES (TRUE p, FALSE q)
+//
+// It is the spelling mechanism.Mechanism.Name writes. Numbers take no
+// percent or probability conversion, so each reads back the bits it was
+// written from.
+func (p *parser) parseMechanism() (mechanism.Mechanism, error) {
+	if err := p.expectKeyword("MECHANISM"); err != nil {
+		return nil, err
+	}
+	switch {
+	case p.acceptKeyword("UNIFORM"):
+		pct, err := p.percent()
+		return mechanism.Uniform{Percent: pct}, err
+	case p.acceptKeyword("STRATIFIED"):
+		if err := p.expectKeyword("ON"); err != nil {
+			return nil, err
+		}
+		attr, err := p.identifier()
+		if err != nil {
+			return nil, err
+		}
+		pct, err := p.percent()
+		if err != nil {
+			return nil, err
+		}
+		m := mechanism.Stratified{Attr: attr, Percent: pct}
+		if p.acceptKeyword("WITH") {
+			m.Probs, err = p.probabilities()
+		}
+		return m, err
+	case p.acceptWord("BIASED"):
+		if err := p.expectKeyword("ON"); err != nil {
+			return nil, err
+		}
+		pred, err := p.parseExpr()
+		if err == nil {
+			err = p.expectKeyword("WITH")
+		}
+		if err != nil {
+			return nil, err
+		}
+		probs, err := p.probabilities()
+		t, f := value.Bool(true).HashKey(), value.Bool(false).HashKey()
+		if err == nil && (len(probs) != 2 || probs[t] == 0 || probs[f] == 0) {
+			err = p.errf("BIASED takes PROBABILITIES (TRUE p, FALSE q)")
+		}
+		return mechanism.Biased{Pred: pred, PTrue: probs[t], PFalse: probs[f]}, err
+	}
+	return nil, p.errf("expected UNIFORM, STRATIFIED or BIASED mechanism, found %s", p.peek())
+}
+
+// probabilities parses PROBABILITIES (v p [, v p]…), after WITH: each v a
+// literal, as INSERT VALUES takes it, keyed by its HashKey, and each p an
+// inclusion probability in (0, 1].
+func (p *parser) probabilities() (map[string]float64, error) {
+	if !p.acceptWord("PROBABILITIES") {
+		return nil, p.errf("expected PROBABILITIES, found %s", p.peek())
+	}
+	if err := p.expectSymbol("("); err != nil {
+		return nil, err
+	}
+	probs := map[string]float64{}
+	for {
+		ex, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		v, err := ex.Eval(nil)
+		if err != nil {
+			return nil, p.errf("PROBABILITIES value: %v", err)
+		}
+		k := v.HashKey()
+		if _, dup := probs[k]; dup {
+			return nil, p.errf("PROBABILITIES value %s listed twice", v.SQL())
+		}
+		if probs[k], err = p.number("probability", 1); err != nil {
+			return nil, err
+		}
+		if !p.acceptSymbol(",") {
+			return probs, p.expectSymbol(")")
+		}
+	}
+}
+
+// percent parses PERCENT x, x in (0, 100].
+func (p *parser) percent() (float64, error) {
+	if err := p.expectKeyword("PERCENT"); err != nil {
+		return 0, err
+	}
+	return p.number("PERCENT", 100)
+}
+
+// number parses an unsigned number in (0, max].
+func (p *parser) number(what string, max float64) (float64, error) {
+	t := p.peek()
+	if t.kind != tokNumber {
+		return 0, p.errf("expected %s value, found %s", what, t)
+	}
+	f, err := strconv.ParseFloat(t.text, 64)
+	if err != nil || !(f > 0 && f <= max) {
+		return 0, p.errf("invalid %s value %q", what, t.text)
+	}
+	p.advance()
+	return f, nil
+}
+
+// acceptWord accepts an identifier spelled word in any case: a word the
+// grammar reads only where it expects it, so no name loses it (as STDIN).
+func (p *parser) acceptWord(word string) bool {
+	if t := p.peek(); t.kind == tokIdent && strings.EqualFold(t.text, word) {
+		p.advance()
+		return true
+	}
+	return false
 }
 
 // parseCreateMetadata parses

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mosaic/internal/expr"
+	"mosaic/internal/mechanism"
 	"mosaic/internal/value"
 )
 
@@ -237,14 +238,14 @@ func TestParseCreateSample(t *testing.T) {
 		t.Errorf("sample parse: %+v", cs)
 	}
 	cs = parseOne(t, `CREATE SAMPLE S2 AS (SELECT a, b FROM P USING MECHANISM UNIFORM PERCENT 10)`).(*CreateSample)
-	if cs.Mechanism == nil || cs.Mechanism.Kind != "UNIFORM" || cs.Mechanism.Percent != 10 {
+	if m, ok := cs.Mechanism.(mechanism.Uniform); !ok || m.Percent != 10 {
 		t.Errorf("uniform mechanism parse: %+v", cs.Mechanism)
 	}
 	if len(cs.Columns) != 2 {
 		t.Errorf("sample columns: %v", cs.Columns)
 	}
 	cs = parseOne(t, `CREATE SAMPLE S3 AS (SELECT * FROM P USING MECHANISM STRATIFIED ON a PERCENT 20)`).(*CreateSample)
-	if cs.Mechanism.Kind != "STRATIFIED" || cs.Mechanism.Attr != "a" {
+	if m, ok := cs.Mechanism.(mechanism.Stratified); !ok || m.Attr != "a" || m.Percent != 20 || m.Probs != nil {
 		t.Errorf("stratified mechanism parse: %+v", cs.Mechanism)
 	}
 	if _, err := ParseStatement(`CREATE SAMPLE Bad AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 0)`); err == nil {
@@ -502,5 +503,103 @@ func TestExprStringRoundTripProperty(t *testing.T) {
 		if s2 := e2.String(); s1 != s2 {
 			t.Errorf("round trip unstable: %q -> %q -> %q", src, s1, s2)
 		}
+	}
+}
+
+// TestParseMechanisms: every mechanism kind parses, from CREATE SAMPLE and
+// ALTER SAMPLE, to the mechanism its text says — each number to the bits it
+// was written as, each stratum to the key of its literal — and renders back
+// to text that parses to the same rendering.
+func TestParseMechanisms(t *testing.T) {
+	key := func(v value.Value) string { return v.HashKey() }
+	for _, c := range []struct {
+		src  string
+		want string // the mechanism's Name
+	}{
+		{`ALTER SAMPLE S USING MECHANISM UNIFORM PERCENT 12.5`, "UNIFORM PERCENT 12.5"},
+		{`alter Sample S using mechanism uniform percent 1e-3`, "UNIFORM PERCENT 0.001"},
+		{`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 20`, "STRATIFIED ON a PERCENT 20"},
+		{`ALTER SAMPLE S USING MECHANISM STRATIFIED ON g PERCENT 20 WITH PROBABILITIES ('south' 0.25, 'it''s' 1, NULL 0.5)`,
+			"STRATIFIED ON g PERCENT 20 WITH PROBABILITIES (NULL 0.5, 'it''s' 1, 'south' 0.25)"},
+		{`ALTER SAMPLE S USING MECHANISM STRATIFIED ON i PERCENT 5 WITH PROBABILITIES (3 0.5, -2 0.25)`,
+			"STRATIFIED ON i PERCENT 5 WITH PROBABILITIES (-2 0.25, 3 0.5)"},
+		{`ALTER SAMPLE S USING MECHANISM STRATIFIED ON f PERCENT 5 WITH PROBABILITIES (0.1 0.30000000000000004, FLOAT '-0' 1, FLOAT 'NaN' 0.125)`,
+			"STRATIFIED ON f PERCENT 5 WITH PROBABILITIES (FLOAT '-0' 1, 0.1 0.30000000000000004, FLOAT 'NaN' 0.125)"},
+		{`ALTER SAMPLE S USING MECHANISM STRATIFIED ON b PERCENT 50 WITH PROBABILITIES (TRUE 0.75, FALSE 0.0625)`,
+			"STRATIFIED ON b PERCENT 50 WITH PROBABILITIES (FALSE 0.0625, TRUE 0.75)"},
+		{`ALTER SAMPLE S USING MECHANISM BIASED ON x > 1.5e-7 AND y = 0.1 WITH PROBABILITIES (TRUE 0.95, FALSE 0.05)`,
+			"BIASED ON ((x > 1.5e-07) AND (y = 0.1)) WITH PROBABILITIES (TRUE 0.95, FALSE 0.05)"},
+	} {
+		clause := c.src[strings.Index(c.src, " S ")+3:]
+		for _, src := range []string{c.src, "CREATE SAMPLE S AS (SELECT * FROM P " + clause + ")"} {
+			st := parseOne(t, src)
+			var m mechanism.Mechanism
+			switch s := st.(type) {
+			case *AlterSample:
+				m = s.Mechanism
+			case *CreateSample:
+				m = s.Mechanism
+			}
+			if m == nil || m.Name() != c.want {
+				t.Errorf("%s: mechanism %v, want %s", src, m, c.want)
+				continue
+			}
+			if err := roundTrip(st); err != nil {
+				t.Errorf("%s: %v", src, err)
+			}
+		}
+	}
+	st := parseOne(t, `ALTER SAMPLE S USING MECHANISM STRATIFIED ON f PERCENT 0.30000000000000004 WITH PROBABILITIES (0.1 0.1, 7 1)`).(*AlterSample)
+	m := st.Mechanism.(mechanism.Stratified)
+	if x, y := 0.1, 0.2; m.Percent != x+y || m.Probs[key(value.Float(0.1))] != 0.1 || m.Probs[key(value.Int(7))] != 1 || len(m.Probs) != 2 {
+		t.Errorf("stratified: %+v", m)
+	}
+	if (&AlterSample{Sample: "S", Mechanism: m}).String() != "ALTER SAMPLE S USING MECHANISM "+m.Name() {
+		t.Errorf("AlterSample.String() = %q", (&AlterSample{Sample: "S", Mechanism: m}).String())
+	}
+	b := parseOne(t, `ALTER SAMPLE S USING MECHANISM BIASED ON g = 'a' WITH PROBABILITIES (FALSE 1e-300, TRUE 1)`).(*AlterSample).Mechanism.(mechanism.Biased)
+	if b.Pred == nil || b.PTrue != 1 || b.PFalse != 1e-300 {
+		t.Errorf("biased: %+v", b)
+	}
+	for _, bad := range []string{
+		`ALTER SAMPLE S`,
+		`ALTER TABLE t USING MECHANISM UNIFORM PERCENT 5`,
+		`ALTER SAMPLE S USING MECHANISM UNIFORM PERCENT 0`,
+		`ALTER SAMPLE S USING MECHANISM CUSTOM`,
+		`ALTER SAMPLE S USING MECHANISM BIASED ON x WITH PROBABILITIES (TRUE 0.5)`,
+		`ALTER SAMPLE S USING MECHANISM BIASED ON x WITH PROBABILITIES (TRUE 0.5, 1 0.5)`,
+		`ALTER SAMPLE S USING MECHANISM BIASED ON x WITH PROBABILITIES (TRUE 0.5, FALSE 0.5, NULL 0.5)`,
+		`ALTER SAMPLE S USING MECHANISM BIASED ON x WITH PROBABILITIES (TRUE 0, FALSE 1)`,
+		`ALTER SAMPLE S USING MECHANISM BIASED ON x WITH PROBABILITIES (TRUE 1.5, FALSE 1)`,
+		`ALTER SAMPLE S USING MECHANISM BIASED ON x`,
+		`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES ('a' 0.5, 'a' 0.5)`,
+		`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES (3 0.5, 3.0 0.5)`,
+		`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES ()`,
+		`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES (a 0.5)`,
+		`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES (? 0.5)`,
+		`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH ('a' 0.5)`,
+	} {
+		if _, err := ParseStatement(bad); err == nil {
+			t.Errorf("%s: parsed", bad)
+		}
+	}
+}
+
+// TestNewWordsAreNotReserved: ALTER, BIASED and PROBABILITIES are read
+// only where the grammar expects them, so they still name columns, tables
+// and samples.
+func TestNewWordsAreNotReserved(t *testing.T) {
+	for _, src := range []string{
+		`CREATE TABLE alter (alter INT, biased TEXT, probabilities FLOAT)`,
+		`INSERT INTO alter (alter, biased, probabilities) VALUES (1, 'x', 0.5)`,
+		`SELECT alter, biased, Probabilities FROM alter WHERE biased = 'x' ORDER BY probabilities`,
+		`CREATE GLOBAL POPULATION P (alter INT, biased TEXT, probabilities FLOAT)`,
+		`CREATE SAMPLE biased AS (SELECT alter, biased FROM P WHERE probabilities > 0.5 USING MECHANISM BIASED ON biased = 'x' WITH PROBABILITIES (TRUE 0.5, FALSE 0.25))`,
+		`CREATE SAMPLE alter AS (SELECT * FROM P USING MECHANISM STRATIFIED ON probabilities PERCENT 5 WITH PROBABILITIES (0.5 1))`,
+		`ALTER SAMPLE alter USING MECHANISM STRATIFIED ON alter PERCENT 5`,
+		`UPDATE SAMPLE biased SET WEIGHT = probabilities WHERE alter > 1`,
+		`CREATE METADATA P_m AS (SELECT biased, COUNT(*) FROM alter GROUP BY biased)`,
+	} {
+		parseOne(t, src)
 	}
 }

@@ -339,6 +339,23 @@ func (v Value) HashKey() string {
 	}
 }
 
+// FromHashKey returns a value whose HashKey is k, numbers as FLOAT, and
+// false when no value has that key.
+func FromHashKey(k string) (Value, bool) {
+	switch {
+	case k == "\x00":
+		return Null(), true
+	case k == "\x01t", k == "\x01f":
+		return Bool(k == "\x01t"), true
+	case strings.HasPrefix(k, "\x02"):
+		f, err := strconv.ParseFloat(k[1:], 64)
+		return Float(f), err == nil && Float(f).HashKey() == k
+	case strings.HasPrefix(k, "\x03"):
+		return Text(k[1:]), true
+	}
+	return Null(), false
+}
+
 // Class partitions kinds the way HashKey's leading tag byte does: NULL,
 // BOOL, numeric (INT and FLOAT share a class because they hash and compare
 // as float64), and TEXT. The columnar executor keys group-by hash tables on

@@ -112,7 +112,7 @@ func (w *Weighted) Mean() float64 {
 	// Reconstruct weights from cum differences.
 	var m, prev float64
 	for i, c := range w.cum {
-		m += w.vals[i] * (c - prev)
+		m += float64(w.vals[i] * (c - prev))
 		prev = c
 	}
 	return m
@@ -255,7 +255,7 @@ func RandomUnitVector(rng *rand.Rand, d int) []float64 {
 		var norm float64
 		for i := range v {
 			v[i] = rng.NormFloat64()
-			norm += v[i] * v[i]
+			norm += float64(v[i] * v[i])
 		}
 		if norm > 1e-12 {
 			norm = math.Sqrt(norm)
@@ -276,7 +276,7 @@ func ProjectCols(dst, data []float64, dim int, cols []int, dir []float64) {
 		row := data[r*dim : (r+1)*dim]
 		var s float64
 		for j, c := range cols {
-			s += row[c] * dir[j]
+			s += float64(row[c] * dir[j])
 		}
 		dst[r] = s
 	}

@@ -54,9 +54,10 @@ type FollowerStats struct {
 	FullSyncs    int64 `json:"full_syncs"`
 	DeltaSyncs   int64 `json:"delta_syncs"`
 	AppliedStmts int64 `json:"applied_stmts"`
-	// Truncations counts deltas refused with 410 Gone (requested generation
-	// fell out of the primary's statement log) — each forces a full
-	// re-bootstrap.
+	// Truncations counts deltas refused with 410 Gone: the requested
+	// generation fell out of the primary's bounded statement log, or lies
+	// ahead of it (a primary that restarted). Each forces a full
+	// re-bootstrap; no write, Go-API writes included, forces one by itself.
 	Truncations int64 `json:"truncations"`
 	SyncErrors  int64 `json:"sync_errors"`
 	// FormatRefusals counts snapshot and delta answers refused, unreplayed,

@@ -62,10 +62,14 @@ const (
 	SnapshotFormatHeader = "X-Mosaic-Snapshot-Format"
 )
 
-// SnapshotFormat is the format the replication surface speaks: 2, whose
-// dumps and logged COPY statements carry rows as COPY blocks. Answers
-// before it carried no SnapshotFormatHeader.
-const SnapshotFormat = "2"
+// SnapshotFormat is the format the replication surface speaks: 3, whose
+// dumps and deltas write every sample mechanism as SQL (USING MECHANISM
+// UNIFORM, STRATIFIED with its probabilities, BIASED; ALTER SAMPLE) and carry
+// Go-API writes as statements, rows as COPY blocks. Format 2 carried rows as
+// COPY blocks too, but wrote mechanisms other than UNIFORM as comments, and a
+// format-2 follower cannot parse a format-3 delta. Answers before format 2
+// carried no SnapshotFormatHeader.
+const SnapshotFormat = "3"
 
 // ExecRequest is the body of POST /v1/exec: a semicolon-separated Mosaic
 // script. Statements execute in order; SELECTs inside the script return

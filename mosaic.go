@@ -97,6 +97,11 @@ type Mechanism = mechanism.Mechanism
 // Uniform is the UNIFORM PERCENT mechanism.
 type Uniform = mechanism.Uniform
 
+// NoSQLMechanismError is SetMechanism's refusal of a mechanism whose type
+// is not one of Mosaic's own (UNIFORM, STRATIFIED, BIASED): the SQL dialect
+// has no spelling for it, so no dump, snapshot or replica could carry it.
+type NoSQLMechanismError = mechanism.NoSQLError
+
 // Options configures a DB.
 type Options struct {
 	// Seed drives all randomness (default 1): two DBs with equal seeds and
@@ -259,12 +264,17 @@ func (db *DB) Ingest(relation string, rows [][]any) error {
 }
 
 // SetMechanism installs a sampling mechanism on a sample, enabling
-// known-mechanism SEMI-OPEN reweighting for designs SQL cannot express.
+// known-mechanism SEMI-OPEN reweighting. It executes the statement
+// ALTER SAMPLE sample USING MECHANISM m.Name(), so dumps and replicas carry
+// the mechanism. Only Mosaic's own mechanisms have that SQL form: a
+// mechanism of any other type is refused with a *NoSQLMechanismError before
+// anything changes.
 func (db *DB) SetMechanism(sample string, m Mechanism) error {
 	return db.eng().SetSampleMechanism(sample, m)
 }
 
 // AddMarginal attaches a programmatically built marginal to a population.
+// The DB keeps m, which must not change afterwards.
 func (db *DB) AddMarginal(population string, m *Marginal) error {
 	return db.eng().AddMarginal(population, m)
 }
@@ -299,8 +309,8 @@ func scalarCell(res *Result) (float64, error) {
 func (db *DB) Engine() *core.Engine { return db.eng() }
 
 // Dump serializes the database as a Mosaic SQL script; executing it against
-// an empty DB recreates the relations, rows, metadata, and sample weights.
-// Non-UNIFORM mechanisms are noted as comments (they are Go-API objects).
+// an empty DB recreates the relations, rows, metadata, sample weights and
+// mechanisms, so the restored DB dumps the same script again.
 func (db *DB) Dump() (string, error) {
 	return db.eng().DumpScript()
 }

@@ -93,6 +93,11 @@ func (e *Engine) technique(s scan) string {
 	case wInverse:
 		return "inverse inclusion probability (Horvitz–Thompson)"
 	case wIPFView, wIPFGlobal:
+		// A declared mechanism reaches IPF only when it yields no inclusion
+		// probabilities (mechanismKnown): a STRATIFIED design without them.
+		if m := s.pc.sample.Mechanism; m != nil {
+			return "IPF reweighting against marginals: mechanism " + m.Name() + " declares no inclusion probabilities"
+		}
 		return "IPF reweighting against marginals"
 	case wRefused:
 		return "UNANSWERABLE: " + strings.TrimPrefix(s.err.Error(), "core: ")

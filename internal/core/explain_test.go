@@ -113,6 +113,28 @@ func TestExplainKnownMechanism(t *testing.T) {
 	}
 }
 
+// TestExplainStratifiedWithoutProbabilities: a STRATIFIED design declared
+// without a probability list has no inclusion probabilities, so SEMI-OPEN
+// falls back to IPF, and EXPLAIN names the mechanism and says why.
+func TestExplainStratifiedWithoutProbabilities(t *testing.T) {
+	e := smallWorld(t)
+	exec1(t, e, "ALTER SAMPLE S USING MECHANISM STRATIFIED ON grp PERCENT 20")
+	out := explainText(t, e, "SELECT SEMI-OPEN COUNT(*) FROM World")
+	for _, want := range []string{
+		"mechanism=STRATIFIED ON grp PERCENT 20\n",
+		"technique=IPF reweighting against marginals: mechanism STRATIFIED ON grp PERCENT 20 declares no inclusion probabilities\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("explain missing %q:\n%s", want, out)
+		}
+	}
+	// With a probability list the same design is known: Horvitz–Thompson.
+	exec1(t, e, "ALTER SAMPLE S USING MECHANISM STRATIFIED ON grp PERCENT 20 WITH PROBABILITIES ('a' 0.25)")
+	if out := explainText(t, e, "SELECT SEMI-OPEN COUNT(*) FROM World"); !strings.Contains(out, "technique=inverse inclusion probability") {
+		t.Errorf("stratified design with probabilities:\n%s", out)
+	}
+}
+
 func TestCopyCSV(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "data.csv")

@@ -125,11 +125,6 @@ func (p *aggPlan) scan(ctx context.Context) (*aggScan, error) {
 	return &aggScan{states: states, ngroups: ngroups, firstRow: firstRow}, nil
 }
 
-// key returns group g's k-th GROUP BY value.
-func (p *aggPlan) key(s *aggScan, g, k int) value.Value {
-	return p.snap.Value(int(s.firstRow[g]), p.keyIdx[k])
-}
-
 // partial scans rows [lo, hi) into a ShardPartial keyed by group identity.
 func (p *aggPlan) partial(ctx context.Context, lo, hi int) (*ShardPartial, error) {
 	sub := p.slice(lo, hi)
@@ -143,11 +138,15 @@ func (p *aggPlan) partial(ctx context.Context, lo, hi int) (*ShardPartial, error
 		States:  s.states,
 		Rows:    hi - lo,
 	}
-	for g := range out.Keys {
-		kv := make([]value.Value, len(p.keyIdx))
-		for k := range kv {
-			kv[k] = sub.key(s, g, k)
+	nk := len(p.keyIdx)
+	slab := make([]value.Value, s.ngroups*nk)
+	if s.ngroups > 0 {
+		for k, col := range p.keyIdx {
+			sub.snap.FillValues(col, s.firstRow, slab[k:], nk)
 		}
+	}
+	for g := range out.Keys {
+		kv := slab[g*nk : (g+1)*nk : (g+1)*nk]
 		out.Keys[g], out.KeyVals[g] = GroupKey(kv), kv
 	}
 	return out, nil
@@ -167,7 +166,9 @@ func runAggregateVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sele
 		if err != nil {
 			return nil, true, err
 		}
-		res, err := finalize(ctx, sel, s.states, s.ngroups, func(g, k int) value.Value { return p.key(s, g, k) })
+		res, err := finalize(ctx, sel, s.states, s.ngroups, func(k int, dst []value.Value, stride int) {
+			p.snap.FillValues(p.keyIdx[k], s.firstRow, dst, stride)
+		})
 		return res, true, err
 	}
 	// Scatter: shards fan out across the worker pool, and a shard's own
@@ -195,10 +196,25 @@ func runAggregateVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sele
 	return res, true, err
 }
 
-// finalize builds the answer from merged states: one output row per group —
-// GROUP BY items from key, aggregates finalized — all cut from one slab,
-// then HAVING, then ORDER BY / LIMIT against the output columns.
-func finalize(ctx context.Context, sel *sql.Select, states []*PartialStates, ngroups int, key func(g, k int) value.Value) (*Result, error) {
+// keyFiller writes GROUP BY column k of every group g into dst[g*stride]:
+// one column of finalize's row-major slab.
+type keyFiller func(k int, dst []value.Value, stride int)
+
+// keyRows is the keyFiller of the paths that hold each group's GROUP BY
+// values as a row: keys[g][k].
+func keyRows(keys [][]value.Value) keyFiller {
+	return func(k int, dst []value.Value, stride int) {
+		for g, kv := range keys {
+			dst[g*stride] = kv[k]
+		}
+	}
+}
+
+// finalize builds the answer from merged states: one output row per group,
+// all cut from one slab that is filled a column at a time — GROUP BY items
+// through keys, aggregates through FinalizeInto — then HAVING, then ORDER BY
+// / LIMIT against the output columns, in group order.
+func finalize(ctx context.Context, sel *sql.Select, states []*PartialStates, ngroups int, keys keyFiller) (*Result, error) {
 	total := ngroups
 	if total == 0 && len(sel.GroupBy) == 0 {
 		// A global aggregate over zero selected rows still yields one row of
@@ -212,24 +228,26 @@ func finalize(ctx context.Context, sel *sql.Select, states []*PartialStates, ngr
 	for _, it := range sel.Items {
 		res.Columns = append(res.Columns, it.Name())
 	}
-	outSchema := outputSchema(res.Columns)
-	keyPos := itemKeyPositions(sel)
 	// Every output row is cut from one allocation, capacity-capped so a
 	// caller's append cannot run into the next row.
 	nc := len(sel.Items)
 	slab := make([]value.Value, total*nc)
-	res.Rows = make([][]value.Value, 0, total)
-	for g := 0; g < total; g++ {
-		row := slab[g*nc : g*nc : (g+1)*nc]
+	if total > 0 {
+		keyPos := itemKeyPositions(sel)
 		ai := 0
 		for ii, it := range sel.Items {
 			if it.Agg == sql.AggNone {
-				row = append(row, key(g, keyPos[ii]))
+				keys(keyPos[ii], slab[ii:], nc)
 			} else {
-				row = append(row, states[ai].Finalize(g))
+				states[ai].FinalizeInto(slab[ii:], nc)
 				ai++
 			}
 		}
+	}
+	res.Rows = make([][]value.Value, 0, total)
+	outSchema := outputSchema(res.Columns)
+	for g := 0; g < total; g++ {
+		row := slab[g*nc : (g+1)*nc : (g+1)*nc]
 		if sel.Having != nil {
 			ok, err := expr.Truthy(sel.Having, &expr.Binding{Schema: outSchema, Row: row})
 			if err != nil {

@@ -510,7 +510,7 @@ func runAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, op
 			}
 		}
 	}
-	return finalize(ctx, sel, states, len(keys), func(g, k int) value.Value { return keys[g][k] })
+	return finalize(ctx, sel, states, len(keys), keyRows(keys))
 }
 
 // accumulateRow evaluates aggregate item it over one bound row and folds a

@@ -161,3 +161,44 @@ func (st *PartialStates) Finalize(g int) value.Value {
 		return value.Null()
 	}
 }
+
+// FinalizeInto writes Finalize(g) to dst[g*stride] for every group g with
+// g*stride < len(dst): one output column of a row-major slab, filled with the
+// kind decided once for the whole column. Finalize stays the definition;
+// this is its column-at-a-time form.
+func (st *PartialStates) FinalizeInto(dst []value.Value, stride int) {
+	switch st.Kind {
+	case sql.AggCount:
+		for g, k := 0, 0; k < len(dst); g, k = g+1, k+stride {
+			dst[k] = value.Float(st.Count[g])
+		}
+	case sql.AggSum:
+		for g, k := 0, 0; k < len(dst); g, k = g+1, k+stride {
+			if st.Seen[g] {
+				dst[k] = value.Float(st.SumWX[g])
+			} else {
+				dst[k] = value.Null()
+			}
+		}
+	case sql.AggAvg:
+		for g, k := 0, 0; k < len(dst); g, k = g+1, k+stride {
+			if st.Seen[g] && st.SumW[g] != 0 {
+				dst[k] = value.Float(st.SumWX[g] / st.SumW[g])
+			} else {
+				dst[k] = value.Null()
+			}
+		}
+	case sql.AggMin, sql.AggMax:
+		for g, k := 0, 0; k < len(dst); g, k = g+1, k+stride {
+			if st.Seen[g] {
+				dst[k] = st.MinMax[g]
+			} else {
+				dst[k] = value.Null()
+			}
+		}
+	default:
+		for k := 0; k < len(dst); k += stride {
+			dst[k] = value.Null()
+		}
+	}
+}

@@ -143,5 +143,5 @@ func combineReplicates(ctx context.Context, sel *sql.Select, results []*Result) 
 		keys[n] = keys[g]
 		n++
 	}
-	return finalize(ctx, sel, states, n, func(g, k int) value.Value { return keys[g][k] })
+	return finalize(ctx, sel, states, n, keyRows(keys[:n]))
 }

@@ -178,5 +178,5 @@ func gather(ctx context.Context, sel *sql.Select, partials []*ShardPartial) (*Re
 			}
 		}
 	}
-	return finalize(ctx, sel, states, len(keyVals), func(g, k int) value.Value { return keyVals[g][k] })
+	return finalize(ctx, sel, states, len(keyVals), keyRows(keyVals))
 }

@@ -972,11 +972,10 @@ func UpdateWeights(snap *table.Snapshot, where, weight expr.Expr, workers int) (
 // first-appearance order. Identity follows HashKey: dictionary code for
 // TEXT, NaN-canonical float64 bits for numerics (so an INT column groups by
 // float64 value, exactly as HashKey formats it), 0/1 for BOOL, one id for
-// NULL.
-func densifyColumn(snap *table.Snapshot, col int, selRows []int32) []int32 {
+// NULL. first[id] is the selected row where id first appears.
+func densifyColumn(snap *table.Snapshot, col int, selRows []int32) (dense, first []int32) {
 	c := snap.Col(col)
-	dense := make([]int32, len(selRows))
-	var next int32
+	dense = make([]int32, len(selRows))
 	switch c.Kind {
 	case value.KindText:
 		remap := make([]int32, len(snap.DictStrings())+1)
@@ -990,8 +989,8 @@ func densifyColumn(snap *table.Snapshot, col int, selRows []int32) []int32 {
 			}
 			id := remap[idx]
 			if id < 0 {
-				id = next
-				next++
+				id = int32(len(first))
+				first = append(first, ri)
 				remap[idx] = id
 			}
 			dense[k] = id
@@ -1008,8 +1007,8 @@ func densifyColumn(snap *table.Snapshot, col int, selRows []int32) []int32 {
 			}
 			id := remap[idx]
 			if id < 0 {
-				id = next
-				next++
+				id = int32(len(first))
+				first = append(first, ri)
 				remap[idx] = id
 			}
 			dense[k] = id
@@ -1020,8 +1019,8 @@ func densifyColumn(snap *table.Snapshot, col int, selRows []int32) []int32 {
 		for k, ri := range selRows {
 			if c.Null(int(ri)) {
 				if nullID < 0 {
-					nullID = next
-					next++
+					nullID = int32(len(first))
+					first = append(first, ri)
 				}
 				dense[k] = nullID
 				continue
@@ -1029,8 +1028,8 @@ func densifyColumn(snap *table.Snapshot, col int, selRows []int32) []int32 {
 			bits := value.NumBits(float64(c.Ints[ri]))
 			id, ok := m[bits]
 			if !ok {
-				id = next
-				next++
+				id = int32(len(first))
+				first = append(first, ri)
 				m[bits] = id
 			}
 			dense[k] = id
@@ -1041,8 +1040,8 @@ func densifyColumn(snap *table.Snapshot, col int, selRows []int32) []int32 {
 		for k, ri := range selRows {
 			if c.Null(int(ri)) {
 				if nullID < 0 {
-					nullID = next
-					next++
+					nullID = int32(len(first))
+					first = append(first, ri)
 				}
 				dense[k] = nullID
 				continue
@@ -1050,19 +1049,20 @@ func densifyColumn(snap *table.Snapshot, col int, selRows []int32) []int32 {
 			bits := value.NumBits(c.Floats[ri])
 			id, ok := m[bits]
 			if !ok {
-				id = next
-				next++
+				id = int32(len(first))
+				first = append(first, ri)
 				m[bits] = id
 			}
 			dense[k] = id
 		}
 	}
-	return dense
+	return dense, first
 }
 
 // groupIDs assigns each selected row its final group id, folding multi-key
 // composites pairwise through uint64-keyed maps. Ids are dense and ordered
-// by first appearance, which is exactly the row path's group output order.
+// by first appearance, which is exactly the row path's group output order;
+// group g first appears at row firstRow[g], recorded as its id is assigned.
 func groupIDs(snap *table.Snapshot, keyIdx []int, selRows []int32) (gids []int32, ngroups int, firstRow []int32) {
 	m := len(selRows)
 	if len(keyIdx) == 0 {
@@ -1071,28 +1071,23 @@ func groupIDs(snap *table.Snapshot, keyIdx []int, selRows []int32) (gids []int32
 		}
 		return make([]int32, m), 1, []int32{selRows[0]}
 	}
-	gids = densifyColumn(snap, keyIdx[0], selRows)
+	gids, firstRow = densifyColumn(snap, keyIdx[0], selRows)
 	for _, kc := range keyIdx[1:] {
-		d := densifyColumn(snap, kc, selRows)
+		d, _ := densifyColumn(snap, kc, selRows)
 		pair := make(map[uint64]int32)
 		out := make([]int32, m)
-		var next int32
+		firstRow = nil
 		for k := 0; k < m; k++ {
 			key := uint64(uint32(gids[k]))<<32 | uint64(uint32(d[k]))
 			id, ok := pair[key]
 			if !ok {
-				id = next
-				next++
+				id = int32(len(firstRow))
+				firstRow = append(firstRow, selRows[k])
 				pair[key] = id
 			}
 			out[k] = id
 		}
 		gids = out
-	}
-	for k, g := range gids {
-		if int(g) == len(firstRow) {
-			firstRow = append(firstRow, selRows[k])
-		}
 	}
 	return gids, len(firstRow), firstRow
 }
@@ -1230,8 +1225,8 @@ func accumulateStates(ctx context.Context, vaggs []vecAgg, snap *table.Snapshot,
 // the WHERE compiles into selection kernels, DISTINCT densifies through the
 // group-id machinery, and ORDER BY permutes row indices over typed columns —
 // with a bounded top-K heap when LIMIT is present — so only the surviving
-// rows ever materialize. Item evaluation stays row-at-a-time (outputs are
-// materialized rows either way).
+// rows ever materialize. Plain items fill the answer a column at a time
+// (projectColumns); computed items evaluate a row at a time.
 //
 // Engagement rules keep error semantics exactly row-identical:
 //   - Computed select items can raise per-row errors in materialization
@@ -1353,39 +1348,29 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 		postDone = true
 	}
 
-	// Plain items (stars, columns, WEIGHT) copy one cell each; only a
+	// Plain items (stars, columns, WEIGHT) fill one column at a time; only a
 	// computed item needs the whole row materialized and bound.
-	env, _ := makeEnv(snap.Schema())
-	res = &Result{Columns: outCols, Rows: make([][]value.Value, 0, len(cand))}
-	nc := len(sources)
-	var slab []value.Value // every plain row is cut from this one allocation
+	res = &Result{Columns: outCols}
 	if errFree {
-		slab = make([]value.Value, len(cand)*nc)
-	}
-	for ci, ri := range cand {
-		if ci%cancelCheckRows == 0 {
-			if err := checkCtx(ctx); err != nil {
-				return nil, true, err
-			}
+		if res.Rows, err = projectColumns(ctx, snap, sources, rawW, cand); err != nil {
+			return nil, true, err
 		}
-		var out []value.Value
-		if errFree {
-			// Capacity-capped, so a caller's append cannot run into the next row.
-			out = slab[ci*nc : (ci+1)*nc : (ci+1)*nc]
-			for oi, src := range sources {
-				if src == srcWeight {
-					out[oi] = value.Float(rawW[ri])
-				} else {
-					out[oi] = snap.Value(int(ri), src)
+	} else {
+		env, _ := makeEnv(snap.Schema())
+		res.Rows = make([][]value.Value, 0, len(cand))
+		for ci, ri := range cand {
+			if ci%cancelCheckRows == 0 {
+				if err := checkCtx(ctx); err != nil {
+					return nil, true, err
 				}
 			}
-		} else {
 			row, b := env.bind(snap, int(ri), rawW[ri])
-			if out, err = projectRow(sel, row, b); err != nil {
+			out, err := projectRow(sel, row, b)
+			if err != nil {
 				return nil, true, err
 			}
+			res.Rows = append(res.Rows, out)
 		}
-		res.Rows = append(res.Rows, out)
 	}
 	if sel.Distinct && !distinctOK {
 		res.Rows = dedupRows(res.Rows)
@@ -1397,4 +1382,35 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 		return nil, true, err
 	}
 	return res, true, nil
+}
+
+// projectColumns materializes the plain sources (schema columns and WEIGHT)
+// at rows cand into one slab, a column at a time through the same column
+// reader as finalize's GROUP BY keys, cancelCheckRows rows per chunk so a
+// cancelled context stops it between chunks. Each row is cut from the slab
+// capacity-capped, so a caller's append cannot run into the next row.
+func projectColumns(ctx context.Context, snap *table.Snapshot, sources []int, rawW []float64, cand []int32) ([][]value.Value, error) {
+	nc := len(sources)
+	slab := make([]value.Value, len(cand)*nc)
+	for lo := 0; lo < len(cand); lo += cancelCheckRows {
+		if err := checkCtx(ctx); err != nil {
+			return nil, err
+		}
+		rows := cand[lo:min(lo+cancelCheckRows, len(cand))]
+		for oi, src := range sources {
+			dst := slab[lo*nc+oi:]
+			if src == srcWeight {
+				for k, ri := range rows {
+					dst[k*nc] = value.Float(rawW[ri])
+				}
+			} else {
+				snap.FillValues(src, rows, dst, nc)
+			}
+		}
+	}
+	out := make([][]value.Value, len(cand))
+	for ci := range out {
+		out[ci] = slab[ci*nc : (ci+1)*nc : (ci+1)*nc]
+	}
+	return out, nil
 }

@@ -213,7 +213,7 @@ func (m *Model) compileTerm(mg *marginal.Marginal) error {
 		for pi, p := range points {
 			var s float64
 			for j, dj := range d {
-				s += p[j] * dj
+				s += float64(p[j] * dj)
 			}
 			proj[pi] = s
 		}
@@ -393,7 +393,7 @@ func (m *Model) wassersteinShard(ts *trainScratch, s int) {
 			gs := it.scale * gr
 			row := sh.grad[r*dim : (r+1)*dim]
 			for j, c := range it.cols {
-				row[c] += gs * it.dir[j]
+				row[c] += float64(gs * it.dir[j])
 			}
 		}
 	}
@@ -414,7 +414,7 @@ func (m *Model) proximityRow(ts *trainScratch, r int) {
 	y := ts.anchors.Row(bestAt)
 	row := ts.grad.Data[r*dim : (r+1)*dim]
 	for j, xj := range x {
-		row[j] += m.cfg.Lambda * 2 * (xj - y[j]) * inv
+		row[j] += float64(m.cfg.Lambda * 2 * (xj - y[j]) * inv)
 	}
 }
 
@@ -629,7 +629,7 @@ func (d *decoder) decode(b nn.Batch) error {
 			if f > 1 {
 				f = 1
 			}
-			raw := sp.Min + f*(sp.Max-sp.Min)
+			raw := sp.Min + float64(f*(sp.Max-sp.Min))
 			if col.Kind == value.KindInt {
 				col.Ints[d.at+i] = int64(math.Round(raw))
 			} else {

@@ -94,14 +94,14 @@ func (ix *anchorIndex) nearest(x []float64, anchors nn.Batch) (best float64, bes
 				}
 				x4, y4 := x[j:j+4:j+4], y[j:j+4:j+4]
 				d0, d1, d2, d3 := x4[0]-y4[0], x4[1]-y4[1], x4[2]-y4[2], x4[3]-y4[3]
-				d += d0 * d0
-				d += d1 * d1
-				d += d2 * d2
-				d += d3 * d3
+				d += float64(d0 * d0)
+				d += float64(d1 * d1)
+				d += float64(d2 * d2)
+				d += float64(d3 * d3)
 			}
 			for ; j < len(x); j++ {
 				diff := x[j] - y[j]
-				d += diff * diff
+				d += float64(diff * diff)
 			}
 			if d < best || d == best && k.at < bestAt {
 				best, bestAt = d, k.at
@@ -127,9 +127,9 @@ func proximityKey(enc *Encoder, sample nn.Batch) int {
 		for r := 0; r < sample.Rows; r++ {
 			v := sample.Data[r*sample.Dim+sp.Offset]
 			sum += v
-			sq += v * v
+			sq += float64(v * v)
 		}
-		if spread := sq/n - (sum/n)*(sum/n); spread > widest {
+		if spread := sq/n - float64((sum/n)*(sum/n)); spread > widest {
 			col, widest = sp.Offset, spread
 		}
 	}

@@ -360,6 +360,47 @@ func (s *Snapshot) Len() int { return len(s.wts) }
 // Value materializes the cell at row i of column col.
 func (s *Snapshot) Value(i, col int) value.Value { return s.cols[col].Value(i, s.dictStrs) }
 
+// FillValues materializes column col at each of rows into dst[k*stride],
+// k indexing rows: one column of a row-major slab of stride-wide rows. Every
+// cell equals Value(rows[k], col); the kind is decided once per column.
+func (s *Snapshot) FillValues(col int, rows []int32, dst []value.Value, stride int) {
+	c := &s.cols[col]
+	switch c.Kind {
+	case value.KindInt:
+		for k, r := range rows {
+			if c.Null(int(r)) {
+				dst[k*stride] = value.Null()
+			} else {
+				dst[k*stride] = value.Int(c.Ints[r])
+			}
+		}
+	case value.KindFloat:
+		for k, r := range rows {
+			if c.Null(int(r)) {
+				dst[k*stride] = value.Null()
+			} else {
+				dst[k*stride] = value.Float(c.Floats[r])
+			}
+		}
+	case value.KindBool:
+		for k, r := range rows {
+			if c.Null(int(r)) {
+				dst[k*stride] = value.Null()
+			} else {
+				dst[k*stride] = value.Bool(c.Bools[r])
+			}
+		}
+	default:
+		for k, r := range rows {
+			if c.Null(int(r)) {
+				dst[k*stride] = value.Null()
+			} else {
+				dst[k*stride] = value.Text(s.dictStrs[c.Codes[r]])
+			}
+		}
+	}
+}
+
 // AppendRow appends the materialized i-th row to dst and returns it, for
 // callers that build rows into storage of their own.
 func (s *Snapshot) AppendRow(dst []value.Value, i int) []value.Value {

@@ -4,6 +4,12 @@
 // and booleans, plus NULL. Values are small immutable structs passed by
 // value; they support the total order used by ORDER BY, the equality used by
 // GROUP BY hashing, and the numeric coercions used by the expression engine.
+//
+// A Value is 40 bytes on 64-bit platforms: the kind and the BOOL payload
+// share the first word, followed by the INT, FLOAT and TEXT payloads. Row
+// buffers and answers are arrays of Values, so this size is the size of
+// every answer cell; the executor writes each answer into one slab of
+// Values, a column at a time.
 package value
 
 import (
@@ -63,10 +69,10 @@ func ParseKind(name string) (Kind, error) {
 // Value is a single typed scalar. The zero Value is NULL.
 type Value struct {
 	kind Kind
+	b    bool // beside kind, in the padding before i: 40 bytes, not 48
 	i    int64
 	f    float64
 	s    string
-	b    bool
 }
 
 // Null returns the NULL value.

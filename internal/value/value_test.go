@@ -4,7 +4,20 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueSize pins the 40-byte layout. b sits next to kind, inside the
+// padding that aligns i; placed last it would cost a word of its own, and
+// every slab, row buffer and answer would be a fifth larger (48 bytes).
+func TestValueSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Value{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 40", got)
+	}
+}
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{

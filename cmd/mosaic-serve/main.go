@@ -114,14 +114,12 @@ func main() {
 	}
 
 	srvCfg := server.Config{
-		DB:                 db,
-		MaxConcurrent:      bootQoS.MaxConcurrent,
-		BatchMaxConcurrent: bootQoS.BatchMaxConcurrent,
-		ShedMargin:         bootQoS.ShedMargin,
-		RequestTimeout:     *requestTimeout,
-		SnapshotPath:       *snapshot,
-		SnapshotInterval:   *snapshotInterval,
-		Logf:               log.Printf,
+		DB:               db,
+		QoS:              bootQoS,
+		RequestTimeout:   *requestTimeout,
+		SnapshotPath:     *snapshot,
+		SnapshotInterval: *snapshotInterval,
+		Logf:             log.Printf,
 	}
 
 	// Follower mode: the process's state comes from its primary and nowhere

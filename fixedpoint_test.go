@@ -226,7 +226,7 @@ func TestSetMechanismSurvivesRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := res.String(); !strings.Contains(got, "north") || len(res.Rows) != 2 ||
-			res.Rows[0][1].Raw() != 10.0 || res.Rows[1][1].Raw() != 30.0 {
+			res.Rows[0][1] != value.Float(10) || res.Rows[1][1] != value.Float(30) {
 			t.Errorf("%s: SEMI-OPEN by region =\n%s\nwant north 10, south 30", d.name, got)
 		}
 	}

@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"mosaic/internal/schema"
 	"mosaic/internal/table"
 	"mosaic/internal/value"
 )
@@ -102,14 +101,13 @@ func (d *attrDomain) representative(i int, kind value.Kind) value.Value {
 
 // Network is a learned Chow–Liu tree.
 type Network struct {
-	schemaNames []string
-	kinds       []value.Kind
-	domains     []*attrDomain
-	parent      []int       // parent attribute index; -1 for the root
-	order       []int       // topological sampling order
-	rootProb    []float64   // P(root)
-	cpt         [][]float64 // cpt[attr][parentBin*size+bin] = P(bin|parentBin)
-	total       float64     // total weight the model represents
+	kinds    []value.Kind
+	domains  []*attrDomain
+	parent   []int       // parent attribute index; -1 for the root
+	order    []int       // topological sampling order
+	rootProb []float64   // P(root)
+	cpt      [][]float64 // cpt[attr][parentBin*size+bin] = P(bin|parentBin)
+	total    float64     // total weight the model represents
 }
 
 // Learn fits a Chow–Liu tree to the weighted sample. All schema attributes
@@ -126,9 +124,8 @@ func Learn(t *table.Table, opts Options) (*Network, error) {
 	}
 
 	net := &Network{
-		schemaNames: sc.Names(),
-		kinds:       make([]value.Kind, d),
-		domains:     make([]*attrDomain, d),
+		kinds:   make([]value.Kind, d),
+		domains: make([]*attrDomain, d),
 	}
 	for i := 0; i < d; i++ {
 		net.kinds[i] = sc.At(i).Kind
@@ -315,42 +312,6 @@ func mutualInfo(bins [][]int, wts []float64, i, j, si, sj int, total float64) fl
 // Total returns the population weight the model was fit to.
 func (n *Network) Total() float64 { return n.total }
 
-// Sample draws k tuples from the network (ancestral sampling in topological
-// order), producing bin-representative values.
-func (n *Network) Sample(name string, k int, rng *rand.Rand) (*table.Table, error) {
-	attrs := make([]schema.Attribute, len(n.schemaNames))
-	for i := range attrs {
-		attrs[i] = schema.Attribute{Name: n.schemaNames[i], Kind: n.kinds[i]}
-	}
-	sc, err := schema.New(attrs...)
-	if err != nil {
-		return nil, err
-	}
-	t := table.New(name, sc)
-	for r := 0; r < k; r++ {
-		binsRow := make([]int, len(n.domains))
-		for _, i := range n.order {
-			var p []float64
-			if n.parent[i] < 0 {
-				p = n.rootProb
-			} else {
-				si := n.domains[i].size()
-				pb := binsRow[n.parent[i]]
-				p = n.cpt[i][pb*si : (pb+1)*si]
-			}
-			binsRow[i] = sampleIndex(p, rng)
-		}
-		row := make([]value.Value, len(n.domains))
-		for i, b := range binsRow {
-			row[i] = n.domains[i].representative(b, n.kinds[i])
-		}
-		if err := t.Append(row); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
 func sampleIndex(p []float64, rng *rand.Rand) int {
 	u := rng.Float64()
 	var acc float64
@@ -397,7 +358,3 @@ func (n *Network) EstimateProb(pred func(row []value.Value) (bool, error), k int
 	}
 	return float64(hits) / float64(k), nil
 }
-
-// Parent returns the learned tree as parent indices (root has -1); exposed
-// for tests and ablation reporting.
-func (n *Network) Parent() []int { return append([]int(nil), n.parent...) }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mosaic/internal/schema"
-	"mosaic/internal/stats"
 	"mosaic/internal/table"
 	"mosaic/internal/value"
 )
@@ -41,7 +40,7 @@ func TestLearnBuildsTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := net.Parent()
+	par := net.parent
 	if len(par) != 3 {
 		t.Fatalf("parent vector = %v", par)
 	}
@@ -78,20 +77,27 @@ func TestSamplePreservesMarginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	gen, err := net.Sample("g", 4000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen.Len() != 4000 {
-		t.Fatalf("generated %d", gen.Len())
-	}
-	// Mean of x in generated data ≈ mean in training data (bin midpoints
-	// introduce at most half a bin width of bias).
+	// P(x ≤ q) under the network ≈ the training fraction (bin
+	// representatives shift it by at most half a bin's mass).
 	xs, _ := tbl.FloatColumn("x")
-	gs, _ := gen.FloatColumn("x")
-	if d := math.Abs(stats.Mean(xs) - stats.Mean(gs)); d > 0.6 {
-		t.Errorf("generated mean off by %g", d)
+	rng := rand.New(rand.NewSource(3))
+	for _, q := range []float64{2.5, 5, 7.5} {
+		var want float64
+		for _, x := range xs {
+			if x <= q {
+				want++
+			}
+		}
+		want /= float64(len(xs))
+		got, err := net.EstimateProb(func(row []value.Value) (bool, error) {
+			return row[1].AsFloat() <= q, nil
+		}, 4000, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 0.08 {
+			t.Errorf("P(x ≤ %g) = %.3f, training fraction %.3f", q, got, want)
+		}
 	}
 }
 
@@ -101,25 +107,16 @@ func TestSamplePreservesDependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
-	gen, err := net.Sample("g", 4000, rng)
+	// y ≈ 2x: x > 5 and y > 10 hold together about half the time; were
+	// the two independent it would be a quarter.
+	p, err := net.EstimateProb(func(row []value.Value) (bool, error) {
+		return row[1].AsFloat() > 5 && row[2].AsFloat() > 10, nil
+	}, 4000, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr := func(tb *table.Table) float64 {
-		xs, _ := tb.FloatColumn("x")
-		ys, _ := tb.FloatColumn("y")
-		mx, my := stats.Mean(xs), stats.Mean(ys)
-		var cov, vx, vy float64
-		for i := range xs {
-			cov += (xs[i] - mx) * (ys[i] - my)
-			vx += (xs[i] - mx) * (xs[i] - mx)
-			vy += (ys[i] - my) * (ys[i] - my)
-		}
-		return cov / math.Sqrt(vx*vy)
-	}
-	if got := corr(gen); got < 0.8 {
-		t.Errorf("generated corr(x,y) = %.3f; tree lost the dependence", got)
+	if p < 0.4 {
+		t.Errorf("P(x > 5, y > 10) = %.3f; tree lost the dependence", p)
 	}
 }
 
@@ -201,23 +198,17 @@ func TestCategoricalOnlyNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := net.Sample("g", 1000, rand.New(rand.NewSource(11)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Generated (a=x, b=true) co-occurrence must dominate (a=x, b=false).
-	var xTrue, xFalse float64
-	gen.Scan(func(row []value.Value, _ float64) bool {
-		if row[0].AsText() == "x" {
-			if row[1].AsBool() {
-				xTrue++
-			} else {
-				xFalse++
-			}
+	// (a=x, b=true) must dominate (a=x, b=false).
+	xAnd := func(b bool, seed int64) float64 {
+		p, err := net.EstimateProb(func(row []value.Value) (bool, error) {
+			return row[0].AsText() == "x" && row[1].AsBool() == b, nil
+		}, 1000, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	if xTrue <= xFalse {
+		return p
+	}
+	if xTrue, xFalse := xAnd(true, 11), xAnd(false, 12); xTrue <= xFalse {
 		t.Errorf("dependence lost: x&true=%g x&false=%g", xTrue, xFalse)
 	}
 }

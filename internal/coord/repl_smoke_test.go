@@ -55,7 +55,7 @@ func TestReplicationProcessSmoke(t *testing.T) {
 
 	// The follower is read-only: DDL/DML straight at it answers 403.
 	var re *client.RemoteError
-	if err := client.New("http://"+followerAddr).Exec("CREATE TABLE Nope (v INT)"); !asRemote(err, &re) || re.StatusCode != http.StatusForbidden {
+	if err := client.New("http://" + followerAddr).Exec("CREATE TABLE Nope (v INT)"); !asRemote(err, &re) || re.StatusCode != http.StatusForbidden {
 		t.Fatalf("exec on the follower process: %v, want 403", err)
 	}
 

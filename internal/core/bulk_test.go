@@ -32,6 +32,23 @@ func sampleTable(t *testing.T, e *Engine, name string) *table.Table {
 	return s.Table
 }
 
+// native is v's payload as the Go value Ingest takes: int64, float64,
+// string, bool, or nil for NULL.
+func native(v value.Value) any {
+	switch v.Kind() {
+	case value.KindInt:
+		return v.AsInt()
+	case value.KindFloat:
+		return v.AsFloat()
+	case value.KindText:
+		return v.AsText()
+	case value.KindBool:
+		return v.AsBool()
+	default:
+		return nil
+	}
+}
+
 // bulkCell draws a value for a column of kind k: NULL, NaN, ±Inf, −0,
 // INT↔FLOAT coercions, repeated and new TEXT, or (bad) one that does not
 // coerce.
@@ -158,7 +175,7 @@ func bulkPaths(t *testing.T) []bulkPath {
 				raw := make([][]any, len(rows))
 				for i, r := range rows {
 					for _, v := range r {
-						raw[i] = append(raw[i], v.Raw())
+						raw[i] = append(raw[i], native(v))
 					}
 					if v := r[0]; v.Kind() == value.KindText && v.AsText() == "bad" {
 						raw[i][0] = uint8(1) // a Go type Ingest does not take

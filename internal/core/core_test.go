@@ -319,6 +319,41 @@ func TestInsertAndCreateTableAsSelect(t *testing.T) {
 	}
 }
 
+// TestCreateTableAsKeepsColumnKinds: a plain column item keeps its source
+// column's kind, aliased or not and whatever the first row holds; a computed
+// item takes the kind of its first non-NULL value, FLOAT when there is none.
+func TestCreateTableAsKeepsColumnKinds(t *testing.T) {
+	e := NewEngine(Options{})
+	exec1(t, e, `CREATE TABLE T (a TEXT, n INT); INSERT INTO T VALUES (NULL, 1), ('x', 2)`)
+	exec1(t, e, `CREATE TABLE U AS SELECT a AS b FROM T`)
+	exec1(t, e, `CREATE TABLE W AS SELECT n AS m FROM T WHERE n > 5`)
+	exec1(t, e, `CREATE TABLE X AS SELECT n * 2 AS d FROM T WHERE a IS NOT NULL OR n > 1`)
+	exec1(t, e, `CREATE TABLE N (n INT); INSERT INTO N VALUES (NULL), (3)`)
+	exec1(t, e, `CREATE TABLE Y AS SELECT n * 2 AS d FROM N`)
+	exec1(t, e, `CREATE TABLE Z AS SELECT n * 2 AS d FROM N WHERE n IS NULL`)
+	for _, c := range []struct {
+		table, col string
+		want       value.Kind
+	}{
+		{"U", "b", value.KindText},
+		{"W", "m", value.KindInt},
+		{"X", "d", value.KindInt},
+		{"Y", "d", value.KindInt},
+		{"Z", "d", value.KindFloat},
+	} {
+		tbl, ok := e.Catalog().Table(c.table)
+		if !ok {
+			t.Fatalf("no table %s", c.table)
+		}
+		if k, _ := tbl.Schema().Kind(c.col); k != c.want {
+			t.Errorf("%s.%s is %s, want %s", c.table, c.col, k, c.want)
+		}
+	}
+	if got := query(t, e, "SELECT b FROM U"); len(got) != 2 || !got[0][0].IsNull() || got[1][0].AsText() != "x" {
+		t.Errorf("U = %v, want NULL, 'x'", got)
+	}
+}
+
 func TestAugmentMarginalsAddsUncoveredAttrs(t *testing.T) {
 	sc := schema.MustNew(
 		schema.Attribute{Name: "grp", Kind: value.KindText},

@@ -30,7 +30,8 @@ import (
 // Options configures an Engine.
 type Options struct {
 	// Seed drives all engine randomness (model training, generation).
-	// Default 1.
+	// Default 1. Two engines with equal seeds and equal statement streams
+	// give identical answers.
 	Seed int64
 	// OpenSamples is the number of generated samples averaged per OPEN query
 	// (the paper generates 10, Sec 5.3). Default 10.
@@ -453,8 +454,8 @@ func (e *Engine) logged(ent logEntry) {
 // table t, from row n0 on: it renders them as a COPY block when a delta is
 // served. It holds t, never a snapshot, whose columns later appends would
 // reallocate, and copies the rows' weights only when weighted (they may be
-// other than 1) and they are not all 1. That is enough because engine
-// tables are append-only (nothing calls table.Truncate): rows [n0, t.Len())
+// other than 1) and they are not all 1. That is enough because tables are
+// append-only: rows [n0, t.Len())
 // keep their values for as long as t lives, whatever its name comes to
 // mean, and UPDATE SAMPLE, which rewrites weights, is logged after them.
 func (e *Engine) rowsEntry(rel string, t *table.Table, n0 int, weighted bool) logEntry {

@@ -62,7 +62,7 @@ func TestPlanCacheEngineSwapMisses(t *testing.T) {
 	}
 	// The stale-engine entry was dropped; re-storing against e2 works.
 	pq := pc.Store(e2, q, mustParse(t, q))
-	if _, err := e2.QueryPrepared(context.Background(), pq, pq.Statement()); err != nil {
+	if _, err := e2.QueryPrepared(context.Background(), pq, pq.skeleton); err != nil {
 		t.Fatalf("re-stored plan: %v", err)
 	}
 }
@@ -82,7 +82,7 @@ func TestPlanCachedAnswersTrackMutations(t *testing.T) {
 		if !ok {
 			t.Fatal("cached plan vanished")
 		}
-		res, err := e.QueryPrepared(context.Background(), pq, pq.Statement())
+		res, err := e.QueryPrepared(context.Background(), pq, pq.skeleton)
 		if err != nil {
 			t.Fatal(err)
 		}

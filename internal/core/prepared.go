@@ -39,9 +39,6 @@ func (e *Engine) Prepare(sel *sql.Select) *PreparedQuery {
 	return &PreparedQuery{eng: e, skeleton: sel}
 }
 
-// Statement returns the prepared statement as parsed (placeholders intact).
-func (pq *PreparedQuery) Statement() *sql.Select { return pq.skeleton }
-
 // QueryPrepared executes the prepared query with bound already substituted
 // for the skeleton's placeholders (see sql.BindParams); pass the skeleton
 // itself for parameterless statements. It holds the engine read lock for the

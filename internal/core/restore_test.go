@@ -87,14 +87,16 @@ func randomWorld(t *testing.T, seed int64) *Engine {
 	if seed%3 != 0 {
 		for _, name := range []string{"S1", "S2"} {
 			s, _ := e.Catalog().Sample(name)
-			for r := 0; r < s.Table.Len(); r++ {
+			ws := s.Table.Weights()
+			for r := range ws {
 				w := rtWeights[rng.Intn(len(rtWeights))]
 				if rng.Intn(2) == 0 || seed%3 == 2 && (math.IsNaN(w) || math.IsInf(w, 0)) {
 					continue
 				}
-				if err := s.Table.SetWeight(r, w); err != nil {
-					t.Fatal(err)
-				}
+				ws[r] = w
+			}
+			if err := s.Table.SetWeights(ws); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -342,10 +344,11 @@ func TestInsertWeightColumn(t *testing.T) {
 		}
 	}
 	s2, _ := e.Catalog().Sample("S2")
-	if row, w := s2.Table.Row(0), s2.Table.Weight(0); row[1].AsInt() != 7 || w != 1 {
+	s2w := s2.Table.Weights()
+	if row, w := s2.Table.Row(0), s2w[0]; row[1].AsInt() != 7 || w != 1 {
 		t.Errorf("S2 row %v weight %g: the column named WEIGHT must win", row, w)
 	}
-	if row, w := s2.Table.Row(1), s2.Table.Weight(1); row[1].AsInt() != 8 || w != 4 {
+	if row, w := s2.Table.Row(1), s2w[1]; row[1].AsInt() != 8 || w != 4 {
 		t.Errorf("S2 row %v weight %g: the WEIGHT clause sets the tuple weight", row, w)
 	}
 	for src, wantErr := range map[string]string{

@@ -199,7 +199,7 @@ func TestBiasedSampleExactErrors(t *testing.T) {
 
 func TestUniformSample(t *testing.T) {
 	f := Flights(FlightsConfig{N: 5000, Seed: 10})
-	s, err := UniformSample(f, 500, "u", 11)
+	s, err := weightedSampleWithoutReplacement(f, 500, func([]value.Value) float64 { return 1 }, "u", 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,8 +172,3 @@ func BiasedSampleExact(pop *table.Table, pred expr.Expr, n int, biasFrac float64
 	}
 	return out, nil
 }
-
-// UniformSample draws n tuples uniformly without replacement.
-func UniformSample(pop *table.Table, n int, name string, seed int64) (*table.Table, error) {
-	return weightedSampleWithoutReplacement(pop, n, func([]value.Value) float64 { return 1 }, name, seed)
-}

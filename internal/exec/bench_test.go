@@ -179,7 +179,7 @@ func BenchmarkGroupBy400k(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers=%d", bc.name, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := RunSnapshot(snap, sel, Options{Weighted: true, Workers: w}); err != nil {
+					if _, err := RunSnapshotContext(context.Background(), snap, sel, Options{Weighted: true, Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -140,15 +140,10 @@ func RunContext(ctx context.Context, t *table.Table, sel *sql.Select, opts Optio
 	return RunSnapshotContext(ctx, t.Snapshot(), sel, opts)
 }
 
-// RunSnapshot evaluates sel over an already-captured snapshot. Queries route
-// through the vectorized columnar path when every operator is covered by a
-// kernel, and fall back to the row-at-a-time interpreter otherwise; the two
-// paths produce byte-identical results.
-func RunSnapshot(snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, error) {
-	return RunSnapshotContext(context.Background(), snap, sel, opts)
-}
-
-// RunSnapshotContext is RunSnapshot with a cancellation context.
+// RunSnapshotContext evaluates sel over an already-captured snapshot.
+// Queries route through the vectorized columnar path when every operator is
+// covered by a kernel, and fall back to the row-at-a-time interpreter
+// otherwise; the two paths produce byte-identical results.
 func RunSnapshotContext(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, error) {
 	sel, err := begin(ctx, snap, sel, opts)
 	if err != nil {
@@ -626,26 +621,40 @@ func orderKey(e expr.Expr, res *Result, out *schema.Schema, i, j int) (value.Val
 	return value.Null(), value.Null(), fmt.Errorf("exec: cannot resolve ORDER BY expression %s against output columns", e)
 }
 
-// Materialize runs a projection-style select and stores the answer in a new
-// table with the given name. Aggregate selects are materialized with FLOAT
-// columns for aggregates.
+// Materialize runs a select and stores the answer in a new table with the
+// given name. A plain column item, aliased or not, keeps its source
+// column's kind; a computed item (an aggregate, an expression) takes the
+// kind of its first non-NULL value, FLOAT when every value is NULL.
 func Materialize(t *table.Table, sel *sql.Select, opts Options, name string) (*table.Table, error) {
 	res, err := Run(t, sel, opts)
 	if err != nil {
 		return nil, err
 	}
+	src := t.Schema()
+	kinds := make([]value.Kind, 0, len(res.Columns))
+	for _, it := range sel.Items {
+		if it.Star && it.Agg == sql.AggNone {
+			for j := 0; j < src.Len(); j++ {
+				kinds = append(kinds, src.At(j).Kind)
+			}
+			continue
+		}
+		k := value.KindNull
+		if col, ok := it.Expr.(*expr.Column); ok && it.Agg == sql.AggNone {
+			if j, ok := src.Index(col.Name); ok {
+				k = src.At(j).Kind
+			}
+		}
+		kinds = append(kinds, k)
+	}
 	attrs := make([]schema.Attribute, len(res.Columns))
 	for i, c := range res.Columns {
-		k := value.KindFloat
-		if j, ok := t.Schema().Index(c); ok {
-			k = t.Schema().At(j).Kind
-		} else if len(res.Rows) > 0 {
-			switch res.Rows[0][i].Kind() {
-			case value.KindNull:
-				k = value.KindFloat
-			default:
-				k = res.Rows[0][i].Kind()
-			}
+		k := kinds[i]
+		for r := 0; k == value.KindNull && r < len(res.Rows); r++ {
+			k = res.Rows[r][i].Kind()
+		}
+		if k == value.KindNull {
+			k = value.KindFloat
 		}
 		attrs[i] = schema.Attribute{Name: c, Kind: k}
 	}

@@ -90,7 +90,7 @@ func TestMorselDeterminism(t *testing.T) {
 }
 
 // TestParallelQueryWithConcurrentMutation: morsel-parallel queries racing
-// against concurrent appends and truncates must stay safe — each query takes
+// against concurrent appends must stay safe — each query takes
 // one consistent table.Snapshot up front and never touches live column
 // storage again. Run under -race this pins the snapshot lock-once contract
 // for the worker pool; the final exchange re-checks determinism on the
@@ -132,9 +132,6 @@ func TestParallelQueryWithConcurrentMutation(t *testing.T) {
 			if err := tbl.AppendWeighted(row, 1.5); err != nil {
 				t.Errorf("append: %v", err)
 				return
-			}
-			if i == 200 {
-				tbl.Truncate()
 			}
 		}
 	}()

@@ -135,37 +135,11 @@ func (st *PartialStates) MergeGroup(g int, other *PartialStates, og int) {
 	}
 }
 
-// Finalize produces group g's output value: COUNT of nothing is 0,
-// SUM/MIN/MAX of nothing are NULL, AVG is NULL when no input or all weights
-// were zero.
-func (st *PartialStates) Finalize(g int) value.Value {
-	switch st.Kind {
-	case sql.AggCount:
-		return value.Float(st.Count[g])
-	case sql.AggSum:
-		if !st.Seen[g] {
-			return value.Null()
-		}
-		return value.Float(st.SumWX[g])
-	case sql.AggAvg:
-		if !st.Seen[g] || st.SumW[g] == 0 {
-			return value.Null()
-		}
-		return value.Float(st.SumWX[g] / st.SumW[g])
-	case sql.AggMin, sql.AggMax:
-		if !st.Seen[g] {
-			return value.Null()
-		}
-		return st.MinMax[g]
-	default:
-		return value.Null()
-	}
-}
-
-// FinalizeInto writes Finalize(g) to dst[g*stride] for every group g with
-// g*stride < len(dst): one output column of a row-major slab, filled with the
-// kind decided once for the whole column. Finalize stays the definition;
-// this is its column-at-a-time form.
+// FinalizeInto writes group g's output value to dst[g*stride] for every
+// group g with g*stride < len(dst): one output column of a row-major slab,
+// filled with the kind decided once for the whole column. COUNT of nothing
+// is 0, SUM/MIN/MAX of nothing are NULL, AVG is NULL when no input or all
+// weights were zero. The tests hold it to a per-group Finalize.
 func (st *PartialStates) FinalizeInto(dst []value.Value, stride int) {
 	switch st.Kind {
 	case sql.AggCount:

@@ -99,7 +99,7 @@ var shardStressQueries = []string{
 }
 
 // TestShardConcurrentMutation races sharded scatter-gather queries against
-// concurrent AppendWeighted and Truncate on the same table. Snapshot
+// concurrent AppendWeighted on the same table. Snapshot
 // isolation makes each query see one frozen prefix; the test (run under
 // -race in CI) asserts no data race and no spurious error —
 // answer values are unpinnable mid-mutation, so correctness of the scan
@@ -125,10 +125,6 @@ func TestShardConcurrentMutation(t *testing.T) {
 			case <-done:
 				return
 			default:
-			}
-			if i%500 == 499 {
-				tbl.Truncate()
-				continue
 			}
 			row := []value.Value{
 				value.Text(fmt.Sprintf("g%d", rng.Intn(6))),

@@ -115,36 +115,3 @@ func ReplaceParams(e Expr, vals []value.Value) (Expr, error) {
 		return e, nil
 	}
 }
-
-// CountParams returns the number of distinct parameter positions e references
-// (the highest Param index + 1).
-func CountParams(e Expr) int {
-	max := 0
-	countParams(e, &max)
-	return max
-}
-
-func countParams(e Expr, max *int) {
-	switch ex := e.(type) {
-	case *Param:
-		if ex.Index+1 > *max {
-			*max = ex.Index + 1
-		}
-	case *Unary:
-		countParams(ex.Child, max)
-	case *Binary:
-		countParams(ex.Left, max)
-		countParams(ex.Right, max)
-	case *In:
-		countParams(ex.Child, max)
-		for _, item := range ex.List {
-			countParams(item, max)
-		}
-	case *Between:
-		countParams(ex.Child, max)
-		countParams(ex.Lo, max)
-		countParams(ex.Hi, max)
-	case *IsNull:
-		countParams(ex.Child, max)
-	}
-}

@@ -64,8 +64,8 @@ type cellGroup struct {
 
 // Fit computes IPF weights for the sample against the marginals. The input
 // weights seed the iteration (the user's initial weights, Sec 3.2); they must
-// be non-negative and not all zero. Fit does not modify the table; use Apply
-// or Table.SetWeights with the returned weights.
+// be non-negative and not all zero. Fit does not modify the table; use
+// ApplyContext or Table.SetWeights with the returned weights.
 func Fit(sample *table.Table, marginals []*marginal.Marginal, opts Options) ([]float64, Result, error) {
 	return FitContext(context.Background(), sample, marginals, opts)
 }
@@ -211,14 +211,9 @@ func FitContext(ctx context.Context, sample *table.Table, marginals []*marginal.
 	return w, res, nil
 }
 
-// Apply runs Fit and installs the weights on the sample.
-func Apply(sample *table.Table, marginals []*marginal.Marginal, opts Options) (Result, error) {
-	return ApplyContext(context.Background(), sample, marginals, opts)
-}
-
-// ApplyContext is Apply with a cancellation context: a cancelled fit leaves
-// the sample's weights untouched (weights install only after the fit
-// completes).
+// ApplyContext runs FitContext and installs the weights on the sample. A
+// cancelled fit leaves the sample's weights untouched (weights install only
+// after the fit completes).
 func ApplyContext(ctx context.Context, sample *table.Table, marginals []*marginal.Marginal, opts Options) (Result, error) {
 	w, res, err := FitContext(ctx, sample, marginals, opts)
 	if err != nil {

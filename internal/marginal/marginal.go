@@ -102,9 +102,6 @@ func (m *Marginal) SnapVals(vals []value.Value) ([]value.Value, error) {
 	return out, nil
 }
 
-// Dim returns 1 or 2.
-func (m *Marginal) Dim() int { return len(m.Attrs) }
-
 func cellKey(vals []value.Value) string {
 	var b strings.Builder
 	for _, v := range vals {
@@ -133,34 +130,6 @@ func (m *Marginal) Add(vals []value.Value, count float64) error {
 	return nil
 }
 
-// Count returns the cell count for vals (0 when absent).
-func (m *Marginal) Count(vals []value.Value) float64 {
-	snapped, err := m.SnapVals(vals)
-	if err != nil {
-		return 0
-	}
-	if c, ok := m.cells[cellKey(snapped)]; ok {
-		return c.Count
-	}
-	return 0
-}
-
-// KeyFor returns the internal cell key a tuple maps to; IPF uses it to
-// bucket sample tuples consistently with the marginal's binning.
-func (m *Marginal) KeyFor(vals []value.Value) (string, error) {
-	snapped, err := m.SnapVals(vals)
-	if err != nil {
-		return "", err
-	}
-	return cellKey(snapped), nil
-}
-
-// CellKeys returns the internal keys of all cells in insertion order,
-// parallel to Cells().
-func (m *Marginal) CellKeys() []string {
-	return append([]string(nil), m.order...)
-}
-
 // Total returns the sum of all cell counts — the represented population size.
 func (m *Marginal) Total() float64 {
 	var s float64
@@ -169,9 +138,6 @@ func (m *Marginal) Total() float64 {
 	}
 	return s
 }
-
-// Len returns the number of non-empty cells.
-func (m *Marginal) Len() int { return len(m.order) }
 
 // Cells returns all cells in insertion order. The returned cells must not be
 // modified.
@@ -198,36 +164,6 @@ func (m *Marginal) SortedCells() []Cell {
 	return out
 }
 
-// Project reduces a 2-D marginal to the 1-D marginal of attribute attr.
-func (m *Marginal) Project(attr string) (*Marginal, error) {
-	idx := -1
-	for i, a := range m.Attrs {
-		if strings.EqualFold(a, attr) {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("marginal %s: no attribute %q", m.Name, attr)
-	}
-	out, err := New(m.Name+"_proj_"+attr, []string{m.Attrs[idx]})
-	if err != nil {
-		return nil, err
-	}
-	if m.bins[idx] > 0 {
-		if err := out.SetBinWidth(m.Attrs[idx], m.bins[idx]); err != nil {
-			return nil, err
-		}
-	}
-	for _, k := range m.order {
-		c := m.cells[k]
-		if err := out.Add([]value.Value{c.Vals[idx]}, c.Count); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Scale multiplies every cell count by f (>0); used to renormalize marginals
 // from a query population against global-population marginals.
 func (m *Marginal) Scale(f float64) error {
@@ -238,17 +174,6 @@ func (m *Marginal) Scale(f float64) error {
 		m.cells[k].Count *= f
 	}
 	return nil
-}
-
-// Clone deep-copies the marginal, including bin widths.
-func (m *Marginal) Clone() *Marginal {
-	out, _ := New(m.Name, m.Attrs)
-	copy(out.bins, m.bins)
-	for _, k := range m.order {
-		c := m.cells[k]
-		_ = out.Add(c.Vals, c.Count)
-	}
-	return out
 }
 
 // Equal reports whether o would drive IPF and M-SWG training exactly as m
@@ -358,26 +283,6 @@ func FromTableBinned(name string, t *table.Table, attrs []string, widths map[str
 		m.order = append(m.order, k)
 	}
 	return m, nil
-}
-
-// ConsistentTotals checks that all marginals agree on the population size to
-// within relative tolerance tol; IPF requires consistent totals to converge.
-func ConsistentTotals(ms []*Marginal, tol float64) error {
-	if len(ms) < 2 {
-		return nil
-	}
-	t0 := ms[0].Total()
-	for _, m := range ms[1:] {
-		t := m.Total()
-		ref := math.Max(math.Abs(t0), math.Abs(t))
-		if ref == 0 {
-			continue
-		}
-		if math.Abs(t-t0)/ref > tol {
-			return fmt.Errorf("marginal: inconsistent totals %s=%.6g vs %s=%.6g", ms[0].Name, t0, m.Name, t)
-		}
-	}
-	return nil
 }
 
 // CoveredAttrs returns the distinct (lower-cased) attribute names covered by

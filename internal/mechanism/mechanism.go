@@ -180,15 +180,6 @@ func InverseWeights(t *table.Table, m Mechanism) ([]float64, error) {
 	return out, nil
 }
 
-// ApplyInverseWeights reweights the sample in place by 1/Pr_S(t).
-func ApplyInverseWeights(t *table.Table, m Mechanism) error {
-	w, err := InverseWeights(t, m)
-	if err != nil {
-		return err
-	}
-	return t.SetWeights(w)
-}
-
 // Sample draws a Bernoulli sample from pop: each tuple enters independently
 // with its mechanism probability. Weights in the result are 1.
 func Sample(pop *table.Table, m Mechanism, name string, rng *rand.Rand) (*table.Table, error) {
@@ -212,38 +203,4 @@ func Sample(pop *table.Table, m Mechanism, name string, rng *rand.Rand) (*table.
 		return nil, scanErr
 	}
 	return out, nil
-}
-
-// StratifiedFor builds a Stratified mechanism whose per-stratum probabilities
-// realize an equal-allocation stratified design over the given population:
-// with k strata and target sample fraction f, every stratum contributes
-// f·N/k expected tuples, so stratum h with N_h tuples has probability
-// min(1, f·N/(k·N_h)).
-func StratifiedFor(pop *table.Table, attr string, percent float64) (Stratified, error) {
-	if percent <= 0 || percent > 100 {
-		return Stratified{}, fmt.Errorf("mechanism: percent %g out of (0,100]", percent)
-	}
-	i, ok := pop.Schema().Index(attr)
-	if !ok {
-		return Stratified{}, fmt.Errorf("mechanism: population has no attribute %q", attr)
-	}
-	counts := map[string]float64{}
-	pop.Scan(func(row []value.Value, _ float64) bool {
-		counts[row[i].HashKey()]++
-		return true
-	})
-	if len(counts) == 0 {
-		return Stratified{}, fmt.Errorf("mechanism: empty population for stratification on %q", attr)
-	}
-	n := float64(pop.Len()) * percent / 100
-	per := n / float64(len(counts))
-	probs := make(map[string]float64, len(counts))
-	for k, nh := range counts {
-		p := per / nh
-		if p > 1 {
-			p = 1
-		}
-		probs[k] = p
-	}
-	return Stratified{Attr: attr, Percent: percent, Probs: probs}, nil
 }

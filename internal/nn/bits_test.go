@@ -106,7 +106,7 @@ func TestFlatKernelsMatchReference(t *testing.T) {
 		ws := net.NewWorkspace(rows, true)
 		adam, refAdam := NewAdam(0.01), newRefAdam(0.01)
 		for step := 0; step < 4; step++ {
-			x := zeroedBatch(rng, rows, net.In())
+			x := zeroedBatch(rng, rows, net.in)
 			g := zeroedBatch(rng, rows, net.Out())
 			y := net.Forward(ws, x)
 			sameBits(t, "train output", y.Data, ref.Forward(toRows(x), true))
@@ -119,7 +119,7 @@ func TestFlatKernelsMatchReference(t *testing.T) {
 		}
 		ews := net.NewWorkspace(rows, false)
 		for _, n := range []int{rows, 1} {
-			x := zeroedBatch(rng, n, net.In())
+			x := zeroedBatch(rng, n, net.in)
 			sameBits(t, "eval output", net.Eval(ews, x).Data, ref.Forward(toRows(x), false))
 		}
 		sameParams(t, "after eval", net, ref)

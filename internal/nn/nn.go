@@ -91,13 +91,6 @@ func NewParam(n int) *Param {
 	}
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() {
-	for i := range p.Grad {
-		p.Grad[i] = 0
-	}
-}
-
 // Layer is one differentiable stage of a network. Only this package
 // implements it: the kernels below work on flat buffers the Network hands
 // them out of a Workspace. x is the layer input (rows×in), y its output
@@ -596,9 +589,6 @@ func NewMLP(in int, hidden []int, out int, softmaxBlocks [][2]int, rng *rand.Ran
 	return NewNetwork(in, layers...)
 }
 
-// In returns the input width.
-func (n *Network) In() int { return n.in }
-
 // Out returns the output width.
 func (n *Network) Out() int {
 	if len(n.widths) == 0 {
@@ -610,13 +600,6 @@ func (n *Network) Out() int {
 // Params returns every trainable parameter in layer order. The slice is the
 // network's own; callers must not modify it.
 func (n *Network) Params() []*Param { return n.params }
-
-// ZeroGrad clears all parameter gradients.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.params {
-		p.ZeroGrad()
-	}
-}
 
 // Workspace holds every buffer a Network needs to push one batch of up to
 // MaxRows rows forward and — when built for training — backward. A workspace

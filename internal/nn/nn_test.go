@@ -37,12 +37,19 @@ func batchOf(rows ...[]float64) Batch {
 	return b
 }
 
+// zeroGrads clears every parameter gradient of net.
+func zeroGrads(net *Network) {
+	for _, p := range net.Params() {
+		clear(p.Grad)
+	}
+}
+
 // gradCheck verifies parameter gradients of a network against central finite
 // differences for a fixed input and quadratic loss.
 func gradCheck(t *testing.T, net *Network, in, target Batch, tol float64) {
 	t.Helper()
 	ws := net.NewWorkspace(in.Rows, true)
-	net.ZeroGrad()
+	zeroGrads(net)
 	_ = lossAndBackward(net, ws, in, target)
 	// Snapshot analytic gradients.
 	var analytic []float64
@@ -182,7 +189,7 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 		}
 		y := net.Forward(ws, x)
 		net.Backward(ws, y)
-		net.ZeroGrad()
+		zeroGrads(net)
 	}
 	// Eval on a single centered input: running mean ≈ 5 should subtract.
 	y := net.Eval(net.NewWorkspace(1, false), batchOf([]float64{5}))

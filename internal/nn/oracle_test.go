@@ -343,13 +343,6 @@ func (n *refNetwork) Params() []*Param {
 	return out
 }
 
-// ZeroGrad clears all parameter gradients.
-func (n *refNetwork) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.ZeroGrad()
-	}
-}
-
 // refAdam is the reference Adam step.
 type refAdam struct {
 	LR    float64

@@ -147,19 +147,10 @@ func (s *Schema) String() string {
 	return b.String()
 }
 
-// Validate checks a row of values against the schema, coercing INT↔FLOAT
-// where needed, and returns the (possibly coerced) row.
-func (s *Schema) Validate(row []value.Value) ([]value.Value, error) {
-	out := make([]value.Value, len(s.attrs))
-	if err := s.ValidateInto(out, row); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ValidateInto is Validate writing the coerced row into dst, which must
-// hold Len values, instead of a fresh slice. On error dst holds a prefix of
-// the row and must not be used.
+// ValidateInto checks a row of values against the schema, coercing
+// INT↔FLOAT where needed, and writes the (possibly coerced) row into dst,
+// which must hold Len values. On error dst holds a prefix of the row and
+// must not be used.
 func (s *Schema) ValidateInto(dst, row []value.Value) error {
 	if len(row) != len(s.attrs) {
 		return fmt.Errorf("schema: row has %d values, schema has %d attributes", len(row), len(s.attrs))

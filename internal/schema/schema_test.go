@@ -111,7 +111,8 @@ func TestValidateCoercesAndChecksArity(t *testing.T) {
 		Attribute{Name: "i", Kind: value.KindInt},
 		Attribute{Name: "f", Kind: value.KindFloat},
 	)
-	row, err := s.Validate([]value.Value{value.Float(3.0), value.Int(2)})
+	row := make([]value.Value, s.Len())
+	err := s.ValidateInto(row, []value.Value{value.Float(3.0), value.Int(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,15 +122,15 @@ func TestValidateCoercesAndChecksArity(t *testing.T) {
 	if row[1].Kind() != value.KindFloat || row[1].AsFloat() != 2 {
 		t.Errorf("int->float coercion: %v", row[1])
 	}
-	if _, err := s.Validate([]value.Value{value.Int(1)}); err == nil {
+	if err := s.ValidateInto(row, []value.Value{value.Int(1)}); err == nil {
 		t.Error("arity mismatch should fail")
 	}
-	if _, err := s.Validate([]value.Value{value.Text("x"), value.Int(1)}); err == nil {
+	if err := s.ValidateInto(row, []value.Value{value.Text("x"), value.Int(1)}); err == nil {
 		t.Error("text into int should fail")
 	}
 	// NULLs pass through.
-	row, err = s.Validate([]value.Value{value.Null(), value.Null()})
-	if err != nil || !row[0].IsNull() {
+	err = s.ValidateInto(row, []value.Value{value.Null(), value.Null()})
+	if err != nil || !row[0].IsNull() || !row[1].IsNull() {
 		t.Errorf("NULL validation: %v, %v", row, err)
 	}
 }

@@ -78,7 +78,7 @@ func deadlineFromHeader(r *http.Request) (time.Duration, bool, error) {
 // in-flight requests are never dropped (a shrunk limit only throttles new
 // admissions; work already admitted runs to completion).
 type QoSConfig struct {
-	// MaxConcurrent is the total execution slot count.
+	// MaxConcurrent is the total execution slot count; 0 means 64.
 	MaxConcurrent int `json:"max_concurrent"`
 	// BatchMaxConcurrent caps batch-class slots. It is clamped below
 	// MaxConcurrent so batch work can never occupy every slot; 0 means

@@ -33,7 +33,7 @@ func TestTimeoutCancelsWorkAndFreesSlot(t *testing.T) {
 	if err := db.Exec(worldScript); err != nil {
 		t.Fatal(err)
 	}
-	s, c := newTestServer(t, Config{DB: db, MaxConcurrent: 1, RequestTimeout: 150 * time.Millisecond})
+	s, c := newTestServer(t, Config{DB: db, QoS: QoSConfig{MaxConcurrent: 1}, RequestTimeout: 150 * time.Millisecond})
 
 	_, err := c.Query("SELECT OPEN grp, COUNT(*) FROM World GROUP BY grp")
 	re, ok := err.(*client.RemoteError)

@@ -63,7 +63,7 @@ func TestOverloadBehindFlakyProxy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, ts := newRawServer(t, Config{DB: served, MaxConcurrent: 2, BatchMaxConcurrent: 1, RequestTimeout: time.Minute})
+	_, ts := newRawServer(t, Config{DB: served, QoS: QoSConfig{MaxConcurrent: 2, BatchMaxConcurrent: 1}, RequestTimeout: time.Minute})
 	proxy := &faulty.Proxy{Target: strings.TrimPrefix(ts.URL, "http://"), DropEvery: 7, TruncateEvery: 11}
 	addr, err := proxy.Start()
 	if err != nil {

@@ -66,7 +66,7 @@ func blockIn(t *testing.T, s *Server, cl Class) (release func(), done chan struc
 // interactive query still completes within its deadline — the batch cap
 // leaves interactive headroom by construction.
 func TestBatchCannotStarveInteractive(t *testing.T) {
-	s, c := newTestServer(t, Config{MaxConcurrent: 2, BatchMaxConcurrent: 1, RequestTimeout: 5 * time.Second})
+	s, c := newTestServer(t, Config{QoS: QoSConfig{MaxConcurrent: 2, BatchMaxConcurrent: 1}, RequestTimeout: 5 * time.Second})
 	if err := c.Exec("CREATE TABLE T (a INT); INSERT INTO T VALUES (1), (2)"); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestEstimateSheddingRefusesUnmeetableDeadlines(t *testing.T) {
 // executing and another is queued: the in-flight request completes, the
 // queued one is granted by the raised limit — nothing is dropped.
 func TestApplyQoSMidFlightDropsNothing(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxConcurrent: 1, RequestTimeout: 5 * time.Second})
+	s, _ := newTestServer(t, Config{QoS: QoSConfig{MaxConcurrent: 1}, RequestTimeout: 5 * time.Second})
 	release, done := blockIn(t, s, Interactive)
 	defer release()
 

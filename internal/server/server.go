@@ -68,19 +68,13 @@ import (
 type Config struct {
 	// DB is the engine to serve. Required.
 	DB *mosaic.DB
-	// MaxConcurrent bounds the number of /v1 requests executing at once;
-	// excess requests wait for a slot until their timeout. Default 64.
-	MaxConcurrent int
-	// BatchMaxConcurrent bounds concurrently executing batch-class requests
-	// (OPEN queries, exec scripts) so batch work can never occupy every
-	// slot. Default max(1, MaxConcurrent/2); clamped below MaxConcurrent.
-	BatchMaxConcurrent int
-	// ShedMargin scales the per-class EWMA latency estimate when deciding
-	// whether a request's deadline is worth admitting: the request is shed
-	// (503 + Retry-After, before any engine work) when estimate×margin
-	// exceeds its remaining budget. Default 1.0; negative disables
-	// estimate-based shedding (already-expired deadlines still shed).
-	ShedMargin float64
+	// QoS holds the boot admission limits and shed threshold: how many /v1
+	// requests execute at once (excess requests wait for a slot until their
+	// timeout), how many of them may be batch-class, and when a request's
+	// deadline is not worth admitting (503 + Retry-After, before any engine
+	// work). Its zero fields take QoSConfig's defaults; ApplyQoS replaces it
+	// at runtime.
+	QoS QoSConfig
 	// RequestTimeout bounds each /v1 request (admission wait + execution),
 	// intersected with any client-propagated X-Mosaic-Deadline-Ms. Default 30s.
 	RequestTimeout time.Duration
@@ -156,11 +150,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DB == nil {
 		return nil, fmt.Errorf("server: Config.DB is required")
 	}
-	k := NewKernel(QoSConfig{
-		MaxConcurrent:      cfg.MaxConcurrent,
-		BatchMaxConcurrent: cfg.BatchMaxConcurrent,
-		ShedMargin:         cfg.ShedMargin,
-	}, cfg.RequestTimeout)
+	k := NewKernel(cfg.QoS, cfg.RequestTimeout)
 	s := &Server{
 		Kernel:   k,
 		cfg:      cfg,

@@ -270,7 +270,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestAdmissionGateRejectsWhenSaturated(t *testing.T) {
-	s, c := newTestServer(t, Config{MaxConcurrent: 1, RequestTimeout: 100 * time.Millisecond})
+	s, c := newTestServer(t, Config{QoS: QoSConfig{MaxConcurrent: 1}, RequestTimeout: 100 * time.Millisecond})
 	if err := c.Exec(`CREATE TABLE T (a INT)`); err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func requireTablesIdentical(t *testing.T, a, b *table.Table) {
 				// allowed to differ across the two paths when the schema has
 				// several TEXT attributes (per-attribute vs row-major
 				// interning order); the stored VALUES must match exactly.
-				same = sa.DictStr(ca.Codes[i]) == sb.DictStr(cb.Codes[i])
+				same = sa.DictStrings()[ca.Codes[i]] == sb.DictStrings()[cb.Codes[i]]
 			}
 			if !same {
 				t.Fatalf("col %d row %d: typed value mismatch", j, i)
@@ -120,7 +120,7 @@ func TestDecodeTableMatchesRowAppend(t *testing.T) {
 }
 
 // TestGenerateSeededWeightedMatchesResetWeights pins build-time weighting to
-// the old generate-then-ResetWeights sequence.
+// generating at weight 1 and then resetting every weight to w.
 func TestGenerateSeededWeightedMatchesResetWeights(t *testing.T) {
 	m := decodeWorld(t)
 	got, err := m.GenerateSeededWeighted("g", 120, 7, 2.5)
@@ -131,7 +131,11 @@ func TestGenerateSeededWeightedMatchesResetWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := want.ResetWeights(2.5); err != nil {
+	wts := want.Weights()
+	for i := range wts {
+		wts[i] = 2.5
+	}
+	if err := want.SetWeights(wts); err != nil {
 		t.Fatal(err)
 	}
 	requireTablesIdentical(t, got, want)

@@ -182,23 +182,12 @@ func (e *Encoder) EncodeValue(sp *AttrSpec, v value.Value, dst []float64) error 
 	return nil
 }
 
-// EncodeRow encodes a full sample row.
-func (e *Encoder) EncodeRow(row []value.Value) ([]float64, error) {
-	out := make([]float64, e.Dim)
-	for i := range e.Attrs {
-		if err := e.EncodeValue(&e.Attrs[i], row[i], out); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // EncodeTable encodes every row of the sample. It runs column-at-a-time
 // over the table's snapshot: categorical TEXT attributes one-hot directly
 // from dictionary codes through a precomputed code→level table instead of
 // re-hashing strings per row, and continuous attributes scale straight off
 // the typed column vectors. The result is one flat row-major batch whose rows
-// are element-identical to encoding each row with EncodeRow.
+// are element-identical to encoding each of a row's values with EncodeValue.
 func (e *Encoder) EncodeTable(t *table.Table) (nn.Batch, error) {
 	snap := t.Snapshot()
 	out := nn.NewBatch(snap.Len(), e.Dim)

@@ -136,7 +136,6 @@ type Model struct {
 	adam   *nn.Adam
 	// History records per-epoch mean training loss.
 	History []float64
-	trained bool
 	evals   sync.Pool // of *evalScratch
 }
 
@@ -487,12 +486,8 @@ func (m *Model) TrainContext(ctx context.Context) error {
 			}
 		}
 	}
-	m.trained = true
 	return nil
 }
-
-// Trained reports whether Train has completed at least once.
-func (m *Model) Trained() bool { return m.trained }
 
 // evalScratch is what one generating goroutine needs: an eval workspace and
 // a latent batch, both sized for cfg.BatchSize.
@@ -694,27 +689,17 @@ func (m *Model) Generate(name string, n int) (*table.Table, error) {
 	return m.generateTable(context.Background(), m.rng, name, n, 1)
 }
 
-// GenerateSeeded produces a generated sample table of n tuples with weight 1
-// using an independent RNG stream derived from seed. Unlike Generate it does
-// not advance the model's training RNG, so replicate r of an OPEN query can
-// be generated on any goroutine in any order and still be deterministic.
-func (m *Model) GenerateSeeded(name string, n int, seed int64) (*table.Table, error) {
-	return m.GenerateSeededWeighted(name, n, seed, 1)
-}
-
-// GenerateSeededWeighted is GenerateSeeded with every generated tuple at
-// weight w instead of 1 — the OPEN path's uniform reweighting to the
-// population size happens at build time rather than as a second pass over
-// the replicate table.
-func (m *Model) GenerateSeededWeighted(name string, n int, seed int64, w float64) (*table.Table, error) {
-	return m.GenerateSeededWeightedContext(context.Background(), name, n, seed, w)
-}
-
-// GenerateSeededWeightedContext is GenerateSeededWeighted with a cancellation
-// context, checked once per generated batch. A cancelled generation returns
-// ctx.Err() and discards the partial replicate; the model itself is untouched
-// (eval-mode forward passes are read-only), so re-running with the same seed
-// reproduces the uncancelled replicate bit for bit.
+// GenerateSeededWeightedContext produces a generated sample table of n
+// tuples, each at weight w, using an independent RNG stream derived from
+// seed. Unlike Generate it does not advance the model's training RNG, so
+// replicate r of an OPEN query can be generated on any goroutine in any
+// order and still be deterministic; the OPEN path's uniform reweighting to
+// the population size happens here, at build time, rather than as a second
+// pass over the replicate table. The context is checked once per generated
+// batch. A cancelled generation returns ctx.Err() and discards the partial
+// replicate; the model itself is untouched (eval-mode forward passes are
+// read-only), so re-running with the same seed reproduces the uncancelled
+// replicate bit for bit.
 func (m *Model) GenerateSeededWeightedContext(ctx context.Context, name string, n int, seed int64, w float64) (*table.Table, error) {
 	return m.generateTable(ctx, rand.New(rand.NewSource(seed)), name, n, w)
 }
@@ -730,18 +715,6 @@ func (m *Model) generateTable(ctx context.Context, rng *rand.Rand, name string, 
 		return nil, err
 	}
 	return d.table()
-}
-
-// Loss evaluates Eq. 1 on a fresh eval-mode batch (no parameter update);
-// useful for model selection and tests. Its latent batch and anchor
-// subsample come from a stream of its own seeded from Config.Seed, so Loss
-// returns the same value until the model trains further and never changes
-// what training draws.
-func (m *Model) Loss() (float64, error) {
-	ts := m.newTrainScratch()
-	ts.rng = rand.New(rand.NewSource(m.cfg.Seed))
-	fillLatent(ts.rng, ts.z)
-	return m.lossAndGrad(ts, m.Net.Eval(ts.ws, ts.z))
 }
 
 // Config returns the effective (defaulted) configuration.

@@ -101,21 +101,3 @@ func TestIndexedNearestMatchesScan(t *testing.T) {
 		}
 	}
 }
-
-// TestLossDoesNotMoveTraining: Loss draws from a stream of its own, so
-// training after a Loss call yields the bits training alone does, and two
-// Loss calls on an unchanged model agree.
-func TestLossDoesNotMoveTraining(t *testing.T) {
-	plain := spiralLikeModel(t, 1)
-	probed := spiralLikeModel(t, 1)
-	first, err := probed.Loss()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, err := probed.Loss(); err != nil || math.Float64bits(again) != math.Float64bits(first) {
-		t.Errorf("Loss() = %v, %v; the first call returned %v", again, err, first)
-	}
-	if got, want := modelHash(t, probed), modelHash(t, plain); got != want {
-		t.Errorf("trained after a Loss() call: hash %s, trained alone: %s", got, want)
-	}
-}

@@ -104,6 +104,28 @@ func (m *Model) generateEncodedFrom(rng *rand.Rand, n int) nn.Batch {
 	return out
 }
 
+// EncodeRow encodes a full sample row, one EncodeValue per attribute.
+func (e *Encoder) EncodeRow(row []value.Value) ([]float64, error) {
+	out := make([]float64, e.Dim)
+	for i := range e.Attrs {
+		if err := e.EncodeValue(&e.Attrs[i], row[i], out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// GenerateSeeded is GenerateSeededWeighted at weight 1.
+func (m *Model) GenerateSeeded(name string, n int, seed int64) (*table.Table, error) {
+	return m.GenerateSeededWeighted(name, n, seed, 1)
+}
+
+// GenerateSeededWeighted is GenerateSeededWeightedContext without a
+// cancellation context.
+func (m *Model) GenerateSeededWeighted(name string, n int, seed int64, w float64) (*table.Table, error) {
+	return m.GenerateSeededWeightedContext(context.Background(), name, n, seed, w)
+}
+
 // GenerateEncoded produces n encoded vectors from the trained generator,
 // advancing the model's training RNG stream.
 func (m *Model) GenerateEncoded(n int) nn.Batch {

@@ -92,22 +92,3 @@ func TestCodeCachePrefixAfterAppend(t *testing.T) {
 		}
 	}
 }
-
-// TestCodeCacheInvalidatedByTruncate: Truncate drops the cache (codes of
-// removed rows must not leak into a rebuilt table).
-func TestCodeCacheInvalidatedByTruncate(t *testing.T) {
-	tbl := codeFixture(t, 20)
-	tbl.Snapshot().Codes(0)
-	tbl.Truncate()
-	if err := tbl.Append([]value.Value{value.Text("z"), value.Float(1)}); err != nil {
-		t.Fatal(err)
-	}
-	cls, bits := tbl.Snapshot().Codes(0)
-	if len(cls) != 1 {
-		t.Fatalf("codes after truncate+append: length %d, want 1", len(cls))
-	}
-	code, ok := tbl.Snapshot().DictLookup("z")
-	if !ok || cls[0] != value.ClassText || bits[0] != uint64(code) {
-		t.Errorf("post-truncate code = (%v,%d), want text code %d", cls[0], bits[0], code)
-	}
-}

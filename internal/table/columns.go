@@ -3,13 +3,12 @@
 // scans without per-row locking.
 //
 // Locking contract (see also the Table doc): a Snapshot captures slice
-// headers under one RLock. Because the table is append-only (tuples are never
-// mutated in place and appends past the captured length are invisible to the
-// snapshot), a snapshot stays valid while writers append — but weight
-// mutation (SetWeight/SetWeights/ResetWeights) and Truncate write in place,
-// so those writers must be externally serialized against snapshot readers.
-// The engine provides that serialization: DDL/DML runs under the engine
-// write lock while queries hold the read lock.
+// headers under one RLock. The table is append-only: tuples are never
+// mutated in place, and appends past the captured length are invisible to
+// the snapshot, so a snapshot stays valid while writers append. SetWeights
+// alone writes in place, and the engine serializes it against snapshot
+// readers: writes run under the engine write lock while queries hold the
+// read lock.
 package table
 
 import (
@@ -77,14 +76,6 @@ func (d *Dict) Strings() []string {
 	return s
 }
 
-// Len returns the number of interned strings.
-func (d *Dict) Len() int {
-	d.mu.RLock()
-	n := len(d.strs)
-	d.mu.RUnlock()
-	return n
-}
-
 // Column is one attribute's typed vector. Exactly one of the payload slices
 // is populated, chosen by the schema kind; NULL positions carry the zero
 // payload and are flagged in the Nulls bitmap.
@@ -147,8 +138,7 @@ func appendRow(dst []value.Value, cols []Column, strs []string, i int) []value.V
 }
 
 // appendValue extends the column with row value v (already schema-coerced),
-// coding TEXT through code: a Dict's Code, or its intern under a lock the
-// caller holds.
+// coding TEXT through code: a Dict's intern under a lock the caller holds.
 func (c *Column) appendValue(i int, v value.Value, code func(string) uint32) {
 	if v.IsNull() {
 		c.setNull(i)
@@ -248,8 +238,8 @@ type Snapshot struct {
 }
 
 // Snapshot captures the table's current contents with one RLock. The
-// returned view is safe to read concurrently with appends; in-place weight
-// mutation must be externally serialized (the engine write lock does this).
+// returned view is safe to read concurrently with appends; SetWeights must
+// be serialized against it (the engine write lock does this).
 func (t *Table) Snapshot() *Snapshot {
 	t.mu.RLock()
 	s := &Snapshot{
@@ -421,9 +411,6 @@ func (s *Snapshot) Weights() []float64 { return s.wts }
 
 // Col returns the typed column at schema position i.
 func (s *Snapshot) Col(i int) *Column { return &s.cols[i] }
-
-// DictStr resolves a text dictionary code captured in this snapshot.
-func (s *Snapshot) DictStr(code uint32) string { return s.dictStrs[code] }
 
 // DictStrings returns the frozen code→string table (index = code).
 func (s *Snapshot) DictStrings() []string { return s.dictStrs }

@@ -3,9 +3,10 @@
 // Every tuple carries a float64 weight (Sec 3.2 of the paper: sample
 // metadata is tuple weights initialized to one). The executor answers
 // SEMI-OPEN and OPEN queries by aggregating over these weights, so the store
-// keeps one weight vector beside the typed columns and supports bulk
-// reweighting. For a sample that vector IS the user's weights: nothing else
-// in the system keeps a copy.
+// keeps one weight vector beside the typed columns. Rows are only ever
+// appended, and SetWeights, which rewrites the whole vector, is the one way
+// a weight changes. For a sample that vector IS the user's weights: nothing
+// else in the system keeps a copy.
 package table
 
 import (
@@ -19,18 +20,17 @@ import (
 
 // Table is an append-only in-memory relation with per-tuple weights. Tuples
 // are stored once, as typed column vectors with null bitmaps and a TEXT
-// dictionary (see columns.go). Row, Scan and Column materialize value.Values
-// from the columns on demand: every returned row is a fresh slice the caller
+// dictionary (see columns.go). Row and Scan materialize value.Values from
+// the columns on demand: every returned row is a fresh slice the caller
 // owns, and two calls never alias each other.
 //
-// Locking contract: the table is safe for concurrent readers; writers must
-// be externally serialized against readers (the engine holds its write lock
-// during DDL/DML while queries share the read lock). Hot loops should not
-// call Row/Weight per index — each call takes the RLock — but should take a
-// Snapshot once and scan it lock-free; Snapshot stays valid across appends
-// (appends land past its captured length) but not across in-place weight
-// mutation or Truncate, which the engine-level serialization prevents from
-// overlapping queries.
+// Locking contract: the table is safe for concurrent readers. Hot loops
+// should not call Row per index — each call takes the RLock — but should
+// take a Snapshot once and scan it lock-free. A Snapshot stays valid across
+// appends, which land past its captured length; SetWeights writes the
+// weight vector in place, so it must be serialized against snapshot
+// readers (the engine runs writes under its write lock while queries share
+// the read lock).
 type Table struct {
 	mu     sync.RWMutex
 	name   string
@@ -38,8 +38,8 @@ type Table struct {
 	wts    []float64 // one weight per tuple; its length is the tuple count
 	cols   []Column
 	dict   *Dict
-	// version counts mutations: every append, weight write and Truncate
-	// advances it, so (table identity, version) names one exact content.
+	// version counts mutations: every append and SetWeights advances it,
+	// so (table identity, version) names one exact content.
 	// Derived state (IPF fits, trained models) records the pair it was
 	// computed from and is valid exactly while the pair still matches.
 	version uint64
@@ -48,7 +48,7 @@ type Table struct {
 	// materialized code vectors served through Snapshot.Codes/BinnedCodes
 	// (see columns.go). Codes are append-only prefix-stable — rows never
 	// mutate, dictionary codes never change — so a cached vector of length m
-	// serves every snapshot of length ≤ m; only Truncate invalidates.
+	// serves every snapshot of length ≤ m.
 	codeMu    sync.Mutex
 	codeCache map[codeKey]*codeVec
 }
@@ -84,31 +84,20 @@ func (t *Table) Append(row []value.Value) error {
 	return t.AppendWeighted(row, 1)
 }
 
-// AppendWeighted validates and stores a row with the given weight. The
-// append is all-or-nothing: the whole row is coerced before any column
-// grows, so a value that fails coercion leaves every column, the null
-// bitmaps, the dictionary and the weights untouched.
+// AppendWeighted validates and stores a row with the given weight: it is a
+// one-row BulkAppendWeighted, returning the row's error itself rather than
+// a *BatchError. The append is all-or-nothing: a value that fails coercion
+// leaves every column, the null bitmaps, the dictionary and the weights
+// untouched.
 func (t *Table) AppendWeighted(row []value.Value, w float64) error {
-	vr, err := t.schema.Validate(row)
-	if err != nil {
-		return fmt.Errorf("table %s: %v", t.name, err)
+	if err := t.BulkAppendWeighted([][]value.Value{row}, []float64{w}, false); err != nil {
+		return err.(*BatchError).Err
 	}
-	if w < 0 {
-		return fmt.Errorf("table %s: negative weight %g", t.name, w)
-	}
-	t.mu.Lock()
-	i := len(t.wts)
-	for ci := range t.cols {
-		t.cols[ci].appendValue(i, vr[ci], t.dict.Code)
-	}
-	t.wts = append(t.wts, w)
-	t.version++
-	t.mu.Unlock()
 	return nil
 }
 
-// A BatchError is the error BulkAppend stops on: Err is what Append would
-// have returned for the batch's row at index Row.
+// A BatchError is the error BulkAppendWeighted stops on: Err is what
+// AppendWeighted returns for the batch's row at index Row.
 type BatchError struct {
 	Row int
 	Err error
@@ -126,13 +115,11 @@ func (t *Table) BulkAppend(rows [][]value.Value) error {
 
 // BulkAppendWeighted stores many rows, validating each: row i with weight
 // wts[i], or 1 when wts is nil. It stops at the first bad row with a
-// *BatchError, keeping the rows before it. The stored rows, dictionary codes
-// and weights are the ones as many AppendWeighted calls would leave, but
-// the batch takes the table and dictionary locks once and advances Version
-// once when it stored any row. With clone set, a TEXT value new to the
-// dictionary is stored as a copy, so rows whose strings alias a larger
-// buffer (a script being restored) leave nothing of it behind; a repeated
-// value costs nothing.
+// *BatchError, keeping the rows before it. The batch takes the table and
+// dictionary locks once and advances Version once when it stored any row.
+// With clone set, a TEXT value new to the dictionary is stored as a copy,
+// so rows whose strings alias a larger buffer (a script being restored)
+// leave nothing of it behind; a repeated value costs nothing.
 func (t *Table) BulkAppendWeighted(rows [][]value.Value, wts []float64, clone bool) error {
 	buf := make([]value.Value, len(t.cols))
 	t.mu.Lock()
@@ -148,7 +135,7 @@ func (t *Table) BulkAppendWeighted(rows [][]value.Value, wts []float64, clone bo
 	}()
 	for ri, row := range rows {
 		// The whole row is coerced, and its weight checked, before any
-		// column grows, as in AppendWeighted.
+		// column grows.
 		if err := t.schema.ValidateInto(buf, row); err != nil {
 			return &BatchError{Row: ri, Err: fmt.Errorf("table %s: %v", t.name, err)}
 		}
@@ -172,25 +159,6 @@ func (t *Table) Row(i int) []value.Value {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return appendRow(make([]value.Value, 0, len(t.cols)), t.cols, t.dict.Strings(), i)
-}
-
-// Weight returns the i-th tuple weight.
-func (t *Table) Weight(i int) float64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.wts[i]
-}
-
-// SetWeight overwrites the i-th tuple weight.
-func (t *Table) SetWeight(i int, w float64) error {
-	if w < 0 {
-		return fmt.Errorf("table %s: negative weight %g", t.name, w)
-	}
-	t.mu.Lock()
-	t.wts[i] = w
-	t.version++
-	t.mu.Unlock()
-	return nil
 }
 
 // SetWeights overwrites all tuple weights at once; len(w) must equal Len.
@@ -221,32 +189,6 @@ func (t *Table) Weights() []float64 {
 	return out
 }
 
-// ResetWeights sets every tuple weight to w.
-func (t *Table) ResetWeights(w float64) error {
-	if w < 0 {
-		return fmt.Errorf("table %s: negative weight %g", t.name, w)
-	}
-	t.mu.Lock()
-	for i := range t.wts {
-		t.wts[i] = w
-	}
-	t.version++
-	t.mu.Unlock()
-	return nil
-}
-
-// TotalWeight returns the sum of all tuple weights (the represented
-// population size under the current reweighting).
-func (t *Table) TotalWeight() float64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var s float64
-	for _, w := range t.wts {
-		s += w
-	}
-	return s
-}
-
 // Scan calls fn for every (row, weight) pair, stopping early if fn returns
 // false. Each row is materialized into a fresh slice, one allocation per
 // tuple; hot loops over one or two attributes should read a Snapshot's
@@ -260,22 +202,6 @@ func (t *Table) Scan(fn func(row []value.Value, w float64) bool) {
 			return
 		}
 	}
-}
-
-// Column extracts the values of one attribute as a slice, in row order.
-func (t *Table) Column(name string) ([]value.Value, error) {
-	i, ok := t.schema.Index(name)
-	if !ok {
-		return nil, fmt.Errorf("table %s: no attribute %q", t.name, name)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	c, strs := &t.cols[i], t.dict.Strings()
-	out := make([]value.Value, len(t.wts))
-	for j := range out {
-		out[j] = c.Value(j, strs)
-	}
-	return out, nil
 }
 
 // FloatColumn extracts a numeric attribute as float64s, in row order,
@@ -334,16 +260,4 @@ func (t *Table) Clone(name string) *Table {
 		nc.Nulls = append([]uint64(nil), c.Nulls...)
 	}
 	return nt
-}
-
-// Truncate removes all rows.
-func (t *Table) Truncate() {
-	t.mu.Lock()
-	t.wts = nil
-	t.cols = newColumns(t.schema)
-	t.version++
-	t.mu.Unlock()
-	t.codeMu.Lock()
-	t.codeCache = nil
-	t.codeMu.Unlock()
 }

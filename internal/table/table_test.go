@@ -1,6 +1,7 @@
 package table
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -56,8 +57,15 @@ func TestAppendValidates(t *testing.T) {
 	if err := tbl.Append([]value.Value{value.Int(1)}); err == nil {
 		t.Error("arity mismatch should fail")
 	}
-	if err := tbl.AppendWeighted([]value.Value{value.Int(1), value.Float(1)}, -2); err == nil {
-		t.Error("negative weight should fail")
+	err := tbl.AppendWeighted([]value.Value{value.Int(1), value.Float(1)}, -2)
+	if err == nil {
+		t.Fatal("negative weight should fail")
+	}
+	// AppendWeighted is a one-row BulkAppendWeighted, but its callers see
+	// the row's own error, not the batch's.
+	var be *BatchError
+	if errors.As(err, &be) || err.Error() != "table t: negative weight -2" {
+		t.Errorf("AppendWeighted error %#v (%v), want the row's own error", err, err)
 	}
 }
 
@@ -121,20 +129,8 @@ func TestWeightsLifecycle(t *testing.T) {
 	if err := tbl.SetWeights([]float64{2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.TotalWeight(); got != 5 {
-		t.Errorf("TotalWeight = %g, want 5", got)
-	}
-	if tbl.Weight(1) != 3 {
-		t.Errorf("Weight(1) = %g", tbl.Weight(1))
-	}
-	if err := tbl.SetWeight(0, 7); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Weight(0) != 7 {
-		t.Error("SetWeight did not stick")
-	}
-	if err := tbl.SetWeight(0, -1); err == nil {
-		t.Error("negative weight should fail")
+	if w := tbl.Weights(); w[0] != 2 || w[1] != 3 {
+		t.Errorf("Weights = %v, want [2 3]", w)
 	}
 	if err := tbl.SetWeights([]float64{1}); err == nil {
 		t.Error("length mismatch should fail")
@@ -142,16 +138,10 @@ func TestWeightsLifecycle(t *testing.T) {
 	if err := tbl.SetWeights([]float64{1, -1}); err == nil {
 		t.Error("negative bulk weight should fail")
 	}
-	if err := tbl.ResetWeights(1); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.TotalWeight() != 2 {
-		t.Error("ResetWeights failed")
-	}
 	// Weights() must be a copy.
 	w := tbl.Weights()
 	w[0] = 99
-	if tbl.Weight(0) == 99 {
+	if tbl.Weights()[0] == 99 {
 		t.Error("Weights() must return a copy")
 	}
 }
@@ -159,13 +149,6 @@ func TestWeightsLifecycle(t *testing.T) {
 func TestColumnExtraction(t *testing.T) {
 	tbl := New("t", testSchema)
 	fill(t, tbl, [][2]float64{{1, 1.5}, {2, 2.5}})
-	col, err := tbl.Column("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(col) != 2 || col[1].AsFloat() != 2.5 {
-		t.Errorf("Column(b) = %v", col)
-	}
 	fc, err := tbl.FloatColumn("a")
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +156,7 @@ func TestColumnExtraction(t *testing.T) {
 	if fc[0] != 1 || fc[1] != 2 {
 		t.Errorf("FloatColumn(a) = %v", fc)
 	}
-	if _, err := tbl.Column("zz"); err == nil {
+	if _, err := tbl.FloatColumn("zz"); err == nil {
 		t.Error("missing column should fail")
 	}
 }
@@ -196,14 +179,14 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := tbl.Clone("copy")
-	if cp.Len() != 1 || cp.Weight(0) != 4 || cp.Name() != "copy" {
+	if cp.Len() != 1 || cp.Weights()[0] != 4 || cp.Name() != "copy" {
 		t.Fatalf("clone mismatch")
 	}
 	// Mutating the clone must not affect the original.
-	if err := cp.SetWeight(0, 9); err != nil {
+	if err := cp.SetWeights([]float64{9}); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Weight(0) != 4 {
+	if tbl.Weights()[0] != 4 {
 		t.Error("clone shares weights with original")
 	}
 	if err := cp.Append([]value.Value{value.Int(2), value.Float(2)}); err != nil {
@@ -214,17 +197,9 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	tbl := New("t", testSchema)
-	fill(t, tbl, [][2]float64{{1, 1}, {2, 2}})
-	tbl.Truncate()
-	if tbl.Len() != 0 || tbl.TotalWeight() != 0 {
-		t.Error("Truncate left data behind")
-	}
-}
-
 func TestTotalWeightLinearProperty(t *testing.T) {
-	// Property: TotalWeight equals the sum of the installed weights.
+	// Property: the table's total weight, the sum of Weights(), equals the
+	// sum of the weights SetWeights installed.
 	f := func(ws []float64) bool {
 		tbl := New("t", testSchema)
 		var want float64
@@ -240,13 +215,13 @@ func TestTotalWeightLinearProperty(t *testing.T) {
 			clean = append(clean, w)
 			want += w
 		}
-		if len(clean) == 0 {
-			return tbl.TotalWeight() == 0
-		}
 		if err := tbl.SetWeights(clean); err != nil {
 			return false
 		}
-		got := tbl.TotalWeight()
+		var got float64
+		for _, w := range tbl.Weights() {
+			got += w
+		}
 		return math.Abs(got-want) <= 1e-6*math.Max(1, math.Abs(want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -281,8 +256,8 @@ func TestConcurrentReaders(t *testing.T) {
 			defer func() { done <- true }()
 			for i := 0; i < 200; i++ {
 				tbl.Scan(func(row []value.Value, w float64) bool { return true })
-				_ = tbl.TotalWeight()
-				_, _ = tbl.Column("a")
+				_ = tbl.Weights()
+				_, _ = tbl.FloatColumn("a")
 			}
 		}()
 	}
@@ -315,10 +290,10 @@ func TestVersionAdvancesOnEveryMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	moved("AppendWeighted", true)
-	if err := tbl.SetWeight(0, 5); err != nil {
-		t.Fatal(err)
+	if err := tbl.AppendWeighted([]value.Value{value.Int(4), value.Float(4)}, -1); err == nil {
+		t.Fatal("negative weight should fail")
 	}
-	moved("SetWeight", true)
+	moved("failed AppendWeighted", false)
 	if err := tbl.SetWeights([]float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -326,17 +301,15 @@ func TestVersionAdvancesOnEveryMutation(t *testing.T) {
 	if err := tbl.SetWeights([]float64{1}); err == nil {
 		t.Fatal("short weight vector should fail")
 	}
-	if err := tbl.SetWeights([]float64{9, 9, -1}); err == nil || tbl.Weight(0) != 1 {
-		t.Fatalf("a vector with a negative entry should fail whole: err %v, weight[0] %g", err, tbl.Weight(0))
+	if err := tbl.SetWeights([]float64{9, 9, -1}); err == nil || tbl.Weights()[0] != 1 {
+		t.Fatalf("a vector with a negative entry should fail whole: err %v, weight[0] %g", err, tbl.Weights()[0])
 	}
 	moved("failed SetWeights", false)
-	if err := tbl.ResetWeights(1); err != nil {
+	if err := tbl.BulkAppend([][]value.Value{{value.Int(5), value.Float(5)}}); err != nil {
 		t.Fatal(err)
 	}
-	moved("ResetWeights", true)
+	moved("BulkAppend", true)
 	_ = tbl.Snapshot()
 	_ = tbl.Weights()
 	moved("reads", false)
-	tbl.Truncate()
-	moved("Truncate", true)
 }

@@ -207,22 +207,6 @@ func AppendSQL(dst []byte, v Value) []byte {
 	}
 }
 
-// Raw returns the Go-native payload (int64, float64, string, bool, or nil).
-func (v Value) Raw() any {
-	switch v.kind {
-	case KindInt:
-		return v.i
-	case KindFloat:
-		return v.f
-	case KindText:
-		return v.s
-	case KindBool:
-		return v.b
-	default:
-		return nil
-	}
-}
-
 // FromRaw builds a Value from a Go-native scalar. Supported inputs: nil,
 // int, int32, int64, float32, float64, string, bool.
 func FromRaw(x any) (Value, error) {

@@ -7,6 +7,23 @@ import (
 	"unsafe"
 )
 
+// Raw returns the Go-native payload (int64, float64, string, bool, or nil):
+// the inverse FromRaw is held to.
+func (v Value) Raw() any {
+	switch v.kind {
+	case KindInt:
+		return v.i
+	case KindFloat:
+		return v.f
+	case KindText:
+		return v.s
+	case KindBool:
+		return v.b
+	default:
+		return nil
+	}
+}
+
 // TestValueSize pins the 40-byte layout. b sits next to kind, inside the
 // padding that aligns i; placed last it would cost a word of its own, and
 // every slab, row buffer and answer would be a fifth larger (48 bytes).

@@ -14,26 +14,6 @@ import (
 	"sort"
 )
 
-// W1Empirical computes the exact W1 distance between two equal-size uniform
-// empirical distributions: sort both and average |x_(i) − y_(i)|.
-func W1Empirical(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("wasserstein: size mismatch %d vs %d", len(x), len(y))
-	}
-	if len(x) == 0 {
-		return 0, nil
-	}
-	xs := append([]float64(nil), x...)
-	ys := append([]float64(nil), y...)
-	sort.Float64s(xs)
-	sort.Float64s(ys)
-	var d float64
-	for i := range xs {
-		d += math.Abs(xs[i] - ys[i])
-	}
-	return d / float64(len(xs)), nil
-}
-
 // Weighted is a weighted 1-D empirical distribution (a projected marginal).
 type Weighted struct {
 	vals []float64 // sorted
@@ -77,21 +57,6 @@ func NewWeighted(vals, weights []float64) (*Weighted, error) {
 	return w, nil
 }
 
-// Quantile returns F^{-1}(q) for q in [0,1].
-func (w *Weighted) Quantile(q float64) float64 {
-	if q <= 0 {
-		return w.vals[0]
-	}
-	if q >= 1 {
-		return w.vals[len(w.vals)-1]
-	}
-	i := sort.SearchFloat64s(w.cum, q)
-	if i >= len(w.vals) {
-		i = len(w.vals) - 1
-	}
-	return w.vals[i]
-}
-
 // Quantiles evaluates the quantile function at the n midpoint fractions
 // (j+0.5)/n — the optimal-transport targets for a uniform batch of size n.
 func (w *Weighted) Quantiles(n int) []float64 {
@@ -105,17 +70,6 @@ func (w *Weighted) Quantiles(n int) []float64 {
 		out[i] = w.vals[j]
 	}
 	return out
-}
-
-// Mean returns the distribution mean.
-func (w *Weighted) Mean() float64 {
-	// Reconstruct weights from cum differences.
-	var m, prev float64
-	for i, c := range w.cum {
-		m += float64(w.vals[i] * (c - prev))
-		prev = c
-	}
-	return m
 }
 
 // W1ToUniform computes the exact W1 distance between the weighted target and

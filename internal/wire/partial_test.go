@@ -98,7 +98,7 @@ func bitsEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// finalizedEqual compares Finalize outputs by hash key, with the same
+// finalizedEqual compares finalized outputs by hash key, with the same
 // NaN-payload exemption as bitsEqual for float results.
 func finalizedEqual(a, b value.Value) bool {
 	if a.HashKey() == b.HashKey() {
@@ -179,10 +179,12 @@ func roundTripMergeCheck(t *testing.T, a, b *exec.PartialStates, n int) {
 		got.MergeGroup(g, b, g)
 	}
 	statesBitIdentical(t, "post-merge", got, ref)
-	for g := 0; g < n; g++ {
-		gv, rv := got.Finalize(g), ref.Finalize(g)
-		if !finalizedEqual(gv, rv) {
-			t.Errorf("Finalize(%d) = %s, want %s", g, gv, rv)
+	gv, rv := make([]value.Value, n), make([]value.Value, n)
+	got.FinalizeInto(gv, 1)
+	ref.FinalizeInto(rv, 1)
+	for g := range gv {
+		if !finalizedEqual(gv[g], rv[g]) {
+			t.Errorf("group %d finalizes to %s, want %s", g, gv[g], rv[g])
 		}
 	}
 }

@@ -102,54 +102,28 @@ type Uniform = mechanism.Uniform
 // has no spelling for it, so no dump, snapshot or replica could carry it.
 type NoSQLMechanismError = mechanism.NoSQLError
 
-// Options configures a DB.
-type Options struct {
-	// Seed drives all randomness (default 1): two DBs with equal seeds and
-	// equal statement streams give identical answers.
-	Seed int64
-	// OpenSamples is the number of generated samples averaged per OPEN
-	// query (paper default 10).
-	OpenSamples int
-	// GeneratedRows overrides the size of each generated sample (default:
-	// the source sample's size).
-	GeneratedRows int
-	// UnionSamples answers population queries from the union of all
-	// schema-covering samples instead of one optimal sample (the paper's
-	// Sec 7 "Multiple Samples" extension).
-	UnionSamples bool
-	// Workers bounds intra-query parallelism: columnar kernels scan
-	// morsel-parallel across up to Workers goroutines, OPEN queries generate
-	// their replicates across them, and M-SWG training uses Workers loss
-	// workers unless SWG.Workers overrides it. Answers are bit-identical for
-	// any Workers value (see the package comment's determinism guarantee).
-	// 0 (the default) means all cores — runtime.GOMAXPROCS(0); use 1 for the
-	// true serial path. Restore is not a query: its lex, parse and apply
-	// stages are a fixed pipeline of three goroutines whatever Workers says.
-	Workers int
-	// Shards range-partitions every table scan into this many contiguous
-	// slices and answers CLOSED/SEMI-OPEN aggregate queries by in-process
-	// scatter-gather: per-shard partial aggregate states merged in shard
-	// order. 0 or 1 (the default) disables sharding and is byte-identical to
-	// the unsharded engine. For a fixed Shards value answers are
-	// bit-identical across runs and Workers values; float aggregates may
-	// differ in low-order bits between different Shards values (the shard
-	// merge reassociates IEEE 754 addition), so Shards is part of the answer
-	// contract. OPEN queries always execute against the unified view.
-	Shards int
-	// SWG is the base generator configuration for OPEN queries.
-	SWG SWGConfig
-	// IPF tunes SEMI-OPEN fitting.
-	IPF IPFOptions
-	// RowExec forces the legacy row-at-a-time executor, bypassing the
-	// vectorized columnar path. Answers are byte-identical either way; the
-	// switch exists for differential testing and benchmarking.
-	RowExec bool
-	// StmtLogSize bounds the per-generation statement log that backs
-	// follower replication deltas (GET /v1/snapshot/delta): the newest
-	// StmtLogSize mutations are retained. 0 means the default (1024);
-	// negative disables retention, forcing followers onto full snapshots.
-	StmtLogSize int
-}
+// Options configures a DB; the zero value is the defaults. Its fields are
+// documented on the engine's options, which it is:
+//   - Seed drives all randomness (default 1): equal seeds and equal
+//     statement streams give identical answers.
+//   - OpenSamples is the number of generated samples averaged per OPEN
+//     query (default 10, the paper's).
+//   - GeneratedRows is the size of each generated sample (default: the
+//     source sample's size).
+//   - UnionSamples answers from the union of all schema-covering samples
+//     (the paper's Sec 7 "Multiple Samples" extension).
+//   - Workers bounds intra-query parallelism (default: every core; 1 is the
+//     serial path). Answers are bit-identical for any Workers value.
+//   - RowExec forces the row-at-a-time executor; answers are byte-identical.
+//   - Shards range-partitions CLOSED and SEMI-OPEN aggregate scans into
+//     this many slices merged in shard order (default 1, unsharded). It is
+//     part of the answer contract: float aggregates may differ in low-order
+//     bits between Shards values.
+//   - StmtLogSize bounds the statement log behind follower deltas (default
+//     1024; negative keeps none).
+//   - IPF tunes the SEMI-OPEN fit.
+//   - SWG is the base M-SWG configuration for OPEN queries.
+type Options = core.Options
 
 // DB is a Mosaic database instance. It is safe for concurrent use: queries
 // share a read lock and run in parallel, DDL/DML takes the write lock and
@@ -158,28 +132,16 @@ type Options struct {
 // replayed engine atomically: in-flight queries finish against the state
 // they started on.
 type DB struct {
-	opts   core.Options
+	opts   Options
 	engine atomic.Pointer[core.Engine]
 }
 
 // Open creates an empty in-memory Mosaic database. A nil opts uses defaults.
 func Open(opts *Options) *DB {
-	var o Options
+	db := &DB{}
 	if opts != nil {
-		o = *opts
+		db.opts = *opts
 	}
-	db := &DB{opts: core.Options{
-		Seed:          o.Seed,
-		OpenSamples:   o.OpenSamples,
-		GeneratedRows: o.GeneratedRows,
-		UnionSamples:  o.UnionSamples,
-		Workers:       o.Workers,
-		Shards:        o.Shards,
-		SWG:           o.SWG,
-		IPF:           o.IPF,
-		RowExec:       o.RowExec,
-		StmtLogSize:   o.StmtLogSize,
-	}}
 	db.engine.Store(core.NewEngine(db.opts))
 	return db
 }

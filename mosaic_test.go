@@ -317,8 +317,8 @@ func TestNewMarginalHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Total() != 12.5 || m.Len() != 2 {
-		t.Errorf("marginal total=%g len=%d", m.Total(), m.Len())
+	if m.Total() != 12.5 || len(m.Cells()) != 2 {
+		t.Errorf("marginal total=%g cells=%d", m.Total(), len(m.Cells()))
 	}
 	if _, err := mosaic.NewMarginal("m", []string{"c"}, [][]any{{"UK"}}); err == nil {
 		t.Error("cell without count should fail")

@@ -54,7 +54,7 @@ func snapshotCopy(t *testing.T, db *mosaic.DB) *mosaic.DB {
 }
 
 // TestSnapshotRestoresSpecialFloats: FLOAT cells and weights that are -0,
-// ±Inf or NaN (which SetWeight accepts) come back with the same bits, NaN
+// ±Inf or NaN (which SetWeights accepts) come back with the same bits, NaN
 // as the canonical NaN. A snapshot holding them used to fail to restore
 // ("column "Inf" evaluated without a row") or turned -0 into +0.
 func TestSnapshotRestoresSpecialFloats(t *testing.T) {
@@ -82,10 +82,8 @@ func TestSnapshotRestoresSpecialFloats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, w := range weights {
-		if err := s.SetWeight(i, w); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.SetWeights(weights); err != nil {
+		t.Fatal(err)
 	}
 	copyDB := snapshotCopy(t, db)
 	canon := func(f float64) uint64 {
@@ -103,11 +101,12 @@ func TestSnapshotRestoresSpecialFloats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wts := tb.Weights()
 		for i, f := range specials {
 			if got := math.Float64bits(cells[i]); got != canon(f) {
 				t.Errorf("%s row %d: cell %#x restored as %#x", rel, i, canon(f), got)
 			}
-			if w := tb.Weight(i); rel == "S" && math.Float64bits(w) != canon(weights[i]) {
+			if w := wts[i]; rel == "S" && math.Float64bits(w) != canon(weights[i]) {
 				t.Errorf("S row %d: weight %#x restored as %#x", i, canon(weights[i]), math.Float64bits(w))
 			}
 		}

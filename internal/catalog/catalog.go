@@ -184,6 +184,15 @@ func (c *Catalog) CreatePopulation(name, from string, where expr.Expr, attrs []s
 		}
 		s = ps
 	}
+	// The predicate reads the global population's tuples: WEIGHT is one of
+	// their attributes only when declared.
+	if where != nil {
+		for _, col := range where.Columns(nil) {
+			if _, ok := gp.Schema.Index(col); !ok {
+				return nil, fmt.Errorf("catalog: population %q: WHERE names %q, which is not an attribute of %q", name, col, gp.Name)
+			}
+		}
+	}
 	p := &Population{Name: name, Schema: s, From: gp.Name, Where: where, Marginals: map[string]*marginal.Marginal{}}
 	c.pops[key(name)] = p
 	return p, nil

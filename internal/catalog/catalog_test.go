@@ -76,6 +76,36 @@ func TestDerivedPopulation(t *testing.T) {
 	}
 }
 
+// TestPopulationPredicateNamesGlobalAttributes: a population's WHERE reads
+// the global population's tuples, so it may name only their attributes —
+// WEIGHT included, unless the global population declares a column of that
+// name. An unknown name used to be accepted, and every later read of the
+// population then failed with an unrelated "no sample covers" refusal.
+func TestPopulationPredicateNamesGlobalAttributes(t *testing.T) {
+	c := freshWithGP(t)
+	for _, src := range []string{"nosuch > 0", "weight > 1", "age > 30 AND Nosuch = 'x'"} {
+		pred, err := sql.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.CreatePopulation("V", "GP", pred, nil)
+		if err == nil || !strings.Contains(err.Error(), "not an attribute of \"GP\"") {
+			t.Errorf("WHERE %s: %v, want a refusal naming the column", src, err)
+		}
+		if _, ok := c.Population("V"); ok {
+			t.Errorf("WHERE %s: the refused population was registered", src)
+		}
+	}
+	w := New()
+	if _, err := w.CreateGlobalPopulation("W", schema.MustNew(schema.Attribute{Name: "Weight", Kind: value.KindFloat})); err != nil {
+		t.Fatal(err)
+	}
+	pred, _ := sql.ParseExpr("WEIGHT > 1")
+	if _, err := w.CreatePopulation("Heavy", "W", pred, nil); err != nil {
+		t.Errorf("WHERE over a declared WEIGHT column: %v", err)
+	}
+}
+
 func TestSampleSchemaContainment(t *testing.T) {
 	c := freshWithGP(t)
 	sub := schema.MustNew(

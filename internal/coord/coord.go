@@ -511,8 +511,8 @@ func (c *Coordinator) passQueryLocked(ctx context.Context, req *wire.QueryReques
 // scatterQueryLocked fans the partial plan over every shard slot, gathers
 // the states in fixed shard order, and finishes the aggregation (merge,
 // HAVING, ORDER BY, LIMIT) locally. Each slot fails over across its
-// backends; a slot where every backend fails, declines, or answers at the
-// wrong generation aborts the whole answer, with the first such slot's
+// backends; a slot where every backend fails or answers at the wrong
+// generation aborts the whole answer, with the first such slot's
 // error in shard order. Callers hold fleetMu.RLock.
 func (c *Coordinator) scatterQueryLocked(ctx context.Context, req *wire.QueryRequest, bound *sql.Select) (any, error) {
 	gen := c.gen.Load()
@@ -542,14 +542,6 @@ func (c *Coordinator) scatterQueryLocked(ctx context.Context, req *wire.QueryReq
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-	}
-	for _, resp := range resps {
-		if !resp.Handled {
-			// The plan shape is not partial-executable on this engine (e.g.
-			// row-path only). Every shard runs the same engine version, so
-			// fall back to one whole pass-through query.
-			return c.passQueryLocked(ctx, req)
 		}
 	}
 	partials := make([]*exec.ShardPartial, n)

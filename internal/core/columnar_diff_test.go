@@ -1,11 +1,17 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"mosaic/internal/expr"
+	"mosaic/internal/schema"
 	"mosaic/internal/sql"
 	"mosaic/internal/swg"
+	"mosaic/internal/table"
+	"mosaic/internal/value"
 )
 
 // columnarWorld builds a three-attribute world with a biased sample, full
@@ -138,6 +144,70 @@ func TestColumnarEngineStableUnderRepeat(t *testing.T) {
 			}
 			if s := again.String(); s != first {
 				t.Fatalf("%q drifted on rerun %d:\n%s\nvs\n%s", q, i+1, s, first)
+			}
+		}
+	}
+}
+
+// TestFilterTableMatchesRowCopy: the view-scope sub-sample, selected once
+// and appended a chunk at a time, equals a row-by-row copy of the rows the
+// predicate keeps — values, weights, and the order TEXT enters the new
+// table's dictionary — over several chunks, for a compiled and an
+// interpreted predicate and for none.
+func TestFilterTableMatchesRowCopy(t *testing.T) {
+	sc := schema.MustNew(
+		schema.Attribute{Name: "g", Kind: value.KindText},
+		schema.Attribute{Name: "x", Kind: value.KindInt},
+	)
+	src := table.New("S", sc)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 3*ingestChunk+17; i++ {
+		row := []value.Value{value.Text(fmt.Sprintf("g%d", rng.Intn(i/50+1))), value.Int(int64(rng.Intn(100)))}
+		if err := src.AppendWeighted(row, 0.5+float64(i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, where := range []string{"", "x > 30", "(x > 30) = (g <> 'g3')"} {
+		var pred expr.Expr
+		if where != "" {
+			p, err := sql.ParseExpr(where)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pred = p
+		}
+		want := table.New("S_view", sc)
+		b := &expr.Binding{Schema: sc}
+		snap := src.Snapshot()
+		for i := 0; i < snap.Len(); i++ {
+			b.Row = snap.AppendRow(b.Row[:0], i)
+			if pred != nil {
+				if ok, err := expr.Truthy(pred, b); err != nil {
+					t.Fatal(err)
+				} else if !ok {
+					continue
+				}
+			}
+			if err := want.AppendWeighted(b.Row, snap.Weight(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			got, err := filterTable(context.Background(), src, pred, workers)
+			if err != nil {
+				t.Fatalf("WHERE %q: %v", where, err)
+			}
+			ws, gs := want.Snapshot(), got.Snapshot()
+			if gs.Len() != ws.Len() {
+				t.Fatalf("WHERE %q workers %d: %d rows, want %d", where, workers, gs.Len(), ws.Len())
+			}
+			for i := 0; i < ws.Len(); i++ {
+				if fmt.Sprint(gs.Row(i)) != fmt.Sprint(ws.Row(i)) || gs.Weight(i) != ws.Weight(i) {
+					t.Fatalf("WHERE %q workers %d: row %d = %v w %v, want %v w %v", where, workers, i, gs.Row(i), gs.Weight(i), ws.Row(i), ws.Weight(i))
+				}
+			}
+			if fmt.Sprint(gs.DictStrings()) != fmt.Sprint(ws.DictStrings()) {
+				t.Errorf("WHERE %q workers %d: dictionary order %v, want %v", where, workers, gs.DictStrings(), ws.DictStrings())
 			}
 		}
 	}

@@ -614,25 +614,19 @@ func (e *Engine) execCreateMetadata(s *sql.CreateMetadata) error {
 		}
 		idxs[i] = j
 	}
-	// Only a WHERE or a count expression reads whole tuples; the cells of a
+	// The WHERE is the engine's one selection, WEIGHT resolving as in
+	// SELECT. Only a count expression reads whole tuples; the cells of a
 	// marginal are one or two attributes, read straight from their columns.
+	// An error at a kept row comes before the selection's, which lies at a
+	// later row.
 	snap := src.Snapshot()
+	rows, selErr := exec.SelectRows(context.Background(), snap, s.Where, snap.Weights(), e.opts.Workers)
 	b := &expr.Binding{Schema: src.Schema()}
-	for r := 0; r < snap.Len(); r++ {
-		if s.Where != nil || s.CountExpr != nil {
-			b.Row = snap.AppendRow(b.Row[:0], r)
-		}
-		if s.Where != nil {
-			ok, err := expr.Truthy(s.Where, b)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-		}
+	for _, r32 := range rows {
+		r := int(r32)
 		count := snap.Weight(r)
 		if s.CountExpr != nil {
+			b.Row = snap.AppendRow(b.Row[:0], r)
 			v, err := s.CountExpr.Eval(b)
 			if err != nil {
 				return err
@@ -648,6 +642,9 @@ func (e *Engine) execCreateMetadata(s *sql.CreateMetadata) error {
 		if err := m.Add(vals, count); err != nil {
 			return err
 		}
+	}
+	if selErr != nil {
+		return selErr
 	}
 	return e.cat.AddMarginal(s.TargetPopulation(), m)
 }
@@ -756,9 +753,9 @@ func (e *Engine) execInsert(s *sql.Insert) error {
 
 // execUpdateWeights reweights a sample's tuples. WEIGHT in SET or WHERE is
 // the tuple's weight from before the statement, by SELECT's pseudo-column
-// rule: a real column of that name wins. The kernels compute the new weights
-// (exec.UpdateWeights) unless they decline or RowExec is set; the row loop
-// answers then, and it alone words the errors.
+// rule: a real column of that name wins. The columnar pipeline computes the
+// new weights (exec.UpdateWeights); the row loop below runs only under
+// RowExec, the oracle the pipeline is held to.
 func (e *Engine) execUpdateWeights(s *sql.UpdateWeights) error {
 	smp, ok := e.cat.Sample(s.Sample)
 	if !ok {
@@ -768,12 +765,17 @@ func (e *Engine) execUpdateWeights(s *sql.UpdateWeights) error {
 	snap := t.Snapshot()
 	w := t.Weights()
 	if !e.opts.RowExec {
-		if rows, vals, ok := exec.UpdateWeights(snap, s.Where, s.Weight, e.opts.Workers); ok {
-			for k, r := range rows {
-				w[r] = vals[k]
-			}
-			return t.SetWeights(w)
+		rows, vals, err := exec.UpdateWeights(snap, s.Where, s.Weight, e.opts.Workers)
+		if bad, ok := err.(*exec.WeightError); ok {
+			return weightError(s.Sample, bad.Value)
 		}
+		if err != nil {
+			return err
+		}
+		for k, r := range rows {
+			w[r] = vals[k]
+		}
+		return t.SetWeights(w)
 	}
 	sc, wIdx := t.Schema(), -1
 	if _, shadowed := sc.Index("WEIGHT"); !shadowed {
@@ -802,15 +804,22 @@ func (e *Engine) execUpdateWeights(s *sql.UpdateWeights) error {
 			return err
 		}
 		f, err := v.Float64()
-		if err != nil {
-			return fmt.Errorf("core: UPDATE SAMPLE %s: weight: %v", s.Sample, err)
-		}
-		if f < 0 {
-			return fmt.Errorf("core: UPDATE SAMPLE %s: negative weight %g", s.Sample, f)
+		if err != nil || f < 0 {
+			return weightError(s.Sample, v)
 		}
 		w[i] = f
 	}
 	return t.SetWeights(w)
+}
+
+// weightError words UPDATE SAMPLE's refusal of a new weight v: TEXT, or a
+// negative number.
+func weightError(sample string, v value.Value) error {
+	f, err := v.Float64()
+	if err != nil {
+		return fmt.Errorf("core: UPDATE SAMPLE %s: weight: %v", sample, err)
+	}
+	return fmt.Errorf("core: UPDATE SAMPLE %s: negative weight %g", sample, f)
 }
 
 // Ingest appends Go-native rows into a table or sample (the bulk-loading

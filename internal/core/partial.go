@@ -18,10 +18,13 @@ import (
 // It returns the generation counter observed under the engine read lock
 // (mutations hold the write lock, so the partial is guaranteed to have
 // executed at exactly that generation). handled=false means the query is not
-// partial-executable — OPEN visibility, a non-aggregate query, or a shape
-// only the row engine serves — and must be answered as one unified query
-// instead; the fleet coordinator passes those through to shard 0. Refusals
-// are handled: they are the answer on every shard.
+// partial-executable — OPEN visibility or a non-aggregate query — and must be
+// answered as one unified query instead; the fleet coordinator passes those
+// through to shard 0 without asking for partials. Every CLOSED and SEMI-OPEN
+// aggregate is handled, and so is a refusal. A route refusal is the answer
+// on every shard; a refusal the scan meets at a row's value (SUM over TEXT)
+// comes only from the shards whose slice holds such a row, and the first of
+// them in shard order carries Query's words.
 func (e *Engine) PartialContext(ctx context.Context, sel *sql.Select, shard, shards int) (*exec.ShardPartial, uint64, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -40,6 +43,6 @@ func (e *Engine) PartialContext(ctx context.Context, sel *sql.Select, shard, sha
 	if err != nil {
 		return nil, gen, true, err
 	}
-	p, handled, err := exec.PartialAggregate(ctx, t.Snapshot(), s.q, opts, shard, shards)
-	return p, gen, handled, err
+	p, err := exec.PartialAggregate(ctx, t.Snapshot(), s.q, opts, shard, shards)
+	return p, gen, true, err
 }

@@ -14,6 +14,7 @@ import (
 	"mosaic/internal/sql"
 	"mosaic/internal/swg"
 	"mosaic/internal/table"
+	"mosaic/internal/value"
 )
 
 // Query answers a SELECT. Auxiliary tables and samples answer directly;
@@ -220,7 +221,7 @@ func (e *Engine) plan(pop *catalog.Population, sel *sql.Select) (*planContext, e
 func (e *Engine) ipfViewFit(ctx context.Context, pc *planContext) (*table.Table, error) {
 	key := "view|" + modelKey(pc.sample.Name, pc.pop.Name)
 	fit, err := derive(ctx, e, e.ipfFits, key, pc.inputs(pc.pop, pc.margs), &e.cacheStats.fitted, func() (ipfFit, error) {
-		sub, err := filterTable(ctx, pc.sample.Table, pc.viewPred)
+		sub, err := filterTable(ctx, pc.sample.Table, pc.viewPred, e.opts.Workers)
 		if err != nil {
 			return ipfFit{}, err
 		}
@@ -443,35 +444,35 @@ func AugmentMarginals(sample *table.Table, margs []*marginal.Marginal) ([]*margi
 	return out, nil
 }
 
-// filterTable copies rows satisfying pred, with their weights, into a new
-// table. It scans a snapshot (one lock acquisition) instead of locking per
-// row.
-func filterTable(ctx context.Context, t *table.Table, pred expr.Expr) (*table.Table, error) {
+// filterTable copies the rows pred keeps (exec.SelectRows), with their
+// weights, into a new table: one snapshot, one selection, then the kept rows
+// appended ingestChunk at a time from one reused slab, filled a column at a
+// time, so the copy holds at most one chunk of rows beside the new table.
+func filterTable(ctx context.Context, t *table.Table, pred expr.Expr, workers int) (*table.Table, error) {
 	snap := t.Snapshot()
+	rows, err := exec.SelectRows(ctx, snap, pred, snap.Weights(), workers)
+	if err != nil {
+		return nil, err
+	}
+	nc := snap.Schema().Len()
+	slab := make([]value.Value, min(len(rows), ingestChunk)*nc)
+	kept := make([][]value.Value, 0, ingestChunk)
+	wts := make([]float64, 0, ingestChunk)
 	out := table.New(t.Name()+"_view", t.Schema())
-	// Neither the predicate nor the append keeps the row, so one binding
-	// row is materialized over for every tuple.
-	b := &expr.Binding{Schema: snap.Schema()}
-	n := snap.Len()
-	for i := 0; i < n; i++ {
-		if i%8192 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	_, err = appendRows(out, len(rows), false, func(lo, hi int) ([][]value.Value, []float64, error) {
+		chunk := rows[lo:hi]
+		for j := 0; j < nc; j++ {
+			snap.FillValues(j, chunk, slab[j:], nc)
 		}
-		b.Row = snap.AppendRow(b.Row[:0], i)
-		if pred != nil {
-			ok, err := expr.Truthy(pred, b)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
+		kept, wts = kept[:0], wts[:0]
+		for k, r := range chunk {
+			kept = append(kept, slab[k*nc:(k+1)*nc:(k+1)*nc])
+			wts = append(wts, snap.Weight(int(r)))
 		}
-		if err := out.AppendWeighted(b.Row, snap.Weight(i)); err != nil {
-			return nil, err
-		}
+		return kept, wts, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -426,3 +426,25 @@ func TestRestoreLogStartsAtReplayedGeneration(t *testing.T) {
 		t.Error("Restore into a changed engine must refuse")
 	}
 }
+
+// TestRestoreRefusesPopulationOverUndeclaredColumn pins what a snapshot
+// saved before CREATE POPULATION checked its WHERE gets now: such a
+// population's predicate may name a column its global population lacks
+// (WEIGHT here), and the replay stops at that statement with the catalog's
+// refusal. The population has to be dropped from the script, or its WHERE
+// rewritten over declared attributes, before the snapshot restores.
+func TestRestoreRefusesPopulationOverUndeclaredColumn(t *testing.T) {
+	// DumpScript's output for a world whose population filters on WEIGHT.
+	script := "-- Mosaic dump; replay with mosaic.DB.Exec or cmd/mosaic.\n" +
+		"CREATE GLOBAL POPULATION P (g TEXT, x INT);\n" +
+		"CREATE POPULATION Heavy AS (SELECT g, x FROM P WHERE (WEIGHT > 1));\n"
+	err := NewEngine(Options{Seed: 1}).Restore(script)
+	want := `statement 2: catalog: population "Heavy": WHERE names "WEIGHT", which is not an attribute of "P"`
+	if err == nil || err.Error() != want {
+		t.Fatalf("Restore = %v, want %s", err, want)
+	}
+	fixed := strings.Replace(script, " WHERE (WEIGHT > 1)", " WHERE (x > 1)", 1)
+	if err := NewEngine(Options{Seed: 1}).Restore(fixed); err != nil {
+		t.Errorf("the rewritten script: %v", err)
+	}
+}

@@ -115,11 +115,15 @@ func routeWorld(t *testing.T, world string, shards int) *Engine {
 
 // routeQuery is one statement of the conformance table. A non-empty refuse
 // is a substring every entry point's refusal must contain; otherwise
-// technique is a substring of EXPLAIN's technique row.
+// technique is a substring of EXPLAIN's technique row. A scan refusal is met
+// by the scan, at a row's value: EXPLAIN still plans the query (technique
+// applies), and only the shards holding such a row refuse, the first of
+// them in shard order with Query's words.
 type routeQuery struct {
 	q         string
 	technique string
 	refuse    string
+	scan      bool
 }
 
 var routeTable = []struct {
@@ -129,6 +133,7 @@ var routeTable = []struct {
 }{
 	{"auxiliary table", "main", []routeQuery{
 		{q: "SELECT c, COUNT(*), SUM(y), MIN(x) FROM Aux GROUP BY c", technique: "direct scan (closed world)"},
+		{q: "SELECT c, COUNT(x > 5), MAX(c = 'a') FROM Aux GROUP BY c", technique: "direct scan (closed world)"},
 		{q: "SELECT c, x FROM Aux WHERE x > 4 ORDER BY x, c LIMIT 6", technique: "direct scan (closed world)"},
 		{q: "SELECT OPEN c FROM Aux", refuse: `"Aux" is an auxiliary table`},
 		{q: "SELECT SEMI-OPEN COUNT(*) FROM Aux", refuse: `"Aux" is an auxiliary table`},
@@ -143,6 +148,8 @@ var routeTable = []struct {
 		{q: "SELECT CLOSED grp, COUNT(*), SUM(z) FROM World GROUP BY grp ORDER BY grp", technique: "sample as stored"},
 		{q: "SELECT CLOSED grp FROM World GROUP BY grp", technique: "sample as stored"},
 		{q: "SELECT CLOSED grp, v FROM World WHERE z < 1 ORDER BY v, grp", technique: "sample as stored"},
+		{q: "SELECT CLOSED grp, COUNT(z > 5), MAX(grp = 'a') FROM World GROUP BY grp", technique: "sample as stored"},
+		{q: "SELECT CLOSED COUNT(*), SUM(grp) FROM World", technique: "sample as stored", refuse: "SUM over non-numeric value", scan: true},
 	}},
 	{"population CLOSED, view", "main", []routeQuery{
 		{q: "SELECT CLOSED v, COUNT(*), AVG(z) FROM Agroup GROUP BY v", technique: "sample as stored"},
@@ -150,13 +157,18 @@ var routeTable = []struct {
 	{"SEMI-OPEN, global-scope IPF", "main", []routeQuery{
 		{q: "SELECT SEMI-OPEN grp, COUNT(*), AVG(z) FROM World GROUP BY grp", technique: "IPF reweighting"},
 		{q: "SELECT COUNT(*), SUM(z) FROM Low", technique: "IPF reweighting"},
+		{q: "SELECT SEMI-OPEN grp, COUNT(z > 5), MAX(grp = 'a') FROM World GROUP BY grp", technique: "IPF reweighting"},
+		{q: "SELECT SEMI-OPEN MAX(v > 1), SUM(grp) FROM World", technique: "IPF reweighting", refuse: "SUM over non-numeric value", scan: true},
 	}},
 	{"SEMI-OPEN, view-scope IPF fit", "main", []routeQuery{
 		{q: "SELECT SEMI-OPEN v, COUNT(*), MIN(z) AS lo FROM Agroup GROUP BY v HAVING lo > 0", technique: "IPF reweighting"},
 		{q: "SELECT SEMI-OPEN v, z FROM Agroup WHERE z > 9", technique: "IPF reweighting"},
+		{q: "SELECT SEMI-OPEN v, COUNT(z > 5), MIN(z = 1) FROM Agroup GROUP BY v", technique: "IPF reweighting"},
+		{q: "SELECT SEMI-OPEN AVG(grp) FROM Agroup", technique: "IPF reweighting", refuse: "AVG over non-numeric value", scan: true},
 	}},
 	{"SEMI-OPEN, known non-uniform mechanism", "biased", []routeQuery{
 		{q: "SELECT SEMI-OPEN g, COUNT(*), SUM(x) FROM K GROUP BY g ORDER BY g", technique: "Horvitz"},
+		{q: "SELECT SEMI-OPEN g, COUNT(x > 2), MAX(g = 'a') FROM K GROUP BY g", technique: "Horvitz"},
 	}},
 	{"SEMI-OPEN, UNIFORM", "uniform", []routeQuery{
 		{q: "SELECT SEMI-OPEN COUNT(*), AVG(x) FROM U WHERE x > 0", technique: "Horvitz"},
@@ -179,8 +191,9 @@ var routeTable = []struct {
 // — Query, Prepare + QueryPrepared, PartialContext(i of S) for every i then
 // exec.GatherPartials, and Explain — at S ∈ {1, 2, 4}: refusals carry the
 // same text everywhere, gathered partials equal the Shards: S answer bit for
-// bit, only OPEN and non-aggregate shapes are unhandled, and fleet partials
-// never count as local shard scans.
+// bit, only OPEN and non-aggregate shapes are unhandled, fleet partials
+// never count as local shard scans, and EXPLAIN shows a sharding row exactly
+// when Query at S > 1 scanned shards.
 func TestRouteConformance(t *testing.T) {
 	ctx := context.Background()
 	for _, shards := range []int{1, 2, 4} {
@@ -197,7 +210,9 @@ func TestRouteConformance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: parse: %v", name, err)
 				}
+				before := e.ShardScans()
 				want, qerr := e.Query(sel)
+				sharded := fmt.Sprint(e.ShardScans()) != fmt.Sprint(before)
 				switch {
 				case rq.refuse != "" && (qerr == nil || !strings.Contains(qerr.Error(), rq.refuse)):
 					t.Errorf("%s: Query = %v, want refusal %q", name, qerr, rq.refuse)
@@ -227,6 +242,7 @@ func TestRouteConformance(t *testing.T) {
 				scans := e.ShardScans()
 				partials := make([]*exec.ShardPartial, shards)
 				wantHandled := qerr != nil || (sel.Visibility != sql.VisibilityOpen && sel.IsAggregate())
+				var firstErr error
 				for i := 0; i < shards; i++ {
 					p, gen, handled, err := e.PartialContext(ctx, sel, i, shards)
 					if gen != e.Generation() {
@@ -234,6 +250,15 @@ func TestRouteConformance(t *testing.T) {
 					}
 					if handled != wantHandled {
 						t.Errorf("%s: partial %d handled=%v, want %v", name, i, handled, wantHandled)
+					}
+					if rq.scan {
+						// Only the shards whose slice holds the refused
+						// value refuse; the first of them answers.
+						if firstErr == nil {
+							firstErr = err
+						}
+						partials = nil
+						continue
 					}
 					if qerr != nil || !handled {
 						sameAnswer(fmt.Sprintf("PartialContext(%d of %d)", i, shards), want, err)
@@ -246,6 +271,9 @@ func TestRouteConformance(t *testing.T) {
 						break
 					}
 					partials[i] = p
+				}
+				if rq.scan {
+					sameAnswer("PartialContext, first refusal in shard order", want, firstErr)
 				}
 				if partials != nil {
 					got, err := exec.GatherPartials(ctx, sel, partials)
@@ -267,7 +295,7 @@ func TestRouteConformance(t *testing.T) {
 					rows[r[0].AsText()] = r[1].AsText()
 				}
 				tech := rows["technique"]
-				if qerr != nil {
+				if qerr != nil && !rq.scan {
 					if w := "UNANSWERABLE: " + strings.TrimPrefix(qerr.Error(), "core: "); tech != w {
 						t.Errorf("%s: Explain technique %q, want %q", name, tech, w)
 					}
@@ -286,8 +314,10 @@ func TestRouteConformance(t *testing.T) {
 					if !strings.HasPrefix(sharding, "disabled for OPEN") {
 						t.Errorf("%s: OPEN sharding row %q", name, sharding)
 					}
-				case wantHandled != has:
-					t.Errorf("%s: sharding row %q present=%v, but the executor shards it=%v", name, sharding, has, wantHandled)
+				case qerr != nil:
+					// A scan refused on one shard may have finished others.
+				case wantHandled != has || sharded != has:
+					t.Errorf("%s: sharding row %q present=%v, but the shape is partial-executable=%v and Query scanned shards=%v", name, sharding, has, wantHandled, sharded)
 				}
 			}
 		}

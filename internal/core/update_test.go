@@ -140,3 +140,67 @@ func TestUpdateKernelsMatchRowLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdatePerRowFormsMatchRowLoop: a WHERE or a weight the kernels do not
+// compile runs per row inside the pipeline, and fails as the row loop does:
+// the first failing row wins, whether the WHERE fails there or the weight
+// of a kept row. x is i % 10, so WHERE x < 5 OR c + 1 > 0 keeps rows 0–4
+// and fails at row 5 (TEXT arithmetic), 1 / (x - 2) fails at row 2 before
+// it and 1 / (x - 7) at row 7 after it.
+func TestUpdatePerRowFormsMatchRowLoop(t *testing.T) {
+	vec, row := updateWorld(t, false), updateWorld(t, true)
+	weights := []string{"x > 3", "x", "c", "1 / (x - 2)", "1 / (x - 7)", "b", "-b", "x > 3 AND c + 1 > 0"}
+	wheres := []string{"", "x < 5 OR c + 1 > 0", "c = 't1' OR c + 1 > 0", "b OR x > 6", "(x > 2) = TRUE"}
+	failed := 0
+	for _, w := range weights {
+		for _, where := range wheres {
+			stmt := "UPDATE SAMPLE S SET WEIGHT = " + w
+			if where != "" {
+				stmt += " WHERE " + where
+			}
+			_, errV := vec.ExecScript(stmt)
+			_, errR := row.ExecScript(stmt)
+			if fmt.Sprint(errV) != fmt.Sprint(errR) {
+				t.Fatalf("%s: pipeline: %v, row loop: %v", stmt, errV, errR)
+			}
+			if errR != nil {
+				failed++
+			}
+			if got, want := weightBits(t, vec, "S"), weightBits(t, row, "S"); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: weights differ from the row loop's", stmt)
+			}
+		}
+	}
+	if failed == 0 {
+		t.Error("the grid should hold failing statements")
+	}
+}
+
+// TestCreateMetadataWhereReadsWeight: CREATE METADATA's WHERE is the
+// engine's one selection, so WEIGHT resolves as in SELECT — a sample
+// source's tuple weight — where it was an unknown column. A count column
+// that fails at a kept row fails before the WHERE's own error at a later
+// row, as the row-by-row loop did.
+func TestCreateMetadataWhereReadsWeight(t *testing.T) {
+	e := NewEngine(Options{Workers: 2})
+	exec1(t, e, `CREATE GLOBAL POPULATION P (g TEXT, x INT);
+CREATE SAMPLE S AS (SELECT * FROM P);
+INSERT INTO S VALUES ('a', 1), ('a', 2), ('b', 3), ('b', 4);
+UPDATE SAMPLE S SET WEIGHT = x;
+CREATE METADATA P_M FOR P AS (SELECT g, COUNT(*) FROM S WHERE WEIGHT > 1.5);
+CREATE TABLE T (g TEXT, n INT, d INT);
+INSERT INTO T VALUES ('a', 10, 1), ('b', 20, 0), ('c', 30, 5);`)
+	p, _ := e.Catalog().Population("P")
+	if got := p.Marginals["P_M"].Total(); got != 2+3+4 {
+		t.Errorf("WHERE WEIGHT > 1.5: marginal total %g, want the weights 2 + 3 + 4", got)
+	}
+	for _, tc := range []struct{ stmt, want string }{
+		{"CREATE METADATA P_B FOR P AS (SELECT g, n FROM T WHERE 1 / d > 0)", "expr: division by zero"},
+		{"CREATE METADATA P_C FOR P AS (SELECT g, g FROM T WHERE 1 / d > 0)", "core: CREATE METADATA P_C: count column: value: cannot coerce TEXT to float"},
+		{"CREATE METADATA P_D FOR P AS (SELECT g, n FROM T WHERE g + 1 > 0)", "expr: arithmetic on TEXT and INT"},
+	} {
+		if _, err := e.ExecScript(tc.stmt); err == nil || err.Error() != "statement 1: "+tc.want {
+			t.Errorf("%s: %v, want %q", tc.stmt, err, tc.want)
+		}
+	}
+}

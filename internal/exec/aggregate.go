@@ -1,15 +1,17 @@
-// The columnar aggregate pipeline: plan → scan → finalize. Unsharded
-// queries, in-process Options.Shards scatter-gather, and the fleet's
-// PartialAggregate / GatherPartials are drivers of the same three pieces;
-// the row interpreter (runAggregate) and the OPEN replicate combine
-// (RunReplicates) build their own states and share finalize:
+// The columnar aggregate pipeline: plan → scan → finalize. It answers every
+// aggregate query. Unsharded queries, in-process Options.Shards
+// scatter-gather, and the fleet's PartialAggregate / GatherPartials are
+// drivers of the same three pieces; the row interpreter (runAggregate) and
+// the OPEN replicate combine (RunReplicates) build their own states and
+// share finalize:
 //
-//   - planAggregate resolves the group keys and weights, compiles the
-//     aggregate inputs against the full snapshot, and applies the
-//     engage/decline guard — so every shard of every process holding the
-//     same data reaches the same decision;
+//   - planAggregate resolves the group keys and weights and compiles the
+//     aggregate inputs against the full snapshot — an input the kernels do
+//     not cover keeps its per-row form — so every shard of every process
+//     holding the same data runs the same plan;
 //   - aggPlan.scan runs selection → group ids → accumulation over the plan's
-//     rows (aggPlan.slice narrows a plan to one shard's range);
+//     rows (aggPlan.slice narrows a plan to one shard's range), and fails
+//     with the interpreter's first error over those rows;
 //   - finalize turns merged states into output rows, then HAVING, then
 //     ORDER BY / LIMIT.
 //
@@ -38,15 +40,12 @@ type aggPlan struct {
 	workers  int
 }
 
-// planAggregate plans sel over snap. handled=false means the shape is not
-// kernel-covered (or needs the row path's interleaved error ordering) and
-// the caller must answer it on the row path; a nil plan with handled=true
-// carries the error.
-func planAggregate(snap *table.Snapshot, sel *sql.Select, opts Options) (*aggPlan, bool, error) {
+// planAggregate plans sel over snap. Its errors are the eager validation
+// errors the row interpreter raises too.
+func planAggregate(snap *table.Snapshot, sel *sql.Select, opts Options) (*aggPlan, error) {
 	keyIdx, err := resolveGroupKeys(snap, sel)
 	if err != nil {
-		// Eager validation errors are identical on both paths.
-		return nil, true, err
+		return nil, err
 	}
 	rawW := snap.Weights()
 	if opts.WeightOverride != nil {
@@ -54,21 +53,8 @@ func planAggregate(snap *table.Snapshot, sel *sql.Select, opts Options) (*aggPla
 	}
 	workers := opts.workers()
 	comp := &kernelCompiler{snap: snap, weights: rawW, n: snap.Len(), workers: workers}
-	vaggs, ok := planVectorAggs(comp, sel)
-	if !ok {
-		return nil, false, nil
-	}
-	// When a compiled aggregate input can error (division-by-zero bits) AND
-	// the filter needs the interpreted fallback, only the row path's
-	// interleaved evaluation (WHERE row i, then aggregate row i) can decide
-	// whether the filter's error or the aggregate's surfaces first — an
-	// interpreted filter can raise errors other than division by zero, so
-	// the messages differ. A kernel filter's only error is the same
-	// division-by-zero, making the order indistinguishable.
-	if sel.Where != nil && aggsCanErr(vaggs, snap.Len()) && compileFilter(sel.Where, snap, rawW, 1) == nil {
-		return nil, false, nil
-	}
-	return &aggPlan{snap: snap, sel: sel, keyIdx: keyIdx, rawW: rawW, vaggs: vaggs, weighted: opts.Weighted, workers: workers}, true, nil
+	vaggs := planVectorAggs(comp, sel)
+	return &aggPlan{snap: snap, sel: sel, keyIdx: keyIdx, rawW: rawW, vaggs: vaggs, weighted: opts.Weighted, workers: workers}, nil
 }
 
 // slice narrows the plan to rows [lo, hi), one shard's contiguous range.
@@ -97,16 +83,11 @@ type aggScan struct {
 	firstRow []int32
 }
 
-// scan runs selection → aggregate-error check → weights → group ids →
-// accumulation over the plan's rows.
+// scan runs selection → weights → group ids → accumulation over the
+// plan's rows. An aggregate input's error at a kept row comes before the
+// selection's, which SelectRows found at a later row.
 func (p *aggPlan) scan(ctx context.Context) (*aggScan, error) {
-	selRows, err := selectRows(ctx, p.snap, p.sel.Where, p.rawW, p.workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkAggErrs(p.vaggs, selRows); err != nil {
-		return nil, err
-	}
+	selRows, selErr := SelectRows(ctx, p.snap, p.sel.Where, p.rawW, p.workers)
 	selW := make([]float64, len(selRows))
 	if p.weighted {
 		for k, ri := range selRows {
@@ -118,9 +99,12 @@ func (p *aggPlan) scan(ctx context.Context) (*aggScan, error) {
 		}
 	}
 	gids, ngroups, firstRow := groupIDs(p.snap, p.keyIdx, selRows)
-	states, err := accumulateStates(ctx, p.vaggs, p.snap, selRows, gids, selW, ngroups, p.workers)
+	states, err := accumulateStates(ctx, p.vaggs, p.snap, p.rawW, selRows, gids, selW, ngroups, p.workers)
 	if err != nil {
 		return nil, err
+	}
+	if selErr != nil {
+		return nil, selErr
 	}
 	return &aggScan{states: states, ngroups: ngroups, firstRow: firstRow}, nil
 }
@@ -155,21 +139,19 @@ func (p *aggPlan) partial(ctx context.Context, lo, hi int) (*ShardPartial, error
 // runAggregateVector answers an aggregate query on the columnar path:
 // unsharded it scans and finalizes; with Shards > 1 it scatters the plan over
 // contiguous range shards and gathers their partials in shard order.
-// handled=false means the row path must answer.
-func runAggregateVector(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, bool, error) {
-	p, handled, err := planAggregate(snap, sel, opts)
-	if p == nil {
-		return nil, handled, err
+func runAggregateVector(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, error) {
+	p, err := planAggregate(snap, sel, opts)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Shards <= 1 {
 		s, err := p.scan(ctx)
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
-		res, err := finalize(ctx, sel, s.states, s.ngroups, func(k int, dst []value.Value, stride int) {
+		return finalize(ctx, sel, s.states, s.ngroups, func(k int, dst []value.Value, stride int) {
 			p.snap.FillValues(p.keyIdx[k], s.firstRow, dst, stride)
 		})
-		return res, true, err
 	}
 	// Scatter: shards fan out across the worker pool, and a shard's own
 	// morsel scans use the same pool size. Errors surface in shard order
@@ -190,10 +172,9 @@ func runAggregateVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sele
 		return nil
 	})
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	res, err := gather(ctx, sel, partials)
-	return res, true, err
+	return gather(ctx, sel, partials)
 }
 
 // keyFiller writes GROUP BY column k of every group g into dst[g*stride]:

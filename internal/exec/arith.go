@@ -184,8 +184,8 @@ func (v *numVec) floatView() []float64 {
 
 // compileNum compiles e into a numeric vector, or returns nil when e falls
 // outside the arithmetic kernel set (non-numeric operands, unknown columns,
-// aggregates — the caller then declines and the interpreter reproduces the
-// exact per-row semantics, including lazy errors).
+// aggregates — the caller then keeps the operand's per-row form, where the
+// interpreter reproduces the exact semantics, including lazy errors).
 func (c *kernelCompiler) compileNum(e expr.Expr) *numVec {
 	if v, ok := foldConst(e); ok {
 		return c.numConst(v)
@@ -193,7 +193,7 @@ func (c *kernelCompiler) compileNum(e expr.Expr) *numVec {
 	switch ex := e.(type) {
 	case *expr.Column:
 		// nil for BOOL/TEXT (arithmetic on them errors per row) and unknown
-		// columns: the interpreted fallback answers.
+		// columns: the per-row form answers.
 		ref, _ := c.resolve(ex.Name)
 		return ref.num
 	case *expr.Unary:

@@ -66,7 +66,7 @@ func BenchmarkFilterKernels100k(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := selectRows(context.Background(), snap, where, snap.Weights(), 1); err != nil {
+				if _, err := SelectRows(context.Background(), snap, where, snap.Weights(), 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -94,6 +94,31 @@ func BenchmarkGlobalAggregate100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(tbl, sel, Options{Weighted: true}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPerRowForms100k times the shapes whose operands no kernel
+// compiles, so the pipeline evaluates them per kept row: aggregate inputs
+// (COUNT(x > 500), MAX(c = 'g1')), with and without an interpreted WHERE,
+// and a computed select item.
+func BenchmarkPerRowForms100k(b *testing.B) {
+	tbl := benchTable(100000)
+	for _, bc := range []struct{ name, q string }{
+		{"agg", "SELECT c, COUNT(x > 500), MAX(c = 'g1') FROM t GROUP BY c"},
+		{"agg-where", "SELECT c, COUNT(x > 500), MAX(c = 'g1') FROM t WHERE (x > 500) = (y > 50) GROUP BY c"},
+		{"project", "SELECT c, x / 2 FROM t WHERE x > 500"},
+	} {
+		sel := benchQuery(b, bc.q)
+		for _, w := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/workers=%d", bc.name, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(tbl, sel, Options{Weighted: true, Workers: w}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

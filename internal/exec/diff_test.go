@@ -453,6 +453,14 @@ func FuzzRowVsVector(f *testing.F) {
 	f.Add("SELECT DISTINCT c, b FROM t WHERE x % 3 = 1 ORDER BY c DESC, b LIMIT 4")
 	f.Add("SELECT x, y FROM t WHERE x * 2 > y + 1 ORDER BY y DESC, x LIMIT 7")
 	f.Add("SELECT SUM(x / n), MIN(x % 7) FROM t GROUP BY b ORDER BY MIN(x % 7) LIMIT 2")
+	// Shapes with per-row operand forms inside the pipeline, and the
+	// interpreter's first-error order between a WHERE and the items.
+	f.Add("SELECT b, COUNT(x > 3), SUM(x / n) FROM t GROUP BY b")
+	f.Add("SELECT c, MAX(c = 'g1'), MIN(x > y) FROM t GROUP BY c")
+	f.Add("SELECT SUM(c) FROM t WHERE x > 400")
+	f.Add("SELECT y / x, c FROM t WHERE x / n > -1000")
+	f.Add("SELECT x + c FROM t WHERE n <> 0 OR c + 1 > 0")
+	f.Add("SELECT COUNT(y / x > 0), SUM(c) FROM t WHERE x / n > 0 OR c + 1 > 0")
 	tbl := diffTable(f, 200, 7)
 	f.Fuzz(func(t *testing.T, src string) {
 		sel, err := sql.ParseQuery(src)
@@ -496,24 +504,24 @@ func FuzzRowVsVector(f *testing.F) {
 	})
 }
 
-// checkFleetPartials is the fleet half of the differential oracle: a shape
-// PartialAggregate handles, scattered as PartialAggregate(i of shards) for
-// every i and gathered, must reproduce RunSnapshotContext at Shards: shards
-// bit for bit — or its error.
+// checkFleetPartials is the fleet half of the differential oracle: every
+// aggregate shape, scattered as PartialAggregate(i of shards) for every i
+// and gathered, must reproduce RunSnapshotContext at Shards: shards bit for
+// bit — or its error, which the first failing partial in shard order
+// carries.
 func checkFleetPartials(t *testing.T, src string, tbl *table.Table, sel *sql.Select, shards int) {
 	t.Helper()
+	if !sel.IsAggregate() {
+		return
+	}
 	ctx := context.Background()
 	snap := tbl.Snapshot()
 	opts := Options{Weighted: true, Workers: 2, Shards: shards}
 	want, wantErr := RunSnapshotContext(ctx, snap, sel, opts)
 	partials := make([]*ShardPartial, shards)
 	for i := range partials {
-		p, handled, err := PartialAggregate(ctx, snap, sel, opts, i, shards)
+		p, err := PartialAggregate(ctx, snap, sel, opts, i, shards)
 		switch {
-		case !handled && i > 0:
-			t.Fatalf("%q: partial %d of %d declined after partial 0 was handled", src, i, shards)
-		case !handled:
-			return
 		case err != nil:
 			if wantErr == nil || err.Error() != wantErr.Error() {
 				t.Fatalf("%q: partial %d of %d errored %v, Shards:%d answer %v", src, i, shards, err, shards, wantErr)
@@ -558,14 +566,82 @@ func bitIdentical(a, b *Result) bool {
 	return true
 }
 
+// firstErrorTable is 300 rows where the WHERE shapes of
+// TestFirstErrorRuleGrid fail at row 200 (n = 0 there, and c is TEXT) and
+// the items fail at row e: y = 0 and c is TEXT there. c is NULL elsewhere,
+// and names its row, so a SUM over it says which row failed.
+func firstErrorTable(tb testing.TB, e int) *table.Table {
+	tb.Helper()
+	t := table.New("t", diffSchema)
+	for i := 0; i < 300; i++ {
+		c, y, n := value.Null(), value.Float(1), value.Int(1)
+		if i == 200 || i == e {
+			c = value.Text(fmt.Sprintf("s%d", i))
+		}
+		if i == e {
+			y = value.Float(0)
+		}
+		if i == 200 {
+			n = value.Int(0)
+		}
+		if err := t.AppendWeighted([]value.Value{c, value.Int(int64(i + 1)), y, value.Bool(i%3 == 0), n}, 1.5); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return t
+}
+
+// TestFirstErrorRuleGrid pins the interpreter's error order on the
+// pipeline: the WHERE fails at row 200, through a kernel (division by zero)
+// or through an interpreted predicate (TEXT arithmetic), beside a computed
+// item or an aggregate input that fails before row 200 — its error wins —
+// or after it, where the WHERE's error wins. Items failing at one row fail
+// in select-list order. runBoth compares every error text with the row
+// interpreter at every Workers × Shards cell; checkFleetPartials holds the
+// aggregate shapes' fleet partials to the same error, or answer.
+func TestFirstErrorRuleGrid(t *testing.T) {
+	wheres := []string{
+		"WHERE x / n > 0",           // kernel: division by zero at row 200
+		"WHERE n <> 0 OR c + 1 > 0", // interpreted: TEXT arithmetic at row 200
+	}
+	shapes := []string{
+		"SELECT x, x / y FROM t %s",
+		"SELECT c + 1 AS z, x FROM t %s",
+		"SELECT x / y, c + 1 FROM t %s",
+		"SELECT c + 1, x / y FROM t %s",
+		"SELECT DISTINCT x / y AS q FROM t %s ORDER BY q LIMIT 3",
+		"SELECT x FROM t %s ORDER BY x DESC LIMIT 3",
+		"SELECT SUM(x / y) FROM t %s",
+		"SELECT COUNT(x / y > 0), SUM(c) FROM t %s",
+		"SELECT SUM(c), MAX(x / y) FROM t %s",
+		"SELECT b, MAX(x / y), SUM(c) FROM t %s GROUP BY b",
+		"SELECT b, COUNT(c + 1) FROM t %s GROUP BY b",
+	}
+	for _, e := range []int{40, 150, 250, 290} {
+		tbl := firstErrorTable(t, e)
+		for _, shape := range shapes {
+			for _, where := range wheres {
+				src := fmt.Sprintf(shape, where)
+				runBoth(t, tbl, src, Options{Weighted: true})
+				sel, err := sql.ParseQuery(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range sweepShards {
+					checkFleetPartials(t, src, tbl, sel, s)
+				}
+			}
+		}
+	}
+}
+
 // TestAggErrOrderWithInterpretedFilter pins the error-ordering rule for
-// vectorized aggregate inputs: when the WHERE needs the interpreted fallback
-// (here: TEXT arithmetic in one OR arm) and the aggregate input can divide
-// by zero, only the row path's interleaved evaluation knows which error
-// surfaces first — row 0 passes WHERE via short-circuit and its aggregate
-// input divides by zero, while row 1's WHERE raises the TEXT error. The
-// vectorized path must fall back rather than evaluate the whole WHERE
-// first.
+// vectorized aggregate inputs: when the WHERE runs interpreted (here: TEXT
+// arithmetic in one OR arm) and the aggregate input can divide by zero, the
+// error at the earlier row surfaces — row 0 passes WHERE via short-circuit
+// and its aggregate input divides by zero, while row 1's WHERE raises the
+// TEXT error. The selection stops at row 1 and keeps row 0, whose input's
+// error then wins.
 func TestAggErrOrderWithInterpretedFilter(t *testing.T) {
 	tbl := table.New("t", diffSchema)
 	rows := [][]value.Value{
@@ -582,7 +658,7 @@ func TestAggErrOrderWithInterpretedFilter(t *testing.T) {
 	}
 	runBoth(t, tbl, "SELECT SUM(x / y) FROM t WHERE x / n > 2 OR c + 1 > 0", Options{Weighted: true})
 	// Same shape with a kernel-compilable filter: both errors are
-	// division-by-zero, so the vectorized path may serve it.
+	// division by zero.
 	runBoth(t, tbl, "SELECT SUM(x / y) FROM t WHERE x / n > 2 OR x > 0", Options{Weighted: true})
 }
 

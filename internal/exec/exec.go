@@ -13,6 +13,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -90,10 +91,10 @@ type Options struct {
 	// WeightOverride supplies per-row weights to use instead of the table's
 	// stored weights (len must equal table length). Ignored when nil.
 	WeightOverride []float64
-	// ForceRow forces the legacy row-at-a-time executor even when the
-	// vectorized path could serve the query. The differential tests and the
-	// benchmark's answer oracles use it; answers are byte-identical either
-	// way, so production callers never need it.
+	// ForceRow runs the row-at-a-time interpreter instead of the columnar
+	// pipeline. The differential tests and the benchmark's answer oracles
+	// use it; answers are byte-identical either way, so production callers
+	// never need it.
 	ForceRow bool
 	// Workers is the intra-query parallelism of the columnar kernels: scans
 	// partition into fixed-size morsels that a pool of this many goroutines
@@ -102,7 +103,7 @@ type Options struct {
 	// wall-clock for cores, never changes results.
 	Workers int
 	// Shards range-partitions the scan into this many contiguous slices and
-	// answers kernel-coverable aggregate queries by scatter-gather: per-shard
+	// answers every aggregate query by scatter-gather: per-shard
 	// partial states merged in shard order (see shard.go). 0 or 1 disables
 	// sharding and is byte-identical to the pre-sharding engine. For a fixed
 	// Shards value answers are bit-identical across runs and Workers values,
@@ -140,29 +141,23 @@ func RunContext(ctx context.Context, t *table.Table, sel *sql.Select, opts Optio
 	return RunSnapshotContext(ctx, t.Snapshot(), sel, opts)
 }
 
-// RunSnapshotContext evaluates sel over an already-captured snapshot.
-// Queries route through the vectorized columnar path when every operator is
-// covered by a kernel, and fall back to the row-at-a-time interpreter
-// otherwise; the two paths produce byte-identical results.
+// RunSnapshotContext evaluates sel over an already-captured snapshot: on
+// the columnar pipeline, or on the row-at-a-time interpreter when
+// opts.ForceRow is set. The two produce byte-identical results.
 func RunSnapshotContext(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, error) {
 	sel, err := begin(ctx, snap, sel, opts)
 	if err != nil {
 		return nil, err
 	}
-	if sel.IsAggregate() {
-		if !opts.ForceRow {
-			if res, handled, err := runAggregateVector(ctx, snap, sel, opts); handled {
-				return res, err
-			}
-		}
+	switch {
+	case opts.ForceRow && sel.IsAggregate():
 		return runAggregate(ctx, snap, sel, opts)
+	case opts.ForceRow:
+		return runProjection(ctx, snap, sel, opts)
+	case sel.IsAggregate():
+		return runAggregateVector(ctx, snap, sel, opts)
 	}
-	if !opts.ForceRow {
-		if res, handled, err := runProjectionVector(ctx, snap, sel, opts); handled {
-			return res, err
-		}
-	}
-	return runProjection(ctx, snap, sel, opts)
+	return runProjectionVector(ctx, snap, sel, opts)
 }
 
 // begin is every executor entry point's preamble: validate the weight
@@ -248,58 +243,46 @@ func foldSelect(sel *sql.Select) *sql.Select {
 	return &out
 }
 
-// bindingSchema exposes WEIGHT as a pseudo-column so predicates and
-// projections can reference it.
+// rowEnv binds one row at a time for the row interpreter and the
+// pipeline's per-row forms, exposing WEIGHT as a pseudo-column unless the
+// schema has a column of that name.
 type rowEnv struct {
-	sc   *schema.Schema
-	wIdx int // index of injected WEIGHT column, -1 when the schema has one
+	nc     int  // stored attributes: the bound row's prefix
+	weight bool // the binding row ends with the WEIGHT pseudo-column
+	b      expr.Binding
 }
 
-func makeEnv(sc *schema.Schema) (*rowEnv, *schema.Schema) {
+func makeEnv(sc *schema.Schema) *rowEnv {
+	e := &rowEnv{nc: sc.Len(), b: expr.Binding{Schema: sc}}
 	if _, ok := sc.Index("WEIGHT"); ok {
-		return &rowEnv{sc: sc, wIdx: -1}, sc
+		return e
 	}
-	attrs := append(sc.Attributes(), schema.Attribute{Name: "WEIGHT", Kind: value.KindFloat})
-	ext, err := schema.New(attrs...)
-	if err != nil {
-		// A schema that already validated cannot fail here except via the
-		// WEIGHT duplicate, which the branch above handles.
-		return &rowEnv{sc: sc, wIdx: -1}, sc
+	// A schema that already validated cannot fail here except via the
+	// WEIGHT duplicate, which the branch above handles.
+	if ext, err := schema.New(append(sc.Attributes(), schema.Attribute{Name: "WEIGHT", Kind: value.KindFloat})...); err == nil {
+		e.b.Schema, e.weight = ext, true
 	}
-	return &rowEnv{sc: ext, wIdx: sc.Len()}, ext
+	return e
 }
 
-// bind materializes row i of snap straight into a fresh binding row, with w
-// as the trailing WEIGHT pseudo-column unless the schema has its own. It
-// returns the stored attributes (without WEIGHT) beside the binding.
-func (e *rowEnv) bind(snap *table.Snapshot, i int, w float64) ([]value.Value, *expr.Binding) {
-	nc := snap.Schema().Len()
-	row := snap.AppendRow(make([]value.Value, 0, nc+1), i)
-	if e.wIdx >= 0 {
-		row = append(row, value.Float(w))
+// at materializes row i of snap, with w as WEIGHT, over the env's one
+// binding row: the binding is valid until the next call, so nothing
+// evaluated over it may keep the row.
+func (e *rowEnv) at(snap *table.Snapshot, i int, w float64) *expr.Binding {
+	e.b.Row = snap.AppendRow(e.b.Row[:0], i)
+	if e.weight {
+		e.b.Row = append(e.b.Row, value.Float(w))
 	}
-	return row[:nc], &expr.Binding{Schema: e.sc, Row: row}
+	return &e.b
 }
 
-// projectionColumns resolves the output column names of a projection.
-func projectionColumns(snap *table.Snapshot, sel *sql.Select) []string {
-	var cols []string
-	for _, it := range sel.Items {
-		if it.Star {
-			cols = append(cols, snap.Schema().Names()...)
-		} else {
-			cols = append(cols, it.Name())
-		}
-	}
-	return cols
-}
-
-// projectRow evaluates the select items over one bound row.
-func projectRow(sel *sql.Select, row []value.Value, b *expr.Binding) ([]value.Value, error) {
+// projectRow evaluates the select items over one bound row, whose first nc
+// values are the stored attributes a star expands to.
+func projectRow(sel *sql.Select, b *expr.Binding, nc int) ([]value.Value, error) {
 	var out []value.Value
 	for _, it := range sel.Items {
 		if it.Star {
-			out = append(out, row...)
+			out = append(out, b.Row[:nc]...)
 			continue
 		}
 		v, err := it.Expr.Eval(b)
@@ -312,8 +295,9 @@ func projectRow(sel *sql.Select, row []value.Value, b *expr.Binding) ([]value.Va
 }
 
 func runProjection(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, error) {
-	env, _ := makeEnv(snap.Schema())
-	res := &Result{Columns: projectionColumns(snap, sel)}
+	env := makeEnv(snap.Schema())
+	cols, _ := projectionSources(snap, sel)
+	res := &Result{Columns: cols}
 	n := snap.Len()
 	for i := 0; i < n; i++ {
 		if i%cancelCheckRows == 0 {
@@ -325,7 +309,7 @@ func runProjection(ctx context.Context, snap *table.Snapshot, sel *sql.Select, o
 		if opts.WeightOverride != nil {
 			w = opts.WeightOverride[i]
 		}
-		row, b := env.bind(snap, i, w)
+		b := env.at(snap, i, w)
 		if sel.Where != nil {
 			ok, err := expr.Truthy(sel.Where, b)
 			if err != nil {
@@ -335,7 +319,7 @@ func runProjection(ctx context.Context, snap *table.Snapshot, sel *sql.Select, o
 				continue
 			}
 		}
-		out, err := projectRow(sel, row, b)
+		out, err := projectRow(sel, b, env.nc)
 		if err != nil {
 			return nil, err
 		}
@@ -384,6 +368,13 @@ func resolveGroupKeys(snap *table.Snapshot, sel *sql.Select) ([]int, error) {
 		}
 		keyIdx[i] = j
 	}
+	return keyIdx, checkGroupItems(sel)
+}
+
+// checkGroupItems refuses a plain select item of an aggregate query that is
+// not a GROUP BY column: finalize reads each plain item from its group's
+// key values.
+func checkGroupItems(sel *sql.Select) error {
 	isGroupKey := func(name string) bool {
 		for _, g := range sel.GroupBy {
 			if strings.EqualFold(g, name) {
@@ -397,14 +388,14 @@ func resolveGroupKeys(snap *table.Snapshot, sel *sql.Select) ([]int, error) {
 			continue
 		}
 		if it.Star {
-			return nil, fmt.Errorf("exec: * is not allowed with GROUP BY or aggregates")
+			return fmt.Errorf("exec: * is not allowed with GROUP BY or aggregates")
 		}
 		col, ok := it.Expr.(*expr.Column)
 		if !ok || !isGroupKey(col.Name) {
-			return nil, fmt.Errorf("exec: select item %q must be a GROUP BY column or an aggregate", it.Name())
+			return fmt.Errorf("exec: select item %q must be a GROUP BY column or an aggregate", it.Name())
 		}
 	}
-	return keyIdx, nil
+	return nil
 }
 
 // itemKeyPositions precomputes, for every select item, the GROUP BY position
@@ -438,7 +429,7 @@ func itemKeyPositions(sel *sql.Select) []int {
 // algebra and the output step with the kernels, so it stays an independent
 // oracle for their loops.
 func runAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, error) {
-	env, _ := makeEnv(snap.Schema())
+	env := makeEnv(snap.Schema())
 	keyIdx, err := resolveGroupKeys(snap, sel)
 	if err != nil {
 		return nil, err
@@ -465,7 +456,7 @@ func runAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, op
 		if opts.WeightOverride != nil {
 			w = opts.WeightOverride[i]
 		}
-		row, b := env.bind(snap, i, w)
+		b := env.at(snap, i, w)
 		if sel.Where != nil {
 			ok, err := expr.Truthy(sel.Where, b)
 			if err != nil {
@@ -477,7 +468,7 @@ func runAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, op
 		}
 		kb.Reset()
 		for _, j := range keyIdx {
-			kb.WriteString(row[j].HashKey())
+			kb.WriteString(b.Row[j].HashKey())
 			kb.WriteByte('\x1f')
 		}
 		k := kb.String()
@@ -487,7 +478,7 @@ func runAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, op
 			// that land in an existing group allocate nothing for keys.
 			kv := make([]value.Value, len(keyIdx))
 			for ki, j := range keyIdx {
-				kv[ki] = row[j]
+				kv[ki] = b.Row[j]
 			}
 			g = len(keys)
 			ids[k] = g
@@ -566,6 +557,9 @@ func orderAndLimit(ctx context.Context, res *Result, sel *sql.Select) error {
 			return err
 		}
 		outSchema := outputSchema(res.Columns)
+		if err := checkOrderKeys(sel, res.Columns, outSchema); err != nil {
+			return err
+		}
 		// Bounded-heap top-K: selecting k of n beats sorting n when k is
 		// small. topKRows refuses (and the lazy stable sort below runs)
 		// whenever its answer could differ: inextractable keys or NaNs.
@@ -599,6 +593,26 @@ func orderAndLimit(ctx context.Context, res *Result, sel *sql.Select) error {
 	}
 	if sel.Limit >= 0 && len(res.Rows) > sel.Limit {
 		res.Rows = res.Rows[:sel.Limit]
+	}
+	return nil
+}
+
+// checkOrderKeys refuses an ORDER BY key that names a column the output
+// lacks, before any row is sorted: orderKey resolves keys only inside the
+// sort comparator, which never runs for fewer than two rows, so without it
+// the refusal would depend on how many rows matched. A key that is a column
+// resolves by orderKey's EqualFold rule; any other key's columns resolve
+// against out, as its evaluation does.
+func checkOrderKeys(sel *sql.Select, cols []string, out *schema.Schema) error {
+	for _, o := range sel.OrderBy {
+		if col, ok := o.Expr.(*expr.Column); ok && slices.ContainsFunc(cols, func(c string) bool { return strings.EqualFold(c, col.Name) }) {
+			continue
+		}
+		for _, name := range o.Expr.Columns(nil) {
+			if _, ok := out.Index(name); !ok {
+				return fmt.Errorf("exec: cannot resolve ORDER BY expression %s against output columns", o.Expr)
+			}
+		}
 	}
 	return nil
 }

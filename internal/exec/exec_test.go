@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -414,5 +415,47 @@ func TestDuplicateAggregateColumns(t *testing.T) {
 	b, _ := res.Rows[0][1].Float64()
 	if a != 4 || b != 4 {
 		t.Errorf("duplicate aggregates = %v", res.Rows[0])
+	}
+}
+
+// TestOrderByUnknownKeyRefusedAtAnyRowCount: an ORDER BY key that names no
+// output column is refused whether 0, 1 or 2 rows reach the sort, on the row
+// interpreter and on the pipeline alike. The comparator that resolves keys
+// never runs for fewer than two rows, so the refusal used to depend on how
+// many rows matched.
+func TestOrderByUnknownKeyRefusedAtAnyRowCount(t *testing.T) {
+	u := table.New("u", schema.MustNew(
+		schema.Attribute{Name: "x", Kind: value.KindInt},
+		schema.Attribute{Name: "y", Kind: value.KindInt},
+	))
+	for x := int64(1); x <= 3; x++ {
+		if err := u.Append([]value.Value{value.Int(x), value.Int(x * 10)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shapes := []string{
+		"SELECT x FROM u WHERE %s ORDER BY nosuch",
+		"SELECT x FROM u WHERE %s ORDER BY x, NoSuch DESC LIMIT 1",
+		"SELECT x FROM u WHERE %s ORDER BY x + nosuch",
+		"SELECT x + 1 AS z FROM u WHERE %s ORDER BY nosuch",
+		"SELECT DISTINCT x FROM u WHERE %s ORDER BY y",
+		"SELECT x, COUNT(*) FROM u WHERE %s GROUP BY x ORDER BY nosuch",
+	}
+	for _, shape := range shapes {
+		for rows, where := range []string{"x > 3", "x > 2", "x > 1"} {
+			src := fmt.Sprintf(shape, where)
+			sel := q(t, src)
+			want := fmt.Sprintf("exec: cannot resolve ORDER BY expression %s against output columns", sel.OrderBy[len(sel.OrderBy)-1].Expr)
+			for _, force := range []bool{true, false} {
+				_, err := Run(u, sel, Options{Weighted: true, ForceRow: force})
+				if err == nil || err.Error() != want {
+					t.Errorf("%q (%d rows, ForceRow %v): %v, want %q", src, rows, force, err, want)
+				}
+			}
+		}
+	}
+	// A key that names an output column under another case still resolves.
+	if _, err := Run(u, q(t, "SELECT x AS Big FROM u WHERE x > 2 ORDER BY big"), Options{Weighted: true}); err != nil {
+		t.Error(err)
 	}
 }

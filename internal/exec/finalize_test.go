@@ -49,19 +49,16 @@ func TestColumnwiseEdgeCases(t *testing.T) {
 			for _, w := range []bool{false, true} {
 				res, err := Run(tbl, sel, Options{Weighted: w, ForceRow: true})
 				check("row interpreter", res, err)
-				res, handled, err := runAggregateVector(ctx, snap, sel, Options{Weighted: w})
-				if !handled {
-					t.Fatalf("%q: vector scan declined", tc.src)
-				}
+				res, err = runAggregateVector(ctx, snap, sel, Options{Weighted: w})
 				check("vector scan", res, err)
 				res, err = Run(tbl, sel, Options{Weighted: w, Shards: 4})
 				check("shard gather", res, err)
 			}
 			partials := make([]*ShardPartial, 3)
 			for i := range partials {
-				p, handled, err := PartialAggregate(ctx, snap, sel, Options{Weighted: true}, i, len(partials))
-				if !handled || err != nil {
-					t.Fatalf("%q: partial %d: handled=%v err=%v", tc.src, i, handled, err)
+				p, err := PartialAggregate(ctx, snap, sel, Options{Weighted: true}, i, len(partials))
+				if err != nil {
+					t.Fatalf("%q: partial %d: %v", tc.src, i, err)
 				}
 				partials[i] = p
 			}
@@ -85,9 +82,9 @@ func TestColumnwiseEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", src, err)
 			}
-			res, handled, err := runProjectionVector(ctx, tbl.Snapshot(), sel, Options{Weighted: true})
-			if !handled || err != nil {
-				t.Fatalf("%s: %q: handled=%v err=%v", name, src, handled, err)
+			res, err := runProjectionVector(ctx, tbl.Snapshot(), sel, Options{Weighted: true})
+			if err != nil {
+				t.Fatalf("%s: %q: %v", name, src, err)
 			}
 			row, err := Run(tbl, sel, Options{Weighted: true, ForceRow: true})
 			if err != nil {

@@ -108,12 +108,14 @@ func evalTern(ctx context.Context, k kernel, n, workers int) ([]int8, error) {
 }
 
 // ternSelection builds the selection vector — indices of ternTrue rows in
-// scan order — from a truth vector, reporting whether any row erred
-// (division by zero). The parallel path counts per morsel, prefix-sums the
-// counts into per-morsel output offsets, and fills each morsel's segment
-// concurrently: concatenation in morsel order IS scan order, so the vector
-// is byte-identical to the serial append loop.
-func ternSelection(ctx context.Context, tern []int8, workers int) (sel []int32, sawErr bool, err error) {
+// scan order — from a truth vector. At the first ternErr row (division by
+// zero) it stops: sel holds the rows kept before it and failed is true. The
+// parallel path counts per morsel up to the morsel's first error row,
+// prefix-sums the counts of the morsels up to the first one that failed into
+// per-morsel output offsets, and fills each morsel's segment concurrently:
+// concatenation in morsel order IS scan order, so the vector is
+// byte-identical to the serial append loop.
+func ternSelection(ctx context.Context, tern []int8, workers int) (sel []int32, failed bool, err error) {
 	n := len(tern)
 	nMorsels := (n + morselRows - 1) / morselRows
 	if workers <= 1 || nMorsels <= 1 {
@@ -122,14 +124,11 @@ func ternSelection(ctx context.Context, tern []int8, workers int) (sel []int32, 
 			if err := checkCtx(ctx); err != nil {
 				return nil, false, err
 			}
-			hi := lo + morselRows
-			if hi > n {
-				hi = n
-			}
+			hi := min(lo+morselRows, n)
 			for i := lo; i < hi; i++ {
 				t := tern[i]
 				if t == ternErr {
-					return nil, true, nil
+					return sel, true, nil
 				}
 				if t == ternTrue {
 					sel = append(sel, int32(i))
@@ -139,33 +138,46 @@ func ternSelection(ctx context.Context, tern []int8, workers int) (sel []int32, 
 		return sel, false, nil
 	}
 	counts := make([]int, nMorsels)
-	var errSeen atomic.Bool
+	errs := make([]bool, nMorsels)
 	if err := forEachMorsel(ctx, n, workers, func(lo, hi int) {
-		c := 0
+		m, c := lo/morselRows, 0
 		for _, t := range tern[lo:hi] {
-			switch t {
-			case ternTrue:
+			if t == ternErr {
+				errs[m] = true
+				break
+			}
+			if t == ternTrue {
 				c++
-			case ternErr:
-				errSeen.Store(true)
 			}
 		}
-		counts[lo/morselRows] = c
+		counts[m] = c
 	}); err != nil {
 		return nil, false, err
 	}
-	if errSeen.Load() {
-		return nil, true, nil
+	last := nMorsels // morsels [0, last) feed the selection
+	for m, e := range errs {
+		if e {
+			last, failed = m+1, true
+			break
+		}
 	}
-	offs := make([]int, nMorsels+1)
-	for m, c := range counts {
+	offs := make([]int, last+1)
+	for m, c := range counts[:last] {
 		offs[m+1] = offs[m] + c
 	}
-	sel = make([]int32, offs[nMorsels])
+	sel = make([]int32, offs[last])
 	if err := forEachMorsel(ctx, n, workers, func(lo, hi int) {
-		p := offs[lo/morselRows]
+		m := lo / morselRows
+		if m >= last {
+			return
+		}
+		p := offs[m]
 		for i := lo; i < hi; i++ {
-			if tern[i] == ternTrue {
+			t := tern[i]
+			if t == ternErr {
+				break
+			}
+			if t == ternTrue {
 				sel[p] = int32(i)
 				p++
 			}
@@ -173,5 +185,5 @@ func ternSelection(ctx context.Context, tern []int8, workers int) (sel []int32, 
 	}); err != nil {
 		return nil, false, err
 	}
-	return sel, false, nil
+	return sel, failed, nil
 }

@@ -177,3 +177,39 @@ func BenchmarkMorselGroupBy(b *testing.B) {
 		})
 	}
 }
+
+// TestTernSelectionStopsAtFirstError: over several morsels, every worker
+// count keeps exactly the true rows before the first error row — a morsel
+// after the failing one contributes nothing, the failing one only its rows
+// before the error — and reports that it stopped.
+func TestTernSelectionStopsAtFirstError(t *testing.T) {
+	tern := make([]int8, morselTestRows)
+	for i := range tern {
+		if i%3 != 0 {
+			tern[i] = ternTrue
+		}
+	}
+	for _, errRows := range [][]int{nil, {2*morselRows + 77, 3*morselRows + 5}, {0}, {morselRows - 1}} {
+		for _, r := range errRows {
+			tern[r] = ternErr
+		}
+		var want []int32
+		for i, v := range tern {
+			if v == ternErr {
+				break
+			}
+			if v == ternTrue {
+				want = append(want, int32(i))
+			}
+		}
+		for _, w := range sweepWorkers {
+			sel, failed, err := ternSelection(t.Context(), tern, w)
+			if err != nil || failed != (errRows != nil) || fmt.Sprint(sel) != fmt.Sprint(want) {
+				t.Errorf("errors at %v, %d workers: %d rows, failed %v, err %v; want %d rows", errRows, w, len(sel), failed, err, len(want))
+			}
+		}
+		for _, r := range errRows {
+			tern[r] = ternTrue
+		}
+	}
+}

@@ -87,32 +87,27 @@ func GroupKey(kv []value.Value) string {
 
 // PartialAggregate runs the scatter half of sharded execution for shard
 // `shard` of `shards` over the full snapshot: it plans against the full
-// table (so the engage/decline decision is identical on every shard), then
-// scans only the shard's contiguous range and returns its partial states.
-// handled=false means the shape is not kernel-coverable (or needs the row
-// path's interleaved error ordering) — the caller must answer the query
-// through the ordinary unsharded path instead. This is the entry point the
-// fleet's /v1/partial endpoint serves; opts.Shards is ignored in favor of
-// the explicit shard/shards pair, and opts.ShardScan is never called (fleet
-// shard indices are the coordinator's, not this process's).
-func PartialAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options, shard, shards int) (*ShardPartial, bool, error) {
+// table (so every shard runs the same plan), then scans only the shard's
+// contiguous range and returns its partial states. sel must be an aggregate
+// query; any other is refused by planAggregate's item check. This is the
+// entry point the fleet's /v1/partial endpoint serves; opts.Shards is
+// ignored in favor of the explicit shard/shards pair, and opts.ShardScan is
+// never called (fleet shard indices are the coordinator's, not this
+// process's).
+func PartialAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options, shard, shards int) (*ShardPartial, error) {
 	if shards < 1 || shard < 0 || shard >= shards {
-		return nil, true, fmt.Errorf("exec: shard %d of %d out of range", shard, shards)
+		return nil, fmt.Errorf("exec: shard %d of %d out of range", shard, shards)
 	}
 	sel, err := begin(ctx, snap, sel, opts)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	if !sel.IsAggregate() {
-		return nil, false, nil
-	}
-	p, handled, err := planAggregate(snap, sel, opts)
-	if p == nil {
-		return nil, handled, err
+	p, err := planAggregate(snap, sel, opts)
+	if err != nil {
+		return nil, err
 	}
 	b := shardBounds(snap.Len(), shards)[shard]
-	part, err := p.partial(ctx, b[0], b[1])
-	return part, true, err
+	return p.partial(ctx, b[0], b[1])
 }
 
 // GatherPartials merges per-shard partials **in slice order** through the
@@ -127,25 +122,33 @@ func GatherPartials(ctx context.Context, sel *sql.Select, partials []*ShardParti
 		return nil, fmt.Errorf("exec: gather of zero partials")
 	}
 	sel = foldSelect(sel)
-	naggs := 0
+	if err := checkGroupItems(sel); err != nil {
+		return nil, err
+	}
+	var kinds []sql.AggKind
 	for _, it := range sel.Items {
 		if it.Agg != sql.AggNone {
-			naggs++
+			kinds = append(kinds, it.Agg)
 		}
 	}
 	for i, p := range partials {
 		if p == nil {
 			return nil, fmt.Errorf("exec: gather: partial %d is nil", i)
 		}
-		if len(p.States) != naggs {
-			return nil, fmt.Errorf("exec: gather: partial %d carries %d aggregate states, query has %d", i, len(p.States), naggs)
+		if len(p.States) != len(kinds) {
+			return nil, fmt.Errorf("exec: gather: partial %d carries %d aggregate states, query has %d", i, len(p.States), len(kinds))
 		}
 		if len(p.Keys) != len(p.KeyVals) {
 			return nil, fmt.Errorf("exec: gather: partial %d has %d keys for %d key-value rows", i, len(p.Keys), len(p.KeyVals))
 		}
+		for g, kv := range p.KeyVals {
+			if len(kv) != len(sel.GroupBy) {
+				return nil, fmt.Errorf("exec: gather: partial %d group %d carries %d key values, query groups by %d columns", i, g, len(kv), len(sel.GroupBy))
+			}
+		}
 		for ai, st := range p.States {
-			if st.Kind != partials[0].States[ai].Kind {
-				return nil, fmt.Errorf("exec: gather: partial %d aggregate %d is %v, partial 0 has %v", i, ai, st.Kind, partials[0].States[ai].Kind)
+			if st.Kind != kinds[ai] {
+				return nil, fmt.Errorf("exec: gather: partial %d aggregate %d is %v, query has %v", i, ai, st.Kind, kinds[ai])
 			}
 		}
 	}

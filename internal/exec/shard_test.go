@@ -157,3 +157,42 @@ func TestShardConcurrentMutation(t *testing.T) {
 	close(done)
 	mutator.Wait()
 }
+
+// TestGatherRefusesMalformedPartials: a fleet partial is input from outside
+// the gathering process, so one whose groups do not carry a key value per
+// GROUP BY column, or a query whose plain item no GROUP BY column backs, is
+// refused with an error; either used to index past a group's key values
+// inside finalize and panic. So is a partial whose states are of another
+// aggregate kind than the query's, which used to be gathered into the
+// answer when every partial agreed.
+func TestGatherRefusesMalformedPartials(t *testing.T) {
+	ctx := t.Context()
+	partial := func(kv ...value.Value) *ShardPartial {
+		st := NewPartialStates(sql.AggCount, 1)
+		st.Count[0] = 1
+		return &ShardPartial{Keys: []string{GroupKey(kv)}, KeyVals: [][]value.Value{kv}, States: []*PartialStates{st}, Rows: 1}
+	}
+	for _, tc := range []struct {
+		src  string
+		bad  *ShardPartial // gathered after a well-formed partial
+		want string
+	}{
+		{"SELECT c, x, COUNT(*) FROM t GROUP BY c, x", partial(value.Text("a")),
+			"exec: gather: partial 1 group 0 carries 1 key values, query groups by 2 columns"},
+		{"SELECT COUNT(*) FROM t", partial(value.Text("a")),
+			"exec: gather: partial 1 group 0 carries 1 key values, query groups by 0 columns"},
+		{"SELECT c, COUNT(*) FROM t", partial(),
+			`exec: select item "c" must be a GROUP BY column or an aggregate`},
+		{"SELECT SUM(x) FROM t", nil,
+			"exec: gather: partial 0 aggregate 0 is COUNT, query has SUM"},
+	} {
+		partials := []*ShardPartial{partial(make([]value.Value, len(q(t, tc.src).GroupBy))...)}
+		if tc.bad != nil {
+			partials = append(partials, tc.bad)
+		}
+		_, err := GatherPartials(ctx, q(t, tc.src), partials)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%q: gather = %v, want %q", tc.src, err, tc.want)
+		}
+	}
+}

@@ -45,8 +45,8 @@ const (
 // projectionSources resolves the output columns of a projection together
 // with each column's source: a schema column index, srcWeight for the WEIGHT
 // pseudo-column, or srcComputed for anything that needs per-row evaluation
-// (and can therefore raise per-row errors). The names slice is identical to
-// projectionColumns.
+// (and can therefore raise per-row errors). The names are the answer's
+// columns.
 func projectionSources(snap *table.Snapshot, sel *sql.Select) (names []string, src []int) {
 	sc := snap.Schema()
 	for _, it := range sel.Items {

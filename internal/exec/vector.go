@@ -16,15 +16,19 @@
 // first-appearance order (dense ids are assigned in scan order), float
 // accumulation happens in row order with the same operation sequence the
 // row path uses, and value identity for grouping matches value.HashKey
-// exactly (see value.ScalarBits). Queries using operators the kernels do
-// not cover fall back: unsupported WHERE shapes drop to the interpreted
-// expression tree (per-row) while grouping and aggregation stay columnar,
-// and unsupported aggregate shapes drop to the row path entirely.
+// exactly (see value.ScalarBits). An operand the kernels do not compile
+// stays inside the pipeline as a per-row form: a WHERE the kernels do not
+// cover runs the interpreted expression tree per row (SelectRows), an
+// aggregate input is evaluated per kept row through accumulateRow, and a
+// computed select item through projectRow, while selection, grouping and
+// accumulation stay columnar. Errors surface in the interpreter's order:
+// the first failing row in scan order, items at a row in select-list order.
 package exec
 
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 
 	"mosaic/internal/expr"
@@ -53,8 +57,8 @@ const (
 //
 // Kernels never return Go errors: expression shapes whose errors are decided
 // by static column kinds (text truthiness, arithmetic on BOOL, unknown
-// columns) are rejected at compile time and handled by the interpreted
-// fallback, while the single dynamic error the kernel set can raise —
+// columns) are rejected at compile time and evaluated per row by the
+// interpreter inside the pipeline, while the single dynamic error the kernel set can raise —
 // division by zero, the only runtime error arithmetic over numeric columns
 // admits — is tracked per row as ternErr and propagated through the logic
 // kernels with the interpreter's exact short-circuit rules (a FALSE left arm
@@ -100,19 +104,6 @@ type kernelCompiler struct {
 	weights []float64
 	n       int
 	workers int // parallelism for eager vector materialization (numArith fills)
-}
-
-// compileFilter compiles e into a selection kernel, or returns nil when any
-// node falls outside the kernel set (the caller then uses the interpreted
-// evaluator). e may be nil (no filter), which also returns nil. workers
-// drives the arithmetic kernels' eager vector fills; it never changes the
-// compiled result.
-func compileFilter(e expr.Expr, snap *table.Snapshot, weights []float64, workers int) kernel {
-	if e == nil {
-		return nil
-	}
-	c := &kernelCompiler{snap: snap, weights: weights, n: snap.Len(), workers: workers}
-	return c.compile(e)
 }
 
 func (c *kernelCompiler) resolve(name string) (colRef, bool) {
@@ -270,8 +261,8 @@ func (c *kernelCompiler) compileCompare(op expr.BinOp, left, right expr.Expr) ke
 		}
 	}
 	// A TEXT/BOOL column, or a column against another kind class. An
-	// unknown column compiles nothing: its error is lazy, per row, on the
-	// fallback.
+	// unknown column compiles nothing: its error is lazy, per row, in the
+	// interpreted predicate.
 	lr, lok := c.columnOf(left)
 	rr, rok := c.columnOf(right)
 	switch {
@@ -774,25 +765,24 @@ func (k *inTextKernel) eval(dst []int8, lo, hi int) {
 
 // --- vectorized aggregation ---
 
-// vecAgg is one vectorizable aggregate. A numeric input — INT/FLOAT column,
+// vecAgg is one aggregate's input. A numeric input — INT/FLOAT column,
 // WEIGHT or arithmetic — is vec; a TEXT/BOOL column input is col; COUNT(*)
-// has neither.
+// has neither. Any other input (a comparison, SUM/AVG over TEXT, an unknown
+// column) is row: the per-row form, evaluated at each kept row through
+// accumulateRow with the interpreter's own errors.
 type vecAgg struct {
 	kind sql.AggKind
 	star bool
 	col  int
 	vec  *numVec
+	row  *sql.SelectItem
 }
 
-// planVectorAggs decides whether every aggregate item is kernel-shaped:
-// COUNT(*), a numeric operand the compiler covers, or a TEXT/BOOL column.
-// Shapes whose runtime errors the kernels cannot reproduce (SUM/AVG over
-// TEXT, unknown columns, non-arithmetic expressions — all of which the row
-// path reports lazily, per scanned row) are declined so the row path keeps
-// its exact semantics; a compiled arithmetic input's only dynamic error is
-// division by zero, which the accumulator surfaces for selected rows (see
-// checkAggErrs).
-func planVectorAggs(comp *kernelCompiler, sel *sql.Select) ([]vecAgg, bool) {
+// planVectorAggs compiles every aggregate item: COUNT(*), a numeric operand
+// the compiler covers, a TEXT/BOOL column, or else the item's per-row form.
+// A compiled arithmetic input's only dynamic error is division by zero,
+// which accumulateStates surfaces at the first kept row that raises it.
+func planVectorAggs(comp *kernelCompiler, sel *sql.Select) []vecAgg {
 	sc := comp.snap.Schema()
 	out := make([]vecAgg, 0, len(sel.Items))
 	for _, it := range sel.Items {
@@ -809,59 +799,31 @@ func planVectorAggs(comp *kernelCompiler, sel *sql.Select) ([]vecAgg, bool) {
 			out = append(out, vecAgg{kind: it.Agg, vec: v.full(comp.n)})
 			continue
 		}
-		colEx, ok := it.Expr.(*expr.Column)
-		if !ok {
-			return nil, false
-		}
-		j, ok := sc.Index(colEx.Name)
-		if !ok || ((it.Agg == sql.AggSum || it.Agg == sql.AggAvg) && sc.At(j).Kind == value.KindText) {
-			return nil, false
-		}
-		out = append(out, vecAgg{kind: it.Agg, col: j})
-	}
-	return out, true
-}
-
-// aggsCanErr reports whether any compiled aggregate input has a
-// division-by-zero bit set on any row.
-func aggsCanErr(vaggs []vecAgg, n int) bool {
-	for _, a := range vaggs {
-		if a.vec == nil || a.vec.errs == nil {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			if bitGet(a.vec.errs, i) {
-				return true
+		if colEx, ok := it.Expr.(*expr.Column); ok {
+			j, ok := sc.Index(colEx.Name)
+			if ok && !((it.Agg == sql.AggSum || it.Agg == sql.AggAvg) && sc.At(j).Kind == value.KindText) {
+				out = append(out, vecAgg{kind: it.Agg, col: j})
+				continue
 			}
 		}
+		out = append(out, vecAgg{kind: it.Agg, row: &it})
 	}
-	return false
+	return out
 }
 
-// checkAggErrs surfaces the division-by-zero error of a compiled aggregate
-// input, exactly when the row path would: on the first selected row whose
-// input expression errors (rows filtered out by WHERE never evaluate).
-func checkAggErrs(vaggs []vecAgg, selRows []int32) error {
-	for _, a := range vaggs {
-		if a.vec == nil || a.vec.errs == nil {
-			continue
-		}
-		for _, ri := range selRows {
-			if bitGet(a.vec.errs, int(ri)) {
-				return errDivisionByZero
-			}
-		}
-	}
-	return nil
-}
-
-// selectRows computes the selection vector: the indices of rows WHERE keeps,
-// in scan order. The compiled kernel handles the common operators, evaluated
-// morsel by morsel across the worker pool; anything else runs the
-// interpreted expression per row on one goroutine (callers ensure the rest
-// of the query cannot error, so interpreted-filter errors surface at the
-// same row they would on the row path).
-func selectRows(ctx context.Context, snap *table.Snapshot, where expr.Expr, rawW []float64, workers int) ([]int32, error) {
+// SelectRows is the engine's one selection operator: the rows where keeps
+// (every row when where is nil), in scan order. WEIGHT reads weights unless
+// a column of that name shadows it. A predicate the kernels compile is
+// evaluated morsel by morsel across the worker pool; any other runs the
+// interpreted expression per row on one goroutine.
+//
+// Errors keep the interpreter's order: at the first row whose predicate
+// fails, SelectRows stops and returns the rows it kept before that row
+// together with the row's error. Every kept row comes before the failing
+// one, so a caller that evaluates more at each kept row (items, aggregate
+// inputs, a new weight) returns its own first error instead, when it has
+// one, and the selection's error otherwise.
+func SelectRows(ctx context.Context, snap *table.Snapshot, where expr.Expr, weights []float64, workers int) ([]int32, error) {
 	n := snap.Len()
 	if where == nil {
 		sel := make([]int32, n)
@@ -874,35 +836,32 @@ func selectRows(ctx context.Context, snap *table.Snapshot, where expr.Expr, rawW
 		}
 		return sel, nil
 	}
-	if k := compileFilter(where, snap, rawW, workers); k != nil {
+	if k := (&kernelCompiler{snap: snap, weights: weights, n: n, workers: workers}).compile(where); k != nil {
 		tern, err := evalTern(ctx, k, n, workers)
 		if err != nil {
 			return nil, err
 		}
-		sel, sawErr, err := ternSelection(ctx, tern, workers)
+		sel, failed, err := ternSelection(ctx, tern, workers)
 		if err != nil {
 			return nil, err
 		}
-		if sawErr {
-			// The row interpreter evaluates WHERE over every row in scan
-			// order and aborts at the first error; the only dynamic error
-			// the kernel set admits is division by zero.
-			return nil, errDivisionByZero
+		if failed {
+			// The only dynamic error the kernel set admits.
+			return sel, errDivisionByZero
 		}
 		return sel, nil
 	}
 	sel := make([]int32, 0, n)
-	env, _ := makeEnv(snap.Schema())
+	env := makeEnv(snap.Schema())
 	for i := 0; i < n; i++ {
 		if i%cancelCheckRows == 0 {
 			if err := checkCtx(ctx); err != nil {
 				return nil, err
 			}
 		}
-		_, b := env.bind(snap, i, rawW[i])
-		ok, err := expr.Truthy(where, b)
+		ok, err := expr.Truthy(where, env.at(snap, i, weights[i]))
 		if err != nil {
-			return nil, err
+			return sel, err
 		}
 		if ok {
 			sel = append(sel, int32(i))
@@ -911,61 +870,62 @@ func selectRows(ctx context.Context, snap *table.Snapshot, where expr.Expr, rawW
 	return sel, nil
 }
 
-// UpdateWeights computes UPDATE SAMPLE … SET WEIGHT = weight WHERE where on
-// the kernels: the rows where keeps (every row when it is nil), in row
-// order, and weight's value at each as float64. WEIGHT in either expression
-// reads snap's weights unless a column of that name shadows it. ok=false
-// declines, and the caller's row interpreter answers instead, errors
-// included: when either expression falls outside the kernel set, when any
-// row of where or any selected row of weight would raise an error, or when a
-// selected weight is NULL or negative.
-func UpdateWeights(snap *table.Snapshot, where, weight expr.Expr, workers int) (rows []int32, vals []float64, ok bool) {
-	n := snap.Len()
-	c := &kernelCompiler{snap: snap, weights: snap.Weights(), n: n, workers: workers}
-	v := c.compileNum(weight)
-	if v == nil {
-		return nil, nil, false
-	}
+// WeightError is UPDATE's refusal of a kept row's new weight: Value is TEXT
+// or negative. The caller words the refusal.
+type WeightError struct{ Value value.Value }
+
+func (e *WeightError) Error() string {
+	return "exec: weight " + e.Value.String() + " is not a non-negative number"
+}
+
+// UpdateWeights computes UPDATE SAMPLE … SET WEIGHT = weight WHERE where:
+// the rows where keeps (SelectRows), and weight's value at each as float64,
+// NULL as NaN (value.Float64's conversion). WEIGHT in either expression
+// reads snap's weights unless a column of that name shadows it. A weight the
+// kernels do not compile is evaluated per kept row. The first kept row whose
+// weight fails returns its evaluation error, or a *WeightError for a TEXT or
+// negative value; the selection's error surfaces only when no kept row
+// failed first.
+func UpdateWeights(snap *table.Snapshot, where, weight expr.Expr, workers int) (rows []int32, vals []float64, err error) {
 	// A mutation runs to completion once it holds the engine's write lock,
-	// so the kernels get no caller context.
-	ctx := context.Background()
-	if where == nil {
-		rows = make([]int32, n)
-		for i := range rows {
-			rows[i] = int32(i)
-		}
-	} else {
-		k := c.compile(where)
-		if k == nil {
-			return nil, nil, false
-		}
-		tern, err := evalTern(ctx, k, n, workers)
-		if err != nil {
-			return nil, nil, false
-		}
-		var sawErr bool
-		if rows, sawErr, err = ternSelection(ctx, tern, workers); err != nil || sawErr {
-			return nil, nil, false
-		}
-	}
-	v = v.full(n)
+	// so the selection gets no caller context.
+	rows, selErr := SelectRows(context.Background(), snap, where, snap.Weights(), workers)
 	vals = make([]float64, len(rows))
-	for j, r := range rows {
-		if bitGet(v.errs, int(r)) || bitGet(v.nulls, int(r)) {
-			return nil, nil, false
+	c := &kernelCompiler{snap: snap, weights: snap.Weights(), n: snap.Len(), workers: workers}
+	if v := c.compileNum(weight); v != nil {
+		v = v.full(snap.Len())
+		for k, r := range rows {
+			if bitGet(v.errs, int(r)) {
+				return nil, nil, errDivisionByZero
+			}
+			f := math.NaN()
+			switch {
+			case bitGet(v.nulls, int(r)):
+			case v.isInt:
+				f = float64(v.ints[r])
+			default:
+				f = v.floats[r]
+			}
+			if f < 0 {
+				return nil, nil, &WeightError{Value: value.Float(f)}
+			}
+			vals[k] = f
 		}
-		var f float64
-		if v.isInt {
-			f = float64(v.ints[r])
-		} else {
-			f = v.floats[r]
-		}
-		if f < 0 {
-			return nil, nil, false
-		}
-		vals[j] = f
+		return rows, vals, selErr
 	}
-	return rows, vals, true
+	env := makeEnv(snap.Schema())
+	for k, r := range rows {
+		v, err := weight.Eval(env.at(snap, int(r), snap.Weight(int(r))))
+		if err != nil {
+			return nil, nil, err
+		}
+		f, err := v.Float64()
+		if err != nil || f < 0 {
+			return nil, nil, &WeightError{Value: v}
+		}
+		vals[k] = f
+	}
+	return rows, vals, selErr
 }
 
 // densifyColumn assigns each selected row a dense id for one key column, in
@@ -1122,7 +1082,7 @@ func accumulate(a vecAgg, st *PartialStates, snap *table.Snapshot, selRows, gids
 		}
 	case sql.AggSum, sql.AggAvg:
 		switch {
-		case v == nil: // a BOOL column; SUM/AVG over TEXT is declined at plan time
+		case v == nil: // a BOOL column; SUM/AVG over TEXT has a per-row form
 			bools := snap.Col(a.col).Bools
 			for k, ri := range selRows {
 				if !bitGet(nulls, int(ri)) {
@@ -1197,133 +1157,135 @@ func addSum(st *PartialStates, g int32, w, x float64) {
 // (weighted-global has five) still fans out. Chunked calls on
 // position-aligned sub-slices keep per-morsel cancellation checkpoints
 // without changing accumulation order.
-func accumulateStates(ctx context.Context, vaggs []vecAgg, snap *table.Snapshot, selRows, gids []int32, selW []float64, nst, workers int) ([]*PartialStates, error) {
+//
+// An input fails at a kept row where a compiled input divides by zero or a
+// per-row form's evaluation errs. The interpreter accumulates a row's items
+// in select-list order before the next row, so the error returned is the
+// one at the earliest failing kept row, the first failing item there.
+func accumulateStates(ctx context.Context, vaggs []vecAgg, snap *table.Snapshot, rawW []float64, selRows, gids []int32, selW []float64, nst, workers int) ([]*PartialStates, error) {
 	states := make([]*PartialStates, len(vaggs))
+	failAt := make([]int, len(vaggs)) // kept-row position of the item's first failure
+	fails := make([]error, len(vaggs))
 	err := forEachTask(ctx, len(vaggs), workers, func(i int) error {
 		a := vaggs[i]
 		st := NewPartialStates(a.kind, nst)
+		states[i] = st
+		if a.vec != nil && a.vec.errs != nil {
+			for k, ri := range selRows {
+				if bitGet(a.vec.errs, int(ri)) {
+					failAt[i], fails[i] = k, errDivisionByZero
+					return nil
+				}
+			}
+		}
+		var env *rowEnv
+		if a.row != nil {
+			env = makeEnv(snap.Schema())
+		}
 		for lo := 0; lo < len(selRows); lo += morselRows {
 			if err := checkCtx(ctx); err != nil {
 				return err
 			}
-			hi := lo + morselRows
-			if hi > len(selRows) {
-				hi = len(selRows)
+			hi := min(lo+morselRows, len(selRows))
+			if a.row == nil {
+				accumulate(a, st, snap, selRows[lo:hi], gids[lo:hi], selW[lo:hi])
+				continue
 			}
-			accumulate(a, st, snap, selRows[lo:hi], gids[lo:hi], selW[lo:hi])
+			for k := lo; k < hi; k++ {
+				ri := int(selRows[k])
+				if err := accumulateRow(st, int(gids[k]), *a.row, env.at(snap, ri, rawW[ri]), selW[k]); err != nil {
+					failAt[i], fails[i] = k, err
+					return nil
+				}
+			}
 		}
-		states[i] = st
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	first := -1
+	for i, e := range fails {
+		if e != nil && (first < 0 || failAt[i] < failAt[first]) {
+			first = i
+		}
+	}
+	if first >= 0 {
+		return nil, fails[first]
+	}
 	return states, nil
 }
 
 // runProjectionVector answers a non-aggregate query on the columnar path:
-// the WHERE compiles into selection kernels, DISTINCT densifies through the
-// group-id machinery, and ORDER BY permutes row indices over typed columns —
-// with a bounded top-K heap when LIMIT is present — so only the surviving
-// rows ever materialize. Plain items fill the answer a column at a time
-// (projectColumns); computed items evaluate a row at a time.
+// the WHERE is one SelectRows, DISTINCT densifies through the group-id
+// machinery, and ORDER BY permutes row indices over typed columns — with a
+// bounded top-K heap when LIMIT is present — so only the surviving rows
+// ever materialize. Plain items (stars, columns, WEIGHT) fill the answer a
+// column at a time (projectColumns).
 //
-// Engagement rules keep error semantics exactly row-identical:
-//   - Computed select items can raise per-row errors in materialization
-//     order, so the sort-first / limit-first shortcuts (which would skip
-//     materializing some rows) require every item to be a star, a plain
-//     column, or WEIGHT.
-//   - When the filter kernel flags a division-by-zero row AND a computed
-//     item exists, only the interleaved row path can decide which error
-//     comes first, so the whole query falls back.
-//   - An interpreted (non-kernel) filter evaluates all rows before any
-//     materialization; it engages only via the DISTINCT/sort conditions,
-//     which imply error-free items.
-func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (res *Result, handled bool, err error) {
+// A computed item is evaluated per kept row through projectRow, and can
+// raise an error at any of them, so its answer materializes every kept row
+// in scan order before DISTINCT, ORDER BY or LIMIT apply; the first error
+// among them comes before the selection's own, which lies at a later row.
+func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, error) {
 	rawW := snap.Weights()
 	if opts.WeightOverride != nil {
 		rawW = opts.WeightOverride
 	}
-	n := snap.Len()
-
-	outCols, sources := projectionSources(snap, sel)
-	errFree := true
-	for _, s := range sources {
-		if s == srcComputed {
-			errFree = false
-		}
-	}
-
-	// Which post-processing steps can run columnar?
-	var sortKeys []vecSortKey
-	sortOK := false
-	if len(sel.OrderBy) > 0 && errFree {
-		sortKeys, sortOK = resolveVecSortKeys(snap, sel, outCols, sources, rawW)
-	}
-	distinctOK := sel.Distinct
-	for _, s := range sources {
-		if s < 0 {
-			distinctOK = false
-		}
-	}
-	sortFirst := sortOK && (!sel.Distinct || distinctOK)
-
 	workers := opts.workers()
-	var k kernel
-	if sel.Where != nil {
-		k = compileFilter(sel.Where, snap, rawW, workers)
-	}
-	switch {
-	case sel.Where != nil && k != nil:
-		// Kernel filter: always worth the columnar path.
-	case (sel.Distinct && distinctOK) || sortFirst:
-		// Columnar DISTINCT/sort still pays off over an interpreted (or
-		// absent) filter. Both conditions imply error-free items (distinctOK
-		// excludes computed sources; sortFirst requires sortOK, computed
-		// only under errFree), so evaluating the whole WHERE before any
-		// materialization cannot reorder errors.
-	default:
-		return nil, false, nil // the row path is equivalent
-	}
-
-	// Selection vector.
-	var selRows []int32
-	if k != nil {
-		tern, err := evalTern(ctx, k, n, workers)
-		if err != nil {
-			return nil, true, err
-		}
-		sel32, sawErr, err := ternSelection(ctx, tern, workers)
-		if err != nil {
-			return nil, true, err
-		}
-		if sawErr {
-			if !errFree {
-				return nil, false, nil
+	outCols, sources := projectionSources(snap, sel)
+	selRows, selErr := SelectRows(ctx, snap, sel.Where, rawW, workers)
+	res := &Result{Columns: outCols}
+	if slices.Contains(sources, srcComputed) {
+		env := makeEnv(snap.Schema())
+		res.Rows = make([][]value.Value, 0, len(selRows))
+		for ci, ri := range selRows {
+			if ci%cancelCheckRows == 0 {
+				if err := checkCtx(ctx); err != nil {
+					return nil, err
+				}
 			}
-			return nil, true, errDivisionByZero
+			out, err := projectRow(sel, env.at(snap, int(ri), rawW[ri]), env.nc)
+			if err != nil {
+				return nil, err
+			}
+			res.Rows = append(res.Rows, out)
 		}
-		selRows = sel32
-	} else {
-		selRows, err = selectRows(ctx, snap, sel.Where, rawW, workers)
-		if err != nil {
-			return nil, true, err
+		if selErr != nil {
+			return nil, selErr
 		}
+		if sel.Distinct {
+			res.Rows = dedupRows(res.Rows)
+		}
+		if err := orderAndLimit(ctx, res, sel); err != nil {
+			return nil, err
+		}
+		return res, nil
+	}
+	if selErr != nil {
+		return nil, selErr
 	}
 
 	// DISTINCT: densify the item columns to group ids; the first-appearance
-	// representatives are exactly dedupRows' first occurrences.
+	// representatives are exactly dedupRows' first occurrences. A WEIGHT
+	// item dedups the materialized rows instead.
+	distinctOK := sel.Distinct && !slices.Contains(sources, srcWeight)
 	cand := selRows
-	if sel.Distinct && distinctOK {
+	if distinctOK {
 		_, _, cand = groupIDs(snap, sources, selRows)
 	}
 
 	// ORDER BY / LIMIT on row indices, before materialization.
+	var sortKeys []vecSortKey
+	sortOK := false
+	if len(sel.OrderBy) > 0 {
+		sortKeys, sortOK = resolveVecSortKeys(snap, sel, outCols, sources, rawW)
+	}
 	postDone := false
-	if sortFirst {
+	if sortOK && (!sel.Distinct || distinctOK) {
 		// Sort boundary.
 		if err := checkCtx(ctx); err != nil {
-			return nil, true, err
+			return nil, err
 		}
 		rankTextKeys(snap, sortKeys, cand)
 		switch {
@@ -1333,14 +1295,14 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 			cand = topKCandidates(sortKeys, cand, sel.Limit)
 		default:
 			if err := sortCandidates(ctx, sortKeys, cand, workers); err != nil {
-				return nil, true, err
+				return nil, err
 			}
 			if sel.Limit >= 0 && len(cand) > sel.Limit {
 				cand = cand[:sel.Limit]
 			}
 		}
 		postDone = true
-	} else if len(sel.OrderBy) == 0 && errFree && sel.Limit >= 0 && (!sel.Distinct || distinctOK) {
+	} else if len(sel.OrderBy) == 0 && sel.Limit >= 0 && (!sel.Distinct || distinctOK) {
 		// LIMIT without ORDER BY: keep the first k candidates.
 		if len(cand) > sel.Limit {
 			cand = cand[:sel.Limit]
@@ -1348,40 +1310,21 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 		postDone = true
 	}
 
-	// Plain items (stars, columns, WEIGHT) fill one column at a time; only a
-	// computed item needs the whole row materialized and bound.
-	res = &Result{Columns: outCols}
-	if errFree {
-		if res.Rows, err = projectColumns(ctx, snap, sources, rawW, cand); err != nil {
-			return nil, true, err
-		}
-	} else {
-		env, _ := makeEnv(snap.Schema())
-		res.Rows = make([][]value.Value, 0, len(cand))
-		for ci, ri := range cand {
-			if ci%cancelCheckRows == 0 {
-				if err := checkCtx(ctx); err != nil {
-					return nil, true, err
-				}
-			}
-			row, b := env.bind(snap, int(ri), rawW[ri])
-			out, err := projectRow(sel, row, b)
-			if err != nil {
-				return nil, true, err
-			}
-			res.Rows = append(res.Rows, out)
-		}
+	rows, err := projectColumns(ctx, snap, sources, rawW, cand)
+	if err != nil {
+		return nil, err
 	}
+	res.Rows = rows
 	if sel.Distinct && !distinctOK {
 		res.Rows = dedupRows(res.Rows)
 	}
 	if postDone {
-		return res, true, nil
+		return res, nil
 	}
 	if err := orderAndLimit(ctx, res, sel); err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	return res, true, nil
+	return res, nil
 }
 
 // projectColumns materializes the plain sources (schema columns and WEIGHT)

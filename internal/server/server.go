@@ -331,8 +331,8 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return 0, nil, err
 		}
-		// Partials serve only CLOSED/SEMI-OPEN aggregates (OPEN is
-		// unhandled), so the class is interactive, like the equivalent
+		// Partials serve only CLOSED/SEMI-OPEN aggregates (any other shape
+		// is a 400), so the class is interactive, like the equivalent
 		// /v1/query.
 		return Interactive, func(ctx context.Context) (any, error) {
 			// In follower mode the local engine counter is meaningless
@@ -362,7 +362,9 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 				return nil, Errorf(http.StatusUnprocessableEntity, "%v", perr)
 			}
 			if !handled {
-				return &wire.PartialResponse{Handled: false, Generation: gen}, nil
+				// The coordinator passes every other query through whole
+				// and never asks for its partial.
+				return nil, Errorf(http.StatusBadRequest, "partial: only a CLOSED or SEMI-OPEN aggregate query has partial states")
 			}
 			s.stats.partials.Add(1)
 			return wire.EncodePartial(p, gen)

@@ -13,6 +13,7 @@ import (
 	"mosaic"
 	"mosaic/client"
 	"mosaic/internal/value"
+	"mosaic/internal/wire"
 )
 
 func testOpts() *mosaic.Options {
@@ -356,5 +357,31 @@ func TestSnapshotLoopAndBootRestore(t *testing.T) {
 	}
 	if render(got) != render(ref) {
 		t.Errorf("boot-restored answer diverged:\n got %q\nwant %q", render(got), render(ref))
+	}
+}
+
+// TestPartialServesOnlyAggregates: /v1/partial answers CLOSED and SEMI-OPEN
+// aggregates with their partial states. Any other query has none, and the
+// coordinator never asks for one, so the shard answers 400 instead of a
+// "not handled" body the coordinator would have to route around.
+func TestPartialServesOnlyAggregates(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	if err := c.Exec(worldScript); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"SELECT OPEN grp, COUNT(*) FROM World GROUP BY grp", "SELECT CLOSED grp, v FROM World"} {
+		_, err := c.PartialContext(t.Context(), &wire.PartialRequest{Query: q, Shard: 0, Shards: 2})
+		if re, ok := err.(*client.RemoteError); !ok || re.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %v, want a 400", q, err)
+		}
+	}
+	for _, q := range []string{"SELECT CLOSED grp, COUNT(v > 0) FROM World GROUP BY grp", "SELECT SEMI-OPEN MAX(grp = 'a') FROM World"} {
+		resp, err := c.PartialContext(t.Context(), &wire.PartialRequest{Query: q, Shard: 1, Shards: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if _, err := wire.DecodePartial(resp); err != nil || len(resp.States) == 0 {
+			t.Errorf("%s: partial %+v: %v", q, resp, err)
+		}
 	}
 }

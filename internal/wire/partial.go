@@ -47,12 +47,10 @@ type PartialStatesWire struct {
 	Seen   []bool   `json:"seen,omitempty"`
 }
 
-// PartialResponse is the body of a successful POST /v1/partial. Handled
-// mirrors exec.PartialAggregate's handled flag: false means the query shape
-// is not partial-executable on this engine (OPEN, non-aggregate, row-path
-// only) and the coordinator must pass the whole query through instead.
+// PartialResponse is the body of a successful POST /v1/partial: one
+// shard's partial states for a CLOSED or SEMI-OPEN aggregate query, the
+// only shape /v1/partial serves.
 type PartialResponse struct {
-	Handled    bool                `json:"handled"`
 	Generation uint64              `json:"generation"`
 	Rows       int                 `json:"rows,omitempty"`   // rows the shard slice scanned
 	Groups     [][]Cell            `json:"groups,omitempty"` // per local group: its key values
@@ -270,7 +268,7 @@ func DecodePartialStates(w PartialStatesWire, n int) (*exec.PartialStates, error
 // DecodePartial rebuilds them, so the gather key space cannot diverge from
 // the values on the wire.
 func EncodePartial(p *exec.ShardPartial, generation uint64) (*PartialResponse, error) {
-	out := &PartialResponse{Handled: true, Generation: generation, Rows: p.Rows}
+	out := &PartialResponse{Generation: generation, Rows: p.Rows}
 	n := len(p.KeyVals)
 	if n > 0 {
 		out.Groups = make([][]Cell, n)
@@ -296,9 +294,6 @@ func EncodePartial(p *exec.ShardPartial, generation uint64) (*PartialResponse, e
 // value-identical to the encoded one, rebuilding the gather keys from the
 // decoded key values.
 func DecodePartial(w *PartialResponse) (*exec.ShardPartial, error) {
-	if !w.Handled {
-		return nil, fmt.Errorf("wire: decoding an unhandled partial response")
-	}
 	n := len(w.Groups)
 	p := &exec.ShardPartial{
 		Keys:    make([]string, n),

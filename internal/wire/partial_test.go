@@ -220,7 +220,7 @@ func TestPartialRoundTripRebuildsGroupKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Generation != 9 || !w.Handled || w.Rows != 3 {
+	if w.Generation != 9 || w.Rows != 3 {
 		t.Fatalf("header = %+v", w)
 	}
 	raw, err := json.Marshal(w)

@@ -614,37 +614,45 @@ func (e *Engine) execCreateMetadata(s *sql.CreateMetadata) error {
 		}
 		idxs[i] = j
 	}
-	// The WHERE is the engine's one selection, WEIGHT resolving as in
-	// SELECT. Only a count expression reads whole tuples; the cells of a
-	// marginal are one or two attributes, read straight from their columns.
-	// An error at a kept row comes before the selection's, which lies at a
-	// later row.
+	// The WHERE is the engine's one selection, and a count expression is
+	// evaluated at its kept rows as UPDATE SAMPLE's new weight is, WEIGHT
+	// resolving in both as in SELECT; COUNT(*) reads the stored weights.
+	// The cells of a marginal are one or two attributes, read straight from
+	// their columns. An error at a kept row comes before the selection's,
+	// which lies at a later row.
 	snap := src.Snapshot()
-	rows, selErr := exec.SelectRows(context.Background(), snap, s.Where, snap.Weights(), e.opts.Workers)
-	b := &expr.Binding{Schema: src.Schema()}
-	for _, r32 := range rows {
-		r := int(r32)
-		count := snap.Weight(r)
-		if s.CountExpr != nil {
-			b.Row = snap.AppendRow(b.Row[:0], r)
-			v, err := s.CountExpr.Eval(b)
-			if err != nil {
-				return err
-			}
-			if count, err = v.Float64(); err != nil {
-				return fmt.Errorf("core: CREATE METADATA %s: count column: %v", s.Name, err)
-			}
+	var rows []int32
+	var counts []float64
+	if s.CountExpr == nil {
+		if err := exec.CheckNames(src.Schema(), s.Where); err != nil {
+			return err
+		}
+		rows, err = exec.SelectRows(context.Background(), snap, s.Where, snap.Weights(), e.opts.Workers)
+	} else {
+		rows, counts, err = exec.UpdateWeights(snap, s.Where, s.CountExpr, e.opts.Workers)
+	}
+	if bad, ok := err.(*exec.WeightError); ok {
+		f, ferr := bad.Value.Float64()
+		if ferr != nil {
+			return fmt.Errorf("core: CREATE METADATA %s: count column: %v", s.Name, ferr)
+		}
+		return fmt.Errorf("marginal %s: negative count %g", s.Name, f)
+	}
+	for k, r := range rows {
+		count := snap.Weight(int(r))
+		if counts != nil {
+			count = counts[k]
 		}
 		vals := make([]value.Value, len(idxs))
 		for i, j := range idxs {
-			vals[i] = snap.Value(r, j)
+			vals[i] = snap.Value(int(r), j)
 		}
 		if err := m.Add(vals, count); err != nil {
 			return err
 		}
 	}
-	if selErr != nil {
-		return selErr
+	if err != nil {
+		return err
 	}
 	return e.cat.AddMarginal(s.TargetPopulation(), m)
 }
@@ -776,6 +784,9 @@ func (e *Engine) execUpdateWeights(s *sql.UpdateWeights) error {
 			w[r] = vals[k]
 		}
 		return t.SetWeights(w)
+	}
+	if err := exec.CheckNames(t.Schema(), s.Where, s.Weight); err != nil {
+		return err
 	}
 	sc, wIdx := t.Schema(), -1
 	if _, shadowed := sc.Index("WEIGHT"); !shadowed {

@@ -204,3 +204,59 @@ INSERT INTO T VALUES ('a', 10, 1), ('b', 20, 0), ('c', 30, 5);`)
 		}
 	}
 }
+
+// TestCreateMetadataCountReadsWeight: CREATE METADATA's count expression is
+// evaluated as UPDATE SAMPLE's new weight is, so WEIGHT resolves in it as
+// in its WHERE — a sample source's tuple weight — where it was an unknown
+// column. A count that is negative or TEXT keeps its refusal.
+func TestCreateMetadataCountReadsWeight(t *testing.T) {
+	e := NewEngine(Options{Workers: 2})
+	exec1(t, e, `CREATE GLOBAL POPULATION P (g TEXT, x INT);
+CREATE SAMPLE S AS (SELECT * FROM P);
+INSERT INTO S VALUES ('a', 1), ('a', 2), ('b', 3), ('b', -4);
+UPDATE SAMPLE S SET WEIGHT = x * x;
+CREATE METADATA P_M FOR P AS (SELECT g, SUM(WEIGHT) FROM S GROUP BY g);
+CREATE METADATA P_N FOR P AS (SELECT g, SUM(WEIGHT / 2) FROM S WHERE WEIGHT > 1 GROUP BY g);`)
+	p, _ := e.Catalog().Population("P")
+	for name, want := range map[string]float64{"P_M": 1 + 4 + 9 + 16, "P_N": (4 + 9 + 16) / 2.0} {
+		if got := p.Marginals[name].Total(); got != want {
+			t.Errorf("%s: marginal total %g, want %g", name, got, want)
+		}
+	}
+	for _, tc := range []struct{ stmt, want string }{
+		{"CREATE METADATA P_X FOR P AS (SELECT g, SUM(x) FROM S GROUP BY g)", "marginal P_X: negative count -4"},
+		{"CREATE METADATA P_Y FOR P AS (SELECT x, SUM(g) FROM S GROUP BY x)", "core: CREATE METADATA P_Y: count column: value: cannot coerce TEXT to float"},
+	} {
+		if _, err := e.ExecScript(tc.stmt); err == nil || err.Error() != "statement 1: "+tc.want {
+			t.Errorf("%s: %v, want %q", tc.stmt, err, tc.want)
+		}
+	}
+}
+
+// TestUnknownNameRefusedAtAnyRowCount: UPDATE SAMPLE and CREATE METADATA
+// refuse a name that resolves nowhere whether or not a row reaches it, on
+// the pipeline and on the row loop alike. The refusal used to depend on how
+// many rows the WHERE kept.
+func TestUnknownNameRefusedAtAnyRowCount(t *testing.T) {
+	for _, rowExec := range []bool{false, true} {
+		e := NewEngine(Options{RowExec: rowExec, Workers: 2})
+		exec1(t, e, `CREATE GLOBAL POPULATION P (g TEXT, x INT);
+CREATE SAMPLE S AS (SELECT * FROM P);
+INSERT INTO S VALUES ('a', 1), ('b', 2), ('c', 3);`)
+		for _, where := range []string{"x > 5", "x > 2", "x > 0"} {
+			for _, tc := range []struct{ stmt, name string }{
+				{"UPDATE SAMPLE S SET WEIGHT = nosuch WHERE %s", "nosuch"},
+				{"UPDATE SAMPLE S SET WEIGHT = nosuch WHERE %s AND other > 0", "other"},
+				{"CREATE METADATA P_M FOR P AS (SELECT g, SUM(nosuch) FROM S WHERE %s GROUP BY g)", "nosuch"},
+				{"CREATE METADATA P_M FOR P AS (SELECT g, COUNT(*) FROM S WHERE %s OR nosuch > 0 GROUP BY g)", "nosuch"},
+				{"CREATE METADATA P_M FOR P AS (SELECT g, SUM(nosuch) FROM S WHERE %s AND other > 0 GROUP BY g)", "other"},
+			} {
+				stmt := fmt.Sprintf(tc.stmt, where)
+				want := fmt.Sprintf("statement 1: expr: unknown column %q", tc.name)
+				if _, err := e.ExecScript(stmt); err == nil || err.Error() != want {
+					t.Errorf("RowExec %v: %s: %v, want %q", rowExec, stmt, err, want)
+				}
+			}
+		}
+	}
+}

@@ -21,6 +21,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 
 	"mosaic/internal/expr"
 	"mosaic/internal/sql"
@@ -227,6 +228,15 @@ func finalize(ctx context.Context, sel *sql.Select, states []*PartialStates, ngr
 	}
 	res.Rows = make([][]value.Value, 0, total)
 	outSchema := outputSchema(res.Columns)
+	if sel.Having != nil {
+		// HAVING's names resolve against the output columns, before any
+		// group is read (see CheckNames).
+		for _, name := range sel.Having.Columns(nil) {
+			if _, ok := outSchema.Index(name); !ok {
+				return nil, fmt.Errorf("expr: unknown column %q", name)
+			}
+		}
+	}
 	for g := 0; g < total; g++ {
 		row := slab[g*nc : (g+1)*nc : (g+1)*nc]
 		if sel.Having != nil {

@@ -46,23 +46,48 @@ func BenchmarkFilterProject100k(b *testing.B) {
 	}
 }
 
-// BenchmarkFilterKernels100k times one WHERE per numeric operand pairing:
-// compiling it, running its kernel over every row and cutting the
-// selection vector, with no aggregate or projection after it. B/op is the
-// truth vector and the selection; a kernel that copied a column would add a
-// table-length slice to it.
+// BenchmarkFilterKernels100k times one WHERE per numeric operand pairing,
+// and TEXT and BOOL columns against constants: compiling it, running its
+// kernel over every row and cutting the selection vector, with no
+// aggregate or projection after it. The TEXT and BOOL cases run over a
+// table whose dictionary holds 100k strings, as closed_scan's does, so
+// their B/op includes the outcome table (one byte per dictionary code)
+// that every compile fills. B/op is otherwise the truth vector and the
+// selection; a kernel that copied a column would add a table-length slice
+// to it.
 func BenchmarkFilterKernels100k(b *testing.B) {
-	tbl := benchTable(100000)
-	snap := tbl.Snapshot()
-	for _, bc := range []struct{ name, where string }{
-		{"int-int-lit", "x > 500"},
-		{"float-int-lit", "y < 50"},
-		{"int-float-lit", "x > 499.5"},
-		{"col-col", "x > y"},
-		{"in-int", "x IN (1, 2, 3, 500, 999)"},
-		{"between", "x BETWEEN 100 AND 600"},
+	num := benchTable(100000).Snapshot()
+	rng := rand.New(rand.NewSource(1))
+	tbl := table.New("t", schema.MustNew(
+		schema.Attribute{Name: "c10", Kind: value.KindText},
+		schema.Attribute{Name: "c100k", Kind: value.KindText},
+		schema.Attribute{Name: "b", Kind: value.KindBool},
+	))
+	for i := 0; i < 100000; i++ {
+		_ = tbl.Append([]value.Value{
+			value.Text(fmt.Sprintf("g%d", rng.Intn(10))),
+			value.Text(fmt.Sprintf("u%d", i)),
+			value.Bool(rng.Intn(2) == 0),
+		})
+	}
+	text := tbl.Snapshot()
+	for _, bc := range []struct {
+		name, where string
+		snap        *table.Snapshot
+	}{
+		{"int-int-lit", "x > 500", num},
+		{"float-int-lit", "y < 50", num},
+		{"int-float-lit", "x > 499.5", num},
+		{"col-col", "x > y", num},
+		{"in-int", "x IN (1, 2, 3, 500, 999)", num},
+		{"between", "x BETWEEN 100 AND 600", num},
+		{"text-ne", "c10 != 'g3'", text},
+		{"in-text", "c10 IN ('g1', 'g2')", text},
+		{"text-lt", "c10 < 'g5'", text},
+		{"bool-eq", "b = TRUE", text},
 	} {
 		where := benchQuery(b, "SELECT * FROM t WHERE "+bc.where).Where
+		snap := bc.snap
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -154,7 +154,21 @@ var diffWheres = []string{
 	"WHERE WEIGHT * 2 > 1",
 	"WHERE x + c > 1",  // arithmetic on TEXT: lazy per-row error on both paths
 	"WHERE b + 1 > 0",  // arithmetic on BOOL: lazy per-row error on both paths
-	"WHERE nosuch > 1", // unknown column: lazy per-row error on both paths
+	"WHERE nosuch > 1", // unknown column: refused before any row is read, on both paths
+	// TEXT and BOOL columns against constants: one outcome table each.
+	"WHERE b <> FALSE",
+	"WHERE b < TRUE",
+	"WHERE b >= FALSE",
+	"WHERE b = NULL",
+	"WHERE b IN (TRUE, NULL)",
+	"WHERE b NOT IN (FALSE)",
+	"WHERE c BETWEEN 'g1' AND 'g3'",
+	"WHERE c > 'not-present'",
+	"WHERE c IN ('g1', NULL)",
+	"WHERE c NOT IN ('zzz', NULL)",
+	// Across kind classes: ranked, not compared.
+	"WHERE c = 1",
+	"WHERE b < 'x'",
 }
 
 // diffShapes are query templates; %s receives the WHERE clause.
@@ -357,6 +371,38 @@ func TestRowVsVectorGrid(t *testing.T) {
 					runBoth(t, tbl, src, Options{Weighted: true, WeightOverride: override})
 				}
 			}
+		}
+	}
+}
+
+// TestRowVsVectorTextColumns compares two TEXT columns on a table of their
+// own: strings shared between the columns and strings only one holds, so
+// that equal codes, unequal codes and both orders meet, with NULLs in each.
+func TestRowVsVectorTextColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tbl := table.New("t", schema.MustNew(
+		schema.Attribute{Name: "c", Kind: value.KindText},
+		schema.Attribute{Name: "d", Kind: value.KindText},
+		schema.Attribute{Name: "x", Kind: value.KindInt},
+	))
+	text := func(prefix string) value.Value {
+		if rng.Intn(8) == 0 {
+			return value.Null()
+		}
+		return value.Text(fmt.Sprintf("%s%d", prefix, rng.Intn(4)))
+	}
+	for i := 0; i < 300; i++ {
+		row := []value.Value{text("g"), text([]string{"g", "h", "a"}[rng.Intn(3)]), value.Int(int64(i))}
+		if err := tbl.AppendWeighted(row, float64(rng.Intn(4))/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, where := range []string{"c = d", "c <> d", "c < d", "d >= c", "NOT (c = d) AND x > 100"} {
+		for _, shape := range []string{
+			"SELECT * FROM t WHERE %s",
+			"SELECT c, COUNT(*), SUM(x) FROM t WHERE %s GROUP BY c",
+		} {
+			runBoth(t, tbl, fmt.Sprintf(shape, where), Options{Weighted: true})
 		}
 	}
 }

@@ -161,7 +161,9 @@ func RunSnapshotContext(ctx context.Context, snap *table.Snapshot, sel *sql.Sele
 }
 
 // begin is every executor entry point's preamble: validate the weight
-// override against the snapshot, honor an expired context, and fold sel.
+// override against the snapshot, honor an expired context, resolve the
+// names of the WHERE and then of the items against the snapshot, and fold
+// sel.
 func begin(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*sql.Select, error) {
 	if opts.WeightOverride != nil && len(opts.WeightOverride) != snap.Len() {
 		return nil, fmt.Errorf("exec: weight override has %d entries for %d rows", len(opts.WeightOverride), snap.Len())
@@ -169,7 +171,34 @@ func begin(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Opti
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
+	es := []expr.Expr{sel.Where}
+	for _, it := range sel.Items {
+		es = append(es, it.Expr)
+	}
+	if err := CheckNames(snap.Schema(), es...); err != nil {
+		return nil, err
+	}
 	return foldSelect(sel), nil
+}
+
+// CheckNames refuses the first column name of es, in order, that neither a
+// column of sc nor the WEIGHT pseudo-column resolves, with the
+// interpreter's error; nil expressions are skipped. The interpreter meets
+// a name only at a row that evaluates it, so a statement checks its names
+// before reading any row: whether it is refused must not depend on how
+// many rows it reaches.
+func CheckNames(sc *schema.Schema, es ...expr.Expr) error {
+	for _, e := range es {
+		if e == nil {
+			continue
+		}
+		for _, name := range e.Columns(nil) {
+			if _, ok := sc.Index(name); !ok && !strings.EqualFold(name, "WEIGHT") {
+				return fmt.Errorf("expr: unknown column %q", name)
+			}
+		}
+	}
+	return nil
 }
 
 // cancelCheckRows is how many rows a tight scan loop processes between

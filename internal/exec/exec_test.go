@@ -459,3 +459,102 @@ func TestOrderByUnknownKeyRefusedAtAnyRowCount(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTextOrderingOnAllNullColumn: a TEXT column holding only NULLs has an
+// empty dictionary, while every NULL row holds code 0. An ordering against
+// a literal indexed a table with one entry per interned string and
+// panicked, which ended the serving process; every row is NULL, so the
+// answer is empty.
+func TestTextOrderingOnAllNullColumn(t *testing.T) {
+	u := table.New("u", schema.MustNew(
+		schema.Attribute{Name: "s", Kind: value.KindText},
+		schema.Attribute{Name: "x", Kind: value.KindInt},
+	))
+	for x := int64(1); x <= 2; x++ {
+		if err := u.Append([]value.Value{value.Null(), value.Int(x)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, where := range []string{"s < 'a'", "s >= 'a'", "s BETWEEN 'a' AND 'b'", "s NOT BETWEEN 'a' AND 'b'"} {
+		src := "SELECT x FROM u WHERE " + where
+		for _, w := range []int{1, 4} {
+			res, err := Run(u, q(t, src), Options{Workers: w})
+			if err != nil || len(res.Rows) != 0 {
+				t.Errorf("%q (Workers %d): %v, error %v; want no rows", src, w, res, err)
+			}
+		}
+	}
+}
+
+// TestLiteralInternedAfterSnapshot: the dictionary is live, so a string
+// first stored after a snapshot was taken has a code past that snapshot's
+// dictionary. Against the snapshot it matches no row, and compiling it
+// must not write past the outcome table.
+func TestLiteralInternedAfterSnapshot(t *testing.T) {
+	for _, first := range []value.Value{value.Text("a"), value.Null()} {
+		u := table.New("u", schema.MustNew(schema.Attribute{Name: "s", Kind: value.KindText}))
+		if err := u.Append([]value.Value{first}); err != nil {
+			t.Fatal(err)
+		}
+		snap := u.Snapshot()
+		if err := u.Append([]value.Value{value.Text("late")}); err != nil {
+			t.Fatal(err)
+		}
+		want := 0 // s <> 'late' and NOT IN keep the snapshot's non-NULL row
+		if !first.IsNull() {
+			want = 1
+		}
+		for where, n := range map[string]int{"s = 'late'": 0, "s IN ('late')": 0, "s <> 'late'": want, "s NOT IN ('late')": want} {
+			rows, err := SelectRows(t.Context(), snap, q(t, "SELECT * FROM u WHERE "+where).Where, snap.Weights(), 1)
+			if err != nil || len(rows) != n {
+				t.Errorf("first row %v, %s: rows %v, error %v; want %d rows", first, where, rows, err, n)
+			}
+		}
+	}
+}
+
+// TestUnknownNameRefusedAtAnyRowCount: a name that resolves nowhere is
+// refused before any row is read, whether 0, 1 or 2 rows (or groups) reach
+// it, on the row interpreter, the pipeline and its shards alike. The
+// interpreter meets a name only at a row that evaluates it, so the refusal
+// used to depend on how many rows matched.
+func TestUnknownNameRefusedAtAnyRowCount(t *testing.T) {
+	u := table.New("u", schema.MustNew(
+		schema.Attribute{Name: "g", Kind: value.KindText},
+		schema.Attribute{Name: "x", Kind: value.KindInt},
+	))
+	for x := int64(1); x <= 3; x++ {
+		if err := u.Append([]value.Value{value.Text("a"), value.Int(x)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shapes := []struct{ src, name string }{
+		{"SELECT nosuch FROM u WHERE %s", "nosuch"},
+		{"SELECT x, nosuch + 1 FROM u WHERE %s ORDER BY x", "nosuch"},
+		{"SELECT g, SUM(nosuch) FROM u WHERE %s GROUP BY g", "nosuch"},
+		{"SELECT COUNT(*), MAX(Other) FROM u WHERE %s", "Other"},
+		{"SELECT g, COUNT(*) AS n FROM u WHERE %s GROUP BY g HAVING nosuch > 1", "nosuch"},
+		{"SELECT g, SUM(x) FROM u WHERE %s GROUP BY g HAVING x > 1", "x"}, // HAVING reads output columns
+		{"SELECT nosuch FROM u WHERE %s AND first > 0", "first"},          // WHERE's names come first
+		{"SELECT x FROM u WHERE %s OR FALSE AND nosuch > 0", "nosuch"},    // short-circuited at every row
+	}
+	for _, sh := range shapes {
+		for rows, where := range []string{"x > 3", "x > 2", "x > 1"} {
+			src := fmt.Sprintf(sh.src, where)
+			want := fmt.Sprintf("expr: unknown column %q", sh.name)
+			for _, opts := range []Options{{ForceRow: true}, {}, {Workers: 4}, {Shards: 4}} {
+				opts.Weighted = true
+				_, err := Run(u, q(t, src), opts)
+				if err == nil || err.Error() != want {
+					t.Errorf("%q (%d rows, %+v): %v, want %q", src, rows, opts, err, want)
+				}
+			}
+		}
+	}
+	// WEIGHT resolves, and so does a name under another case.
+	for _, src := range []string{"SELECT weight, X FROM u WHERE x > 3", "SELECT g, SUM(WEIGHT) AS s FROM u WHERE x > 3 GROUP BY g HAVING S > 0"} {
+		if _, err := Run(u, q(t, src), Options{Weighted: true}); err != nil {
+			t.Errorf("%q: %v", src, err)
+		}
+	}
+}

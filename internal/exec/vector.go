@@ -5,8 +5,10 @@
 // truth value per row: false/true/null). Every numeric operand — an
 // INT/FLOAT column, WEIGHT, a literal or arithmetic — compiles to one numVec
 // (arith.go), so numeric truth, comparison, IN, BETWEEN and IS NULL each
-// have one kernel; TEXT and BOOL columns keep kernels over their dictionary
-// codes and bools. Group-by keys densify into small integer ids built from
+// have one kernel. A TEXT or BOOL column compared against constants — its
+// truth, a comparison, IN, BETWEEN's two bounds — is a table of outcomes
+// indexed by the row's dictionary code or bool, filled once per compile.
+// Group-by keys densify into small integer ids built from
 // dictionary codes and NaN-canonical float bits — never from per-row
 // strings — and aggregates run as tight loops over the same numVecs with
 // the weight vector.
@@ -174,7 +176,7 @@ func (c *kernelCompiler) compile(e expr.Expr) kernel {
 	switch ex := e.(type) {
 	case *expr.Column:
 		if ref, ok := c.resolve(ex.Name); ok && ref.kind == value.KindBool {
-			return &truthBoolKernel{xs: ref.col.Bools, col: ref.col}
+			return boolTable(ref, ternOf)
 		}
 	case *expr.Unary:
 		if !ex.Neg {
@@ -261,8 +263,8 @@ func (c *kernelCompiler) compileCompare(op expr.BinOp, left, right expr.Expr) ke
 		}
 	}
 	// A TEXT/BOOL column, or a column against another kind class. An
-	// unknown column compiles nothing: its error is lazy, per row, in the
-	// interpreted predicate.
+	// unknown column compiles nothing; statements refuse it before any row
+	// is read (CheckNames).
 	lr, lok := c.columnOf(left)
 	rr, rok := c.columnOf(right)
 	switch {
@@ -310,9 +312,10 @@ func (c *kernelCompiler) compileNumLit(op expr.BinOp, v *numVec, lit value.Value
 	return crossClass(op, value.ClassNum, classOf(lit.Kind()), v.nulls, v.errs)
 }
 
-// compileColLit compares a TEXT/BOOL column against a constant, or any
-// column against a constant of another class (numeric pairs never get
-// here: compileCompare sends them to cmpNumNumKernel).
+// compileColLit compares a TEXT/BOOL column against a constant through its
+// outcome table, or any column against a constant of another class by rank
+// (numeric pairs never get here: compileCompare sends them to
+// cmpNumNumKernel).
 func (c *kernelCompiler) compileColLit(op expr.BinOp, ref colRef, lit value.Value) kernel {
 	if lit.IsNull() {
 		// Comparison with NULL is NULL for every row, NULL rows included.
@@ -324,24 +327,52 @@ func (c *kernelCompiler) compileColLit(op expr.BinOp, ref colRef, lit value.Valu
 	lut := cmpLUT(op)
 	switch ref.kind {
 	case value.KindBool:
-		return &cmpBoolLitKernel{xs: ref.col.Bools, lit: lit.AsBool(), lut: lut, col: ref.col}
+		lb := lit.AsBool()
+		return boolTable(ref, func(x bool) int8 { return lut[boolCmp(x, lb)+1] })
 	case value.KindText:
-		ls := lit.AsText()
 		if op == expr.OpEq || op == expr.OpNe {
-			code, found := c.snap.DictLookup(ls)
-			return &cmpTextEqLitKernel{xs: ref.col.Codes, code: code, found: found, eq: op == expr.OpEq, col: ref.col}
+			// Every code but the literal's is unequal: one DictLookup, no
+			// string compared.
+			return c.textTable(ref, lut[0], lut[1], lit)
 		}
-		// Ordering against a text literal: precompute the outcome per
-		// dictionary code once, then the scan is a table lookup per row.
-		strs := c.snap.DictStrings()
-		tbl := make([]int8, len(strs))
-		for i, s := range strs {
-			tbl[i] = lut[sign(strings.Compare(s, ls))+1]
+		k := c.textTable(ref, 0, 0)
+		ls := lit.AsText()
+		for i, s := range c.snap.DictStrings() {
+			k.tbl[i] = lut[sign(strings.Compare(s, ls))+1]
 		}
-		return &cmpTextTableKernel{xs: ref.col.Codes, tbl: tbl, col: ref.col}
+		return k
 	default:
 		return nil
 	}
+}
+
+// boolTable compiles a BOOL column against constants: outcome(false) and
+// outcome(true) are its whole table.
+func boolTable(ref colRef, outcome func(x bool) int8) *boolTableKernel {
+	return &boolTableKernel{xs: ref.col.Bools, tbl: [2]int8{outcome(false), outcome(true)}, col: ref.col}
+}
+
+// textTable compiles a TEXT column against constants: a table over the
+// snapshot's dictionary codes holding miss, except hit at the code of each
+// TEXT value of hits the snapshot holds. NULL rows hold code 0 even when
+// nothing was interned, so the table has at least one entry. The
+// dictionary is live: a string interned after the snapshot was taken has a
+// code past the table and matches no row of it.
+func (c *kernelCompiler) textTable(ref colRef, miss, hit int8, hits ...value.Value) *textTableKernel {
+	n := len(c.snap.DictStrings())
+	tbl := make([]int8, max(n, 1))
+	for i := range tbl {
+		tbl[i] = miss
+	}
+	for _, v := range hits {
+		if v.Kind() != value.KindText {
+			continue
+		}
+		if code, ok := c.snap.DictLookup(v.AsText()); ok && int(code) < n {
+			tbl[code] = hit
+		}
+	}
+	return &textTableKernel{xs: ref.col.Codes, tbl: tbl, col: ref.col}
 }
 
 // compileColCol compares two TEXT/BOOL columns, or two columns of
@@ -355,10 +386,7 @@ func (c *kernelCompiler) compileColCol(op expr.BinOp, a, b colRef) kernel {
 	case value.KindBool:
 		return &cmpBoolBoolColKernel{a: a.col.Bools, b: b.col.Bools, lut: lut, ca: a.col, cb: b.col}
 	case value.KindText:
-		if op == expr.OpEq || op == expr.OpNe {
-			return &cmpTextTextEqColKernel{a: a.col.Codes, b: b.col.Codes, eq: op == expr.OpEq, ca: a.col, cb: b.col}
-		}
-		return &cmpTextTextOrdColKernel{a: a.col.Codes, b: b.col.Codes, strs: c.snap.DictStrings(), lut: lut, ca: a.col, cb: b.col}
+		return &cmpTextTextColKernel{a: a.col.Codes, b: b.col.Codes, strs: c.snap.DictStrings(), lut: lut, ca: a.col, cb: b.col}
 	default:
 		return nil
 	}
@@ -385,29 +413,22 @@ func (c *kernelCompiler) compileIn(ex *expr.In) kernel {
 	if !ok {
 		return nil
 	}
+	// A value of another kind class is never equal: only same-class values
+	// are members.
+	match, miss := ternOf(!ex.Negate), ternOf(ex.Negate)
+	if sawNull {
+		miss = ternNull
+	}
 	switch ref.kind {
 	case value.KindBool:
-		wantT, wantF := false, false
-		for _, v := range vals {
-			if v.Kind() == value.KindBool {
-				if v.AsBool() {
-					wantT = true
-				} else {
-					wantF = true
-				}
+		return boolTable(ref, func(x bool) int8 {
+			if slices.ContainsFunc(vals, func(v value.Value) bool { return v.Kind() == value.KindBool && v.AsBool() == x }) {
+				return match
 			}
-		}
-		return &inBoolKernel{xs: ref.col.Bools, wantT: wantT, wantF: wantF, sawNull: sawNull, negate: ex.Negate, col: ref.col}
+			return miss
+		})
 	case value.KindText:
-		set := make(map[uint32]bool, len(vals))
-		for _, v := range vals {
-			if v.Kind() == value.KindText {
-				if code, found := c.snap.DictLookup(v.AsText()); found {
-					set[code] = true
-				}
-			}
-		}
-		return &inTextKernel{xs: ref.col.Codes, set: set, sawNull: sawNull, negate: ex.Negate, col: ref.col}
+		return c.textTable(ref, miss, match, vals...)
 	default:
 		return nil
 	}
@@ -504,18 +525,6 @@ func (k *constKernel) eval(dst []int8, lo, hi int) {
 	overlayBits(dst, k.errs, ternErr, lo)
 }
 
-type truthBoolKernel struct {
-	xs  []bool
-	col *table.Column
-}
-
-func (k *truthBoolKernel) eval(dst []int8, lo, hi int) {
-	for i, x := range k.xs[lo:hi] {
-		dst[i] = ternOf(x)
-	}
-	overlayBits(dst, k.col.Nulls, ternNull, lo)
-}
-
 type notKernel struct{ child kernel }
 
 func (k *notKernel) eval(dst []int8, lo, hi int) {
@@ -580,16 +589,36 @@ func (k *logicKernel) eval(dst []int8, lo, hi int) {
 	}
 }
 
-type cmpBoolLitKernel struct {
-	xs  []bool
-	lit bool
-	lut [3]int8
+// textTableKernel is a TEXT column against constants: the outcome of
+// every dictionary code, looked up per row.
+type textTableKernel struct {
+	xs  []uint32
+	tbl []int8
 	col *table.Column
 }
 
-func (k *cmpBoolLitKernel) eval(dst []int8, lo, hi int) {
+func (k *textTableKernel) eval(dst []int8, lo, hi int) {
+	for i, c := range k.xs[lo:hi] {
+		dst[i] = k.tbl[c]
+	}
+	overlayBits(dst, k.col.Nulls, ternNull, lo)
+}
+
+// boolTableKernel is a BOOL column against constants: the outcome of false
+// and of true, looked up per row.
+type boolTableKernel struct {
+	xs  []bool
+	tbl [2]int8
+	col *table.Column
+}
+
+func (k *boolTableKernel) eval(dst []int8, lo, hi int) {
 	for i, x := range k.xs[lo:hi] {
-		dst[i] = k.lut[boolCmp(x, k.lit)+1]
+		j := 0
+		if x {
+			j = 1
+		}
+		dst[i] = k.tbl[j]
 	}
 	overlayBits(dst, k.col.Nulls, ternNull, lo)
 }
@@ -603,46 +632,6 @@ func boolCmp(a, b bool) int {
 	default:
 		return 1
 	}
-}
-
-type cmpTextEqLitKernel struct {
-	xs    []uint32
-	code  uint32
-	found bool
-	eq    bool
-	col   *table.Column
-}
-
-func (k *cmpTextEqLitKernel) eval(dst []int8, lo, hi int) {
-	miss := ternOf(!k.eq) // literal absent from the dictionary: never equal
-	if !k.found {
-		for i := range dst {
-			dst[i] = miss
-		}
-	} else {
-		hit, other := ternOf(k.eq), ternOf(!k.eq)
-		for i, c := range k.xs[lo:hi] {
-			if c == k.code {
-				dst[i] = hit
-			} else {
-				dst[i] = other
-			}
-		}
-	}
-	overlayBits(dst, k.col.Nulls, ternNull, lo)
-}
-
-type cmpTextTableKernel struct {
-	xs  []uint32
-	tbl []int8 // outcome per dictionary code
-	col *table.Column
-}
-
-func (k *cmpTextTableKernel) eval(dst []int8, lo, hi int) {
-	for i, c := range k.xs[lo:hi] {
-		dst[i] = k.tbl[c]
-	}
-	overlayBits(dst, k.col.Nulls, ternNull, lo)
 }
 
 type cmpBoolBoolColKernel struct {
@@ -660,42 +649,28 @@ func (k *cmpBoolBoolColKernel) eval(dst []int8, lo, hi int) {
 	overlayBits(dst, k.cb.Nulls, ternNull, lo)
 }
 
-type cmpTextTextEqColKernel struct {
-	a, b   []uint32
-	eq     bool
-	ca, cb *table.Column
-}
-
-func (k *cmpTextTextEqColKernel) eval(dst []int8, lo, hi int) {
-	hit, other := ternOf(k.eq), ternOf(!k.eq)
-	b := k.b[lo:hi]
-	for i, x := range k.a[lo:hi] {
-		if x == b[i] {
-			dst[i] = hit
-		} else {
-			dst[i] = other
-		}
-	}
-	overlayBits(dst, k.ca.Nulls, ternNull, lo)
-	overlayBits(dst, k.cb.Nulls, ternNull, lo)
-}
-
-type cmpTextTextOrdColKernel struct {
+// cmpTextTextColKernel compares two TEXT columns. The dictionary interns
+// each string once, so equal codes are equal strings and unequal codes
+// unequal ones: = and <> (lut[0] == lut[2]) never read a string.
+type cmpTextTextColKernel struct {
 	a, b   []uint32
 	strs   []string
 	lut    [3]int8
 	ca, cb *table.Column
 }
 
-func (k *cmpTextTextOrdColKernel) eval(dst []int8, lo, hi int) {
+func (k *cmpTextTextColKernel) eval(dst []int8, lo, hi int) {
+	eqOnly := k.lut[0] == k.lut[2]
 	b := k.b[lo:hi]
 	for i, x := range k.a[lo:hi] {
-		y := b[i]
-		if x == y {
+		switch y := b[i]; {
+		case x == y:
 			dst[i] = k.lut[1]
-			continue
+		case eqOnly:
+			dst[i] = k.lut[0]
+		default:
+			dst[i] = k.lut[sign(strings.Compare(k.strs[x], k.strs[y]))+1]
 		}
-		dst[i] = k.lut[sign(strings.Compare(k.strs[x], k.strs[y]))+1]
 	}
 	overlayBits(dst, k.ca.Nulls, ternNull, lo)
 	overlayBits(dst, k.cb.Nulls, ternNull, lo)
@@ -715,52 +690,6 @@ func (k *isNullKernel) eval(dst []int8, lo, hi int) {
 	}
 	overlayBits(dst, k.nulls, ternOf(!k.negate), lo)
 	overlayBits(dst, k.errs, ternErr, lo)
-}
-
-type inBoolKernel struct {
-	xs           []bool
-	wantT, wantF bool
-	sawNull      bool
-	negate       bool
-	col          *table.Column
-}
-
-func (k *inBoolKernel) eval(dst []int8, lo, hi int) {
-	match, miss := ternOf(!k.negate), ternOf(k.negate)
-	if k.sawNull {
-		miss = ternNull
-	}
-	for i, x := range k.xs[lo:hi] {
-		if (x && k.wantT) || (!x && k.wantF) {
-			dst[i] = match
-		} else {
-			dst[i] = miss
-		}
-	}
-	overlayBits(dst, k.col.Nulls, ternNull, lo)
-}
-
-type inTextKernel struct {
-	xs      []uint32
-	set     map[uint32]bool
-	sawNull bool
-	negate  bool
-	col     *table.Column
-}
-
-func (k *inTextKernel) eval(dst []int8, lo, hi int) {
-	match, miss := ternOf(!k.negate), ternOf(k.negate)
-	if k.sawNull {
-		miss = ternNull
-	}
-	for i, x := range k.xs[lo:hi] {
-		if k.set[x] {
-			dst[i] = match
-		} else {
-			dst[i] = miss
-		}
-	}
-	overlayBits(dst, k.col.Nulls, ternNull, lo)
 }
 
 // --- vectorized aggregation ---
@@ -870,23 +799,28 @@ func SelectRows(ctx context.Context, snap *table.Snapshot, where expr.Expr, weig
 	return sel, nil
 }
 
-// WeightError is UPDATE's refusal of a kept row's new weight: Value is TEXT
-// or negative. The caller words the refusal.
+// WeightError is UpdateWeights' refusal of a kept row's value, UPDATE's new
+// weight or CREATE METADATA's count: Value is TEXT or negative. The caller
+// words the refusal.
 type WeightError struct{ Value value.Value }
 
 func (e *WeightError) Error() string {
 	return "exec: weight " + e.Value.String() + " is not a non-negative number"
 }
 
-// UpdateWeights computes UPDATE SAMPLE … SET WEIGHT = weight WHERE where:
-// the rows where keeps (SelectRows), and weight's value at each as float64,
-// NULL as NaN (value.Float64's conversion). WEIGHT in either expression
-// reads snap's weights unless a column of that name shadows it. A weight the
-// kernels do not compile is evaluated per kept row. The first kept row whose
-// weight fails returns its evaluation error, or a *WeightError for a TEXT or
-// negative value; the selection's error surfaces only when no kept row
-// failed first.
+// UpdateWeights computes UPDATE SAMPLE … SET WEIGHT = weight WHERE where,
+// and CREATE METADATA's count per kept row: the rows where keeps
+// (SelectRows), and weight's value at each as float64, NULL as NaN
+// (value.Float64's conversion). The names of where and then of weight
+// resolve first (CheckNames); WEIGHT in either reads snap's weights unless
+// a column of that name shadows it. A weight the kernels do not compile is
+// evaluated per kept row. The first kept row whose weight fails returns its
+// evaluation error, or a *WeightError for a TEXT or negative value; the
+// selection's error surfaces only when no kept row failed first.
 func UpdateWeights(snap *table.Snapshot, where, weight expr.Expr, workers int) (rows []int32, vals []float64, err error) {
+	if err := CheckNames(snap.Schema(), where, weight); err != nil {
+		return nil, nil, err
+	}
 	// A mutation runs to completion once it holds the engine's write lock,
 	// so the selection gets no caller context.
 	rows, selErr := SelectRows(context.Background(), snap, where, snap.Weights(), workers)

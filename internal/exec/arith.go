@@ -18,6 +18,7 @@ package exec
 import (
 	"errors"
 	"math"
+	"math/bits"
 
 	"mosaic/internal/expr"
 	"mosaic/internal/value"
@@ -157,14 +158,21 @@ func orBits(a, b []uint64, n int) []uint64 {
 }
 
 // overlayBits writes v into dst wherever the bitmap is set; dst covers rows
-// [lo, lo+len(dst)) of the bitmap.
+// [lo, lo+len(dst)) of the bitmap. It works a word at a time: a zero word
+// (64 rows with no bit set) costs one test, and a set word visits only its
+// set bits.
 func overlayBits(dst []int8, bm []uint64, v int8, lo int) {
-	if bm == nil {
-		return
-	}
-	for i := range dst {
-		if bitGet(bm, lo+i) {
-			dst[i] = v
+	hi := lo + len(dst)
+	for w := lo >> 6; w < len(bm) && w<<6 < hi; w++ {
+		word := bm[w]
+		if w<<6 < lo {
+			word &^= 1<<(uint(lo)&63) - 1 // rows before lo
+		}
+		if (w+1)<<6 > hi {
+			word &= 1<<(uint(hi)&63) - 1 // rows from hi on
+		}
+		for ; word != 0; word &= word - 1 {
+			dst[w<<6+bits.TrailingZeros64(word)-lo] = v
 		}
 	}
 }
@@ -647,50 +655,28 @@ func (k *cmpNumNumKernel) eval(dst []int8, lo, hi int) {
 }
 
 // cmpScalar compares each row of xs against y in y's type C: an INT row
-// against a FLOAT scalar converts to float64 in the loop.
+// against a FLOAT scalar converts to float64 in the loop. The row's order
+// indexes lut without a branch.
 func cmpScalar[X, C int64 | float64](dst []int8, xs []X, y C, lut [3]int8) {
-	tl, te, tg := lut[0], lut[1], lut[2]
+	dst = dst[:len(xs)]
 	for i, x := range xs {
-		switch c := C(x); {
-		case c < y:
-			dst[i] = tl
-		case c > y:
-			dst[i] = tg
-		default:
-			dst[i] = te
-		}
+		dst[i] = lut[cmpOrder(C(x), y)+1]
 	}
 }
 
 // cmpRows compares xs[i] against ys[i] in type C: int64 when both sides
 // are INT, float64 otherwise.
 func cmpRows[C, X, Y int64 | float64](dst []int8, xs []X, ys []Y, lut [3]int8) {
-	tl, te, tg := lut[0], lut[1], lut[2]
-	ys = ys[:len(xs)]
+	dst, ys = dst[:len(xs)], ys[:len(xs)]
 	for i, x := range xs {
-		switch c, d := C(x), C(ys[i]); {
-		case c < d:
-			dst[i] = tl
-		case c > d:
-			dst[i] = tg
-		default:
-			dst[i] = te
-		}
+		dst[i] = lut[cmpOrder(C(x), C(ys[i]))+1]
 	}
 }
 
 // cmpOrder is value.Compare's ordering over two same-shape numerics: -1/0/1
-// with NaN comparing equal to everything ("neither smaller").
-func cmpOrder[T int64 | float64](x, y T) int {
-	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
-	default:
-		return 0
-	}
-}
+// with NaN comparing equal to everything ("neither smaller"), computed
+// without a branch.
+func cmpOrder[T int64 | float64](x, y T) int { return b2i(x > y) - b2i(x < y) }
 
 // truthNumKernel is WHERE truthiness of a numeric operand.
 type truthNumKernel struct{ v *numVec }
@@ -747,9 +733,9 @@ func newInNum(v *numVec, vals []value.Value, sawNull, negate bool) *inNumKernel 
 }
 
 func (k *inNumKernel) eval(dst []int8, lo, hi int) {
-	match, miss := ternOf(!k.negate), ternOf(k.negate)
+	out := [2]int8{ternOf(k.negate), ternOf(!k.negate)} // miss, match
 	if k.sawNull {
-		miss = ternNull
+		out[0] = ternNull
 	}
 	if k.v.isInt {
 		for i, x := range k.v.ints[lo:hi] {
@@ -757,19 +743,11 @@ func (k *inNumKernel) eval(dst []int8, lo, hi int) {
 			if !hit && len(k.floats) > 0 {
 				hit = k.floats[eqBits(float64(x))]
 			}
-			if hit {
-				dst[i] = match
-			} else {
-				dst[i] = miss
-			}
+			dst[i] = out[b2i(hit)]
 		}
 	} else {
 		for i, x := range k.v.floats[lo:hi] {
-			if k.nanItem || k.floats[eqBits(x)] || (k.anyNum && math.IsNaN(x)) {
-				dst[i] = match
-			} else {
-				dst[i] = miss
-			}
+			dst[i] = out[b2i(k.nanItem || k.floats[eqBits(x)] || (k.anyNum && math.IsNaN(x)))]
 		}
 	}
 	overlayBits(dst, k.v.nulls, ternNull, lo)

@@ -47,27 +47,32 @@ func BenchmarkFilterProject100k(b *testing.B) {
 }
 
 // BenchmarkFilterKernels100k times one WHERE per numeric operand pairing,
-// and TEXT and BOOL columns against constants: compiling it, running its
-// kernel over every row and cutting the selection vector, with no
-// aggregate or projection after it. The TEXT and BOOL cases run over a
-// table whose dictionary holds 100k strings, as closed_scan's does, so
-// their B/op includes the outcome table (one byte per dictionary code)
-// that every compile fills. B/op is otherwise the truth vector and the
-// selection; a kernel that copied a column would add a table-length slice
-// to it.
+// TEXT and BOOL columns against constants, and the repo benchmark's
+// closed_scan filters (a view's conjunction, a TEXT test AND a FLOAT one,
+// an arithmetic compare): compiling it, running its kernel over every row
+// and cutting the selection vector, with no aggregate or projection after
+// it. The TEXT and BOOL cases run over a table whose dictionary holds 100k
+// strings, as closed_scan's does, so their B/op includes the outcome table
+// (one byte per dictionary code) that every compile fills. B/op is
+// otherwise the truth vector, the selection (exactly one int32 per kept
+// row), an AND's right-arm vector and a computed operand; a kernel that
+// copied a column would add a table-length slice to it. text-ne keeps
+// about 90 % of the rows, the dense-selection case.
 func BenchmarkFilterKernels100k(b *testing.B) {
 	num := benchTable(100000).Snapshot()
-	rng := rand.New(rand.NewSource(1))
+	rng, rngY := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))
 	tbl := table.New("t", schema.MustNew(
 		schema.Attribute{Name: "c10", Kind: value.KindText},
 		schema.Attribute{Name: "c100k", Kind: value.KindText},
 		schema.Attribute{Name: "b", Kind: value.KindBool},
+		schema.Attribute{Name: "y", Kind: value.KindFloat},
 	))
 	for i := 0; i < 100000; i++ {
 		_ = tbl.Append([]value.Value{
 			value.Text(fmt.Sprintf("g%d", rng.Intn(10))),
 			value.Text(fmt.Sprintf("u%d", i)),
 			value.Bool(rng.Intn(2) == 0),
+			value.Float(rngY.Float64() * 100),
 		})
 	}
 	text := tbl.Snapshot()
@@ -85,6 +90,9 @@ func BenchmarkFilterKernels100k(b *testing.B) {
 		{"in-text", "c10 IN ('g1', 'g2')", text},
 		{"text-lt", "c10 < 'g5'", text},
 		{"bool-eq", "b = TRUE", text},
+		{"view-and", "x > 300 AND x < 1000", num},
+		{"text-and-float", "c10 != 'g3' AND y < 70", text},
+		{"arith-cmp", "x * 2 > y + 500", num},
 	} {
 		where := benchQuery(b, "SELECT * FROM t WHERE "+bc.where).Where
 		snap := bc.snap

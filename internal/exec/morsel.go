@@ -20,6 +20,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -109,57 +110,41 @@ func evalTern(ctx context.Context, k kernel, n, workers int) ([]int8, error) {
 
 // ternSelection builds the selection vector — indices of ternTrue rows in
 // scan order — from a truth vector. At the first ternErr row (division by
-// zero) it stops: sel holds the rows kept before it and failed is true. The
-// parallel path counts per morsel up to the morsel's first error row,
-// prefix-sums the counts of the morsels up to the first one that failed into
-// per-morsel output offsets, and fills each morsel's segment concurrently:
-// concatenation in morsel order IS scan order, so the vector is
-// byte-identical to the serial append loop.
+// zero) it stops: sel holds the rows kept before it and failed is true.
+//
+// It takes one path at every worker count, and no loop branches on a row's
+// outcome. Each morsel counts its ternTrue rows and notes whether it holds a
+// ternErr; one that does is recounted up to its first ternErr row. The
+// counts of the morsels up to the first failing one prefix-sum into
+// per-morsel output offsets of one exact-size vector, and each morsel fills
+// its segment: it writes every row's index at the next slot and advances
+// the slot only past a ternTrue row, until the segment is full.
+// Concatenation in morsel order is scan order, so the vector does not
+// depend on the worker count.
 func ternSelection(ctx context.Context, tern []int8, workers int) (sel []int32, failed bool, err error) {
 	n := len(tern)
 	nMorsels := (n + morselRows - 1) / morselRows
-	if workers <= 1 || nMorsels <= 1 {
-		sel = make([]int32, 0, n)
-		for lo := 0; lo < n; lo += morselRows {
-			if err := checkCtx(ctx); err != nil {
-				return nil, false, err
-			}
-			hi := min(lo+morselRows, n)
-			for i := lo; i < hi; i++ {
-				t := tern[i]
-				if t == ternErr {
-					return sel, true, nil
-				}
-				if t == ternTrue {
-					sel = append(sel, int32(i))
-				}
-			}
-		}
-		return sel, false, nil
-	}
 	counts := make([]int, nMorsels)
 	errs := make([]bool, nMorsels)
 	if err := forEachMorsel(ctx, n, workers, func(lo, hi int) {
-		m, c := lo/morselRows, 0
+		m, c, e := lo/morselRows, 0, 0
 		for _, t := range tern[lo:hi] {
-			if t == ternErr {
-				errs[m] = true
-				break
-			}
-			if t == ternTrue {
-				c++
+			c += b2i(t == ternTrue)
+			e |= b2i(t == ternErr)
+		}
+		if e != 0 {
+			c = 0
+			for _, t := range tern[lo : lo+slices.Index(tern[lo:hi], ternErr)] {
+				c += b2i(t == ternTrue)
 			}
 		}
-		counts[m] = c
+		counts[m], errs[m] = c, e != 0
 	}); err != nil {
 		return nil, false, err
 	}
 	last := nMorsels // morsels [0, last) feed the selection
-	for m, e := range errs {
-		if e {
-			last, failed = m+1, true
-			break
-		}
+	if m := slices.Index(errs, true); m >= 0 {
+		last, failed = m+1, true
 	}
 	offs := make([]int, last+1)
 	for m, c := range counts[:last] {
@@ -171,16 +156,10 @@ func ternSelection(ctx context.Context, tern []int8, workers int) (sel []int32, 
 		if m >= last {
 			return
 		}
-		p := offs[m]
-		for i := lo; i < hi; i++ {
-			t := tern[i]
-			if t == ternErr {
-				break
-			}
-			if t == ternTrue {
-				sel[p] = int32(i)
-				p++
-			}
+		seg := sel[offs[m]:offs[m+1]]
+		for i, p := lo, 0; p < len(seg); i++ {
+			seg[p] = int32(i)
+			p += b2i(tern[i] == ternTrue)
 		}
 	}); err != nil {
 		return nil, false, err

@@ -42,12 +42,46 @@ import (
 // Ternary truth encoding of the filter kernels, extended with a fourth
 // "error" state for the arithmetic kernels. Rows marked ternErr are rows
 // where the interpreter would raise a runtime error mid-scan; the scan
-// surfaces that error (see selectRows) instead of producing a result.
+// surfaces that error (see SelectRows) instead of producing a result.
+//
+// The four states fit in two bits, so NOT, AND and OR are table lookups
+// (notTable, andTable, orTable): a row's outcome indexes the table and no
+// kernel loop branches on it.
 const (
 	ternFalse int8 = 0
 	ternTrue  int8 = 1
 	ternNull  int8 = 2
 	ternErr   int8 = 3
+)
+
+// notTable is three-valued NOT, indexed by the child's state: NULL and
+// error rows stay as they are.
+var notTable = [4]int8{ternTrue, ternFalse, ternNull, ternErr}
+
+// andTable and orTable are three-valued AND and OR, indexed by l<<2 | r.
+// Errors follow the interpreter's left-to-right short-circuit: a FALSE left
+// arm of AND (TRUE for OR) decides the row before the right arm runs, so a
+// right-arm error is suppressed there; everywhere else an error in either
+// arm aborts, the left arm's first.
+//
+//	AND     r: F  T  N  E        OR      r: F  T  N  E
+//	l=F        F  F  F  F        l=F        F  T  N  E
+//	l=T        F  T  N  E        l=T        T  T  T  T
+//	l=N        F  N  N  E        l=N        N  T  N  E
+//	l=E        E  E  E  E        l=E        E  E  E  E
+var (
+	andTable = [16]int8{
+		ternFalse, ternFalse, ternFalse, ternFalse,
+		ternFalse, ternTrue, ternNull, ternErr,
+		ternFalse, ternNull, ternNull, ternErr,
+		ternErr, ternErr, ternErr, ternErr,
+	}
+	orTable = [16]int8{
+		ternFalse, ternTrue, ternNull, ternErr,
+		ternTrue, ternTrue, ternTrue, ternTrue,
+		ternNull, ternTrue, ternNull, ternErr,
+		ternErr, ternErr, ternErr, ternErr,
+	}
 )
 
 // kernel computes a ternary truth vector over a row range of the snapshot.
@@ -144,11 +178,17 @@ func ternTruth(v value.Value) (int8, bool) {
 	}
 }
 
-func ternOf(b bool) int8 {
+// ternOf is a condition's truth; like b2i it compiles without a branch.
+func ternOf(b bool) int8 { return int8(b2i(b)) }
+
+// b2i is 1 for true and 0 for false. The compiler turns it into a flag
+// move, so a kernel loop that indexes a table with it does not branch on
+// the row.
+func b2i(b bool) int {
 	if b {
-		return ternTrue
+		return 1
 	}
-	return ternFalse
+	return 0
 }
 
 // foldConst evaluates a column-free subexpression to a constant. Expressions
@@ -497,16 +537,7 @@ func eqBits(f float64) uint64 {
 	return value.NumBits(f)
 }
 
-func sign(c int) int {
-	switch {
-	case c < 0:
-		return -1
-	case c > 0:
-		return 1
-	default:
-		return 0
-	}
-}
+func sign(c int) int { return b2i(c > 0) - b2i(c < 0) }
 
 // --- kernel implementations ---
 
@@ -530,17 +561,12 @@ type notKernel struct{ child kernel }
 func (k *notKernel) eval(dst []int8, lo, hi int) {
 	k.child.eval(dst, lo, hi)
 	for i, t := range dst {
-		if t == ternFalse || t == ternTrue {
-			dst[i] = 1 - t
-		}
+		dst[i] = notTable[t&3]
 	}
 }
 
-// logicKernel is three-valued AND/OR, with error rows following the
-// interpreter's left-to-right short-circuit: a FALSE left arm of AND (TRUE
-// for OR) short-circuits before the right arm is evaluated, so right-arm
-// errors are suppressed on those rows; everywhere else an error in either
-// arm aborts, left arm first.
+// logicKernel is three-valued AND/OR through andTable or orTable, which
+// encode the interpreter's short-circuit of right-arm errors.
 type logicKernel struct {
 	l, r kernel
 	and  bool
@@ -550,42 +576,12 @@ func (k *logicKernel) eval(dst []int8, lo, hi int) {
 	k.l.eval(dst, lo, hi)
 	tmp := make([]int8, len(dst))
 	k.r.eval(tmp, lo, hi)
+	tbl := &orTable
 	if k.and {
-		for i, a := range dst {
-			b := tmp[i]
-			switch {
-			case a == ternErr:
-				dst[i] = ternErr
-			case a == ternFalse:
-				dst[i] = ternFalse
-			case b == ternErr:
-				dst[i] = ternErr
-			case b == ternFalse:
-				dst[i] = ternFalse
-			case a == ternNull || b == ternNull:
-				dst[i] = ternNull
-			default:
-				dst[i] = ternTrue
-			}
-		}
-		return
+		tbl = &andTable
 	}
 	for i, a := range dst {
-		b := tmp[i]
-		switch {
-		case a == ternErr:
-			dst[i] = ternErr
-		case a == ternTrue:
-			dst[i] = ternTrue
-		case b == ternErr:
-			dst[i] = ternErr
-		case b == ternTrue:
-			dst[i] = ternTrue
-		case a == ternNull || b == ternNull:
-			dst[i] = ternNull
-		default:
-			dst[i] = ternFalse
-		}
+		dst[i] = tbl[(a<<2|tmp[i])&15]
 	}
 }
 
@@ -614,25 +610,13 @@ type boolTableKernel struct {
 
 func (k *boolTableKernel) eval(dst []int8, lo, hi int) {
 	for i, x := range k.xs[lo:hi] {
-		j := 0
-		if x {
-			j = 1
-		}
-		dst[i] = k.tbl[j]
+		dst[i] = k.tbl[b2i(x)]
 	}
 	overlayBits(dst, k.col.Nulls, ternNull, lo)
 }
 
-func boolCmp(a, b bool) int {
-	switch {
-	case a == b:
-		return 0
-	case !a:
-		return -1
-	default:
-		return 1
-	}
-}
+// boolCmp orders FALSE before TRUE: -1, 0 or 1.
+func boolCmp(a, b bool) int { return b2i(a) - b2i(b) }
 
 type cmpBoolBoolColKernel struct {
 	a, b   []bool

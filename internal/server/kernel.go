@@ -28,6 +28,7 @@ import (
 //	           or the class's EWMA latency estimate × margin exceeds it;
 //	admit    — a class slot, or 503 + Retry-After when none frees in time;
 //	run      — the endpoint's Call on its own goroutine, under the deadline;
+//	           a panic in it is recovered and answered as a 500;
 //	reply    — the Call's body or StatusError, or 504 when the deadline
 //	           expired first. The Call's context is cancelled, so its work
 //	           unwinds and the slot frees.
@@ -159,6 +160,13 @@ func (k *Kernel) run(w http.ResponseWriter, r *http.Request, cl Class, call Call
 	go func() {
 		defer k.adm.release(cl)
 		defer k.counts.inflight.Add(-1)
+		// A panic in the Call fails this request alone: it is answered as a
+		// 500 naming the endpoint, and the process keeps serving.
+		defer func() {
+			if p := recover(); p != nil {
+				done <- outcome{nil, Errorf(http.StatusInternalServerError, "%s %s: internal error: panic: %v", r.Method, r.URL.Path, p)}
+			}
+		}()
 		body, err := call(ctx)
 		done <- outcome{body, err}
 	}()

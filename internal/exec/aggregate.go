@@ -99,7 +99,8 @@ func (p *aggPlan) scan(ctx context.Context) (*aggScan, error) {
 			selW[k] = 1
 		}
 	}
-	gids, ngroups, firstRow := groupIDs(p.snap, p.keyIdx, selRows)
+	gids, firstRow := p.snap.GroupIDs(p.keyIdx, nil, selRows)
+	ngroups := len(firstRow)
 	states, err := accumulateStates(ctx, p.vaggs, p.snap, p.rawW, selRows, gids, selW, ngroups, p.workers)
 	if err != nil {
 		return nil, err

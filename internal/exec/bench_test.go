@@ -55,9 +55,9 @@ func BenchmarkFilterProject100k(b *testing.B) {
 // strings, as closed_scan's does, so their B/op includes the outcome table
 // (one byte per dictionary code) that every compile fills. B/op is
 // otherwise the truth vector, the selection (exactly one int32 per kept
-// row), an AND's right-arm vector and a computed operand; a kernel that
-// copied a column would add a table-length slice to it. text-ne keeps
-// about 90 % of the rows, the dense-selection case.
+// row) and a computed operand; a kernel that copied a column would add a
+// table-length slice to it. text-ne keeps about 90 % of the rows, the
+// dense-selection case.
 func BenchmarkFilterKernels100k(b *testing.B) {
 	num := benchTable(100000).Snapshot()
 	rng, rngY := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))

@@ -8,21 +8,20 @@
 // have one kernel. A TEXT or BOOL column compared against constants — its
 // truth, a comparison, IN, BETWEEN's two bounds — is a table of outcomes
 // indexed by the row's dictionary code or bool, filled once per compile.
-// Group-by keys densify into small integer ids built from
-// dictionary codes and NaN-canonical float bits — never from per-row
-// strings — and aggregates run as tight loops over the same numVecs with
-// the weight vector.
+// Group-by and DISTINCT keys become dense ids through
+// table.Snapshot.GroupIDs — never through per-row strings — and aggregates
+// run as tight loops over the same numVecs with the weight vector.
 //
 // Determinism contract: the vectorized path is byte-identical to the row
 // interpreter on every query it accepts. Group output order is
 // first-appearance order (dense ids are assigned in scan order), float
 // accumulation happens in row order with the same operation sequence the
 // row path uses, and value identity for grouping matches value.HashKey
-// exactly (see value.ScalarBits). An operand the kernels do not compile
-// stays inside the pipeline as a per-row form: a WHERE the kernels do not
-// cover runs the interpreted expression tree per row (SelectRows), an
-// aggregate input is evaluated per kept row through accumulateRow, and a
-// computed select item through projectRow, while selection, grouping and
+// exactly (see table.Snapshot.GroupIDs). An operand the kernels do not
+// compile stays inside the pipeline as a per-row form: a WHERE the kernels
+// do not cover runs the interpreted expression tree per row (SelectRows),
+// an aggregate input is evaluated per kept row through accumulateRow, and
+// a computed select item through projectRow, while selection, grouping and
 // accumulation stay columnar. Errors surface in the interpreter's order:
 // the first failing row in scan order, items at a row in select-list order.
 package exec
@@ -572,16 +571,29 @@ type logicKernel struct {
 	and  bool
 }
 
+// logicChunkRows is how many rows a logicKernel combines at a time: a
+// multiple of 64, so every chunk starts on a null-bitmap word.
+const logicChunkRows = 1024
+
+// eval writes the left arm's outcomes into dst, then, a chunk at a time,
+// saves them in a stack buffer, lets the right arm overwrite the chunk and
+// combines the two. The buffer is never handed to a kernel (a slice passed
+// through the interface would escape to the heap), so a node allocates
+// nothing, and outcomes are row-local, so chunking changes none.
 func (k *logicKernel) eval(dst []int8, lo, hi int) {
 	k.l.eval(dst, lo, hi)
-	tmp := make([]int8, len(dst))
-	k.r.eval(tmp, lo, hi)
 	tbl := &orTable
 	if k.and {
 		tbl = &andTable
 	}
-	for i, a := range dst {
-		dst[i] = tbl[(a<<2|tmp[i])&15]
+	var left [logicChunkRows]int8
+	for c := 0; c < len(dst); c += logicChunkRows {
+		d := dst[c:min(c+logicChunkRows, len(dst))]
+		copy(left[:], d)
+		k.r.eval(d, lo+c, lo+c+len(d))
+		for i, r := range d {
+			d[i] = tbl[(left[i]<<2|r)&15]
+		}
 	}
 }
 
@@ -846,130 +858,6 @@ func UpdateWeights(snap *table.Snapshot, where, weight expr.Expr, workers int) (
 	return rows, vals, selErr
 }
 
-// densifyColumn assigns each selected row a dense id for one key column, in
-// first-appearance order. Identity follows HashKey: dictionary code for
-// TEXT, NaN-canonical float64 bits for numerics (so an INT column groups by
-// float64 value, exactly as HashKey formats it), 0/1 for BOOL, one id for
-// NULL. first[id] is the selected row where id first appears.
-func densifyColumn(snap *table.Snapshot, col int, selRows []int32) (dense, first []int32) {
-	c := snap.Col(col)
-	dense = make([]int32, len(selRows))
-	switch c.Kind {
-	case value.KindText:
-		remap := make([]int32, len(snap.DictStrings())+1)
-		for i := range remap {
-			remap[i] = -1
-		}
-		for k, ri := range selRows {
-			idx := 0 // NULL
-			if !c.Null(int(ri)) {
-				idx = int(c.Codes[ri]) + 1
-			}
-			id := remap[idx]
-			if id < 0 {
-				id = int32(len(first))
-				first = append(first, ri)
-				remap[idx] = id
-			}
-			dense[k] = id
-		}
-	case value.KindBool:
-		remap := [3]int32{-1, -1, -1} // null, false, true
-		for k, ri := range selRows {
-			idx := 0
-			if !c.Null(int(ri)) {
-				idx = 1
-				if c.Bools[ri] {
-					idx = 2
-				}
-			}
-			id := remap[idx]
-			if id < 0 {
-				id = int32(len(first))
-				first = append(first, ri)
-				remap[idx] = id
-			}
-			dense[k] = id
-		}
-	case value.KindInt:
-		m := make(map[uint64]int32)
-		nullID := int32(-1)
-		for k, ri := range selRows {
-			if c.Null(int(ri)) {
-				if nullID < 0 {
-					nullID = int32(len(first))
-					first = append(first, ri)
-				}
-				dense[k] = nullID
-				continue
-			}
-			bits := value.NumBits(float64(c.Ints[ri]))
-			id, ok := m[bits]
-			if !ok {
-				id = int32(len(first))
-				first = append(first, ri)
-				m[bits] = id
-			}
-			dense[k] = id
-		}
-	case value.KindFloat:
-		m := make(map[uint64]int32)
-		nullID := int32(-1)
-		for k, ri := range selRows {
-			if c.Null(int(ri)) {
-				if nullID < 0 {
-					nullID = int32(len(first))
-					first = append(first, ri)
-				}
-				dense[k] = nullID
-				continue
-			}
-			bits := value.NumBits(c.Floats[ri])
-			id, ok := m[bits]
-			if !ok {
-				id = int32(len(first))
-				first = append(first, ri)
-				m[bits] = id
-			}
-			dense[k] = id
-		}
-	}
-	return dense, first
-}
-
-// groupIDs assigns each selected row its final group id, folding multi-key
-// composites pairwise through uint64-keyed maps. Ids are dense and ordered
-// by first appearance, which is exactly the row path's group output order;
-// group g first appears at row firstRow[g], recorded as its id is assigned.
-func groupIDs(snap *table.Snapshot, keyIdx []int, selRows []int32) (gids []int32, ngroups int, firstRow []int32) {
-	m := len(selRows)
-	if len(keyIdx) == 0 {
-		if m == 0 {
-			return nil, 0, nil
-		}
-		return make([]int32, m), 1, []int32{selRows[0]}
-	}
-	gids, firstRow = densifyColumn(snap, keyIdx[0], selRows)
-	for _, kc := range keyIdx[1:] {
-		d, _ := densifyColumn(snap, kc, selRows)
-		pair := make(map[uint64]int32)
-		out := make([]int32, m)
-		firstRow = nil
-		for k := 0; k < m; k++ {
-			key := uint64(uint32(gids[k]))<<32 | uint64(uint32(d[k]))
-			id, ok := pair[key]
-			if !ok {
-				id = int32(len(firstRow))
-				firstRow = append(firstRow, selRows[k])
-				pair[key] = id
-			}
-			out[k] = id
-		}
-		gids = out
-	}
-	return gids, len(firstRow), firstRow
-}
-
 // accumulate runs one aggregate's tight loop over the selected rows,
 // writing the shared partial-state arrays (PartialStates). Accumulation
 // order is scan order and the operation sequence matches
@@ -1190,7 +1078,7 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 	distinctOK := sel.Distinct && !slices.Contains(sources, srcWeight)
 	cand := selRows
 	if distinctOK {
-		_, _, cand = groupIDs(snap, sources, selRows)
+		_, cand = snap.GroupIDs(sources, nil, selRows)
 	}
 
 	// ORDER BY / LIMIT on row indices, before materialization.

@@ -79,78 +79,84 @@ func FitContext(ctx context.Context, sample *table.Table, marginals []*marginal.
 	if len(marginals) == 0 {
 		return nil, Result{}, fmt.Errorf("ipf: no marginals")
 	}
-	n := sample.Len()
-	if n == 0 {
+	if sample.Len() == 0 {
 		return nil, Result{}, fmt.Errorf("ipf: empty sample %s", sample.Name())
 	}
 
-	// Pre-bucket tuple indices by marginal cell, keying on value codes over
-	// the columnar snapshot: one snapshot (single lock acquisition) serves
-	// every marginal, and per-row work is an array load plus one small-struct
-	// map probe instead of building a HashKey string.
 	snap := sample.Snapshot()
-	groups := make([][]cellGroup, len(marginals))
-	var unreachable, reachableTotal float64
-	totals := make([]float64, len(marginals))
+	all := snap.AllRows()
+	slots := make([][]cellGroup, len(marginals))
 	for mi, m := range marginals {
-		totals[mi] = m.Total()
 		idxs := make([]int, len(m.Attrs))
+		widths := make([]float64, len(m.Attrs))
 		for ai, a := range m.Attrs {
 			j, ok := sample.Schema().Index(a)
 			if !ok {
 				return nil, Result{}, fmt.Errorf("ipf: sample %s has no attribute %q required by marginal %s", sample.Name(), a, m.Name)
 			}
-			idxs[ai] = j
+			idxs[ai], widths[ai] = j, m.BinWidth(ai)
 		}
-		// Row codes per attribute, snapped to the marginal's bin grid.
-		rowCls := make([][]value.Class, len(idxs))
-		rowBits := make([][]uint64, len(idxs))
+		slots[mi] = cellSlots(snap, m, idxs, widths, all)
+	}
+	return rake(ctx, marginals, slots, sample.Weights(), opts)
+}
+
+// cellSlots buckets the sample's rows by m's cells: the sample's groups
+// under m's bin widths (Snapshot.GroupIDs), then one cell lookup per group
+// at its first row. It seeds one slot per cell, in cell order, with the
+// cell's count as target; a cell no group matches (a TEXT value the sample
+// never stored) keeps no rows. A group outside every cell gets a
+// zero-target slot of its own after the cells, in first-appearance order:
+// IPF drives its weights to 0.
+func cellSlots(snap *table.Snapshot, m *marginal.Marginal, idxs []int, widths []float64, all []int32) []cellGroup {
+	ids, first := snap.GroupIDs(idxs, widths, all)
+	cells := m.Cells()
+	slots := make([]cellGroup, len(cells), len(cells)+len(first))
+	for ci := range cells {
+		slots[ci].target = cells[ci].Count
+	}
+	slotOf := make([]int, len(first))
+	vals := make([]value.Value, len(idxs))
+	for g, r := range first {
 		for ai, j := range idxs {
-			rowCls[ai], rowBits[ai] = snap.BinnedCodes(j, m.BinWidth(ai))
+			vals[ai] = snap.Value(int(r), j)
 		}
-		// Seed one slot per marginal cell, in cell order; cells whose TEXT
-		// value the sample never interned cannot match any row and stay
-		// unreachable.
-		cells := m.Cells()
-		slots := make([]*cellGroup, 0, len(cells))
-		byCode := make(map[table.CellCode]*cellGroup, len(cells))
-		for ci := range cells {
-			g := &cellGroup{target: cells[ci].Count}
-			slots = append(slots, g)
-			if code, ok := snap.CellCodeOf(cells[ci].Vals); ok {
-				byCode[code] = g
-			}
+		ci, ok := m.Index(vals)
+		if !ok {
+			ci = len(slots)
+			slots = append(slots, cellGroup{})
 		}
-		for i := 0; i < n; i++ {
-			code := table.CellCode{C0: rowCls[0][i], B0: rowBits[0][i]}
-			if len(idxs) == 2 {
-				code.C1, code.B1 = rowCls[1][i], rowBits[1][i]
-			}
-			g, ok := byCode[code]
-			if !ok {
-				// Tuple outside every marginal cell: it gets zero target,
-				// i.e. IPF drives its weight to 0. Record as its own cell.
-				g = &cellGroup{}
-				byCode[code] = g
-				slots = append(slots, g)
-			}
-			g.rows = append(g.rows, i)
-		}
-		gl := make([]cellGroup, 0, len(slots))
+		slotOf[g] = ci
+	}
+	for i, g := range ids {
+		s := &slots[slotOf[g]]
+		s.rows = append(s.rows, i)
+	}
+	return slots
+}
+
+// rake fits the seed weights w in place to every marginal's slots: slots
+// with no rows are unreachable mass, the reachable targets are
+// renormalized unless opts keeps them, and raking sweeps until convergence.
+func rake(ctx context.Context, marginals []*marginal.Marginal, slots [][]cellGroup, w []float64, opts Options) ([]float64, Result, error) {
+	groups := make([][]cellGroup, len(marginals))
+	var unreachable, reachableTotal float64
+	for mi, m := range marginals {
+		gl := make([]cellGroup, 0, len(slots[mi]))
 		var reach float64
-		for _, g := range slots {
+		for _, g := range slots[mi] {
 			if len(g.rows) == 0 {
 				unreachable += g.target
 				continue
 			}
 			reach += g.target
-			gl = append(gl, *g)
+			gl = append(gl, g)
 		}
 		reachableTotal += reach
 		// Renormalize reachable targets to the marginal total so the
 		// marginal system stays consistent over the sample's support.
-		if !opts.KeepUnreachableTargets && reach > 0 && reach < totals[mi] {
-			f := totals[mi] / reach
+		if total := m.Total(); !opts.KeepUnreachableTargets && reach > 0 && reach < total {
+			f := total / reach
 			for i := range gl {
 				gl[i].target *= f
 			}
@@ -158,7 +164,6 @@ func FitContext(ctx context.Context, sample *table.Table, marginals []*marginal.
 		groups[mi] = gl
 	}
 
-	w := sample.Weights()
 	var seed float64
 	for _, x := range w {
 		if x < 0 {

@@ -32,8 +32,14 @@ type Marginal struct {
 	Name  string
 	Attrs []string  // 1 or 2 attribute names
 	bins  []float64 // bin width per attribute; 0 = exact values
-	cells map[string]*Cell
+	cells map[string]*cell
 	order []string // cell keys in insertion order for deterministic iteration
+}
+
+// cell is a Cell with its position in insertion order.
+type cell struct {
+	Cell
+	pos int
 }
 
 // New creates an empty marginal over the given attributes.
@@ -53,7 +59,7 @@ func New(name string, attrs []string) (*Marginal, error) {
 		Name:  name,
 		Attrs: append([]string(nil), attrs...),
 		bins:  make([]float64, len(attrs)),
-		cells: make(map[string]*Cell),
+		cells: make(map[string]*cell),
 	}, nil
 }
 
@@ -125,9 +131,28 @@ func (m *Marginal) Add(vals []value.Value, count float64) error {
 		c.Count += count
 		return nil
 	}
-	m.cells[k] = &Cell{Vals: snapped, Count: count}
-	m.order = append(m.order, k)
+	m.insert(k, snapped, count)
 	return nil
+}
+
+// insert appends a new cell under key k.
+func (m *Marginal) insert(k string, vals []value.Value, count float64) {
+	m.cells[k] = &cell{Cell: Cell{Vals: vals, Count: count}, pos: len(m.order)}
+	m.order = append(m.order, k)
+}
+
+// Index returns the position in Cells of the cell vals snaps to, and false
+// when the marginal has no such cell.
+func (m *Marginal) Index(vals []value.Value) (int, bool) {
+	snapped, err := m.SnapVals(vals)
+	if err != nil {
+		return 0, false
+	}
+	c, ok := m.cells[cellKey(snapped)]
+	if !ok {
+		return 0, false
+	}
+	return c.pos, true
 }
 
 // Total returns the sum of all cell counts — the represented population size.
@@ -144,7 +169,7 @@ func (m *Marginal) Total() float64 {
 func (m *Marginal) Cells() []Cell {
 	out := make([]Cell, 0, len(m.order))
 	for _, k := range m.order {
-		out = append(out, *m.cells[k])
+		out = append(out, m.cells[k].Cell)
 	}
 	return out
 }
@@ -221,11 +246,10 @@ func FromTable(name string, t *table.Table, attrs []string) (*Marginal, error) {
 // FromTableBinned is FromTable with per-attribute bin widths (attribute name
 // → width; attributes absent from the map use exact values).
 //
-// It groups rows into cells by value-code tuples over the table's columnar
-// snapshot (dictionary codes for TEXT, NaN-canonical float bits for
-// numerics) instead of building a cellKey string per row; cell order,
-// values, and counts are identical to per-row Add calls — counts accumulate
-// per cell in the same row order.
+// Cells are the table's groups under Snapshot.GroupIDs with the marginal's
+// bin widths: cell order, values and counts are identical to per-row Add
+// calls — a cell takes its first row's snapped values, and counts
+// accumulate in row order.
 func FromTableBinned(name string, t *table.Table, attrs []string, widths map[string]float64) (*Marginal, error) {
 	m, err := New(name, attrs)
 	if err != nil {
@@ -245,42 +269,21 @@ func FromTableBinned(name string, t *table.Table, attrs []string, widths map[str
 		idxs[i] = j
 	}
 	snap := t.Snapshot()
-	n := snap.Len()
-	rowCls := make([][]value.Class, len(idxs))
-	rowBits := make([][]uint64, len(idxs))
-	for ai, j := range idxs {
-		rowCls[ai], rowBits[ai] = snap.BinnedCodes(j, m.bins[ai])
+	ids, first := snap.GroupIDs(idxs, m.bins, snap.AllRows())
+	counts := make([]float64, len(first))
+	for i, w := range snap.Weights() {
+		counts[ids[i]] += w
 	}
-	byCode := make(map[table.CellCode]int)
-	var cellVals [][]value.Value
-	var counts []float64
-	wts := snap.Weights()
 	rawVals := make([]value.Value, len(idxs))
-	for i := 0; i < n; i++ {
-		key := table.CellCode{C0: rowCls[0][i], B0: rowBits[0][i]}
-		if len(idxs) == 2 {
-			key.C1, key.B1 = rowCls[1][i], rowBits[1][i]
+	for g, r := range first {
+		for ai, j := range idxs {
+			rawVals[ai] = snap.Value(int(r), j)
 		}
-		ci, ok := byCode[key]
-		if !ok {
-			for ai, j := range idxs {
-				rawVals[ai] = snap.Value(i, j)
-			}
-			snapped, err := m.SnapVals(rawVals)
-			if err != nil {
-				return nil, err
-			}
-			ci = len(cellVals)
-			byCode[key] = ci
-			cellVals = append(cellVals, snapped)
-			counts = append(counts, 0)
+		snapped, err := m.SnapVals(rawVals)
+		if err != nil {
+			return nil, err
 		}
-		counts[ci] += wts[i]
-	}
-	for ci, vals := range cellVals {
-		k := cellKey(vals)
-		m.cells[k] = &Cell{Vals: vals, Count: counts[ci]}
-		m.order = append(m.order, k)
+		m.insert(cellKey(snapped), snapped, counts[g])
 	}
 	return m, nil
 }

@@ -234,7 +234,6 @@ type Snapshot struct {
 	cols     []Column
 	dict     *Dict
 	dictStrs []string // code→string table frozen at snapshot time
-	tbl      *Table   // parent, for the shared code-vector cache
 }
 
 // Snapshot captures the table's current contents with one RLock. The
@@ -247,7 +246,6 @@ func (t *Table) Snapshot() *Snapshot {
 		sc:   t.schema,
 		wts:  t.wts,
 		dict: t.dict,
-		tbl:  t,
 	}
 	n := len(t.wts)
 	s.cols = make([]Column, len(t.cols))
@@ -288,10 +286,7 @@ func clip[T any](v []T, n int) []T {
 // multiple of 64 so the null bitmaps re-slice on word boundaries (no bit
 // shifting, no copying); hi is clamped to the snapshot length, and lo > hi
 // (a trailing empty shard) yields an empty view. The slice shares the
-// snapshot's dictionary and payload storage, but drops the parent-table
-// pointer: the shared code-vector cache assumes row 0 of the vector is row 0
-// of the table, which is false for any lo > 0, so sliced views always
-// compute code vectors directly.
+// snapshot's dictionary and payload storage.
 func (s *Snapshot) SliceRange(lo, hi int) *Snapshot {
 	if hi > len(s.wts) {
 		hi = len(s.wts)
@@ -419,191 +414,140 @@ func (s *Snapshot) DictStrings() []string { return s.dictStrs }
 // A miss means no row of any snapshot of this table stores str.
 func (s *Snapshot) DictLookup(str string) (uint32, bool) { return s.dict.Lookup(str) }
 
-// codeKey identifies one cached code vector: a column position and the
-// histogram bin width its numerics were snapped to (0 = unbinned Codes).
-type codeKey struct {
-	col   int
-	width float64
-}
-
-// codeVec is one cached code vector: the (cls, bits) pair for the first n
-// rows of a column. Codes are append-only prefix-stable, so the vector
-// serves every snapshot of length ≤ n and is replaced (never edited) when a
-// longer snapshot materializes more rows.
-type codeVec struct {
-	n    int
-	cls  []value.Class
-	bits []uint64
-}
-
-// cachedCodes serves one code vector from the parent table's cache,
-// computing and installing it on miss. Repeated IPF fits and marginal
-// builds over the same sample hit the cache instead of re-materializing
-// O(rows) vectors per call; callers must treat the returned slices as
-// read-only (they are shared by every snapshot of the table).
-func (s *Snapshot) cachedCodes(col int, width float64, compute func() ([]value.Class, []uint64)) ([]value.Class, []uint64) {
-	t := s.tbl
-	if t == nil {
-		return compute()
-	}
-	n := s.Len()
-	key := codeKey{col: col, width: width}
-	t.codeMu.Lock()
-	if cv, ok := t.codeCache[key]; ok && cv.n >= n {
-		cls, bits := cv.cls[:n:n], cv.bits[:n:n]
-		t.codeMu.Unlock()
-		return cls, bits
-	}
-	t.codeMu.Unlock()
-	cls, bits := compute()
-	t.codeMu.Lock()
-	if t.codeCache == nil {
-		t.codeCache = make(map[codeKey]*codeVec)
-	}
-	if cv, ok := t.codeCache[key]; !ok || cv.n < n {
-		t.codeCache[key] = &codeVec{n: n, cls: cls, bits: bits}
-	}
-	t.codeMu.Unlock()
-	return cls, bits
-}
-
-// Codes materializes the (class, bits) code of every row of column col into
-// a pair of parallel slices: cls[i] partitions by HashKey tag class and
-// bits[i] distinguishes values within the class (dictionary code for TEXT,
-// NaN-canonical float bits for numerics, 0/1 for BOOL). Two rows have equal
-// (cls, bits) pairs exactly when their HashKeys are equal, so these codes
-// can key group-by and marginal-cell hash tables directly. The vectors are
-// cached on the parent table (append-only prefix reuse) and must be treated
-// as read-only.
-func (s *Snapshot) Codes(col int) (cls []value.Class, bits []uint64) {
-	return s.cachedCodes(col, 0, func() ([]value.Class, []uint64) { return s.computeCodes(col) })
-}
-
-// computeCodes materializes the code vectors of Codes without consulting the
-// cache.
-func (s *Snapshot) computeCodes(col int) (cls []value.Class, bits []uint64) {
-	c := &s.cols[col]
-	n := s.Len()
-	cls = make([]value.Class, n)
-	bits = make([]uint64, n)
-	switch c.Kind {
-	case value.KindInt:
-		for i, x := range c.Ints {
-			cls[i] = value.ClassNum
-			bits[i] = value.NumBits(float64(x))
+// GroupIDs assigns each of rows a dense id by its values in cols, in
+// first-appearance order: ids[k] is rows[k]'s id and first[g] the row where
+// id g first appears. Two rows share an id exactly when value.HashKey
+// agrees on every column, after a numeric value is snapped to its bin
+// midpoint (⌊v/w⌋+0.5)·w where widths[i] = w ≠ 0 — marginal.SnapVals'
+// expression; widths may be nil when no column is binned. A column keys
+// TEXT by dictionary code, numerics by NaN-canonical float64 bits (so an
+// INT groups with the FLOAT of equal float64 value, as HashKey formats it),
+// BOOL by false/true, and gives NULL one id. Several columns fold pairwise
+// through uint64-keyed maps; with none, every row is id 0. Callers that
+// want every row pass the identity row list.
+func (s *Snapshot) GroupIDs(cols []int, widths []float64, rows []int32) (ids, first []int32) {
+	if len(cols) == 0 {
+		if len(rows) == 0 {
+			return nil, nil
 		}
-	case value.KindFloat:
-		for i, x := range c.Floats {
-			cls[i] = value.ClassNum
-			bits[i] = value.NumBits(x)
+		return make([]int32, len(rows)), []int32{rows[0]}
+	}
+	width := func(i int) float64 {
+		if widths == nil {
+			return 0
+		}
+		return widths[i]
+	}
+	ids, first = s.columnIDs(cols[0], width(0), rows)
+	for i, col := range cols[1:] {
+		d, _ := s.columnIDs(col, width(i+1), rows)
+		pair := make(map[uint64]int32)
+		out := make([]int32, len(rows))
+		first = nil
+		for k := range rows {
+			key := uint64(uint32(ids[k]))<<32 | uint64(uint32(d[k]))
+			id, ok := pair[key]
+			if !ok {
+				id = int32(len(first))
+				first = append(first, rows[k])
+				pair[key] = id
+			}
+			out[k] = id
+		}
+		ids = out
+	}
+	return ids, first
+}
+
+// AllRows is the identity row list 0, 1, …, Len()-1: GroupIDs over every
+// row.
+func (s *Snapshot) AllRows() []int32 {
+	rows := make([]int32, s.Len())
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
+}
+
+// columnIDs is GroupIDs over one column; width applies to a numeric one.
+func (s *Snapshot) columnIDs(col int, width float64, rows []int32) (ids, first []int32) {
+	c := &s.cols[col]
+	ids = make([]int32, len(rows))
+	switch c.Kind {
+	case value.KindText:
+		remap := make([]int32, len(s.dictStrs)+1)
+		for i := range remap {
+			remap[i] = -1
+		}
+		for k, ri := range rows {
+			idx := 0 // NULL
+			if !c.Null(int(ri)) {
+				idx = int(c.Codes[ri]) + 1
+			}
+			id := remap[idx]
+			if id < 0 {
+				id = int32(len(first))
+				first = append(first, ri)
+				remap[idx] = id
+			}
+			ids[k] = id
 		}
 	case value.KindBool:
-		for i, b := range c.Bools {
-			cls[i] = value.ClassBool
-			if b {
-				bits[i] = 1
+		remap := [3]int32{-1, -1, -1} // null, false, true
+		for k, ri := range rows {
+			idx := 0
+			if !c.Null(int(ri)) {
+				idx = 1
+				if c.Bools[ri] {
+					idx = 2
+				}
 			}
-		}
-	case value.KindText:
-		for i, code := range c.Codes {
-			cls[i] = value.ClassText
-			bits[i] = uint64(code)
-		}
-	}
-	if c.Nulls != nil {
-		for i := 0; i < n; i++ {
-			if c.Null(i) {
-				cls[i] = value.ClassNull
-				bits[i] = 0
+			id := remap[idx]
+			if id < 0 {
+				id = int32(len(first))
+				first = append(first, ri)
+				remap[idx] = id
 			}
+			ids[k] = id
 		}
+	case value.KindInt:
+		first = numIDs(c, c.Ints, width, rows, ids)
+	case value.KindFloat:
+		first = numIDs(c, c.Floats, width, rows, ids)
 	}
-	return cls, bits
+	return ids, first
 }
 
-// CellCode keys a 1- or 2-attribute marginal cell by value codes (class +
-// 64-bit payload per attribute) instead of a concatenated HashKey string.
-// Code equality matches cellKey-string equality exactly; both ipf and
-// marginal bucket tuples with it, so the coding scheme lives in one place.
-type CellCode struct {
-	C0, C1 value.Class
-	B0, B1 uint64
-}
-
-// CodeOf codes one value against this snapshot's dictionary, matching the
-// per-row codes from Codes/BinnedCodes. ok=false means a TEXT value no row
-// of this table ever stored — such a value can never match any row.
-func (s *Snapshot) CodeOf(v value.Value) (cls value.Class, bits uint64, ok bool) {
-	if cls, bits, ok = v.ScalarBits(); ok {
-		return cls, bits, true
+// numIDs is columnIDs' loop over an INT or FLOAT payload xs of column c. A
+// binned column runs it over its values snapped to their bin midpoints
+// (⌊v/w⌋+0.5)·w, so the loop never branches on the width.
+func numIDs[T int64 | float64](c *Column, xs []T, width float64, rows, ids []int32) (first []int32) {
+	if width != 0 {
+		mids := make([]float64, len(xs))
+		for i, x := range xs {
+			mids[i] = (math.Floor(float64(x)/width) + 0.5) * width
+		}
+		return numIDs(c, mids, 0, rows, ids)
 	}
-	c, found := s.DictLookup(v.AsText())
-	if !found {
-		return value.ClassText, 0, false
-	}
-	return value.ClassText, uint64(c), true
-}
-
-// CellCodeOf codes a 1- or 2-value cell tuple; ok=false when any component
-// is unmatchable (see CodeOf).
-func (s *Snapshot) CellCodeOf(vals []value.Value) (CellCode, bool) {
-	var code CellCode
-	cls, bits, ok := s.CodeOf(vals[0])
-	if !ok {
-		return code, false
-	}
-	code.C0, code.B0 = cls, bits
-	if len(vals) == 2 {
-		cls, bits, ok = s.CodeOf(vals[1])
+	m := make(map[uint64]int32)
+	nullID := int32(-1)
+	for k, ri := range rows {
+		if c.Null(int(ri)) {
+			if nullID < 0 {
+				nullID = int32(len(first))
+				first = append(first, ri)
+			}
+			ids[k] = nullID
+			continue
+		}
+		bits := value.NumBits(float64(xs[ri]))
+		id, ok := m[bits]
 		if !ok {
-			return code, false
+			id = int32(len(first))
+			first = append(first, ri)
+			m[bits] = id
 		}
-		code.C1, code.B1 = cls, bits
+		ids[k] = id
 	}
-	return code, true
-}
-
-// BinnedCodes is Codes with numeric values snapped to histogram bin
-// midpoints first: (⌊v/width⌋+0.5)·width, the same expression
-// marginal.SnapVals uses, so a binned row code equals the code of its
-// snapped cell value. Non-numeric columns and width 0 defer to Codes. Like
-// Codes, the vectors are cached per (column, width) on the parent table and
-// must be treated as read-only.
-func (s *Snapshot) BinnedCodes(col int, width float64) (cls []value.Class, bits []uint64) {
-	if width == 0 || (s.cols[col].Kind != value.KindInt && s.cols[col].Kind != value.KindFloat) {
-		return s.Codes(col)
-	}
-	return s.cachedCodes(col, width, func() ([]value.Class, []uint64) { return s.computeBinnedCodes(col, width) })
-}
-
-// computeBinnedCodes materializes the code vectors of BinnedCodes without
-// consulting the cache.
-func (s *Snapshot) computeBinnedCodes(col int, width float64) (cls []value.Class, bits []uint64) {
-	c := &s.cols[col]
-	n := s.Len()
-	cls = make([]value.Class, n)
-	bits = make([]uint64, n)
-	snapf := func(f float64) uint64 {
-		return value.NumBits((math.Floor(f/width) + 0.5) * width)
-	}
-	if c.Kind == value.KindInt {
-		for i, x := range c.Ints {
-			cls[i] = value.ClassNum
-			bits[i] = snapf(float64(x))
-		}
-	} else {
-		for i, x := range c.Floats {
-			cls[i] = value.ClassNum
-			bits[i] = snapf(x)
-		}
-	}
-	if c.Nulls != nil {
-		for i := 0; i < n; i++ {
-			if c.Null(i) {
-				cls[i] = value.ClassNull
-				bits[i] = 0
-			}
-		}
-	}
-	return cls, bits
+	return first
 }

@@ -225,47 +225,47 @@ func TestFromColumnsRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// TestSnapshotCodesMatchHashKeys: the (class, bits) codes must induce
-// exactly the HashKey equivalence relation, row against row.
+// TestSnapshotCodesMatchHashKeys: the exact one-column group ids must
+// induce exactly the HashKey equivalence relation, row against row.
 func TestSnapshotCodesMatchHashKeys(t *testing.T) {
 	tbl := snapFixture(t)
 	s := tbl.Snapshot()
 	for ci := 0; ci < snapSchema.Len(); ci++ {
-		cls, bits := s.Codes(ci)
+		ids, _ := s.GroupIDs([]int{ci}, nil, s.AllRows())
 		for i := 0; i < s.Len(); i++ {
 			for j := 0; j < s.Len(); j++ {
-				codeEq := cls[i] == cls[j] && bits[i] == bits[j]
+				idEq := ids[i] == ids[j]
 				keyEq := s.Row(i)[ci].HashKey() == s.Row(j)[ci].HashKey()
-				if codeEq != keyEq {
-					t.Errorf("col %d rows %d,%d: codeEq=%v keyEq=%v (%s vs %s)",
-						ci, i, j, codeEq, keyEq, s.Row(i)[ci], s.Row(j)[ci])
+				if idEq != keyEq {
+					t.Errorf("col %d rows %d,%d: idEq=%v keyEq=%v (%s vs %s)",
+						ci, i, j, idEq, keyEq, s.Row(i)[ci], s.Row(j)[ci])
 				}
 			}
 		}
 	}
 }
 
-// TestBinnedCodesMatchMidpoints: binned codes equal the codes of the
-// SnapVals-style midpoint values.
+// TestBinnedCodesMatchMidpoints: binned group ids agree with the HashKeys
+// of the SnapVals-style midpoint values.
 func TestBinnedCodesMatchMidpoints(t *testing.T) {
 	tbl := New("t", snapSchema)
-	for _, y := range []float64{0.01, 0.49, 0.5, 0.99, -0.3, 7.77} {
+	for _, y := range []float64{0.01, 0.49, 0.5, 0.99, -0.3, 7.77, 0.26} {
 		if err := tbl.Append([]value.Value{value.Text("s"), value.Int(int64(y * 10)), value.Float(y), value.Bool(true)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s := tbl.Snapshot()
 	const w = 0.5
-	cls, bits := s.BinnedCodes(2, w)
+	ids, _ := s.GroupIDs([]int{2}, []float64{w}, s.AllRows())
+	mid := func(i int) string {
+		return value.Float((math.Floor(s.Col(2).Floats[i]/w) + 0.5) * w).HashKey()
+	}
 	for i := 0; i < s.Len(); i++ {
-		if cls[i] != value.ClassNum {
-			t.Fatalf("row %d: class %v", i, cls[i])
-		}
-		f := s.Col(2).Floats[i]
-		// The contract is equality with the midpoint value's own code.
-		wantCls, wantBits, _ := value.Float((math.Floor(f/w) + 0.5) * w).ScalarBits()
-		if cls[i] != wantCls || bits[i] != wantBits {
-			t.Errorf("row %d: binned code mismatch for %g", i, f)
+		for j := 0; j < s.Len(); j++ {
+			if (ids[i] == ids[j]) != (mid(i) == mid(j)) {
+				t.Errorf("rows %d,%d (%g vs %g): binned ids disagree with midpoints",
+					i, j, s.Col(2).Floats[i], s.Col(2).Floats[j])
+			}
 		}
 	}
 }

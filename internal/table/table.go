@@ -43,14 +43,6 @@ type Table struct {
 	// Derived state (IPF fits, trained models) records the pair it was
 	// computed from and is valid exactly while the pair still matches.
 	version uint64
-
-	// codeMu guards codeCache, the per-(column, bin width) cache of
-	// materialized code vectors served through Snapshot.Codes/BinnedCodes
-	// (see columns.go). Codes are append-only prefix-stable — rows never
-	// mutate, dictionary codes never change — so a cached vector of length m
-	// serves every snapshot of length ≤ m.
-	codeMu    sync.Mutex
-	codeCache map[codeKey]*codeVec
 }
 
 // New creates an empty table with the given name and schema.

@@ -348,8 +348,7 @@ func FromHashKey(k string) (Value, bool) {
 
 // Class partitions kinds the way HashKey's leading tag byte does: NULL,
 // BOOL, numeric (INT and FLOAT share a class because they hash and compare
-// as float64), and TEXT. The columnar executor keys group-by hash tables on
-// (Class, ScalarBits) pairs instead of HashKey strings.
+// as float64), and TEXT.
 type Class uint8
 
 // The value classes, in HashKey tag order.
@@ -364,41 +363,15 @@ const (
 // HashKey where every NaN formats as "NaN" and lands in one group.
 var canonicalNaN = math.Float64bits(math.NaN())
 
-// NumBits maps a float64 onto the 64-bit code space used by ScalarBits:
-// the raw IEEE bits with every NaN collapsed to one pattern. Distinct
-// non-NaN floats keep distinct codes (including -0 vs +0, which HashKey
-// also separates: "-0" vs "0").
+// NumBits maps a float64 onto a 64-bit identity code: the raw IEEE bits
+// with every NaN collapsed to one pattern. Two floats have equal codes
+// exactly when their HashKeys are equal (including -0 vs +0, which HashKey
+// separates: "-0" vs "0"; every NaN formats as "NaN").
 func NumBits(f float64) uint64 {
 	if math.IsNaN(f) {
 		return canonicalNaN
 	}
 	return math.Float64bits(f)
-}
-
-// ScalarBits returns a (class, bits) code such that two non-text values have
-// equal codes if and only if their HashKeys are equal. TEXT values return
-// ok=false — string identity needs a dictionary (see table.Dict); the caller
-// keys text by dictionary code instead.
-//
-// INT values code through float64(i), exactly like HashKey formats them, so
-// an INT and a FLOAT that compare equal share a code (and two huge ints that
-// collapse to the same float64 share a group, as they always have).
-func (v Value) ScalarBits() (cls Class, bits uint64, ok bool) {
-	switch v.kind {
-	case KindNull:
-		return ClassNull, 0, true
-	case KindBool:
-		if v.b {
-			return ClassBool, 1, true
-		}
-		return ClassBool, 0, true
-	case KindInt:
-		return ClassNum, NumBits(float64(v.i)), true
-	case KindFloat:
-		return ClassNum, NumBits(v.f), true
-	default:
-		return ClassText, 0, false
-	}
 }
 
 // Coerce converts v to the target kind if a lossless/sane conversion exists:

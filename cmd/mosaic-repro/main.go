@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -26,31 +28,53 @@ import (
 	"mosaic/internal/swg"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id (tables, visibility, fig5, fig6, fig7, sweep, lambda, projections, mechanism, scope, bayes, all)")
-	popN := flag.Int("pop", 50000, "population rows")
-	sampleN := flag.Int("sample", 10000, "spiral sample rows")
-	epochs := flag.Int("epochs", 25, "M-SWG training epochs")
-	projections := flag.Int("projections", 64, "sliced-W1 projections per ≥2-D marginal")
-	workers := flag.Int("workers", 4, "engine intra-query workers (OPEN replicate fan-out, M-SWG training)")
-	openSamples := flag.Int("open-samples", 10, "generated samples averaged per OPEN query")
-	seed := flag.Int64("seed", 1, "random seed")
-	flag.Parse()
+// config is the command line: the experiment to run and its scale.
+type config struct {
+	exp                                                      string
+	popN, sampleN, epochs, projections, workers, openSamples int
+	seed                                                     int64
+}
 
+// errUnknownExp is run's answer to an -exp that names no experiment.
+var errUnknownExp = errors.New("unknown experiment")
+
+func main() {
+	var c config
+	flag.StringVar(&c.exp, "exp", "all", "experiment id (tables, visibility, fig5, fig6, fig7, sweep, lambda, projections, mechanism, scope, bayes, all)")
+	flag.IntVar(&c.popN, "pop", 50000, "population rows")
+	flag.IntVar(&c.sampleN, "sample", 10000, "spiral sample rows")
+	flag.IntVar(&c.epochs, "epochs", 25, "M-SWG training epochs")
+	flag.IntVar(&c.projections, "projections", 64, "sliced-W1 projections per ≥2-D marginal")
+	flag.IntVar(&c.workers, "workers", 4, "engine intra-query workers (OPEN replicate fan-out, M-SWG training)")
+	flag.IntVar(&c.openSamples, "open-samples", 10, "generated samples averaged per OPEN query")
+	flag.Int64Var(&c.seed, "seed", 1, "random seed")
+	flag.Parse()
+	if err := run(os.Stdout, c); err != nil {
+		fmt.Fprintf(os.Stderr, "mosaic-repro: %v\n", err)
+		if errors.Is(err, errUnknownExp) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run writes each selected experiment's report to w under a
+// "=== name (seconds) ===" header, in paper order.
+func run(w io.Writer, c config) error {
 	spiral := repro.SpiralConfig{
-		PopN: *popN, SampleN: *sampleN, Seed: *seed,
+		PopN: c.popN, SampleN: c.sampleN, Seed: c.seed,
 		SWG: swg.Config{
 			Hidden: []int{100, 100, 100}, Latent: 2, Lambda: 0.04,
-			BatchSize: 500, Projections: *projections, Epochs: *epochs,
-			Workers: *workers, Seed: *seed,
+			BatchSize: 500, Projections: c.projections, Epochs: c.epochs,
+			Workers: c.workers, Seed: c.seed,
 		},
 	}
 	flights := repro.FlightsConfig{
-		PopN: *popN, OpenSamples: *openSamples, Workers: *workers, Seed: *seed,
+		PopN: c.popN, OpenSamples: c.openSamples, Workers: c.workers, Seed: c.seed,
 		SWG: swg.Config{
 			Hidden: []int{50, 50, 50, 50, 50}, Latent: 18, Lambda: 1e-7,
-			BatchSize: 500, Projections: *projections, Epochs: *epochs,
-			Workers: *workers, Seed: *seed,
+			BatchSize: 500, Projections: c.projections, Epochs: c.epochs,
+			Workers: c.workers, Seed: c.seed,
 		},
 	}
 
@@ -61,7 +85,7 @@ func main() {
 	}{
 		{"tables", func() (fmt.Stringer, error) { return tables{}, nil }},
 		{"visibility", func() (fmt.Stringer, error) {
-			return repro.RunVisibility(repro.VisibilityConfig{Seed: *seed})
+			return repro.RunVisibility(repro.VisibilityConfig{Seed: c.seed})
 		}},
 		{"fig5", func() (fmt.Stringer, error) { return repro.RunFigure5(spiral) }},
 		{"fig6", func() (fmt.Stringer, error) {
@@ -81,22 +105,21 @@ func main() {
 	}
 	ran := false
 	for _, e := range experiments {
-		if *exp != "all" && *exp != e.name {
+		if c.exp != "all" && c.exp != e.name {
 			continue
 		}
 		ran = true
 		start := time.Now()
 		res, err := e.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mosaic-repro: %s: %v\n", e.name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		fmt.Printf("=== %s (%.1fs) ===\n%s\n\n", e.name, time.Since(start).Seconds(), res)
+		fmt.Fprintf(w, "=== %s (%.1fs) ===\n%s\n\n", e.name, time.Since(start).Seconds(), res)
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "mosaic-repro: unknown experiment %q\n", *exp)
-		os.Exit(2)
+		return fmt.Errorf("%w %q", errUnknownExp, c.exp)
 	}
+	return nil
 }
 
 // tables prints the static Table 1 / Table 2 inventories.

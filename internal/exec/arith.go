@@ -586,18 +586,19 @@ func ownBits(bm []uint64, n int) []uint64 {
 // cmpNumNumKernel compares two numeric operands with value.Compare
 // semantics: exact int64 when both sides are INT, float64 otherwise — an
 // INT element converts inline, never through a materialized copy — with NaN
-// comparing equal to everything (the interpreter's "neither smaller"). A
+// equal to NaN and above every other number, as in the interpreter. A
 // scalar operand compares from a register, so `x > 500` and `x*2 > 500`
 // never materialize the constant side.
 type cmpNumNumKernel struct {
-	a, b *numVec // a is scalar only when b is too (newCmpNumNum)
+	a, b *numVec // a is scalar only when b is too, and FLOAT only when b is (newCmpNumNum)
 	lut  [3]int8
 }
 
 // newCmpNumNum builds the comparison kernel, moving a lone scalar operand
-// to the right: `5 < x` is `x > 5`, the LUT mirrored.
+// to the right and an INT vector facing a FLOAT one to the left: `5 < x` is
+// `x > 5`, the LUT mirrored.
 func newCmpNumNum(a, b *numVec, lut [3]int8) kernel {
-	if a.scalar && !b.scalar {
+	if a.scalar && !b.scalar || !a.isInt && b.isInt && !b.scalar {
 		a, b, lut = b, a, [3]int8{lut[2], lut[1], lut[0]}
 	}
 	return &cmpNumNumKernel{a: a, b: b, lut: lut}
@@ -626,9 +627,9 @@ func (k *cmpNumNumKernel) eval(dst []int8, lo, hi int) {
 	case a.scalar:
 		// Two plain constants under an unfoldable parent: one comparison
 		// decides every row.
-		c := cmpOrder(a.scalarFloat(), b.scalarFloat())
+		c := cmpOrder[float64](a.scalarFloat(), b.scalarFloat())
 		if a.isInt && b.isInt {
-			c = cmpOrder(a.scalarInt(), b.scalarInt())
+			c = cmpOrder[int64](a.scalarInt(), b.scalarInt())
 		}
 		for i := range dst {
 			dst[i] = lut[c+1]
@@ -643,8 +644,6 @@ func (k *cmpNumNumKernel) eval(dst []int8, lo, hi int) {
 		cmpRows[int64](dst, a.ints[lo:hi], b.ints[lo:hi], lut)
 	case a.isInt:
 		cmpRows[float64](dst, a.ints[lo:hi], b.floats[lo:hi], lut)
-	case b.isInt:
-		cmpRows[float64](dst, a.floats[lo:hi], b.ints[lo:hi], lut)
 	default:
 		cmpRows[float64](dst, a.floats[lo:hi], b.floats[lo:hi], lut)
 	}
@@ -656,11 +655,19 @@ func (k *cmpNumNumKernel) eval(dst []int8, lo, hi int) {
 
 // cmpScalar compares each row of xs against y in y's type C: an INT row
 // against a FLOAT scalar converts to float64 in the loop. The row's order
-// indexes lut without a branch.
+// indexes lut without a branch. Against a number y, cmpOrder's order takes
+// two tests: a NaN row is the one neither ≤ y nor < y, so it is greater.
+// Against a NaN y, every row but a NaN one is smaller.
 func cmpScalar[X, C int64 | float64](dst []int8, xs []X, y C, lut [3]int8) {
 	dst = dst[:len(xs)]
+	if y != y {
+		for i, x := range xs {
+			dst[i] = lut[b2i(C(x) != C(x))]
+		}
+		return
+	}
 	for i, x := range xs {
-		dst[i] = lut[cmpOrder(C(x), y)+1]
+		dst[i] = lut[b2i(!(C(x) <= y))-b2i(C(x) < y)+1]
 	}
 }
 
@@ -669,14 +676,20 @@ func cmpScalar[X, C int64 | float64](dst []int8, xs []X, y C, lut [3]int8) {
 func cmpRows[C, X, Y int64 | float64](dst []int8, xs []X, ys []Y, lut [3]int8) {
 	dst, ys = dst[:len(xs)], ys[:len(xs)]
 	for i, x := range xs {
-		dst[i] = lut[cmpOrder(C(x), C(ys[i]))+1]
+		dst[i] = lut[cmpOrder[C](x, ys[i])+1]
 	}
 }
 
-// cmpOrder is value.Compare's ordering over two same-shape numerics: -1/0/1
-// with NaN comparing equal to everything ("neither smaller"), computed
-// without a branch.
-func cmpOrder[T int64 | float64](x, y T) int { return b2i(x > y) - b2i(x < y) }
+// cmpOrder is value.Compare's ordering of x and y compared in type C:
+// -1/0/1, NaN equal to NaN and above every other number, computed without
+// a branch. x is greater when it is > y, or NaN facing a number; smaller
+// when it is a number not ≥ y. An INT is never NaN, so with x INT the NaN
+// tests compile away and two comparisons remain (newCmpNumNum puts an INT
+// vector on the left).
+func cmpOrder[C, X, Y int64 | float64](x X, y Y) int {
+	a, b := C(x), C(y)
+	return (b2i(a > b) | b2i(x != x)&b2i(y == y)) - b2i(!(a >= b))&b2i(x == x)
+}
 
 // truthNumKernel is WHERE truthiness of a numeric operand.
 type truthNumKernel struct{ v *numVec }
@@ -697,17 +710,12 @@ func (k *truthNumKernel) eval(dst []int8, lo, hi int) {
 
 // inNumKernel is IN-list membership of a numeric operand with value.Equal
 // semantics. Over an INT operand, INT list items match exactly on int64 and
-// FLOAT items through float64 — the asymmetry value.Compare has. NaN needs
-// flags of its own: under value.Equal a NaN equals EVERY numeric (Compare
-// finds neither smaller), so a NaN item matches every child and a NaN child
-// matches as soon as the list holds any numeric item — hash sets alone
-// cannot say that.
+// FLOAT items through float64 — the asymmetry value.Compare has. Every
+// other item matches by value.NumBits, under which NaN is NaN and -0 is 0.
 type inNumKernel struct {
 	v       *numVec
 	ints    map[int64]bool  // INT items, over an INT operand
-	floats  map[uint64]bool // every other numeric item, by eqBits
-	anyNum  bool
-	nanItem bool
+	floats  map[uint64]bool // every other numeric item, by value.NumBits
 	sawNull bool
 	negate  bool
 }
@@ -721,12 +729,11 @@ func newInNum(v *numVec, vals []value.Value, sawNull, negate bool) *inNumKernel 
 		if classOf(item.Kind()) != value.ClassNum {
 			continue
 		}
-		f, _ := item.Float64()
-		k.anyNum, k.nanItem = true, k.nanItem || math.IsNaN(f)
 		if v.isInt && item.Kind() == value.KindInt {
 			k.ints[item.AsInt()] = true
 		} else {
-			k.floats[eqBits(f)] = true
+			f, _ := item.Float64()
+			k.floats[value.NumBits(f)] = true
 		}
 	}
 	return k
@@ -739,15 +746,15 @@ func (k *inNumKernel) eval(dst []int8, lo, hi int) {
 	}
 	if k.v.isInt {
 		for i, x := range k.v.ints[lo:hi] {
-			hit := k.nanItem || k.ints[x]
+			hit := k.ints[x]
 			if !hit && len(k.floats) > 0 {
-				hit = k.floats[eqBits(float64(x))]
+				hit = k.floats[value.NumBits(float64(x))]
 			}
 			dst[i] = out[b2i(hit)]
 		}
 	} else {
 		for i, x := range k.v.floats[lo:hi] {
-			dst[i] = out[b2i(k.nanItem || k.floats[eqBits(x)] || (k.anyNum && math.IsNaN(x)))]
+			dst[i] = out[b2i(k.floats[value.NumBits(x)])]
 		}
 	}
 	overlayBits(dst, k.v.nulls, ternNull, lo)

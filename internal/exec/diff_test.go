@@ -49,7 +49,7 @@ func diffTable(tb testing.TB, n int, seed int64) *table.Table {
 		case 1:
 			row[2] = value.Float(0)
 		case 2:
-			row[2] = value.Float(math.Copysign(0, -1)) // -0: distinct group, equal compare
+			row[2] = value.Float(math.Copysign(0, -1)) // -0: one value with 0, in groups and compares
 		default:
 			row[2] = value.Float(float64(int(rng.Float64()*2000-1000)) / 8)
 		}
@@ -407,11 +407,11 @@ func TestRowVsVectorTextColumns(t *testing.T) {
 	}
 }
 
-// nanTable is diffTable with NaN values mixed into the float column — the
-// one value under which value.Compare is not a strict weak order, so it
-// stresses the sort paths' NaN guards (heap top-K must refuse; the
-// permutation sort must still match the row engine's stable sort bit for
-// bit) and NaN group identity.
+// nanTable is diffTable with NaNs (the canonical one and x86's negative
+// one), -0 and +0 mixed into the float column: the values whose identity
+// and order value.Compare, HashKey and the kernels must agree on (NaN
+// equals NaN and sorts above every number, -0 is 0). It stresses the sort
+// words, the heap top-K, NaN and ±0 group identity and IN-list membership.
 func nanTable(tb testing.TB, n int, seed int64) *table.Table {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -420,11 +420,15 @@ func nanTable(tb testing.TB, n int, seed int64) *table.Table {
 		row := make([]value.Value, 5)
 		row[0] = value.Text(fmt.Sprintf("g%d", rng.Intn(4)))
 		row[1] = value.Int(int64(rng.Intn(20) - 10))
-		switch rng.Intn(4) {
+		switch rng.Intn(7) {
 		case 0:
 			row[2] = value.Float(math.NaN())
 		case 1:
 			row[2] = value.Null()
+		case 2:
+			row[2] = value.Float(math.Float64frombits(0xfff8000000000000))
+		case 3:
+			row[2] = value.Float(math.Copysign(0, -1))
 		default:
 			row[2] = value.Float(float64(rng.Intn(16)) / 4)
 		}
@@ -438,7 +442,8 @@ func nanTable(tb testing.TB, n int, seed int64) *table.Table {
 }
 
 // TestRowVsVectorNaN runs the sort/distinct/arith shapes over a table whose
-// float column contains NaNs (and, separately, a NaN weight override).
+// float column contains NaNs and ±0 (and, separately, a NaN weight
+// override).
 func TestRowVsVectorNaN(t *testing.T) {
 	tbl := nanTable(t, 300, 11)
 	shapes := []string{
@@ -448,21 +453,22 @@ func TestRowVsVectorNaN(t *testing.T) {
 		"SELECT DISTINCT y FROM t %s",
 		"SELECT DISTINCT y FROM t %s ORDER BY y LIMIT 3",
 		"SELECT y, COUNT(*) FROM t %s GROUP BY y ORDER BY y LIMIT 7",
-		"SELECT c, AVG(y) AS m FROM t %s GROUP BY c ORDER BY m LIMIT 2", // NaN aggregate keys hit the generic guard
+		"SELECT c, AVG(y) AS m FROM t %s GROUP BY c ORDER BY m LIMIT 2", // NaN aggregate keys on the generic top-K
 		"SELECT SUM(y * 2), MIN(y + 1) FROM t %s",
 		"SELECT c, WEIGHT FROM t %s ORDER BY WEIGHT, c LIMIT 4",
 	}
 	wheres := []string{
 		"", "WHERE y = y", "WHERE y * 2 > 1", "WHERE x % 3 = 0",
-		// NaN membership: under value.Equal a NaN child matches ANY numeric
-		// item, so the hash-set kernels need their NaN flags.
+		// NaN membership: a NaN child matches a NaN item only, -0 matches 0.
 		"WHERE y IN (1.5, 2)",
+		"WHERE y IN (0, 2)",
+		"WHERE y = 0", "WHERE y < 0", "WHERE y > 3", "WHERE y <> 1",
 		"WHERE y NOT IN (1.5, 2)",
 		"WHERE y * 1 IN (1.5, 2)",
 		"WHERE y IN (1.5, NULL)",
 		"WHERE y IN ('a', TRUE)", // no numeric item: NaN must NOT match
-		// A NaN list item (Inf - Inf folds to NaN) matches every numeric
-		// child, float and int alike.
+		// A NaN list item (Inf - Inf folds to NaN) matches the NaN children
+		// and no INT.
 		"WHERE y IN (2, 1e308 * 2 - 1e308 * 2)",
 		"WHERE x IN (1e308 * 2 - 1e308 * 2)",
 		"WHERE x * 1 IN (7, 1e308 * 2 - 1e308 * 2)",
@@ -484,9 +490,10 @@ func TestRowVsVectorNaN(t *testing.T) {
 	}
 }
 
-// FuzzRowVsVector feeds arbitrary SQL through both executors; any accepted
-// SELECT must produce identical outcomes. Seeded from the grid plus the
-// parser fuzz corpus style of inputs.
+// FuzzRowVsVector feeds arbitrary SQL through both executors, over
+// diffTable and over nanTable (so NaN and ±0 are in its value pool); any
+// accepted SELECT must produce identical outcomes. Seeded from the grid
+// plus the parser fuzz corpus style of inputs.
 func FuzzRowVsVector(f *testing.F) {
 	for _, shape := range diffShapes {
 		for _, where := range diffWheres[:8] {
@@ -507,45 +514,47 @@ func FuzzRowVsVector(f *testing.F) {
 	f.Add("SELECT y / x, c FROM t WHERE x / n > -1000")
 	f.Add("SELECT x + c FROM t WHERE n <> 0 OR c + 1 > 0")
 	f.Add("SELECT COUNT(y / x > 0), SUM(c) FROM t WHERE x / n > 0 OR c + 1 > 0")
-	tbl := diffTable(f, 200, 7)
+	tables := []*table.Table{diffTable(f, 200, 7), nanTable(f, 200, 7)}
 	f.Fuzz(func(t *testing.T, src string) {
 		sel, err := sql.ParseQuery(src)
 		if err != nil {
 			return
 		}
-		rres, rerr := Run(tbl, sel, Options{Weighted: true, ForceRow: true})
-		for _, s := range sweepShards {
-			refRes, refErr := rres, rerr
-			if s > 1 {
-				refRes, refErr = Run(tbl, sel, Options{Weighted: true, Workers: 1, Shards: s})
-				switch {
-				case (rerr == nil) != (refErr == nil):
-					t.Fatalf("%q: one path errored\n  row: %v\n  vec(%d shards): %v", src, rerr, s, refErr)
-				case rerr != nil:
-					if rerr.Error() != refErr.Error() {
-						t.Fatalf("%q: error mismatch\n  row: %v\n  vec(%d shards): %v", src, rerr, s, refErr)
-					}
-				case !resultsClose(rres, refRes):
-					t.Fatalf("%q: sharded answer diverged beyond float reassociation\n--- row ---\n%s\n--- vec (%d shards) ---\n%s",
-						src, rres, s, refRes)
-				}
-			}
-			for _, w := range sweepWorkers {
-				vres, verr := Run(tbl, sel, Options{Weighted: true, Workers: w, Shards: s})
-				switch {
-				case refErr != nil && verr != nil:
-					if refErr.Error() != verr.Error() {
-						t.Fatalf("%q: error mismatch\n  ref: %v\n  vec(%d workers, %d shards): %v", src, refErr, w, s, verr)
-					}
-				case refErr != nil || verr != nil:
-					t.Fatalf("%q: one path errored\n  ref: %v\n  vec(%d workers, %d shards): %v", src, refErr, w, s, verr)
-				default:
-					if rs, vs := refRes.String(), vres.String(); rs != vs {
-						t.Fatalf("%q: output mismatch\n--- ref ---\n%s\n--- vec (%d workers, %d shards) ---\n%s", src, rs, w, s, vs)
+		for _, tbl := range tables {
+			rres, rerr := Run(tbl, sel, Options{Weighted: true, ForceRow: true})
+			for _, s := range sweepShards {
+				refRes, refErr := rres, rerr
+				if s > 1 {
+					refRes, refErr = Run(tbl, sel, Options{Weighted: true, Workers: 1, Shards: s})
+					switch {
+					case (rerr == nil) != (refErr == nil):
+						t.Fatalf("%q: one path errored\n  row: %v\n  vec(%d shards): %v", src, rerr, s, refErr)
+					case rerr != nil:
+						if rerr.Error() != refErr.Error() {
+							t.Fatalf("%q: error mismatch\n  row: %v\n  vec(%d shards): %v", src, rerr, s, refErr)
+						}
+					case !resultsClose(rres, refRes):
+						t.Fatalf("%q: sharded answer diverged beyond float reassociation\n--- row ---\n%s\n--- vec (%d shards) ---\n%s",
+							src, rres, s, refRes)
 					}
 				}
+				for _, w := range sweepWorkers {
+					vres, verr := Run(tbl, sel, Options{Weighted: true, Workers: w, Shards: s})
+					switch {
+					case refErr != nil && verr != nil:
+						if refErr.Error() != verr.Error() {
+							t.Fatalf("%q: error mismatch\n  ref: %v\n  vec(%d workers, %d shards): %v", src, refErr, w, s, verr)
+						}
+					case refErr != nil || verr != nil:
+						t.Fatalf("%q: one path errored\n  ref: %v\n  vec(%d workers, %d shards): %v", src, refErr, w, s, verr)
+					default:
+						if rs, vs := refRes.String(), vres.String(); rs != vs {
+							t.Fatalf("%q: output mismatch\n--- ref ---\n%s\n--- vec (%d workers, %d shards) ---\n%s", src, rs, w, s, vs)
+						}
+					}
+				}
+				checkFleetPartials(t, src, tbl, sel, s)
 			}
-			checkFleetPartials(t, src, tbl, sel, s)
 		}
 	})
 }

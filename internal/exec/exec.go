@@ -591,7 +591,7 @@ func orderAndLimit(ctx context.Context, res *Result, sel *sql.Select) error {
 		}
 		// Bounded-heap top-K: selecting k of n beats sorting n when k is
 		// small. topKRows refuses (and the lazy stable sort below runs)
-		// whenever its answer could differ: inextractable keys or NaNs.
+		// when a key does not extract, where the two could differ.
 		if sel.Limit >= 0 && sel.Limit < len(res.Rows) {
 			if topKRows(res, sel, outSchema) {
 				return nil

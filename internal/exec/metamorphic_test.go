@@ -50,7 +50,7 @@ func metaTable(tb testing.TB, n int, seed int64) *table.Table {
 		case 0:
 			row[3] = value.Null()
 		case 1:
-			row[3] = value.Float(math.NaN()) // ties with everything: stresses the top-K guard
+			row[3] = value.Float(math.NaN()) // sorts above every number: stresses the sort words and top-K
 		default:
 			row[3] = value.Float(float64(rng.Intn(64)) / 8)
 		}

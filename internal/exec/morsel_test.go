@@ -42,9 +42,9 @@ var morselQueries = []string{
 	"SELECT b, COUNT(*), AVG(x) FROM t GROUP BY b ORDER BY b",
 	// INT+TEXT composite key group-by.
 	"SELECT x, c, COUNT(*) FROM t GROUP BY x, c ORDER BY x, c",
-	// Full sort on NaN-free keys: the parallel stable merge sort.
+	// Full sort: the parallel stable merge sort.
 	"SELECT x, id FROM t ORDER BY x, id",
-	// Full sort on a NaN-carrying key: must take the serial fallback.
+	// Full sort on a NaN-carrying key: NaN sorts last, at every worker count.
 	"SELECT y, id FROM t ORDER BY y, id",
 	// Bounded top-K against the same ordering.
 	"SELECT id, y FROM t ORDER BY y DESC, id LIMIT 25",

@@ -8,22 +8,19 @@
 // their pre-sort order, which is scan order for projections, first-occurrence
 // order for DISTINCT, and group first-appearance order for aggregates.
 //
-// value.Compare over one column is a strict weak order unless a FLOAT value
-// is NaN, and under a strict weak order the stably sorted permutation is
-// UNIQUE: any stable algorithm produces it, so the full sort (sortCandidates)
-// need not run the row engine's. It encodes each key once per candidate as
-// uint64 words whose unsigned order is cmp's (fillWords has the table) and
-// stable-sorts (word, row id) pairs word by word, least significant first:
-// an LSD radix sort, over morsel-sized runs merged with left preference when
-// there are workers. The top-K heap reaches the same prefix by totalizing the
-// order with the pre-sort position. A NaN key (NaN compares equal to
-// everything) makes the outcome algorithm-defined; both then yield to the row
-// engine's own sort.SliceStable behind a value.Compare-exact comparator.
+// value.Compare is a strict weak order (NaN equals NaN and sorts above every
+// other number, -0 equals 0), and under a strict weak order the stably sorted
+// permutation is UNIQUE: any stable algorithm produces it, so the full sort
+// (sortCandidates) need not run the row engine's. It encodes each key once
+// per candidate as uint64 words whose unsigned order is cmp's (fillWords has
+// the table) and stable-sorts (word, row id) pairs word by word, least
+// significant first: an LSD radix sort, over morsel-sized runs merged with
+// left preference when there are workers. The top-K heap reaches the same
+// prefix by totalizing the order with the pre-sort position.
 package exec
 
 import (
 	"context"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -143,19 +140,13 @@ func rankTextKeys(snap *table.Snapshot, keys []vecSortKey, cand []int32) {
 }
 
 // cmp compares rows ri and rj under this key with value.Compare semantics:
-// NULL below everything, exact int64, float64 with NaN comparing equal to
-// everything, byte-ordered TEXT via the rank table.
+// NULL below everything, exact int64, value.CompareFloat, byte-ordered TEXT
+// via the rank table. A FLOAT takes CompareFloat's branches, not cmpOrder's
+// four tests: a comparison sort or heap branches on the answer anyway, and
+// there the branches are the faster (a 100k-row top-K by 5–18 %).
 func (k *vecSortKey) cmp(ri, rj int32) int {
 	if k.src == srcWeight {
-		x, y := k.w[ri], k.w[rj]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
+		return value.CompareFloat(k.w[ri], k.w[rj])
 	}
 	c := k.col
 	if ni, nj := c.Null(int(ri)), c.Null(int(rj)); ni || nj {
@@ -163,54 +154,14 @@ func (k *vecSortKey) cmp(ri, rj int32) int {
 	}
 	switch c.Kind {
 	case value.KindInt:
-		x, y := c.Ints[ri], c.Ints[rj]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
+		return cmpOrder[int64](c.Ints[ri], c.Ints[rj])
 	case value.KindFloat:
-		x, y := c.Floats[ri], c.Floats[rj]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
+		return value.CompareFloat(c.Floats[ri], c.Floats[rj])
 	case value.KindBool:
 		return boolCmp(c.Bools[ri], c.Bools[rj])
 	default: // TEXT
-		x, y := k.rank[c.Codes[ri]], k.rank[c.Codes[rj]]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
+		return cmpOrder[int64](int64(k.rank[c.Codes[ri]]), int64(k.rank[c.Codes[rj]]))
 	}
-}
-
-// rowLess is the multi-key "less" over two row ids; its answer equals the
-// row engine's comparator over the materialized rows, pair for pair.
-func rowLess(keys []vecSortKey, ra, rb int32) bool {
-	for kk := range keys {
-		c := keys[kk].cmp(ra, rb)
-		if c == 0 {
-			continue
-		}
-		if keys[kk].desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
 }
 
 // sortPair is one candidate of the key-word sort: its row id and current word.
@@ -226,10 +177,6 @@ type sortPair struct {
 func sortCandidates(ctx context.Context, keys []vecSortKey, cand []int32, workers int) error {
 	if err := checkCtx(ctx); err != nil {
 		return err
-	}
-	if !keysTotalOrder(keys, cand) {
-		sort.SliceStable(cand, func(a, b int) bool { return rowLess(keys, cand[a], cand[b]) })
-		return nil
 	}
 	a, buf := make([]sortPair, len(cand)), make([]sortPair, len(cand))
 	for i, ri := range cand {
@@ -288,18 +235,13 @@ func (k *vecSortKey) fillWords(a []sortPair, nullFlag bool) {
 	}
 }
 
-// floatWord maps a non-NaN float64 onto a uint64 with the same order: all bits
-// flipped if negative, else the sign bit set. -0 and +0, which compare equal,
-// share a word: distinct words would reorder what the comparator ties.
+// floatWord maps a float64 onto a uint64 in value.CompareFloat's order: its
+// value.NumBits (-0 as +0, which compare equal, and every NaN as the one
+// positive NaN, which sorts above +Inf — x86's own NaN has its sign bit
+// set), all bits flipped if negative, else the sign bit set. No branch.
 func floatWord(f float64) uint64 {
-	if f == 0 {
-		f = 0 // -0 → +0
-	}
-	b := math.Float64bits(f)
-	if b>>63 != 0 {
-		return ^b
-	}
-	return b | 1<<63
+	b := value.NumBits(f)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
 // sortPairs stable-sorts a by word; buf is scratch of the same length. With
@@ -396,11 +338,9 @@ func mergePairs(a, b, out []sortPair) {
 // compositeRanks collapses a multi-key ORDER BY into one packed uint64 per
 // candidate: each key's values densify into order-preserving ranks (DESC keys
 // invert theirs), and the per-key ranks concatenate most-significant-first,
-// so a single uint64 compare answers exactly what the full key chain would —
-// comp[a] < comp[b] ⟺ rowLess(keys, cand[a], cand[b]), and equality means
-// every key ties (stability then falls to pre-sort position, as always).
-// Requires keysTotalOrder (dense ranks are meaningless when NaN compares
-// equal to everything). Returns nil — caller keeps the per-comparison chain —
+// so a single uint64 compare answers exactly what the full key chain would,
+// and equality means every key ties (stability then falls to pre-sort
+// position, as always). Returns nil — caller keeps the per-comparison chain —
 // for single-key sorts, empty candidate sets, or when the combined rank
 // widths exceed 64 bits (keys whose distinct-value product tops 2^64).
 func compositeRanks(keys []vecSortKey, cand []int32) []uint64 {
@@ -456,35 +396,11 @@ func compositeRanks(keys []vecSortKey, cand []int32) []uint64 {
 	return comp
 }
 
-// keysTotalOrder reports whether the keys impose a strict weak order over
-// the candidate rows, i.e. no float key value is NaN. Only then may the
-// key-word sort or the top-K heap stand in for the row engine's algorithm.
-func keysTotalOrder(keys []vecSortKey, cand []int32) bool {
-	for ki := range keys {
-		k := &keys[ki]
-		switch {
-		case k.src == srcWeight:
-			for _, ri := range cand {
-				if math.IsNaN(k.w[ri]) {
-					return false
-				}
-			}
-		case k.col.Kind == value.KindFloat:
-			for _, ri := range cand {
-				if !k.col.Null(int(ri)) && math.IsNaN(k.col.Floats[ri]) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // topKCandidates returns the first k candidates of the full stable sort
 // without sorting the whole slice: a bounded max-heap keeps the best k under
-// the totalized order (keys, then pre-sort position). Requires
-// keysTotalOrder — under a strict weak order, stable sort equals sorting by
-// that total order, so the heap's answer is exactly the k-prefix.
+// the totalized order (keys, then pre-sort position). Under a strict weak
+// order, stable sort equals sorting by that total order, so the heap's
+// answer is exactly the k-prefix.
 func topKCandidates(keys []vecSortKey, cand []int32, k int) []int32 {
 	less := func(a, b int) bool {
 		for kk := range keys {
@@ -578,9 +494,8 @@ func boundedTopK(n, k int, less func(a, b int) bool) []int {
 // topKRows is the generic (materialized-result) top-K used by orderAndLimit
 // for aggregate outputs: keys are pre-extracted once per row, then a bounded
 // heap selects the k-prefix of the stable sort. It reports false — leaving
-// res untouched — whenever the legacy lazy comparator must run instead:
-// a key that fails to extract (the lazy path may not error at all on 0/1-row
-// results) or a NaN key value (no strict weak order).
+// res untouched — when a key fails to extract: the lazy comparator must run
+// instead, since it may not error at all on 0/1-row results.
 func topKRows(res *Result, sel *sql.Select, out *schema.Schema) bool {
 	n := len(res.Rows)
 	keys := make([][]value.Value, n)
@@ -589,9 +504,6 @@ func topKRows(res *Result, sel *sql.Select, out *schema.Schema) bool {
 		for oi, o := range sel.OrderBy {
 			vi, _, err := orderKey(o.Expr, res, out, i, i)
 			if err != nil {
-				return false
-			}
-			if vi.Kind() == value.KindFloat && math.IsNaN(vi.AsFloat()) {
 				return false
 			}
 			row[oi] = vi

@@ -161,15 +161,34 @@ func sortKeysOf(t *testing.T, snap *table.Snapshot, sel *sql.Select, weights []f
 	return keys
 }
 
+// rowLess is the multi-key "less" over two row ids, the sort oracle: its
+// answer equals the row engine's comparator over the materialized rows,
+// pair for pair.
+func rowLess(keys []vecSortKey, ra, rb int32) bool {
+	for kk := range keys {
+		c := keys[kk].cmp(ra, rb)
+		if c == 0 {
+			continue
+		}
+		if keys[kk].desc {
+			return c > 0
+		}
+		return c < 0
+	}
+	return false
+}
+
 // TestKeyWordSortMatchesSliceStable pins the key-word sort against the
 // comparator sort it replaced: for random key lists over every kind — INT at
-// both ends of int64, FLOAT with ±0, ±Inf and subnormals, TEXT, BOOL, NULLs
+// both ends of int64, FLOAT with ±0, ±Inf, subnormals and NaNs of either
+// sign and any payload, TEXT, BOOL, NULLs
 // everywhere, a non-unit WEIGHT — the permutation sortCandidates produces
 // must equal sort.SliceStable behind rowLess at every worker count, on
 // candidate sets on both sides of the one-morsel boundary, and topKCandidates
 // must return its k-prefix. Heavy duplicates make stability observable: a
-// word that splits a tie (-0 apart from +0), puts NULL anywhere but below
-// every value, or ignores DESC changes the permutation.
+// word that splits a tie (-0 apart from +0, or two NaNs), puts NaN anywhere
+// but above +Inf or NULL anywhere but below every value, or ignores DESC
+// changes the permutation.
 func TestKeyWordSortMatchesSliceStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	ints := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
@@ -177,6 +196,7 @@ func TestKeyWordSortMatchesSliceStable(t *testing.T) {
 		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 		math.MaxFloat64, -math.MaxFloat64, 1.5, -1.5, 2,
+		math.NaN(), math.Float64frombits(0xfff8000000000000), math.Float64frombits(0x7ff0000000000123),
 	}
 	texts := []string{"", "a", "ab", "b", "B", "é", "zz"}
 	pick := func(v value.Value) value.Value {

@@ -109,11 +109,12 @@ func TestLogicTablesMatchInterpreter(t *testing.T) {
 
 // TestCmpKernelsMatchCompare: cmpScalar and cmpRows give value.Compare's
 // order, through every operator's table, on the values a branch-free
-// order can get wrong: NaN (equal to everything), ±0, ±Inf, the int64
-// extremes and their nearest float64s, in every INT/FLOAT pairing.
+// order can get wrong: NaN (equal to NaN, above +Inf) with either sign bit,
+// ±0, ±Inf, the int64 extremes and their nearest float64s, in every
+// INT/FLOAT pairing.
 func TestCmpKernelsMatchCompare(t *testing.T) {
 	ints := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
-	floats := []float64{math.NaN(), math.Inf(-1), -math.MaxFloat64, -9.223372036854775808e18, -1.5,
+	floats := []float64{math.NaN(), math.Float64frombits(0xfff8000000000000), math.Inf(-1), -math.MaxFloat64, -9.223372036854775808e18, -1.5,
 		math.Copysign(0, -1), 0, 5e-324, 1, 9.223372036854775807e18, math.MaxFloat64, math.Inf(1)}
 	for _, op := range []expr.BinOp{expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe} {
 		checkCmpScalar(t, op, ints, ints)

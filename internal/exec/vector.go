@@ -526,16 +526,6 @@ func (c *kernelCompiler) compileIsNull(ex *expr.IsNull) kernel {
 	return &isNullKernel{nulls: ref.nulls(), negate: ex.Negate}
 }
 
-// eqBits maps a float64 onto the code space used for IN-list membership:
-// value.Equal semantics, where -0 equals +0 and every NaN equals every NaN
-// (value.Compare returns 0 when neither operand is smaller).
-func eqBits(f float64) uint64 {
-	if f == 0 {
-		return math.Float64bits(0)
-	}
-	return value.NumBits(f)
-}
-
 func sign(c int) int { return b2i(c > 0) - b2i(c < 0) }
 
 // --- kernel implementations ---
@@ -1097,7 +1087,7 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 		switch {
 		case sel.Limit == 0:
 			cand = nil
-		case sel.Limit > 0 && sel.Limit < len(cand) && keysTotalOrder(sortKeys, cand):
+		case sel.Limit > 0 && sel.Limit < len(cand):
 			cand = topKCandidates(sortKeys, cand, sel.Limit)
 		default:
 			if err := sortCandidates(ctx, sortKeys, cand, workers); err != nil {

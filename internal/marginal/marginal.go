@@ -205,7 +205,7 @@ func (m *Marginal) Scale(f float64) error {
 // does: same name, attributes and bin widths, the same cells in the same
 // insertion order (cell order feeds IPF's sweep order and the generator's
 // RNG draws, so a permutation is a different marginal), cell values of the
-// same kinds, and counts equal bit for bit.
+// same kinds and float bits, and counts equal bit for bit.
 func (m *Marginal) Equal(o *Marginal) bool {
 	if m == o {
 		return true
@@ -222,14 +222,16 @@ func (m *Marginal) Equal(o *Marginal) bool {
 		if k != o.order[i] {
 			return false
 		}
-		// Equal keys fix every value up to INT vs FLOAT (HashKey puts both
-		// in one numeric class), so the kinds are compared beside them.
+		// Equal keys fix every value up to INT vs FLOAT and -0 vs 0 (HashKey
+		// gives each pair one key), and the generator encodes the values
+		// themselves, so kinds and float bits are compared beside them.
 		mc, oc := m.cells[k], o.cells[k]
 		if math.Float64bits(mc.Count) != math.Float64bits(oc.Count) {
 			return false
 		}
 		for d, v := range mc.Vals {
-			if v.Kind() != oc.Vals[d].Kind() {
+			w := oc.Vals[d]
+			if v.Kind() != w.Kind() || v.Kind() == value.KindFloat && math.Float64bits(v.AsFloat()) != math.Float64bits(w.AsFloat()) {
 				return false
 			}
 		}

@@ -299,7 +299,7 @@ func TestFromTableBinnedMatchesPerRowAdd(t *testing.T) {
 
 // TestEqual: two marginals are equal exactly when IPF and the generator
 // would read them alike — name, attributes, bin widths, cells in insertion
-// order, value kinds, counts bit for bit.
+// order, value kinds and float bits (-0 is not 0 here), counts bit for bit.
 func TestEqual(t *testing.T) {
 	build := func(name string, width float64, cells ...Cell) *Marginal {
 		m, err := New(name, []string{"v"})
@@ -338,5 +338,8 @@ func TestEqual(t *testing.T) {
 	}
 	if a, b := build("M", 0, cell(value.Float(math.NaN()), 1)), build("M", 0, cell(value.Float(math.NaN()), 1)); !a.Equal(b) {
 		t.Error("equal NaN cells compare unequal")
+	}
+	if a, b := build("M", 0, cell(value.Float(0), 1)), build("M", 0, cell(value.Float(math.Copysign(0, -1)), 1)); a.Equal(b) {
+		t.Error("a -0 cell compares Equal to a 0 cell")
 	}
 }

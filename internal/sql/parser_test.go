@@ -524,7 +524,7 @@ func TestParseMechanisms(t *testing.T) {
 		{`ALTER SAMPLE S USING MECHANISM STRATIFIED ON i PERCENT 5 WITH PROBABILITIES (3 0.5, -2 0.25)`,
 			"STRATIFIED ON i PERCENT 5 WITH PROBABILITIES (-2 0.25, 3 0.5)"},
 		{`ALTER SAMPLE S USING MECHANISM STRATIFIED ON f PERCENT 5 WITH PROBABILITIES (0.1 0.30000000000000004, FLOAT '-0' 1, FLOAT 'NaN' 0.125)`,
-			"STRATIFIED ON f PERCENT 5 WITH PROBABILITIES (FLOAT '-0' 1, 0.1 0.30000000000000004, FLOAT 'NaN' 0.125)"},
+			"STRATIFIED ON f PERCENT 5 WITH PROBABILITIES (0 1, 0.1 0.30000000000000004, FLOAT 'NaN' 0.125)"}, // -0 is the stratum 0
 		{`ALTER SAMPLE S USING MECHANISM STRATIFIED ON b PERCENT 50 WITH PROBABILITIES (TRUE 0.75, FALSE 0.0625)`,
 			"STRATIFIED ON b PERCENT 50 WITH PROBABILITIES (FALSE 0.0625, TRUE 0.75)"},
 		{`ALTER SAMPLE S USING MECHANISM BIASED ON x > 1.5e-7 AND y = 0.1 WITH PROBABILITIES (TRUE 0.95, FALSE 0.05)`,
@@ -574,6 +574,8 @@ func TestParseMechanisms(t *testing.T) {
 		`ALTER SAMPLE S USING MECHANISM BIASED ON x`,
 		`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES ('a' 0.5, 'a' 0.5)`,
 		`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES (3 0.5, 3.0 0.5)`,
+		`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES (0 0.5, FLOAT '-0' 0.5)`,
+		`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES (FLOAT 'NaN' 0.5, FLOAT 'NaN' 0.5)`,
 		`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES ()`,
 		`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES (a 0.5)`,
 		`ALTER SAMPLE S USING MECHANISM STRATIFIED ON a PERCENT 5 WITH PROBABILITIES (? 0.5)`,

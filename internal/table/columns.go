@@ -420,11 +420,11 @@ func (s *Snapshot) DictLookup(str string) (uint32, bool) { return s.dict.Lookup(
 // agrees on every column, after a numeric value is snapped to its bin
 // midpoint (⌊v/w⌋+0.5)·w where widths[i] = w ≠ 0 — marginal.SnapVals'
 // expression; widths may be nil when no column is binned. A column keys
-// TEXT by dictionary code, numerics by NaN-canonical float64 bits (so an
-// INT groups with the FLOAT of equal float64 value, as HashKey formats it),
-// BOOL by false/true, and gives NULL one id. Several columns fold pairwise
-// through uint64-keyed maps; with none, every row is id 0. Callers that
-// want every row pass the identity row list.
+// TEXT by dictionary code, an unbinned INT by its int64, a FLOAT or a
+// binned numeric by value.NumBits, BOOL by false/true, and gives NULL one
+// id. Several columns fold pairwise through uint64-keyed maps; with none,
+// every row is id 0. Callers that want every row pass the identity row
+// list.
 func (s *Snapshot) GroupIDs(cols []int, widths []float64, rows []int32) (ids, first []int32) {
 	if len(cols) == 0 {
 		if len(rows) == 0 {
@@ -518,9 +518,11 @@ func (s *Snapshot) columnIDs(col int, width float64, rows []int32) (ids, first [
 	return ids, first
 }
 
-// numIDs is columnIDs' loop over an INT or FLOAT payload xs of column c. A
-// binned column runs it over its values snapped to their bin midpoints
-// (⌊v/w⌋+0.5)·w, so the loop never branches on the width.
+// numIDs is columnIDs' loop over an INT or FLOAT payload xs of column c,
+// keyed as HashKey tells values apart: an INT on its int64 (2^53 and 2^53+1
+// are two groups), a FLOAT on its NumBits. A binned column runs it over its
+// values snapped to their bin midpoints (⌊v/w⌋+0.5)·w, so the loop never
+// branches on the width.
 func numIDs[T int64 | float64](c *Column, xs []T, width float64, rows, ids []int32) (first []int32) {
 	if width != 0 {
 		mids := make([]float64, len(xs))
@@ -529,6 +531,8 @@ func numIDs[T int64 | float64](c *Column, xs []T, width float64, rows, ids []int
 		}
 		return numIDs(c, mids, 0, rows, ids)
 	}
+	var zero T
+	_, isInt := any(zero).(int64)
 	m := make(map[uint64]int32)
 	nullID := int32(-1)
 	for k, ri := range rows {
@@ -540,7 +544,10 @@ func numIDs[T int64 | float64](c *Column, xs []T, width float64, rows, ids []int
 			ids[k] = nullID
 			continue
 		}
-		bits := value.NumBits(float64(xs[ri]))
+		bits := uint64(int64(xs[ri]))
+		if !isInt {
+			bits = value.NumBits(float64(xs[ri]))
+		}
 		id, ok := m[bits]
 		if !ok {
 			id = int32(len(first))

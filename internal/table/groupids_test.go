@@ -22,8 +22,8 @@ var groupSchema = schema.MustNew(
 
 // groupFixture draws n rows from pools that hold every identity edge case:
 // NULLs, NaNs with different payloads and signs, -0 and +0, ±Inf, an INT
-// equal to a FLOAT (3 and 3.0), two INTs that collapse to one float64
-// (2^53 and 2^53+1), and values on both sides of the bin edges.
+// equal to a FLOAT (3 and 3.0), two INTs that one float64 cannot tell
+// apart (2^53 and 2^53+1), and values on both sides of the bin edges.
 func groupFixture(t *testing.T, n int) *Table {
 	t.Helper()
 	texts := []value.Value{value.Null(), value.Text("a"), value.Text("b"), value.Text(""), value.Text("A")}
@@ -144,13 +144,20 @@ func TestGroupIDsMatchHashKeys(t *testing.T) {
 			}
 		}
 	}
-	// HashKey formats an INT as its float64, so an INT column groups like
-	// a FLOAT copy of it, exact and binned: 2^53 and 2^53+1 share a group.
-	for _, w := range []float64{0, 4, 0.5} {
+	// A binned INT column groups like a FLOAT copy of it. Unbinned, HashKey
+	// keeps an INT that float64 cannot hold apart: 2^53 and 2^53+1 are two
+	// groups of the INT column and one of its FLOAT copy.
+	for _, w := range []float64{4, 0.5} {
 		gi, fi := s.GroupIDs([]int{1}, []float64{w}, s.AllRows())
 		gf, ff := s.GroupIDs([]int{4}, []float64{w}, s.AllRows())
 		if !slices.Equal(gi, gf) || !slices.Equal(fi, ff) {
 			t.Errorf("width %g: INT column groups differ from its FLOAT copy", w)
 		}
+	}
+	if _, fi := s.GroupIDs([]int{1}, nil, s.AllRows()); len(fi) != 10 {
+		t.Errorf("INT column has %d groups, want 10: 2^53 and 2^53+1 apart", len(fi))
+	}
+	if _, ff := s.GroupIDs([]int{4}, nil, s.AllRows()); len(ff) != 9 {
+		t.Errorf("its FLOAT copy has %d groups, want 9: 2^53 and 2^53+1 as one", len(ff))
 	}
 }

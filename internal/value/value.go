@@ -13,6 +13,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -232,53 +233,42 @@ func FromRaw(x any) (Value, error) {
 	}
 }
 
-// Compare imposes a total order: NULL < BOOL < numerics < TEXT. INT and FLOAT
-// compare numerically against each other. It returns -1, 0, or +1.
+// Compare imposes a total order: NULL < BOOL < numerics < TEXT, returning
+// -1, 0 or +1. It is PostgreSQL's order for numbers: NaN equals NaN and sorts
+// above every other number, +Inf included, and -0 equals 0. Two INTs compare
+// as int64; an INT and a FLOAT compare as float64. Within a kind, and between
+// an INT and a FLOAT where float64 holds the INT exactly, Compare(a, b) == 0
+// exactly when a.HashKey() == b.HashKey().
 func Compare(a, b Value) int {
 	ra, rb := rank(a.kind), rank(b.kind)
-	if ra != rb {
-		if ra < rb {
-			return -1
-		}
-		return 1
-	}
 	switch {
+	case ra != rb:
+		return cmp.Compare(ra, rb)
 	case a.kind == KindNull:
 		return 0
 	case a.kind == KindBool:
 		return boolCmp(a.b, b.b)
+	case a.kind == KindInt && b.kind == KindInt:
+		return cmp.Compare(a.i, b.i)
 	case a.Numeric():
 		af, _ := a.Float64()
 		bf, _ := b.Float64()
-		// Exact int-int comparison avoids float rounding on large ints.
-		if a.kind == KindInt && b.kind == KindInt {
-			switch {
-			case a.i < b.i:
-				return -1
-			case a.i > b.i:
-				return 1
-			default:
-				return 0
-			}
-		}
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+		return CompareFloat(af, bf)
 	default: // text
-		switch {
-		case a.s < b.s:
-			return -1
-		case a.s > b.s:
-			return 1
-		default:
-			return 0
-		}
+		return strings.Compare(a.s, b.s)
 	}
+}
+
+// CompareFloat is Compare's order over two float64s: -1, 0 or +1, with NaN
+// equal to NaN and above every other number, and -0 equal to 0.
+func CompareFloat(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return boolCmp(x != x, y != y) // equal, or a NaN: NaN above every number
 }
 
 func rank(k Kind) int {
@@ -309,8 +299,10 @@ func boolCmp(a, b bool) int {
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // HashKey returns a string that is equal for equal values (under Equal) and
-// is suitable as a Go map key for GROUP BY hashing. INT and FLOAT values that
-// compare equal produce the same key.
+// is suitable as a Go map key for GROUP BY hashing. A number's key is its
+// float64 in shortest form, with -0 written as 0 and every NaN as NaN, so an
+// INT and a FLOAT of equal value share it; an INT that float64 cannot hold
+// exactly (beyond ±2^53) keeps its own digits, which no FLOAT's key has.
 func (v Value) HashKey() string {
 	switch v.kind {
 	case KindNull:
@@ -321,16 +313,19 @@ func (v Value) HashKey() string {
 		}
 		return "\x01f"
 	case KindInt:
-		return "\x02" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
+		if f := float64(v.i); f != 0x1p63 && int64(f) == v.i {
+			return "\x02" + strconv.FormatFloat(f, 'g', -1, 64)
+		}
+		return "\x02" + strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return "\x02" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return "\x02" + strconv.FormatFloat(v.f+0, 'g', -1, 64) // -0 + 0 is 0
 	default:
 		return "\x03" + v.s
 	}
 }
 
-// FromHashKey returns a value whose HashKey is k, numbers as FLOAT, and
-// false when no value has that key.
+// FromHashKey returns a value whose HashKey is k — numbers as FLOAT, except
+// an INT that float64 cannot hold — and false when no value has that key.
 func FromHashKey(k string) (Value, bool) {
 	switch {
 	case k == "\x00":
@@ -338,8 +333,11 @@ func FromHashKey(k string) (Value, bool) {
 	case k == "\x01t", k == "\x01f":
 		return Bool(k == "\x01t"), true
 	case strings.HasPrefix(k, "\x02"):
-		f, err := strconv.ParseFloat(k[1:], 64)
-		return Float(f), err == nil && Float(f).HashKey() == k
+		if f, err := strconv.ParseFloat(k[1:], 64); err == nil && Float(f).HashKey() == k {
+			return Float(f), true
+		}
+		i, err := strconv.ParseInt(k[1:], 10, 64)
+		return Int(i), err == nil && Int(i).HashKey() == k
 	case strings.HasPrefix(k, "\x03"):
 		return Text(k[1:]), true
 	}
@@ -347,8 +345,8 @@ func FromHashKey(k string) (Value, bool) {
 }
 
 // Class partitions kinds the way HashKey's leading tag byte does: NULL,
-// BOOL, numeric (INT and FLOAT share a class because they hash and compare
-// as float64), and TEXT.
+// BOOL, numeric (INT and FLOAT share a class because they compare with each
+// other), and TEXT.
 type Class uint8
 
 // The value classes, in HashKey tag order.
@@ -360,18 +358,21 @@ const (
 )
 
 // canonicalNaN is the single bit pattern all NaNs normalize to, mirroring
-// HashKey where every NaN formats as "NaN" and lands in one group.
-var canonicalNaN = math.Float64bits(math.NaN())
+// HashKey where every NaN formats as "NaN" and lands in one group: the bits
+// of math.NaN(), whose sign bit is clear, unlike the NaN that x86
+// arithmetic produces.
+const canonicalNaN = 0x7ff8000000000001
 
 // NumBits maps a float64 onto a 64-bit identity code: the raw IEEE bits
-// with every NaN collapsed to one pattern. Two floats have equal codes
-// exactly when their HashKeys are equal (including -0 vs +0, which HashKey
-// separates: "-0" vs "0"; every NaN formats as "NaN").
+// with -0 folded to +0 and every NaN collapsed to one pattern. Two floats
+// have equal codes exactly when their HashKeys are equal, that is when
+// Compare finds them equal.
 func NumBits(f float64) uint64 {
-	if math.IsNaN(f) {
-		return canonicalNaN
+	b := math.Float64bits(f + 0) // -0 + 0 is 0
+	if f != f {
+		b = canonicalNaN // a conditional move, not a branch
 	}
-	return math.Float64bits(f)
+	return b
 }
 
 // Coerce converts v to the target kind if a lossless/sane conversion exists:

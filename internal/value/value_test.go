@@ -191,9 +191,6 @@ func TestCompareAntisymmetryProperty(t *testing.T) {
 
 func TestCompareTransitivityProperty(t *testing.T) {
 	f := func(a, b, c float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(c) {
-			return true
-		}
 		va, vb, vc := Float(a), Float(b), Float(c)
 		if Compare(va, vb) <= 0 && Compare(vb, vc) <= 0 {
 			return Compare(va, vc) <= 0
@@ -202,6 +199,88 @@ func TestCompareTransitivityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// orderPool holds every kind's edge values: NULL, both BOOLs, INTs at and
+// beyond ±2^53, FLOATs with NaN (the canonical one, x86's negative one and
+// another payload), ±Inf, ±0 and the smallest subnormal, and TEXT.
+func orderPool() []Value {
+	pool := []Value{Null(), Bool(false), Bool(true), Text(""), Text("0"), Text("a"), Text("b")}
+	for _, i := range []int64{0, 1, -1, 2, 1 << 53, 1<<53 - 1, 1<<53 + 1, -(1 << 53), -(1<<53 + 1), 1 << 62, 1<<62 + 1, math.MaxInt64, math.MinInt64} {
+		pool = append(pool, Int(i))
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1, -1, 2, 0.5, 1 << 53, -(1 << 53), 1 << 62, 0x1p63, -0x1p63, 1e300, -1e300, 5e-324,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8000000000000), math.Float64frombits(0x7ff0000000000123)} {
+		pool = append(pool, Float(f))
+	}
+	return pool
+}
+
+// sameIdentityRule reports whether Compare's equality is HashKey's for the
+// pair: always within a kind, and between an INT and a FLOAT while the INT
+// is within ±2^53 (beyond it the two compare as float64 but hash apart).
+func sameIdentityRule(a, b Value) bool {
+	for _, p := range [][2]Value{{a, b}, {b, a}} {
+		if p[0].Kind() == KindInt && p[1].Kind() == KindFloat && (p[0].AsInt() > 1<<53 || p[0].AsInt() < -(1<<53)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCompareIsHashKeyOrder holds Compare to a strict weak order whose
+// equality is HashKey equality, over every pair and triple of the pool
+// under that rule: antisymmetric, transitive in < and in ==, and
+// Compare(a, b) == 0 exactly when a.HashKey() == b.HashKey(). NaN equals
+// NaN and sorts above +Inf, and -0 is 0.
+func TestCompareIsHashKeyOrder(t *testing.T) {
+	pool := orderPool()
+	for _, a := range pool {
+		for _, b := range pool {
+			if !sameIdentityRule(a, b) {
+				continue
+			}
+			c := Compare(a, b)
+			if c != -Compare(b, a) {
+				t.Errorf("Compare(%v, %v) = %d, Compare(%v, %v) = %d", a, b, c, b, a, Compare(b, a))
+			}
+			if (c == 0) != (a.HashKey() == b.HashKey()) {
+				t.Errorf("Compare(%v, %v) = %d but HashKeys %q, %q", a, b, c, a.HashKey(), b.HashKey())
+			}
+			for _, d := range pool {
+				if !sameIdentityRule(b, d) || !sameIdentityRule(a, d) {
+					continue
+				}
+				if e := Compare(b, d); c <= 0 && e <= 0 && Compare(a, d) != min(c, e) {
+					t.Errorf("Compare(%v, %v) = %d, Compare(%v, %v) = %d, but Compare(%v, %v) = %d", a, b, c, b, d, e, a, d, Compare(a, d))
+				}
+			}
+		}
+	}
+	nan, inf, negZero := Float(math.NaN()), Float(math.Inf(1)), Float(math.Copysign(0, -1))
+	if Compare(nan, inf) != 1 || Compare(nan, Float(math.Float64frombits(0xfff8000000000000))) != 0 || Compare(negZero, Int(0)) != 0 {
+		t.Error("want NaN > +Inf, NaN = -NaN and -0 = 0")
+	}
+	if NumBits(math.Copysign(0, -1)) != NumBits(0) || NumBits(math.Float64frombits(0xfff8000000000000)) != math.Float64bits(math.NaN()) {
+		t.Error("NumBits must fold -0 to 0 and every NaN to math.NaN()'s bits")
+	}
+}
+
+// TestFromHashKeyRoundTrip requires FromHashKey to invert HashKey on every
+// pool value, an INT beyond ±2^53 included.
+func TestFromHashKeyRoundTrip(t *testing.T) {
+	for _, v := range orderPool() {
+		w, ok := FromHashKey(v.HashKey())
+		if !ok || w.HashKey() != v.HashKey() {
+			t.Errorf("FromHashKey(%q) = %v, %v", v.HashKey(), w, ok)
+		}
+	}
+	if Int(1<<53).HashKey() == Int(1<<53+1).HashKey() {
+		t.Error("2^53 and 2^53+1 must hash apart")
+	}
+	if _, ok := FromHashKey("\x02x"); ok {
+		t.Error("a key no value has must report false")
 	}
 }
 

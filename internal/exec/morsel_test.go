@@ -15,9 +15,9 @@ import (
 // multi-morsel code paths. This file pins those paths on a table large
 // enough (3×morselRows + change) that forEachMorsel really partitions,
 // ternSelection really stitches per-morsel segments and the parallel merge
-// sort really merges sorted runs. It also runs groupIDs, which is serial at
-// every worker count, over every key kind: TEXT, BOOL, INT and FLOAT keys,
-// composites and DISTINCT.
+// sort really merges sorted runs. It also runs table.Snapshot.GroupIDs,
+// which is serial at every worker count, over every key kind: TEXT, BOOL,
+// INT and FLOAT keys, composites and DISTINCT.
 
 const morselTestRows = 3*morselRows + 4321
 
@@ -30,7 +30,7 @@ var morselQueries = []string{
 	"SELECT id FROM t WHERE y * 2 > x + 1",
 	// Weighted global multi-aggregate (fan-out across aggregate items).
 	"SELECT COUNT(*), SUM(x), AVG(y), MIN(x), MAX(y) FROM t",
-	// Low-cardinality group-by: groupIDs over a TEXT key (dictionary codes).
+	// Low-cardinality group-by: Snapshot.GroupIDs over a TEXT key (dictionary codes).
 	"SELECT c, COUNT(*), SUM(x) FROM t GROUP BY c ORDER BY c",
 	// Composite key group-by: per-key dense ids folded pairwise.
 	"SELECT c, b, COUNT(*) FROM t GROUP BY c, b ORDER BY c, b",

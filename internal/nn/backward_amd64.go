@@ -6,6 +6,8 @@ func init() {
 	if hasAVX2() {
 		simdKernels = &denseKernels{forwardAVX2, gradWAVX2, gradXAVX2}
 		kernels = *simdKernels
+		simdBNReLU = &bnReLUKernels{colSumAVX2, centerAVX2, normalizeAVX2, gradSumsAVX2, bnGradXAVX2, maskAVX2}
+		bnReLU = *simdBNReLU
 	}
 }
 
@@ -92,6 +94,33 @@ func gradXAVX2(gx, g, wt []float64, rows, in, out int) {
 	gradXAsm(gx[:rows*in], g[:rows*out], wt[:out*in], rows, in, out)
 }
 
+// The BatchNorm and ReLU wrappers check the shapes, which the assembly
+// trusts.
+
+func colSumAVX2(sum, x []float64, rows, dim int) {
+	bnColSumAsm(sum[:dim], x[:rows*dim], rows, dim)
+}
+
+func centerAVX2(c, variance, x, mean []float64, rows, dim int) {
+	bnCenterAsm(c[:rows*dim], variance[:dim], x[:rows*dim], mean[:dim], rows, dim)
+}
+
+func normalizeAVX2(xhat, y, std, gamma, beta []float64, rows, dim int) {
+	bnNormalizeAsm(xhat[:rows*dim], y[:rows*dim], std[:dim], gamma[:dim], beta[:dim], rows, dim)
+}
+
+func gradSumsAVX2(betaG, gammaG, sumG, sumGX, g, xhat []float64, rows, dim int) {
+	bnGradSumsAsm(betaG[:dim], gammaG[:dim], sumG[:dim], sumGX[:dim], g[:rows*dim], xhat[:rows*dim], rows, dim)
+}
+
+func bnGradXAVX2(gx, g, xhat, scale, meanG, sumGX []float64, rows, dim int) {
+	bnGradXAsm(gx[:rows*dim], g[:rows*dim], xhat[:rows*dim], scale[:dim], meanG[:dim], sumGX[:dim], float64(rows), rows, dim)
+}
+
+func maskAVX2(dst, src, key []float64) {
+	maskAsm(dst[:len(key)], src[:len(key)], key)
+}
+
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -101,3 +130,21 @@ func gradWRowsAsm(wg, xs []float64, offs []int, g []float64)
 
 //go:noescape
 func gradXAsm(gx, g, wt []float64, rows, in, out int)
+
+//go:noescape
+func bnColSumAsm(sum, x []float64, rows, dim int)
+
+//go:noescape
+func bnCenterAsm(c, variance, x, mean []float64, rows, dim int)
+
+//go:noescape
+func bnNormalizeAsm(xhat, y, std, gamma, beta []float64, rows, dim int)
+
+//go:noescape
+func bnGradSumsAsm(betaG, gammaG, sumG, sumGX, g, xhat []float64, rows, dim int)
+
+//go:noescape
+func bnGradXAsm(gx, g, xhat, scale, meanG, sumGX []float64, n float64, rows, dim int)
+
+//go:noescape
+func maskAsm(dst, src, key []float64)

@@ -281,3 +281,565 @@ xnext:
 xdone:
 	VZEROUPPER
 	RET
+
+// AVX2 kernels for BatchNorm's training step and ReLU's mask. Each lane of
+// the BatchNorm kernels is one feature, and it meets the rows in ascending
+// order: a sum is one VADDPD per row, a product one VMULPD (never an FMA),
+// and a division one VDIVPD, which rounds correctly as DIVSD does (never a
+// reciprocal).
+//
+// A tile of features keeps its sums and its per-feature values in registers
+// while it walks the rows. The widest tile is 16 features (four YMM
+// registers a value) for colSum and center, whose sums are latency-bound
+// chains; 8 for gradSums, whose four sums take eight registers; and 4 for
+// normalize and gradX, which carry nothing from row to row and wait on the
+// divider. The tails are 4 features in one YMM register, 2 in one XMM
+// register and 1 in the low lane of one. R8 holds the row count, R9 the row
+// stride in bytes, R12 the features left, BX the tile's byte offset within a
+// row, R10 the tile's byte offset in the current row and R13 the rows left.
+
+// Rows of a tile: R13 counts them down from R8; R10 starts at the tile.
+#define ROWS(done) \
+	MOVQ  BX, R10; \
+	MOVQ  R8, R13; \
+	TESTQ R13, R13; \
+	JZ    done
+
+#define NEXTROW(loop) \
+	ADDQ R9, R10; \
+	DECQ R13; \
+	JNZ  loop
+
+// func bnColSumAsm(sum, x []float64, rows, dim int)
+//
+// sum[j] = Σ_r x[r][j], from +0.
+TEXT ·bnColSumAsm(SB), NOSPLIT, $0-64
+	MOVQ sum_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ rows+48(FP), R8
+	MOVQ dim+56(FP), R12
+	MOVQ R12, R9
+	SHLQ $3, R9
+	XORQ BX, BX
+
+cs16:
+	CMPQ R12, $16
+	JLT  cs4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	ROWS(cs16store)
+
+cs16row:
+	VADDPD 0(SI)(R10*1), Y0, Y0
+	VADDPD 32(SI)(R10*1), Y1, Y1
+	VADDPD 64(SI)(R10*1), Y2, Y2
+	VADDPD 96(SI)(R10*1), Y3, Y3
+	NEXTROW(cs16row)
+
+cs16store:
+	VMOVUPD Y0, 0(DI)(BX*1)
+	VMOVUPD Y1, 32(DI)(BX*1)
+	VMOVUPD Y2, 64(DI)(BX*1)
+	VMOVUPD Y3, 96(DI)(BX*1)
+	ADDQ $128, BX
+	SUBQ $16, R12
+	JMP  cs16
+
+cs4:
+	CMPQ R12, $4
+	JLT  cs2
+	VXORPD Y0, Y0, Y0
+	ROWS(cs4store)
+
+cs4row:
+	VADDPD (SI)(R10*1), Y0, Y0
+	NEXTROW(cs4row)
+
+cs4store:
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ $32, BX
+	SUBQ $4, R12
+	JMP  cs4
+
+cs2:
+	CMPQ R12, $2
+	JLT  cs1
+	VXORPD X0, X0, X0
+	ROWS(cs2store)
+
+cs2row:
+	VADDPD (SI)(R10*1), X0, X0
+	NEXTROW(cs2row)
+
+cs2store:
+	VMOVUPD X0, (DI)(BX*1)
+	ADDQ $16, BX
+	SUBQ $2, R12
+
+cs1:
+	TESTQ R12, R12
+	JZ   csdone
+	VXORPD X0, X0, X0
+	ROWS(cs1store)
+
+cs1row:
+	VADDSD (SI)(R10*1), X0, X0
+	NEXTROW(cs1row)
+
+cs1store:
+	VMOVSD X0, (DI)(BX*1)
+
+csdone:
+	VZEROUPPER
+	RET
+
+// One lane group of center: T = x − mean, c = T, acc = acc + T·T.
+#define CENTER(off, m, acc, T) \
+	VMOVUPD off(SI)(R10*1), T; \
+	VSUBPD  m, T, T; \
+	VMOVUPD T, off(DI)(R10*1); \
+	VMULPD  T, T, T; \
+	VADDPD  T, acc, acc
+
+// func bnCenterAsm(c, variance, x, mean []float64, rows, dim int)
+//
+// c[r][j] = x[r][j] − mean[j]; variance[j] = Σ_r c[r][j]·c[r][j], from +0.
+TEXT ·bnCenterAsm(SB), NOSPLIT, $0-112
+	MOVQ c_base+0(FP), DI
+	MOVQ variance_base+24(FP), DX
+	MOVQ x_base+48(FP), SI
+	MOVQ mean_base+72(FP), R11
+	MOVQ rows+96(FP), R8
+	MOVQ dim+104(FP), R12
+	MOVQ R12, R9
+	SHLQ $3, R9
+	XORQ BX, BX
+
+ce16:
+	CMPQ R12, $16
+	JLT  ce4
+	VMOVUPD 0(R11)(BX*1), Y4
+	VMOVUPD 32(R11)(BX*1), Y5
+	VMOVUPD 64(R11)(BX*1), Y6
+	VMOVUPD 96(R11)(BX*1), Y7
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	ROWS(ce16store)
+
+ce16row:
+	CENTER(0, Y4, Y0, Y8)
+	CENTER(32, Y5, Y1, Y9)
+	CENTER(64, Y6, Y2, Y10)
+	CENTER(96, Y7, Y3, Y11)
+	NEXTROW(ce16row)
+
+ce16store:
+	VMOVUPD Y0, 0(DX)(BX*1)
+	VMOVUPD Y1, 32(DX)(BX*1)
+	VMOVUPD Y2, 64(DX)(BX*1)
+	VMOVUPD Y3, 96(DX)(BX*1)
+	ADDQ $128, BX
+	SUBQ $16, R12
+	JMP  ce16
+
+ce4:
+	CMPQ R12, $4
+	JLT  ce2
+	VMOVUPD (R11)(BX*1), Y4
+	VXORPD Y0, Y0, Y0
+	ROWS(ce4store)
+
+ce4row:
+	CENTER(0, Y4, Y0, Y8)
+	NEXTROW(ce4row)
+
+ce4store:
+	VMOVUPD Y0, (DX)(BX*1)
+	ADDQ $32, BX
+	SUBQ $4, R12
+	JMP  ce4
+
+ce2:
+	CMPQ R12, $2
+	JLT  ce1
+	VMOVUPD (R11)(BX*1), X4
+	VXORPD X0, X0, X0
+	ROWS(ce2store)
+
+ce2row:
+	CENTER(0, X4, X0, X8)
+	NEXTROW(ce2row)
+
+ce2store:
+	VMOVUPD X0, (DX)(BX*1)
+	ADDQ $16, BX
+	SUBQ $2, R12
+
+ce1:
+	TESTQ R12, R12
+	JZ   cedone
+	VMOVSD (R11)(BX*1), X4
+	VXORPD X0, X0, X0
+	ROWS(ce1store)
+
+ce1row:
+	VMOVSD (SI)(R10*1), X8
+	VSUBSD X4, X8, X8
+	VMOVSD X8, (DI)(R10*1)
+	VMULSD X8, X8, X8
+	VADDSD X8, X0, X0
+	NEXTROW(ce1row)
+
+ce1store:
+	VMOVSD X0, (DX)(BX*1)
+
+cedone:
+	VZEROUPPER
+	RET
+
+// One lane group of normalize: T = c / std, xhat = T, y = gamma·T + beta.
+#define NORMALIZE(sd, gm, bt, T) \
+	VMOVUPD (DI)(R10*1), T; \
+	VDIVPD  sd, T, T; \
+	VMOVUPD T, (DI)(R10*1); \
+	VMULPD  T, gm, T; \
+	VADDPD  bt, T, T; \
+	VMOVUPD T, (SI)(R10*1)
+
+// func bnNormalizeAsm(xhat, y, std, gamma, beta []float64, rows, dim int)
+//
+// xhat[r][j] = xhat[r][j] / std[j]; y[r][j] = gamma[j]·xhat[r][j] + beta[j].
+// A row's lanes carry no sum, so 4 features at a time keep the divider busy.
+TEXT ·bnNormalizeAsm(SB), NOSPLIT, $0-136
+	MOVQ xhat_base+0(FP), DI
+	MOVQ y_base+24(FP), SI
+	MOVQ std_base+48(FP), DX
+	MOVQ gamma_base+72(FP), CX
+	MOVQ beta_base+96(FP), AX
+	MOVQ rows+120(FP), R8
+	MOVQ dim+128(FP), R12
+	MOVQ R12, R9
+	SHLQ $3, R9
+	XORQ BX, BX
+
+no4:
+	CMPQ R12, $4
+	JLT  no2
+	VMOVUPD (DX)(BX*1), Y1
+	VMOVUPD (CX)(BX*1), Y2
+	VMOVUPD (AX)(BX*1), Y3
+	ROWS(no4next)
+
+no4row:
+	NORMALIZE(Y1, Y2, Y3, Y0)
+	NEXTROW(no4row)
+
+no4next:
+	ADDQ $32, BX
+	SUBQ $4, R12
+	JMP  no4
+
+no2:
+	CMPQ R12, $2
+	JLT  no1
+	VMOVUPD (DX)(BX*1), X1
+	VMOVUPD (CX)(BX*1), X2
+	VMOVUPD (AX)(BX*1), X3
+	ROWS(no2next)
+
+no2row:
+	NORMALIZE(X1, X2, X3, X0)
+	NEXTROW(no2row)
+
+no2next:
+	ADDQ $16, BX
+	SUBQ $2, R12
+
+no1:
+	TESTQ R12, R12
+	JZ   nodone
+	VMOVSD (DX)(BX*1), X1
+	VMOVSD (CX)(BX*1), X2
+	VMOVSD (AX)(BX*1), X3
+	ROWS(nodone)
+
+no1row:
+	VMOVSD (DI)(R10*1), X0
+	VDIVSD X1, X0, X0
+	VMOVSD X0, (DI)(R10*1)
+	VMULSD X0, X2, X0
+	VADDSD X3, X0, X0
+	VMOVSD X0, (SI)(R10*1)
+	NEXTROW(no1row)
+
+nodone:
+	VZEROUPPER
+	RET
+
+// One lane group of gradSums: G = g, P = g·xhat; bg += G, gg += P, sg += G,
+// sgx += P.
+#define GSUMS(off, bg, gg, sg, sgx, G, P) \
+	VMOVUPD off(SI)(R10*1), G; \
+	VMULPD  off(AX)(R10*1), G, P; \
+	VADDPD  G, bg, bg; \
+	VADDPD  P, gg, gg; \
+	VADDPD  G, sg, sg; \
+	VADDPD  P, sgx, sgx
+
+// func bnGradSumsAsm(betaG, gammaG, sumG, sumGX, g, xhat []float64, rows, dim int)
+//
+// betaG[j] += Σ_r g[r][j] and gammaG[j] += Σ_r g[r][j]·xhat[r][j], one row
+// at a time; sumG and sumGX are the same sums from +0.
+TEXT ·bnGradSumsAsm(SB), NOSPLIT, $0-160
+	MOVQ betaG_base+0(FP), DI
+	MOVQ gammaG_base+24(FP), R11
+	MOVQ sumG_base+48(FP), CX
+	MOVQ sumGX_base+72(FP), DX
+	MOVQ g_base+96(FP), SI
+	MOVQ xhat_base+120(FP), AX
+	MOVQ rows+144(FP), R8
+	MOVQ dim+152(FP), R12
+	MOVQ R12, R9
+	SHLQ $3, R9
+	XORQ BX, BX
+
+gs8:
+	CMPQ R12, $8
+	JLT  gs4
+	VMOVUPD 0(DI)(BX*1), Y0
+	VMOVUPD 32(DI)(BX*1), Y1
+	VMOVUPD 0(R11)(BX*1), Y2
+	VMOVUPD 32(R11)(BX*1), Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	ROWS(gs8store)
+
+gs8row:
+	GSUMS(0, Y0, Y2, Y4, Y6, Y8, Y9)
+	GSUMS(32, Y1, Y3, Y5, Y7, Y10, Y11)
+	NEXTROW(gs8row)
+
+gs8store:
+	VMOVUPD Y0, 0(DI)(BX*1)
+	VMOVUPD Y1, 32(DI)(BX*1)
+	VMOVUPD Y2, 0(R11)(BX*1)
+	VMOVUPD Y3, 32(R11)(BX*1)
+	VMOVUPD Y4, 0(CX)(BX*1)
+	VMOVUPD Y5, 32(CX)(BX*1)
+	VMOVUPD Y6, 0(DX)(BX*1)
+	VMOVUPD Y7, 32(DX)(BX*1)
+	ADDQ $64, BX
+	SUBQ $8, R12
+	JMP  gs8
+
+gs4:
+	CMPQ R12, $4
+	JLT  gs2
+	VMOVUPD (DI)(BX*1), Y0
+	VMOVUPD (R11)(BX*1), Y2
+	VXORPD Y4, Y4, Y4
+	VXORPD Y6, Y6, Y6
+	ROWS(gs4store)
+
+gs4row:
+	GSUMS(0, Y0, Y2, Y4, Y6, Y8, Y9)
+	NEXTROW(gs4row)
+
+gs4store:
+	VMOVUPD Y0, (DI)(BX*1)
+	VMOVUPD Y2, (R11)(BX*1)
+	VMOVUPD Y4, (CX)(BX*1)
+	VMOVUPD Y6, (DX)(BX*1)
+	ADDQ $32, BX
+	SUBQ $4, R12
+	JMP  gs4
+
+gs2:
+	CMPQ R12, $2
+	JLT  gs1
+	VMOVUPD (DI)(BX*1), X0
+	VMOVUPD (R11)(BX*1), X2
+	VXORPD X4, X4, X4
+	VXORPD X6, X6, X6
+	ROWS(gs2store)
+
+gs2row:
+	GSUMS(0, X0, X2, X4, X6, X8, X9)
+	NEXTROW(gs2row)
+
+gs2store:
+	VMOVUPD X0, (DI)(BX*1)
+	VMOVUPD X2, (R11)(BX*1)
+	VMOVUPD X4, (CX)(BX*1)
+	VMOVUPD X6, (DX)(BX*1)
+	ADDQ $16, BX
+	SUBQ $2, R12
+
+gs1:
+	TESTQ R12, R12
+	JZ   gsdone
+	VMOVSD (DI)(BX*1), X0
+	VMOVSD (R11)(BX*1), X2
+	VXORPD X4, X4, X4
+	VXORPD X6, X6, X6
+	ROWS(gs1store)
+
+gs1row:
+	VMOVSD (SI)(R10*1), X8
+	VMULSD (AX)(R10*1), X8, X9
+	VADDSD X8, X0, X0
+	VADDSD X9, X2, X2
+	VADDSD X8, X4, X4
+	VADDSD X9, X6, X6
+	NEXTROW(gs1row)
+
+gs1store:
+	VMOVSD X0, (DI)(BX*1)
+	VMOVSD X2, (R11)(BX*1)
+	VMOVSD X4, (CX)(BX*1)
+	VMOVSD X6, (DX)(BX*1)
+
+gsdone:
+	VZEROUPPER
+	RET
+
+// One lane group of gradX: T = xhat·sumGX/n, U = (g − meanG) − T,
+// gx = scale·U.
+#define GRADX(sc, mg, sgx, n, T, U) \
+	VMOVUPD (AX)(R10*1), T; \
+	VMULPD  sgx, T, T; \
+	VDIVPD  n, T, T; \
+	VMOVUPD (SI)(R10*1), U; \
+	VSUBPD  mg, U, U; \
+	VSUBPD  T, U, U; \
+	VMULPD  U, sc, U; \
+	VMOVUPD U, (DI)(R10*1)
+
+// func bnGradXAsm(gx, g, xhat, scale, meanG, sumGX []float64, n float64, rows, dim int)
+//
+// gx[r][j] = scale[j]·((g[r][j] − meanG[j]) − xhat[r][j]·sumGX[j]/n).
+// Like normalize, 4 features at a time.
+TEXT ·bnGradXAsm(SB), NOSPLIT, $0-168
+	MOVQ gx_base+0(FP), DI
+	MOVQ g_base+24(FP), SI
+	MOVQ xhat_base+48(FP), AX
+	MOVQ scale_base+72(FP), R11
+	MOVQ meanG_base+96(FP), CX
+	MOVQ sumGX_base+120(FP), DX
+	VBROADCASTSD n+144(FP), Y4
+	MOVQ rows+152(FP), R8
+	MOVQ dim+160(FP), R12
+	MOVQ R12, R9
+	SHLQ $3, R9
+	XORQ BX, BX
+
+gx4:
+	CMPQ R12, $4
+	JLT  gx2
+	VMOVUPD (R11)(BX*1), Y1
+	VMOVUPD (CX)(BX*1), Y2
+	VMOVUPD (DX)(BX*1), Y3
+	ROWS(gx4next)
+
+gx4row:
+	GRADX(Y1, Y2, Y3, Y4, Y5, Y6)
+	NEXTROW(gx4row)
+
+gx4next:
+	ADDQ $32, BX
+	SUBQ $4, R12
+	JMP  gx4
+
+gx2:
+	CMPQ R12, $2
+	JLT  gx1
+	VMOVUPD (R11)(BX*1), X1
+	VMOVUPD (CX)(BX*1), X2
+	VMOVUPD (DX)(BX*1), X3
+	ROWS(gx2next)
+
+gx2row:
+	GRADX(X1, X2, X3, X4, X5, X6)
+	NEXTROW(gx2row)
+
+gx2next:
+	ADDQ $16, BX
+	SUBQ $2, R12
+
+gx1:
+	TESTQ R12, R12
+	JZ   gxdone
+	VMOVSD (R11)(BX*1), X1
+	VMOVSD (CX)(BX*1), X2
+	VMOVSD (DX)(BX*1), X3
+	ROWS(gxdone)
+
+gx1row:
+	VMOVSD (AX)(R10*1), X5
+	VMULSD X3, X5, X5
+	VDIVSD X4, X5, X5
+	VMOVSD (SI)(R10*1), X6
+	VSUBSD X2, X6, X6
+	VSUBSD X5, X6, X6
+	VMULSD X6, X1, X6
+	VMOVSD X6, (DI)(R10*1)
+	NEXTROW(gx1row)
+
+gxdone:
+	VZEROUPPER
+	RET
+
+// One lane group of mask: M = key > 0 and not key > +Inf, as signed 64-bit
+// integers (positive's test: sign clear, not ±0, not NaN), then dst = src & M.
+#define MASK(LD, ST, Z, I, S, K, M) \
+	LD      (DX)(BX*1), K; \
+	VPCMPGTQ Z, K, M; \
+	VPCMPGTQ I, K, K; \
+	VPANDN  M, K, M; \
+	LD      (SI)(BX*1), S; \
+	VPAND   S, M, M; \
+	ST      M, (DI)(BX*1)
+
+// func maskAsm(dst, src, key []float64)
+//
+// dst[k] = src[k] where key[k] > 0, and +0 elsewhere, for k < len(key).
+TEXT ·maskAsm(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ key_base+48(FP), DX
+	MOVQ key_len+56(FP), R12
+	XORQ BX, BX
+	VPXOR Y14, Y14, Y14
+	MOVQ $0x7ff0000000000000, AX
+	VMOVQ AX, X13
+	VPBROADCASTQ X13, Y13
+
+ma4:
+	CMPQ R12, $4
+	JLT  ma2
+	MASK(VMOVDQU, VMOVDQU, Y14, Y13, Y0, Y1, Y2)
+	ADDQ $32, BX
+	SUBQ $4, R12
+	JMP  ma4
+
+ma2:
+	CMPQ R12, $2
+	JLT  ma1
+	MASK(VMOVDQU, VMOVDQU, X14, X13, X0, X1, X2)
+	ADDQ $16, BX
+	SUBQ $2, R12
+
+ma1:
+	TESTQ R12, R12
+	JZ   madone
+	MASK(VMOVQ, VMOVQ, X14, X13, X0, X1, X2)
+
+madone:
+	VZEROUPPER
+	RET

@@ -36,14 +36,23 @@
 // object code for fused instructions).
 //
 // SIMD kernels obey the same rules lane by lane: each lane multiplies, then
-// adds (never a fused multiply-add), and meets its terms in the scalar order.
-// On amd64 CPUs with AVX2, Dense's training step runs in assembly
-// (backward_amd64.s): the backward's weight- and input-gradient sums, and the
-// training forward, which is the weight-gradient kernel with a row of y as
-// its accumulator. Every other CPU and architecture runs the Go loops in
-// scalarKernels, which are also the oracle the assembly is tested against
-// bit for bit (simd_test.go). Dense's inference forward, which is
-// generation's, stays on the Go loop (see Dense.eval).
+// adds (never a fused multiply-add), divides where the scalar loop divides
+// (never by a reciprocal), and meets its terms in the scalar order. On amd64
+// CPUs with AVX2 the training step runs in assembly (backward_amd64.s):
+//
+//   - Dense: the backward's weight- and input-gradient sums, and the
+//     training forward, which is the weight-gradient kernel with a row of y
+//     as its accumulator;
+//   - BatchNorm: the forward's column sums, centring and variance sums, and
+//     normalization, and the backward's four per-feature sums and its input
+//     gradient, one lane per feature; the square root, the running
+//     statistics and the per-feature hoists stay in Go;
+//   - ReLU: a compare-and-mask on the bit pattern, forward and backward.
+//
+// Every other CPU and architecture runs the Go loops in scalarKernels and
+// scalarBNReLU, which are also the oracle the assembly is tested against bit
+// for bit (simd_test.go). The inference forwards of Dense and BatchNorm,
+// which are generation's, stay on their Go loops (see Dense.eval).
 package nn
 
 import (
@@ -282,30 +291,14 @@ func (*ReLU) Params() []*Param { return nil }
 func (*ReLU) outDim(in int) int    { return in }
 func (*ReLU) auxLen(int, bool) int { return 0 }
 
-func (*ReLU) eval(x, y []float64, _ int, _ []float64) {
-	y = y[:len(x)]
-	for k, v := range x {
-		b := math.Float64bits(v)
-		if !positive(b) {
-			b = 0
-		}
-		y[k] = math.Float64frombits(b)
-	}
-}
+// eval is also the training forward: y is x where x > 0 and +0 elsewhere.
+func (*ReLU) eval(x, y []float64, _ int, _ []float64) { bnReLU.mask(y, x, x) }
 
 func (r *ReLU) forward(x, y []float64, rows int, aux []float64) { r.eval(x, y, rows, aux) }
 
 func (*ReLU) backward(_, y, g, gx []float64, _ int, _ []float64) {
-	if gx == nil {
-		return
-	}
-	g, gx = g[:len(y)], gx[:len(y)]
-	for k, v := range y {
-		b := math.Float64bits(g[k])
-		if !positive(math.Float64bits(v)) {
-			b = 0
-		}
-		gx[k] = math.Float64frombits(b)
+	if gx != nil {
+		bnReLU.mask(gx, g, y)
 	}
 }
 
@@ -364,6 +357,9 @@ func (b *BatchNorm) auxLen(maxRows int, train bool) int {
 	return maxRows*b.Dim + 3*b.Dim
 }
 
+// eval stays on the Go loop on every CPU, as Dense.eval does: it is
+// generation's forward, and the read medians generation sits on are near the
+// repo benchmark's floor.
 func (b *BatchNorm) eval(x, y []float64, rows int, aux []float64) {
 	dim := b.Dim
 	sd := aux[:dim]
@@ -391,41 +387,19 @@ func (b *BatchNorm) forward(x, y []float64, rows int, aux []float64) {
 	std := aux[len(aux)-3*dim : len(aux)-2*dim]
 	mean := aux[len(aux)-2*dim : len(aux)-dim]
 	variance := aux[len(aux)-dim:]
-	for j := range mean {
-		mean[j], variance[j] = 0, 0
-	}
-	for r := 0; r < rows; r++ {
-		for j, v := range x[r*dim : (r+1)*dim] {
-			mean[j] += v
-		}
-	}
+	bnReLU.colSum(mean, x, rows, dim)
 	for j := range mean {
 		mean[j] /= n
 	}
 	// xhat holds the centred value until the variance is known.
-	for r := 0; r < rows; r++ {
-		xr, cr := x[r*dim:(r+1)*dim], xhat[r*dim:(r+1)*dim]
-		for j, v := range xr {
-			c := v - mean[j]
-			cr[j] = c
-			variance[j] += float64(c * c)
-		}
-	}
+	bnReLU.center(xhat, variance, x, mean, rows, dim)
 	for j := range variance {
 		variance[j] /= n
 		std[j] = math.Sqrt(variance[j] + b.Eps)
 		b.runMean[j] = float64(b.Momentum*b.runMean[j]) + float64((1-b.Momentum)*mean[j])
 		b.runVar[j] = float64(b.Momentum*b.runVar[j]) + float64((1-b.Momentum)*variance[j])
 	}
-	gamma, beta := b.Gamma.Data[:dim], b.Beta.Data[:dim]
-	for r := 0; r < rows; r++ {
-		cr, yr := xhat[r*dim:(r+1)*dim], y[r*dim:(r+1)*dim]
-		for j, c := range cr {
-			xh := c / std[j]
-			cr[j] = xh
-			yr[j] = float64(gamma[j]*xh) + beta[j]
-		}
-	}
+	bnReLU.normalize(xhat, y, std, b.Gamma.Data, b.Beta.Data, rows, dim)
 }
 
 func (b *BatchNorm) backward(_, _, g, gx []float64, rows int, aux []float64) {
@@ -435,20 +409,7 @@ func (b *BatchNorm) backward(_, _, g, gx []float64, rows int, aux []float64) {
 	std := aux[len(aux)-3*dim : len(aux)-2*dim]
 	sumG := aux[len(aux)-2*dim : len(aux)-dim]
 	sumGX := aux[len(aux)-dim:]
-	for j := range sumG {
-		sumG[j], sumGX[j] = 0, 0
-	}
-	betaG, gammaG := b.Beta.Grad[:dim], b.Gamma.Grad[:dim]
-	for r := 0; r < rows; r++ {
-		gr, xr := g[r*dim:(r+1)*dim], xhat[r*dim:(r+1)*dim]
-		for j, gj := range gr {
-			gxh := float64(gj * xr[j])
-			betaG[j] += gj
-			gammaG[j] += gxh
-			sumG[j] += gj
-			sumGX[j] += gxh
-		}
-	}
+	bnReLU.gradSums(b.Beta.Grad, b.Gamma.Grad, sumG, sumGX, g, xhat, rows, dim)
 	if gx == nil {
 		return
 	}
@@ -459,11 +420,115 @@ func (b *BatchNorm) backward(_, _, g, gx []float64, rows int, aux []float64) {
 		scale[j] = b.Gamma.Data[j] / std[j]
 		meanG[j] = sumG[j] / n
 	}
+	bnReLU.gradX(gx, g, xhat, scale, meanG, sumGX, rows, dim)
+}
+
+// bnReLUKernels are the O(rows·dim) passes of BatchNorm's training step and
+// ReLU's mask. x, xhat, y, g and gx are rows×dim; every other slice has one
+// value per feature. A sum over rows runs in row order, from +0 unless it
+// adds to a gradient.
+type bnReLUKernels struct {
+	// colSum sets sum[j] to Σ_r x[r][j].
+	colSum func(sum, x []float64, rows, dim int)
+	// center sets c[r][j] to x[r][j] − mean[j] and variance[j] to
+	// Σ_r c[r][j]·c[r][j].
+	center func(c, variance, x, mean []float64, rows, dim int)
+	// normalize divides xhat[r][j], which holds the centred value, by
+	// std[j] in place and sets y[r][j] to gamma[j]·xhat[r][j] + beta[j].
+	normalize func(xhat, y, std, gamma, beta []float64, rows, dim int)
+	// gradSums adds g[r][j] to betaG[j] and sumG[j], and g[r][j]·xhat[r][j]
+	// to gammaG[j] and sumGX[j]; sumG and sumGX start from +0.
+	gradSums func(betaG, gammaG, sumG, sumGX, g, xhat []float64, rows, dim int)
+	// gradX sets gx[r][j] to scale[j]·((g[r][j] − meanG[j]) −
+	// xhat[r][j]·sumGX[j]/rows).
+	gradX func(gx, g, xhat, scale, meanG, sumGX []float64, rows, dim int)
+	// mask sets dst[k] to src[k] where key[k] > 0 and to +0 elsewhere, for
+	// k < len(key): ReLU's forward is mask(y, x, x), its backward
+	// mask(gx, g, y).
+	mask func(dst, src, key []float64)
+}
+
+var (
+	// scalarBNReLU are the portable Go loops: the fallback on every other CPU
+	// and architecture, and the oracle the SIMD kernels are tested against.
+	scalarBNReLU = bnReLUKernels{colSumGo, centerGo, normalizeGo, gradSumsGo, bnGradXGo, maskGo}
+	// simdBNReLU are the AVX2 kernels, or nil where there are none (set by
+	// backward_amd64.go).
+	simdBNReLU *bnReLUKernels
+	// bnReLU is what BatchNorm.forward, BatchNorm.backward and ReLU run.
+	bnReLU = scalarBNReLU
+)
+
+func colSumGo(sum, x []float64, rows, dim int) {
+	sum = sum[:dim]
+	clear(sum)
+	for r := 0; r < rows; r++ {
+		for j, v := range x[r*dim : (r+1)*dim] {
+			sum[j] += v
+		}
+	}
+}
+
+func centerGo(c, variance, x, mean []float64, rows, dim int) {
+	variance, mean = variance[:dim], mean[:dim]
+	clear(variance)
+	for r := 0; r < rows; r++ {
+		xr, cr := x[r*dim:(r+1)*dim], c[r*dim:(r+1)*dim]
+		for j, v := range xr {
+			c := v - mean[j]
+			cr[j] = c
+			variance[j] += float64(c * c)
+		}
+	}
+}
+
+func normalizeGo(xhat, y, std, gamma, beta []float64, rows, dim int) {
+	std, gamma, beta = std[:dim], gamma[:dim], beta[:dim]
+	for r := 0; r < rows; r++ {
+		cr, yr := xhat[r*dim:(r+1)*dim], y[r*dim:(r+1)*dim]
+		for j, c := range cr {
+			xh := c / std[j]
+			cr[j] = xh
+			yr[j] = float64(gamma[j]*xh) + beta[j]
+		}
+	}
+}
+
+func gradSumsGo(betaG, gammaG, sumG, sumGX, g, xhat []float64, rows, dim int) {
+	betaG, gammaG, sumG, sumGX = betaG[:dim], gammaG[:dim], sumG[:dim], sumGX[:dim]
+	clear(sumG)
+	clear(sumGX)
+	for r := 0; r < rows; r++ {
+		gr, xr := g[r*dim:(r+1)*dim], xhat[r*dim:(r+1)*dim]
+		for j, gj := range gr {
+			gxh := float64(gj * xr[j])
+			betaG[j] += gj
+			gammaG[j] += gxh
+			sumG[j] += gj
+			sumGX[j] += gxh
+		}
+	}
+}
+
+func bnGradXGo(gx, g, xhat, scale, meanG, sumGX []float64, rows, dim int) {
+	n := float64(rows)
+	scale, meanG, sumGX = scale[:dim], meanG[:dim], sumGX[:dim]
 	for r := 0; r < rows; r++ {
 		gr, xr, gxr := g[r*dim:(r+1)*dim], xhat[r*dim:(r+1)*dim], gx[r*dim:(r+1)*dim]
 		for j, gj := range gr {
 			gxr[j] = scale[j] * (gj - meanG[j] - xr[j]*sumGX[j]/n)
 		}
+	}
+}
+
+func maskGo(dst, src, key []float64) {
+	dst, src = dst[:len(key)], src[:len(key)]
+	for k, v := range key {
+		b := math.Float64bits(src[k])
+		if !positive(math.Float64bits(v)) {
+			b = 0
+		}
+		dst[k] = math.Float64frombits(b)
 	}
 }
 

@@ -178,3 +178,150 @@ func TestDenseForwardIsEval(t *testing.T) {
 		checkSame(t, "Dense.forward vs Dense.eval", c, fwd, eval, sameBitsExactly)
 	}
 }
+
+// bnCase is one BatchNorm and ReLU shape: every width from 1 to 70, so every
+// tile remainder is covered, each over 2 to 300 rows. The per-feature slices
+// feed the kernels one at a time, as if an earlier pass had made them.
+type bnCase struct {
+	rows, dim                            int
+	x, g                                 []float64
+	gamma, beta, gammaG, betaG           []float64
+	runMean, runVar                      []float64
+	mean, std, scale, meanG, sumG, sumGX []float64
+}
+
+func bnCases() []bnCase {
+	rng := rand.New(rand.NewSource(47))
+	var cases []bnCase
+	for dim := 1; dim <= 70; dim++ {
+		rows := 2 + rng.Intn(299)
+		feature := func() []float64 { return kernelInput(rng, dim, 0.1) }
+		cases = append(cases, bnCase{
+			rows: rows, dim: dim,
+			x: kernelInput(rng, rows*dim, 0.1), g: kernelInput(rng, rows*dim, 0.1),
+			gamma: feature(), beta: feature(), gammaG: feature(), betaG: feature(),
+			runMean: feature(), runVar: feature(),
+			mean: feature(), std: feature(), scale: feature(), meanG: feature(), sumG: feature(), sumGX: feature(),
+		})
+	}
+	return cases
+}
+
+func clone(v []float64) []float64 { return append([]float64(nil), v...) }
+
+// bnKernelOutputs runs each entry of k once on c's inputs, every entry on its
+// own, and returns everything the entries write. A sum that must start from
+// +0 is handed a slice of other values, so an entry that adds to it fails.
+func bnKernelOutputs(k bnReLUKernels, c bnCase) map[string][]float64 {
+	n, dim := c.rows*c.dim, c.dim
+	out := map[string][]float64{}
+	out["colSum sum"] = clone(c.mean)
+	k.colSum(out["colSum sum"], c.x, c.rows, dim)
+	out["center c"], out["center variance"] = make([]float64, n), clone(c.sumG)
+	k.center(out["center c"], out["center variance"], c.x, c.mean, c.rows, dim)
+	out["normalize xhat"], out["normalize y"] = clone(c.x), make([]float64, n)
+	k.normalize(out["normalize xhat"], out["normalize y"], c.std, c.gamma, c.beta, c.rows, dim)
+	out["gradSums betaG"], out["gradSums gammaG"] = clone(c.betaG), clone(c.gammaG)
+	out["gradSums sumG"], out["gradSums sumGX"] = clone(c.sumG), clone(c.sumGX)
+	k.gradSums(out["gradSums betaG"], out["gradSums gammaG"], out["gradSums sumG"], out["gradSums sumGX"], c.g, c.x, c.rows, dim)
+	out["gradX gx"] = make([]float64, n)
+	k.gradX(out["gradX gx"], c.g, c.x, c.scale, c.meanG, c.sumGX, c.rows, dim)
+	out["mask forward"], out["mask backward"] = make([]float64, n), make([]float64, n)
+	k.mask(out["mask forward"], c.x, c.x)
+	k.mask(out["mask backward"], c.g, c.x)
+	return out
+}
+
+// bnLayerOutputs runs a BatchNorm and a ReLU through one training step on k,
+// and returns their outputs, BatchNorm's xhat and std, its running statistics
+// and every gradient.
+func bnLayerOutputs(k bnReLUKernels, c bnCase) map[string][]float64 {
+	defer func(saved bnReLUKernels) { bnReLU = saved }(bnReLU)
+	bnReLU = k
+	n, dim := c.rows*c.dim, c.dim
+	bn := NewBatchNorm(dim)
+	copy(bn.Gamma.Data, c.gamma)
+	copy(bn.Beta.Data, c.beta)
+	copy(bn.Gamma.Grad, c.gammaG)
+	copy(bn.Beta.Grad, c.betaG)
+	copy(bn.runMean, c.runMean)
+	copy(bn.runVar, c.runVar)
+	aux := make([]float64, bn.auxLen(c.rows, true))
+	out := map[string][]float64{"bn y": make([]float64, n), "bn gx": make([]float64, n)}
+	bn.forward(c.x, out["bn y"], c.rows, aux)
+	out["bn xhat"], out["bn std"] = clone(aux[:n]), clone(aux[len(aux)-3*dim:len(aux)-2*dim])
+	out["bn runMean"], out["bn runVar"] = bn.runMean, bn.runVar
+	bn.backward(nil, out["bn y"], c.g, out["bn gx"], c.rows, aux)
+	out["bn gammaG"], out["bn betaG"] = bn.Gamma.Grad, bn.Beta.Grad
+	var relu ReLU
+	out["relu y"], out["relu gx"] = make([]float64, n), make([]float64, n)
+	relu.forward(c.x, out["relu y"], c.rows, nil)
+	relu.backward(c.x, out["relu y"], c.g, out["relu gx"], c.rows, nil)
+	return out
+}
+
+// refLayerOutputs is bnLayerOutputs on the reference layers of oracle_test.go.
+func refLayerOutputs(c bnCase) map[string][]float64 {
+	dim := c.dim
+	bn := &refBatchNorm{
+		Dim: dim, Momentum: 0.9, Eps: 1e-5,
+		Gamma:   &Param{Data: clone(c.gamma), Grad: clone(c.gammaG)},
+		Beta:    &Param{Data: clone(c.beta), Grad: clone(c.betaG)},
+		runMean: clone(c.runMean), runVar: clone(c.runVar),
+	}
+	flat := func(rows [][]float64) []float64 {
+		var v []float64
+		for _, r := range rows {
+			v = append(v, r...)
+		}
+		return v
+	}
+	x := toRows(Batch{Rows: c.rows, Dim: dim, Data: c.x})
+	g := toRows(Batch{Rows: c.rows, Dim: dim, Data: c.g})
+	out := map[string][]float64{"bn y": flat(bn.Forward(x, true))}
+	out["bn xhat"], out["bn std"] = flat(bn.xhat), clone(bn.std)
+	out["bn runMean"], out["bn runVar"] = bn.runMean, bn.runVar
+	out["bn gx"] = flat(bn.Backward(g))
+	out["bn gammaG"], out["bn betaG"] = bn.Gamma.Grad, bn.Beta.Grad
+	relu := &refReLU{}
+	out["relu y"] = flat(relu.Forward(x, true))
+	out["relu gx"] = flat(relu.Backward(g))
+	return out
+}
+
+func checkOutputs(t *testing.T, c bnCase, got, want map[string][]float64, same func(a, b float64) bool) {
+	t.Helper()
+	for what, w := range want {
+		g := got[what]
+		if len(g) != len(w) {
+			t.Fatalf("%s, %d rows × %d: %d values, want %d", what, c.rows, c.dim, len(g), len(w))
+		}
+		for e, v := range g {
+			if !same(v, w[e]) {
+				t.Fatalf("%s, %d rows × %d: element %d is %v (%#x), want %v (%#x)",
+					what, c.rows, c.dim, e, v, math.Float64bits(v), w[e], math.Float64bits(w[e]))
+			}
+		}
+	}
+}
+
+// TestBatchNormReLUKernels holds BatchNorm's and ReLU's training step on the
+// portable kernels to the reference layers, and the AVX2 kernels to the
+// portable ones bit for bit: each kernel on its own, and both layers through
+// a forward and a backward.
+func TestBatchNormReLUKernels(t *testing.T) {
+	t.Run("scalar", func(t *testing.T) {
+		for _, c := range bnCases() {
+			checkOutputs(t, c, bnLayerOutputs(scalarBNReLU, c), refLayerOutputs(c), sameOrBothNaN)
+		}
+	})
+	t.Run("avx2", func(t *testing.T) {
+		if simdBNReLU == nil {
+			t.Skip("no AVX2 on this CPU or architecture: BatchNorm and ReLU run the scalar kernels")
+		}
+		for _, c := range bnCases() {
+			checkOutputs(t, c, bnKernelOutputs(*simdBNReLU, c), bnKernelOutputs(scalarBNReLU, c), sameBitsExactly)
+			checkOutputs(t, c, bnLayerOutputs(*simdBNReLU, c), bnLayerOutputs(scalarBNReLU, c), sameBitsExactly)
+		}
+	})
+}

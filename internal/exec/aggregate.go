@@ -6,9 +6,8 @@
 // share finalize:
 //
 //   - planAggregate resolves the group keys and weights and compiles the
-//     aggregate inputs against the full snapshot — an input the kernels do
-//     not cover keeps its per-row form — so every shard of every process
-//     holding the same data runs the same plan;
+//     aggregate inputs against the full snapshot, so every shard of every
+//     process holding the same data runs the same plan;
 //   - aggPlan.scan runs selection → group ids → accumulation over the plan's
 //     rows (aggPlan.slice narrows a plan to one shard's range), and fails
 //     with the interpreter's first error over those rows;
@@ -42,8 +41,9 @@ type aggPlan struct {
 }
 
 // planAggregate plans sel over snap. Its errors are the eager validation
-// errors the row interpreter raises too.
-func planAggregate(snap *table.Snapshot, sel *sql.Select, opts Options) (*aggPlan, error) {
+// errors the row interpreter raises too, and ctx's once it stops the
+// compile-time fills.
+func planAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*aggPlan, error) {
 	keyIdx, err := resolveGroupKeys(snap, sel)
 	if err != nil {
 		return nil, err
@@ -53,15 +53,19 @@ func planAggregate(snap *table.Snapshot, sel *sql.Select, opts Options) (*aggPla
 		rawW = opts.WeightOverride
 	}
 	workers := opts.workers()
-	comp := &kernelCompiler{snap: snap, weights: rawW, n: snap.Len(), workers: workers}
+	comp := &kernelCompiler{ctx: ctx, snap: snap, weights: rawW, n: snap.Len(), workers: workers}
 	vaggs := planVectorAggs(comp, sel)
+	if comp.err != nil {
+		return nil, comp.err
+	}
 	return &aggPlan{snap: snap, sel: sel, keyIdx: keyIdx, rawW: rawW, vaggs: vaggs, weighted: opts.Weighted, workers: workers}, nil
 }
 
 // slice narrows the plan to rows [lo, hi), one shard's contiguous range.
-// Every numeric input is a per-row numVec, so its slice equals compiling
-// the slice (TEXT/BOOL inputs read the sliced snapshot); lo is 64-aligned
-// (shardBounds), so bitmaps re-slice on word boundaries.
+// Every input is compiled per row over the full snapshot, so its slice
+// equals compiling the slice: a numVec re-slices, and any other input is
+// read lo rows on. lo is 64-aligned (shardBounds), so bitmaps re-slice on
+// word boundaries.
 func (p *aggPlan) slice(lo, hi int) *aggPlan {
 	s := *p
 	s.snap = p.snap.SliceRange(lo, hi)
@@ -71,6 +75,10 @@ func (p *aggPlan) slice(lo, hi int) *aggPlan {
 		if a.vec != nil {
 			a.vec = a.vec.slice(lo, hi)
 		}
+		if at := a.at; at != nil {
+			a.at = func(i int) value.Value { return at(lo + i) }
+		}
+		a.errs = sliceBits(a.errs, lo)
 		s.vaggs[i] = a
 	}
 	return &s
@@ -85,10 +93,33 @@ type aggScan struct {
 }
 
 // scan runs selection → weights → group ids → accumulation over the
-// plan's rows. An aggregate input's error at a kept row comes before the
-// selection's, which SelectRows found at a later row.
+// plan's rows. An aggregate input's failure at a kept row comes before the
+// selection's, which SelectRows found at a later row; the interpreter
+// accumulates a row's items in select-list order, so at the first failing
+// kept row its accumulateRow names the first failing item.
 func (p *aggPlan) scan(ctx context.Context) (*aggScan, error) {
 	selRows, selErr := SelectRows(ctx, p.snap, p.sel.Where, p.rawW, p.workers)
+	errs := make([][]uint64, len(p.vaggs))
+	for i, a := range p.vaggs {
+		errs[i] = a.errs
+	}
+	if k := firstFailing(selRows, errs...); k >= 0 {
+		r := int(selRows[k])
+		return nil, rowError(p.snap, r, p.rawW[r], func(b *expr.Binding) error {
+			for _, it := range p.sel.Items {
+				if it.Agg == sql.AggNone {
+					continue
+				}
+				if err := accumulateRow(NewPartialStates(it.Agg, 1), 0, it, b, 1); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	if selErr != nil {
+		return nil, selErr
+	}
 	selW := make([]float64, len(selRows))
 	if p.weighted {
 		for k, ri := range selRows {
@@ -101,12 +132,9 @@ func (p *aggPlan) scan(ctx context.Context) (*aggScan, error) {
 	}
 	gids, firstRow := p.snap.GroupIDs(p.keyIdx, nil, selRows)
 	ngroups := len(firstRow)
-	states, err := accumulateStates(ctx, p.vaggs, p.snap, p.rawW, selRows, gids, selW, ngroups, p.workers)
+	states, err := accumulateStates(ctx, p.vaggs, selRows, gids, selW, ngroups, p.workers)
 	if err != nil {
 		return nil, err
-	}
-	if selErr != nil {
-		return nil, selErr
 	}
 	return &aggScan{states: states, ngroups: ngroups, firstRow: firstRow}, nil
 }
@@ -142,7 +170,7 @@ func (p *aggPlan) partial(ctx context.Context, lo, hi int) (*ShardPartial, error
 // unsharded it scans and finalizes; with Shards > 1 it scatters the plan over
 // contiguous range shards and gathers their partials in shard order.
 func runAggregateVector(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, error) {
-	p, err := planAggregate(snap, sel, opts)
+	p, err := planAggregate(ctx, snap, sel, opts)
 	if err != nil {
 		return nil, err
 	}

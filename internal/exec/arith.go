@@ -1,33 +1,27 @@
-// Numeric operands and their kernels: +, -, *, /, % and the numeric
-// truth, comparison and IN kernels.
+// Numeric operands and their kernels: +, -, *, /, %, unary minus and the
+// numeric truth, comparison and IN kernels.
 //
-// A numVec is the columnar executor's one numeric operand, in WHERE and in
-// aggregate inputs alike: an INT/FLOAT column or WEIGHT (sharing the
-// snapshot's payload and null bitmap, never copied), a literal (one scalar
-// element), or arithmetic materialized as a typed vector — int64 when the
-// whole expression stays in exact integer arithmetic, float64 otherwise,
-// with null and error bitmaps on the side. The compiler mirrors
-// expr.evalArith exactly — INT op INT stays int64 (including wraparound)
-// except division, everything else computes through float64 in the
-// interpreter's operand order — so results are bit-identical to the row
-// path. The only dynamic error arithmetic over numeric columns can raise is
-// division by zero; rows that would raise it carry an error bit, which the
-// consuming kernels turn into ternErr.
+// A numVec is the columnar executor's one numeric operand, in WHERE, select
+// items and aggregate inputs alike: an INT/FLOAT column or WEIGHT (sharing
+// the snapshot's payload and null bitmap, never copied), a literal (one
+// scalar element), or arithmetic materialized as a typed vector — int64
+// when the whole expression stays in exact integer arithmetic, float64
+// otherwise, with null and error bitmaps on the side. The compiler mirrors
+// expr.evalArith exactly — operands first, then NULL, then kinds; INT op INT
+// stays int64 (including wraparound) except division, everything else
+// computes through float64 in the interpreter's operand order — so results
+// are bit-identical to the row path. Rows where the interpreter fails carry
+// an error bit: division by zero, and arithmetic on or negation of a BOOL
+// or TEXT value (nonNumeric); the consuming kernels turn it into ternErr.
 package exec
 
 import (
-	"errors"
 	"math"
 	"math/bits"
 
 	"mosaic/internal/expr"
 	"mosaic/internal/value"
 )
-
-// errDivisionByZero is the vectorized twin of the interpreter's division
-// error; the messages must match byte for byte (the differential harness
-// compares error strings across the two executors).
-var errDivisionByZero = errors.New("expr: division by zero")
 
 // numVec is a numeric operand: exactly one of ints/floats is set. Bitmaps
 // are 64 rows per word; nil means "no bits set". Payload and bitmap slices
@@ -36,19 +30,18 @@ var errDivisionByZero = errors.New("expr: division by zero")
 // Constant operands broadcast as scalars instead of materializing
 // table-length vectors: scalar means the payload slice holds a single
 // element every row shares, constNull means every row is NULL (payload
-// unused; errs may still carry per-row bits from a nested operand), and
-// constErr means every row raises division-by-zero. The arithmetic and
-// comparison kernels read scalars into registers; consumers whose loops
-// index per row call full() first.
+// unused; errs may still carry per-row bits from an operand), and constErr
+// means every row fails. The arithmetic and comparison kernels read scalars
+// into registers; consumers whose loops index per row call full() first.
 type numVec struct {
 	isInt     bool
 	scalar    bool // payload is one broadcast element
 	constNull bool // every row NULL
-	constErr  bool // every row raises "expr: division by zero"
+	constErr  bool // every row fails
 	ints      []int64
 	floats    []float64
 	nulls     []uint64
-	errs      []uint64 // rows that raise "expr: division by zero"
+	errs      []uint64 // rows where the interpreter fails; they win over nulls
 }
 
 // scalarInt returns the broadcast element of a scalar int vector.
@@ -69,18 +62,11 @@ func (v *numVec) full(n int) *numVec {
 	if !v.scalar {
 		return v
 	}
-	allOnes := func() []uint64 {
-		bm := newBitmap(n)
-		for i := range bm {
-			bm[i] = ^uint64(0)
-		}
-		return bm
-	}
 	switch {
 	case v.constErr:
-		return &numVec{floats: make([]float64, n), errs: allOnes()}
+		return &numVec{floats: make([]float64, n), errs: allOnes(n)}
 	case v.constNull:
-		return &numVec{floats: make([]float64, n), nulls: allOnes(), errs: v.errs}
+		return &numVec{floats: make([]float64, n), nulls: allOnes(n), errs: v.errs}
 	case v.isInt:
 		xs := make([]int64, n)
 		x := v.ints[0]
@@ -139,6 +125,15 @@ func bitSet(bm []uint64, i int) {
 
 func newBitmap(n int) []uint64 { return make([]uint64, (n+63)/64) }
 
+// allOnes is a bitmap with every row's bit set.
+func allOnes(n int) []uint64 {
+	bm := newBitmap(n)
+	for i := range bm {
+		bm[i] = ^uint64(0)
+	}
+	return bm
+}
+
 // orBits merges two bitmaps (either may be nil, lengths may differ).
 func orBits(a, b []uint64, n int) []uint64 {
 	if a == nil {
@@ -190,84 +185,77 @@ func (v *numVec) floatView() []float64 {
 	return out
 }
 
-// compileNum compiles e into a numeric vector, or returns nil when e falls
-// outside the arithmetic kernel set (non-numeric operands, unknown columns,
-// aggregates — the caller then keeps the operand's per-row form, where the
-// interpreter reproduces the exact semantics, including lazy errors).
-func (c *kernelCompiler) compileNum(e expr.Expr) *numVec {
-	if v, ok := foldConst(e); ok {
-		return c.numConst(v)
+// arith is a binary arithmetic node: numArith over two numeric operands,
+// nonNumeric when either is BOOL or TEXT.
+func (c *kernelCompiler) arith(op expr.BinOp, l, r operand) *numVec {
+	if l.num == nil || r.num == nil {
+		return c.nonNumeric(l, r)
 	}
-	switch ex := e.(type) {
-	case *expr.Column:
-		// nil for BOOL/TEXT (arithmetic on them errors per row) and unknown
-		// columns: the per-row form answers.
-		ref, _ := c.resolve(ex.Name)
-		return ref.num
-	case *expr.Unary:
-		if !ex.Neg {
-			return nil // NOT yields BOOL; arithmetic on it errors per row
-		}
-		child := c.compileNum(ex.Child)
-		if child == nil {
-			return nil
-		}
-		if child.constNull || child.constErr {
-			return child // negating NULL/error changes nothing
-		}
-		if child.scalar {
-			if child.isInt {
-				return &numVec{isInt: true, scalar: true, ints: []int64{-child.ints[0]}}
-			}
-			return &numVec{scalar: true, floats: []float64{-child.floats[0]}}
-		}
-		out := &numVec{isInt: child.isInt, nulls: child.nulls, errs: child.errs}
-		if child.isInt {
-			out.ints = make([]int64, len(child.ints))
-			for i, x := range child.ints {
-				out.ints[i] = -x
-			}
-		} else {
-			out.floats = make([]float64, len(child.floats))
-			for i, x := range child.floats {
-				out.floats[i] = -x
-			}
-		}
-		return out
-	case *expr.Binary:
-		switch ex.Op {
-		case expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv, expr.OpMod:
-		default:
-			return nil // comparisons/logic yield BOOL
-		}
-		l := c.compileNum(ex.Left)
-		if l == nil {
-			return nil
-		}
-		r := c.compileNum(ex.Right)
-		if r == nil {
-			return nil
-		}
-		return c.numArith(ex.Op, l, r)
-	default:
-		return nil
-	}
+	return c.numArith(op, l.num, r.num)
 }
 
-// numConst broadcasts a constant as a scalar vector: one element shared by
-// every row, never a table-length materialization. NULL becomes a constNull
-// scalar (NULL propagates through arithmetic, so payload values are never
-// observed).
-func (c *kernelCompiler) numConst(v value.Value) *numVec {
+// nonNumeric is arithmetic on, or negation of, a BOOL or TEXT operand,
+// which the interpreter refuses once its operands are evaluated and none is
+// NULL: every row is NULL where an operand is NULL, and fails where an
+// operand fails or none is NULL.
+func (c *kernelCompiler) nonNumeric(ops ...operand) *numVec {
+	var nulls, errs []uint64
+	for _, o := range ops {
+		n, e := c.state(o)
+		nulls, errs = orBits(nulls, n, c.n), orBits(errs, e, c.n)
+	}
+	out := allOnes(c.n)
+	for i := range out {
+		if i < len(nulls) {
+			out[i] &^= nulls[i]
+		}
+		if i < len(errs) {
+			out[i] |= errs[i]
+		}
+	}
+	return &numVec{scalar: true, constNull: true, errs: out}
+}
+
+// negate is unary minus.
+func (c *kernelCompiler) negate(o operand) *numVec {
+	child := o.num
+	switch {
+	case child == nil:
+		return c.nonNumeric(o)
+	case child.constNull || child.constErr:
+		return child // negating NULL/error changes nothing
+	case child.scalar && child.isInt:
+		return &numVec{isInt: true, scalar: true, ints: []int64{-child.ints[0]}}
+	case child.scalar:
+		return &numVec{scalar: true, floats: []float64{-child.floats[0]}}
+	}
+	out := &numVec{isInt: child.isInt, nulls: child.nulls, errs: child.errs}
+	if child.isInt {
+		out.ints = make([]int64, len(child.ints))
+		for i, x := range child.ints {
+			out.ints[i] = -x
+		}
+	} else {
+		out.floats = make([]float64, len(child.floats))
+		for i, x := range child.floats {
+			out.floats[i] = -x
+		}
+	}
+	return out
+}
+
+// numConst broadcasts an INT, FLOAT or NULL constant as a scalar vector:
+// one element shared by every row, never a table-length materialization.
+// NULL becomes a constNull scalar (NULL propagates through arithmetic, so
+// payload values are never observed).
+func numConst(v value.Value) *numVec {
 	switch v.Kind() {
 	case value.KindInt:
 		return &numVec{isInt: true, scalar: true, ints: []int64{v.AsInt()}}
 	case value.KindFloat:
 		return &numVec{scalar: true, floats: []float64{v.AsFloat()}}
-	case value.KindNull:
-		return &numVec{scalar: true, constNull: true}
 	default:
-		return nil // BOOL/TEXT constants are not arithmetic operands
+		return &numVec{scalar: true, constNull: true}
 	}
 }
 
@@ -299,8 +287,7 @@ func (c *kernelCompiler) numArith(op expr.BinOp, l, r *numVec) *numVec {
 		nulls: orBits(l.nulls, r.nulls, n),
 		errs:  orBits(l.errs, r.errs, n),
 	}
-	// The fills below run morsel-parallel (compile-time work, nil ctx: never
-	// cancelled). Each morsel writes disjoint payload rows, and morselRows is
+	// The fills below run morsel-parallel (kernelCompiler.fill). Each morsel writes disjoint payload rows, and morselRows is
 	// a multiple of 64, so error-bit writers never share a bitmap word — but
 	// the shared errs bitmap must be privately owned *before* the fan-out.
 	if l.isInt && r.isInt && op != expr.OpDiv {
@@ -309,7 +296,7 @@ func (c *kernelCompiler) numArith(op expr.BinOp, l, r *numVec) *numVec {
 		if op == expr.OpMod {
 			out.errs = ownBits(out.errs, n)
 		}
-		_ = forEachMorsel(nil, n, c.workers, func(lo, hi int) {
+		c.fill(func(lo, hi int) {
 			switch {
 			case r.scalar:
 				arithIntVS(op, out, l.ints, r.scalarInt(), lo, hi)
@@ -326,7 +313,7 @@ func (c *kernelCompiler) numArith(op expr.BinOp, l, r *numVec) *numVec {
 		out.errs = ownBits(out.errs, n)
 	}
 	lf, rf := l.floatView(), r.floatView()
-	_ = forEachMorsel(nil, n, c.workers, func(lo, hi int) {
+	c.fill(func(lo, hi int) {
 		switch {
 		case r.scalar:
 			arithFloatVS(op, out, lf, r.scalarFloat(), lo, hi)
@@ -726,7 +713,7 @@ type inNumKernel struct {
 func newInNum(v *numVec, vals []value.Value, sawNull, negate bool) *inNumKernel {
 	k := &inNumKernel{v: v, ints: map[int64]bool{}, floats: map[uint64]bool{}, sawNull: sawNull, negate: negate}
 	for _, item := range vals {
-		if classOf(item.Kind()) != value.ClassNum {
+		if classOf[item.Kind()] != value.ClassNum {
 			continue
 		}
 		if v.isInt && item.Kind() == value.KindInt {

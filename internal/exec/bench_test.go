@@ -131,16 +131,20 @@ func BenchmarkGlobalAggregate100k(b *testing.B) {
 	}
 }
 
-// BenchmarkPerRowForms100k times the shapes whose operands no kernel
-// compiles, so the pipeline evaluates them per kept row: aggregate inputs
-// (COUNT(x > 500), MAX(c = 'g1')), with and without an interpreted WHERE,
-// and a computed select item.
-func BenchmarkPerRowForms100k(b *testing.B) {
+// BenchmarkComputedOperands100k times operands that are neither a plain
+// column nor a numeric expression, compiled like every other: BOOL
+// aggregate inputs (COUNT(x > 500), MAX(c = 'g1')) read as values, with and
+// without a WHERE comparing two BOOL operands, and a computed select item
+// filled from its numVec at the kept rows only. The item's numVec is
+// computed over every row, so project-selective (one row in a thousand
+// kept) times that cost where the kept rows are few.
+func BenchmarkComputedOperands100k(b *testing.B) {
 	tbl := benchTable(100000)
 	for _, bc := range []struct{ name, q string }{
 		{"agg", "SELECT c, COUNT(x > 500), MAX(c = 'g1') FROM t GROUP BY c"},
 		{"agg-where", "SELECT c, COUNT(x > 500), MAX(c = 'g1') FROM t WHERE (x > 500) = (y > 50) GROUP BY c"},
 		{"project", "SELECT c, x / 2 FROM t WHERE x > 500"},
+		{"project-selective", "SELECT c, x / 2 FROM t WHERE x = 5"},
 	} {
 		sel := benchQuery(b, bc.q)
 		for _, w := range []int{1, 4} {

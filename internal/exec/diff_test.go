@@ -169,6 +169,24 @@ var diffWheres = []string{
 	// Across kind classes: ranked, not compared.
 	"WHERE c = 1",
 	"WHERE b < 'x'",
+	// IN and BETWEEN over columns, BOOL operands under IS NULL and =, TEXT
+	// as a boolean, TEXT and BOOL in arithmetic.
+	"WHERE x IN (y, n, NULL)",
+	"WHERE x BETWEEN n AND y",
+	"WHERE (x > 1) IS NULL",
+	"WHERE (x > 500) = (y > 50)",
+	"WHERE c",
+	"WHERE NOT c",
+	"WHERE -c > 1",
+	"WHERE b + 1 > 1",
+	// Which operand decides: a failing one wins over a NULL one beside it.
+	"WHERE x / n + c > 0",
+	"WHERE b + 1 = c",
+	"WHERE (x > 1) = (1 / n > 0)",
+	// A constant child against a column item or bound: two constants meet.
+	"WHERE 'g2' IN (c, 'g2')",
+	"WHERE 'g2' BETWEEN c AND 'g4'",
+	"WHERE TRUE IN (b, FALSE)",
 }
 
 // diffShapes are query templates; %s receives the WHERE clause.
@@ -514,6 +532,12 @@ func FuzzRowVsVector(f *testing.F) {
 	f.Add("SELECT y / x, c FROM t WHERE x / n > -1000")
 	f.Add("SELECT x + c FROM t WHERE n <> 0 OR c + 1 > 0")
 	f.Add("SELECT COUNT(y / x > 0), SUM(c) FROM t WHERE x / n > 0 OR c + 1 > 0")
+	// General IN and BETWEEN, IS NULL and comparisons over BOOL operands,
+	// TEXT as a boolean, arithmetic and negation over BOOL and TEXT, BOOL
+	// aggregate inputs and computed items.
+	for _, src := range motivationSelects {
+		f.Add(src)
+	}
 	tables := []*table.Table{diffTable(f, 200, 7), nanTable(f, 200, 7)}
 	f.Fuzz(func(t *testing.T, src string) {
 		sel, err := sql.ParseQuery(src)
@@ -646,20 +670,21 @@ func firstErrorTable(tb testing.TB, e int) *table.Table {
 	return t
 }
 
-// TestFirstErrorRuleGrid pins the interpreter's error order on the
-// pipeline: the WHERE fails at row 200, through a kernel (division by zero)
-// or through an interpreted predicate (TEXT arithmetic), beside a computed
-// item or an aggregate input that fails before row 200 — its error wins —
-// or after it, where the WHERE's error wins. Items failing at one row fail
-// in select-list order. runBoth compares every error text with the row
-// interpreter at every Workers × Shards cell; checkFleetPartials holds the
-// aggregate shapes' fleet partials to the same error, or answer.
-func TestFirstErrorRuleGrid(t *testing.T) {
-	wheres := []string{
+// firstErrorWheres × firstErrorShapes is TestFirstErrorRuleGrid's grid over
+// firstErrorTable; every WHERE fails at row 200.
+var (
+	firstErrorWheres = []string{
 		"WHERE x / n > 0",           // kernel: division by zero at row 200
-		"WHERE n <> 0 OR c + 1 > 0", // interpreted: TEXT arithmetic at row 200
+		"WHERE n <> 0 OR c + 1 > 0", // TEXT arithmetic at row 200
+		// Interpreter order: IN stops at its first match, so row 0 (x = 1)
+		// never evaluates y / n, and row 200 (n = 0) fails in it; BETWEEN
+		// evaluates all three operands before it looks for NULL; IS NULL
+		// passes its child's failure on.
+		"WHERE x IN (1, y / n)",
+		"WHERE x NOT BETWEEN n AND y / n",
+		"WHERE (x / n > 0) IS NULL",
 	}
-	shapes := []string{
+	firstErrorShapes = []string{
 		"SELECT x, x / y FROM t %s",
 		"SELECT c + 1 AS z, x FROM t %s",
 		"SELECT x / y, c + 1 FROM t %s",
@@ -671,11 +696,23 @@ func TestFirstErrorRuleGrid(t *testing.T) {
 		"SELECT SUM(c), MAX(x / y) FROM t %s",
 		"SELECT b, MAX(x / y), SUM(c) FROM t %s GROUP BY b",
 		"SELECT b, COUNT(c + 1) FROM t %s GROUP BY b",
+		"SELECT c + 1, x / n FROM t %s", // two different errors at row 200, beside the WHERE's
 	}
+)
+
+// TestFirstErrorRuleGrid pins the interpreter's error order on the
+// pipeline: the WHERE fails at row 200, through a kernel (division by zero)
+// or through TEXT arithmetic behind an OR, beside a computed
+// item or an aggregate input that fails before row 200 — its error wins —
+// or after it, where the WHERE's error wins. Items failing at one row fail
+// in select-list order. runBoth compares every error text with the row
+// interpreter at every Workers × Shards cell; checkFleetPartials holds the
+// aggregate shapes' fleet partials to the same error, or answer.
+func TestFirstErrorRuleGrid(t *testing.T) {
 	for _, e := range []int{40, 150, 250, 290} {
 		tbl := firstErrorTable(t, e)
-		for _, shape := range shapes {
-			for _, where := range wheres {
+		for _, shape := range firstErrorShapes {
+			for _, where := range firstErrorWheres {
 				src := fmt.Sprintf(shape, where)
 				runBoth(t, tbl, src, Options{Weighted: true})
 				sel, err := sql.ParseQuery(src)
@@ -685,6 +722,24 @@ func TestFirstErrorRuleGrid(t *testing.T) {
 				for _, s := range sweepShards {
 					checkFleetPartials(t, src, tbl, sel, s)
 				}
+			}
+		}
+		// With no WHERE, two different errors meet at row 200 (c is TEXT
+		// and n is 0 there) unless row e fails first: the first failing
+		// item in select-list order names it.
+		for _, src := range []string{
+			"SELECT c + 1, x / n FROM t",
+			"SELECT x / n, c + 1 FROM t",
+			"SELECT MAX(x / n), SUM(c) FROM t",
+			"SELECT b, SUM(c), COUNT(x / n) FROM t GROUP BY b",
+		} {
+			runBoth(t, tbl, src, Options{Weighted: true})
+			sel, err := sql.ParseQuery(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range sweepShards {
+				checkFleetPartials(t, src, tbl, sel, s)
 			}
 		}
 	}

@@ -272,9 +272,9 @@ func foldSelect(sel *sql.Select) *sql.Select {
 	return &out
 }
 
-// rowEnv binds one row at a time for the row interpreter and the
-// pipeline's per-row forms, exposing WEIGHT as a pseudo-column unless the
-// schema has a column of that name.
+// rowEnv binds one row at a time for the row interpreter and for rowError,
+// exposing WEIGHT as a pseudo-column unless the schema has a column of that
+// name.
 type rowEnv struct {
 	nc     int  // stored attributes: the bound row's prefix
 	weight bool // the binding row ends with the WEIGHT pseudo-column
@@ -303,6 +303,18 @@ func (e *rowEnv) at(snap *table.Snapshot, i int, w float64) *expr.Binding {
 		e.b.Row = append(e.b.Row, value.Float(w))
 	}
 	return &e.b
+}
+
+// rowError is the interpreter's error at row i of snap, with w as WEIGHT,
+// where the kernels found a statement's first failure: eval runs the
+// interpreter's own function on that one row, so the message is its own. A
+// row where the interpreter does not fail is an executor fault; it is
+// reported as one, never answered.
+func rowError(snap *table.Snapshot, i int, w float64, eval func(*expr.Binding) error) error {
+	if err := eval(makeEnv(snap.Schema()).at(snap, i, w)); err != nil {
+		return err
+	}
+	return fmt.Errorf("exec: internal error: the compiled plan fails at row %d and the interpreter does not", i)
 }
 
 // projectRow evaluates the select items over one bound row, whose first nc

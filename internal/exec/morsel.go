@@ -95,19 +95,6 @@ func forEachTask(ctx context.Context, n, workers int, fn func(i int) error) erro
 	return nil
 }
 
-// evalTern evaluates a compiled filter kernel over every row, morsel by
-// morsel. Each morsel writes its own sub-slice of the truth vector, so the
-// result is identical for any worker count.
-func evalTern(ctx context.Context, k kernel, n, workers int) ([]int8, error) {
-	tern := make([]int8, n)
-	if err := forEachMorsel(ctx, n, workers, func(lo, hi int) {
-		k.eval(tern[lo:hi], lo, hi)
-	}); err != nil {
-		return nil, err
-	}
-	return tern, nil
-}
-
 // ternSelection builds the selection vector — indices of ternTrue rows in
 // scan order — from a truth vector. At the first ternErr row (division by
 // zero) it stops: sel holds the rows kept before it and failed is true.

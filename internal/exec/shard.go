@@ -102,7 +102,7 @@ func PartialAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select
 	if err != nil {
 		return nil, err
 	}
-	p, err := planAggregate(snap, sel, opts)
+	p, err := planAggregate(ctx, snap, sel, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -36,14 +36,13 @@ import (
 // Output-column source markers (see projectionSources).
 const (
 	srcWeight   = -1 // the effective per-row weight vector
-	srcComputed = -2 // a computed expression: must be evaluated per row
+	srcComputed = -2 // a computed expression: filled from its compiled operand
 )
 
 // projectionSources resolves the output columns of a projection together
 // with each column's source: a schema column index, srcWeight for the WEIGHT
-// pseudo-column, or srcComputed for anything that needs per-row evaluation
-// (and can therefore raise per-row errors). The names are the answer's
-// columns.
+// pseudo-column, or srcComputed for any other expression, which compiles to
+// an operand (and can fail at a row). The names are the answer's columns.
 func projectionSources(snap *table.Snapshot, sel *sql.Select) (names []string, src []int) {
 	sc := snap.Schema()
 	for _, it := range sel.Items {

@@ -32,7 +32,7 @@ func interpTern(t *testing.T, snap *table.Snapshot, env *rowEnv, e expr.Expr, i 
 	v, err := e.Eval(env.at(snap, i, snap.Weight(i)))
 	switch {
 	case err != nil:
-		if err.Error() != errDivisionByZero.Error() {
+		if err.Error() != "expr: division by zero" {
 			t.Fatalf("%s at row %d: %v", e, i, err)
 		}
 		return ternErr
@@ -47,13 +47,10 @@ func interpTern(t *testing.T, snap *table.Snapshot, env *rowEnv, e expr.Expr, i 
 // expression must compile.
 func kernelTern(t *testing.T, snap *table.Snapshot, where expr.Expr) []int8 {
 	t.Helper()
-	k := (&kernelCompiler{snap: snap, weights: snap.Weights(), n: snap.Len(), workers: 1}).compile(where)
-	if k == nil {
-		t.Fatalf("%s does not compile to a kernel", where)
-	}
-	tern, err := evalTern(t.Context(), k, snap.Len(), 1)
-	if err != nil {
-		t.Fatal(err)
+	c := &kernelCompiler{ctx: t.Context(), snap: snap, weights: snap.Weights(), n: snap.Len(), workers: 1}
+	tern := c.tern(c.compile(where))
+	if c.err != nil {
+		t.Fatal(c.err)
 	}
 	return tern
 }

@@ -1,29 +1,31 @@
 // Vectorized query execution over columnar snapshots.
 //
-// The WHERE clause compiles once into a tree of selection kernels that
-// evaluate SQL's three-valued logic over typed column vectors (one int8
-// truth value per row: false/true/null). Every numeric operand — an
-// INT/FLOAT column, WEIGHT, a literal or arithmetic — compiles to one numVec
-// (arith.go), so numeric truth, comparison, IN, BETWEEN and IS NULL each
-// have one kernel. A TEXT or BOOL column compared against constants — its
-// truth, a comparison, IN, BETWEEN's two bounds — is a table of outcomes
-// indexed by the row's dictionary code or bool, filled once per compile.
-// Group-by and DISTINCT keys become dense ids through
-// table.Snapshot.GroupIDs — never through per-row strings — and aggregates
-// run as tight loops over the same numVecs with the weight vector.
+// Every expression compiles once into a typed operand over the snapshot's
+// rows (operand): an INT or FLOAT one — a column, WEIGHT, a literal,
+// arithmetic — into one numVec (arith.go); a BOOL one into a kernel that
+// evaluates SQL's three-valued logic as one int8 truth value per row
+// (false/true/null); a TEXT one into a dictionary-code column or a
+// constant. A WHERE is its operand's truth kernel. Numeric comparison, IN,
+// BETWEEN and IS NULL each have one kernel, and a TEXT or BOOL column
+// compared against constants — its truth, a comparison, IN, BETWEEN's two
+// bounds — is a table of outcomes indexed by the row's dictionary code or
+// bool, filled once per compile. Group-by and DISTINCT keys become dense ids
+// through table.Snapshot.GroupIDs — never through per-row strings — and
+// aggregates run as tight loops over the same numVecs with the weight
+// vector.
 //
 // Determinism contract: the vectorized path is byte-identical to the row
-// interpreter on every query it accepts. Group output order is
-// first-appearance order (dense ids are assigned in scan order), float
-// accumulation happens in row order with the same operation sequence the
-// row path uses, and value identity for grouping matches value.HashKey
-// exactly (see table.Snapshot.GroupIDs). An operand the kernels do not
-// compile stays inside the pipeline as a per-row form: a WHERE the kernels
-// do not cover runs the interpreted expression tree per row (SelectRows),
-// an aggregate input is evaluated per kept row through accumulateRow, and
-// a computed select item through projectRow, while selection, grouping and
-// accumulation stay columnar. Errors surface in the interpreter's order:
-// the first failing row in scan order, items at a row in select-list order.
+// interpreter. Group output order is first-appearance order (dense ids are
+// assigned in scan order), float accumulation happens in row order with the
+// same operation sequence the row path uses, and value identity for
+// grouping matches value.HashKey exactly (see table.Snapshot.GroupIDs).
+//
+// Errors: the kernels find the row, the interpreter writes the message. A
+// row where the interpreter's evaluation fails carries a failing state
+// (ternErr, numVec.errs) through every operator in the interpreter's
+// evaluation order. The statement's first failing row — in scan order, the
+// WHERE before the items and items in select-list order — is handed to the
+// interpreter's own function (rowError), and its error is returned.
 package exec
 
 import (
@@ -39,9 +41,9 @@ import (
 )
 
 // Ternary truth encoding of the filter kernels, extended with a fourth
-// "error" state for the arithmetic kernels. Rows marked ternErr are rows
-// where the interpreter would raise a runtime error mid-scan; the scan
-// surfaces that error (see SelectRows) instead of producing a result.
+// "error" state. Rows marked ternErr are rows where the interpreter would
+// raise a runtime error mid-scan; the scan surfaces that error (see
+// SelectRows) instead of producing a result.
 //
 // The four states fit in two bits, so NOT, AND and OR are table lookups
 // (notTable, andTable, orTable): a row's outcome indexes the table and no
@@ -83,6 +85,26 @@ var (
 	}
 )
 
+// cmpTernTable is a comparison of two BOOL operands over their states,
+// indexed by l<<2 | r like andTable: a failing operand fails the row, a
+// NULL one makes it NULL, and FALSE and TRUE order through lut.
+func cmpTernTable(lut [3]int8) *[16]int8 {
+	tbl := new([16]int8)
+	for l := range int8(4) {
+		for r := range int8(4) {
+			switch {
+			case l == ternErr || r == ternErr:
+				tbl[l<<2|r] = ternErr
+			case l == ternNull || r == ternNull:
+				tbl[l<<2|r] = ternNull
+			default:
+				tbl[l<<2|r] = lut[boolCmp(l == ternTrue, r == ternTrue)+1]
+			}
+		}
+	}
+	return tbl
+}
+
 // kernel computes a ternary truth vector over a row range of the snapshot.
 // eval fills dst with the outcomes of rows [lo, hi), where dst[i] is row
 // lo+i (len(dst) == hi-lo); the morsel scheduler hands each worker its own
@@ -90,91 +112,98 @@ var (
 // vector with lo=0. Row outcomes are independent, so evaluating by morsel is
 // trivially byte-identical to one full-range pass.
 //
-// Kernels never return Go errors: expression shapes whose errors are decided
-// by static column kinds (text truthiness, arithmetic on BOOL, unknown
-// columns) are rejected at compile time and evaluated per row by the
-// interpreter inside the pipeline, while the single dynamic error the kernel set can raise —
-// division by zero, the only runtime error arithmetic over numeric columns
-// admits — is tracked per row as ternErr and propagated through the logic
-// kernels with the interpreter's exact short-circuit rules (a FALSE left arm
-// of an AND suppresses errors in the right arm, etc.).
+// Kernels never return Go errors. A row where the interpreter fails —
+// division by zero, arithmetic on or negation of a BOOL or TEXT value, TEXT
+// read as a boolean, SUM or AVG over TEXT — is marked ternErr (numVec.errs
+// in a numeric operand), and the logic kernels carry it with the
+// interpreter's exact short-circuit rules (a FALSE left arm of an AND
+// suppresses errors in the right arm, etc.). Each of those errors depends
+// only on the operands' kinds and on which of them are NULL or fail, so the
+// kernels know where the interpreter fails; which error it is, the
+// interpreter says at that one row (rowError).
 type kernel interface {
 	eval(dst []int8, lo, hi int)
 }
 
-// colRef is a resolved column. An INT/FLOAT column or the WEIGHT
-// pseudo-column (the effective per-row weight vector, never NULL) is a
-// column-backed numVec sharing the snapshot's payload and null bitmap; a
-// TEXT/BOOL column keeps its table.Column for the typed kernels.
-type colRef struct {
-	kind value.Kind
-	col  *table.Column // TEXT/BOOL
-	num  *numVec       // INT/FLOAT column or WEIGHT
+// operand is one compiled expression over the snapshot's rows, typed by the
+// kind of value the interpreter's Eval gives it:
+//
+//   - INT and FLOAT are num. So is KindNull: a NULL constant, or an
+//     expression that is NULL or fails at every row;
+//   - BOOL is a column (col), a constant (lit), or any other
+//     expression's truth kernel (truth);
+//   - TEXT is a dictionary-code column (col) or a constant (lit).
+type operand struct {
+	kind  value.Kind
+	num   *numVec
+	truth kernel
+	col   *table.Column
+	lit   value.Value // a TEXT or BOOL constant; NULL when the operand is none
 }
 
-// nulls is the column's NULL bitmap (nil: no NULLs).
-func (r colRef) nulls() []uint64 {
-	if r.num != nil {
-		return r.num.nulls
+// numOp types a numeric operand.
+func numOp(v *numVec) operand {
+	switch {
+	case v.constNull || v.constErr:
+		return operand{kind: value.KindNull, num: v}
+	case v.isInt:
+		return operand{kind: value.KindInt, num: v}
 	}
-	return r.col.Nulls
+	return operand{kind: value.KindFloat, num: v}
 }
 
-// class buckets a kind the way value.Compare ranks it.
-func classOf(k value.Kind) value.Class {
-	switch k {
-	case value.KindBool:
-		return value.ClassBool
-	case value.KindInt, value.KindFloat:
-		return value.ClassNum
-	case value.KindText:
-		return value.ClassText
-	default:
-		return value.ClassNull
-	}
+func boolOp(k kernel) operand { return operand{kind: value.KindBool, truth: k} }
+
+// failingOp fails at every row.
+func failingOp() operand { return numOp(&numVec{scalar: true, constErr: true}) }
+
+// classOf buckets a kind the way value.Compare ranks it.
+var classOf = [...]value.Class{
+	value.KindNull: value.ClassNull, value.KindBool: value.ClassBool,
+	value.KindInt: value.ClassNum, value.KindFloat: value.ClassNum, value.KindText: value.ClassText,
 }
 
 type kernelCompiler struct {
+	ctx     context.Context // stops the compile-time fills; nil never does
 	snap    *table.Snapshot
 	weights []float64
 	n       int
-	workers int // parallelism for eager vector materialization (numArith fills)
+	workers int   // parallelism for the compile-time fills (fill)
+	err     error // the context's error once a fill stopped; its operands are not read
 }
 
-func (c *kernelCompiler) resolve(name string) (colRef, bool) {
+// fill runs fn over the snapshot's rows morsel by morsel at compile time:
+// arithmetic payloads, and the truth vector of a BOOL operand read by state
+// or values. A cancelled context stops it and sets err, which the compiler's
+// caller returns before it reads any operand.
+func (c *kernelCompiler) fill(fn func(lo, hi int)) {
+	if err := forEachMorsel(c.ctx, c.n, c.workers, fn); err != nil && c.err == nil {
+		c.err = err
+	}
+}
+
+// column resolves a name. An INT/FLOAT column or the WEIGHT pseudo-column
+// (the effective per-row weight vector, never NULL) is a column-backed
+// numVec sharing the snapshot's payload and null bitmap; a TEXT/BOOL column
+// keeps its table.Column. A name nothing resolves fails at every row, as in
+// the interpreter; statements refuse it before any row is read
+// (CheckNames).
+func (c *kernelCompiler) column(name string) operand {
 	if j, ok := c.snap.Schema().Index(name); ok {
 		col := c.snap.Col(j)
 		switch kind := c.snap.Schema().At(j).Kind; kind {
 		case value.KindInt:
-			return colRef{kind: kind, num: &numVec{isInt: true, ints: col.Ints, nulls: col.Nulls}}, true
+			return numOp(&numVec{isInt: true, ints: col.Ints, nulls: col.Nulls})
 		case value.KindFloat:
-			return colRef{kind: kind, num: &numVec{floats: col.Floats, nulls: col.Nulls}}, true
+			return numOp(&numVec{floats: col.Floats, nulls: col.Nulls})
 		default:
-			return colRef{kind: kind, col: col}, true
+			return operand{kind: kind, col: col}
 		}
 	}
 	if strings.EqualFold(name, "WEIGHT") {
-		return colRef{kind: value.KindFloat, num: &numVec{floats: c.weights}}, true
+		return numOp(&numVec{floats: c.weights})
 	}
-	return colRef{}, false
-}
-
-// ternTruth converts a constant value to its ternary truth, mirroring
-// expr.Truthy's inner truth() plus NULL propagation. Text is not a boolean
-// (the interpreter raises an error per row), so it is not compilable.
-func ternTruth(v value.Value) (int8, bool) {
-	switch v.Kind() {
-	case value.KindNull:
-		return ternNull, true
-	case value.KindBool:
-		return ternOf(v.AsBool()), true
-	case value.KindInt:
-		return ternOf(v.AsInt() != 0), true
-	case value.KindFloat:
-		return ternOf(v.AsFloat() != 0), true
-	default:
-		return ternFalse, false
-	}
+	return failingOp()
 }
 
 // ternOf is a condition's truth; like b2i it compiles without a branch.
@@ -190,9 +219,8 @@ func b2i(b bool) int {
 	return 0
 }
 
-// foldConst evaluates a column-free subexpression to a constant. Expressions
-// that error (e.g. division by zero) are not foldable; the row interpreter
-// then reproduces the error lazily, per scanned row, exactly as before.
+// foldConst is the value of a column-free expression that evaluates
+// without error; ok is false for any other expression.
 func foldConst(e expr.Expr) (value.Value, bool) {
 	if len(e.Columns(nil)) != 0 {
 		return value.Null(), false
@@ -204,59 +232,171 @@ func foldConst(e expr.Expr) (value.Value, bool) {
 	return v, true
 }
 
-func (c *kernelCompiler) compile(e expr.Expr) kernel {
-	if v, ok := foldConst(e); ok {
-		t, ok := ternTruth(v)
-		if !ok {
-			return nil
+// operand compiles e; every expression compiles.
+func (c *kernelCompiler) operand(e expr.Expr) operand {
+	if len(e.Columns(nil)) == 0 {
+		// A column-free expression has one value at every row, or fails at
+		// every row.
+		v, err := e.Eval(nil)
+		if err != nil {
+			return failingOp()
 		}
-		return &constKernel{v: t}
+		return constant(v)
 	}
 	switch ex := e.(type) {
 	case *expr.Column:
-		if ref, ok := c.resolve(ex.Name); ok && ref.kind == value.KindBool {
-			return boolTable(ref, ternOf)
-		}
+		return c.column(ex.Name)
 	case *expr.Unary:
-		if !ex.Neg {
-			child := c.compile(ex.Child)
-			if child == nil {
-				return nil
-			}
-			return &notKernel{child: child}
+		if ex.Neg {
+			return numOp(c.negate(c.operand(ex.Child)))
 		}
-		// truth(-e) == truth(e): negation changes neither zero-ness nor the
-		// NULL and error rows, so the child's vector answers, un-negated.
-		e = ex.Child
+		return boolOp(&notKernel{child: c.compile(ex.Child)})
 	case *expr.Binary:
 		switch ex.Op {
-		case expr.OpAnd, expr.OpOr:
-			l := c.compile(ex.Left)
-			if l == nil {
-				return nil
-			}
-			r := c.compile(ex.Right)
-			if r == nil {
-				return nil
-			}
-			return &logicKernel{l: l, r: r, and: ex.Op == expr.OpAnd}
-		case expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
-			return c.compileCompare(ex.Op, ex.Left, ex.Right)
+		case expr.OpAnd:
+			return boolOp(&logicKernel{l: c.compile(ex.Left), r: c.compile(ex.Right), tbl: &andTable})
+		case expr.OpOr:
+			return boolOp(&logicKernel{l: c.compile(ex.Left), r: c.compile(ex.Right), tbl: &orTable})
+		case expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv, expr.OpMod:
+			return numOp(c.arith(ex.Op, c.operand(ex.Left), c.operand(ex.Right)))
+		default:
+			return boolOp(c.compare(ex.Op, c.operand(ex.Left), c.operand(ex.Right)))
 		}
 	case *expr.In:
-		return c.compileIn(ex)
+		return boolOp(c.compileIn(ex))
 	case *expr.Between:
-		return c.compileBetween(ex)
+		return boolOp(c.compileBetween(ex))
 	case *expr.IsNull:
-		return c.compileIsNull(ex)
+		// IS NULL passes its child's failures on.
+		nulls, errs := c.state(c.operand(ex.Child))
+		return boolOp(&isNullKernel{nulls: nulls, errs: errs, negate: ex.Negate})
 	}
-	// Numeric truth: an INT/FLOAT column, WEIGHT, or arithmetic used as a
-	// boolean (WHERE x + y). Truth of TEXT errors per row in the
-	// interpreter, so it stays uncompiled.
-	if v := c.compileNum(e); v != nil {
-		return &truthNumKernel{v: v.full(c.n)}
+	// No other node holds a column. Should one appear, its first evaluated
+	// row reports it (rowError) instead of an answer.
+	return failingOp()
+}
+
+// constant is a column-free expression's value, shared by every row: a
+// numeric or NULL one a scalar numVec, a TEXT or BOOL one lit.
+func constant(v value.Value) operand {
+	switch v.Kind() {
+	case value.KindText:
+		return operand{kind: value.KindText, lit: v}
+	case value.KindBool:
+		return operand{kind: value.KindBool, lit: v}
 	}
-	return nil
+	return numOp(numConst(v))
+}
+
+// compile is e's truth kernel: a WHERE, an AND/OR arm, NOT's child.
+func (c *kernelCompiler) compile(e expr.Expr) kernel { return c.truthOf(c.operand(e)) }
+
+// truthOf reads an operand as a boolean, as expr.Truthy does: a number is
+// TRUE when non-zero, and TEXT is not a boolean, so a non-NULL TEXT row
+// fails.
+func (c *kernelCompiler) truthOf(o operand) kernel {
+	switch {
+	case o.kind == value.KindBool && o.col != nil:
+		return boolTable(o.col, ternOf)
+	case o.kind == value.KindBool && !o.lit.IsNull():
+		return &constKernel{v: ternOf(o.lit.AsBool())}
+	case o.kind == value.KindBool:
+		return o.truth
+	case o.kind == value.KindText:
+		nulls, _ := c.state(o)
+		return &constKernel{v: ternErr, nulls: nulls}
+	case o.num.constErr:
+		return &constKernel{v: ternErr}
+	case o.num.constNull:
+		return &constKernel{v: ternNull, errs: o.num.errs}
+	case o.num.scalar:
+		return &constKernel{v: ternOf(o.num.scalarFloat() != 0)}
+	}
+	return &truthNumKernel{v: o.num}
+}
+
+// state is an operand's NULL rows and failing rows as bitmaps over the
+// snapshot (nil: none), which decide a row before its value is read. A BOOL
+// operand other than a column evaluates its kernel here, through once.
+func (c *kernelCompiler) state(o operand) (nulls, errs []uint64) {
+	switch v := o.num; {
+	case o.col != nil:
+		return o.col.Nulls, nil
+	case !o.lit.IsNull():
+		return nil, nil
+	case v == nil:
+		return ternBits(c.once(o).truth.(*ternVec).tern)
+	case v.constErr:
+		return nil, allOnes(c.n)
+	case v.constNull:
+		return allOnes(c.n), v.errs
+	case v.scalar:
+		return nil, nil
+	default:
+		return v.nulls, v.errs
+	}
+}
+
+// tern is a kernel's truth vector over every row. Each morsel writes its
+// own sub-slice, so the vector does not depend on the worker count.
+func (c *kernelCompiler) tern(k kernel) []int8 {
+	tern := make([]int8, c.n)
+	c.fill(func(lo, hi int) { k.eval(tern[lo:hi], lo, hi) })
+	return tern
+}
+
+// once evaluates a BOOL operand's kernel a single time for a node that
+// reads the operand more than once (IN's child, BETWEEN's three operands):
+// its comparisons and its state then read the one truth vector.
+func (c *kernelCompiler) once(o operand) operand {
+	if _, done := o.truth.(*ternVec); o.truth == nil || done {
+		return o
+	}
+	return boolOp(&ternVec{tern: c.tern(o.truth)})
+}
+
+// ternBits is a truth vector's NULL rows and failing rows as bitmaps.
+func ternBits(tern []int8) (nulls, errs []uint64) {
+	nulls, errs = newBitmap(len(tern)), newBitmap(len(tern))
+	for i, t := range tern {
+		switch t {
+		case ternNull:
+			bitSet(nulls, i)
+		case ternErr:
+			bitSet(errs, i)
+		}
+	}
+	return nulls, errs
+}
+
+// boolValues is a BOOL row's value by its state; a failing row reads NULL.
+var boolValues = [4]value.Value{value.Bool(false), value.Bool(true), value.Null(), value.Null()}
+
+// values reads an operand a row at a time, as an aggregate input or a
+// computed select item: at is row i's value, NULL at a row errs marks as
+// failing.
+func (c *kernelCompiler) values(o operand) (at func(i int) value.Value, errs []uint64) {
+	switch {
+	case o.col != nil:
+		strs := c.snap.DictStrings()
+		return func(i int) value.Value { return o.col.Value(i, strs) }, nil
+	case !o.lit.IsNull():
+		return func(int) value.Value { return o.lit }, nil
+	case o.num != nil:
+		v := o.num.full(c.n)
+		return func(i int) value.Value {
+			switch {
+			case bitGet(v.nulls, i) || bitGet(v.errs, i):
+				return value.Null()
+			case v.isInt:
+				return value.Int(v.ints[i])
+			}
+			return value.Float(v.floats[i])
+		}, v.errs
+	}
+	tern := c.once(o).truth.(*ternVec).tern
+	_, errs = ternBits(tern)
+	return func(i int) value.Value { return boolValues[tern[i]] }, errs
 }
 
 // cmpLUT maps a comparison result c ∈ {-1,0,1} (index c+1) to the ternary
@@ -293,102 +433,60 @@ func mirrorOp(op expr.BinOp) expr.BinOp {
 	}
 }
 
-func (c *kernelCompiler) compileCompare(op expr.BinOp, left, right expr.Expr) kernel {
-	// Numeric operands — INT/FLOAT columns, WEIGHT, literals, arithmetic —
-	// meet in one kernel.
-	if l := c.compileNum(left); l != nil {
-		if r := c.compileNum(right); r != nil {
-			return newCmpNumNum(l, r, cmpLUT(op))
-		}
-	}
-	// A TEXT/BOOL column, or a column against another kind class. An
-	// unknown column compiles nothing; statements refuse it before any row
-	// is read (CheckNames).
-	lr, lok := c.columnOf(left)
-	rr, rok := c.columnOf(right)
+// compare is a comparison: the interpreter evaluates both operands (either
+// may fail), gives NULL when one is NULL, and otherwise orders them with
+// value.Compare. Numeric operands — INT/FLOAT columns, WEIGHT, literals,
+// arithmetic — meet in one kernel; a TEXT or BOOL column against a column
+// or a constant of its kind has its own; any other pair of BOOL operands
+// combines their truth kernels through cmpTernTable.
+func (c *kernelCompiler) compare(op expr.BinOp, l, r operand) kernel {
+	lc, rc := classOf[l.kind], classOf[r.kind]
 	switch {
-	case lok && rok:
-		return c.compileColCol(op, lr, rr)
-	case lok:
-		if v, ok := foldConst(right); ok {
-			return c.compileColLit(op, lr, v)
+	case l.num != nil && r.num != nil:
+		return newCmpNumNum(l.num, r.num, cmpLUT(op))
+	case lc != rc || lc == value.ClassNull:
+		ln, le := c.state(l)
+		rn, re := c.state(r)
+		if lc == value.ClassNull || rc == value.ClassNull {
+			return &constKernel{v: ternNull, errs: orBits(le, re, c.n)}
 		}
-	case rok:
-		if v, ok := foldConst(left); ok {
-			return c.compileColLit(mirrorOp(op), rr, v)
-		}
-	}
-	return nil
-}
-
-// columnOf resolves e when it is a plain column reference.
-func (c *kernelCompiler) columnOf(e expr.Expr) (colRef, bool) {
-	col, ok := e.(*expr.Column)
-	if !ok {
-		return colRef{}, false
-	}
-	return c.resolve(col.Name)
-}
-
-// crossClass decides a comparison between two different kind classes by
-// their rank alone (value.Compare): one outcome for every row its operands
-// leave neither NULL nor erroring.
-func crossClass(op expr.BinOp, a, b value.Class, nulls, errs []uint64) kernel {
-	cc := -1
-	if a > b {
-		cc = 1
-	}
-	return &constKernel{v: cmpLUT(op)[cc+1], nulls: nulls, errs: errs}
-}
-
-// compileNumLit compares a numeric operand against a constant: a numeric
-// or NULL constant is a scalar numVec, a TEXT/BOOL one (numConst's nil)
-// ranks by class.
-func (c *kernelCompiler) compileNumLit(op expr.BinOp, v *numVec, lit value.Value) kernel {
-	if lv := c.numConst(lit); lv != nil {
-		return newCmpNumNum(v, lv, cmpLUT(op))
-	}
-	return crossClass(op, value.ClassNum, classOf(lit.Kind()), v.nulls, v.errs)
-}
-
-// compileColLit compares a TEXT/BOOL column against a constant through its
-// outcome table, or any column against a constant of another class by rank
-// (numeric pairs never get here: compileCompare sends them to
-// cmpNumNumKernel).
-func (c *kernelCompiler) compileColLit(op expr.BinOp, ref colRef, lit value.Value) kernel {
-	if lit.IsNull() {
-		// Comparison with NULL is NULL for every row, NULL rows included.
-		return &constKernel{v: ternNull}
-	}
-	if rc, lc := classOf(ref.kind), classOf(lit.Kind()); rc != lc {
-		return crossClass(op, rc, lc, ref.nulls(), nil)
+		// Two kind classes: value.Compare ranks them, one outcome for every
+		// row neither operand leaves NULL or failing.
+		return &constKernel{v: cmpLUT(op)[sign(int(lc)-int(rc))+1], nulls: orBits(ln, rn, c.n), errs: orBits(le, re, c.n)}
+	case l.col == nil && r.col != nil:
+		return c.compare(mirrorOp(op), r, l)
 	}
 	lut := cmpLUT(op)
-	switch ref.kind {
-	case value.KindBool:
-		lb := lit.AsBool()
-		return boolTable(ref, func(x bool) int8 { return lut[boolCmp(x, lb)+1] })
-	case value.KindText:
-		if op == expr.OpEq || op == expr.OpNe {
-			// Every code but the literal's is unequal: one DictLookup, no
-			// string compared.
-			return c.textTable(ref, lut[0], lut[1], lit)
-		}
-		k := c.textTable(ref, 0, 0)
-		ls := lit.AsText()
+	switch {
+	case l.kind == value.KindText && r.col != nil:
+		return &cmpTextTextColKernel{a: l.col.Codes, b: r.col.Codes, strs: c.snap.DictStrings(), lut: lut, ca: l.col, cb: r.col}
+	case l.kind == value.KindText && l.col == nil: // two constants
+		return &constKernel{v: lut[sign(strings.Compare(l.lit.AsText(), r.lit.AsText()))+1]}
+	case l.kind == value.KindText && (op == expr.OpEq || op == expr.OpNe):
+		// Every code but the constant's is unequal: one DictLookup, no
+		// string compared.
+		return c.textTable(l.col, lut[0], lut[1], r.lit)
+	case l.kind == value.KindText:
+		k := c.textTable(l.col, 0, 0)
+		ls := r.lit.AsText()
 		for i, s := range c.snap.DictStrings() {
 			k.tbl[i] = lut[sign(strings.Compare(s, ls))+1]
 		}
 		return k
+	case l.col != nil && r.col != nil:
+		return &cmpBoolBoolColKernel{a: l.col.Bools, b: r.col.Bools, lut: lut, ca: l.col, cb: r.col}
+	case l.col != nil && !r.lit.IsNull():
+		lb := r.lit.AsBool()
+		return boolTable(l.col, func(x bool) int8 { return lut[boolCmp(x, lb)+1] })
 	default:
-		return nil
+		return &logicKernel{l: c.truthOf(l), r: c.truthOf(r), tbl: cmpTernTable(lut)}
 	}
 }
 
 // boolTable compiles a BOOL column against constants: outcome(false) and
 // outcome(true) are its whole table.
-func boolTable(ref colRef, outcome func(x bool) int8) *boolTableKernel {
-	return &boolTableKernel{xs: ref.col.Bools, tbl: [2]int8{outcome(false), outcome(true)}, col: ref.col}
+func boolTable(col *table.Column, outcome func(x bool) int8) *boolTableKernel {
+	return &boolTableKernel{xs: col.Bools, tbl: [2]int8{outcome(false), outcome(true)}, col: col}
 }
 
 // textTable compiles a TEXT column against constants: a table over the
@@ -397,7 +495,7 @@ func boolTable(ref colRef, outcome func(x bool) int8) *boolTableKernel {
 // nothing was interned, so the table has at least one entry. The
 // dictionary is live: a string interned after the snapshot was taken has a
 // code past the table and matches no row of it.
-func (c *kernelCompiler) textTable(ref colRef, miss, hit int8, hits ...value.Value) *textTableKernel {
+func (c *kernelCompiler) textTable(col *table.Column, miss, hit int8, hits ...value.Value) *textTableKernel {
 	n := len(c.snap.DictStrings())
 	tbl := make([]int8, max(n, 1))
 	for i := range tbl {
@@ -411,46 +509,28 @@ func (c *kernelCompiler) textTable(ref colRef, miss, hit int8, hits ...value.Val
 			tbl[code] = hit
 		}
 	}
-	return &textTableKernel{xs: ref.col.Codes, tbl: tbl, col: ref.col}
+	return &textTableKernel{xs: col.Codes, tbl: tbl, col: col}
 }
 
-// compileColCol compares two TEXT/BOOL columns, or two columns of
-// different classes.
-func (c *kernelCompiler) compileColCol(op expr.BinOp, a, b colRef) kernel {
-	if ca, cb := classOf(a.kind), classOf(b.kind); ca != cb {
-		return crossClass(op, ca, cb, orBits(a.nulls(), b.nulls(), c.n), nil)
-	}
-	lut := cmpLUT(op)
-	switch a.kind {
-	case value.KindBool:
-		return &cmpBoolBoolColKernel{a: a.col.Bools, b: b.col.Bools, lut: lut, ca: a.col, cb: b.col}
-	case value.KindText:
-		return &cmpTextTextColKernel{a: a.col.Codes, b: b.col.Codes, strs: c.snap.DictStrings(), lut: lut, ca: a.col, cb: b.col}
-	default:
-		return nil
-	}
-}
-
+// compileIn is IN. The interpreter evaluates the child and, only while it
+// is non-NULL, each item in order until one matches. A list of constants
+// over a numeric child or a TEXT or BOOL column is one membership kernel.
+// Any other list is the child's equality with each item chained through
+// orTable — a match decides the row before a later item can fail — with the
+// child's NULL and failing rows on top.
 func (c *kernelCompiler) compileIn(ex *expr.In) kernel {
+	child := c.once(c.operand(ex.Child))
 	vals := make([]value.Value, 0, len(ex.List))
-	sawNull := false
+	sawNull, consts := false, true
 	for _, item := range ex.List {
-		v, ok := foldConst(item)
-		if !ok {
-			return nil
-		}
-		if v.IsNull() {
+		switch v, ok := foldConst(item); {
+		case !ok:
+			consts = false
+		case v.IsNull():
 			sawNull = true
-			continue
+		default:
+			vals = append(vals, v)
 		}
-		vals = append(vals, v)
-	}
-	if v := c.compileNum(ex.Child); v != nil {
-		return newInNum(v.full(c.n), vals, sawNull, ex.Negate) // inNumKernel indexes per row
-	}
-	ref, ok := c.columnOf(ex.Child)
-	if !ok {
-		return nil
 	}
 	// A value of another kind class is never equal: only same-class values
 	// are members.
@@ -458,72 +538,49 @@ func (c *kernelCompiler) compileIn(ex *expr.In) kernel {
 	if sawNull {
 		miss = ternNull
 	}
-	switch ref.kind {
-	case value.KindBool:
-		return boolTable(ref, func(x bool) int8 {
+	switch {
+	case !consts:
+	case child.num != nil:
+		return newInNum(child.num.full(c.n), vals, sawNull, ex.Negate) // inNumKernel indexes per row
+	case child.col != nil && child.kind == value.KindText:
+		return c.textTable(child.col, miss, match, vals...)
+	case child.col != nil:
+		return boolTable(child.col, func(x bool) int8 {
 			if slices.ContainsFunc(vals, func(v value.Value) bool { return v.Kind() == value.KindBool && v.AsBool() == x }) {
 				return match
 			}
 			return miss
 		})
-	case value.KindText:
-		return c.textTable(ref, miss, match, vals...)
-	default:
-		return nil
 	}
-}
-
-func (c *kernelCompiler) compileBetween(ex *expr.Between) kernel {
-	lo, ok := foldConst(ex.Lo)
-	if !ok {
-		return nil
+	var k kernel = &constKernel{v: ternFalse}
+	for _, item := range ex.List {
+		k = &logicKernel{l: k, r: c.compare(expr.OpEq, child, c.operand(item)), tbl: &orTable}
 	}
-	hi, ok := foldConst(ex.Hi)
-	if !ok {
-		return nil
-	}
-	// Any NULL bound makes every row NULL: the interpreter checks the three
-	// operands together before comparing, but only after evaluating the
-	// child, so a computed child's division errors still surface.
-	var ge, le kernel
-	if v := c.compileNum(ex.Child); v != nil {
-		// The child is read by two comparisons and the NULL-bound shortcut,
-		// so a computed one materializes once; the bounds stay scalar.
-		v = v.full(c.n)
-		if lo.IsNull() || hi.IsNull() {
-			return &constKernel{v: ternNull, errs: v.errs}
-		}
-		ge, le = c.compileNumLit(expr.OpGe, v, lo), c.compileNumLit(expr.OpLe, v, hi)
-	} else {
-		ref, ok := c.columnOf(ex.Child)
-		if !ok {
-			return nil
-		}
-		if lo.IsNull() || hi.IsNull() {
-			return &constKernel{v: ternNull}
-		}
-		ge, le = c.compileColLit(expr.OpGe, ref, lo), c.compileColLit(expr.OpLe, ref, hi)
-		if ge == nil || le == nil {
-			return nil
-		}
-	}
-	var k kernel = &logicKernel{l: ge, r: le, and: true}
+	nulls, errs := c.state(child)
+	k = &maskKernel{k: k, nulls: nulls, errs: errs}
 	if ex.Negate {
 		k = &notKernel{child: k}
 	}
 	return k
 }
 
-func (c *kernelCompiler) compileIsNull(ex *expr.IsNull) kernel {
-	if v := c.compileNum(ex.Child); v != nil {
-		v = v.full(c.n)
-		return &isNullKernel{nulls: v.nulls, errs: v.errs, negate: ex.Negate}
+// compileBetween is BETWEEN: child ≥ lo AND child ≤ hi, under NOT when
+// negated. The interpreter evaluates all three before it looks for NULL, so
+// where lo or hi is NULL or fails, that decides the row (after the child's
+// own failure), not a FALSE arm of the AND.
+func (c *kernelCompiler) compileBetween(ex *expr.Between) kernel {
+	child, lo, hi := c.once(c.operand(ex.Child)), c.once(c.operand(ex.Lo)), c.once(c.operand(ex.Hi))
+	var k kernel = &logicKernel{l: c.compare(expr.OpGe, child, lo), r: c.compare(expr.OpLe, child, hi), tbl: &andTable}
+	ln, le := c.state(lo)
+	hn, he := c.state(hi)
+	if nulls, errs := orBits(ln, hn, c.n), orBits(le, he, c.n); nulls != nil || errs != nil {
+		_, ce := c.state(child)
+		k = &maskKernel{k: k, nulls: nulls, errs: orBits(ce, errs, c.n)}
 	}
-	ref, ok := c.columnOf(ex.Child)
-	if !ok {
-		return nil
+	if ex.Negate {
+		k = &notKernel{child: k}
 	}
-	return &isNullKernel{nulls: ref.nulls(), negate: ex.Negate}
+	return k
 }
 
 func sign(c int) int { return b2i(c > 0) - b2i(c < 0) }
@@ -545,6 +602,24 @@ func (k *constKernel) eval(dst []int8, lo, hi int) {
 	overlayBits(dst, k.errs, ternErr, lo)
 }
 
+// ternVec is a truth vector once evaluated (kernelCompiler.once).
+type ternVec struct{ tern []int8 }
+
+func (k *ternVec) eval(dst []int8, lo, hi int) { copy(dst, k.tern[lo:hi]) }
+
+// maskKernel is k's outcomes, except the rows an operand evaluated first
+// decides: NULL where nulls marks, failing where errs marks.
+type maskKernel struct {
+	k           kernel
+	nulls, errs []uint64
+}
+
+func (k *maskKernel) eval(dst []int8, lo, hi int) {
+	k.k.eval(dst, lo, hi)
+	overlayBits(dst, k.nulls, ternNull, lo)
+	overlayBits(dst, k.errs, ternErr, lo)
+}
+
 type notKernel struct{ child kernel }
 
 func (k *notKernel) eval(dst []int8, lo, hi int) {
@@ -554,11 +629,13 @@ func (k *notKernel) eval(dst []int8, lo, hi int) {
 	}
 }
 
-// logicKernel is three-valued AND/OR through andTable or orTable, which
-// encode the interpreter's short-circuit of right-arm errors.
+// logicKernel combines two arms' states through tbl, indexed by l<<2 | r:
+// AND and OR through andTable and orTable, which encode the interpreter's
+// short-circuit of right-arm errors, and a comparison of two BOOL operands
+// through cmpTernTable.
 type logicKernel struct {
 	l, r kernel
-	and  bool
+	tbl  *[16]int8
 }
 
 // logicChunkRows is how many rows a logicKernel combines at a time: a
@@ -572,10 +649,7 @@ const logicChunkRows = 1024
 // nothing, and outcomes are row-local, so chunking changes none.
 func (k *logicKernel) eval(dst []int8, lo, hi int) {
 	k.l.eval(dst, lo, hi)
-	tbl := &orTable
-	if k.and {
-		tbl = &andTable
-	}
+	tbl := k.tbl
 	var left [logicChunkRows]int8
 	for c := 0; c < len(dst); c += logicChunkRows {
 		d := dst[c:min(c+logicChunkRows, len(dst))]
@@ -662,8 +736,8 @@ func (k *cmpTextTextColKernel) eval(dst []int8, lo, hi int) {
 	overlayBits(dst, k.cb.Nulls, ternNull, lo)
 }
 
-// isNullKernel is IS [NOT] NULL over an operand's NULL bitmap; a computed
-// operand's error rows raise.
+// isNullKernel is IS [NOT] NULL over an operand's NULL bitmap; the
+// operand's failing rows fail.
 type isNullKernel struct {
 	nulls, errs []uint64
 	negate      bool
@@ -678,59 +752,26 @@ func (k *isNullKernel) eval(dst []int8, lo, hi int) {
 	overlayBits(dst, k.errs, ternErr, lo)
 }
 
-// --- vectorized aggregation ---
+// --- selection ---
 
-// vecAgg is one aggregate's input. A numeric input — INT/FLOAT column,
-// WEIGHT or arithmetic — is vec; a TEXT/BOOL column input is col; COUNT(*)
-// has neither. Any other input (a comparison, SUM/AVG over TEXT, an unknown
-// column) is row: the per-row form, evaluated at each kept row through
-// accumulateRow with the interpreter's own errors.
-type vecAgg struct {
-	kind sql.AggKind
-	star bool
-	col  int
-	vec  *numVec
-	row  *sql.SelectItem
-}
-
-// planVectorAggs compiles every aggregate item: COUNT(*), a numeric operand
-// the compiler covers, a TEXT/BOOL column, or else the item's per-row form.
-// A compiled arithmetic input's only dynamic error is division by zero,
-// which accumulateStates surfaces at the first kept row that raises it.
-func planVectorAggs(comp *kernelCompiler, sel *sql.Select) []vecAgg {
-	sc := comp.snap.Schema()
-	out := make([]vecAgg, 0, len(sel.Items))
-	for _, it := range sel.Items {
-		if it.Agg == sql.AggNone {
-			continue
-		}
-		if it.Star {
-			out = append(out, vecAgg{kind: it.Agg, star: true})
-			continue
-		}
-		if v := comp.compileNum(it.Expr); v != nil {
-			// The accumulators index per row; scalars (e.g. SUM(2) under an
-			// unfoldable parent) materialize here, off the hot path.
-			out = append(out, vecAgg{kind: it.Agg, vec: v.full(comp.n)})
-			continue
-		}
-		if colEx, ok := it.Expr.(*expr.Column); ok {
-			j, ok := sc.Index(colEx.Name)
-			if ok && !((it.Agg == sql.AggSum || it.Agg == sql.AggAvg) && sc.At(j).Kind == value.KindText) {
-				out = append(out, vecAgg{kind: it.Agg, col: j})
-				continue
+// firstFailing is the position in rows of the first row any of errs marks,
+// or -1. It drops errs' nil bitmaps in place.
+func firstFailing(rows []int32, errs ...[]uint64) int {
+	errs = slices.DeleteFunc(errs, func(e []uint64) bool { return e == nil })
+	for k := 0; k < len(rows) && len(errs) > 0; k++ {
+		for _, e := range errs {
+			if bitGet(e, int(rows[k])) {
+				return k
 			}
 		}
-		out = append(out, vecAgg{kind: it.Agg, row: &it})
 	}
-	return out
+	return -1
 }
 
 // SelectRows is the engine's one selection operator: the rows where keeps
-// (every row when where is nil), in scan order. WEIGHT reads weights unless
-// a column of that name shadows it. A predicate the kernels compile is
-// evaluated morsel by morsel across the worker pool; any other runs the
-// interpreted expression per row on one goroutine.
+// (every row when where is nil), in scan order, evaluated morsel by morsel
+// across the worker pool. WEIGHT reads weights unless a column of that
+// name shadows it.
 //
 // Errors keep the interpreter's order: at the first row whose predicate
 // fails, SelectRows stops and returns the rows it kept before that row
@@ -751,36 +792,21 @@ func SelectRows(ctx context.Context, snap *table.Snapshot, where expr.Expr, weig
 		}
 		return sel, nil
 	}
-	if k := (&kernelCompiler{snap: snap, weights: weights, n: n, workers: workers}).compile(where); k != nil {
-		tern, err := evalTern(ctx, k, n, workers)
-		if err != nil {
-			return nil, err
-		}
-		sel, failed, err := ternSelection(ctx, tern, workers)
-		if err != nil {
-			return nil, err
-		}
-		if failed {
-			// The only dynamic error the kernel set admits.
-			return sel, errDivisionByZero
-		}
-		return sel, nil
+	c := &kernelCompiler{ctx: ctx, snap: snap, weights: weights, n: n, workers: workers}
+	tern := c.tern(c.compile(where))
+	if c.err != nil {
+		return nil, c.err
 	}
-	sel := make([]int32, 0, n)
-	env := makeEnv(snap.Schema())
-	for i := 0; i < n; i++ {
-		if i%cancelCheckRows == 0 {
-			if err := checkCtx(ctx); err != nil {
-				return nil, err
-			}
-		}
-		ok, err := expr.Truthy(where, env.at(snap, i, weights[i]))
-		if err != nil {
-			return sel, err
-		}
-		if ok {
-			sel = append(sel, int32(i))
-		}
+	sel, failed, err := ternSelection(ctx, tern, workers)
+	if err != nil {
+		return nil, err
+	}
+	if failed {
+		i := slices.Index(tern, ternErr)
+		return sel, rowError(snap, i, weights[i], func(b *expr.Binding) error {
+			_, err := expr.Truthy(where, b)
+			return err
+		})
 	}
 	return sel, nil
 }
@@ -799,10 +825,9 @@ func (e *WeightError) Error() string {
 // (SelectRows), and weight's value at each as float64, NULL as NaN
 // (value.Float64's conversion). The names of where and then of weight
 // resolve first (CheckNames); WEIGHT in either reads snap's weights unless
-// a column of that name shadows it. A weight the kernels do not compile is
-// evaluated per kept row. The first kept row whose weight fails returns its
-// evaluation error, or a *WeightError for a TEXT or negative value; the
-// selection's error surfaces only when no kept row failed first.
+// a column of that name shadows it. The first kept row whose weight fails
+// returns its evaluation error, or a *WeightError for a TEXT or negative
+// value; the selection's error surfaces only when no kept row failed first.
 func UpdateWeights(snap *table.Snapshot, where, weight expr.Expr, workers int) (rows []int32, vals []float64, err error) {
 	if err := CheckNames(snap.Schema(), where, weight); err != nil {
 		return nil, nil, err
@@ -810,58 +835,114 @@ func UpdateWeights(snap *table.Snapshot, where, weight expr.Expr, workers int) (
 	// A mutation runs to completion once it holds the engine's write lock,
 	// so the selection gets no caller context.
 	rows, selErr := SelectRows(context.Background(), snap, where, snap.Weights(), workers)
-	vals = make([]float64, len(rows))
 	c := &kernelCompiler{snap: snap, weights: snap.Weights(), n: snap.Len(), workers: workers}
-	if v := c.compileNum(weight); v != nil {
-		v = v.full(snap.Len())
-		for k, r := range rows {
-			if bitGet(v.errs, int(r)) {
-				return nil, nil, errDivisionByZero
-			}
-			f := math.NaN()
-			switch {
-			case bitGet(v.nulls, int(r)):
-			case v.isInt:
-				f = float64(v.ints[r])
-			default:
-				f = v.floats[r]
-			}
-			if f < 0 {
-				return nil, nil, &WeightError{Value: value.Float(f)}
-			}
-			vals[k] = f
-		}
-		return rows, vals, selErr
-	}
-	env := makeEnv(snap.Schema())
+	v := c.weightVec(c.operand(weight)).full(snap.Len())
+	fs := v.floatView()
+	vals = make([]float64, len(rows))
 	for k, r := range rows {
-		v, err := weight.Eval(env.at(snap, int(r), snap.Weight(int(r))))
-		if err != nil {
-			return nil, nil, err
+		f := fs[r]
+		if bitGet(v.nulls, int(r)) {
+			f = math.NaN()
 		}
-		f, err := v.Float64()
-		if err != nil || f < 0 {
-			return nil, nil, &WeightError{Value: v}
+		if bitGet(v.errs, int(r)) || f < 0 {
+			return nil, nil, rowError(snap, int(r), snap.Weight(int(r)), func(b *expr.Binding) error {
+				v, err := weight.Eval(b)
+				if err != nil {
+					return err
+				}
+				if f, err := v.Float64(); err != nil || f < 0 {
+					return &WeightError{Value: v}
+				}
+				return nil
+			})
 		}
 		vals[k] = f
 	}
 	return rows, vals, selErr
 }
 
+// weightVec is a new weight's operand as one numeric vector, as
+// value.Float64 reads a value: a BOOL is 1 or 0, and a TEXT is refused
+// wherever it is not NULL.
+func (c *kernelCompiler) weightVec(o operand) *numVec {
+	switch o.kind {
+	case value.KindBool:
+		tern := c.tern(c.truthOf(o))
+		v := &numVec{floats: make([]float64, c.n)}
+		v.nulls, v.errs = ternBits(tern)
+		for i, t := range tern {
+			v.floats[i] = float64(b2i(t == ternTrue))
+		}
+		return v
+	case value.KindText:
+		return c.nonNumeric(o)
+	}
+	return o.num
+}
+
+// --- vectorized aggregation ---
+
+// vecAgg is one aggregate's input: an INT/FLOAT input is vec, a BOOL or
+// TEXT one is read a value at a time (at), and COUNT(*) has neither. errs
+// marks the rows where accumulating the input fails: where its evaluation
+// fails, and for SUM/AVG over TEXT at every non-NULL row.
+type vecAgg struct {
+	kind sql.AggKind
+	vec  *numVec
+	at   func(i int) value.Value
+	errs []uint64
+}
+
+// planVectorAggs compiles every aggregate item's input over the full
+// snapshot.
+func planVectorAggs(c *kernelCompiler, sel *sql.Select) []vecAgg {
+	out := make([]vecAgg, 0, len(sel.Items))
+	for _, it := range sel.Items {
+		if it.Agg == sql.AggNone {
+			continue
+		}
+		a := vecAgg{kind: it.Agg}
+		if !it.Star {
+			switch in := c.operand(it.Expr); {
+			case in.num != nil:
+				// The accumulators index per row, so a scalar materializes
+				// here, off the hot path.
+				a.vec = in.num.full(c.n)
+				a.errs = a.vec.errs
+			default:
+				a.at, a.errs = c.values(in)
+				if in.kind == value.KindText && (it.Agg == sql.AggSum || it.Agg == sql.AggAvg) {
+					a.errs = c.nonNumeric(in).errs
+				}
+			}
+		}
+		out = append(out, a)
+	}
+	return out
+}
+
 // accumulate runs one aggregate's tight loop over the selected rows,
 // writing the shared partial-state arrays (PartialStates). Accumulation
 // order is scan order and the operation sequence matches
-// PartialStates.Accumulate exactly, so float results are bit-identical to the row path. COUNT and
-// SUM/AVG decide a numeric input's kind and its no-NULL case once, outside
-// the row loop.
-func accumulate(a vecAgg, st *PartialStates, snap *table.Snapshot, selRows, gids []int32, selW []float64) {
+// PartialStates.Accumulate exactly, so float results are bit-identical to
+// the row path. COUNT and SUM/AVG decide a numeric input's kind and its
+// no-NULL case once, outside the row loop. No selected row fails (scan
+// checked).
+func accumulate(a vecAgg, st *PartialStates, selRows, gids []int32, selW []float64) {
+	if a.at != nil {
+		// A BOOL or TEXT input folds through the interpreter's own scalar
+		// Accumulate.
+		for k, ri := range selRows {
+			if x := a.at(int(ri)); !x.IsNull() {
+				_ = st.Accumulate(int(gids[k]), x, selW[k])
+			}
+		}
+		return
+	}
 	v := a.vec
 	var nulls []uint64 // COUNT(*) has no input; WEIGHT is never NULL
-	switch {
-	case v != nil:
+	if v != nil {
 		nulls = v.nulls
-	case !a.star:
-		nulls = snap.Col(a.col).Nulls
 	}
 	switch a.kind {
 	case sql.AggCount:
@@ -877,37 +958,21 @@ func accumulate(a vecAgg, st *PartialStates, snap *table.Snapshot, selRows, gids
 			}
 		}
 	case sql.AggSum, sql.AggAvg:
-		switch {
-		case v == nil: // a BOOL column; SUM/AVG over TEXT has a per-row form
-			bools := snap.Col(a.col).Bools
-			for k, ri := range selRows {
-				if !bitGet(nulls, int(ri)) {
-					x := 0.0
-					if bools[ri] {
-						x = 1
-					}
-					addSum(st, gids[k], selW[k], x) // full multiply keeps NaN/±0 flow identical
-				}
-			}
-		case v.isInt:
+		if v.isInt {
 			sumRows(st, v.ints, nulls, selRows, gids, selW)
-		default:
+		} else {
 			sumRows(st, v.floats, nulls, selRows, gids, selW)
 		}
 	case sql.AggMin, sql.AggMax:
 		less := a.kind == sql.AggMin
 		for k, ri := range selRows {
-			var x value.Value
-			switch {
-			case v == nil:
-				if x = snap.Value(int(ri), a.col); x.IsNull() {
-					continue
-				}
-			case bitGet(nulls, int(ri)):
+			if bitGet(nulls, int(ri)) {
 				continue
-			case v.isInt:
+			}
+			var x value.Value
+			if v.isInt {
 				x = value.Int(v.ints[ri])
-			default:
+			} else {
 				x = value.Float(v.floats[ri])
 			}
 			g := gids[k]
@@ -953,76 +1018,40 @@ func addSum(st *PartialStates, g int32, w, x float64) {
 // (weighted-global has five) still fans out. Chunked calls on
 // position-aligned sub-slices keep per-morsel cancellation checkpoints
 // without changing accumulation order.
-//
-// An input fails at a kept row where a compiled input divides by zero or a
-// per-row form's evaluation errs. The interpreter accumulates a row's items
-// in select-list order before the next row, so the error returned is the
-// one at the earliest failing kept row, the first failing item there.
-func accumulateStates(ctx context.Context, vaggs []vecAgg, snap *table.Snapshot, rawW []float64, selRows, gids []int32, selW []float64, nst, workers int) ([]*PartialStates, error) {
+func accumulateStates(ctx context.Context, vaggs []vecAgg, selRows, gids []int32, selW []float64, nst, workers int) ([]*PartialStates, error) {
 	states := make([]*PartialStates, len(vaggs))
-	failAt := make([]int, len(vaggs)) // kept-row position of the item's first failure
-	fails := make([]error, len(vaggs))
 	err := forEachTask(ctx, len(vaggs), workers, func(i int) error {
-		a := vaggs[i]
-		st := NewPartialStates(a.kind, nst)
+		st := NewPartialStates(vaggs[i].kind, nst)
 		states[i] = st
-		if a.vec != nil && a.vec.errs != nil {
-			for k, ri := range selRows {
-				if bitGet(a.vec.errs, int(ri)) {
-					failAt[i], fails[i] = k, errDivisionByZero
-					return nil
-				}
-			}
-		}
-		var env *rowEnv
-		if a.row != nil {
-			env = makeEnv(snap.Schema())
-		}
 		for lo := 0; lo < len(selRows); lo += morselRows {
 			if err := checkCtx(ctx); err != nil {
 				return err
 			}
 			hi := min(lo+morselRows, len(selRows))
-			if a.row == nil {
-				accumulate(a, st, snap, selRows[lo:hi], gids[lo:hi], selW[lo:hi])
-				continue
-			}
-			for k := lo; k < hi; k++ {
-				ri := int(selRows[k])
-				if err := accumulateRow(st, int(gids[k]), *a.row, env.at(snap, ri, rawW[ri]), selW[k]); err != nil {
-					failAt[i], fails[i] = k, err
-					return nil
-				}
-			}
+			accumulate(vaggs[i], st, selRows[lo:hi], gids[lo:hi], selW[lo:hi])
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	first := -1
-	for i, e := range fails {
-		if e != nil && (first < 0 || failAt[i] < failAt[first]) {
-			first = i
-		}
-	}
-	if first >= 0 {
-		return nil, fails[first]
-	}
 	return states, nil
 }
+
+// --- projection ---
 
 // runProjectionVector answers a non-aggregate query on the columnar path:
 // the WHERE is one SelectRows, DISTINCT densifies through the group-id
 // machinery, and ORDER BY permutes row indices over typed columns — with a
 // bounded top-K heap when LIMIT is present — so only the surviving rows
-// ever materialize. Plain items (stars, columns, WEIGHT) fill the answer a
-// column at a time (projectColumns).
+// ever materialize. Every item fills the answer a column at a time
+// (projectColumns): a plain one (stars, columns, WEIGHT) from the snapshot,
+// a computed one from its operand.
 //
-// A computed item is evaluated per kept row through projectRow, and can
-// raise an error at any of them, so its answer materializes every kept row
-// in scan order before DISTINCT, ORDER BY or LIMIT apply; the first error
-// among them comes before the selection's own, which lies at a later row.
+// A computed item can fail at any kept row, so its failing rows are checked
+// over every kept row before DISTINCT, ORDER BY or LIMIT drop any; the
+// first failure among them comes before the selection's own, which lies at
+// a later row.
 func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, error) {
 	rawW := snap.Weights()
 	if opts.WeightOverride != nil {
@@ -1031,41 +1060,44 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 	workers := opts.workers()
 	outCols, sources := projectionSources(snap, sel)
 	selRows, selErr := SelectRows(ctx, snap, sel.Where, rawW, workers)
-	res := &Result{Columns: outCols}
-	if slices.Contains(sources, srcComputed) {
-		env := makeEnv(snap.Schema())
-		res.Rows = make([][]value.Value, 0, len(selRows))
-		for ci, ri := range selRows {
-			if ci%cancelCheckRows == 0 {
-				if err := checkCtx(ctx); err != nil {
-					return nil, err
-				}
+	c := &kernelCompiler{ctx: ctx, snap: snap, weights: rawW, n: snap.Len(), workers: workers}
+	var computed []func(int) value.Value // at each srcComputed position
+	var itemErrs [][]uint64
+	pos := 0
+	for _, it := range sel.Items {
+		if it.Star {
+			pos += snap.Schema().Len()
+			continue
+		}
+		if sources[pos] == srcComputed {
+			if computed == nil {
+				computed = make([]func(int) value.Value, len(sources))
 			}
-			out, err := projectRow(sel, env.at(snap, int(ri), rawW[ri]), env.nc)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, out)
+			var errs []uint64
+			computed[pos], errs = c.values(c.operand(it.Expr))
+			itemErrs = append(itemErrs, errs)
 		}
-		if selErr != nil {
-			return nil, selErr
-		}
-		if sel.Distinct {
-			res.Rows = dedupRows(res.Rows)
-		}
-		if err := orderAndLimit(ctx, res, sel); err != nil {
-			return nil, err
-		}
-		return res, nil
+		pos++
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	if k := firstFailing(selRows, itemErrs...); k >= 0 {
+		r := int(selRows[k])
+		return nil, rowError(snap, r, rawW[r], func(b *expr.Binding) error {
+			_, err := projectRow(sel, b, snap.Schema().Len())
+			return err
+		})
 	}
 	if selErr != nil {
 		return nil, selErr
 	}
+	res := &Result{Columns: outCols}
 
 	// DISTINCT: densify the item columns to group ids; the first-appearance
-	// representatives are exactly dedupRows' first occurrences. A WEIGHT
-	// item dedups the materialized rows instead.
-	distinctOK := sel.Distinct && !slices.Contains(sources, srcWeight)
+	// representatives are exactly dedupRows' first occurrences. A WEIGHT or
+	// computed item dedups the materialized rows instead.
+	distinctOK := sel.Distinct && !slices.ContainsFunc(sources, func(s int) bool { return s < 0 })
 	cand := selRows
 	if distinctOK {
 		_, cand = snap.GroupIDs(sources, nil, selRows)
@@ -1106,7 +1138,7 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 		postDone = true
 	}
 
-	rows, err := projectColumns(ctx, snap, sources, rawW, cand)
+	rows, err := projectColumns(ctx, snap, sources, computed, rawW, cand)
 	if err != nil {
 		return nil, err
 	}
@@ -1123,12 +1155,13 @@ func runProjectionVector(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 	return res, nil
 }
 
-// projectColumns materializes the plain sources (schema columns and WEIGHT)
-// at rows cand into one slab, a column at a time through the same column
-// reader as finalize's GROUP BY keys, cancelCheckRows rows per chunk so a
+// projectColumns materializes the sources at rows cand into one slab, a
+// column at a time: schema columns through the same column reader as
+// finalize's GROUP BY keys, WEIGHT from rawW and a computed item from its
+// operand's reader (computed), cancelCheckRows rows per chunk so a
 // cancelled context stops it between chunks. Each row is cut from the slab
 // capacity-capped, so a caller's append cannot run into the next row.
-func projectColumns(ctx context.Context, snap *table.Snapshot, sources []int, rawW []float64, cand []int32) ([][]value.Value, error) {
+func projectColumns(ctx context.Context, snap *table.Snapshot, sources []int, computed []func(int) value.Value, rawW []float64, cand []int32) ([][]value.Value, error) {
 	nc := len(sources)
 	slab := make([]value.Value, len(cand)*nc)
 	for lo := 0; lo < len(cand); lo += cancelCheckRows {
@@ -1138,11 +1171,16 @@ func projectColumns(ctx context.Context, snap *table.Snapshot, sources []int, ra
 		rows := cand[lo:min(lo+cancelCheckRows, len(cand))]
 		for oi, src := range sources {
 			dst := slab[lo*nc+oi:]
-			if src == srcWeight {
+			switch src {
+			case srcWeight:
 				for k, ri := range rows {
 					dst[k*nc] = value.Float(rawW[ri])
 				}
-			} else {
+			case srcComputed:
+				for k, ri := range rows {
+					dst[k*nc] = computed[oi](int(ri))
+				}
+			default:
 				snap.FillValues(src, rows, dst, nc)
 			}
 		}

@@ -161,11 +161,19 @@ func benchFlights(t testing.TB, workers int) *Model {
 	})
 }
 
+// trainStepRun is how many steps BenchmarkTrainStep times from one fresh
+// model before it builds the next.
+const trainStepRun = 10
+
 // BenchmarkTrainStep is one full optimizer step (latent draw, training
 // forward, loss and gradient, backward, Adam): at the repo benchmark's spiral
 // and flights training shapes, at the pinned worlds' shapes, and on a sliced
 // 2-D marginal; allocs/op is the steady-state figure the allocation test pins
-// at zero for Workers 1.
+// at zero for Workers 1. A step's cost moves as training goes on, so every
+// trainStepRun timed steps start again from the same state: a freshly built,
+// seeded model after one untimed warm-up step. ns/op is then the mean over
+// the same trajectory whatever -benchtime is, as long as it is a multiple of
+// trainStepRun.
 func BenchmarkTrainStep(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -179,11 +187,19 @@ func BenchmarkTrainStep(b *testing.B) {
 	} {
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/workers=%d", bc.name, workers), func(b *testing.B) {
-				model := bc.build(b, workers)
-				ts := model.newTrainScratch()
+				var model *Model
+				var ts *trainScratch
 				b.ReportAllocs()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if i%trainStepRun == 0 {
+						b.StopTimer()
+						model = bc.build(b, workers)
+						ts = model.newTrainScratch()
+						if _, err := model.trainStep(ts); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
 					if _, err := model.trainStep(ts); err != nil {
 						b.Fatal(err)
 					}

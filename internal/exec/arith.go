@@ -172,17 +172,13 @@ func overlayBits(dst []int8, bm []uint64, v int8, lo int) {
 	}
 }
 
-// floatView returns the vector's values as float64s, converting an int
-// vector once (the coercion expr.evalArith applies to mixed arithmetic).
-func (v *numVec) floatView() []float64 {
-	if !v.isInt {
-		return v.floats
+// floatAt returns row i's value as float64, converting an INT as
+// expr.evalArith does in mixed arithmetic.
+func (v *numVec) floatAt(i int) float64 {
+	if v.isInt {
+		return float64(v.ints[i])
 	}
-	out := make([]float64, len(v.ints))
-	for i, x := range v.ints {
-		out[i] = float64(x)
-	}
-	return out
+	return v.floats[i]
 }
 
 // arith is a binary arithmetic node: numArith over two numeric operands,
@@ -312,18 +308,37 @@ func (c *kernelCompiler) numArith(op expr.BinOp, l, r *numVec) *numVec {
 	if op == expr.OpDiv || op == expr.OpMod {
 		out.errs = ownBits(out.errs, n)
 	}
-	lf, rf := l.floatView(), r.floatView()
-	c.fill(func(lo, hi int) {
-		switch {
-		case r.scalar:
-			arithFloatVS(op, out, lf, r.scalarFloat(), lo, hi)
-		case l.scalar:
-			arithFloatSV(op, out, l.scalarFloat(), rf, lo, hi)
-		default:
-			arithFloatVV(op, out, lf, rf, lo, hi)
-		}
-	})
+	c.fill(func(lo, hi int) { arithFloat(op, out, l, r, lo, hi) })
 	return out
+}
+
+// number is a numeric vector's payload type. The FLOAT kernels take either:
+// an INT payload is converted by float64(x) inside the row loop, the
+// conversion expr.evalArith applies to mixed arithmetic, so no operation
+// allocates a converted copy of its operand.
+type number interface{ int64 | float64 }
+
+// arithFloat fills rows [lo, hi) of a FLOAT result on the kernel that
+// matches its operands' shapes and payload types.
+func arithFloat(op expr.BinOp, out, l, r *numVec, lo, hi int) {
+	switch {
+	case r.scalar && l.isInt:
+		arithFloatVS(op, out, l.ints, r.scalarFloat(), lo, hi)
+	case r.scalar:
+		arithFloatVS(op, out, l.floats, r.scalarFloat(), lo, hi)
+	case l.scalar && r.isInt:
+		arithFloatSV(op, out, l.scalarFloat(), r.ints, lo, hi)
+	case l.scalar:
+		arithFloatSV(op, out, l.scalarFloat(), r.floats, lo, hi)
+	case l.isInt && r.isInt:
+		arithFloatVV(op, out, l.ints, r.ints, lo, hi)
+	case l.isInt:
+		arithFloatVV(op, out, l.ints, r.floats, lo, hi)
+	case r.isInt:
+		arithFloatVV(op, out, l.floats, r.ints, lo, hi)
+	default:
+		arithFloatVV(op, out, l.floats, r.floats, lo, hi)
+	}
 }
 
 // arithScalarScalar computes a constant-only operation as a single element,
@@ -457,33 +472,34 @@ func arithIntSV(op expr.BinOp, out *numVec, x int64, b []int64, lo, hi int) {
 }
 
 // arithFloatVV is the vector⊙vector float kernel over rows [lo, hi).
-func arithFloatVV(op expr.BinOp, out *numVec, lf, rf []float64, lo, hi int) {
+func arithFloatVV[L, R number](op expr.BinOp, out *numVec, lf []L, rf []R, lo, hi int) {
 	switch op {
 	case expr.OpAdd:
 		for i := lo; i < hi; i++ {
-			out.floats[i] = lf[i] + rf[i]
+			out.floats[i] = float64(lf[i]) + float64(rf[i])
 		}
 	case expr.OpSub:
 		for i := lo; i < hi; i++ {
-			out.floats[i] = lf[i] - rf[i]
+			out.floats[i] = float64(lf[i]) - float64(rf[i])
 		}
 	case expr.OpMul:
 		for i := lo; i < hi; i++ {
-			out.floats[i] = lf[i] * rf[i]
+			out.floats[i] = float64(lf[i]) * float64(rf[i])
 		}
 	case expr.OpDiv, expr.OpMod:
 		mod := op == expr.OpMod
 		for i := lo; i < hi; i++ {
-			if rf[i] == 0 {
+			x, y := float64(lf[i]), float64(rf[i])
+			if y == 0 {
 				if !bitGet(out.nulls, i) {
 					bitSet(out.errs, i)
 				}
 				continue
 			}
 			if mod {
-				out.floats[i] = math.Mod(lf[i], rf[i])
+				out.floats[i] = math.Mod(x, y)
 			} else {
-				out.floats[i] = lf[i] / rf[i]
+				out.floats[i] = x / y
 			}
 		}
 	}
@@ -491,19 +507,19 @@ func arithFloatVV(op expr.BinOp, out *numVec, lf, rf []float64, lo, hi int) {
 
 // arithFloatVS is vector⊙scalar; a zero scalar divisor errors every non-null
 // row, any other divisor drops the per-row zero check entirely.
-func arithFloatVS(op expr.BinOp, out *numVec, lf []float64, y float64, lo, hi int) {
+func arithFloatVS[L number](op expr.BinOp, out *numVec, lf []L, y float64, lo, hi int) {
 	switch op {
 	case expr.OpAdd:
 		for i := lo; i < hi; i++ {
-			out.floats[i] = lf[i] + y
+			out.floats[i] = float64(lf[i]) + y
 		}
 	case expr.OpSub:
 		for i := lo; i < hi; i++ {
-			out.floats[i] = lf[i] - y
+			out.floats[i] = float64(lf[i]) - y
 		}
 	case expr.OpMul:
 		for i := lo; i < hi; i++ {
-			out.floats[i] = lf[i] * y
+			out.floats[i] = float64(lf[i]) * y
 		}
 	case expr.OpDiv, expr.OpMod:
 		if y == 0 {
@@ -516,35 +532,35 @@ func arithFloatVS(op expr.BinOp, out *numVec, lf []float64, y float64, lo, hi in
 		}
 		if op == expr.OpMod {
 			for i := lo; i < hi; i++ {
-				out.floats[i] = math.Mod(lf[i], y)
+				out.floats[i] = math.Mod(float64(lf[i]), y)
 			}
 			return
 		}
 		for i := lo; i < hi; i++ {
-			out.floats[i] = lf[i] / y
+			out.floats[i] = float64(lf[i]) / y
 		}
 	}
 }
 
 // arithFloatSV is scalar⊙vector (the divisor varies per row).
-func arithFloatSV(op expr.BinOp, out *numVec, x float64, rf []float64, lo, hi int) {
+func arithFloatSV[R number](op expr.BinOp, out *numVec, x float64, rf []R, lo, hi int) {
 	switch op {
 	case expr.OpAdd:
 		for i := lo; i < hi; i++ {
-			out.floats[i] = x + rf[i]
+			out.floats[i] = x + float64(rf[i])
 		}
 	case expr.OpSub:
 		for i := lo; i < hi; i++ {
-			out.floats[i] = x - rf[i]
+			out.floats[i] = x - float64(rf[i])
 		}
 	case expr.OpMul:
 		for i := lo; i < hi; i++ {
-			out.floats[i] = x * rf[i]
+			out.floats[i] = x * float64(rf[i])
 		}
 	case expr.OpDiv, expr.OpMod:
 		mod := op == expr.OpMod
 		for i := lo; i < hi; i++ {
-			y := rf[i]
+			y := float64(rf[i])
 			if y == 0 {
 				if !bitGet(out.nulls, i) {
 					bitSet(out.errs, i)

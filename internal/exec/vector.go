@@ -837,10 +837,9 @@ func UpdateWeights(snap *table.Snapshot, where, weight expr.Expr, workers int) (
 	rows, selErr := SelectRows(context.Background(), snap, where, snap.Weights(), workers)
 	c := &kernelCompiler{snap: snap, weights: snap.Weights(), n: snap.Len(), workers: workers}
 	v := c.weightVec(c.operand(weight)).full(snap.Len())
-	fs := v.floatView()
 	vals = make([]float64, len(rows))
 	for k, r := range rows {
-		f := fs[r]
+		f := v.floatAt(int(r))
 		if bitGet(v.nulls, int(r)) {
 			f = math.NaN()
 		}

@@ -1,15 +1,25 @@
 #include "textflag.h"
 
-// AVX2 kernels for Dense's training step: gradWRowsAsm serves the backward's
-// weight gradient and the forward, gradXAsm the input gradient. Every output
-// element sees the operations the scalar Go loops (gradWGo or forwardGo,
-// gradXGo) give it, in the same order: one VMULPD, then one VADDPD, per term.
-// No FMA.
+// AVX2 kernels for Dense's training step: forwardAsm is the training
+// forward, gradWAsm the backward's weight gradient and gradXAsm its input
+// gradient. Every output element sees the operations the scalar Go loops
+// (forwardGo, gradWGo, gradXGo) give it, in the same order: one VMULPD, then
+// one VADDPD, per term. No FMA.
 //
-// A tile of output columns stays in registers while a sum runs (for gradW,
-// over one block of rows; for gradX, over all its terms): 16 columns in
-// four YMM registers, then 4 in one, then 2 in one XMM register, then 1 in
-// the low lane of one.
+// The forward and gradW skip an input that is exactly ±0, as the scalar
+// loops do, without a Go-side gather: each builds its masks of nonzero
+// inputs in registers (VCMPPD NEQ_UQ against zero, which keeps NaN) and
+// walks their set bits with BSF, lowest first, so the terms come in the
+// scalar order. A mask word covers 64 inputs (the forward) or 64 rows
+// (gradW); wider inputs and longer batches take one word at a time, so every
+// width runs the same code. Only the training step runs here: Dense.eval,
+// generation's forward, stays on forwardGo, because an OPEN read times
+// generation and the repo benchmark's 5 ms read floor leaves it no room.
+//
+// A tile of output columns stays in registers while a sum runs (for the
+// forward, over one mask word; for gradW, over one block of rows; for gradX,
+// over all its terms): 16 columns in four YMM registers, then 4 in one, then
+// 2 in one XMM register, then 1 in the low lane of one.
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -30,113 +40,449 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// One term of gradW for a tile register: T = g·x, acc = T + acc.
-#define WTERM(off, acc) \
-	VMOVUPD off(CX)(R10*1), Y5; \
+// forwardAsm and gradWAsm walk each mask word's set bits once, into a
+// 64-entry list on their stack: the input value in list-1024(SP) and the
+// byte offset of the row it scales (of w for the forward, of g for gradW) in
+// list-512(SP). Every tile then reads the list, so a term costs a tile what
+// it cost on the gathered lists the kernels replaced; walking the bits again
+// for every tile made gradW 45–60 % slower at 64 output columns (250 rows,
+// a 2-vCPU x86-64 host). The frame is too large for NOSPLIT. R13 holds the list's length, DX the base
+// of the scaled rows, R9 their stride in bytes and BX the tile's byte
+// offset; CX is DX + BX.
+
+// One list entry for a tile register: T = row·x, acc = T + acc, where Y4
+// holds x and R14 is the row's byte offset.
+#define TERM(off, acc) \
+	VMOVUPD off(CX)(R14*1), Y5; \
 	VMULPD  Y4, Y5, Y5; \
 	VADDPD  acc, Y5, acc
 
-// func gradWRowsAsm(wg, xs []float64, offs []int, g []float64)
+// AX = the index of R11's lowest set bit, which is cleared. BSF is baseline
+// x86-64.
+#define NEXTBIT \
+	BSFQ R11, AX; \
+	LEAQ -1(R11), R14; \
+	ANDQ R14, R11
+
+// func forwardAsm(y, x, w, b []float64, rows, in, out int)
 //
-// For each tile of wg: load it, add xs[k]·g[offs[k]/8 + tile] for k
-// ascending, store it. offs are byte offsets of g rows.
-TEXT ·gradWRowsAsm(SB), NOSPLIT, $0-96
-	MOVQ wg_base+0(FP), DI
-	MOVQ wg_len+8(FP), R12   // columns left
-	MOVQ xs_base+24(FP), SI
-	MOVQ xs_len+32(FP), R8   // terms per sum
-	MOVQ offs_base+48(FP), R9
-	MOVQ g_base+72(FP), DX
-	XORQ BX, BX              // byte offset of the tile
-	TESTQ R8, R8
-	JZ   wdone
+// For each row r and each word of 64 inputs: build the mask of the word's
+// inputs that are not ±0 (VCMPPD NEQ_UQ against zero keeps NaN, then
+// VMOVMSKPD), list its set bits i ascending, and for each tile of y[r] add
+// x[r][i]·w[i][tile] for the listed i in order. The first word's tiles
+// start from b, later words' from y[r]. A row with no inputs gets b.
+TEXT ·forwardAsm(SB), $1024-120
+	MOVQ y_base+0(FP), DI  // &y[r][0]
+	MOVQ x_base+24(FP), R8 // &x[r][0]
+	MOVQ out+112(FP), R9
+	SHLQ $3, R9            // y and w row stride in bytes
+	VXORPD Y15, Y15, Y15
 
-w16:
-	CMPQ R12, $16
-	JLT  w4
-	VMOVUPD 0(DI)(BX*1), Y0
-	VMOVUPD 32(DI)(BX*1), Y1
-	VMOVUPD 64(DI)(BX*1), Y2
-	VMOVUPD 96(DI)(BX*1), Y3
-	LEAQ (DX)(BX*1), CX
-	XORQ AX, AX
+frow:
+	MOVQ  rows+96(FP), AX
+	IMULQ R9, AX
+	ADDQ  y_base+0(FP), AX
+	CMPQ  DI, AX
+	JAE   fdone
+	MOVQ  R8, SI            // &x[r][i0]
+	MOVQ  w_base+48(FP), DX // &w[i0][0]
+	MOVQ  in+104(FP), R10   // inputs left from i0
 
-w16term:
-	VBROADCASTSD (SI)(AX*8), Y4
-	MOVQ (R9)(AX*8), R10
-	WTERM(0, Y0)
-	WTERM(32, Y1)
-	WTERM(64, Y2)
-	WTERM(96, Y3)
+fword:
+	MOVQ    $64, R14
+	CMPQ    R10, R14
+	CMOVQLT R10, R14       // inputs in this word
+	XORQ    R11, R11       // their mask
+	XORQ    CX, CX         // inputs done
+
+fm4:
+	LEAQ      4(CX), AX
+	CMPQ      AX, R14
+	JGT       fm2
+	VCMPPD    $4, (SI)(CX*8), Y15, Y0
+	VMOVMSKPD Y0, AX
+	SHLQ      CX, AX
+	ORQ       AX, R11
+	ADDQ      $4, CX
+	JMP       fm4
+
+fm2:
+	LEAQ      2(CX), AX
+	CMPQ      AX, R14
+	JGT       fm1
+	VCMPPD    $4, (SI)(CX*8), X15, X0
+	VMOVMSKPD X0, AX
+	SHLQ      CX, AX
+	ORQ       AX, R11
+	ADDQ      $2, CX
+
+fm1:
+	CMPQ      CX, R14
+	JGE       fmdone
+	VMOVSD    (SI)(CX*8), X0 // the upper lane is +0: its bit stays clear
+	VCMPPD    $4, X15, X0, X0
+	VMOVMSKPD X0, AX
+	SHLQ      CX, AX
+	ORQ       AX, R11
+
+fmdone:
+	XORQ  R13, R13
+	TESTQ R11, R11
+	JZ    flisted
+
+flist:
+	NEXTBIT
+	MOVQ  (SI)(AX*8), R14
+	MOVQ  R14, list-1024(SP)(R13*8)
+	IMULQ R9, AX
+	MOVQ  AX, list-512(SP)(R13*8)
+	INCQ  R13
+	TESTQ R11, R11
+	JNZ   flist
+
+flisted:
+	MOVQ    b_base+72(FP), R11 // where the tiles start: b, then y[r]
+	CMPQ    SI, R8
+	CMOVQNE DI, R11
+	XORQ    BX, BX
+	MOVQ    out+112(FP), R12   // columns left
+
+f16:
+	CMPQ    R12, $16
+	JLT     f4
+	VMOVUPD 0(R11)(BX*1), Y0
+	VMOVUPD 32(R11)(BX*1), Y1
+	VMOVUPD 64(R11)(BX*1), Y2
+	VMOVUPD 96(R11)(BX*1), Y3
+	LEAQ    (DX)(BX*1), CX
+	XORQ    AX, AX
+	TESTQ   R13, R13
+	JZ      f16store
+
+f16term:
+	VBROADCASTSD list-1024(SP)(AX*8), Y4
+	MOVQ         list-512(SP)(AX*8), R14
+	TERM(0, Y0)
+	TERM(32, Y1)
+	TERM(64, Y2)
+	TERM(96, Y3)
 	INCQ AX
-	CMPQ AX, R8
-	JLT  w16term
+	CMPQ AX, R13
+	JLT  f16term
+
+f16store:
 	VMOVUPD Y0, 0(DI)(BX*1)
 	VMOVUPD Y1, 32(DI)(BX*1)
 	VMOVUPD Y2, 64(DI)(BX*1)
 	VMOVUPD Y3, 96(DI)(BX*1)
-	ADDQ $128, BX
-	SUBQ $16, R12
-	JMP  w16
+	ADDQ    $128, BX
+	SUBQ    $16, R12
+	JMP     f16
 
-w4:
-	CMPQ R12, $4
-	JLT  w2
+f4:
+	CMPQ    R12, $4
+	JLT     f2
+	VMOVUPD (R11)(BX*1), Y0
+	LEAQ    (DX)(BX*1), CX
+	XORQ    AX, AX
+	TESTQ   R13, R13
+	JZ      f4store
+
+f4term:
+	VBROADCASTSD list-1024(SP)(AX*8), Y4
+	MOVQ         list-512(SP)(AX*8), R14
+	TERM(0, Y0)
+	INCQ AX
+	CMPQ AX, R13
+	JLT  f4term
+
+f4store:
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	SUBQ    $4, R12
+	JMP     f4
+
+f2:
+	CMPQ    R12, $2
+	JLT     f1
+	VMOVUPD (R11)(BX*1), X0
+	LEAQ    (DX)(BX*1), CX
+	XORQ    AX, AX
+	TESTQ   R13, R13
+	JZ      f2store
+
+f2term:
+	VMOVDDUP list-1024(SP)(AX*8), X4
+	MOVQ     list-512(SP)(AX*8), R14
+	VMOVUPD  (CX)(R14*1), X5
+	VMULPD   X4, X5, X5
+	VADDPD   X0, X5, X0
+	INCQ     AX
+	CMPQ     AX, R13
+	JLT      f2term
+
+f2store:
+	VMOVUPD X0, (DI)(BX*1)
+	ADDQ    $16, BX
+	SUBQ    $2, R12
+
+f1:
+	TESTQ  R12, R12
+	JZ     fnext
+	VMOVSD (R11)(BX*1), X0
+	LEAQ   (DX)(BX*1), CX
+	XORQ   AX, AX
+	TESTQ  R13, R13
+	JZ     f1store
+
+f1term:
+	VMOVSD list-1024(SP)(AX*8), X4
+	MOVQ   list-512(SP)(AX*8), R14
+	VMOVSD (CX)(R14*1), X5
+	VMULSD X4, X5, X5
+	VADDSD X0, X5, X0
+	INCQ   AX
+	CMPQ   AX, R13
+	JLT    f1term
+
+f1store:
+	VMOVSD X0, (DI)(BX*1)
+
+fnext:
+	ADDQ $512, SI          // the next word: 64 inputs on
+	MOVQ R9, AX
+	SHLQ $6, AX
+	ADDQ AX, DX            // and 64 rows of w
+	SUBQ $64, R10
+	JGT  fword
+	ADDQ R9, DI
+	MOVQ in+104(FP), AX
+	LEAQ (R8)(AX*8), R8
+	JMP  frow
+
+fdone:
+	VZEROUPPER
+	RET
+
+// func gradWAsm(wg, x, g []float64, rows, in, out int)
+//
+// For each block of 64 rows and each group of 4 input columns (then 2, then
+// 1): build the group's column masks, bit k of column i set when x[r0+k][i]
+// is not ±0 (VCMPPD NEQ_UQ against zero, ANDed with a lane of 1<<k and ORed
+// into the lane's mask: a 64×4 bit transpose, one row per step). Then for
+// each column i of the group: list its set rows r ascending, and for each
+// tile of wg[i] add x[r][i]·g[r][tile] for the listed rows in order. A
+// column with no such row is not touched.
+TEXT ·gradWAsm(SB), $1088-96
+	MOVQ   out+88(FP), R9
+	SHLQ   $3, R9          // g and wg row stride in bytes
+	MOVQ   in+80(FP), R10
+	SHLQ   $3, R10         // x row stride in bytes
+	VXORPD Y15, Y15, Y15
+	MOVQ   $1, AX
+	VMOVQ  AX, X14
+	VPBROADCASTQ X14, Y14  // bit 0 in every lane
+	XORQ   R8, R8          // r0: the block's first row
+
+gblock:
+	MOVQ    rows+72(FP), AX
+	SUBQ    R8, AX
+	JLE     gdone
+	MOVQ    $64, CX
+	CMPQ    AX, CX
+	CMOVQGT CX, AX
+	MOVQ    AX, nr-1032(SP) // rows in the block
+	MOVQ    $0, c-1040(SP)  // the group's first column
+
+ggroup:
+	MOVQ    in+80(FP), AX
+	SUBQ    c-1040(SP), AX  // columns left
+	JLE     gnextblock
+	MOVQ    R8, SI
+	IMULQ   R10, SI
+	ADDQ    x_base+24(FP), SI
+	MOVQ    c-1040(SP), CX
+	LEAQ    (SI)(CX*8), SI  // &x[r0][c]
+	VPXOR   Y6, Y6, Y6      // the group's masks
+	VMOVDQU Y14, Y7         // this row's bit
+	MOVQ    nr-1032(SP), CX
+	CMPQ    AX, $4
+	JLT     gm2
+
+gm4:
+	VCMPPD  $4, (SI), Y15, Y8
+	VPAND   Y7, Y8, Y8
+	VPOR    Y8, Y6, Y6
+	VPADDQ  Y7, Y7, Y7
+	ADDQ    R10, SI
+	DECQ    CX
+	JNZ     gm4
+	VMOVDQU Y6, masks-1088(SP)
+	MOVQ    $4, AX
+	JMP     gcols
+
+gm2:
+	CMPQ AX, $2
+	JLT  gm1
+
+gm2row:
+	VCMPPD  $4, (SI), X15, X8
+	VPAND   X7, X8, X8
+	VPOR    X8, X6, X6
+	VPADDQ  X7, X7, X7
+	ADDQ    R10, SI
+	DECQ    CX
+	JNZ     gm2row
+	VMOVDQU X6, masks-1088(SP)
+	MOVQ    $2, AX
+	JMP     gcols
+
+gm1:
+	VMOVSD (SI), X8         // the upper lane is +0: its bits stay clear
+	VCMPPD $4, X15, X8, X8
+	VPAND  X7, X8, X8
+	VPOR   X8, X6, X6
+	VPADDQ X7, X7, X7
+	ADDQ   R10, SI
+	DECQ   CX
+	JNZ    gm1
+	VMOVQ  X6, masks-1088(SP)
+	MOVQ   $1, AX
+
+gcols:
+	MOVQ AX, gw-1048(SP)    // columns in the group
+	MOVQ $0, k-1056(SP)
+
+gcol:
+	MOVQ  k-1056(SP), AX
+	CMPQ  AX, gw-1048(SP)
+	JGE   gnextgroup
+	MOVQ  masks-1088(SP)(AX*8), R11 // the column's mask
+	ADDQ  c-1040(SP), AX    // the column i
+	TESTQ R11, R11
+	JZ    gcolnext
+	MOVQ  AX, DI
+	IMULQ R9, DI
+	ADDQ  wg_base+0(FP), DI // &wg[i][0]
+	MOVQ  x_base+24(FP), SI
+	LEAQ  (SI)(AX*8), SI    // &x[0][i]
+	XORQ  R13, R13
+
+glist:
+	NEXTBIT
+	ADDQ  R8, AX            // the row
+	MOVQ  AX, R14
+	IMULQ R10, R14
+	MOVQ  (SI)(R14*1), R14
+	MOVQ  R14, list-1024(SP)(R13*8)
+	IMULQ R9, AX
+	MOVQ  AX, list-512(SP)(R13*8)
+	INCQ  R13
+	TESTQ R11, R11
+	JNZ   glist
+	MOVQ  g_base+48(FP), DX
+	XORQ  BX, BX
+	MOVQ  out+88(FP), R12   // columns of wg left
+
+g16:
+	CMPQ    R12, $16
+	JLT     g4
 	VMOVUPD 0(DI)(BX*1), Y0
-	LEAQ (DX)(BX*1), CX
-	XORQ AX, AX
+	VMOVUPD 32(DI)(BX*1), Y1
+	VMOVUPD 64(DI)(BX*1), Y2
+	VMOVUPD 96(DI)(BX*1), Y3
+	LEAQ    (DX)(BX*1), CX
+	XORQ    AX, AX
 
-w4term:
-	VBROADCASTSD (SI)(AX*8), Y4
-	MOVQ (R9)(AX*8), R10
-	WTERM(0, Y0)
+g16term:
+	VBROADCASTSD list-1024(SP)(AX*8), Y4
+	MOVQ         list-512(SP)(AX*8), R14
+	TERM(0, Y0)
+	TERM(32, Y1)
+	TERM(64, Y2)
+	TERM(96, Y3)
 	INCQ AX
-	CMPQ AX, R8
-	JLT  w4term
+	CMPQ AX, R13
+	JLT  g16term
 	VMOVUPD Y0, 0(DI)(BX*1)
-	ADDQ $32, BX
-	SUBQ $4, R12
-	JMP  w4
+	VMOVUPD Y1, 32(DI)(BX*1)
+	VMOVUPD Y2, 64(DI)(BX*1)
+	VMOVUPD Y3, 96(DI)(BX*1)
+	ADDQ    $128, BX
+	SUBQ    $16, R12
+	JMP     g16
 
-w2:
-	CMPQ R12, $2
-	JLT  w1
-	VMOVUPD 0(DI)(BX*1), X0
-	LEAQ (DX)(BX*1), CX
-	XORQ AX, AX
+g4:
+	CMPQ    R12, $4
+	JLT     g2
+	VMOVUPD (DI)(BX*1), Y0
+	LEAQ    (DX)(BX*1), CX
+	XORQ    AX, AX
 
-w2term:
-	VMOVDDUP (SI)(AX*8), X4
-	MOVQ (R9)(AX*8), R10
-	VMOVUPD (CX)(R10*1), X5
-	VMULPD  X4, X5, X5
-	VADDPD  X0, X5, X0
+g4term:
+	VBROADCASTSD list-1024(SP)(AX*8), Y4
+	MOVQ         list-512(SP)(AX*8), R14
+	TERM(0, Y0)
 	INCQ AX
-	CMPQ AX, R8
-	JLT  w2term
-	VMOVUPD X0, 0(DI)(BX*1)
-	ADDQ $16, BX
-	SUBQ $2, R12
+	CMPQ AX, R13
+	JLT  g4term
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	SUBQ    $4, R12
+	JMP     g4
 
-w1:
-	TESTQ R12, R12
-	JZ   wdone
-	VMOVSD 0(DI)(BX*1), X0
-	LEAQ (DX)(BX*1), CX
-	XORQ AX, AX
+g2:
+	CMPQ    R12, $2
+	JLT     g1
+	VMOVUPD (DI)(BX*1), X0
+	LEAQ    (DX)(BX*1), CX
+	XORQ    AX, AX
 
-w1term:
-	VMOVSD (SI)(AX*8), X4
-	MOVQ (R9)(AX*8), R10
-	VMOVSD (CX)(R10*1), X5
-	VMULSD  X4, X5, X5
-	VADDSD  X0, X5, X0
-	INCQ AX
-	CMPQ AX, R8
-	JLT  w1term
-	VMOVSD X0, 0(DI)(BX*1)
+g2term:
+	VMOVDDUP list-1024(SP)(AX*8), X4
+	MOVQ     list-512(SP)(AX*8), R14
+	VMOVUPD  (CX)(R14*1), X5
+	VMULPD   X4, X5, X5
+	VADDPD   X0, X5, X0
+	INCQ     AX
+	CMPQ     AX, R13
+	JLT      g2term
+	VMOVUPD  X0, (DI)(BX*1)
+	ADDQ     $16, BX
+	SUBQ     $2, R12
 
-wdone:
+g1:
+	TESTQ  R12, R12
+	JZ     gcolnext
+	VMOVSD (DI)(BX*1), X0
+	LEAQ   (DX)(BX*1), CX
+	XORQ   AX, AX
+
+g1term:
+	VMOVSD list-1024(SP)(AX*8), X4
+	MOVQ   list-512(SP)(AX*8), R14
+	VMOVSD (CX)(R14*1), X5
+	VMULSD X4, X5, X5
+	VADDSD X0, X5, X0
+	INCQ   AX
+	CMPQ   AX, R13
+	JLT    g1term
+	VMOVSD X0, (DI)(BX*1)
+
+gcolnext:
+	INCQ k-1056(SP)
+	JMP  gcol
+
+gnextgroup:
+	MOVQ gw-1048(SP), AX
+	ADDQ AX, c-1040(SP)
+	JMP  ggroup
+
+gnextblock:
+	ADDQ $64, R8
+	JMP  gblock
+
+gdone:
 	VZEROUPPER
 	RET
 

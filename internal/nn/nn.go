@@ -40,9 +40,15 @@
 // (never by a reciprocal), and meets its terms in the scalar order. On amd64
 // CPUs with AVX2 the training step runs in assembly (backward_amd64.s):
 //
-//   - Dense: the backward's weight- and input-gradient sums, and the
-//     training forward, which is the weight-gradient kernel with a row of y
-//     as its accumulator;
+//   - Dense: the training forward and the backward's weight- and
+//     input-gradient sums. The forward and the weight gradient skip the
+//     inputs that are exactly ±0 without a Go-side gather: the assembly
+//     builds masks of the nonzero inputs (VCMPPD NEQ_UQ against zero, which
+//     keeps NaN; a row's 64 inputs through VMOVMSKPD, a column's 64 rows
+//     through a 64×4 bit transpose) and walks their set bits lowest first
+//     with BSF, so the terms come in the scalar order. A mask word covers 64
+//     inputs or rows, and wider layers and longer batches take one word at a
+//     time, so every width runs the same kernel;
 //   - BatchNorm: the forward's column sums, centring and variance sums, and
 //     normalization, and the backward's four per-feature sums and its input
 //     gradient, one lane per feature; the square root, the running
@@ -52,7 +58,9 @@
 // Every other CPU and architecture runs the Go loops in scalarKernels and
 // scalarBNReLU, which are also the oracle the assembly is tested against bit
 // for bit (simd_test.go). The inference forwards of Dense and BatchNorm,
-// which are generation's, stay on their Go loops (see Dense.eval).
+// which are generation's, stay on their Go loops: generation is what an
+// OPEN read times, and the repo benchmark fails a run whose serial read
+// median falls below its 5 ms floor (see Dense.eval).
 package nn
 
 import (

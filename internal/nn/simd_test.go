@@ -164,6 +164,61 @@ func TestBackwardKernels(t *testing.T) {
 	})
 }
 
+// TestMaskKernelGrid holds the AVX2 forward and weight gradient, which
+// skip ±0 inputs through masks they build and walk in registers, to the
+// portable loops bit for bit at every mask-word edge: input widths around
+// one and two 64-input words, output widths at every tile remainder, and
+// batches around one and two 64-row blocks. Each x has an all-zero row, an
+// all-nonzero row, an all-zero column and an all-nonzero column, and the
+// rest mixes ±0, NaN, ±Inf, subnormals and normal values.
+func TestMaskKernelGrid(t *testing.T) {
+	if simdKernels == nil {
+		t.Skip("no AVX2 on this CPU or architecture: Dense's training step runs the scalar kernels")
+	}
+	rng := rand.New(rand.NewSource(49))
+	edges := []float64{0, math.Copysign(0, -1), x86NaN, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -0x1p-1030, 1.5, -2}
+	rowCounts := []int{1, 2, 63, 64, 65, 129, 200}
+	shape := 0
+	for _, in := range []int{1, 2, 3, 4, 5, 17, 63, 64, 65, 128, 130} {
+		for _, out := range []int{1, 2, 3, 4, 5, 16, 17, 33, 64} {
+			rows := rowCounts[shape%len(rowCounts)]
+			shape++
+			x := make([]float64, rows*in)
+			for k := range x {
+				if rng.Intn(2) == 0 {
+					x[k] = edges[rng.Intn(len(edges))]
+				} else {
+					x[k] = rng.NormFloat64()
+				}
+			}
+			for r := 0; r < rows; r++ {
+				x[r*in+in-1] = math.Copysign(0, float64(r%2*2-1)) // the last column is ±0
+				x[r*in] = edges[2+r%(len(edges)-2)]               // the first never is
+			}
+			clear(x[:in]) // row 0 is all +0
+			if rows > 1 {
+				for i := 1; i < in-1; i++ { // row 1 is all nonzero but its last input
+					x[in+i] = edges[2+i%(len(edges)-2)]
+				}
+			}
+			c := kernelCase{
+				rows: rows, in: in, out: out, x: x,
+				w: kernelInput(rng, in*out, 0.1), b: kernelInput(rng, out, 0.1),
+				g: kernelInput(rng, rows*out, 0.1), wg: kernelInput(rng, in*out, 0.1),
+			}
+			gotY, wantY := make([]float64, rows*out), make([]float64, rows*out)
+			simdKernels.forward(gotY, c.x, c.w, c.b, rows, in, out)
+			forwardGo(wantY, c.x, c.w, c.b, rows, in, out)
+			checkSame(t, "forward", c, gotY, wantY, sameBitsExactly)
+			gotW, wantW := clone(c.wg), clone(c.wg)
+			simdKernels.gradW(gotW, c.x, c.g, rows, in, out)
+			gradWGo(wantW, c.x, c.g, rows, in, out)
+			checkSame(t, "gradW", c, gotW, wantW, sameBitsExactly)
+		}
+	}
+}
+
 // TestDenseForwardIsEval holds Dense's training forward, which runs on
 // whichever kernels the CPU has, to its inference forward, which is always
 // the portable loop: generation and training may dispatch differently only

@@ -19,6 +19,7 @@ package swg
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"mosaic/internal/marginal"
@@ -88,26 +89,11 @@ func BuildEncoder(s *table.Table, marginals []*marginal.Marginal) (*Encoder, err
 		if err != nil {
 			return fmt.Errorf("swg: attribute %q: %v", sp.Name, err)
 		}
-		if f < sp.Min {
-			sp.Min = f
-		}
-		if f > sp.Max {
-			sp.Max = f
-		}
+		sp.widen(f)
 		return nil
 	}
-	var scanErr error
-	s.Scan(func(row []value.Value, _ float64) bool {
-		for i, v := range row {
-			if err := observe(i, v); err != nil {
-				scanErr = err
-				return false
-			}
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
+	if err := observeSample(s.Snapshot(), specs); err != nil {
+		return nil, err
 	}
 	for _, m := range marginals {
 		idxs := make([]int, len(m.Attrs))
@@ -149,6 +135,62 @@ func BuildEncoder(s *table.Table, marginals []*marginal.Marginal) (*Encoder, err
 	enc.Attrs = specs
 	enc.Dim = off
 	return enc, nil
+}
+
+// observeSample is observe over every value of the sample, in row order,
+// read from the snapshot's typed columns instead of one materialized row at
+// a time: a continuous attribute's range from its INT or FLOAT vector, a
+// categorical attribute's levels from its first-appearance group ids. The
+// first NULL in row order, lowest column first, is refused as observe
+// refuses it.
+func observeSample(snap *table.Snapshot, specs []AttrSpec) error {
+	n := snap.Len()
+	nullRow, nullCol := n, -1
+	for i := range specs {
+		for w, word := range snap.Col(i).Nulls {
+			if word != 0 {
+				if r := w<<6 + bits.TrailingZeros64(word); r < nullRow {
+					nullRow, nullCol = r, i
+				}
+				break
+			}
+		}
+	}
+	if nullCol >= 0 {
+		return fmt.Errorf("swg: NULL in attribute %q; M-SWG requires complete tuples", specs[nullCol].Name)
+	}
+	for i := range specs {
+		sp, col := &specs[i], snap.Col(i)
+		switch {
+		case sp.Categorical:
+			_, first := snap.GroupIDs([]int{i}, nil, snap.AllRows())
+			for _, r := range first {
+				v := snap.Value(int(r), i)
+				sp.catIdx[v.HashKey()] = len(sp.Cats)
+				sp.Cats = append(sp.Cats, v)
+			}
+		case col.Kind == value.KindInt:
+			for _, x := range col.Ints {
+				sp.widen(float64(x))
+			}
+		default:
+			for _, f := range col.Floats {
+				sp.widen(f)
+			}
+		}
+	}
+	return nil
+}
+
+// widen stretches a continuous attribute's range to take f; NaN changes
+// nothing, and of equal values the first seen stays.
+func (sp *AttrSpec) widen(f float64) {
+	if f < sp.Min {
+		sp.Min = f
+	}
+	if f > sp.Max {
+		sp.Max = f
+	}
 }
 
 // AttrSpecFor returns the spec for the named attribute.

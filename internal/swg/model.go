@@ -132,8 +132,10 @@ type Model struct {
 	rng    *rand.Rand
 	items  []lossItem
 	sample nn.Batch // encoded sample rows (the manifold anchor set)
-	keyCol int      // the encoded column proximity anchors are indexed by
-	adam   *nn.Adam
+	// keyCol and keyCol2 are the encoded columns proximity anchors are
+	// indexed by (proximityKeys).
+	keyCol, keyCol2 int
+	adam            *nn.Adam
 	// History records per-epoch mean training loss.
 	History []float64
 	evals   sync.Pool // of *evalScratch
@@ -168,7 +170,7 @@ func New(sample *table.Table, marginals []*marginal.Marginal, cfg Config) (*Mode
 	if err != nil {
 		return nil, err
 	}
-	m.keyCol = proximityKey(enc, m.sample)
+	m.keyCol, m.keyCol2 = proximityKeys(enc, m.sample)
 	for _, mg := range marginals {
 		if err := m.compileTerm(mg); err != nil {
 			return nil, err
@@ -256,7 +258,7 @@ type trainScratch struct {
 	itemLoss []float64
 	rowLoss  []float64
 	anchors  nn.Batch    // this step's proximity anchors: the sample, or a copied subsample of it
-	index    anchorIndex // the anchors by m.keyCol
+	index    anchorIndex // the anchors by m.keyCol and m.keyCol2
 	shards   []shardScratch
 }
 
@@ -284,7 +286,13 @@ func (m *Model) newTrainScratch() *trainScratch {
 	if m.sample.Rows > m.cfg.ProximitySubsample {
 		ts.anchors = nn.NewBatch(m.cfg.ProximitySubsample, dim)
 	}
-	ts.index = anchorIndex{col: m.keyCol, keys: make([]anchorKey, 0, ts.anchors.Rows)}
+	ts.index = anchorIndex{
+		col:     m.keyCol,
+		col2:    m.keyCol2,
+		strips:  make([]anchorStrip, 0, (ts.anchors.Rows+stripLen-1)/stripLen),
+		entries: make([]anchorKey, 0, ts.anchors.Rows),
+		vals:    make([]float64, 0, ts.anchors.Rows),
+	}
 	if ts.anchors.Rows == m.sample.Rows {
 		ts.index.build(ts.anchors) // the whole sample: the same anchors every step
 	}

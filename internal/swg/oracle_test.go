@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 
+	"mosaic/internal/marginal"
 	"mosaic/internal/nn"
 	"mosaic/internal/table"
 	"mosaic/internal/value"
@@ -139,4 +140,82 @@ func (m *Model) GenerateEncoded(n int) nn.Batch {
 // other goroutines generate.
 func (m *Model) GenerateEncodedSeeded(n int, seed int64) nn.Batch {
 	return m.generateEncodedFrom(rand.New(rand.NewSource(seed)), n)
+}
+
+// scanBuildEncoder is BuildEncoder as it read the sample before it read the
+// snapshot's columns: one materialized row at a time through Table.Scan. It
+// is the oracle TestBuildEncoderReadsColumnsAsScan holds BuildEncoder to.
+func scanBuildEncoder(s *table.Table, marginals []*marginal.Marginal) (*Encoder, error) {
+	sc := s.Schema()
+	specs := make([]AttrSpec, sc.Len())
+	for i := range specs {
+		a := sc.At(i)
+		specs[i] = AttrSpec{
+			Name: a.Name, Kind: a.Kind,
+			Categorical: a.Kind == value.KindText || a.Kind == value.KindBool,
+			Min:         math.Inf(1), Max: math.Inf(-1),
+			catIdx: map[string]int{},
+		}
+	}
+	observe := func(i int, v value.Value) error {
+		sp := &specs[i]
+		if v.IsNull() {
+			return fmt.Errorf("swg: NULL in attribute %q; M-SWG requires complete tuples", sp.Name)
+		}
+		if sp.Categorical {
+			if _, ok := sp.catIdx[v.HashKey()]; !ok {
+				sp.catIdx[v.HashKey()] = len(sp.Cats)
+				sp.Cats = append(sp.Cats, v)
+			}
+			return nil
+		}
+		f, err := v.Float64()
+		if err != nil {
+			return fmt.Errorf("swg: attribute %q: %v", sp.Name, err)
+		}
+		if f < sp.Min {
+			sp.Min = f
+		}
+		if f > sp.Max {
+			sp.Max = f
+		}
+		return nil
+	}
+	var scanErr error
+	s.Scan(func(row []value.Value, _ float64) bool {
+		for i, v := range row {
+			if scanErr = observe(i, v); scanErr != nil {
+				return false
+			}
+		}
+		return true
+	})
+	if scanErr != nil {
+		return nil, scanErr
+	}
+	for _, m := range marginals {
+		for _, c := range m.Cells() {
+			for ai, v := range c.Vals {
+				j, _ := sc.Index(m.Attrs[ai])
+				if err := observe(j, v); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	off := 0
+	for i := range specs {
+		sp := &specs[i]
+		if sp.Categorical {
+			sp.Width = len(sp.Cats)
+		} else {
+			if sp.Max == sp.Min {
+				sp.Max = sp.Min + 1
+			}
+			sp.Width = 1
+		}
+		sp.Offset = off
+		off += sp.Width
+	}
+	return &Encoder{Schema: sc, Attrs: specs, Dim: off}, nil
 }

@@ -41,6 +41,20 @@ func spiralLikeModel(t testing.TB, workers int) *Model {
 // spiralLike builds spiralLikeModel's world under any configuration.
 func spiralLike(t testing.TB, cfg Config) *Model {
 	t.Helper()
+	smp, margs := spiralWorld(t)
+	model, err := New(smp, margs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if smp.Len() <= model.Config().ProximitySubsample {
+		t.Fatalf("sample of %d rows does not exercise the proximity subsample", smp.Len())
+	}
+	return model
+}
+
+// spiralWorld is spiralLike's sample and marginals.
+func spiralWorld(t testing.TB) (*table.Table, []*marginal.Marginal) {
+	t.Helper()
 	sc := schema.MustNew(
 		schema.Attribute{Name: "x", Kind: value.KindFloat},
 		schema.Attribute{Name: "y", Kind: value.KindFloat},
@@ -72,14 +86,7 @@ func spiralLike(t testing.TB, cfg Config) *Model {
 		}
 		margs = append(margs, m)
 	}
-	model, err := New(smp, margs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if smp.Len() <= model.Config().ProximitySubsample {
-		t.Fatalf("sample of %d rows does not exercise the proximity subsample", smp.Len())
-	}
-	return model
+	return smp, margs
 }
 
 // flightsLikeModel: one TEXT and three INT attributes with the paper's
@@ -98,6 +105,17 @@ func flightsLikeModel(t testing.TB, workers int) *Model {
 
 // flightsLike builds flightsLikeModel's world under any configuration.
 func flightsLike(t testing.TB, cfg Config) *Model {
+	t.Helper()
+	smp, margs := flightsWorld(t)
+	model, err := New(smp, margs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model
+}
+
+// flightsWorld is flightsLike's sample and marginals.
+func flightsWorld(t testing.TB) (*table.Table, []*marginal.Marginal) {
 	t.Helper()
 	sc := schema.MustNew(
 		schema.Attribute{Name: "carrier", Kind: value.KindText},
@@ -143,11 +161,7 @@ func flightsLike(t testing.TB, cfg Config) *Model {
 		}
 		margs = append(margs, m)
 	}
-	model, err := New(smp, margs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return model
+	return smp, margs
 }
 
 // modelHash trains m and folds every trained parameter, the loss History and
@@ -220,8 +234,10 @@ func TestTrainedBitsPinned(t *testing.T) {
 
 // TestTrainStepAllocatesNothing: with the scratch built, a serial training
 // step allocates nothing. (Workers > 1 pays for its goroutines and no more.)
+// benchSpiral's sample outgrows its ProximitySubsample, so it redraws and
+// re-sorts its anchors every step: the radix sort's scratch is pinned too.
 func TestTrainStepAllocatesNothing(t *testing.T) {
-	for _, build := range []func(testing.TB, int) *Model{spiralLikeModel, flightsLikeModel} {
+	for _, build := range []func(testing.TB, int) *Model{spiralLikeModel, flightsLikeModel, benchSpiral} {
 		m := build(t, 1)
 		ts := m.newTrainScratch()
 		allocs := testing.AllocsPerRun(10, func() {

@@ -2,6 +2,7 @@ package swg
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mosaic/internal/marginal"
@@ -347,5 +348,94 @@ func TestLambdaKeepsGeneratedNearSample(t *testing.T) {
 	// The sample sits at scaled position (0.5-0)/(1-0)=0.5.
 	if mean := stats.Mean(vals); math.Abs(mean-0.5) > 0.2 {
 		t.Errorf("λ-dominated mean = %.3f, want ≈0.5", mean)
+	}
+}
+
+// TestBuildEncoderReadsColumnsAsScan holds BuildEncoder, which reads the
+// sample's typed columns, to the row-at-a-time scan it replaced: the same
+// attributes, levels in the same order, ranges to the bit, the same width,
+// and the same refusal of the first NULL in row order. The worlds are the
+// pinned spiral and flights samples and a table with TEXT, BOOL, INT and
+// FLOAT columns whose FLOAT holds −0 before +0, NaN and ±Inf, which then
+// gets NULLs in several places.
+func TestBuildEncoderReadsColumnsAsScan(t *testing.T) {
+	type world struct {
+		name  string
+		smp   *table.Table
+		margs []*marginal.Marginal
+	}
+	var worlds []world
+	smp, margs := spiralWorld(t)
+	worlds = append(worlds, world{"spiral", smp, margs})
+	smp, margs = flightsWorld(t)
+	worlds = append(worlds, world{"flights", smp, margs})
+
+	sc := schema.MustNew(
+		schema.Attribute{Name: "c", Kind: value.KindText},
+		schema.Attribute{Name: "b", Kind: value.KindBool},
+		schema.Attribute{Name: "n", Kind: value.KindInt},
+		schema.Attribute{Name: "f", Kind: value.KindFloat},
+	)
+	negZero := math.Copysign(0, -1)
+	rows := [][]value.Value{
+		{value.Text("q"), value.Bool(true), value.Int(3), value.Float(negZero)},
+		{value.Text("p"), value.Bool(true), value.Int(-7), value.Float(0)},
+		{value.Text("q"), value.Bool(false), value.Int(1 << 60), value.Float(math.NaN())},
+		{value.Text("r"), value.Bool(false), value.Int(3), value.Float(math.Inf(1))},
+		{value.Text("p"), value.Bool(true), value.Int(-7), value.Float(-2.5)},
+		{value.Text("s"), value.Bool(false), value.Int(0), value.Float(math.Inf(-1))},
+	}
+	mixed := func(name string, nulls ...[2]int) world {
+		tbl := table.New(name, sc)
+		for r, row := range rows {
+			row = append([]value.Value(nil), row...)
+			for _, at := range nulls {
+				if at[0] == r {
+					row[at[1]] = value.Null()
+				}
+			}
+			if err := tbl.Append(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mf := oneDMarginal(t, "mf", "f", map[float64]float64{-1: 1, 7: 2})
+		mc := catMarginal(t, "mc", "c", map[string]float64{"p": 1, "z": 1})
+		return world{name, tbl, []*marginal.Marginal{mf, mc}}
+	}
+	worlds = append(worlds,
+		mixed("mixed"),
+		mixed("null-in-row-2", [2]int{2, 3}, [2]int{4, 0}),
+		mixed("null-ties-in-row-1", [2]int{1, 2}, [2]int{1, 1}, [2]int{3, 0}),
+		mixed("null-in-row-5", [2]int{5, 0}),
+	)
+
+	for _, w := range worlds {
+		got, gotErr := BuildEncoder(w.smp, w.margs)
+		want, wantErr := scanBuildEncoder(w.smp, w.margs)
+		if (wantErr != nil) != strings.HasPrefix(w.name, "null") {
+			t.Fatalf("%s: the scan's error is %v", w.name, wantErr)
+		}
+		if gotErr != nil || wantErr != nil {
+			if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Errorf("%s: error %v, the scan's %v", w.name, gotErr, wantErr)
+			}
+			continue
+		}
+		if got.Dim != want.Dim || len(got.Attrs) != len(want.Attrs) {
+			t.Fatalf("%s: Dim %d over %d attributes, the scan's %d over %d", w.name, got.Dim, len(got.Attrs), want.Dim, len(want.Attrs))
+		}
+		for i := range want.Attrs {
+			g, s := &got.Attrs[i], &want.Attrs[i]
+			same := g.Name == s.Name && g.Kind == s.Kind && g.Categorical == s.Categorical &&
+				math.Float64bits(g.Min) == math.Float64bits(s.Min) && math.Float64bits(g.Max) == math.Float64bits(s.Max) &&
+				g.Offset == s.Offset && g.Width == s.Width && len(g.Cats) == len(s.Cats) && len(g.catIdx) == len(s.catIdx)
+			for c := 0; same && c < len(s.Cats); c++ {
+				k := s.Cats[c].HashKey()
+				same = g.Cats[c].Kind() == s.Cats[c].Kind() && g.Cats[c].HashKey() == k && g.catIdx[k] == c
+			}
+			if !same {
+				t.Errorf("%s: attribute %d is %+v, the scan's %+v", w.name, i, *g, *s)
+			}
+		}
 	}
 }

@@ -133,6 +133,18 @@ func (s *Scratch) W1ToUniform(x, targets, grad []float64) (float64, error) {
 	return d * inv, nil
 }
 
+// Order returns the input positions of x in ascending order of value, equal
+// values in input order (−0 equals +0), and NaNs last in input order: the
+// order W1ToUniform meets its targets in. The slice is s's own and holds
+// until s is next used.
+func (s *Scratch) Order(x []float64) []int32 {
+	if len(x) == 0 {
+		return nil
+	}
+	s.sort(x)
+	return s.at
+}
+
 // sort leaves in s.at the input positions of x in ascending order of value,
 // equal values in input order: a stable LSD radix sort, one pass per 8-bit
 // digit of radixKey, skipping the digits every key shares.

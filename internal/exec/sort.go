@@ -13,10 +13,12 @@
 // permutation is UNIQUE: any stable algorithm produces it, so the full sort
 // (sortCandidates) need not run the row engine's. It encodes each key once
 // per candidate as uint64 words whose unsigned order is cmp's (fillWords has
-// the table) and stable-sorts (word, row id) pairs word by word, least
-// significant first: an LSD radix sort, over morsel-sized runs merged with
-// left preference when there are workers. The top-K heap reaches the same
-// prefix by totalizing the order with the pre-sort position.
+// the table) and stable-sorts the row ids by them word by word, least
+// significant first, with radix.Sort — the program's one stable radix sort,
+// which the M-SWG's sliced-W1 term and anchor index use too — over
+// morsel-sized runs merged with left preference when there are workers. The
+// top-K heap reaches the same prefix by totalizing the order with the
+// pre-sort position.
 package exec
 
 import (
@@ -27,6 +29,7 @@ import (
 	"strings"
 
 	"mosaic/internal/expr"
+	"mosaic/internal/radix"
 	"mosaic/internal/schema"
 	"mosaic/internal/sql"
 	"mosaic/internal/table"
@@ -163,60 +166,52 @@ func (k *vecSortKey) cmp(ri, rj int32) int {
 	}
 }
 
-// sortPair is one candidate of the key-word sort: its row id and current word.
-type sortPair struct {
-	w  uint64
-	id int32
-}
-
 // sortCandidates stable-sorts the candidate row ids in place, byte-identical
 // to the row engine's sort of the materialized rows (see the file comment):
-// one stable sort of the pairs per key word, least significant first. A
-// cancelled sort leaves cand untouched.
+// one stable sort of the ids by each key word, least significant first. A
+// cancelled sort leaves cand some permutation of itself.
 func sortCandidates(ctx context.Context, keys []vecSortKey, cand []int32, workers int) error {
 	if err := checkCtx(ctx); err != nil {
 		return err
 	}
-	a, buf := make([]sortPair, len(cand)), make([]sortPair, len(cand))
-	for i, ri := range cand {
-		a[i].id = ri
-	}
+	m := len(cand)
+	words := make([]uint64, 2*m)
+	words, wordBuf := words[:m], words[m:]
+	idBuf := make([]int32, m)
 	for ki := len(keys) - 1; ki >= 0; ki-- {
 		k := &keys[ki]
-		words := 1
+		n := 1
 		if k.col != nil && k.col.HasNulls() {
-			words = 2 // the value word, then the NULL flag above it
+			n = 2 // the value word, then the NULL flag above it
 		}
-		for wi := 0; wi < words; wi++ {
-			k.fillWords(a, wi == 1)
-			if err := sortPairs(ctx, a, buf, workers); err != nil {
+		for wi := 0; wi < n; wi++ {
+			k.fillWords(words, cand, wi == 1)
+			if err := sortWords(ctx, words, wordBuf, cand, idBuf, workers); err != nil {
 				return err
 			}
 		}
 	}
-	for i := range a {
-		cand[i] = a[i].id
-	}
 	return nil
 }
 
-// fillWords writes one of this key's words into every pair. Among non-NULL
+// fillWords writes one of this key's words for every row id. Among non-NULL
 // rows the value word orders exactly as cmp does: INT with the sign bit
-// flipped, FLOAT and WEIGHT as floatWord, BOOL 0/1, TEXT the collation rank.
-// The flag word, sorted after it on a column with NULLs, puts NULL below every
-// value; NULL rows get the lowest word of either kind. DESC complements both.
-func (k *vecSortKey) fillWords(a []sortPair, nullFlag bool) {
+// flipped, FLOAT and WEIGHT as value.OrderWord, BOOL 0/1, TEXT the collation
+// rank. The flag word, sorted after it on a column with NULLs, puts NULL below
+// every value; NULL rows get the lowest word of either kind. DESC complements
+// both.
+func (k *vecSortKey) fillWords(words []uint64, ids []int32, nullFlag bool) {
 	c := k.col
 	var word func(ri int32) uint64
 	switch {
 	case nullFlag:
 		word = func(int32) uint64 { return 1 }
 	case k.src == srcWeight:
-		word = func(ri int32) uint64 { return floatWord(k.w[ri]) }
+		word = func(ri int32) uint64 { return value.OrderWord(k.w[ri]) }
 	case c.Kind == value.KindInt:
 		word = func(ri int32) uint64 { return uint64(c.Ints[ri]) ^ 1<<63 }
 	case c.Kind == value.KindFloat:
-		word = func(ri int32) uint64 { return floatWord(c.Floats[ri]) }
+		word = func(ri int32) uint64 { return value.OrderWord(c.Floats[ri]) }
 	case c.Kind == value.KindBool:
 		word = func(ri int32) uint64 { return uint64(boolCmp(c.Bools[ri], false)) } // 0 / 1
 	default: // TEXT
@@ -226,41 +221,34 @@ func (k *vecSortKey) fillWords(a []sortPair, nullFlag bool) {
 	if k.desc {
 		flip = ^uint64(0)
 	}
-	for i := range a {
-		a[i].w = flip
-		if ri := a[i].id; c == nil || !c.Null(int(ri)) {
-			a[i].w = word(ri) ^ flip
+	for i, ri := range ids {
+		words[i] = flip
+		if c == nil || !c.Null(int(ri)) {
+			words[i] = word(ri) ^ flip
 		}
 	}
 }
 
-// floatWord maps a float64 onto a uint64 in value.CompareFloat's order: its
-// value.NumBits (-0 as +0, which compare equal, and every NaN as the one
-// positive NaN, which sorts above +Inf — x86's own NaN has its sign bit
-// set), all bits flipped if negative, else the sign bit set. No branch.
-func floatWord(f float64) uint64 {
-	b := value.NumBits(f)
-	return b ^ (uint64(int64(b)>>63) | 1<<63)
-}
-
-// sortPairs stable-sorts a by word; buf is scratch of the same length. With
-// workers and more than one morsel it radix-sorts morsel-sized runs
-// concurrently, then merges adjacent runs in passes of doubling width: left
-// preference on equal words keeps that stable, hence equal to the serial sort.
-func sortPairs(ctx context.Context, a, buf []sortPair, workers int) error {
-	m := len(a)
+// sortWords stable-sorts words, ids moving with them; wordBuf and idBuf are
+// scratch of the same length. With workers and more than one morsel it sorts
+// morsel-sized runs concurrently, then merges adjacent runs in passes of
+// doubling width: left preference on equal words keeps that stable, hence
+// equal to the serial sort. The context is checked before every radix pass
+// and every merge.
+func sortWords(ctx context.Context, words, wordBuf []uint64, ids, idBuf []int32, workers int) error {
+	m := len(words)
 	if workers <= 1 || m <= morselRows {
-		return radixSortPairs(ctx, a, buf)
+		return sortRun(ctx, words, wordBuf, ids, idBuf)
 	}
 	runs := (m + morselRows - 1) / morselRows
 	if err := forEachTask(ctx, runs, workers, func(r int) error {
-		lo := r * morselRows
-		hi := min(lo+morselRows, m)
-		return radixSortPairs(ctx, a[lo:hi], buf[lo:hi])
+		lo, hi := r*morselRows, min((r+1)*morselRows, m)
+		return sortRun(ctx, words[lo:hi], wordBuf[lo:hi], ids[lo:hi], idBuf[lo:hi])
 	}); err != nil {
 		return err
 	}
-	src, dst := a, buf
+	src, dst := words, wordBuf
+	srcID, dstID := ids, idBuf
 	for width := morselRows; width < m; width *= 2 {
 		merges := (m + 2*width - 1) / (2 * width)
 		if err := forEachTask(ctx, merges, workers, func(p int) error {
@@ -269,67 +257,43 @@ func sortPairs(ctx context.Context, a, buf []sortPair, workers int) error {
 			}
 			lo := p * 2 * width
 			mid, hi := min(lo+width, m), min(lo+2*width, m)
-			mergePairs(src[lo:mid], src[mid:hi], dst[lo:hi])
+			mergeRuns(src[lo:mid], src[mid:hi], dst[lo:hi], srcID[lo:mid], srcID[mid:hi], dstID[lo:hi])
 			return nil
 		}); err != nil {
 			return err
 		}
 		src, dst = dst, src
+		srcID, dstID = dstID, srcID
 	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
-	return nil
-}
-
-// radixSortPairs is the serial kernel: a stable LSD radix sort by word, one
-// counting-sort pass per byte position on which the words differ (small INTs
-// take one or two), with the context checked between passes.
-func radixSortPairs(ctx context.Context, a, buf []sortPair) error {
-	if len(a) < 2 {
-		return nil
-	}
-	var hist [8][256]int32
-	for i := range a {
-		for b, w := 0, a[i].w; b < 8; b, w = b+1, w>>8 {
-			hist[b][byte(w)]++
-		}
-	}
-	src, dst := a, buf
-	for b := range hist {
-		h, shift := &hist[b], uint(8*b)
-		if int(h[byte(src[0].w>>shift)]) == len(src) {
-			continue
-		}
-		if err := checkCtx(ctx); err != nil {
-			return err
-		}
-		var at int32
-		for v, c := range h {
-			h[v] = at
-			at += c
-		}
-		for _, p := range src {
-			v := byte(p.w >> shift)
-			dst[h[v]] = p
-			h[v]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		copy(a, src)
+	if &src[0] != &words[0] {
+		copy(words, src)
+		copy(ids, srcID)
 	}
 	return nil
 }
 
-// mergePairs merges two adjacent sorted runs into out, taking from b only
-// when its head word is strictly less than a's (left preference = stability).
-func mergePairs(a, b, out []sortPair) {
+// sortRun is radix.Sort with the context checked before every pass.
+func sortRun(ctx context.Context, words, wordBuf []uint64, ids, idBuf []int32) error {
+	var err error
+	radix.Sort(words, wordBuf, ids, idBuf, func() bool {
+		err = checkCtx(ctx)
+		return err != nil
+	})
+	return err
+}
+
+// mergeRuns merges two adjacent sorted runs a and b, with their ids, into out,
+// taking from b only when its head word is strictly less than a's (left
+// preference = stability).
+func mergeRuns(a, b, out []uint64, aID, bID, outID []int32) {
+	i, j := 0, 0
 	for k := range out {
-		if len(a) == 0 || (len(b) > 0 && b[0].w < a[0].w) {
-			out[k], b = b[0], b[1:]
+		if i == len(a) || (j < len(b) && b[j] < a[i]) {
+			out[k], outID[k] = b[j], bID[j]
+			j++
 		} else {
-			out[k], a = a[0], a[1:]
+			out[k], outID[k] = a[i], aID[i]
+			i++
 		}
 	}
 }

@@ -2,6 +2,7 @@ package swg
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -211,5 +212,60 @@ func BenchmarkAnchorIndexBuild(b *testing.B) {
 				ts.index.build(ts.anchors)
 			}
 		})
+	}
+}
+
+// anchorSearchSink keeps BenchmarkAnchorSearch's searches from being
+// optimized away.
+var anchorSearchSink int
+
+// BenchmarkAnchorSearch is the proximity term's whole search at one training
+// step: the index build over the step's anchors, then the nearest-anchor
+// search for every output row. BenchmarkTrainStep times steps 2–11 only, and
+// the search costs differently as training goes on (early outputs lie far
+// from the sample and walk many strips), so each model is trained 200
+// untimed steps in setup, and the output batch and anchors of step 10 and of
+// step 200 are frozen and timed alone. allocs/op reads 0.
+func BenchmarkAnchorSearch(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		build func(testing.TB, int) *Model
+	}{{"spiral-bench", benchSpiral}, {"flights-bench", benchFlights}} {
+		m := bc.build(b, 1)
+		ts := m.newTrainScratch()
+		if ts.anchors.Rows == m.sample.Rows {
+			b.Fatalf("%d sample rows: no per-step build", m.sample.Rows)
+		}
+		type frozen struct {
+			step         int
+			out, anchors nn.Batch
+		}
+		var steps []frozen
+		for step := 1; step <= 200; step++ {
+			if _, err := m.trainStep(ts); err != nil {
+				b.Fatal(err)
+			}
+			if step == 10 || step == 200 {
+				f := frozen{step, nn.NewBatch(ts.out.Rows, ts.out.Dim), nn.NewBatch(ts.anchors.Rows, ts.anchors.Dim)}
+				copy(f.out.Data, ts.out.Data)
+				copy(f.anchors.Data, ts.anchors.Data)
+				steps = append(steps, f)
+			}
+		}
+		for _, f := range steps {
+			b.Run(fmt.Sprintf("%s/step=%d", bc.name, f.step), func(b *testing.B) {
+				ix := anchorIndex{col: m.keyCol, col2: m.keyCol2}
+				ix.build(f.anchors)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ix.build(f.anchors)
+					for r := 0; r < f.out.Rows; r++ {
+						_, at := ix.nearest(f.out.Row(r), f.anchors)
+						anchorSearchSink += at
+					}
+				}
+			})
+		}
 	}
 }

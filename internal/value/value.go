@@ -375,6 +375,16 @@ func NumBits(f float64) uint64 {
 	return b
 }
 
+// OrderWord maps a float64 onto a uint64 whose unsigned order is
+// CompareFloat's: its NumBits (-0 as +0, which compare equal, and every NaN
+// as the one positive NaN, which sorts above +Inf), all bits flipped if
+// negative, else the sign bit set. No branch. Sorting these words stably
+// (radix.Sort) sorts the floats in Compare's order.
+func OrderWord(f float64) uint64 {
+	b := NumBits(f)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
 // Coerce converts v to the target kind if a lossless/sane conversion exists:
 // INT↔FLOAT, anything→its own kind, NULL→any. Other conversions error.
 func Coerce(v Value, k Kind) (Value, error) {

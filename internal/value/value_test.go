@@ -1,6 +1,7 @@
 package value
 
 import (
+	"cmp"
 	"math"
 	"testing"
 	"testing/quick"
@@ -264,6 +265,27 @@ func TestCompareIsHashKeyOrder(t *testing.T) {
 	}
 	if NumBits(math.Copysign(0, -1)) != NumBits(0) || NumBits(math.Float64frombits(0xfff8000000000000)) != math.Float64bits(math.NaN()) {
 		t.Error("NumBits must fold -0 to 0 and every NaN to math.NaN()'s bits")
+	}
+}
+
+// TestOrderWordIsCompareFloat: over every pair of a pool of special floats
+// — ±0, ±Inf, NaNs of both signs and several payloads, subnormals, the
+// smallest normals and ±MaxFloat64 — the unsigned order of the words is
+// CompareFloat's, equality included.
+func TestOrderWordIsCompareFloat(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -0.5, 1 + 0x1p-52, -1 - 0x1p-52, 1e300, -1e300,
+		math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1022, 0x1p-1022 - 0x1p-1074, -(0x1p-1022 - 0x1p-1074)}
+	for _, nan := range []uint64{0x7ff8000000000001, 0xfff8000000000000, 0x7ff0000000000001, 0xfff0000000000123, 0x7fffffffffffffff, 0xffffffffffffffff} {
+		pool = append(pool, math.Float64frombits(nan))
+	}
+	for _, x := range pool {
+		for _, y := range pool {
+			wx, wy := OrderWord(x), OrderWord(y)
+			if got, want := cmp.Compare(wx, wy), CompareFloat(x, y); got != want {
+				t.Errorf("OrderWord(%v) = %#x, OrderWord(%v) = %#x: order %d, CompareFloat %d", x, wx, y, wy, got, want)
+			}
+		}
 	}
 }
 

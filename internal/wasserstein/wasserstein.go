@@ -4,14 +4,19 @@
 // their quantile functions, computable by sorting (the paper's citation
 // [49]). For ≥2-dimensional marginals the sliced Wasserstein distance [46]
 // projects both distributions onto random unit directions and averages the
-// per-projection 1-D distances.
+// per-projection 1-D distances. Every sort here is radix.Sort of
+// value.OrderWord — the one stable kernel and float order that ORDER BY uses
+// too — because which of several equal values meets which target is part of
+// the training bit-identity contract.
 package wasserstein
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+
+	"mosaic/internal/radix"
+	"mosaic/internal/value"
 )
 
 // Weighted is a weighted 1-D empirical distribution (a projected marginal).
@@ -21,7 +26,9 @@ type Weighted struct {
 }
 
 // NewWeighted builds a weighted empirical distribution. Weights must be
-// non-negative with positive sum; vals need not be sorted.
+// non-negative with positive sum; vals need not be sorted. They are ordered
+// as W1ToUniform orders a batch: equal values (−0 and +0 among them) in input
+// order, so their weights accumulate in input order, and NaNs last.
 func NewWeighted(vals, weights []float64) (*Weighted, error) {
 	if len(vals) != len(weights) {
 		return nil, fmt.Errorf("wasserstein: %d values, %d weights", len(vals), len(weights))
@@ -29,8 +36,7 @@ func NewWeighted(vals, weights []float64) (*Weighted, error) {
 	if len(vals) == 0 {
 		return nil, fmt.Errorf("wasserstein: empty distribution")
 	}
-	type pair struct{ v, w float64 }
-	ps := make([]pair, 0, len(vals))
+	words, at := make([]uint64, 0, len(vals)), make([]int32, 0, len(vals))
 	var total float64
 	for i := range vals {
 		if weights[i] < 0 {
@@ -39,21 +45,22 @@ func NewWeighted(vals, weights []float64) (*Weighted, error) {
 		if weights[i] == 0 {
 			continue
 		}
-		ps = append(ps, pair{vals[i], weights[i]})
+		words = append(words, value.OrderWord(vals[i]))
+		at = append(at, int32(i))
 		total += weights[i]
 	}
 	if total <= 0 {
 		return nil, fmt.Errorf("wasserstein: zero total weight")
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].v < ps[j].v })
-	w := &Weighted{vals: make([]float64, len(ps)), cum: make([]float64, len(ps))}
+	radix.Sort(words, make([]uint64, len(words)), at, make([]int32, len(at)), nil)
+	w := &Weighted{vals: make([]float64, len(at)), cum: make([]float64, len(at))}
 	var acc float64
-	for i, p := range ps {
-		acc += p.w
-		w.vals[i] = p.v
-		w.cum[i] = acc / total
+	for j, i := range at {
+		acc += weights[i]
+		w.vals[j] = vals[i]
+		w.cum[j] = acc / total
 	}
-	w.cum[len(ps)-1] = 1
+	w.cum[len(at)-1] = 1
 	return w, nil
 }
 
@@ -87,13 +94,11 @@ func W1ToUniform(x, targets []float64) (float64, []float64, error) {
 }
 
 // Scratch is the reusable state of the allocation-free W1ToUniform: the
-// batch's sort keys and their input positions, sorted together, and the
-// radix sort's second buffers and digit counts. One goroutine at a time may
-// use a Scratch.
+// batch's order words and their input positions, sorted together, and the
+// radix sort's second buffers. One goroutine at a time may use a Scratch.
 type Scratch struct {
-	key, keyTmp []uint64 // radixKey of the batch's values
-	at, atTmp   []int32  // at[j] is the input position of key[j]
-	count       [8][256]int32
+	words, wordBuf  []uint64 // value.OrderWord of the batch's values
+	order, orderBuf []int32  // order[j] is the input position of words[j]
 }
 
 // W1ToUniform is the package-level W1ToUniform writing the subgradient into
@@ -115,10 +120,9 @@ func (s *Scratch) W1ToUniform(x, targets, grad []float64) (float64, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	s.sort(x)
 	var d float64
 	inv := 1 / float64(n)
-	for j, i := range s.at {
+	for j, i := range s.Order(x) {
 		diff := x[i] - targets[j]
 		d += math.Abs(diff)
 		switch {
@@ -135,74 +139,20 @@ func (s *Scratch) W1ToUniform(x, targets, grad []float64) (float64, error) {
 
 // Order returns the input positions of x in ascending order of value, equal
 // values in input order (−0 equals +0), and NaNs last in input order: the
-// order W1ToUniform meets its targets in. The slice is s's own and holds
-// until s is next used.
+// order W1ToUniform meets its targets in, by radix.Sort of the values'
+// order words. The slice is s's own and holds until s is next used.
 func (s *Scratch) Order(x []float64) []int32 {
-	if len(x) == 0 {
-		return nil
-	}
-	s.sort(x)
-	return s.at
-}
-
-// sort leaves in s.at the input positions of x in ascending order of value,
-// equal values in input order: a stable LSD radix sort, one pass per 8-bit
-// digit of radixKey, skipping the digits every key shares.
-func (s *Scratch) sort(x []float64) {
 	n := len(x)
-	if cap(s.key) < n {
-		s.key, s.keyTmp = make([]uint64, n), make([]uint64, n)
-		s.at, s.atTmp = make([]int32, n), make([]int32, n)
+	if cap(s.words) < n {
+		s.words, s.wordBuf = make([]uint64, n), make([]uint64, n)
+		s.order, s.orderBuf = make([]int32, n), make([]int32, n)
 	}
-	key, at := s.key[:n], s.at[:n]
-	keyTmp, atTmp := s.keyTmp[:n], s.atTmp[:n]
-	count := &s.count
-	*count = [8][256]int32{}
+	words, order := s.words[:n], s.order[:n]
 	for i, v := range x {
-		k := radixKey(v)
-		key[i], at[i] = k, int32(i)
-		for d := range count {
-			count[d][byte(k>>(8*d))]++
-		}
+		words[i], order[i] = value.OrderWord(v), int32(i)
 	}
-	first := key[0]
-	for d := range count {
-		c := &count[d]
-		shift := 8 * uint(d)
-		if c[byte(first>>shift)] == int32(n) {
-			continue
-		}
-		var sum int32
-		for b, m := range c {
-			c[b], sum = sum, sum+m
-		}
-		for j, k := range key {
-			b := byte(k >> shift)
-			p := c[b]
-			c[b]++
-			keyTmp[p], atTmp[p] = k, at[j]
-		}
-		key, keyTmp = keyTmp, key
-		at, atTmp = atTmp, at
-	}
-	// After an odd number of passes the sorted order is in the second
-	// buffers; swapping the names keeps s.at the sorted one.
-	s.key, s.keyTmp = key, keyTmp
-	s.at, s.atTmp = at, atTmp
-}
-
-// radixKey maps v to a key whose unsigned order is v's order: the sign bit
-// flipped for positive values, every bit for negative ones. −0 keys as +0,
-// and every NaN as the largest key, after +Inf.
-func radixKey(v float64) uint64 {
-	switch {
-	case v == 0:
-		return 1 << 63
-	case v != v:
-		return math.MaxUint64
-	}
-	b := math.Float64bits(v)
-	return b ^ (uint64(int64(b)>>63) | 1<<63)
+	radix.Sort(words, s.wordBuf, order, s.orderBuf, nil)
+	return order
 }
 
 // Distance computes the exact W1 between the weighted target and a uniform

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"mosaic/internal/value"
 )
 
 // W1Empirical computes the exact W1 distance between two equal-size uniform
@@ -112,6 +115,60 @@ func TestNewWeightedValidates(t *testing.T) {
 	}
 	if _, err := NewWeighted([]float64{1, 2}, []float64{0, 0}); err == nil {
 		t.Error("zero total should fail")
+	}
+}
+
+// TestNewWeightedOrdersAsCompareFloat: NewWeighted orders its values as a
+// stable sort under value.CompareFloat does — equal values (−0 beside +0
+// among them) in input order, NaNs of either sign last in input order — so
+// the weights of equal values accumulate in input order too. The values come
+// from a handful of levels, so ties are long, and the weights are uneven, so
+// a different accumulation order would show in the cumulative fractions'
+// low bits; the quantile bits must be the reference's at several batch sizes.
+func TestNewWeightedOrdersAsCompareFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	levels := []float64{math.NaN(), math.Copysign(math.NaN(), -1), math.Copysign(0, -1), 0, 1, -1, 2.5, math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(300)
+		vals, weights := make([]float64, n), make([]float64, n)
+		for i := range vals {
+			vals[i] = levels[rng.Intn(len(levels))]
+			weights[i] = rng.Float64() * float64(1+rng.Intn(1000))
+			if rng.Intn(10) == 0 {
+				weights[i] = 0
+			}
+		}
+		weights[rng.Intn(n)] = 1 // a positive total
+		type pair struct{ v, w float64 }
+		var ps []pair
+		var total float64
+		for i, v := range vals {
+			if weights[i] > 0 {
+				ps = append(ps, pair{v, weights[i]})
+				total += weights[i]
+			}
+		}
+		slices.SortStableFunc(ps, func(a, b pair) int { return value.CompareFloat(a.v, b.v) })
+		want := &Weighted{vals: make([]float64, len(ps)), cum: make([]float64, len(ps))}
+		var acc float64
+		for i, p := range ps {
+			acc += p.w
+			want.vals[i], want.cum[i] = p.v, acc/total
+		}
+		want.cum[len(ps)-1] = 1
+		got, err := NewWeighted(vals, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []int{1, 7, 250, 1000} {
+			gq, wq := got.Quantiles(m), want.Quantiles(m)
+			for i := range wq {
+				if math.Float64bits(gq[i]) != math.Float64bits(wq[i]) {
+					t.Fatalf("trial %d (n=%d), Quantiles(%d)[%d] = %v (%#x), stable CompareFloat sort %v (%#x)",
+						trial, n, m, i, gq[i], math.Float64bits(gq[i]), wq[i], math.Float64bits(wq[i]))
+				}
+			}
+		}
 	}
 }
 

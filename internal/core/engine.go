@@ -694,7 +694,11 @@ func (e *Engine) execInsert(s *sql.Insert) error {
 	sc := t.Schema()
 	colIdx := make([]int, 0, sc.Len()) // -1 marks the WEIGHT pseudo-column
 	weightCol := false
-	if len(s.Columns) > 0 {
+	if len(s.Columns) == 0 {
+		for j := range sc.Len() {
+			colIdx = append(colIdx, j)
+		}
+	} else {
 		for _, c := range s.Columns {
 			j, ok := sc.Index(c)
 			if !ok && strings.EqualFold(c, "WEIGHT") {
@@ -708,55 +712,63 @@ func (e *Engine) execInsert(s *sql.Insert) error {
 			colIdx = append(colIdx, j)
 		}
 	}
-	for ri, rexprs := range s.Rows {
-		row := make([]value.Value, sc.Len())
-		w := 1.0
-		if len(s.Columns) == 0 {
-			if len(rexprs) != sc.Len() {
-				return fmt.Errorf("core: INSERT INTO %s row %d: %d values for %d columns", s.Table, ri+1, len(rexprs), sc.Len())
-			}
-			for i, ex := range rexprs {
-				v, err := ex.Eval(nil)
-				if err != nil {
-					return fmt.Errorf("core: INSERT INTO %s row %d: %v", s.Table, ri+1, err)
-				}
-				row[i] = v
-			}
-		} else {
-			if len(rexprs) != len(colIdx) {
-				return fmt.Errorf("core: INSERT INTO %s row %d: %d values for %d columns", s.Table, ri+1, len(rexprs), len(colIdx))
-			}
-			for i, ex := range rexprs {
-				v, err := ex.Eval(nil)
-				if err != nil {
-					return fmt.Errorf("core: INSERT INTO %s row %d: %v", s.Table, ri+1, err)
-				}
-				if colIdx[i] < 0 {
-					if w, err = v.Float64(); err != nil {
-						return fmt.Errorf("core: INSERT INTO %s row %d: weight: %v", s.Table, ri+1, err)
-					}
-					continue
-				}
-				row[colIdx[i]] = v
-			}
-		}
-		if ri < len(s.Weights) && s.Weights[ri] != nil {
-			if weightCol {
-				return fmt.Errorf("core: INSERT INTO %s row %d: weight given twice", s.Table, ri+1)
-			}
-			v, err := s.Weights[ri].Eval(nil)
-			if err == nil {
-				w, err = v.Float64()
-			}
+	// The rows go to the table a chunk at a time (appendRows), cut from one
+	// slab that the next chunk reuses: the table copies every value in.
+	nc := sc.Len()
+	slab := make([]value.Value, min(len(s.Rows), ingestChunk)*nc)
+	var rows [][]value.Value
+	var wts []float64
+	_, err = appendRows(t, len(s.Rows), false, func(lo, hi int) ([][]value.Value, []float64, error) {
+		rows, wts = rows[:0], wts[:0]
+		for ri := lo; ri < hi; ri++ {
+			row := slab[(ri-lo)*nc : (ri-lo+1)*nc : (ri-lo+1)*nc]
+			clear(row)
+			w, err := insertRow(row, s, ri, colIdx, weightCol)
 			if err != nil {
-				return fmt.Errorf("core: INSERT INTO %s row %d: weight: %v", s.Table, ri+1, err)
+				return rows, wts, fmt.Errorf("core: INSERT INTO %s row %d: %v", s.Table, ri+1, err)
 			}
+			rows, wts = append(rows, row), append(wts, w)
 		}
-		if err := t.AppendWeighted(row, w); err != nil {
-			return err
+		return rows, wts, nil
+	})
+	return err
+}
+
+// insertRow evaluates row ri of an INSERT into row: its i-th value is
+// column colIdx[i], or the weight where colIdx[i] is -1. It returns the
+// row's weight.
+func insertRow(row []value.Value, s *sql.Insert, ri int, colIdx []int, weightCol bool) (float64, error) {
+	rexprs := s.Rows[ri]
+	if len(rexprs) != len(colIdx) {
+		return 0, fmt.Errorf("%d values for %d columns", len(rexprs), len(colIdx))
+	}
+	w := 1.0
+	for i, ex := range rexprs {
+		v, err := ex.Eval(nil)
+		switch {
+		case err != nil:
+			return 0, err
+		case colIdx[i] >= 0:
+			row[colIdx[i]] = v
+		default:
+			if w, err = v.Float64(); err != nil {
+				return 0, fmt.Errorf("weight: %v", err)
+			}
 		}
 	}
-	return nil
+	if ri < len(s.Weights) && s.Weights[ri] != nil {
+		if weightCol {
+			return 0, errors.New("weight given twice")
+		}
+		v, err := s.Weights[ri].Eval(nil)
+		if err == nil {
+			w, err = v.Float64()
+		}
+		if err != nil {
+			return 0, fmt.Errorf("weight: %v", err)
+		}
+	}
+	return w, nil
 }
 
 // execUpdateWeights reweights a sample's tuples. WEIGHT in SET or WHERE is

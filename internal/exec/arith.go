@@ -220,10 +220,6 @@ func (c *kernelCompiler) negate(o operand) *numVec {
 		return c.nonNumeric(o)
 	case child.constNull || child.constErr:
 		return child // negating NULL/error changes nothing
-	case child.scalar && child.isInt:
-		return &numVec{isInt: true, scalar: true, ints: []int64{-child.ints[0]}}
-	case child.scalar:
-		return &numVec{scalar: true, floats: []float64{-child.floats[0]}}
 	}
 	out := &numVec{isInt: child.isInt, nulls: child.nulls, errs: child.errs}
 	if child.isInt {
@@ -272,12 +268,6 @@ func (c *kernelCompiler) numArith(op expr.BinOp, l, r *numVec) *numVec {
 	}
 	if l.constNull || r.constNull {
 		return &numVec{scalar: true, constNull: true, errs: orBits(l.errs, r.errs, n)}
-	}
-	if l.scalar && r.scalar {
-		// Two plain constants reach the compiler only when an enclosing node
-		// kept them from folding (an erroring parent): one element computes
-		// every row.
-		return arithScalarScalar(op, l, r)
 	}
 	out := &numVec{
 		nulls: orBits(l.nulls, r.nulls, n),
@@ -339,47 +329,6 @@ func arithFloat(op expr.BinOp, out, l, r *numVec, lo, hi int) {
 	default:
 		arithFloatVV(op, out, l.floats, r.floats, lo, hi)
 	}
-}
-
-// arithScalarScalar computes a constant-only operation as a single element,
-// with the interpreter's exact semantics (zero divisors error every row).
-func arithScalarScalar(op expr.BinOp, l, r *numVec) *numVec {
-	if l.isInt && r.isInt && op != expr.OpDiv {
-		x, y := l.scalarInt(), r.scalarInt()
-		if op == expr.OpMod && y == 0 {
-			return &numVec{scalar: true, constErr: true}
-		}
-		var v int64
-		switch op {
-		case expr.OpAdd:
-			v = x + y
-		case expr.OpSub:
-			v = x - y
-		case expr.OpMul:
-			v = x * y
-		case expr.OpMod:
-			v = x % y
-		}
-		return &numVec{isInt: true, scalar: true, ints: []int64{v}}
-	}
-	x, y := l.scalarFloat(), r.scalarFloat()
-	if (op == expr.OpDiv || op == expr.OpMod) && y == 0 {
-		return &numVec{scalar: true, constErr: true}
-	}
-	var v float64
-	switch op {
-	case expr.OpAdd:
-		v = x + y
-	case expr.OpSub:
-		v = x - y
-	case expr.OpMul:
-		v = x * y
-	case expr.OpDiv:
-		v = x / y
-	case expr.OpMod:
-		v = math.Mod(x, y)
-	}
-	return &numVec{scalar: true, floats: []float64{v}}
 }
 
 // arithIntVV is the vector⊙vector int kernel (exact int64, incl. wraparound),
@@ -628,8 +577,9 @@ func (k *cmpNumNumKernel) eval(dst []int8, lo, hi int) {
 	}
 	switch {
 	case a.scalar:
-		// Two plain constants under an unfoldable parent: one comparison
-		// decides every row.
+		// Two constants meet only under a parent that reads a column — the
+		// sub-comparisons of `0 BETWEEN 0 AND x` or `0 IN (0, x)`: one
+		// comparison decides every row.
 		c := cmpOrder[float64](a.scalarFloat(), b.scalarFloat())
 		if a.isInt && b.isInt {
 			c = cmpOrder[int64](a.scalarInt(), b.scalarInt())

@@ -249,3 +249,38 @@ func BenchmarkGroupBy400k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAnswerOrderBy times ORDER BY over a finished answer, which no
+// key-word sort serves: 200k rows grouped by an INT key with about 86k
+// values, sorted on it in full and cut to a top 25 by count, and a 10-group
+// answer. Each row's keys are read once, so allocs/op is the key slab and
+// the permutation on top of the aggregate, none per comparison.
+func BenchmarkAnswerOrderBy(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	tbl := table.New("t", schema.MustNew(
+		schema.Attribute{Name: "k", Kind: value.KindInt},
+		schema.Attribute{Name: "g", Kind: value.KindText},
+	))
+	for i := 0; i < 200_000; i++ {
+		_ = tbl.Append([]value.Value{
+			value.Int(int64(rng.Intn(100_000))),
+			value.Text(fmt.Sprintf("g%d", rng.Intn(10))),
+		})
+	}
+	snap := tbl.Snapshot()
+	for _, bc := range []struct{ name, src string }{
+		{"groups86k", "SELECT k, COUNT(*) AS n FROM t GROUP BY k ORDER BY k"},
+		{"top25", "SELECT k, COUNT(*) AS n FROM t GROUP BY k ORDER BY n DESC, k LIMIT 25"},
+		{"groups10", "SELECT g, COUNT(*) AS n FROM t GROUP BY g ORDER BY g"},
+	} {
+		sel := benchQuery(b, bc.src)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunSnapshotContext(context.Background(), snap, sel, Options{Weighted: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

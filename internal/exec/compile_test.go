@@ -33,7 +33,8 @@ var motivationSelects = []string{
 }
 
 // compileExprs collects every WHERE and every non-star select item (an
-// aggregate's input included) of srcs, folded as the executor folds them.
+// aggregate's input included) of srcs, as parsed: the executor compiles the
+// parsed trees.
 func compileExprs(t *testing.T, srcs []string) []expr.Expr {
 	t.Helper()
 	var out []expr.Expr
@@ -43,11 +44,11 @@ func compileExprs(t *testing.T, srcs []string) []expr.Expr {
 			t.Fatalf("parse %q: %v", src, err)
 		}
 		if sel.Where != nil {
-			out = append(out, expr.Fold(sel.Where))
+			out = append(out, sel.Where)
 		}
 		for _, it := range sel.Items {
 			if !it.Star {
-				out = append(out, expr.Fold(it.Expr))
+				out = append(out, it.Expr)
 			}
 		}
 	}
@@ -150,7 +151,7 @@ func TestConstantTruthIsOneOutcome(t *testing.T) {
 	snap := diffTable(t, 200, 7).Snapshot()
 	for _, src := range []string{"1", "0", "0.5", "NULL", "1 / 0", "-NULL", "NULL + x"} {
 		c := &kernelCompiler{snap: snap, weights: snap.Weights(), n: snap.Len(), workers: 1}
-		k, ok := c.compile(expr.Fold(q(t, "SELECT * FROM t WHERE "+src).Where)).(*constKernel)
+		k, ok := c.compile(q(t, "SELECT * FROM t WHERE "+src).Where).(*constKernel)
 		if !ok || k.nulls != nil || k.errs != nil {
 			t.Errorf("WHERE %s compiles to %T %+v, want one constant outcome", src, k, k)
 		}
@@ -166,7 +167,7 @@ func TestCompileStopsOnCancelledContext(t *testing.T) {
 	cancel()
 	for _, src := range []string{"x / 2 + y", "(x > 1) IS NULL", "x IN (y, n)", "x > 3"} {
 		c := &kernelCompiler{ctx: ctx, snap: snap, weights: snap.Weights(), n: snap.Len(), workers: 1}
-		c.values(c.operand(expr.Fold(q(t, "SELECT "+src+" FROM t").Items[0].Expr)))
+		c.values(c.operand(q(t, "SELECT "+src+" FROM t").Items[0].Expr))
 		if !errors.Is(c.err, context.Canceled) {
 			t.Errorf("%s under a cancelled context: compiler error %v", src, c.err)
 		}

@@ -187,6 +187,14 @@ var diffWheres = []string{
 	"WHERE 'g2' IN (c, 'g2')",
 	"WHERE 'g2' BETWEEN c AND 'g4'",
 	"WHERE TRUE IN (b, FALSE)",
+	// Column-free subtrees under a parent that reads a column: the compiler
+	// evaluates each once, and two numeric constants meet in one comparison.
+	"WHERE 0 BETWEEN 0 AND x",
+	"WHERE 0 IN (0, x)",
+	"WHERE x + -(2 * 3) > 0",
+	"WHERE x > 1 + 1",
+	"WHERE x / (1 - 1) > 0",
+	"WHERE NOT (1 = 1) OR x > 3",
 }
 
 // diffShapes are query templates; %s receives the WHERE clause.
@@ -671,7 +679,8 @@ func firstErrorTable(tb testing.TB, e int) *table.Table {
 }
 
 // firstErrorWheres × firstErrorShapes is TestFirstErrorRuleGrid's grid over
-// firstErrorTable; every WHERE fails at row 200.
+// firstErrorTable; every WHERE fails at row 200, except the last, whose
+// constant zero divisor fails it at every row.
 var (
 	firstErrorWheres = []string{
 		"WHERE x / n > 0",           // kernel: division by zero at row 200
@@ -683,6 +692,7 @@ var (
 		"WHERE x IN (1, y / n)",
 		"WHERE x NOT BETWEEN n AND y / n",
 		"WHERE (x / n > 0) IS NULL",
+		"WHERE x / (1 - 1) > 0",
 	}
 	firstErrorShapes = []string{
 		"SELECT x, x / y FROM t %s",

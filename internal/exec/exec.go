@@ -8,13 +8,17 @@
 // aggregate to be over a weight attribute, e.g. COUNT(*) becomes
 // SUM(weight)"): COUNT(*) sums weights, SUM(x) computes Σ w·x, AVG(x)
 // computes Σ w·x / Σ w; MIN and MAX are weight-invariant.
+//
+// Each expression is evaluated once where it can be: the compiler
+// (kernelCompiler.operand) evaluates a column-free subtree when it compiles
+// it, so no tree is rewritten before execution, and ORDER BY over a finished
+// answer (orderAndLimit) reads each row's keys once before it sorts.
 package exec
 
 import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"mosaic/internal/expr"
@@ -145,8 +149,7 @@ func RunContext(ctx context.Context, t *table.Table, sel *sql.Select, opts Optio
 // the columnar pipeline, or on the row-at-a-time interpreter when
 // opts.ForceRow is set. The two produce byte-identical results.
 func RunSnapshotContext(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, error) {
-	sel, err := begin(ctx, snap, sel, opts)
-	if err != nil {
+	if err := begin(ctx, snap, sel, opts); err != nil {
 		return nil, err
 	}
 	switch {
@@ -161,24 +164,20 @@ func RunSnapshotContext(ctx context.Context, snap *table.Snapshot, sel *sql.Sele
 }
 
 // begin is every executor entry point's preamble: validate the weight
-// override against the snapshot, honor an expired context, resolve the
-// names of the WHERE and then of the items against the snapshot, and fold
-// sel.
-func begin(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*sql.Select, error) {
+// override against the snapshot, honor an expired context, and resolve the
+// names of the WHERE and then of the items against the snapshot.
+func begin(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) error {
 	if opts.WeightOverride != nil && len(opts.WeightOverride) != snap.Len() {
-		return nil, fmt.Errorf("exec: weight override has %d entries for %d rows", len(opts.WeightOverride), snap.Len())
+		return fmt.Errorf("exec: weight override has %d entries for %d rows", len(opts.WeightOverride), snap.Len())
 	}
 	if err := checkCtx(ctx); err != nil {
-		return nil, err
+		return err
 	}
 	es := []expr.Expr{sel.Where}
 	for _, it := range sel.Items {
 		es = append(es, it.Expr)
 	}
-	if err := CheckNames(snap.Schema(), es...); err != nil {
-		return nil, err
-	}
-	return foldSelect(sel), nil
+	return CheckNames(snap.Schema(), es...)
 }
 
 // CheckNames refuses the first column name of es, in order, that neither a
@@ -212,64 +211,6 @@ func checkCtx(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// foldSelect constant-folds every evaluable expression of sel once per
-// query — WHERE, HAVING, ORDER BY keys, and select items — so both executor
-// paths evaluate pre-folded trees. Folding never changes semantics
-// (expr.Fold leaves erroring constants and short-circuit behavior intact)
-// and never changes output column names: an item whose expression folds gets
-// its original rendering pinned as an alias first. sel is not mutated; the
-// original is returned unchanged when nothing folds.
-func foldSelect(sel *sql.Select) *sql.Select {
-	out := *sel
-	changed := false
-	if sel.Where != nil {
-		if f := expr.Fold(sel.Where); f != sel.Where {
-			out.Where = f
-			changed = true
-		}
-	}
-	if sel.Having != nil {
-		if f := expr.Fold(sel.Having); f != sel.Having {
-			out.Having = f
-			changed = true
-		}
-	}
-	orderCopied := false
-	for i, o := range sel.OrderBy {
-		if f := expr.Fold(o.Expr); f != o.Expr {
-			if !orderCopied {
-				out.OrderBy = append([]sql.OrderItem(nil), sel.OrderBy...)
-				orderCopied = true
-			}
-			out.OrderBy[i].Expr = f
-			changed = true
-		}
-	}
-	itemsCopied := false
-	for i, it := range sel.Items {
-		if it.Expr == nil {
-			continue
-		}
-		f := expr.Fold(it.Expr)
-		if f == it.Expr {
-			continue
-		}
-		if !itemsCopied {
-			out.Items = append([]sql.SelectItem(nil), sel.Items...)
-			itemsCopied = true
-		}
-		if out.Items[i].Alias == "" {
-			out.Items[i].Alias = it.Name()
-		}
-		out.Items[i].Expr = f
-		changed = true
-	}
-	if !changed {
-		return sel
-	}
-	return &out
 }
 
 // rowEnv binds one row at a time for the row interpreter and for rowError,
@@ -381,12 +322,7 @@ func dedupRows(rows [][]value.Value) [][]value.Value {
 	seen := make(map[string]bool, len(rows))
 	out := rows[:0:0]
 	for _, row := range rows {
-		var kb strings.Builder
-		for _, v := range row {
-			kb.WriteString(v.HashKey())
-			kb.WriteByte('\x1f')
-		}
-		k := kb.String()
+		k := GroupKey(row)
 		if seen[k] {
 			continue
 		}
@@ -485,7 +421,7 @@ func runAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, op
 	}
 	ids := map[string]int{}
 	var keys [][]value.Value // group g's GROUP BY values, from its first row
-	var kb strings.Builder
+	kv := make([]value.Value, len(keyIdx))
 	n := snap.Len()
 	for i := 0; i < n; i++ {
 		if i%cancelCheckRows == 0 {
@@ -507,23 +443,17 @@ func runAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, op
 				continue
 			}
 		}
-		kb.Reset()
-		for _, j := range keyIdx {
-			kb.WriteString(b.Row[j].HashKey())
-			kb.WriteByte('\x1f')
+		for ki, j := range keyIdx {
+			kv[ki] = b.Row[j]
 		}
-		k := kb.String()
+		k := GroupKey(kv)
 		g, ok := ids[k]
 		if !ok {
-			// Key values materialize only on first sight of the group; rows
-			// that land in an existing group allocate nothing for keys.
-			kv := make([]value.Value, len(keyIdx))
-			for ki, j := range keyIdx {
-				kv[ki] = b.Row[j]
-			}
+			// Key values are copied out of the one buffer only on first
+			// sight of the group.
 			g = len(keys)
 			ids[k] = g
-			keys = append(keys, kv)
+			keys = append(keys, slices.Clone(kv))
 			for _, st := range states {
 				st.Grow(g + 1)
 			}
@@ -590,63 +520,81 @@ func outputSchema(cols []string) *schema.Schema {
 // sort, and the bounded top-K heap) implements this same contract, which is
 // what makes the executors byte-identical and ORDER BY ... LIMIT k equal to
 // the k-prefix of the unlimited query.
+//
+// Each row's keys are read once, into one slab, and one order over them —
+// value.Compare, DESC honoured, ties broken by position — selects the
+// LIMIT's rows through boundedTopK, or sorts them all. A key that fails at
+// any row fails the statement, however many rows there are.
 func orderAndLimit(ctx context.Context, res *Result, sel *sql.Select) error {
-	if len(sel.OrderBy) > 0 {
-		// Sort boundary: the comparator itself is not interruptible, so the
-		// check lands before the O(n log n) work starts.
-		if err := checkCtx(ctx); err != nil {
-			return err
-		}
-		outSchema := outputSchema(res.Columns)
-		if err := checkOrderKeys(sel, res.Columns, outSchema); err != nil {
-			return err
-		}
-		// Bounded-heap top-K: selecting k of n beats sorting n when k is
-		// small. topKRows refuses (and the lazy stable sort below runs)
-		// when a key does not extract, where the two could differ.
-		if sel.Limit >= 0 && sel.Limit < len(res.Rows) {
-			if topKRows(res, sel, outSchema) {
-				return nil
+	n, k := len(res.Rows), len(res.Rows)
+	if sel.Limit >= 0 && sel.Limit < n {
+		k = sel.Limit
+	}
+	if len(sel.OrderBy) == 0 {
+		res.Rows = res.Rows[:k]
+		return nil
+	}
+	// Sort boundary: the key reads and the sort are not interruptible, so
+	// the check lands before them.
+	if err := checkCtx(ctx); err != nil {
+		return err
+	}
+	out := outputSchema(res.Columns)
+	if err := checkOrderKeys(sel, res.Columns, out); err != nil {
+		return err
+	}
+	nk := len(sel.OrderBy)
+	pos := make([]int, nk)
+	for ki, o := range sel.OrderBy {
+		pos[ki] = outputColumn(o.Expr, res.Columns)
+	}
+	keys := make([]value.Value, n*nk)
+	b := &expr.Binding{Schema: out}
+	for i, row := range res.Rows {
+		b.Row = row
+		for ki, o := range sel.OrderBy {
+			v, err := orderKey(o.Expr, pos[ki], b)
+			if err != nil {
+				return err
 			}
-		}
-		var sortErr error
-		sort.SliceStable(res.Rows, func(i, j int) bool {
-			for _, o := range sel.OrderBy {
-				vi, vj, err := orderKey(o.Expr, res, outSchema, i, j)
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				c := value.Compare(vi, vj)
-				if c == 0 {
-					continue
-				}
-				if o.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-		if sortErr != nil {
-			return sortErr
+			keys[i*nk+ki] = v
 		}
 	}
-	if sel.Limit >= 0 && len(res.Rows) > sel.Limit {
-		res.Rows = res.Rows[:sel.Limit]
+	top := boundedTopK(n, k, func(i, j int) bool {
+		ki, kj := keys[i*nk:], keys[j*nk:]
+		for x, o := range sel.OrderBy {
+			if c := value.Compare(ki[x], kj[x]); c != 0 {
+				return (c < 0) != o.Desc
+			}
+		}
+		return i < j
+	})
+	rows := make([][]value.Value, len(top))
+	for i, p := range top {
+		rows[i] = res.Rows[p]
 	}
+	res.Rows = rows
 	return nil
 }
 
+// outputColumn is the position of the output column an ORDER BY key names:
+// the first whose name matches under EqualFold when the key is a column,
+// else -1.
+func outputColumn(e expr.Expr, cols []string) int {
+	if col, ok := e.(*expr.Column); ok {
+		return slices.IndexFunc(cols, func(c string) bool { return strings.EqualFold(c, col.Name) })
+	}
+	return -1
+}
+
 // checkOrderKeys refuses an ORDER BY key that names a column the output
-// lacks, before any row is sorted: orderKey resolves keys only inside the
-// sort comparator, which never runs for fewer than two rows, so without it
-// the refusal would depend on how many rows matched. A key that is a column
-// resolves by orderKey's EqualFold rule; any other key's columns resolve
-// against out, as its evaluation does.
+// lacks, before any row is read: without it the refusal would depend on
+// whether any row reached the sort. A key that is an output column
+// (outputColumn) resolves; any other key's columns resolve against out, as
+// its evaluation does.
 func checkOrderKeys(sel *sql.Select, cols []string, out *schema.Schema) error {
 	for _, o := range sel.OrderBy {
-		if col, ok := o.Expr.(*expr.Column); ok && slices.ContainsFunc(cols, func(c string) bool { return strings.EqualFold(c, col.Name) }) {
+		if outputColumn(o.Expr, cols) >= 0 {
 			continue
 		}
 		for _, name := range o.Expr.Columns(nil) {
@@ -658,22 +606,18 @@ func checkOrderKeys(sel *sql.Select, cols []string, out *schema.Schema) error {
 	return nil
 }
 
-// orderKey evaluates an ORDER BY expression against output row i and j,
-// trying output-column names first.
-func orderKey(e expr.Expr, res *Result, out *schema.Schema, i, j int) (value.Value, value.Value, error) {
-	if col, ok := e.(*expr.Column); ok {
-		for ci, name := range res.Columns {
-			if strings.EqualFold(name, col.Name) {
-				return res.Rows[i][ci], res.Rows[j][ci], nil
-			}
-		}
+// orderKey is ORDER BY key e at the output row b binds: output column ci
+// when e names one (outputColumn), else e evaluated against the output
+// columns.
+func orderKey(e expr.Expr, ci int, b *expr.Binding) (value.Value, error) {
+	if ci >= 0 {
+		return b.Row[ci], nil
 	}
-	vi, erri := e.Eval(&expr.Binding{Schema: out, Row: res.Rows[i]})
-	vj, errj := e.Eval(&expr.Binding{Schema: out, Row: res.Rows[j]})
-	if erri == nil && errj == nil {
-		return vi, vj, nil
+	v, err := e.Eval(b)
+	if err != nil {
+		return value.Null(), fmt.Errorf("exec: cannot resolve ORDER BY expression %s against output columns", e)
 	}
-	return value.Null(), value.Null(), fmt.Errorf("exec: cannot resolve ORDER BY expression %s against output columns", e)
+	return v, nil
 }
 
 // Materialize runs a select and stores the answer in a new table with the
@@ -718,10 +662,8 @@ func Materialize(t *table.Table, sel *sql.Select, opts Options, name string) (*t
 		return nil, err
 	}
 	out := table.New(name, sc)
-	for _, r := range res.Rows {
-		if err := out.Append(r); err != nil {
-			return nil, err
-		}
+	if err := out.BulkAppend(res.Rows); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

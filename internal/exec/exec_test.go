@@ -460,6 +460,46 @@ func TestOrderByUnknownKeyRefusedAtAnyRowCount(t *testing.T) {
 	}
 }
 
+// TestOrderByFailingKeyRefusedAtAnyRowCount: every kept row's ORDER BY keys
+// are read before any row is sorted, so a key that fails at a kept row
+// fails the statement on both executors, whether one row or three reach
+// the sort and whatever the earlier keys hold. The comparator that read
+// keys used to stop at the first key that differed, and never ran for one
+// row, so these answered. A statement that keeps no row still answers.
+func TestOrderByFailingKeyRefusedAtAnyRowCount(t *testing.T) {
+	u := table.New("u", schema.MustNew(
+		schema.Attribute{Name: "x", Kind: value.KindInt},
+		schema.Attribute{Name: "y", Kind: value.KindInt},
+	))
+	for x := int64(1); x <= 3; x++ {
+		if err := u.Append([]value.Value{value.Int(x), value.Int(x * 10)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range []string{
+		"SELECT x, y FROM u ORDER BY x, 1 / (y - 20)",
+		"SELECT x, y FROM u WHERE x = 2 ORDER BY 1 / (y - 20)",
+		"SELECT x, y FROM u ORDER BY x, 1 / (y - 20) LIMIT 2",
+		"SELECT x, COUNT(*) AS n FROM u GROUP BY x ORDER BY x, n / 0",
+		"SELECT x, COUNT(*) AS n FROM u WHERE x = 2 GROUP BY x ORDER BY n / 0",
+	} {
+		sel := q(t, src)
+		want := fmt.Sprintf("exec: cannot resolve ORDER BY expression %s against output columns", sel.OrderBy[len(sel.OrderBy)-1].Expr)
+		for _, force := range []bool{true, false} {
+			_, err := Run(u, sel, Options{Weighted: true, ForceRow: force})
+			if err == nil || err.Error() != want {
+				t.Errorf("%q (ForceRow %v): %v, want %q", src, force, err, want)
+			}
+		}
+	}
+	for _, force := range []bool{true, false} {
+		res, err := Run(u, q(t, "SELECT x, y FROM u WHERE x > 3 ORDER BY 1 / (y - 20)"), Options{Weighted: true, ForceRow: force})
+		if err != nil || len(res.Rows) != 0 {
+			t.Errorf("no kept row (ForceRow %v): %v, %v", force, res, err)
+		}
+	}
+}
+
 // TestTextOrderingOnAllNullColumn: a TEXT column holding only NULLs has an
 // empty dictionary, while every NULL row holds code 0. An ordering against
 // a literal indexed a table with one entry per interned string and

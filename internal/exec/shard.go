@@ -98,8 +98,7 @@ func PartialAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select
 	if shards < 1 || shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("exec: shard %d of %d out of range", shard, shards)
 	}
-	sel, err := begin(ctx, snap, sel, opts)
-	if err != nil {
+	if err := begin(ctx, snap, sel, opts); err != nil {
 		return nil, err
 	}
 	p, err := planAggregate(ctx, snap, sel, opts)
@@ -121,7 +120,6 @@ func GatherPartials(ctx context.Context, sel *sql.Select, partials []*ShardParti
 	if len(partials) == 0 {
 		return nil, fmt.Errorf("exec: gather of zero partials")
 	}
-	sel = foldSelect(sel)
 	if err := checkGroupItems(sel); err != nil {
 		return nil, err
 	}

@@ -2,11 +2,15 @@
 // vectors instead of a comparator sort of materialized rows, plus a bounded
 // heap so that ORDER BY ... LIMIT 10 over 1M rows never sorts them all.
 //
-// Tie-break contract (shared with the row engine's orderAndLimit, which every
-// aggregate answer — the OPEN combine's included — sorts through): sorting is
+// Tie-break contract (shared with orderAndLimit, which every aggregate
+// answer — the OPEN combine's and the fleet gather's included — and every
+// projection with a computed or expression key sorts through): sorting is
 // STABLE — rows whose ORDER BY keys compare equal under value.Compare keep
 // their pre-sort order, which is scan order for projections, first-occurrence
 // order for DISTINCT, and group first-appearance order for aggregates.
+// orderAndLimit reads each row's keys once and orders positions by them with
+// ties broken by position, a total order that boundedTopK serves both as the
+// LIMIT's heap and as the full sort.
 //
 // value.Compare is a strict weak order (NaN equals NaN and sorts above every
 // other number, -0 equals 0), and under a strict weak order the stably sorted
@@ -30,7 +34,6 @@ import (
 
 	"mosaic/internal/expr"
 	"mosaic/internal/radix"
-	"mosaic/internal/schema"
 	"mosaic/internal/sql"
 	"mosaic/internal/table"
 	"mosaic/internal/value"
@@ -87,18 +90,7 @@ type vecSortKey struct {
 func resolveVecSortKeys(snap *table.Snapshot, sel *sql.Select, outCols []string, src []int, rawW []float64) ([]vecSortKey, bool) {
 	keys := make([]vecSortKey, 0, len(sel.OrderBy))
 	for _, o := range sel.OrderBy {
-		col, isCol := o.Expr.(*expr.Column)
-		if !isCol {
-			return nil, false
-		}
-		// First output-column match, exactly like orderKey.
-		ci := -1
-		for i, name := range outCols {
-			if strings.EqualFold(name, col.Name) {
-				ci = i
-				break
-			}
-		}
+		ci := outputColumn(o.Expr, outCols)
 		if ci < 0 || src[ci] == srcComputed {
 			return nil, false
 		}
@@ -400,13 +392,22 @@ func topKCandidates(keys []vecSortKey, cand []int32, k int) []int32 {
 // boundedTopK returns the k smallest positions of [0, n) under less, in
 // ascending order. less must be a total order (ties broken by position).
 // The heap holds at most k entries, so memory and comparisons stay O(k) per
-// pushed element instead of O(n log n) for a full sort.
+// pushed element instead of O(n log n) for a full sort; at k = n it is the
+// full sort.
 func boundedTopK(n, k int, less func(a, b int) bool) []int {
 	if k > n {
 		k = n
 	}
 	if k <= 0 {
 		return nil
+	}
+	if k == n {
+		h := make([]int, n)
+		for i := range h {
+			h[i] = i
+		}
+		sort.Slice(h, func(a, b int) bool { return less(h[a], h[b]) })
+		return h
 	}
 	h := make([]int, 0, k)
 	// Max-heap: h[0] is the worst of the current best k.
@@ -452,45 +453,4 @@ func boundedTopK(n, k int, less func(a, b int) bool) []int {
 	}
 	sort.Slice(h, func(a, b int) bool { return less(h[a], h[b]) })
 	return h
-}
-
-// topKRows is the generic (materialized-result) top-K used by orderAndLimit
-// for aggregate outputs: keys are pre-extracted once per row, then a bounded
-// heap selects the k-prefix of the stable sort. It reports false — leaving
-// res untouched — when a key fails to extract: the lazy comparator must run
-// instead, since it may not error at all on 0/1-row results.
-func topKRows(res *Result, sel *sql.Select, out *schema.Schema) bool {
-	n := len(res.Rows)
-	keys := make([][]value.Value, n)
-	for i := 0; i < n; i++ {
-		row := make([]value.Value, len(sel.OrderBy))
-		for oi, o := range sel.OrderBy {
-			vi, _, err := orderKey(o.Expr, res, out, i, i)
-			if err != nil {
-				return false
-			}
-			row[oi] = vi
-		}
-		keys[i] = row
-	}
-	less := func(a, b int) bool {
-		for oi := range sel.OrderBy {
-			c := value.Compare(keys[a][oi], keys[b][oi])
-			if c == 0 {
-				continue
-			}
-			if sel.OrderBy[oi].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return a < b
-	}
-	top := boundedTopK(n, sel.Limit, less)
-	rows := make([][]value.Value, len(top))
-	for i, p := range top {
-		rows[i] = res.Rows[p]
-	}
-	res.Rows = rows
-	return true
 }

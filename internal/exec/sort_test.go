@@ -132,8 +132,8 @@ func TestBoundedTopKMatchesSortPrefix(t *testing.T) {
 	}
 }
 
-// TestFoldedConstantItemKeepsName: constant folding must never rename output
-// columns (the fold pins the original rendering as an alias).
+// TestFoldedConstantItemKeepsName: a constant item is named by its
+// rendering, never by its value, though the compiler evaluates it once.
 func TestFoldedConstantItemKeepsName(t *testing.T) {
 	tbl := metaTable(t, 3, 1)
 	res := mustRun(t, tbl, "SELECT 1 + 2, id FROM t ORDER BY id LIMIT 2", Options{Weighted: true})

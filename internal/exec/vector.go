@@ -219,24 +219,11 @@ func b2i(b bool) int {
 	return 0
 }
 
-// foldConst is the value of a column-free expression that evaluates
-// without error; ok is false for any other expression.
-func foldConst(e expr.Expr) (value.Value, bool) {
-	if len(e.Columns(nil)) != 0 {
-		return value.Null(), false
-	}
-	v, err := e.Eval(nil)
-	if err != nil {
-		return value.Null(), false
-	}
-	return v, true
-}
-
 // operand compiles e; every expression compiles.
 func (c *kernelCompiler) operand(e expr.Expr) operand {
 	if len(e.Columns(nil)) == 0 {
 		// A column-free expression has one value at every row, or fails at
-		// every row.
+		// every row: the compiler evaluates it here, once, and nowhere else.
 		v, err := e.Eval(nil)
 		if err != nil {
 			return failingOp()
@@ -286,6 +273,23 @@ func constant(v value.Value) operand {
 		return operand{kind: value.KindBool, lit: v}
 	}
 	return numOp(numConst(v))
+}
+
+// constValue is the value an operand has at every row, when it has one and
+// fails at none, as a column-free expression's operand does.
+func (o operand) constValue() (value.Value, bool) {
+	v := o.num
+	switch {
+	case !o.lit.IsNull():
+		return o.lit, true
+	case v == nil || !v.scalar || v.constErr || v.errs != nil:
+		return value.Null(), false
+	case v.constNull:
+		return value.Null(), true
+	case v.isInt:
+		return value.Int(v.ints[0]), true
+	}
+	return value.Float(v.floats[0]), true
 }
 
 // compile is e's truth kernel: a WHERE, an AND/OR arm, NOT's child.
@@ -520,10 +524,12 @@ func (c *kernelCompiler) textTable(col *table.Column, miss, hit int8, hits ...va
 // child's NULL and failing rows on top.
 func (c *kernelCompiler) compileIn(ex *expr.In) kernel {
 	child := c.once(c.operand(ex.Child))
+	items := make([]operand, len(ex.List))
 	vals := make([]value.Value, 0, len(ex.List))
 	sawNull, consts := false, true
-	for _, item := range ex.List {
-		switch v, ok := foldConst(item); {
+	for i, item := range ex.List {
+		items[i] = c.operand(item)
+		switch v, ok := items[i].constValue(); {
 		case !ok:
 			consts = false
 		case v.IsNull():
@@ -553,8 +559,8 @@ func (c *kernelCompiler) compileIn(ex *expr.In) kernel {
 		})
 	}
 	var k kernel = &constKernel{v: ternFalse}
-	for _, item := range ex.List {
-		k = &logicKernel{l: k, r: c.compare(expr.OpEq, child, c.operand(item)), tbl: &orTable}
+	for _, item := range items {
+		k = &logicKernel{l: k, r: c.compare(expr.OpEq, child, item), tbl: &orTable}
 	}
 	nulls, errs := c.state(child)
 	k = &maskKernel{k: k, nulls: nulls, errs: errs}

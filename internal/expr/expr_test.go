@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -375,5 +376,29 @@ func TestIntArithmeticStaysInt(t *testing.T) {
 	v, err = Bin(OpDiv, Lit(value.Int(8)), Lit(value.Int(2))).Eval(b)
 	if err != nil || v.Kind() != value.KindFloat || v.AsFloat() != 4 {
 		t.Errorf("int/int = %v (%v), want FLOAT 4", v, err)
+	}
+}
+
+func TestModulo(t *testing.T) {
+	b := bind(7, 2.5, "x", true)
+	if got := eval(t, Bin(OpMod, Col("i"), Lit(value.Int(4))), b); got.Kind() != value.KindInt || got.AsInt() != 3 {
+		t.Errorf("7 %% 4 = %v", got)
+	}
+	if got := eval(t, Bin(OpMod, Lit(value.Int(-7)), Lit(value.Int(4))), b); got.AsInt() != -3 {
+		t.Errorf("-7 %% 4 = %v (Go truncated semantics expected)", got)
+	}
+	if got := eval(t, Bin(OpMod, Col("f"), Lit(value.Int(2))), b); got.Kind() != value.KindFloat || got.AsFloat() != math.Mod(2.5, 2) {
+		t.Errorf("2.5 %% 2 = %v", got)
+	}
+	if got := eval(t, Bin(OpMod, Col("i"), Lit(value.Null())), b); !got.IsNull() {
+		t.Errorf("7 %% NULL = %v, want NULL", got)
+	}
+	for _, zero := range []Expr{Lit(value.Int(0)), Lit(value.Float(0))} {
+		if _, err := Bin(OpMod, Col("i"), zero).Eval(b); err == nil || err.Error() != "expr: division by zero" {
+			t.Errorf("i %% %s error = %v, want division by zero", zero, err)
+		}
+	}
+	if _, err := Bin(OpMod, Col("s"), Lit(value.Int(2))).Eval(b); err == nil {
+		t.Error("TEXT %% INT should error")
 	}
 }
